@@ -38,6 +38,15 @@ func TestGetCompilesOnceAndCoalescesAnalyses(t *testing.T) {
 	if a1.ID() == "" || a1.ID() != compile.KeyOf(name, src, compile.O2()).ID() {
 		t.Fatalf("artifact id %q", a1.ID())
 	}
+	// The identity includes the config: the same source at O0 compiles
+	// separately.
+	a0, hit, err := st.Get(name, src, compile.O0())
+	if err != nil || hit {
+		t.Fatalf("O0 get: hit=%v err=%v", hit, err)
+	}
+	if a0 == a1 || a0.ID() == a1.ID() {
+		t.Fatal("O0 and O2 compiles of one source share an artifact")
+	}
 }
 
 func TestAnalysesChargeTheArtifactBudget(t *testing.T) {

@@ -5,11 +5,8 @@
 // under injected disk, compile, and connection failures the service may
 // answer *unavailable* (typed errors, dropped connections) but never
 // *wrong* (every successful response is byte-identical to a fault-free
-// run, and the cycle accounting stays conserved).
-//
-// The load generator half lives in internal/loadgen — one scripted-client
-// implementation shared with the differential oracle's soak — and is
-// re-exported here as aliases so soak tests read naturally either way.
+// run, and the cycle accounting stays conserved). The scripted clients are
+// internal/loadgen's, shared with the differential oracle's soak.
 package chaos
 
 import (
@@ -18,8 +15,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/loadgen"
-	"repro/pkg/minic"
 )
 
 // Event arms one fault point with one rule for a window of the schedule.
@@ -161,17 +156,4 @@ func (s Schedule) Run(stop <-chan struct{}) {
 		case <-stop:
 		}
 	}
-}
-
-// Program is one scripted debug interaction; it is loadgen.Program, the
-// single shared implementation behind both soaks.
-type Program = loadgen.Program
-
-// DefaultProgram is the soak's workload; see loadgen.DefaultProgram.
-func DefaultProgram(name string) Program { return loadgen.DefaultProgram(name) }
-
-// RunIteration drives one full iteration of p against c; see
-// loadgen.RunIteration.
-func RunIteration(c *minic.Client, p Program) ([]string, error) {
-	return loadgen.RunIteration(c, p)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/loadgen"
 	"repro/internal/server"
 	"repro/pkg/minic"
 )
@@ -71,9 +72,9 @@ func TestChaosSoak(t *testing.T) {
 	go srv.ListenAndServe(l)
 	addr := l.Addr().String()
 
-	progs := make([]Program, soakClients)
+	progs := make([]loadgen.Program, soakClients)
 	for i := range progs {
-		progs[i] = DefaultProgram(fmt.Sprintf("chaos-%d.mc", i))
+		progs[i] = loadgen.DefaultProgram(fmt.Sprintf("chaos-%d.mc", i))
 	}
 
 	// Phase 1 — fault-free reference, serial: record each program's
@@ -86,7 +87,7 @@ func TestChaosSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := srv.Snapshot().CyclesExecuted
-		tr, err := RunIteration(c, p)
+		tr, err := loadgen.RunIteration(c, p)
 		if err != nil {
 			t.Fatalf("reference iteration %d: %v", i, err)
 		}
@@ -142,7 +143,7 @@ func TestChaosSoak(t *testing.T) {
 					return
 				default:
 				}
-				tr, err := RunIteration(c, progs[i])
+				tr, err := loadgen.RunIteration(c, progs[i])
 				st.started++
 				if err == nil {
 					st.completed++
@@ -226,7 +227,7 @@ func TestChaosSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := RunIteration(c, p)
+		tr, err := loadgen.RunIteration(c, p)
 		if err != nil {
 			t.Fatalf("recovery iteration %d: %v (seed %d)", i, err, seed)
 		}

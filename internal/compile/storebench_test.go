@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/artstore"
 	"repro/internal/bench"
 	"repro/internal/compile"
 )
@@ -111,13 +112,13 @@ func BenchmarkCacheHotLegacy(b *testing.B) {
 }
 
 // BenchmarkCacheHotStore is the same hot-hit workload against the sharded
-// store adapter: requests hash with maphash and resolve under a per-shard
+// artifact store: requests hash with maphash and resolve under a per-shard
 // lock; sha256 runs only on miss.
 func BenchmarkCacheHotStore(b *testing.B) {
 	ws := benchWorkloads()
-	c := compile.NewCacheWith(compile.CacheConfig{Shards: 8})
+	c := artstore.New(artstore.Config{Shards: 8})
 	for _, w := range ws {
-		if _, _, err := c.Compile(w.name, w.src, compile.O2()); err != nil {
+		if _, _, err := c.Get(w.name, w.src, compile.O2()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +129,7 @@ func BenchmarkCacheHotStore(b *testing.B) {
 		for pb.Next() {
 			w := ws[i%len(ws)]
 			i++
-			if _, hit, err := c.Compile(w.name, w.src, compile.O2()); err != nil || !hit {
+			if _, hit, err := c.Get(w.name, w.src, compile.O2()); err != nil || !hit {
 				b.Errorf("hit=%v err=%v", hit, err)
 				return
 			}
@@ -142,9 +143,9 @@ func BenchmarkColdRestartNoSpill(b *testing.B) {
 	ws := benchWorkloads()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := compile.NewCacheWith(compile.CacheConfig{Shards: 8})
+		c := artstore.New(artstore.Config{Shards: 8})
 		for _, w := range ws {
-			if _, _, err := c.Compile(w.name, w.src, compile.O2()); err != nil {
+			if _, _, err := c.Get(w.name, w.src, compile.O2()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -157,22 +158,22 @@ func BenchmarkColdRestartNoSpill(b *testing.B) {
 func BenchmarkColdRestartSpill(b *testing.B) {
 	ws := benchWorkloads()
 	dir := b.TempDir()
-	warm := compile.NewCacheWith(compile.CacheConfig{Shards: 8, SpillDir: dir})
+	warm := artstore.New(artstore.Config{Shards: 8, SpillDir: dir})
 	for _, w := range ws {
-		if _, _, err := warm.Compile(w.name, w.src, compile.O2()); err != nil {
+		if _, _, err := warm.Get(w.name, w.src, compile.O2()); err != nil {
 			b.Fatal(err)
 		}
 	}
 	warm.Flush()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := compile.NewCacheWith(compile.CacheConfig{Shards: 8, SpillDir: dir})
+		c := artstore.New(artstore.Config{Shards: 8, SpillDir: dir})
 		for _, w := range ws {
-			res, _, err := c.Compile(w.name, w.src, compile.O2())
+			a, _, err := c.Get(w.name, w.src, compile.O2())
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.Mach == nil {
+			if a.Res.Mach == nil {
 				b.Fatal("empty artifact from spill")
 			}
 		}

@@ -16,10 +16,10 @@
 // problems), and a block is re-queued only after an actual change — so at
 // most Bits changes per set, giving O(Bits · N · E) bit-operations in the
 // worst case and, in practice, loop-nesting-depth + 2 sweeps. Solve and
-// the dense reference schedule SolveReference compute the same unique
-// fixed point (chaotic iteration of a monotone system converges to the
-// same limit regardless of a fair visit order), which the differential
-// tests in dataflow_test.go and internal/randprog exercise.
+// a dense round-robin schedule compute the same unique fixed point
+// (chaotic iteration of a monotone system converges to the same limit
+// regardless of a fair visit order); the differential tests hold Solve to
+// that schedule, which lives in reference_test.go.
 //
 // The debugger-side analyses of the paper (hoist reach, dead reach) are
 // instances of the same framework — that is one of the paper's central

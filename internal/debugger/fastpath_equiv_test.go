@@ -13,7 +13,7 @@ import (
 
 // The predecoded bitmap execution path (Continue/Step over RunBreaks)
 // must be observationally identical to the closure-predicate reference
-// path (ContinueRef/StepRef over RunUntilFunc): same stop sequence, same
+// path (ContinueRef/StepRef in reference_test.go): same stop sequence, same
 // instruction and cycle counts at every stop, same program output and
 // exit value. These tests drive both paths over a corpus of generated
 // programs under every optimization configuration.

@@ -5,24 +5,16 @@
 // byte-identical output to encoding/json (same field order, omitempty
 // semantics, and string escaping, including the HTML-safe escapes, the
 // \ufffd replacement for invalid UTF-8, and  / ), over
-// buffers recycled through a sync.Pool. The encode_test golden and
-// randomized tests hold it byte-identical to encoding/json; flipping
-// LegacyJSONEncoding routes the wire loop back through encoding/json as
-// the live differential oracle.
+// buffers recycled through a sync.Pool. The encode_test golden,
+// randomized and Serve-level tests hold it byte-identical to
+// encoding/json, which they call directly as the reference.
 package server
 
 import (
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"unicode/utf8"
 )
-
-// LegacyJSONEncoding, when set, routes wire responses through
-// encoding/json instead of the append encoder. It exists for the
-// byte-equivalence tests and the before/after serving benchmarks; leave
-// it off in production.
-var LegacyJSONEncoding atomic.Bool
 
 // encBufs recycles response encode buffers across requests and
 // connections. Stored as *[]byte so Put does not allocate.
@@ -239,8 +231,6 @@ func appendStats(b []byte, st *Stats) []byte {
 	field("output_limits", st.OutputLimits)
 	field("sroa_splits", st.SROASplits)
 	field("fields_classified", st.FieldsClassified)
-	field("vm_fast_runs", st.VMFastRuns)
-	field("vm_slow_runs", st.VMSlowRuns)
 	field("compile_workers", int64(st.CompileWorkers))
 	field("funcs_compiled", st.FuncsCompiled)
 	field("funcs_reused", st.FuncsReused)

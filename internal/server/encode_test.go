@@ -20,7 +20,6 @@ func fullStats() *Stats {
 		SpillDegraded: true, SpillDegradations: 20, SpillProbes: 21, FlushErrors: 22,
 		AnalysesBuilt: 23, CyclesExecuted: -24, Requests: 25, Panics: 26, Timeouts: 27,
 		OutputLimits: 28, SROASplits: 41, FieldsClassified: 42,
-		VMFastRuns: 29, VMSlowRuns: 30,
 		CompileWorkers: 31, FuncsCompiled: 32, FuncsReused: 33, CompileMSTotal: 34,
 		FuncCacheEntries: 35, FuncCacheBytes: 36, FuncCacheEvictions: 37,
 		CoverageSweeps: 38, CoveragePairs: 39,
@@ -137,55 +136,43 @@ func TestAppendStringRandom(t *testing.T) {
 	}
 }
 
-// TestServeEncodingModes runs the same scripted connection under the
-// append encoder and under LegacyJSONEncoding and requires the wire
-// bytes to be identical.
+// TestServeEncodingModes holds the wire loop to encoding/json: every line
+// Serve writes must equal json.Marshal of its own decode plus '\n', the
+// line json.Encoder would have written for the same response.
 func TestServeEncodingModes(t *testing.T) {
 	script := strings.Join([]string{
 		`{"id":1,"cmd":"compile","name":"p","src":"int main() { int i; int s; s = 0; for (i = 0; i < 10; i = i + 1) { s = s + i; } print s; return s; }"}`,
-		`{"id":2,"cmd":"stats"}`,
-		`{"id":3,"cmd":"nope"}`,
-		`{"id":4,"cmd":"batch","reqs":[{"id":5,"cmd":"stats"},{"id":6,"cmd":"nope"}]}`,
+		`{"id":2,"cmd":"compile","workload":"compress"}`,
+		`{"id":3,"cmd":"stats"}`,
+		`{"id":4,"cmd":"nope"}`,
+		`{"id":5,"cmd":"batch","reqs":[{"id":6,"cmd":"stats"},{"id":7,"cmd":"nope"}]}`,
 	}, "\n") + "\n"
 
-	run := func(legacy bool) string {
-		s := New(Options{})
-		defer s.Close()
-		LegacyJSONEncoding.Store(legacy)
-		defer LegacyJSONEncoding.Store(false)
-		var out bytes.Buffer
-		if err := s.Serve(strings.NewReader(script), &out); err != nil {
-			t.Fatalf("Serve(legacy=%v): %v", legacy, err)
-		}
-		return out.String()
+	s := New(Options{})
+	defer s.Close()
+	var out bytes.Buffer
+	if err := s.Serve(strings.NewReader(script), &out); err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
-
-	fast := run(false)
-	legacy := run(true)
-	// Stats lines carry live counters (requests, vm runs...) that differ
-	// between the two runs; compare structure line by line, and bytes on
-	// the stats-free lines.
-	fl, ll := strings.Split(fast, "\n"), strings.Split(legacy, "\n")
-	if len(fl) != len(ll) {
-		t.Fatalf("line count differs: %d vs %d\nfast: %q\nlegacy: %q", len(fl), len(ll), fast, legacy)
+	lines := strings.SplitAfter(out.String(), "\n")
+	if last := lines[len(lines)-1]; last != "" {
+		t.Fatalf("output does not end in a newline: %q", last)
 	}
-	for i := range fl {
-		if strings.Contains(fl[i], `"stats"`) {
-			continue
-		}
-		if fl[i] != ll[i] {
-			t.Errorf("line %d differs\n  fast: %s\nlegacy: %s", i, fl[i], ll[i])
-		}
+	lines = lines[:len(lines)-1]
+	if len(lines) != 5 {
+		t.Fatalf("got %d response lines, want 5:\n%s", len(lines), out.String())
 	}
-	// And every fast-path line must itself re-marshal identically: decode
-	// then json.Marshal must reproduce the exact wire bytes.
-	for i, line := range fl {
-		if line == "" {
-			continue
-		}
+	for i, line := range lines {
 		var r Response
 		if err := json.Unmarshal([]byte(line), &r); err != nil {
 			t.Fatalf("line %d does not parse: %v\n%s", i, err, line)
+		}
+		want, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatalf("line %d: json.Marshal: %v", i, err)
+		}
+		if want = append(want, '\n'); line != string(want) {
+			t.Errorf("line %d differs from encoding/json\n got: %s\nwant: %s", i, line, want)
 		}
 	}
 }

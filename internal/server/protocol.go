@@ -284,14 +284,6 @@ type Stats struct {
 	SROASplits       int64 `json:"sroa_splits"`
 	FieldsClassified int64 `json:"fields_classified"`
 
-	// VMFastRuns/VMSlowRuns count VM run-loop invocations by path since
-	// process start (process-wide, not per-server): the predecoded bitmap
-	// fast path vs the closure-predicate reference path. Steady serving
-	// load must keep VMSlowRuns flat — the CI bench smoke asserts exactly
-	// that.
-	VMFastRuns int64 `json:"vm_fast_runs"`
-	VMSlowRuns int64 `json:"vm_slow_runs"`
-
 	// Per-function compile pipeline: lifetime totals of back ends run vs.
 	// functions stitched from the incremental tier, cumulative pipeline
 	// wall time, and the incremental tier's resident footprint.

@@ -540,17 +540,21 @@ const (
 )
 
 // resolve completes an in-flight entry with its value or error, charges
-// its cost, updates the hit/miss counters, and runs eviction.
+// its cost, updates the hit/miss counters, and runs eviction. The entry
+// completes (done closes) under the shard lock, in the same critical
+// section that charges its cost and indexes its id: evictLocked and AddCost
+// treat a completed entry as charged, so no lock holder may observe one
+// that is completed but not yet accounted.
 func (s *Store[M, V]) resolve(sh *shard[M, V], e *entry[M, V], v V, cost int64, err error, kind resolveKind) {
-	e.val, e.err = v, err
-	close(e.done)
 	sh.mu.Lock()
+	e.val, e.err = v, err
 	if err != nil {
 		sh.misses++
 		if cur, ok := sh.index[e.m]; ok && cur == e {
 			delete(sh.index, e.m)
 			sh.order.Remove(e.elem)
 		}
+		close(e.done)
 		sh.mu.Unlock()
 		return
 	}
@@ -566,6 +570,7 @@ func (s *Store[M, V]) resolve(sh *shard[M, V], e *entry[M, V], v V, cost int64, 
 	e.cost = cost
 	sh.bytes += cost
 	sh.byID[e.id] = e
+	close(e.done)
 	victims := sh.evictLocked()
 	sh.mu.Unlock()
 	s.spill(sh, victims)

@@ -321,4 +321,21 @@ func TestShardedStoreConcurrentBudgetInvariant(t *testing.T) {
 	if st := s.Stats(); st.MemoryBytes > budget {
 		t.Fatalf("final accounted bytes %d exceed budget %d", st.MemoryBytes, budget)
 	}
+	// At rest every shard's accounting is exact: its byte total is the sum
+	// of its resident entries' costs, and every id-indexed entry is still
+	// resident (an evicted entry left in byID would be served stale).
+	for i, sh := range s.shards {
+		var sum int64
+		for el := sh.order.Front(); el != nil; el = el.Next() {
+			sum += el.Value.(*entry[ident, string]).cost
+		}
+		if sh.bytes != sum {
+			t.Errorf("shard %d: accounted bytes %d, resident costs sum to %d", i, sh.bytes, sum)
+		}
+		for id, e := range sh.byID {
+			if sh.index[e.m] != e {
+				t.Errorf("shard %d: byID entry %s is not resident", i, id)
+			}
+		}
+	}
 }

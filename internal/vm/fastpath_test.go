@@ -82,21 +82,25 @@ func TestPredecodeLayout(t *testing.T) {
 }
 
 // TestBreakSetAdd exercises Add's validation: real positions arm, alien
-// blocks and out-of-range indices are rejected.
+// blocks and out-of-range indices are programming errors and panic.
 func TestBreakSetAdd(t *testing.T) {
 	_, v := compile(t, loopProg, opt.O2())
 	main := v.Prog.LookupFunc("main")
 	helper := v.Prog.LookupFunc("helper")
 	bs := v.NewBreakSet()
-	if !bs.Add(main, main.Entry, 0) {
-		t.Error("Add at main entry should succeed")
+	bs.Add(main, main.Entry, 0)
+	mustPanic := func(what string, add func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Add %s should panic", what)
+			}
+		}()
+		add()
 	}
-	if bs.Add(main, helper.Entry, 0) {
-		t.Error("Add with a block from another function should fail")
-	}
-	if bs.Add(main, main.Entry, 10_000) {
-		t.Error("Add past the end of a block should fail")
-	}
+	mustPanic("with a block from another function", func() { bs.Add(main, helper.Entry, 0) })
+	mustPanic("past the end of a block", func() { bs.Add(main, main.Entry, 10_000) })
+	mustPanic("before the start of a block", func() { bs.Add(main, main.Entry, -1) })
 	if bs.maskOf(main) == nil {
 		t.Error("armed function should have a mask")
 	}
@@ -132,7 +136,7 @@ func TestRunBreaksStepBudget(t *testing.T) {
 
 		_, vRef := compile(t, loopProg, opt.O2())
 		vRef.MaxSteps = budget
-		errRef := vRef.RunUntilFunc(func(Pos) bool { return false })
+		errRef := runUntil(vRef, never)
 
 		if !errors.Is(errFast, ErrStepLimit) || !errors.Is(errRef, ErrStepLimit) {
 			t.Fatalf("budget %d: fast=%v ref=%v, want ErrStepLimit from both", budget, errFast, errRef)
@@ -179,7 +183,7 @@ func TestDeadlineTinyProgram(t *testing.T) {
 
 	_, vRef := compile(t, tinyProg, opt.O2())
 	vRef.SetDeadline(time.Now().Add(-time.Second))
-	errRef := vRef.RunUntilFunc(func(Pos) bool { return false })
+	errRef := runUntil(vRef, never)
 	if !errors.Is(errRef, ErrDeadline) {
 		t.Fatalf("ref path: %v, want ErrDeadline", errRef)
 	}
@@ -214,7 +218,7 @@ func TestOutputLimit(t *testing.T) {
 
 	_, vRef := compile(t, loopProg, opt.O2())
 	vRef.MaxOutput = 64
-	errRef := vRef.RunUntilFunc(func(Pos) bool { return false })
+	errRef := runUntil(vRef, never)
 	if !errors.Is(errRef, ErrOutputLimit) {
 		t.Fatalf("ref path: %v, want ErrOutputLimit", errRef)
 	}
@@ -238,31 +242,6 @@ func TestOutputUnlimited(t *testing.T) {
 	}
 	if len(v.Output()) == 0 {
 		t.Fatal("program should have printed")
-	}
-}
-
-// TestPathStats: RunBreaks increments the fast counter, RunUntilFunc the
-// slow one.
-func TestPathStats(t *testing.T) {
-	f0, s0 := PathStats()
-	_, v := compile(t, loopProg, opt.O2())
-	if err := v.Run(); err != nil {
-		t.Fatal(err)
-	}
-	f1, s1 := PathStats()
-	if f1 <= f0 {
-		t.Errorf("fast counter did not move: %d -> %d", f0, f1)
-	}
-	if s1 != s0 {
-		t.Errorf("slow counter moved on a fast run: %d -> %d", s0, s1)
-	}
-	_, v2 := compile(t, loopProg, opt.O2())
-	if err := v2.RunUntilFunc(func(Pos) bool { return false }); err != nil {
-		t.Fatal(err)
-	}
-	_, s2 := PathStats()
-	if s2 != s1+1 {
-		t.Errorf("slow counter after RunUntilFunc: %d, want %d", s2, s1+1)
 	}
 }
 

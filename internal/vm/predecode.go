@@ -13,7 +13,7 @@
 package vm
 
 import (
-	"sync/atomic"
+	"fmt"
 
 	"repro/internal/mach"
 )
@@ -204,16 +204,19 @@ func (vm *VM) NewBreakSet() *BreakSet {
 	return &BreakSet{pc: vm.pcode, masks: map[*mach.Func][]uint64{}}
 }
 
-// Add arms a stop at instruction idx of block b in fn. It reports whether
-// the position exists in the predecoded layout.
-func (bs *BreakSet) Add(fn *mach.Func, b *mach.Block, idx int) bool {
+// Add arms a stop at instruction idx of block b in fn. The position must
+// exist in the predecoded layout; one that does not is a programming error
+// and panics, like an out-of-range index. Every debug-info location is in
+// the layout: debuginfo.Build and flatten walk the same blocks and
+// instructions.
+func (bs *BreakSet) Add(fn *mach.Func, b *mach.Block, idx int) {
 	fc, ok := bs.pc.funcs[fn]
 	if !ok {
-		return false
+		panic(fmt.Sprintf("vm: BreakSet.Add: function %s is not in the program", fn.Name))
 	}
 	pc, ok := fc.pcOf(b, idx)
 	if !ok {
-		return false
+		panic(fmt.Sprintf("vm: BreakSet.Add: position b%d[%d] is outside %s's layout", b.ID, idx, fn.Name))
 	}
 	m := bs.masks[fn]
 	if m == nil {
@@ -221,7 +224,6 @@ func (bs *BreakSet) Add(fn *mach.Func, b *mach.Block, idx int) bool {
 		bs.masks[fn] = m
 	}
 	m[pc>>6] |= 1 << (uint(pc) & 63)
-	return true
 }
 
 // maskOf returns fn's stop bitmap, or nil when execution never stops in
@@ -241,8 +243,7 @@ func (bs *BreakSet) maskOf(fn *mach.Func) []uint64 {
 // StepBreakSet compiles the source-level single-step stop rule into a
 // BreakSet: execution stops at any statement-tagged instruction of a
 // function other than fn, and at any statement-tagged instruction of fn
-// whose statement differs from stmt. This is exactly the predicate
-// debugger.Step used to evaluate per instruction through RunUntil.
+// whose statement differs from stmt.
 func (vm *VM) StepBreakSet(fn *mach.Func, stmt int) *BreakSet {
 	bs := &BreakSet{pc: vm.pcode, masks: map[*mach.Func][]uint64{}, stepMode: true}
 	fc, ok := vm.pcode.funcs[fn]
@@ -258,17 +259,4 @@ func (vm *VM) StepBreakSet(fn *mach.Func, stmt int) *BreakSet {
 	}
 	bs.masks[fn] = m
 	return bs
-}
-
-// fastRuns/slowRuns count run-loop invocations by path, process-wide: the
-// predecoded bitmap loop (RunBreaks) vs the closure-predicate reference
-// loop (RunUntilFunc). The CI bench smoke asserts serving load stays on
-// the fast path by checking the slow counter does not move.
-var fastRuns, slowRuns atomic.Int64
-
-// PathStats reports how many run-loop invocations took the predecoded
-// bitmap fast path vs the closure-predicate slow path since process
-// start.
-func PathStats() (fast, slow int64) {
-	return fastRuns.Load(), slowRuns.Load()
 }

@@ -5,15 +5,12 @@
 // the paper's model needs: run-to-breakpoint, single-step, and inspection
 // of registers and memory at the stopped position.
 //
-// Execution has two paths. The hot path (Run, RunBreaks) walks the
-// predecoded pc-indexed instruction array (see predecode.go) and tests a
-// breakpoint bitmap bit per instruction, with the step-budget and
-// wall-clock-deadline checks folded into one counter examined every
-// checkQuantum instructions. The reference path (RunUntilFunc) evaluates
-// an arbitrary stop predicate over a Pos before every instruction — the
-// legacy interface, kept as the differential oracle the equivalence tests
-// hold the fast path against, and for callers with stop conditions no
-// bitmap can express.
+// Execution (Run, RunBreaks) walks the predecoded pc-indexed instruction
+// array (see predecode.go) and tests a breakpoint bitmap bit per
+// instruction, with the step-budget and wall-clock-deadline checks folded
+// into one counter examined every checkQuantum instructions. Step executes
+// a single instruction; the tests build their reference stop-predicate
+// loop from Step, Position and Halted and hold RunBreaks to it.
 package vm
 
 import (
@@ -188,8 +185,8 @@ func (vm *VM) SetDeadline(t time.Time) {
 }
 
 // checkDeadline reports ErrDeadline when the wall-clock deadline has
-// already passed. Both run entry points (RunBreaks and RunUntilFunc)
-// call it before executing anything: the in-loop checks fire only at
+// already passed. RunBreaks calls it before executing anything: the
+// in-loop checks fire only at
 // checkQuantum-aligned step counts, so without the entry check a program
 // shorter than checkQuantum steps — or a request admitted after its
 // deadline under queueing delay — would run to completion against an
@@ -250,35 +247,6 @@ func (vm *VM) Run() error {
 	return vm.RunBreaks(vm.empty, false)
 }
 
-// RunUntil executes until stop(pos) returns true (checked before each
-// instruction) or the program halts.
-//
-// Deprecated: RunUntil is the original name of RunUntilFunc and forwards
-// to it. Hot callers with fixed stop positions should compile a BreakSet
-// and use RunBreaks instead.
-func (vm *VM) RunUntil(stop func(Pos) bool) error { return vm.RunUntilFunc(stop) }
-
-// RunUntilFunc executes until stop(pos) returns true (checked before each
-// instruction) or the program halts. This is the reference slow path: it
-// builds a Pos and calls the predicate before every instruction, so it can
-// express stop conditions no bitmap can. The equivalence tests hold
-// RunBreaks to byte-identical behavior against it.
-func (vm *VM) RunUntilFunc(stop func(Pos) bool) error {
-	slowRuns.Add(1)
-	if err := vm.checkDeadline(); err != nil {
-		return err
-	}
-	for !vm.halted {
-		if stop(vm.Position()) {
-			return nil
-		}
-		if err := vm.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunBreaks executes until the current position's bit in bs is set
 // (checked before each instruction), the program halts, or the step
 // budget, deadline, or an execution fault cuts it off. It is the
@@ -292,7 +260,6 @@ func (vm *VM) RunUntilFunc(stop func(Pos) bool) error {
 // before stopping is considered: resuming from a breakpoint must not
 // immediately re-trigger it.
 func (vm *VM) RunBreaks(bs *BreakSet, skipCurrent bool) error {
-	fastRuns.Add(1)
 	if bs == nil || bs.pc != vm.pcode {
 		return errors.New("vm: BreakSet was compiled for a different program")
 	}

@@ -12,11 +12,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/artstore"
 	"repro/internal/bench"
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/server"
-	"repro/internal/vm"
 )
 
 // BenchmarkCompileCold compiles the li workload through the pipeline
@@ -31,21 +31,20 @@ func BenchmarkCompileCold(b *testing.B) {
 }
 
 // BenchmarkCompileCached serves the same workload from the artifact
-// cache after one cold compile.
+// store after one cold compile.
 func BenchmarkCompileCached(b *testing.B) {
 	src := bench.MustSource("li")
-	c := compile.NewCache(8)
-	if _, _, err := c.Compile("li.mc", src, compile.O2()); err != nil {
+	st := artstore.New(artstore.Config{MaxArtifacts: 8})
+	if _, _, err := st.Get("li.mc", src, compile.O2()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit, err := c.Compile("li.mc", src, compile.O2()); err != nil || !hit {
+		if _, hit, err := st.Get("li.mc", src, compile.O2()); err != nil || !hit {
 			b.Fatalf("hit=%v err=%v", hit, err)
 		}
 	}
-	st := c.Stats()
-	b.ReportMetric(float64(st.Hits), "cache-hits")
+	b.ReportMetric(float64(st.Stats().Hits), "cache-hits")
 }
 
 // BenchmarkAnalyzeProgram measures precomputing every function's core
@@ -171,70 +170,39 @@ func BenchmarkServerSession(b *testing.B) {
 // BenchmarkServeContinue is the hot serving path end to end: a session
 // stopped at a breakpoint in a tight loop body, resumed with one
 // continue request line per stop through the full wire loop (JSON
-// decode, bitmap resume, response encode). The stdlib sub-benchmark
-// routes responses through encoding/json (the old encoder); append uses
-// the pooled append encoder. Wire bytes are identical either way — the
-// encoder equivalence tests hold them so — only cost differs.
+// decode, bitmap resume, response encode).
 func BenchmarkServeContinue(b *testing.B) {
-	src := `int main() {
-	int i;
-	int s = 0;
-	for (i = 0; i < 100000000; i = i + 1) {
-		s = s + i;
-		if (s > 1000000000) {
-			s = s - 1000000000;
+	const linesPerOp = 64
+	s := server.New(server.Options{})
+	defer s.Close()
+	c := s.Handle(&server.Request{Cmd: "compile", Name: "hot", Src: hotLoopSrc})
+	if !c.OK {
+		b.Fatalf("compile: %+v", c.Error)
+	}
+	o := s.Handle(&server.Request{Cmd: "open-session", Artifact: c.Artifact})
+	if !o.OK {
+		b.Fatalf("open: %+v", o.Error)
+	}
+	if r := s.Handle(&server.Request{Cmd: "break", Session: o.Session, Line: hotLoopLine(b)}); !r.OK {
+		b.Fatalf("break: %+v", r.Error)
+	}
+	var sb strings.Builder
+	enc := json.NewEncoder(&sb)
+	for i := 0; i < linesPerOp; i++ {
+		req := server.Request{ID: int64(i + 1), Cmd: "continue", Session: o.Session, Handle: o.Handle}
+		if err := enc.Encode(&req); err != nil {
+			b.Fatal(err)
 		}
 	}
-	print(s);
-	return s;
-}
-`
-	const linesPerOp = 64
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"stdlib", true}, {"append", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s := server.New(server.Options{})
-			defer s.Close()
-			c := s.Handle(&server.Request{Cmd: "compile", Name: "hot", Src: src})
-			if !c.OK {
-				b.Fatalf("compile: %+v", c.Error)
-			}
-			o := s.Handle(&server.Request{Cmd: "open-session", Artifact: c.Artifact})
-			if !o.OK {
-				b.Fatalf("open: %+v", o.Error)
-			}
-			if r := s.Handle(&server.Request{Cmd: "break", Session: o.Session, Line: 5}); !r.OK {
-				b.Fatalf("break: %+v", r.Error)
-			}
-			var sb strings.Builder
-			enc := json.NewEncoder(&sb)
-			for i := 0; i < linesPerOp; i++ {
-				req := server.Request{ID: int64(i + 1), Cmd: "continue", Session: o.Session, Handle: o.Handle}
-				if err := enc.Encode(&req); err != nil {
-					b.Fatal(err)
-				}
-			}
-			input := sb.String()
+	input := sb.String()
 
-			server.LegacyJSONEncoding.Store(mode.legacy)
-			defer server.LegacyJSONEncoding.Store(false)
-			_, slow0 := vm.PathStats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Serve(strings.NewReader(input), io.Discard); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(linesPerOp, "continues/op")
-			// Serving load must stay on the predecoded bitmap path; a moving
-			// slow counter means continue fell back to the predicate loop.
-			if _, slow1 := vm.PathStats(); slow1 != slow0 {
-				b.Fatalf("serving load took the slow VM path %d times", slow1-slow0)
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Serve(strings.NewReader(input), io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.StopTimer()
+	b.ReportMetric(linesPerOp, "continues/op")
 }

@@ -1,8 +1,5 @@
-// Execution hot-path benchmarks: continue-to-breakpoint throughput on
-// the predecoded bitmap engine vs. the closure-predicate reference
-// engine. The bitmap sub-benchmark asserts via vm.PathStats that it
-// never fell back to the slow path — the CI bench smoke runs it for
-// exactly that check.
+// Execution hot-path benchmarks: continue-to-breakpoint and
+// run-to-completion throughput on the predecoded bitmap engine.
 package repro
 
 import (
@@ -52,63 +49,42 @@ func BenchmarkContinueToBreakpoint(b *testing.B) {
 	}
 	line := hotLoopLine(b)
 
-	run := func(b *testing.B, ref bool) {
-		b.ReportAllocs()
-		newSession := func() *debugger.Debugger {
-			d, err := debugger.New(res)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := d.BreakAtLine(line); err != nil {
-				b.Fatal(err)
-			}
-			// Long -benchtime runs push one session far past the default
-			// step budget; the budget itself is benchmarked elsewhere.
-			d.VM.MaxSteps = 1 << 62
-			return d
+	b.ReportAllocs()
+	newSession := func() *debugger.Debugger {
+		d, err := debugger.New(res)
+		if err != nil {
+			b.Fatal(err)
 		}
-		d := newSession()
-		var instr, prev int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var bp *debugger.Breakpoint
-			var err error
-			if ref {
-				bp, err = d.ContinueRef()
-			} else {
-				bp, err = d.Continue()
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			instr += d.VM.Steps - prev
-			prev = d.VM.Steps
-			if bp == nil {
-				d = newSession()
-				prev = 0
-			}
+		if _, err := d.BreakAtLine(line); err != nil {
+			b.Fatal(err)
 		}
-		b.StopTimer()
-		b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "MInstr/s")
+		// Long -benchtime runs push one session far past the default
+		// step budget; the budget itself is benchmarked elsewhere.
+		d.VM.MaxSteps = 1 << 62
+		return d
 	}
-
-	b.Run("predicate", func(b *testing.B) { run(b, true) })
-	b.Run("bitmap", func(b *testing.B) {
-		f0, s0 := vm.PathStats()
-		run(b, false)
-		f1, s1 := vm.PathStats()
-		if s1 != s0 {
-			b.Fatalf("bitmap benchmark fell back to the slow predicate path: slowRuns %d -> %d", s0, s1)
+	d := newSession()
+	var instr, prev int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bp, err := d.Continue()
+		if err != nil {
+			b.Fatal(err)
 		}
-		if f1 == f0 {
-			b.Fatal("bitmap benchmark never took the fast path")
+		instr += d.VM.Steps - prev
+		prev = d.VM.Steps
+		if bp == nil {
+			d = newSession()
+			prev = 0
 		}
-	})
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "MInstr/s")
 }
 
 // BenchmarkRunToCompletion measures straight-line execution (Run to
-// halt, no breakpoints) on both engines: the pure dispatch-overhead
-// comparison, with no stop positions armed.
+// halt, no breakpoints): the pure dispatch overhead, with no stop
+// positions armed.
 func BenchmarkRunToCompletion(b *testing.B) {
 	src := `int main() {
 	int i;
@@ -123,28 +99,19 @@ func BenchmarkRunToCompletion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, ref bool) {
-		b.ReportAllocs()
-		var instr int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v, err := vm.New(res.Mach)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ref {
-				err = v.RunUntilFunc(func(vm.Pos) bool { return false })
-			} else {
-				err = v.Run()
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			instr += v.Steps
+	b.ReportAllocs()
+	var instr int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := vm.New(res.Mach)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.StopTimer()
-		b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "MInstr/s")
+		if err := v.Run(); err != nil {
+			b.Fatal(err)
+		}
+		instr += v.Steps
 	}
-	b.Run("predicate", func(b *testing.B) { run(b, true) })
-	b.Run("bitmap", func(b *testing.B) { run(b, false) })
+	b.StopTimer()
+	b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "MInstr/s")
 }
