@@ -18,7 +18,9 @@
 //	-drain-timeout d how long shutdown waits for in-flight requests
 //	-cache n         artifact store size in artifacts (default 32)
 //	-shards n        artifact store shard count (default 8)
-//	-mem-budget n    artifact + analysis memory budget in bytes (0 = unbounded)
+//	-mem-budget n    artifact + analysis memory budget in bytes (0 = unbounded);
+//	                 the per-function compile cache gets a quarter of it,
+//	                 or 2 MiB when it is unbounded
 //	-spill-dir path  spill evicted artifacts to this directory and reload
 //	                 them on miss, so restarts keep the warm set
 //	-max-sessions n  concurrent session limit (default 64)
@@ -75,7 +77,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", server.DefaultDrainTimeout, "how long shutdown waits for in-flight requests")
 	cache := flag.Int("cache", server.DefaultCacheSize, "artifact store size (artifacts)")
 	shards := flag.Int("shards", server.DefaultShards, "artifact store shard count")
-	memBudget := flag.Int64("mem-budget", 0, "artifact + analysis memory budget in bytes (0 = unbounded)")
+	memBudget := flag.Int64("mem-budget", 0, "artifact + analysis memory budget in bytes (0 = unbounded); the per-function compile cache gets a quarter, or 2 MiB when unbounded")
 	spillDir := flag.String("spill-dir", "", "spill evicted artifacts to this directory (empty = memory-only)")
 	maxSess := flag.Int("max-sessions", server.DefaultMaxSessions, "concurrent session limit")
 	sessionTTL := flag.Duration("session-ttl", 0, "reap sessions idle longer than this (0 = never)")

@@ -69,14 +69,21 @@ type Config struct {
 	// FuncCacheBudget bounds the accounted bytes of the per-function
 	// incremental tier (encoded machine-code images keyed by content hash
 	// of each function's checked IR + config). 0 means a default of
-	// MemoryBudget/4 (or unbounded when MemoryBudget is unbounded);
-	// negative disables incremental reuse entirely.
+	// MemoryBudget/4, or DefaultFuncCacheBudget when MemoryBudget is
+	// unbounded; negative disables incremental reuse entirely.
 	FuncCacheBudget int64
 	// SpillDegradeAfter and SpillProbeInterval tune the disk tier's
 	// circuit breaker (see store.Config); <= 0 means the store defaults.
 	SpillDegradeAfter  int
 	SpillProbeInterval time.Duration
 }
+
+// DefaultFuncCacheBudget bounds the per-function tier of a store with
+// neither a function-cache nor a memory budget. It is a little over twice
+// what the eight corpus workloads use at three configurations (0.9 MB),
+// so one-function edits keep reusing their siblings, while a long-lived
+// store compiling fresh programs stops growing.
+const DefaultFuncCacheBudget = 2 << 20
 
 // ident is the request identity: exact equality on (name, source, config).
 type ident struct {
@@ -140,8 +147,11 @@ func New(cfg Config) *Store {
 	var funcs *compile.FuncCache
 	if cfg.FuncCacheBudget >= 0 {
 		budget := cfg.FuncCacheBudget
-		if budget == 0 && cfg.MemoryBudget > 0 {
-			budget = cfg.MemoryBudget / 4
+		if budget == 0 {
+			budget = DefaultFuncCacheBudget
+			if cfg.MemoryBudget > 0 {
+				budget = cfg.MemoryBudget / 4
+			}
 		}
 		funcs = compile.NewFuncCache(compile.FuncCacheConfig{
 			Shards:       cfg.Shards,

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/compile"
+	"repro/internal/randprog"
 )
 
 func srcFor(i int) (string, string) {
@@ -189,5 +191,46 @@ func TestErrorsAreNotCached(t *testing.T) {
 	s := st.Stats()
 	if s.Misses != 2 || s.Entries != 0 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestFuncCacheBoundedWithoutMemoryBudget: a store with no memory budget
+// (the daemon's default) still bounds its per-function tier, so compiling
+// a stream of fresh programs does not grow it without limit, and a
+// one-function edit still recompiles only the edited function.
+func TestFuncCacheBoundedWithoutMemoryBudget(t *testing.T) {
+	st := New(Config{Shards: 8})
+	for seed := int64(1); seed <= 600; seed++ {
+		if _, _, err := st.Get(fmt.Sprintf("rand%d.mc", seed), randprog.Gen(seed), compile.O2()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs, ok := st.FuncCacheStats()
+	if !ok {
+		t.Fatal("incremental reuse disabled")
+	}
+	if fs.MemoryBudget != DefaultFuncCacheBudget {
+		t.Errorf("function cache budget %d, want %d", fs.MemoryBudget, DefaultFuncCacheBudget)
+	}
+	if fs.MemoryBytes > DefaultFuncCacheBudget {
+		t.Errorf("function cache holds %d accounted bytes after 600 fresh programs, over its %d budget",
+			fs.MemoryBytes, DefaultFuncCacheBudget)
+	}
+	if fs.Evictions == 0 {
+		t.Error("600 fresh programs never reached the bound; the test no longer exercises it")
+	}
+
+	src := bench.MustSource("li")
+	if _, _, err := st.Get("li.mc", src, compile.O2()); err != nil {
+		t.Fatal(err)
+	}
+	edited := src + "\nint probe(int x) { return x * 3 + 1; }\n"
+	a, _, err := st.Get("li.mc", edited, compile.O2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Metrics.FuncsCompiled != 1 {
+		t.Errorf("one-function edit compiled %d funcs, want 1 (reused %d of %d)",
+			a.Metrics.FuncsCompiled, a.Metrics.FuncsReused, a.Metrics.Funcs)
 	}
 }

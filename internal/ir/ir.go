@@ -16,6 +16,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/ast"
@@ -105,20 +106,48 @@ func (o Operand) Same(p Operand) bool {
 	return true
 }
 
-// Key returns a string key identifying the operand within a function,
-// used to build expression keys for redundancy elimination.
-func (o Operand) Key() string {
+// OpdKey identifies an operand within a function, for redundancy keys:
+// two operands have equal keys exactly when they name the same temp, the
+// same variable object, or the same constant (float constants by bit
+// pattern, with every NaN equal to every other).
+type OpdKey struct {
+	Kind OpdKind
+	N    int64       // TID, Int, float bits, or the variable's ID
+	Obj  *ast.Object // Kind == Var
+}
+
+// canonicalNaN is the bit pattern every NaN constant keys as.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// Key returns the operand's redundancy key.
+func (o Operand) Key() OpdKey {
 	switch o.Kind {
 	case Temp:
-		return fmt.Sprintf("t%d", o.TID)
+		return OpdKey{Kind: Temp, N: int64(o.TID)}
 	case Var:
-		return fmt.Sprintf("v%d.%s", o.Obj.ID, o.Obj.Name)
+		return OpdKey{Kind: Var, N: int64(o.Obj.ID), Obj: o.Obj}
 	case ConstI:
-		return fmt.Sprintf("#%d", o.Int)
+		return OpdKey{Kind: ConstI, N: o.Int}
 	case ConstF:
-		return fmt.Sprintf("#%g", o.Fl)
+		if math.IsNaN(o.Fl) {
+			return OpdKey{Kind: ConstF, N: int64(canonicalNaN)}
+		}
+		return OpdKey{Kind: ConstF, N: int64(math.Float64bits(o.Fl))}
 	}
-	return "_"
+	return OpdKey{}
+}
+
+// less orders operand keys, so commutative operands can be put in a
+// canonical order. Two distinct variables are ordered by ID, then name;
+// variables of one function never share both.
+func (k OpdKey) less(l OpdKey) bool {
+	if k.Kind != l.Kind {
+		return k.Kind < l.Kind
+	}
+	if k.N != l.N {
+		return k.N < l.N
+	}
+	return k.Obj != nil && l.Obj != nil && k.Obj.Name < l.Obj.Name
 }
 
 func (o Operand) String() string {
@@ -341,26 +370,45 @@ func (i *Instr) ReplaceUses(old, new Operand) int {
 	return n
 }
 
-// ExprKey returns a canonical string identifying the value computed by a
-// BinOp/UnOp/Copy/Load instruction, for redundancy detection. Commutative
-// operands are ordered canonically. Returns "" for instructions whose value
-// cannot be keyed (calls, loads — loads are not pure across stores).
-func (i *Instr) ExprKey() string {
+// ExprKey identifies the value computed by a BinOp/UnOp/Copy/Addr
+// instruction, for redundancy detection: instructions with equal keys
+// compute the same value. Dst is set only by AssignKey.
+type ExprKey struct {
+	Kind    Kind
+	Op      Op
+	Dst     OpdKey
+	A, B    OpdKey
+	AddrObj *ast.Object
+}
+
+// ExprKey returns the key of the value the instruction computes.
+// Commutative operands are ordered canonically. Instructions whose value
+// cannot be keyed (calls, loads — loads are not pure across stores) get
+// the zero ExprKey, which no keyable instruction has.
+func (i *Instr) ExprKey() ExprKey {
 	switch i.Kind {
 	case BinOp:
 		a, b := i.A.Key(), i.B.Key()
-		if i.Op.IsCommutative() && b < a {
+		if i.Op.IsCommutative() && b.less(a) {
 			a, b = b, a
 		}
-		return fmt.Sprintf("%s %s %s", i.Op, a, b)
+		return ExprKey{Kind: BinOp, Op: i.Op, A: a, B: b}
 	case UnOp:
-		return fmt.Sprintf("%s %s", i.Op, i.A.Key())
+		return ExprKey{Kind: UnOp, Op: i.Op, A: i.A.Key()}
 	case Copy:
-		return fmt.Sprintf("copy %s", i.A.Key())
+		return ExprKey{Kind: Copy, A: i.A.Key()}
 	case Addr:
-		return fmt.Sprintf("addr v%d.%s", i.AddrObj.ID, i.AddrObj.Name)
+		return ExprKey{Kind: Addr, AddrObj: i.AddrObj}
 	}
-	return ""
+	return ExprKey{}
+}
+
+// AssignKey is ExprKey plus the destination: it identifies the
+// assignment "Dst = value".
+func (i *Instr) AssignKey() ExprKey {
+	k := i.ExprKey()
+	k.Dst = i.Dst.Key()
+	return k
 }
 
 // Clone returns a deep copy of the instruction (slices copied).

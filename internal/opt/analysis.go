@@ -140,16 +140,16 @@ func (lv *liveness) liveAfter(f *ir.Func, bi int) []*dataflow.BitSet {
 // exprTable interns expression keys to dense indices for availability
 // problems.
 type exprTable struct {
-	keys  []string
-	index map[string]int
+	keys  []ir.ExprKey
+	index map[ir.ExprKey]int
 	// sample holds one representative instruction per key, used to clone
 	// computations during PRE insertion.
 	sample []*ir.Instr
 }
 
-func newExprTable() *exprTable { return &exprTable{index: map[string]int{}} }
+func newExprTable() *exprTable { return &exprTable{index: map[ir.ExprKey]int{}} }
 
-func (t *exprTable) intern(key string, in *ir.Instr) int {
+func (t *exprTable) intern(key ir.ExprKey, in *ir.Instr) int {
 	if i, ok := t.index[key]; ok {
 		return i
 	}
@@ -160,7 +160,7 @@ func (t *exprTable) intern(key string, in *ir.Instr) int {
 	return i
 }
 
-func (t *exprTable) lookup(key string) (int, bool) {
+func (t *exprTable) lookup(key ir.ExprKey) (int, bool) {
 	i, ok := t.index[key]
 	return i, ok
 }

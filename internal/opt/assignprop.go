@@ -38,8 +38,8 @@ func AssignProp(f *ir.Func) bool {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if isCand(in) {
-				if _, ok := table.lookup(assignKey(in)); !ok {
-					table.intern(assignKey(in), in)
+				if _, ok := table.lookup(in.AssignKey()); !ok {
+					table.intern(in.AssignKey(), in)
 					// Snapshot the defining instruction NOW: later use
 					// replacements may rewrite the original in place
 					// (e.g. substituting an available copy into one of
@@ -58,7 +58,7 @@ func AssignProp(f *ir.Func) bool {
 	g, _ := graphOf(f)
 	keyOf := func(in *ir.Instr) (int, bool) {
 		if isCand(in) {
-			return table.lookup(assignKey(in))
+			return table.lookup(in.AssignKey())
 		}
 		return 0, false
 	}

@@ -329,7 +329,7 @@ func propagateAvailableCopies(f *ir.Func, constants bool) bool {
 					continue
 				}
 			}
-			key := in.Dst.Key() + "=" + in.A.Key()
+			key := in.AssignKey()
 			if _, ok := table.lookup(key); !ok {
 				table.intern(key, in)
 				cands = append(cands, cand{dst: di, src: in.A})
@@ -429,5 +429,5 @@ func copyCandIndex(t *exprTable, sp valueSpace, in *ir.Instr, constants bool) (i
 	if !constants && in.A.Kind != ir.Temp && in.A.Kind != ir.Var {
 		return 0, false
 	}
-	return t.lookup(in.Dst.Key() + "=" + in.A.Key())
+	return t.lookup(in.AssignKey())
 }

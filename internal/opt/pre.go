@@ -67,9 +67,6 @@ func selfRef(in *ir.Instr) bool {
 	return false
 }
 
-// assignKey returns the availability key for a source-var assignment.
-func assignKey(in *ir.Instr) string { return in.Dst.Key() + " := " + in.ExprKey() }
-
 // preVarAssignments implements layer 1.
 func preVarAssignments(f *ir.Func) bool {
 	sp := spaceOf(f)
@@ -79,7 +76,7 @@ func preVarAssignments(f *ir.Func) bool {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if keyable(in) && in.Dst.Kind == ir.Var && !selfRef(in) && in.Kind != ir.Copy {
-				table.intern(assignKey(in), in)
+				table.intern(in.AssignKey(), in)
 			}
 		}
 	}
@@ -91,7 +88,7 @@ func preVarAssignments(f *ir.Func) bool {
 	g, _ := graphOf(f)
 	gen, kill := genKillFor(f, g.N, table.size(), sp, km, func(in *ir.Instr) (int, bool) {
 		if keyable(in) && in.Dst.Kind == ir.Var && !selfRef(in) && in.Kind != ir.Copy {
-			return table.lookup(assignKey(in))
+			return table.lookup(in.AssignKey())
 		}
 		return 0, false
 	})
@@ -116,7 +113,7 @@ func preVarAssignments(f *ir.Func) bool {
 			isCand := keyable(in) && in.Dst.Kind == ir.Var && !selfRef(in) && in.Kind != ir.Copy
 			var key int
 			if isCand {
-				key, _ = table.lookup(assignKey(in))
+				key, _ = table.lookup(in.AssignKey())
 			}
 			if isCand && !in.Ann.Hoisted && !in.Ann.Sunk {
 				if avail.Has(key) {
@@ -150,13 +147,13 @@ func preVarAssignments(f *ir.Func) bool {
 			// Transfer.
 			stepAvail(avail, sp, km, in, table, func(x *ir.Instr) (int, bool) {
 				if keyable(x) && x.Dst.Kind == ir.Var && !selfRef(x) && x.Kind != ir.Copy {
-					return table.lookup(assignKey(x))
+					return table.lookup(x.AssignKey())
 				}
 				return 0, false
 			})
 			stepAvail(pav, sp, km, in, table, func(x *ir.Instr) (int, bool) {
 				if keyable(x) && x.Dst.Kind == ir.Var && !selfRef(x) && x.Kind != ir.Copy {
-					return table.lookup(assignKey(x))
+					return table.lookup(x.AssignKey())
 				}
 				return 0, false
 			})
@@ -267,14 +264,23 @@ func insertOnEdge(f *ir.Func, from, to *ir.Block, instr *ir.Instr) {
 func cseTemps(f *ir.Func) bool {
 	sp := spaceOf(f)
 
+	// Key every candidate occurrence once, in block order; the loops
+	// below walk this list (or the blocks in the same order) instead of
+	// re-keying instructions.
+	type occurrence struct {
+		in  *ir.Instr
+		key ir.ExprKey
+	}
+	var occs []occurrence
 	// Count occurrences per expression key (temp or var destinations both
 	// supply values; only multi-occurrence keys are worth a canonical temp).
-	counts := map[string]int{}
-	samples := map[string]*ir.Instr{}
+	counts := map[ir.ExprKey]int{}
+	samples := map[ir.ExprKey]*ir.Instr{}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if keyable(in) && in.Kind != ir.Copy {
 				k := in.ExprKey()
+				occs = append(occs, occurrence{in, k})
 				counts[k]++
 				if samples[k] == nil {
 					samples[k] = in
@@ -283,13 +289,9 @@ func cseTemps(f *ir.Func) bool {
 		}
 	}
 	table := newExprTable()
-	for _, b := range f.Blocks { // deterministic interning order
-		for _, in := range b.Instrs {
-			if keyable(in) && in.Kind != ir.Copy {
-				if k := in.ExprKey(); counts[k] >= 2 {
-					table.intern(k, samples[k])
-				}
-			}
+	for _, o := range occs { // deterministic interning order
+		if counts[o.key] >= 2 {
+			table.intern(o.key, samples[o.key])
 		}
 	}
 	if table.size() == 0 {
@@ -299,20 +301,15 @@ func cseTemps(f *ir.Func) bool {
 	// Canonical temp per key. When every occurrence of a key already
 	// writes the same temp (e.g. from a previous CSE round), reuse it —
 	// otherwise each round would wrap another copy layer around the value.
-	sharedDst := map[string]ir.Operand{}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if keyable(in) && in.Kind != ir.Copy {
-				k := in.ExprKey()
-				if counts[k] < 2 {
-					continue
-				}
-				if prev, seen := sharedDst[k]; !seen {
-					sharedDst[k] = in.Dst
-				} else if !prev.Same(in.Dst) || in.Dst.Kind != ir.Temp {
-					sharedDst[k] = ir.Operand{} // mixed destinations
-				}
-			}
+	sharedDst := map[ir.ExprKey]ir.Operand{}
+	for _, o := range occs {
+		if counts[o.key] < 2 {
+			continue
+		}
+		if prev, seen := sharedDst[o.key]; !seen {
+			sharedDst[o.key] = o.in.Dst
+		} else if !prev.Same(o.in.Dst) || o.in.Dst.Kind != ir.Temp {
+			sharedDst[o.key] = ir.Operand{} // mixed destinations
 		}
 	}
 	canon := make([]ir.Operand, table.size())
@@ -326,26 +323,36 @@ func cseTemps(f *ir.Func) bool {
 
 	// Rewrite every occurrence "d = E" (d != canon) into
 	// "hE = E; d = copy hE" so availability implies the value sits in hE.
+	// Afterwards every keyed occurrence writes its canonical temp, and
+	// those that do not read it generate availability of their key.
+	gens := map[*ir.Instr]int{}
+	next := 0 // index into occs: the blocks are walked in the same order
 	for _, b := range f.Blocks {
 		for pos := 0; pos < len(b.Instrs); pos++ {
 			in := b.Instrs[pos]
 			if !keyable(in) || in.Kind == ir.Copy {
 				continue
 			}
-			key, ok := table.lookup(in.ExprKey())
-			if !ok || in.Dst.Same(canon[key]) {
+			key, ok := table.lookup(occs[next].key)
+			next++
+			if !ok {
 				continue
 			}
-			// Replace in place: in becomes hE = E; a copy follows.
-			cp := &ir.Instr{
-				Kind: ir.Copy, Dst: in.Dst, A: canon[key],
-				Stmt: in.Stmt, OrigIdx: f.NextOrig(),
+			if !in.Dst.Same(canon[key]) {
+				// Replace in place: in becomes hE = E; a copy follows.
+				cp := &ir.Instr{
+					Kind: ir.Copy, Dst: in.Dst, A: canon[key],
+					Stmt: in.Stmt, OrigIdx: f.NextOrig(),
+				}
+				cp.Ann = in.Ann
+				cp.Ann.InsertedBy = "cse"
+				in.Dst = canon[key]
+				b.InsertBefore(pos+1, cp)
+				pos++
 			}
-			cp.Ann = in.Ann
-			cp.Ann.InsertedBy = "cse"
-			in.Dst = canon[key]
-			b.InsertBefore(pos+1, cp)
-			pos++
+			if !selfRef(in) {
+				gens[in] = key
+			}
 		}
 	}
 
@@ -353,12 +360,8 @@ func cseTemps(f *ir.Func) bool {
 	km := buildKillMap(table, sp, false)
 	g, _ := graphOf(f)
 	keyOf := func(in *ir.Instr) (int, bool) {
-		if keyable(in) && in.Kind != ir.Copy && !selfRef(in) {
-			if k, ok := table.lookup(in.ExprKey()); ok && in.Dst.Same(canon[k]) {
-				return k, true
-			}
-		}
-		return 0, false
+		k, ok := gens[in]
+		return k, ok
 	}
 	gen, kill := genKillFor(f, g.N, table.size(), sp, km, keyOf)
 	must := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect,

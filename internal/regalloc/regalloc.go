@@ -19,6 +19,7 @@ package regalloc
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/ast"
 	"repro/internal/dataflow"
@@ -51,6 +52,10 @@ func AllocateFunc(f *mach.Func) error {
 type allocator struct {
 	f         *mach.Func
 	spillTemp map[int]bool // vregs created by spill code: never re-spill
+
+	// Storage reused across graph rebuilds.
+	g    igraph
+	seen bitset
 }
 
 // run allocates one register class.
@@ -108,11 +113,14 @@ func RegKey(o mach.Opd) int { return o.R*2 + int(o.Class) }
 // KeyReg decodes a RegKey back into (number, class).
 func KeyReg(k int) (int, mach.RegClass) { return k / 2, mach.RegClass(k % 2) }
 
+// regSpace bounds the register numbers of f, per class.
+func regSpace(f *mach.Func) int { return f.NumVregs + mach.NumIntRegs + mach.NumFloatRegs + 2 }
+
 // Liveness computes per-block live-in/out over all registers of f, indexed
 // by RegKey.
 func Liveness(f *mach.Func) ([]*dataflow.BitSet, []*dataflow.BitSet) {
 	g := machGraph(f)
-	n := 2 * (f.NumVregs + mach.NumIntRegs + mach.NumFloatRegs + 2)
+	n := 2 * regSpace(f)
 	use := make([]*dataflow.BitSet, g.N)
 	def := make([]*dataflow.BitSet, g.N)
 	var buf []mach.Opd
@@ -139,37 +147,70 @@ func Liveness(f *mach.Func) ([]*dataflow.BitSet, []*dataflow.BitSet) {
 
 // ---------------------------------------------------------------- graph
 
+// igraph is the interference graph of one register class, stored densely
+// by vreg number: every per-node attribute is a slice indexed by vreg, the
+// edge set is an n×n bit matrix for membership tests beside per-node
+// neighbor lists for iteration.
 type igraph struct {
-	f      *mach.Func
-	class  mach.RegClass
-	nodes  map[int]bool
-	adj    map[int]map[int]bool
-	cost   map[int]float64
-	colors map[int]int
+	n      int       // vreg numbers are < n
+	member bitset    // vregs that are graph nodes
+	adj    [][]int32 // neighbor lists
+	edge   bitset    // bit x*n+y: x and y interfere
+	cost   []float64 // spill cost, weighted by loop depth
+	colors []int     // assigned register, or -1
 }
 
+// reset empties g for a register space of n, reusing its storage.
+func (g *igraph) reset(n int) {
+	g.n = n
+	g.member = g.member.resize(n)
+	g.edge = g.edge.resize(n * n)
+	if cap(g.adj) < n {
+		g.adj = make([][]int32, n)
+	}
+	g.adj = g.adj[:n]
+	for i := range g.adj {
+		g.adj[i] = g.adj[i][:0]
+	}
+	g.cost = resize(g.cost, n)
+	g.colors = resize(g.colors, n)
+	for i := range g.colors {
+		g.colors[i] = -1
+	}
+}
+
+func (g *igraph) addNode(r int) { g.member.set(r) }
+
+func (g *igraph) interferes(x, y int) bool { return g.edge.has(x*g.n + y) }
+
+func (g *igraph) addEdge(x, y int) {
+	if x == y || g.interferes(x, y) {
+		return
+	}
+	g.addNode(x)
+	g.addNode(y)
+	g.edge.set(x*g.n + y)
+	g.edge.set(y*g.n + x)
+	g.adj[x] = append(g.adj[x], int32(y))
+	g.adj[y] = append(g.adj[y], int32(x))
+}
+
+func (g *igraph) degree(n int) int { return len(g.adj[n]) }
+
+// colorOf reports the register assigned to vreg r, if any.
+func (g *igraph) colorOf(r int) (int, bool) {
+	if r < 0 || r >= g.n || g.colors[r] < 0 {
+		return 0, false
+	}
+	return g.colors[r], true
+}
+
+// buildGraph rebuilds the interference graph of one class into a.g.
 func (a *allocator) buildGraph(class mach.RegClass) *igraph {
 	f := a.f
-	g := &igraph{
-		f: f, class: class,
-		nodes: map[int]bool{}, adj: map[int]map[int]bool{},
-		cost: map[int]float64{}, colors: map[int]int{},
-	}
-	addNode := func(r int) {
-		if !g.nodes[r] {
-			g.nodes[r] = true
-			g.adj[r] = map[int]bool{}
-		}
-	}
-	addEdge := func(x, y int) {
-		if x == y {
-			return
-		}
-		addNode(x)
-		addNode(y)
-		g.adj[x][y] = true
-		g.adj[y][x] = true
-	}
+	g := &a.g
+	g.reset(regSpace(f))
+	a.seen = a.seen.resize(g.n)
 
 	// Node discovery and spill costs (weighted by loop depth).
 	var buf []mach.Opd
@@ -182,7 +223,7 @@ func (a *allocator) buildGraph(class mach.RegClass) *igraph {
 			}
 			for _, o := range ops {
 				if o.Class == class {
-					addNode(o.R)
+					g.addNode(o.R)
 					g.cost[o.R] += w
 				}
 			}
@@ -205,7 +246,7 @@ func (a *allocator) buildGraph(class mach.RegClass) *igraph {
 					if in.Op == mach.MOV && in.A.IsReg() && in.A.Class == class && in.A.R == l {
 						return
 					}
-					addEdge(d.R, l)
+					g.addEdge(d.R, l)
 				})
 			}
 			if d.IsReg() {
@@ -219,8 +260,6 @@ func (a *allocator) buildGraph(class mach.RegClass) *igraph {
 	}
 	return g
 }
-
-func (g *igraph) degree(n int) int { return len(g.adj[n]) }
 
 // ---------------------------------------------------------------- coalesce
 
@@ -253,24 +292,11 @@ func (a *allocator) coalesce(g *igraph, class mach.RegClass, k int) bool {
 			if in.Ann.ReplacedVar != nil || in.Ann.Recover != nil {
 				continue
 			}
-			if g.adj[dst][src] {
+			if g.interferes(dst, src) {
 				continue
 			}
 			// Briggs: merged node must have < k significant neighbors.
-			sig := 0
-			seen := map[int]bool{}
-			for n := range g.adj[dst] {
-				seen[n] = true
-				if g.degree(n) >= k {
-					sig++
-				}
-			}
-			for n := range g.adj[src] {
-				if !seen[n] && g.degree(n) >= k {
-					sig++
-				}
-			}
-			if sig >= k {
+			if a.significantNeighbors(g, dst, src, k) >= k {
 				continue
 			}
 			// Merge src into dst everywhere; drop the move.
@@ -289,50 +315,60 @@ func (a *allocator) coalesce(g *igraph, class mach.RegClass, k int) bool {
 	return merged
 }
 
+// significantNeighbors counts the nodes of degree >= k adjacent to x or y.
+// It leaves a.seen empty, as it found it.
+func (a *allocator) significantNeighbors(g *igraph, x, y, k int) int {
+	sig := 0
+	for _, n := range g.adj[x] {
+		a.seen.set(int(n))
+		if g.degree(int(n)) >= k {
+			sig++
+		}
+	}
+	for _, n := range g.adj[y] {
+		if !a.seen.has(int(n)) && g.degree(int(n)) >= k {
+			sig++
+		}
+	}
+	for _, n := range g.adj[x] {
+		a.seen.clear(int(n))
+	}
+	return sig
+}
+
 // ---------------------------------------------------------------- color
 
 // color runs simplify/select with optimistic coloring; returns the list of
-// vregs that must be spilled (empty on success, in which case g.colors maps
-// every node to a physical register number).
+// vregs that must be spilled (empty on success, in which case every node
+// has a color). k must not exceed 64 (mach has 18 integer and 12 float
+// registers).
 func (g *igraph) color(k int) []int {
-	// Working copies.
-	deg := map[int]int{}
-	removed := map[int]bool{}
-	for n := range g.nodes {
-		deg[n] = g.degree(n)
-	}
-	var stack []int
-	remaining := len(g.nodes)
-
-	removeNode := func(n int) {
-		removed[n] = true
-		remaining--
-		for m := range g.adj[n] {
-			if !removed[m] {
-				deg[m]--
-			}
+	// Working state: current degree, and the nodes of degree < k still in
+	// the graph, so simplify's pick is a find-first-set.
+	deg := make([]int, g.n)
+	removed, low := bitset(nil).resize(g.n), bitset(nil).resize(g.n)
+	remaining := 0
+	for n := range g.n {
+		if !g.member.has(n) {
+			continue
 		}
-		stack = append(stack, n)
+		deg[n] = g.degree(n)
+		if deg[n] < k {
+			low.set(n)
+		}
+		remaining++
 	}
+	stack := make([]int, 0, remaining)
 
-	for remaining > 0 {
+	for ; remaining > 0; remaining-- {
 		// Simplify: pick any node with degree < k (deterministic order:
 		// lowest vreg number).
-		pick := -1
-		for n := 0; ; n++ {
-			if pick >= 0 || n > maxNode(g.nodes) {
-				break
-			}
-			if g.nodes[n] && !removed[n] && deg[n] < k {
-				pick = n
-			}
-		}
+		pick := low.first()
 		if pick < 0 {
-			// Potential spill: lowest cost/degree.
-			best := -1
+			// Potential spill: lowest cost/degree, ties to the lowest vreg.
 			bestScore := math.Inf(1)
-			for n := range g.nodes {
-				if removed[n] {
+			for n := range g.n {
+				if !g.member.has(n) || removed.has(n) {
 					continue
 				}
 				d := deg[n]
@@ -340,33 +376,36 @@ func (g *igraph) color(k int) []int {
 					d = 1
 				}
 				score := g.cost[n] / float64(d)
-				if score < bestScore || (score == bestScore && (best == -1 || n < best)) {
-					best, bestScore = n, score
+				if score < bestScore || (score == bestScore && pick == -1) {
+					pick, bestScore = n, score
 				}
 			}
-			pick = best
 		}
-		removeNode(pick)
+		removed.set(pick)
+		low.clear(pick)
+		for _, m := range g.adj[pick] {
+			if !removed.has(int(m)) {
+				deg[m]--
+				if deg[m] < k {
+					low.set(int(m))
+				}
+			}
+		}
+		stack = append(stack, pick)
 	}
 
 	// Select.
 	var spills []int
 	for i := len(stack) - 1; i >= 0; i-- {
 		n := stack[i]
-		used := map[int]bool{}
-		for m := range g.adj[n] {
-			if c, ok := g.colors[m]; ok {
-				used[c] = true
+		var used uint64
+		for _, m := range g.adj[n] {
+			if c := g.colors[m]; c >= 0 {
+				used |= 1 << uint(c)
 			}
 		}
-		c := -1
-		for x := 0; x < k; x++ {
-			if !used[x] {
-				c = x
-				break
-			}
-		}
-		if c < 0 {
+		c := bits.TrailingZeros64(^used)
+		if c >= k {
 			spills = append(spills, n)
 			continue
 		}
@@ -375,14 +414,40 @@ func (g *igraph) color(k int) []int {
 	return spills
 }
 
-func maxNode(nodes map[int]bool) int {
-	mx := -1
-	for n := range nodes {
-		if n > mx {
-			mx = n
+// ---------------------------------------------------------------- bitset
+
+// bitset is a dense set of small non-negative ints, reused across graph
+// rebuilds.
+type bitset []uint64
+
+// resize returns an empty set with room for n bits, reusing s's storage.
+func (s bitset) resize(n int) bitset {
+	return resize(s, (n+63)/64)
+}
+
+func (s bitset) set(i int)      { s[i/64] |= 1 << (uint(i) % 64) }
+func (s bitset) clear(i int)    { s[i/64] &^= 1 << (uint(i) % 64) }
+func (s bitset) has(i int) bool { return s[i/64]&(1<<(uint(i)%64)) != 0 }
+
+// first returns the lowest member, or -1 if the set is empty.
+func (s bitset) first() int {
+	for i, w := range s {
+		if w != 0 {
+			return i*64 + bits.TrailingZeros64(w)
 		}
 	}
-	return mx
+	return -1
+}
+
+// resize returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // ---------------------------------------------------------------- spill
@@ -497,7 +562,7 @@ func (a *allocator) rewrite(g *igraph, class mach.RegClass, spilled map[int]int6
 	a.pruneStaleAliases(class)
 	phys := func(o *mach.Opd) {
 		if o.Kind == mach.Reg && o.Class == class {
-			if c, ok := g.colors[o.R]; ok {
+			if c, ok := g.colorOf(o.R); ok {
 				o.R = c
 			} else {
 				// Unconstrained (never live simultaneously with anything,
@@ -525,7 +590,7 @@ func (a *allocator) rewrite(g *igraph, class mach.RegClass, spilled map[int]int6
 			// through a register: drop it rather than point at a wrong
 			// physical register.
 			if in.MarkAlias.Kind == mach.Reg && in.MarkAlias.Class == class {
-				if c, ok := g.colors[in.MarkAlias.R]; ok {
+				if c, ok := g.colorOf(in.MarkAlias.R); ok {
 					in.MarkAlias.R = c
 				} else {
 					in.MarkAlias = mach.Opd{}
@@ -545,7 +610,7 @@ func (a *allocator) rewrite(g *igraph, class mach.RegClass, spilled map[int]int6
 		}
 		if off, ok := spilled[vid]; ok {
 			f.VarLoc[obj] = mach.Loc{Kind: mach.LocSpill, Class: class, Off: off}
-		} else if c, ok := g.colors[vid]; ok {
+		} else if c, ok := g.colorOf(vid); ok {
 			f.VarLoc[obj] = mach.Loc{Kind: mach.LocReg, Class: class, R: c}
 		} else {
 			f.VarLoc[obj] = mach.Loc{Kind: mach.LocNone}

@@ -190,7 +190,8 @@ func WithStoreCompileWorkers(n int) StoreOption {
 // WithFuncCacheBudget bounds the accounted bytes of the store's
 // per-function incremental tier (encoded machine code keyed by content
 // hash of each function's checked IR + configuration). 0 keeps the
-// default (a quarter of the store's memory budget, or unbounded);
+// default: a quarter of the store's memory budget, or
+// artstore.DefaultFuncCacheBudget (2 MiB) when the store has none;
 // negative disables incremental reuse.
 func WithFuncCacheBudget(bytes int64) StoreOption {
 	return func(c *artstore.Config) { c.FuncCacheBudget = bytes }
