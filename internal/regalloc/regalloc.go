@@ -199,7 +199,7 @@ func (g *igraph) degree(n int) int { return len(g.adj[n]) }
 
 // colorOf reports the register assigned to vreg r, if any.
 func (g *igraph) colorOf(r int) (int, bool) {
-	if r < 0 || r >= g.n || g.colors[r] < 0 {
+	if g.colors[r] < 0 {
 		return 0, false
 	}
 	return g.colors[r], true
