@@ -249,21 +249,3 @@ func BenchmarkCompileWorkloads(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSimulator measures simulator speed on one workload at O2.
-func BenchmarkSimulator(b *testing.B) {
-	res, err := bench.CompileWorkload("compress", compile.O2())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := bench.RunWorkload(res)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(m.Steps), "vm-instructions")
-		}
-	}
-}

@@ -4,7 +4,8 @@
 // everything the per-instruction work used to rediscover on every step:
 // the register uses/def for cycle accounting (mach.Instr.Uses allocates a
 // buffer walk per instruction), the resolved callee of every CALL
-// (LookupFunc is a linear scan), and branch targets as pc values.
+// (LookupFunc is a linear scan), the frame or global offset of every LA's
+// symbol (two map lookups), and branch targets as pc values.
 //
 // The predecoded form is computed once per mach.Program — cached on the
 // program itself via Program.Predecoded — and shared by every VM that
@@ -34,6 +35,11 @@ type dinstr struct {
 	// not exist (the error is reported at execution time, like before).
 	callee *funcCode
 
+	// sym/symOff resolve an LA's symbol: a frame slot at Base+symOff, a
+	// global at symOff, or unknown (reported at execution time).
+	sym    symKind
+	symOff int64
+
 	// Cycle accounting, precomputed from Uses/Def/Latency. acct is false
 	// for NOP and the marker pseudo-instructions (they cost nothing).
 	acct    bool
@@ -44,6 +50,15 @@ type dinstr struct {
 	defFl   bool
 	defR    int32
 }
+
+// symKind says where an LA's symbol lives.
+type symKind uint8
+
+const (
+	symUnknown symKind = iota
+	symFrame
+	symGlobal
+)
 
 // useRef is one register read for cycle accounting.
 type useRef struct {
@@ -86,7 +101,7 @@ func predecode(prog *mach.Program) *progCode {
 	return prog.Predecoded(func() any {
 		pc := &progCode{prog: prog, funcs: make(map[*mach.Func]*funcCode, len(prog.Funcs))}
 		for _, f := range prog.Funcs {
-			pc.funcs[f] = flatten(f)
+			pc.funcs[f] = flatten(prog, f)
 		}
 		// Resolve CALL targets in a second pass so mutual recursion works.
 		for _, fc := range pc.funcs {
@@ -105,12 +120,12 @@ func predecode(prog *mach.Program) *progCode {
 
 // flatten lays f's blocks out in order, appending an implicit-return
 // sentinel after every block that does not end in a terminator.
-func flatten(f *mach.Func) *funcCode {
+func flatten(prog *mach.Program, f *mach.Func) *funcCode {
 	fc := &funcCode{fn: f, startOf: make(map[*mach.Block]int32, len(f.Blocks))}
 	for _, b := range f.Blocks {
 		fc.startOf[b] = int32(len(fc.code))
 		for idx, in := range b.Instrs {
-			d := decodeOne(fc, in)
+			d := decodeOne(prog, fc, in)
 			fc.code = append(fc.code, d)
 			fc.blocks = append(fc.blocks, b)
 			fc.idxs = append(fc.idxs, int32(idx))
@@ -147,9 +162,18 @@ func flatten(f *mach.Func) *funcCode {
 	return fc
 }
 
-// decodeOne precomputes the per-instruction cycle-accounting inputs.
-func decodeOne(fc *funcCode, in *mach.Instr) dinstr {
+// decodeOne precomputes the per-instruction cycle-accounting inputs and
+// resolves an LA's symbol the way AddrOf does: frame slot first, then
+// global.
+func decodeOne(prog *mach.Program, fc *funcCode, in *mach.Instr) dinstr {
 	d := dinstr{in: in, op: in.Op}
+	if in.Op == mach.LA {
+		if off, ok := fc.fn.FrameOff[in.Sym]; ok {
+			d.sym, d.symOff = symFrame, off
+		} else if off, ok := prog.GlobalOff[in.Sym]; ok {
+			d.sym, d.symOff = symGlobal, off
+		}
+	}
 	if in.Op == mach.NOP || in.IsMarker() {
 		return d
 	}

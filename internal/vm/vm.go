@@ -65,7 +65,9 @@ type slot struct {
 	f float64
 }
 
-// Frame is one activation record.
+// Frame is one activation record. The VM reuses one Frame per call depth,
+// so a *Frame (from Top) is valid only until the VM executes again: a
+// return and a later call at the same depth overwrite it in place.
 type Frame struct {
 	Fn   *mach.Func
 	IReg []int64
@@ -106,7 +108,11 @@ type VM struct {
 	mem   []slot // globals at [0, globalSlots), frames stacked above
 	sp    int64  // next free byte address for frames
 	out   strings.Builder
-	stack []*Frame
+	stack []*Frame // the live frames: pool[:depth]
+	// pool holds one Frame per call depth reached so far; a call at depth
+	// d reuses pool[d], so calls and returns allocate nothing once the
+	// deepest frame and its register files exist.
+	pool []*Frame
 
 	Cycles int64
 	Steps  int64
@@ -141,34 +147,52 @@ func New(prog *mach.Program) (*VM, error) {
 		}
 		vm.mem[off] = slot{i: init.Int, f: init.Fl}
 	}
-	vm.push(vm.pcode.funcs[main], nil, mach.Opd{})
+	vm.push(vm.pcode.funcs[main], 0, mach.Opd{})
 	return vm, nil
 }
 
-func (vm *VM) push(fc *funcCode, args []Val, retDst mach.Opd) {
+// push enters fc on the pooled frame of the next call depth, with zeroed
+// register files and ready times and nargs zeroed arguments for the
+// caller to fill in. Frame memory above sp is not cleared.
+func (vm *VM) push(fc *funcCode, nargs int, retDst mach.Opd) *Frame {
 	fn := fc.fn
 	nInt, nFloat := fn.NumVregs, fn.NumVregs
 	if fn.Allocated {
 		nInt, nFloat = mach.NumIntRegs, mach.NumFloatRegs
 	}
-	fr := &Frame{
-		Fn:      fn,
-		IReg:    make([]int64, nInt+1),
-		FReg:    make([]float64, nFloat+1),
-		readyI:  make([]int64, nInt+1),
-		readyFv: make([]int64, nFloat+1),
-		Base:    vm.sp,
-		Args:    args,
-		code:    fc,
-		pc:      fc.entry,
-		retDst:  retDst,
+	d := len(vm.stack)
+	if d == len(vm.pool) {
+		vm.pool = append(vm.pool, new(Frame))
 	}
+	fr := vm.pool[d]
+	fr.Fn = fn
+	fr.IReg = reuse(fr.IReg, nInt+1)
+	fr.FReg = reuse(fr.FReg, nFloat+1)
+	fr.readyI = reuse(fr.readyI, nInt+1)
+	fr.readyFv = reuse(fr.readyFv, nFloat+1)
+	fr.Base = vm.sp
+	fr.Args = reuse(fr.Args, nargs)
+	fr.code = fc
+	fr.pc = fc.entry
+	fr.retDst = retDst
 	need := (fn.FrameSize + 7) &^ 3
 	vm.sp += need
 	for int64(len(vm.mem))*4 < vm.sp {
 		vm.mem = append(vm.mem, slot{})
 	}
-	vm.stack = append(vm.stack, fr)
+	vm.stack = vm.pool[:d+1]
+	return fr
+}
+
+// reuse returns s resliced to n zeroed elements, allocating only when its
+// capacity is short.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // SetDeadline bounds subsequent execution by wall-clock time: once t has
@@ -212,7 +236,8 @@ func (vm *VM) ExitValue() int64 { return vm.retVal.I }
 // Output returns everything printed so far.
 func (vm *VM) Output() string { return vm.out.String() }
 
-// Top returns the current (innermost) frame, or nil when halted.
+// Top returns the current (innermost) frame, or nil when halted. The
+// frame is valid only until the VM executes again (see Frame).
 func (vm *VM) Top() *Frame {
 	if len(vm.stack) == 0 {
 		return nil
@@ -460,11 +485,14 @@ func (vm *VM) exec1(fr *Frame) (frameChanged bool, err error) {
 		}
 
 	case mach.LA:
-		addr, ok := vm.AddrOf(fr, in.Sym)
-		if !ok {
+		switch d.sym {
+		case symFrame:
+			vm.setReg(fr, in.Dst, Val{I: fr.Base + d.symOff})
+		case symGlobal:
+			vm.setReg(fr, in.Dst, Val{I: d.symOff})
+		default:
 			return false, fmt.Errorf("vm: la of unknown symbol %s", in.Sym.Name)
 		}
-		vm.setReg(fr, in.Dst, Val{I: addr})
 
 	case mach.LW, mach.FLW:
 		base := vm.regVal(fr, in.A).I
@@ -514,11 +542,10 @@ func (vm *VM) exec1(fr *Frame) (frameChanged bool, err error) {
 		if callee == nil {
 			return false, fmt.Errorf("vm: call of unknown function %q", in.Callee)
 		}
-		args := make([]Val, len(in.Args))
+		args := vm.push(callee, len(in.Args), in.Dst).Args
 		for i, a := range in.Args {
 			args[i] = vm.regVal(fr, a)
 		}
-		vm.push(callee, args, in.Dst)
 		return true, nil
 
 	case mach.RET:

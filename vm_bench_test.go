@@ -1,11 +1,13 @@
 // Execution hot-path benchmarks: continue-to-breakpoint and
-// run-to-completion throughput on the predecoded bitmap engine.
+// run-to-completion throughput on the predecoded bitmap engine, and
+// run-to-exit throughput of every workload.
 package repro
 
 import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/compile"
 	"repro/internal/debugger"
 	"repro/internal/vm"
@@ -114,4 +116,28 @@ func BenchmarkRunToCompletion(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "MInstr/s")
+}
+
+// BenchmarkRunWorkloads runs each workload at O2 to exit. Unlike the hot
+// loops above, real code calls and returns, so this row measures the
+// per-call cost too; run with -benchmem to see allocs/op.
+func BenchmarkRunWorkloads(b *testing.B) {
+	for _, name := range bench.Names {
+		res, err := bench.CompileWorkload(name, compile.O2())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var instr int64
+			for i := 0; i < b.N; i++ {
+				m, err := bench.RunWorkload(res)
+				if err != nil {
+					b.Fatal(err)
+				}
+				instr += m.Steps
+			}
+			b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "MInstr/s")
+		})
+	}
 }
