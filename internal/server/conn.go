@@ -17,13 +17,13 @@ const handleBytes = 16
 const sessionIDBytes = 4
 
 // connState is the per-connection state Serve threads through every
-// request: its identity (the ownership anchor for sessions), its
-// authentication status, and the sessions it currently owns. A connState
-// is only ever touched by its own connection goroutine, except for the
-// owned map, which is also written under Server.mu by the ownership
-// helpers below.
+// request: its authentication status and the sessions it currently owns.
+// Its address is the ownership anchor: a session's owner points at it.
+// A connState is only ever touched by its own connection goroutine,
+// except for the owned map, which is read and written only under
+// Server.mu — by other connections too, when they take over, close or
+// reap one of its sessions.
 type connState struct {
-	id      int64
 	trusted bool // in-process Handle surface: pre-authed, no ownership checks
 	authed  bool
 	owned   map[string]*session
@@ -31,7 +31,6 @@ type connState struct {
 
 func (s *Server) newConn() *connState {
 	return &connState{
-		id:     s.nextConn.Add(1),
 		authed: s.opts.AuthToken == "",
 		owned:  map[string]*session{},
 	}
@@ -67,10 +66,22 @@ func handleOK(sess *session, handle string) bool {
 	return handle != "" && subtleEqual(handle, sess.handle)
 }
 
-// adoptLocked binds sess to connection c. Called with Server.mu held.
+// adoptLocked binds sess to connection c, taking it from its previous
+// owner. Called with Server.mu held.
 func (s *Server) adoptLocked(c *connState, sess *session) {
-	sess.owner = c.id
+	releaseLocked(sess)
+	sess.owner = c
 	c.owned[sess.id] = sess
+}
+
+// releaseLocked detaches sess from its owning connection, if any, so the
+// owner's map stops holding it. Every change of owner, and every removal
+// from the session table, goes through here. Called with Server.mu held.
+func releaseLocked(sess *session) {
+	if sess.owner != nil {
+		delete(sess.owner.owned, sess.id)
+		sess.owner = nil
+	}
 }
 
 // detachAll releases every session this connection still owns when it
@@ -80,12 +91,9 @@ func (s *Server) adoptLocked(c *connState, sess *session) {
 func (s *Server) detachAll(c *connState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for id, sess := range c.owned {
-		if cur, ok := s.sessions[id]; ok && cur == sess && sess.owner == c.id {
-			sess.owner = 0
-			sess.touch()
-		}
-		delete(c.owned, id)
+	for _, sess := range c.owned {
+		releaseLocked(sess)
+		sess.touch()
 	}
 }
 

@@ -93,9 +93,9 @@ func TestCoverageCommandGolden(t *testing.T) {
 		t.Errorf("repeated coverage sweeps differ:\n%s\n%s", lines[0], lines[1])
 	}
 
-	// (2) The wire payload is the library-side sweep, byte for byte. The
-	// append encoder is held json-identical by its own golden tests, so
-	// substring equality over the json.Marshal form pins the whole chain.
+	// (2) The wire payload is the library-side sweep, byte for byte: Serve
+	// encodes through encoding/json too, so substring equality over the
+	// json.Marshal form pins the whole chain.
 	wantField := `"coverage":` + string(wantJSON)
 	if !strings.Contains(lines[0], wantField) {
 		t.Errorf("coverage payload differs from library-side sweep\n line: %s\n want: %s", lines[0], wantField)

@@ -211,6 +211,52 @@ func TestExplicitDetach(t *testing.T) {
 	b.mustOK(&Request{ID: 6, Cmd: "where", Session: o.Session})
 }
 
+// TestOwnedMapDropsDeadSessions is the retention regression test: a
+// connection's owned map must not keep sessions that another connection
+// closed with the handle, or that the reaper collected, reachable for as
+// long as the connection lives.
+func TestOwnedMapDropsDeadSessions(t *testing.T) {
+	s := New(Options{SessionTTL: time.Hour})
+	defer s.Close()
+	a, b := s.newConn(), s.newConn()
+
+	c := s.handleAs(a, &Request{Cmd: "compile", Name: "t.mc", Src: testProg})
+	if !c.OK {
+		t.Fatalf("compile: %+v", c.Error)
+	}
+	var opened [2]*Response
+	for i := range opened {
+		if opened[i] = s.handleAs(a, &Request{Cmd: "open-session", Artifact: c.Artifact}); !opened[i].OK {
+			t.Fatalf("open-session: %+v", opened[i].Error)
+		}
+	}
+
+	// B closes the first session with its handle.
+	closed := opened[0]
+	if r := s.handleAs(b, &Request{Cmd: "close", Session: closed.Session, Handle: closed.Handle}); !r.OK {
+		t.Fatalf("close by handle: %+v", r.Error)
+	}
+	// The reaper collects the second.
+	s.mu.Lock()
+	s.sessions[opened[1].Session].lastActive.Store(0)
+	s.mu.Unlock()
+	if n := s.ReapIdleSessions(); n != 1 {
+		t.Fatalf("reaped %d sessions, want 1", n)
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.sessions); n != 0 {
+		t.Fatalf("%d sessions still in the table", n)
+	}
+	if n := len(a.owned); n != 0 {
+		t.Errorf("connection A still owns %d dead sessions", n)
+	}
+	if n := len(b.owned); n != 0 {
+		t.Errorf("connection B still owns %d dead sessions", n)
+	}
+}
+
 // TestAuthGate covers the shared-secret layer: unauthenticated
 // connections get only auth and stats, wrong tokens are counted, and
 // both the auth command and per-request tokens unlock a connection.

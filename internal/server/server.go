@@ -110,10 +110,10 @@ type session struct {
 	handle string // secret attach capability (crypto/rand hex)
 	art    *Artifact
 
-	// owner is the id of the connection the session is bound to, or 0
-	// when detached (its connection dropped, or it was opened through the
+	// owner is the connection the session is bound to, or nil when
+	// detached (its connection dropped, or it was opened through the
 	// trusted in-process Handle surface). Guarded by Server.mu.
-	owner int64
+	owner *connState
 	// inflight counts requests currently executing against this session;
 	// the reaper never deletes a pinned session. Guarded by Server.mu.
 	inflight int
@@ -140,8 +140,7 @@ type Server struct {
 	// local is the trusted pseudo-connection behind the in-process Handle
 	// surface: pre-authenticated, exempt from ownership checks, and never
 	// an owner itself.
-	local    *connState
-	nextConn atomic.Int64
+	local *connState
 
 	// Shutdown and drain state. stateMu guards everything below it.
 	stateMu       sync.Mutex
@@ -328,6 +327,7 @@ func (s *Server) ReapIdleSessions() int {
 		if sess.inflight == 0 && sess.lastActive.Load() < cutoff {
 			victims = append(victims, sess)
 			delete(s.sessions, id)
+			releaseLocked(sess)
 		}
 	}
 	s.mu.Unlock()
@@ -358,6 +358,7 @@ func (s *Server) Serve(r io.Reader, w io.Writer) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), MaxLine)
 	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -377,7 +378,7 @@ func (s *Server) Serve(r io.Reader, w io.Writer) error {
 		if err := fault.Check("server.conn.write"); err != nil {
 			return err
 		}
-		if err := writeResponse(bw, resp); err != nil {
+		if err := enc.Encode(resp); err != nil {
 			return err
 		}
 		if err := bw.Flush(); err != nil {
@@ -390,7 +391,7 @@ func (s *Server) Serve(r io.Reader, w io.Writer) error {
 		if errors.Is(err, bufio.ErrTooLong) {
 			resp := errResp(0, CodeBadRequest,
 				fmt.Sprintf("request line exceeds %d bytes; closing connection", MaxLine))
-			if eerr := writeResponse(bw, resp); eerr == nil {
+			if eerr := enc.Encode(resp); eerr == nil {
 				bw.Flush()
 			}
 			return nil
@@ -398,18 +399,6 @@ func (s *Server) Serve(r io.Reader, w io.Writer) error {
 		return err
 	}
 	return nil
-}
-
-// writeResponse puts one response line on the wire through the pooled
-// append encoder, ending it with '\n' as json.Encoder.Encode does.
-func writeResponse(w io.Writer, resp *Response) error {
-	bp := encBufs.Get().(*[]byte)
-	b := appendResponse((*bp)[:0], resp)
-	b = append(b, '\n')
-	_, err := w.Write(b)
-	*bp = b
-	encBufs.Put(bp)
-	return err
 }
 
 // ListenAndServe accepts connections on l and serves each concurrently
@@ -746,11 +735,10 @@ func (s *Server) handleDetach(c *connState, req *Request) *Response {
 	if !ok {
 		return errResp(req.ID, CodeNoSuchSession, fmt.Sprintf("no session %q", req.Session))
 	}
-	if !c.trusted && sess.owner != c.id && !handleOK(sess, req.Handle) {
+	if !c.trusted && sess.owner != c && !handleOK(sess, req.Handle) {
 		return errResp(req.ID, CodeNotOwner, s.denialMsg(sess))
 	}
-	sess.owner = 0
-	delete(c.owned, sess.id)
+	releaseLocked(sess)
 	sess.touch()
 	return &Response{ID: req.ID, OK: true, Session: sess.id}
 }
@@ -762,7 +750,7 @@ func (s *Server) handleSession(c *connState, req *Request) *Response {
 		s.mu.Unlock()
 		return errResp(req.ID, CodeNoSuchSession, fmt.Sprintf("no session %q", req.Session))
 	}
-	if !c.trusted && sess.owner != c.id {
+	if !c.trusted && sess.owner != c {
 		// Not ours. The handle is the capability: presenting it attaches
 		// the session to this connection; without it the command is
 		// denied, whoever may own the session now.
@@ -852,7 +840,7 @@ func (s *Server) handleSession(c *connState, req *Request) *Response {
 		s.creditCycles(sess)
 		s.mu.Lock()
 		delete(s.sessions, sess.id)
-		delete(c.owned, sess.id)
+		releaseLocked(sess)
 		s.mu.Unlock()
 		return &Response{ID: req.ID, OK: true, Output: sess.dbg.Output()}
 	}
@@ -869,7 +857,7 @@ func (s *Server) unpin(sess *session) {
 // denialMsg distinguishes the two not-owner cases for humans; the code
 // is the same either way. Called with s.mu held.
 func (s *Server) denialMsg(sess *session) string {
-	if sess.owner == 0 {
+	if sess.owner == nil {
 		return fmt.Sprintf("session %q is detached; present its handle to attach", sess.id)
 	}
 	return fmt.Sprintf("session %q is owned by another connection; present its handle to attach", sess.id)
@@ -942,7 +930,7 @@ func (s *Server) Snapshot() Stats {
 	active := int64(len(s.sessions))
 	var detached int64
 	for _, sess := range s.sessions {
-		if sess.owner == 0 {
+		if sess.owner == nil {
 			detached++
 		}
 	}

@@ -379,3 +379,41 @@ func TestStatsConsistentViewIncludesMemoryAndSpill(t *testing.T) {
 		t.Fatalf("sessions_active = %d", st.SessionsActive)
 	}
 }
+
+// TestWireBytes pins the exact bytes Serve writes for a scripted session:
+// field order, omitempty, the HTML-safe escapes of <, > and &, and the
+// trailing newline. Compile responses are left out because compile_ms is
+// a wall-clock time; the session id and handle are filled in at run time.
+func TestWireBytes(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	c := mustOK(t, s, &Request{Cmd: "compile", Name: "w.mc",
+		Src: `int main() { int i; i = 3; print("<a&b>\t"); print(i); print("\n"); return 0; }`})
+	o := mustOK(t, s, &Request{Cmd: "open-session", Artifact: c.Artifact})
+
+	script := strings.Join([]string{
+		`{"id":3,"cmd":"break","session":"SESS","handle":"HANDLE","func":"main","stmt":1}`,
+		`{"id":4,"cmd":"continue","session":"SESS"}`,
+		`{"id":5,"cmd":"info","session":"SESS"}`,
+		`{"id":6,"cmd":"print","session":"SESS","var":"<x>"}`,
+		`{"id":7,"cmd":"continue","session":"SESS"}`,
+		`{"id":8,"cmd":"batch","reqs":[{"id":9,"cmd":"nope"}]}`,
+	}, "\n") + "\n"
+	script = strings.NewReplacer("SESS", o.Session, "HANDLE", o.Handle).Replace(script)
+
+	var out strings.Builder
+	if err := s.Serve(strings.NewReader(script), &out); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	want := strings.Join([]string{
+		`{"id":3,"ok":true,"stop":{"func":"main","stmt":1,"line":1}}`,
+		`{"id":4,"ok":true,"stop":{"func":"main","stmt":1,"line":1}}`,
+		`{"id":5,"ok":true,"vars":[{"name":"i","state":"uninitialized","display":"i = \u003cuninitialized\u003e"}]}`,
+		`{"id":6,"ok":false,"error":{"code":"no-such-var","message":"debugger: no variable in scope: \"\u003cx\u003e\" at this breakpoint"}}`,
+		`{"id":7,"ok":true,"exited":true,"output":"\u003ca\u0026b\u003e\t3\n"}`,
+		`{"id":8,"ok":true,"results":[{"id":9,"ok":false,"error":{"code":"bad-request","message":"unknown command \"nope\""}}]}`,
+	}, "\n") + "\n"
+	if got := out.String(); got != want {
+		t.Errorf("wire bytes differ\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
