@@ -176,26 +176,33 @@ type PassAblationRow struct {
 	SlowdownPct float64
 }
 
+// PassToggle disables one optimization (or a tied pair) of the O2
+// pipeline.
+type PassToggle struct {
+	Name    string // "-pass"
+	Disable func(*opt.Options)
+}
+
+// PassToggles lists the single-pass ablations of the O2 pipeline, in
+// table order. PassAblation and the oracle's per-pass coverage sweep both
+// build their variants from it.
+var PassToggles = []PassToggle{
+	{"-constfold/prop", func(o *opt.Options) { o.ConstFold = false; o.ConstProp = false }},
+	{"-copy/assignprop", func(o *opt.Options) { o.CopyProp = false; o.AssignProp = false }},
+	{"-pre", func(o *opt.Options) { o.PRE = false }},
+	{"-licm", func(o *opt.Options) { o.LICM = false }},
+	{"-pdce", func(o *opt.Options) { o.PDCE = false }},
+	{"-dce", func(o *opt.Options) { o.DCE = false }},
+	{"-strength", func(o *opt.Options) { o.Strength = false }},
+	{"-unroll", func(o *opt.Options) { o.Unroll = false }},
+	{"-loopinvert", func(o *opt.Options) { o.LoopInvert = false }},
+	{"-branchopt", func(o *opt.Options) { o.BranchOpt = false }},
+}
+
 // PassAblation measures each pass's contribution to the optimizer by
 // disabling it from the O2 pipeline and re-running every workload.
 func PassAblation() ([]PassAblationRow, error) {
-	type variant struct {
-		name string
-		mod  func(*opt.Options)
-	}
-	variants := []variant{
-		{"full O2", func(o *opt.Options) {}},
-		{"-constfold/prop", func(o *opt.Options) { o.ConstFold = false; o.ConstProp = false }},
-		{"-copy/assignprop", func(o *opt.Options) { o.CopyProp = false; o.AssignProp = false }},
-		{"-pre", func(o *opt.Options) { o.PRE = false }},
-		{"-licm", func(o *opt.Options) { o.LICM = false }},
-		{"-pdce", func(o *opt.Options) { o.PDCE = false }},
-		{"-dce", func(o *opt.Options) { o.DCE = false }},
-		{"-strength", func(o *opt.Options) { o.Strength = false }},
-		{"-unroll", func(o *opt.Options) { o.Unroll = false }},
-		{"-loopinvert", func(o *opt.Options) { o.LoopInvert = false }},
-		{"-branchopt", func(o *opt.Options) { o.BranchOpt = false }},
-	}
+	variants := append([]PassToggle{{"full O2", func(*opt.Options) {}}}, PassToggles...)
 	// Reference outputs for correctness checking.
 	want := map[string]string{}
 	for _, name := range Names {
@@ -214,24 +221,24 @@ func PassAblation() ([]PassAblationRow, error) {
 	var baseline int64
 	for vi, v := range variants {
 		o := opt.O2()
-		v.mod(&o)
+		v.Disable(&o)
 		cfg := compile.Config{Opt: o, RegAlloc: true, Sched: true}
 		var total int64
 		for _, name := range Names {
 			res, err := CompileWorkload(name, cfg)
 			if err != nil {
-				return nil, fmt.Errorf("%s with %s: %w", name, v.name, err)
+				return nil, fmt.Errorf("%s with %s: %w", name, v.Name, err)
 			}
 			m, err := RunWorkload(res)
 			if err != nil {
-				return nil, fmt.Errorf("%s with %s: %w", name, v.name, err)
+				return nil, fmt.Errorf("%s with %s: %w", name, v.Name, err)
 			}
 			if m.Output() != want[name] {
-				return nil, fmt.Errorf("%s with %s: output differs from O0", name, v.name)
+				return nil, fmt.Errorf("%s with %s: output differs from O0", name, v.Name)
 			}
 			total += m.Cycles
 		}
-		row := PassAblationRow{Pass: v.name, TotalCycles: total}
+		row := PassAblationRow{Pass: v.Name, TotalCycles: total}
 		if vi == 0 {
 			baseline = total
 		} else if baseline > 0 {

@@ -1,23 +1,21 @@
 package compile
 
 // FuncCache: the incremental-compilation tier. Values are serialized
-// per-function machine-code images (the spill codec's wireFunc plus a
-// canonical-rendering digest), keyed by FuncKey, held in a sharded,
-// memory-accounted store.Store. Entries are stored encoded — never as live
-// *mach.Func — because a machine function is bound to one front end's
-// *ast.Object identities; stitching a cached function into a new compilation
-// decodes the image against that compilation's own sem.Program, which
-// rebinds objects, declarations and source positions (see decFunc). The
-// digest is re-verified on every decode, so a stitched function is
-// byte-identical in canonical rendering to what was cached or the cache
-// entry is ignored.
+// per-function machine-code images (the spill codec's wireFunc, gob
+// encoded), keyed by FuncKey, held in a sharded, memory-accounted
+// store.Store. Entries are stored encoded — never as live *mach.Func —
+// because a machine function is bound to one front end's *ast.Object
+// identities; stitching a cached function into a new compilation decodes
+// the image against that compilation's own sem.Program, which rebinds
+// objects, declarations and source positions (see decFunc). Entries carry
+// no version or checksum: they live only in this process's memory, and the
+// key already hashes everything decoding depends on (names, the locals
+// table, the globals signature, Config, IR and spillVersion).
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
-	"fmt"
 
 	"repro/internal/mach"
 	"repro/internal/sem"
@@ -65,49 +63,25 @@ func (c *FuncCache) Stats() store.Stats { return c.s.Stats() }
 // Len returns the number of resident function entries.
 func (c *FuncCache) Len() int { return c.s.Len() }
 
-// wireFuncEntry is the serialized form of one cached function.
-type wireFuncEntry struct {
-	Version int
-	Func    wireFunc
-	Sum     [sha256.Size]byte // sha256 of mach.Func.String(), re-verified on decode
-}
-
 // encodeFuncEntry serializes one compiled function for the cache.
 func encodeFuncEntry(f *mach.Func) ([]byte, error) {
 	wf, err := encFunc(f)
 	if err != nil {
 		return nil, err
 	}
-	w := wireFuncEntry{
-		Version: spillVersion,
-		Func:    wf,
-		Sum:     sha256.Sum256([]byte(f.String())),
-	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&wf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
 // decodeFuncEntry reconstructs a cached function against the current front
-// end, rebinding declarations, objects and source positions, and verifies
-// the machine-code rendering byte-for-byte against the recorded digest.
+// end, rebinding declarations, objects and source positions.
 func decodeFuncEntry(data []byte, p *sem.Program) (*mach.Func, error) {
-	var w wireFuncEntry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	var wf wireFunc
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wf); err != nil {
 		return nil, err
 	}
-	if w.Version != spillVersion {
-		return nil, fmt.Errorf("funccache: version %d, want %d", w.Version, spillVersion)
-	}
-	r := &objResolver{globals: p.Globals}
-	f, err := decFunc(&w.Func, p, r)
-	if err != nil {
-		return nil, err
-	}
-	if sum := sha256.Sum256([]byte(f.String())); sum != w.Sum {
-		return nil, fmt.Errorf("funccache: machine-code digest mismatch for %s", f.Name)
-	}
-	return f, nil
+	return decFunc(&wf, p, &objResolver{globals: p.Globals})
 }

@@ -248,8 +248,8 @@ func (p *Pipeline) compileOne(sp *sem.Program, f *ir.Func, sig GlobalsSig, cfg C
 	}
 	mf, err := decodeFuncEntry(data, sp)
 	if err != nil {
-		// A cache entry that fails to decode or verify against this front
-		// end is unusable here; compile instead. f is still pristine.
+		// A cache entry that fails to decode against this front end is
+		// unusable here; compile instead. f is still pristine.
 		mf, err := CompileFunc(f, cfg)
 		return mf, false, err
 	}

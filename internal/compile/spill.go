@@ -13,10 +13,14 @@ package compile
 // (sem.CheckSource: parse + check) to re-establish object and statement
 // identity, then reconstructs the machine program from the wire image —
 // skipping optimization, lowering, register allocation and scheduling,
-// which is where compile time goes. A sha256 of the canonical machine-code
-// rendering is stored and re-verified on load, so a decoded artifact is
-// byte-identical to what was spilled or it is rejected (and the caller
-// falls back to a full compile).
+// which is where compile time goes.
+//
+// A spill file is sha256(payload) followed by the gob payload. The sum is
+// checked before gob reads a byte, so a flipped bit anywhere in the file —
+// machine code, debug tables, globals, source text — is rejected and the
+// caller falls back to a full compile. That the decoder rebuilds exactly
+// what was encoded is a test property (re-encoding a decoded artifact
+// reproduces its bytes), not a runtime check.
 //
 // The rehydrated Result carries File, Sem and Mach; its IR field is nil
 // (the optimized IR is not part of the debuggable artifact).
@@ -35,7 +39,7 @@ import (
 )
 
 // spillVersion guards the wire format; bump on any wire-struct change.
-const spillVersion = 2
+const spillVersion = 3
 
 type wireArtifact struct {
 	Version int
@@ -48,8 +52,6 @@ type wireArtifact struct {
 	GlobalOff  []wireOff
 	GlobalSize int64
 	GlobalInit []wireInit
-
-	MachSum [sha256.Size]byte // sha256 of Mach.String(), re-verified on load
 }
 
 type wireFunc struct {
@@ -177,7 +179,6 @@ func EncodeSpill(cfg Config, res *Result) ([]byte, error) {
 		Src:        res.File.Content,
 		Cfg:        cfg,
 		GlobalSize: res.Mach.GlobalSize,
-		MachSum:    sha256.Sum256([]byte(res.Mach.String())),
 	}
 	for _, g := range res.Mach.Globals {
 		w.Globals = append(w.Globals, encObj(g))
@@ -198,10 +199,14 @@ func EncodeSpill(cfg Config, res *Result) ([]byte, error) {
 		w.Funcs = append(w.Funcs, wf)
 	}
 	var buf bytes.Buffer
+	buf.Write(make([]byte, sha256.Size)) // room for the sum
 	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	data := buf.Bytes()
+	sum := sha256.Sum256(data[sha256.Size:])
+	copy(data, sum[:])
+	return data, nil
 }
 
 func encFunc(f *mach.Func) (wireFunc, error) {
@@ -276,14 +281,16 @@ func encInstr(in *mach.Instr) wireInstr {
 	return wi
 }
 
-// DecodeSpill reconstructs a compiled artifact from its serialized form,
+// DecodeSpill verifies a serialized artifact's sum and reconstructs it,
 // replaying the front end over the embedded source to re-establish AST and
-// object identity, and verifies the machine-code rendering byte-for-byte
-// against the recorded digest. It returns the Result, the configuration it
-// was compiled under, and the name/source identity.
+// object identity. It returns the Result, the configuration it was
+// compiled under, and the name/source identity.
 func DecodeSpill(data []byte) (res *Result, name, src string, cfg Config, err error) {
+	if len(data) < sha256.Size || sha256.Sum256(data[sha256.Size:]) != [sha256.Size]byte(data) {
+		return nil, "", "", Config{}, fmt.Errorf("spill: checksum mismatch (stale or corrupt artifact)")
+	}
 	var w wireArtifact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data[sha256.Size:])).Decode(&w); err != nil {
 		return nil, "", "", Config{}, err
 	}
 	if w.Version != spillVersion {
@@ -330,9 +337,6 @@ func DecodeSpill(data []byte) (res *Result, name, src string, cfg Config, err er
 			return nil, "", "", Config{}, err
 		}
 		mp.Funcs = append(mp.Funcs, f)
-	}
-	if sum := sha256.Sum256([]byte(mp.String())); sum != w.MachSum {
-		return nil, "", "", Config{}, fmt.Errorf("spill: machine-code digest mismatch (stale or corrupt artifact)")
 	}
 	return &Result{File: p.File.Source, Sem: p, Mach: mp}, w.Name, w.Src, w.Cfg, nil
 }

@@ -5,6 +5,7 @@ package compile_test
 // code whose canonical rendering is byte-identical to the original.
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -125,31 +126,67 @@ func TestSpillRejectsCorruptData(t *testing.T) {
 }
 
 func TestSpillDigestGuardsMachineCode(t *testing.T) {
-	// A record whose embedded digest does not match its machine code must
-	// be rejected, not served: flipping bytes in the encoded stream either
-	// fails gob decoding or trips the digest / replay checks.
-	res, err := compile.Compile("t.mc", "int main() { int x = 3; return x + 1; }", compile.O2())
+	// Every single-bit flip in a spill file — in the sum, the machine
+	// code, the debug tables, the globals or the source text — must be
+	// rejected, and none may panic: a corrupt file is never served.
+	cfg := compile.O2()
+	res, err := compile.Compile("li.mc", bench.MustSource("li"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := compile.EncodeSpill(compile.O2(), res)
+	data, err := compile.EncodeSpill(cfg, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rejected := 0
-	for i := 0; i < len(data); i += 7 {
+	flips, accepted := 0, 0
+	for i := 0; i < len(data); i += 13 {
 		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x5a
-		if _, _, _, _, err := compile.DecodeSpill(mut); err != nil {
-			rejected++
+		mut[i] ^= 1 << (i % 8)
+		flips++
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("flip at byte %d panicked: %v", i, r)
+				}
+			}()
+			if _, _, _, _, err := compile.DecodeSpill(mut); err == nil {
+				accepted++
+			}
+		}()
+	}
+	if accepted != 0 {
+		t.Errorf("%d of %d single-bit flips accepted", accepted, flips)
+	}
+}
+
+// FuzzDecodeSpill checks that DecodeSpill never panics and that any input
+// it accepts re-encodes to itself. The seeds are the workloads' O2 spill
+// files.
+func FuzzDecodeSpill(f *testing.F) {
+	for _, name := range bench.Names {
+		res, err := compile.Compile(name+".mc", bench.MustSource(name), compile.O2())
+		if err != nil {
+			f.Fatal(err)
 		}
+		data, err := compile.EncodeSpill(compile.O2(), res)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	// Most single-byte flips must be caught; a flip inside the source
-	// text changes the identity (and is legitimately decodable), so we
-	// only require that structural corruption is detected at all.
-	if rejected == 0 {
-		t.Error("no corruption detected across byte flips")
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, _, _, cfg, err := compile.DecodeSpill(data)
+		if err != nil {
+			return
+		}
+		again, err := compile.EncodeSpill(cfg, res)
+		if err != nil {
+			t.Fatalf("accepted input does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatal("accepted input re-encodes to different bytes")
+		}
+	})
 }
 
 func TestResultSizeBytes(t *testing.T) {

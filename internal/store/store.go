@@ -323,7 +323,7 @@ func (s *Store[M, V]) Get(m M, id func() string, compute func() (V, int64, error
 	}()
 
 	e.id = id()
-	if v, cost, ok := s.loadSpilled(sh, e); ok {
+	if _, v, cost, ok := s.readBack(sh, e.id, &m); ok {
 		s.resolve(sh, e, v, cost, nil, resolveDiskGet)
 		return e.val, true, nil
 	}
@@ -354,33 +354,8 @@ func (s *Store[M, V]) LookupID(id string) (V, bool) {
 		sh.mu.Unlock()
 	}
 	var zero V
-	if !s.diskUp() {
-		return zero, false
-	}
-	data, err := s.readSpill(id)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			sh0 := s.shards[0]
-			sh0.mu.Lock()
-			sh0.spillErrors++
-			sh0.mu.Unlock()
-			s.brk.failure()
-		} else {
-			s.brk.success()
-		}
-		return zero, false
-	}
-	s.brk.success()
-	m, v, cost, err := s.codec.Decode(id, data)
-	if err != nil {
-		// Bad bytes, not a bad disk: fall back without tripping the
-		// breaker, and drop the corrupt file so it cannot wedge every
-		// future lookup of this id (a later eviction re-spills it whole).
-		sh0 := s.shards[0]
-		sh0.mu.Lock()
-		sh0.spillErrors++
-		sh0.mu.Unlock()
-		os.Remove(s.spillPath(id))
+	m, v, cost, ok := s.readBack(s.shards[0], id, nil)
+	if !ok {
 		return zero, false
 	}
 	// Re-admit into the identity's home shard so later Gets hit in memory.
@@ -611,42 +586,45 @@ func (sh *shard[M, V]) evictLocked() []*entry[M, V] {
 	return victims
 }
 
-// loadSpilled tries to serve an in-flight miss from the disk tier.
-func (s *Store[M, V]) loadSpilled(sh *shard[M, V], e *entry[M, V]) (v V, cost int64, ok bool) {
-	var zero V
+// readBack serves id from the disk tier, counting the outcome in sh: no
+// file is a spill miss; a read failure is a spill error and a strike
+// against the circuit breaker; a file that fails to decode, or decodes to
+// an identity other than *want (when want is non-nil), is a spill error
+// and is removed. Bad bytes do not trip the breaker — the disk answered,
+// the bytes were bad — and removing the file keeps it from wedging every
+// later lookup of this id (a later eviction re-spills it whole).
+func (s *Store[M, V]) readBack(sh *shard[M, V], id string, want *M) (m M, v V, cost int64, ok bool) {
 	if !s.diskUp() {
-		return zero, 0, false
+		return m, v, 0, false
 	}
-	data, err := s.readSpill(e.id)
+	data, err := s.readSpill(id)
 	if err != nil {
-		sh.mu.Lock()
-		if os.IsNotExist(err) {
-			sh.spillMisses++
-		} else {
-			sh.spillErrors++
-		}
-		sh.mu.Unlock()
 		if os.IsNotExist(err) {
 			s.brk.success()
+			sh.count(&sh.spillMisses)
 		} else {
 			s.brk.failure()
+			sh.count(&sh.spillErrors)
 		}
-		return zero, 0, false
+		return m, v, 0, false
 	}
 	s.brk.success()
-	m, v, cost, err := s.codec.Decode(e.id, data)
-	if err != nil || m != e.m {
-		// Corrupt, stale, or colliding file: fall back to compute and drop
-		// the bad file (the recompute's eviction re-spills it whole). Data
-		// errors do not trip the breaker — the disk answered, the bytes
-		// were bad.
-		os.Remove(s.spillPath(e.id))
-		sh.mu.Lock()
-		sh.spillErrors++
-		sh.mu.Unlock()
-		return zero, 0, false
+	m, v, cost, err = s.codec.Decode(id, data)
+	if err != nil || (want != nil && m != *want) {
+		os.Remove(s.spillPath(id))
+		sh.count(&sh.spillErrors)
+		var zm M
+		var zv V
+		return zm, zv, 0, false
 	}
-	return v, cost, true
+	return m, v, cost, true
+}
+
+// count increments one of sh's counters under its lock.
+func (sh *shard[M, V]) count(c *int64) {
+	sh.mu.Lock()
+	*c++
+	sh.mu.Unlock()
 }
 
 // readSpill reads one spill file ("store.spill.read" fault point).
@@ -698,7 +676,7 @@ func (s *Store[M, V]) spill(sh *shard[M, V], victims []*entry[M, V]) (writes, er
 // distinguishes disk I/O failures (which feed the circuit breaker) from
 // codec failures (which do not). Fault points: "store.spill.partial"
 // truncates the payload (the write "succeeds", leaving a corrupt file for
-// the read path's digest check to reject), "store.spill.write" and
+// the codec's integrity check to reject), "store.spill.write" and
 // "store.spill.rename" fail the corresponding syscalls.
 func (s *Store[M, V]) writeSpill(e *entry[M, V]) (ioErr bool, err error) {
 	data, err := s.codec.Encode(e.id, e.m, e.val)

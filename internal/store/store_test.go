@@ -258,6 +258,21 @@ func TestLookupIDMemoryAndDisk(t *testing.T) {
 	}
 }
 
+func TestLookupIDMissCountsSpillMiss(t *testing.T) {
+	s := newTestStore(t, Config[ident, string]{Dir: t.TempDir()})
+	before := s.Stats()
+	if _, ok := s.LookupID("id-missing"); ok {
+		t.Fatal("LookupID of unknown id succeeded")
+	}
+	after := s.Stats()
+	if after.SpillMisses != before.SpillMisses+1 {
+		t.Fatalf("SpillMisses %d -> %d, want +1", before.SpillMisses, after.SpillMisses)
+	}
+	if after.SpillErrors != before.SpillErrors {
+		t.Fatalf("a missing file counted as a spill error: %+v", after)
+	}
+}
+
 func TestCorruptSpillFallsBackToCompute(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "id-a.art"), []byte("garbage-without-separators"), 0o644); err != nil {
