@@ -1,11 +1,25 @@
 // Predecoded dispatch: every mach.Func is flattened once into a dense,
 // pc-indexed instruction array so the execution hot loop is an array walk
-// instead of block-pointer/index chasing. The flattening also precomputes
-// everything the per-instruction work used to rediscover on every step:
-// the register uses/def for cycle accounting (mach.Instr.Uses allocates a
-// buffer walk per instruction), the resolved callee of every CALL
-// (LookupFunc is a linear scan), the frame or global offset of every LA's
-// symbol (two map lookups), and branch targets as pc values.
+// instead of block-pointer/index chasing. The flattening also bakes in
+// everything the per-instruction work would otherwise rediscover on every
+// step through the wide mach.Instr:
+//
+//   - each source operand's kind with its register number or immediate (a
+//     float immediate as its bits), the destination's kind and register,
+//     and the addressing offset, so ALU, MOV, load, store, branch and
+//     return never read a mach.Opd;
+//   - the register uses/def for cycle accounting as indexes into the
+//     frame's one ready array (up to two uses inline, only CALL and PRINT
+//     with more spilling into a shared overflow slice);
+//   - the resolved callee of every CALL (LookupFunc is a linear scan), the
+//     frame or global offset of every LA's symbol (two map lookups), and
+//     branch targets as pc values.
+//
+// Flattening also range-checks every instruction against its function's
+// frame: a register past its file, or a spill-slot offset outside the
+// frame, would otherwise index another file's ready slot or another
+// frame's memory. Such a slot is marked malformed and fails when executed,
+// naming the function, as an unknown callee or LA symbol does.
 //
 // The predecoded form is computed once per mach.Program — cached on the
 // program itself via Program.Predecoded — and shared by every VM that
@@ -15,40 +29,100 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mach"
 )
 
-// dinstr is one predecoded instruction slot.
+// Dispatch opcodes beyond mach's, for dinstr.xop.
+const (
+	// opMalformed marks a slot whose instruction failed the predecode
+	// range check (see checkInstr); executing it is an error.
+	opMalformed mach.Opcode = -1 - iota
+	// opALU marks an integer ALU instruction outside the fast form (see
+	// dinstr.xop): it executes through Val, like the float operations.
+	opALU
+)
+
+// dinstr is one predecoded instruction slot. The fields every step reads
+// (cycle accounting, dispatch, the baked operands) come first.
 type dinstr struct {
-	// in is the original machine instruction, nil for the implicit-return
-	// sentinel appended after a block that falls off its end without a
-	// terminator (the VM treats that as a void return).
-	in *mach.Instr
-	op mach.Opcode
+	// Cycle accounting, precomputed from Uses/Def/Latency as indexes into
+	// Frame.ready. u0/u1 are the inline uses, the function's zero slot when
+	// absent; an instruction with more than two uses (a CALL or PRINT)
+	// keeps them all in funcCode.uses[useOff:useOff+useN] instead. def is
+	// the destination's ready slot, or the function's sink slot when the
+	// instruction defines no register. cost is the issue slot: 1, or 0 for
+	// NOP, the markers, the fall-off sentinel and a malformed slot, which
+	// cost nothing.
+	u0, u1, def  int32
+	useOff, useN int32
+	lat, cost    uint8
+
+	// xop is the opcode exec dispatches on: op itself, except that an
+	// integer ALU operation other than DIV and REM dispatches as opALU
+	// unless it is in the fast form (an int register and an int register,
+	// an immediate or nothing, into an int register), and a slot that
+	// failed checkInstr dispatches as opMalformed.
+	xop mach.Opcode
+	op  mach.Opcode
+
+	// ak/bk/dk are the kinds of the baked operands A, B and Dst (see
+	// opdKind); dk is kNone, kIReg or kFReg.
+	ak, bk, dk opdKind
+	sym        symKind
+
+	// dst is the destination register number when dk is a register kind.
+	dst int32
+
+	// a/b are the baked source operands: a register number, an integer
+	// immediate, or a float immediate's bits.
+	a, b int64
+	// off is the addressing offset of a load or store, or an LA's resolved
+	// symbol offset (see sym).
+	off int64
 
 	// t0/t1 are branch-target pcs: J goes to t0, BNEZ to t0 when taken and
 	// t1 when not.
 	t0, t1 int32
 
+	// in is the original machine instruction, nil for the implicit-return
+	// sentinel appended after a block that falls off its end without a
+	// terminator (the VM treats that as a void return). Execution reads it
+	// only for CALL arguments, PRINT, GETP's parameter index and error
+	// messages.
+	in *mach.Instr
+
 	// callee is the predecoded target of a CALL, nil when the callee does
-	// not exist (the error is reported at execution time, like before).
+	// not exist (the error is reported at execution time).
 	callee *funcCode
+}
 
-	// sym/symOff resolve an LA's symbol: a frame slot at Base+symOff, a
-	// global at symOff, or unknown (reported at execution time).
-	sym    symKind
-	symOff int64
+// opdKind is the kind of a baked operand.
+type opdKind uint8
 
-	// Cycle accounting, precomputed from Uses/Def/Latency. acct is false
-	// for NOP and the marker pseudo-instructions (they cost nothing).
-	acct    bool
-	lat     int32
-	useOff  int32
-	useN    int32
-	defsReg bool
-	defFl   bool
-	defR    int32
+const (
+	kNone opdKind = iota
+	kImm          // integer immediate, held in the operand field
+	kFImm         // float immediate, its math.Float64bits in the operand field
+	kIReg         // int register, its number in the operand field
+	kFReg         // float register, its number in the operand field
+)
+
+// bake returns o's baked kind and operand field.
+func bake(o mach.Opd) (opdKind, int64) {
+	switch o.Kind {
+	case mach.Reg:
+		if o.Class == mach.FloatClass {
+			return kFReg, int64(o.R)
+		}
+		return kIReg, int64(o.R)
+	case mach.Imm:
+		return kImm, o.Imm
+	case mach.FImm:
+		return kFImm, int64(math.Float64bits(o.F))
+	}
+	return kNone, 0
 }
 
 // symKind says where an LA's symbol lives.
@@ -60,18 +134,21 @@ const (
 	symGlobal
 )
 
-// useRef is one register read for cycle accounting.
-type useRef struct {
-	fl bool
-	r  int32
-}
-
 // funcCode is the predecoded form of one function.
 type funcCode struct {
 	fn    *mach.Func
 	code  []dinstr
-	uses  []useRef // shared backing for dinstr.useOff/useN
+	uses  []int32 // overflow ready indexes, see dinstr.useOff/useN
 	entry int32
+
+	// nInt/nFloat are the function's int and float register counts:
+	// NumVregs each, or NumIntRegs/NumFloatRegs once allocated. A frame's
+	// register files have one spare slot past them (fileLen). Frame.ready
+	// holds the int registers' ready times at [0, fileLen(nInt)), the
+	// float registers' after them, then the zero slot (never written, read
+	// for an absent use) and the sink slot (written for an absent def,
+	// never read).
+	nInt, nFloat int32
 
 	// blocks/idxs map a pc back to the debugger-visible position (the
 	// block and index within it). The sentinel pc of a fall-off block maps
@@ -88,6 +165,21 @@ type funcCode struct {
 	// source-statement tag (Stmt >= 0): the stopping points of
 	// source-level single-stepping.
 	stmtMask []uint64
+}
+
+// fileLen is the length of a register file holding n registers.
+func fileLen(n int32) int32 { return n + 1 }
+
+// zero and sink are fc's two extra ready slots (see funcCode.nInt).
+func (fc *funcCode) zero() int32 { return fileLen(fc.nInt) + fileLen(fc.nFloat) }
+func (fc *funcCode) sink() int32 { return fc.zero() + 1 }
+
+// readyOf returns register o's slot in the frame's ready array.
+func (fc *funcCode) readyOf(o mach.Opd) int32 {
+	if o.Class == mach.FloatClass {
+		return fileLen(fc.nInt) + int32(o.R)
+	}
+	return int32(o.R)
 }
 
 // progCode is the predecoded form of one program.
@@ -107,7 +199,7 @@ func predecode(prog *mach.Program) *progCode {
 		for _, fc := range pc.funcs {
 			for i := range fc.code {
 				d := &fc.code[i]
-				if d.in != nil && d.op == mach.CALL {
+				if d.xop == mach.CALL {
 					if callee := prog.LookupFunc(d.in.Callee); callee != nil {
 						d.callee = pc.funcs[callee]
 					}
@@ -122,6 +214,21 @@ func predecode(prog *mach.Program) *progCode {
 // sentinel after every block that does not end in a terminator.
 func flatten(prog *mach.Program, f *mach.Func) *funcCode {
 	fc := &funcCode{fn: f, startOf: make(map[*mach.Block]int32, len(f.Blocks))}
+	nInt, nFloat := f.NumVregs, f.NumVregs
+	if f.Allocated {
+		nInt, nFloat = mach.NumIntRegs, mach.NumFloatRegs
+	}
+	fc.nInt, fc.nFloat = int32(nInt), int32(nFloat)
+	slots := 0
+	for _, b := range f.Blocks {
+		slots += len(b.Instrs)
+		if b.Term() == nil {
+			slots++
+		}
+	}
+	fc.code = make([]dinstr, 0, slots)
+	fc.blocks = make([]*mach.Block, 0, slots)
+	fc.idxs = make([]int32, 0, slots)
 	for _, b := range f.Blocks {
 		fc.startOf[b] = int32(len(fc.code))
 		for idx, in := range b.Instrs {
@@ -132,7 +239,7 @@ func flatten(prog *mach.Program, f *mach.Func) *funcCode {
 		}
 		if b.Term() == nil {
 			// Fall-off: executing this slot performs a void return.
-			fc.code = append(fc.code, dinstr{op: mach.RET})
+			fc.code = append(fc.code, fc.free(dinstr{op: mach.RET, xop: mach.RET}))
 			fc.blocks = append(fc.blocks, b)
 			fc.idxs = append(fc.idxs, int32(len(b.Instrs)))
 		}
@@ -162,35 +269,89 @@ func flatten(prog *mach.Program, f *mach.Func) *funcCode {
 	return fc
 }
 
-// decodeOne precomputes the per-instruction cycle-accounting inputs and
-// resolves an LA's symbol the way AddrOf does: frame slot first, then
-// global.
+// free returns d with cycle accounting that costs nothing: no issue slot,
+// no uses, and the def in the sink slot.
+func (fc *funcCode) free(d dinstr) dinstr {
+	d.u0, d.u1, d.def, d.cost = fc.zero(), fc.zero(), fc.sink(), 0
+	return d
+}
+
+// decodeOne bakes in's operands and cycle-accounting inputs and resolves
+// an LA's symbol the way AddrOf does: frame slot first, then global. An
+// instruction that fails checkInstr becomes an opMalformed slot.
 func decodeOne(prog *mach.Program, fc *funcCode, in *mach.Instr) dinstr {
-	d := dinstr{in: in, op: in.Op}
+	if checkInstr(fc, in) != nil {
+		return fc.free(dinstr{in: in, op: in.Op, xop: opMalformed})
+	}
+	d := fc.free(dinstr{in: in, op: in.Op, xop: in.Op, off: in.Off})
+	d.ak, d.a = bake(in.A)
+	d.bk, d.b = bake(in.B)
+	var dst int64
+	if d.dk, dst = bake(in.Dst); d.dk == kIReg || d.dk == kFReg {
+		d.dst = int32(dst)
+	} else {
+		d.dk = kNone
+	}
 	if in.Op == mach.LA {
 		if off, ok := fc.fn.FrameOff[in.Sym]; ok {
-			d.sym, d.symOff = symFrame, off
+			d.sym, d.off = symFrame, off
 		} else if off, ok := prog.GlobalOff[in.Sym]; ok {
-			d.sym, d.symOff = symGlobal, off
+			d.sym, d.off = symGlobal, off
 		}
+	}
+	if mach.ADD <= in.Op && in.Op <= mach.NOT && in.Op != mach.DIV && in.Op != mach.REM &&
+		!(d.ak == kIReg && (d.bk == kIReg || d.bk == kImm || d.bk == kNone) && d.dk == kIReg) {
+		d.xop = opALU
 	}
 	if in.Op == mach.NOP || in.IsMarker() {
 		return d
 	}
-	d.acct = true
-	d.lat = int32(in.Op.Latency())
+	d.cost = 1
+	d.lat = uint8(in.Op.Latency())
 	var buf [8]mach.Opd
-	d.useOff = int32(len(fc.uses))
-	for _, u := range in.Uses(buf[:0]) {
-		fc.uses = append(fc.uses, useRef{fl: u.Class == mach.FloatClass, r: int32(u.R)})
+	switch uses := in.Uses(buf[:0]); {
+	case len(uses) > 2:
+		d.useOff = int32(len(fc.uses))
+		for _, u := range uses {
+			fc.uses = append(fc.uses, fc.readyOf(u))
+		}
+		d.useN = int32(len(uses))
+	case len(uses) == 2:
+		d.u0, d.u1 = fc.readyOf(uses[0]), fc.readyOf(uses[1])
+	case len(uses) == 1:
+		d.u0 = fc.readyOf(uses[0])
 	}
-	d.useN = int32(len(fc.uses)) - d.useOff
 	if def := in.Def(); def.IsReg() {
-		d.defsReg = true
-		d.defFl = def.Class == mach.FloatClass
-		d.defR = int32(def.R)
+		d.def = fc.readyOf(def)
 	}
 	return d
+}
+
+// checkInstr reports why in cannot run in fc's frame: a register it reads
+// or writes lies outside [0, NumVregs) (or [0, NumIntRegs) and
+// [0, NumFloatRegs) once allocated), or a spill-slot access (LWFP, SWFP,
+// FLWFP, FSWFP) lies outside [0, FrameSize).
+func checkInstr(fc *funcCode, in *mach.Instr) error {
+	var buf [8]mach.Opd
+	for _, o := range append(in.Uses(buf[:0]), in.Def()) {
+		if !o.IsReg() {
+			continue
+		}
+		file, n := "int", fc.nInt
+		if o.Class == mach.FloatClass {
+			file, n = "float", fc.nFloat
+		}
+		if o.R < 0 || o.R >= int(n) {
+			return fmt.Errorf("register %s outside the %s file of %d registers", o, file, n)
+		}
+	}
+	switch in.Op {
+	case mach.LWFP, mach.SWFP, mach.FLWFP, mach.FSWFP:
+		if in.Off < 0 || in.Off >= fc.fn.FrameSize {
+			return fmt.Errorf("frame offset %d outside the %d-byte frame", in.Off, fc.fn.FrameSize)
+		}
+	}
+	return nil
 }
 
 // pcOf maps a (block, idx) position to its pc. idx may equal

@@ -1,0 +1,298 @@
+package vm
+
+import (
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	mcc "repro/internal/compile"
+	"repro/internal/mach"
+	"repro/internal/randprog"
+)
+
+// TestPredecodeMatchesInstr holds every baked slot to the mach.Instr it
+// came from, over the corpus workloads at three configurations and
+// randprog.Gen(1..200) at O2NoRegAlloc and O2: operand kinds and values,
+// destination, offset (an LA's resolved one), callee, and the ready
+// indexes of cycle accounting, which must map back to Uses and Def. The
+// execution digest sees only output, Steps and Cycles; this test names
+// the field a change to mach.Instr forgot to bake. It also pins that the
+// predecode range check never fires on compiler output.
+func TestPredecodeMatchesInstr(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles 424 programs")
+	}
+	files, err := filepath.Glob("../bench/testdata/*.mc")
+	if err != nil || len(files) != 8 {
+		t.Fatalf("want the 8 corpus workloads, got %d (%v)", len(files), err)
+	}
+	all := []mcc.Config{mcc.O0(), mcc.O2NoRegAlloc(), mcc.O2()}
+	check := func(name, src string, cfg mcc.Config) {
+		r, err := mcc.Compile(name, src, cfg)
+		if err != nil {
+			return
+		}
+		pcode := predecode(r.Mach)
+		for _, f := range r.Mach.Funcs {
+			fc := pcode.funcs[f]
+			for pc := range fc.code {
+				if err := slotMatches(r.Mach, fc, &fc.code[pc]); err != nil {
+					t.Fatalf("%s: %s pc %d: %v", name, f.Name, pc, err)
+				}
+			}
+		}
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range all {
+			check(filepath.Base(file), string(src), cfg)
+		}
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		for _, cfg := range all[1:] {
+			check(fmt.Sprintf("rand%d.mc", seed), randprog.Gen(seed), cfg)
+		}
+	}
+}
+
+// slotMatches reports the first field of d that disagrees with its
+// instruction, recomputing each from mach.Instr rather than through the
+// predecoder's own helpers.
+func slotMatches(prog *mach.Program, fc *funcCode, d *dinstr) error {
+	f := fc.fn
+	nInt, nFloat := f.NumVregs, f.NumVregs
+	if f.Allocated {
+		nInt, nFloat = mach.NumIntRegs, mach.NumFloatRegs
+	}
+	zero, sink := int32(nInt+1+nFloat+1), int32(nInt+1+nFloat+2)
+	if fc.zero() != zero || fc.sink() != sink {
+		return fmt.Errorf("zero/sink slots %d/%d, want %d/%d", fc.zero(), fc.sink(), zero, sink)
+	}
+	readyOf := func(o mach.Opd) int32 {
+		if o.Class == mach.FloatClass {
+			return int32(nInt + 1 + o.R)
+		}
+		return int32(o.R)
+	}
+	in := d.in
+	if in == nil {
+		if d.op != mach.RET || d.xop != mach.RET || d.ak != kNone || d.cost != 0 ||
+			d.u0 != zero || d.u1 != zero || d.useN != 0 || d.def != sink {
+			return fmt.Errorf("fall-off sentinel is %+v, want a free void RET", *d)
+		}
+		return nil
+	}
+	if d.xop == opMalformed {
+		return fmt.Errorf("%s: compiler output failed the range check: %v", in, checkInstr(fc, in))
+	}
+	if d.op != in.Op {
+		return fmt.Errorf("%s: op %s", in, d.op)
+	}
+	fast := in.A.IsReg() && in.A.Class == mach.IntClass &&
+		(in.B.Kind == mach.Imm || in.B.Kind == mach.None || in.B.IsReg() && in.B.Class == mach.IntClass) &&
+		in.Dst.IsReg() && in.Dst.Class == mach.IntClass
+	wantX := in.Op
+	if mach.ADD <= in.Op && in.Op <= mach.NOT && in.Op != mach.DIV && in.Op != mach.REM && !fast {
+		wantX = opALU
+	}
+	if d.xop != wantX {
+		return fmt.Errorf("%s: dispatches as %d, want %d", in, d.xop, wantX)
+	}
+	for _, o := range []struct {
+		what string
+		k    opdKind
+		v    int64
+		want mach.Opd
+	}{{"A", d.ak, d.a, in.A}, {"B", d.bk, d.b, in.B}, {"Dst", d.dk, int64(d.dst), in.Dst}} {
+		if o.what == "Dst" && !o.want.IsReg() {
+			o.want = mach.Opd{} // only a register destination is written
+		}
+		if !bakedAs(o.k, o.v, o.want) {
+			return fmt.Errorf("%s: %s baked as (%d, %d), want %v", in, o.what, o.k, o.v, o.want)
+		}
+	}
+	sym, off := symUnknown, in.Off
+	if in.Op == mach.LA {
+		if o, ok := f.FrameOff[in.Sym]; ok {
+			sym, off = symFrame, o
+		} else if o, ok := prog.GlobalOff[in.Sym]; ok {
+			sym, off = symGlobal, o
+		}
+	}
+	if d.sym != sym || d.off != off {
+		return fmt.Errorf("%s: offset (%d, %d), want (%d, %d)", in, d.sym, d.off, sym, off)
+	}
+	if in.Op == mach.CALL {
+		want := prog.LookupFunc(in.Callee)
+		if (d.callee == nil) != (want == nil) || d.callee != nil && d.callee.fn != want {
+			return fmt.Errorf("%s: callee %v, want %v", in, d.callee, want)
+		}
+	}
+
+	free := in.Op == mach.NOP || in.IsMarker()
+	var wantUses []int32
+	var buf [8]mach.Opd
+	if !free {
+		for _, u := range in.Uses(buf[:0]) {
+			wantUses = append(wantUses, readyOf(u))
+		}
+	}
+	var gotUses []int32
+	if d.useN != 0 {
+		if d.u0 != zero || d.u1 != zero {
+			return fmt.Errorf("%s: inline uses %d, %d beside the overflow", in, d.u0, d.u1)
+		}
+		gotUses = fc.uses[d.useOff : d.useOff+d.useN]
+	} else {
+		for _, u := range []int32{d.u0, d.u1} {
+			if u != zero {
+				gotUses = append(gotUses, u)
+			}
+		}
+		if d.u0 == zero && d.u1 != zero {
+			return fmt.Errorf("%s: second inline use without a first", in)
+		}
+	}
+	if !slices.Equal(gotUses, wantUses) {
+		return fmt.Errorf("%s: ready uses %v, want %v", in, gotUses, wantUses)
+	}
+	wantDef := sink
+	if def := in.Def(); !free && def.IsReg() {
+		wantDef = readyOf(def)
+	}
+	if d.def != wantDef {
+		return fmt.Errorf("%s: ready def %d, want %d", in, d.def, wantDef)
+	}
+	wantCost, wantLat := uint8(1), uint8(in.Op.Latency())
+	if free {
+		wantCost, wantLat = 0, 0
+	}
+	if d.cost != wantCost || d.lat != wantLat {
+		return fmt.Errorf("%s: cost/latency %d/%d, want %d/%d", in, d.cost, d.lat, wantCost, wantLat)
+	}
+	return nil
+}
+
+// bakedAs reports whether the baked operand (k, v) is o: same kind and
+// register file, and the same register number, immediate or float bits.
+func bakedAs(k opdKind, v int64, o mach.Opd) bool {
+	switch o.Kind {
+	case mach.Reg:
+		want := kIReg
+		if o.Class == mach.FloatClass {
+			want = kFReg
+		}
+		return k == want && v == int64(o.R)
+	case mach.Imm:
+		return k == kImm && v == o.Imm
+	case mach.FImm:
+		return k == kFImm && uint64(v) == math.Float64bits(o.F)
+	}
+	return k == kNone && v == 0
+}
+
+// handProg builds a program whose main runs "mov r0, 7", then bad, then
+// "ret r0", in a function with nvregs virtual registers (or physical
+// ones when allocated) and a frameSize-byte frame.
+func handProg(bad *mach.Instr, nvregs int, allocated bool, frameSize int64) *mach.Program {
+	b := &mach.Block{Instrs: []*mach.Instr{
+		{Op: mach.MOV, Dst: mach.R_(0), A: mach.I_(7)},
+		bad,
+		{Op: mach.RET, A: mach.R_(0)},
+	}}
+	f := &mach.Func{Name: "main", Blocks: []*mach.Block{b}, Entry: b,
+		NumVregs: nvregs, Allocated: allocated, FrameSize: frameSize}
+	return &mach.Program{Funcs: []*mach.Func{f}}
+}
+
+// TestMalformedInstrFails: an instruction whose register lies outside
+// its file, or whose spill-slot offset lies outside the frame, fails
+// when executed, through Step and RunBreaks alike, with an error naming
+// the function. It writes nothing: the register files, the ready times,
+// memory and Cycles are as they were before it.
+func TestMalformedInstrFails(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		bad       *mach.Instr
+		allocated bool
+		want      string
+	}{
+		{"int dst past the file", &mach.Instr{Op: mach.ADD, Dst: mach.R_(4), A: mach.R_(0), B: mach.R_(0)}, false, "register r4"},
+		{"int dst at NumVregs", &mach.Instr{Op: mach.MOV, Dst: mach.R_(3), A: mach.R_(0)}, false, "register r3"},
+		{"int use past the file", &mach.Instr{Op: mach.MOV, Dst: mach.R_(1), A: mach.R_(9)}, false, "register r9"},
+		{"negative int register", &mach.Instr{Op: mach.SUB, Dst: mach.R_(1), A: mach.R_(0), B: mach.R_(-1)}, false, "register r-1"},
+		{"float use past the file", &mach.Instr{Op: mach.FADD, Dst: mach.FR(0), A: mach.FR(0), B: mach.FR(3)}, false, "register f3"},
+		{"store base past the file", &mach.Instr{Op: mach.SW, A: mach.R_(5), B: mach.R_(0)}, false, "register r5"},
+		{"call argument past the file", &mach.Instr{Op: mach.CALL, Callee: "main", Dst: mach.R_(1), Args: []mach.Opd{mach.R_(0), mach.R_(0), mach.R_(6)}}, false, "register r6"},
+		{"print value past the file", &mach.Instr{Op: mach.PRINT, PrintFmt: []mach.PrintArg{{Val: mach.FR(8)}}}, false, "register f8"},
+		{"physical int register past NumIntRegs", &mach.Instr{Op: mach.MOV, Dst: mach.R_(mach.NumIntRegs), A: mach.R_(0)}, true, fmt.Sprintf("register r%d", mach.NumIntRegs)},
+		{"physical float register past NumFloatRegs", &mach.Instr{Op: mach.CVTIF, Dst: mach.FR(mach.NumFloatRegs), A: mach.R_(0)}, true, fmt.Sprintf("register f%d", mach.NumFloatRegs)},
+		{"lw.fp at the frame end", &mach.Instr{Op: mach.LWFP, Dst: mach.R_(1), Off: 8}, false, "frame offset 8"},
+		{"sw.fp below the frame", &mach.Instr{Op: mach.SWFP, B: mach.R_(0), Off: -4}, false, "frame offset -4"},
+		{"flw.fp past the frame", &mach.Instr{Op: mach.FLWFP, Dst: mach.FR(1), Off: 64}, false, "frame offset 64"},
+		{"fsw.fp below the frame", &mach.Instr{Op: mach.FSWFP, B: mach.FR(0), Off: -8}, false, "frame offset -8"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := handProg(tc.bad, 3, tc.allocated, 8)
+			for _, path := range []string{"Step", "RunBreaks"} {
+				v, err := New(prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := v.Step(); err != nil {
+					t.Fatalf("%s: mov: %v", path, err)
+				}
+				// Every ready slot but the sink, which absorbs the def of
+				// any instruction that defines no register.
+				fr := v.Top()
+				live := fr.ready[:fr.code.sink()]
+				ireg, freg := slices.Clone(fr.IReg), slices.Clone(fr.FReg)
+				ready, mem, cycles := slices.Clone(live), slices.Clone(v.mem), v.Cycles
+				if path == "Step" {
+					err = v.Step()
+				} else {
+					err = v.RunBreaks(v.NewBreakSet(), false)
+				}
+				if err == nil {
+					t.Fatalf("%s: malformed %q executed without an error", path, tc.bad)
+				}
+				msg := err.Error()
+				if !strings.Contains(msg, "malformed instruction in main") || !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: error %q, want it to name main and %q", path, msg, tc.want)
+				}
+				if v.Steps != 2 {
+					t.Errorf("%s: Steps %d after the fault, want 2", path, v.Steps)
+				}
+				if !slices.Equal(fr.IReg, ireg) || !slices.Equal(fr.FReg, freg) ||
+					!slices.Equal(live, ready) || !slices.Equal(v.mem, mem) || v.Cycles != cycles {
+					t.Errorf("%s: the malformed instruction wrote state", path)
+				}
+			}
+		})
+	}
+}
+
+// TestWellFormedHandProg is the control for TestMalformedInstrFails: the
+// same hand-built program with in-range operands runs to exit.
+func TestWellFormedHandProg(t *testing.T) {
+	for _, ok := range []*mach.Instr{
+		{Op: mach.ADD, Dst: mach.R_(2), A: mach.R_(0), B: mach.R_(0)},
+		{Op: mach.LWFP, Dst: mach.R_(1), Off: 4},
+		{Op: mach.FSWFP, B: mach.FR(2), Off: 0},
+	} {
+		v, err := New(handProg(ok, 3, false, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Run(); err != nil || v.ExitValue() != 7 {
+			t.Errorf("%s: exit %d, err %v; want 7, nil", ok, v.ExitValue(), err)
+		}
+	}
+}

@@ -5,17 +5,22 @@
 // the paper's model needs: run-to-breakpoint, single-step, and inspection
 // of registers and memory at the stopped position.
 //
-// Execution (Run, RunBreaks) walks the predecoded pc-indexed instruction
-// array (see predecode.go) and tests a breakpoint bitmap bit per
-// instruction, with the step-budget and wall-clock-deadline checks folded
-// into one counter examined every checkQuantum instructions. Step executes
-// a single instruction; the tests build their reference stop-predicate
-// loop from Step, Position and Halted and hold RunBreaks to it.
+// Execution (Run, RunBreaks, Step) is one loop, exec, over the predecoded
+// pc-indexed instruction array (see predecode.go). It executes from the
+// operands baked into each slot, not from mach.Instr, keeps pc and the
+// cycle count in locals, gives integer ALU forms over int registers and
+// immediates a path that writes IReg directly, and tests a breakpoint
+// bitmap bit per instruction. RunBreaks folds the step-budget and
+// wall-clock-deadline checks into one counter examined every checkQuantum
+// instructions; Step runs exec for a single instruction. The tests build
+// their reference stop-predicate loop from Step, Position and Halted and
+// hold RunBreaks to it.
 package vm
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -75,20 +80,22 @@ type Frame struct {
 	Base int64 // byte address of this frame's memory area
 	Args []Val
 
-	// readyI/readyFv model result latency: the cycle at which each
-	// register's value becomes available. An instruction stalls until its
+	// ready models result latency: the cycle at which each register's
+	// value becomes available, int registers first and float registers
+	// after them (see funcCode.nInt). An instruction stalls until its
 	// operands are ready, so instruction scheduling measurably reduces
 	// cycle counts.
-	readyI  []int64
-	readyFv []int64
+	ready []int64
 
 	// code/pc drive execution: pc indexes the function's predecoded flat
 	// instruction array. The debugger-visible (block, idx) position is
 	// derived from pc through the predecode tables.
 	code *funcCode
 	pc   int32
-	// where the caller wants the return value
-	retDst mach.Opd
+	// retK/retR say where the caller wants the return value: a register
+	// of the caller's frame, or nowhere when retK is kNone.
+	retK opdKind
+	retR int32
 }
 
 // Pos identifies an execution position (the debugger's program counter).
@@ -147,34 +154,29 @@ func New(prog *mach.Program) (*VM, error) {
 		}
 		vm.mem[off] = slot{i: init.Int, f: init.Fl}
 	}
-	vm.push(vm.pcode.funcs[main], 0, mach.Opd{})
+	vm.push(vm.pcode.funcs[main], 0, kNone, 0)
 	return vm, nil
 }
 
 // push enters fc on the pooled frame of the next call depth, with zeroed
 // register files and ready times and nargs zeroed arguments for the
 // caller to fill in. Frame memory above sp is not cleared.
-func (vm *VM) push(fc *funcCode, nargs int, retDst mach.Opd) *Frame {
+func (vm *VM) push(fc *funcCode, nargs int, retK opdKind, retR int32) *Frame {
 	fn := fc.fn
-	nInt, nFloat := fn.NumVregs, fn.NumVregs
-	if fn.Allocated {
-		nInt, nFloat = mach.NumIntRegs, mach.NumFloatRegs
-	}
 	d := len(vm.stack)
 	if d == len(vm.pool) {
 		vm.pool = append(vm.pool, new(Frame))
 	}
 	fr := vm.pool[d]
 	fr.Fn = fn
-	fr.IReg = reuse(fr.IReg, nInt+1)
-	fr.FReg = reuse(fr.FReg, nFloat+1)
-	fr.readyI = reuse(fr.readyI, nInt+1)
-	fr.readyFv = reuse(fr.readyFv, nFloat+1)
+	fr.IReg = reuse(fr.IReg, int(fileLen(fc.nInt)))
+	fr.FReg = reuse(fr.FReg, int(fileLen(fc.nFloat)))
+	fr.ready = reuse(fr.ready, int(fc.sink()+1))
 	fr.Base = vm.sp
 	fr.Args = reuse(fr.Args, nargs)
 	fr.code = fc
 	fr.pc = fc.entry
-	fr.retDst = retDst
+	fr.retK, fr.retR = retK, retR
 	need := (fn.FrameSize + 7) &^ 3
 	vm.sp += need
 	for int64(len(vm.mem))*4 < vm.sp {
@@ -318,27 +320,11 @@ func (vm *VM) RunBreaks(bs *BreakSet, skipCurrent bool) error {
 			vm.Steps++
 			return fmt.Errorf("%w in %s", ErrStepLimit, fr.Fn.Name)
 		}
-		var steps int64
-		for {
-			pc := fr.pc
-			if mask != nil && mask[pc>>6]&(1<<(uint(pc)&63)) != 0 {
-				vm.Steps += steps
-				return nil
-			}
-			if steps == n {
-				break
-			}
-			steps++
-			changed, err := vm.exec1(fr)
-			if err != nil {
-				vm.Steps += steps
-				return err
-			}
-			if changed {
-				break
-			}
-		}
+		steps, stopped, err := vm.exec(fr, mask, n)
 		vm.Steps += steps
+		if stopped || err != nil {
+			return err
+		}
 		if vm.halted {
 			break
 		}
@@ -350,7 +336,8 @@ func (vm *VM) RunBreaks(bs *BreakSet, skipCurrent bool) error {
 	return nil
 }
 
-// regVal reads an operand in frame fr.
+// regVal reads a mach.Opd operand in frame fr: the CALL arguments and
+// PRINT values, which are not baked.
 func (vm *VM) regVal(fr *Frame, o mach.Opd) Val {
 	switch o.Kind {
 	case mach.Imm:
@@ -366,23 +353,58 @@ func (vm *VM) regVal(fr *Frame, o mach.Opd) Val {
 	return Val{}
 }
 
-func (vm *VM) setReg(fr *Frame, o mach.Opd, v Val) {
-	if o.Kind != mach.Reg {
-		return
+// val reads the baked operand (k, v) in frame fr.
+func (fr *Frame) val(k opdKind, v int64) Val {
+	switch k {
+	case kIReg:
+		return Val{I: fr.IReg[v]}
+	case kFReg:
+		return Val{F: fr.FReg[v], IsF: true}
+	case kImm:
+		return Val{I: v}
+	case kFImm:
+		return Val{F: math.Float64frombits(uint64(v)), IsF: true}
 	}
-	if o.Class == mach.FloatClass {
+	return Val{}
+}
+
+// ival is the integer view of the baked operand (k, v): Val.I of val.
+func (fr *Frame) ival(k opdKind, v int64) int64 {
+	switch k {
+	case kIReg:
+		return fr.IReg[v]
+	case kImm:
+		return v
+	}
+	return 0
+}
+
+// fval is the float view of the baked operand (k, v), an int converted.
+func (fr *Frame) fval(k opdKind, v int64) float64 {
+	x := fr.val(k, v)
+	if !x.IsF {
+		return float64(x.I)
+	}
+	return x.F
+}
+
+// set writes v to register r of kind k, converting between the int and
+// float views and truncating integers to 32 bits; kNone writes nothing.
+func (fr *Frame) set(k opdKind, r int32, v Val) {
+	switch k {
+	case kIReg:
+		x := v.I
+		if v.IsF {
+			x = int64(v.F)
+		}
+		fr.IReg[r] = int64(int32(x))
+	case kFReg:
 		x := v.F
 		if !v.IsF {
 			x = float64(v.I)
 		}
-		fr.FReg[o.R] = x
-		return
+		fr.FReg[r] = x
 	}
-	x := v.I
-	if v.IsF {
-		x = int64(v.F)
-	}
-	fr.IReg[o.R] = int64(int32(x))
 }
 
 // ReadMemInt reads the int word at byte address addr.
@@ -427,158 +449,216 @@ func (vm *VM) Step() error {
 	if vm.deadline != 0 && vm.Steps&(checkQuantum-1) == 0 && time.Now().UnixNano() > vm.deadline {
 		return fmt.Errorf("%w in %s", ErrDeadline, fr.Fn.Name)
 	}
-	_, err := vm.exec1(fr)
+	_, _, err := vm.exec(fr, nil, 1)
 	return err
 }
 
-// exec1 executes the instruction at fr.pc, advancing pc. It reports
-// whether the top frame changed (call, return, or halt), in which case
-// the caller must reload its frame-derived state.
-func (vm *VM) exec1(fr *Frame) (frameChanged bool, err error) {
+// exec executes up to n instructions of the top frame fr, from fr.pc. It
+// first tests each instruction's bit in mask (nil stops nowhere) and
+// reports stopped, without executing it, when the bit is set. It returns
+// early after a call, a return or a fault, since the caller must then
+// reload its frame-derived state. pc and the cycle count live in locals
+// while it runs and are written back on every return, so a fault leaves
+// the VM at the boundary after the faulting instruction, cycles counted.
+func (vm *VM) exec(fr *Frame, mask []uint64, n int64) (steps int64, stopped bool, err error) {
 	fc := fr.code
-	d := &fc.code[fr.pc]
-	in := d.in
-	if in == nil {
-		// Fell off an unterminated block: treat as void return.
-		return true, vm.doReturn(Val{})
-	}
+	code, uses, ready, ireg, mem := fc.code, fc.uses, fr.ready, fr.IReg, vm.mem
+	pc, cycles := fr.pc, vm.Cycles
+loop:
+	for {
+		if mask != nil && mask[pc>>6]&(1<<(uint(pc)&63)) != 0 {
+			stopped = true
+			break
+		}
+		if steps == n {
+			break
+		}
+		steps++
+		d := &code[pc]
 
-	// Cycle accounting: one issue slot per instruction plus stalls until
-	// register operands are ready; the destination becomes ready after the
-	// opcode's latency. The use/def register lists were precomputed at
-	// predecode time.
-	if d.acct {
-		issue := vm.Cycles
-		for _, u := range fc.uses[d.useOff : d.useOff+d.useN] {
-			var r int64
-			if u.fl {
-				r = fr.readyFv[u.r]
+		// Cycle accounting: one issue slot per instruction plus stalls
+		// until register operands are ready; the destination becomes ready
+		// after the opcode's latency. An absent use reads the zero slot and
+		// an absent def writes the sink slot, so the common case has no
+		// branch.
+		issue := max(cycles, ready[d.u0], ready[d.u1])
+		if d.useN != 0 {
+			for _, u := range uses[d.useOff : d.useOff+d.useN] {
+				issue = max(issue, ready[u])
+			}
+		}
+		cycles = issue + int64(d.cost)
+		ready[d.def] = issue + int64(d.lat)
+		pc++
+
+		switch d.xop {
+		case mach.NOP, mach.MARKDEAD, mach.MARKAVAIL:
+			// no effect
+
+		// The integer fast form: int register A, int register or
+		// immediate B (d.ib), int register destination.
+		case mach.ADD:
+			ireg[d.dst] = int64(int32(ireg[d.a] + d.ib(ireg)))
+		case mach.SUB:
+			ireg[d.dst] = int64(int32(ireg[d.a] - d.ib(ireg)))
+		case mach.MUL:
+			ireg[d.dst] = int64(int32(ireg[d.a] * d.ib(ireg)))
+		case mach.SHL:
+			ireg[d.dst] = int64(int32(ireg[d.a] << (uint(d.ib(ireg)) & 31)))
+		case mach.SHR:
+			ireg[d.dst] = int64(int32(ireg[d.a] >> (uint(d.ib(ireg)) & 31)))
+		case mach.OR:
+			ireg[d.dst] = int64(int32(ireg[d.a] | d.ib(ireg)))
+		case mach.XOR:
+			ireg[d.dst] = int64(int32(ireg[d.a] ^ d.ib(ireg)))
+		case mach.SEQ:
+			ireg[d.dst] = b2i(ireg[d.a] == d.ib(ireg))
+		case mach.SNE:
+			ireg[d.dst] = b2i(ireg[d.a] != d.ib(ireg))
+		case mach.SLT:
+			ireg[d.dst] = b2i(ireg[d.a] < d.ib(ireg))
+		case mach.SLE:
+			ireg[d.dst] = b2i(ireg[d.a] <= d.ib(ireg))
+		case mach.SGT:
+			ireg[d.dst] = b2i(ireg[d.a] > d.ib(ireg))
+		case mach.SGE:
+			ireg[d.dst] = b2i(ireg[d.a] >= d.ib(ireg))
+		case mach.NEG:
+			ireg[d.dst] = int64(int32(-ireg[d.a]))
+		case mach.NOT:
+			ireg[d.dst] = b2i(ireg[d.a] == 0)
+
+		case mach.MOV:
+			if d.dk == kIReg && d.ak == kIReg {
+				ireg[d.dst] = int64(int32(ireg[d.a]))
+				break
+			}
+			fr.set(d.dk, d.dst, fr.val(d.ak, d.a))
+
+		case mach.GETP:
+			if d.in.ParamIdx < len(fr.Args) {
+				fr.set(d.dk, d.dst, fr.Args[d.in.ParamIdx])
+			}
+
+		case mach.LA:
+			switch d.sym {
+			case symFrame:
+				fr.set(d.dk, d.dst, Val{I: fr.Base + d.off})
+			case symGlobal:
+				fr.set(d.dk, d.dst, Val{I: d.off})
+			default:
+				err = fmt.Errorf("vm: la of unknown symbol %s", d.in.Sym.Name)
+				break loop
+			}
+
+		case mach.LW, mach.FLW:
+			addr := fr.ival(d.ak, d.a) + d.off
+			if addr < 0 || addr/4 >= int64(len(mem)) {
+				err = fmt.Errorf("vm: %s out of bounds at %d (stmt %d in %s)", d.op, addr, d.in.Stmt, fr.Fn.Name)
+				break loop
+			}
+			if d.op == mach.FLW {
+				fr.set(d.dk, d.dst, Val{F: mem[addr/4].f, IsF: true})
+			} else if d.dk == kIReg {
+				ireg[d.dst] = int64(int32(mem[addr/4].i))
 			} else {
-				r = fr.readyI[u.r]
+				fr.set(d.dk, d.dst, Val{I: mem[addr/4].i})
 			}
-			if r > issue {
-				issue = r
+
+		case mach.SW, mach.FSW:
+			addr := fr.ival(d.ak, d.a) + d.off
+			if addr < 0 || addr/4 >= int64(len(mem)) {
+				err = fmt.Errorf("vm: %s out of bounds at %d (stmt %d in %s)", d.op, addr, d.in.Stmt, fr.Fn.Name)
+				break loop
 			}
-		}
-		vm.Cycles = issue + 1
-		if d.defsReg {
-			done := issue + int64(d.lat)
-			if d.defFl {
-				fr.readyFv[d.defR] = done
+			if d.op == mach.FSW {
+				mem[addr/4] = slot{f: fr.fval(d.bk, d.b)}
 			} else {
-				fr.readyI[d.defR] = done
+				mem[addr/4] = slot{i: int64(int32(fr.ival(d.bk, d.b)))}
 			}
-		}
-	}
-	fr.pc++
 
-	switch d.op {
-	case mach.NOP, mach.MARKDEAD, mach.MARKAVAIL:
-		// no effect
+		case mach.LWFP:
+			if d.dk == kIReg {
+				ireg[d.dst] = int64(int32(mem[(fr.Base+d.off)/4].i))
+				break
+			}
+			fr.set(d.dk, d.dst, Val{I: mem[(fr.Base+d.off)/4].i})
+		case mach.FLWFP:
+			if d.dk == kFReg {
+				fr.FReg[d.dst] = mem[(fr.Base+d.off)/4].f
+				break
+			}
+			fr.set(d.dk, d.dst, Val{F: mem[(fr.Base+d.off)/4].f, IsF: true})
+		case mach.SWFP:
+			mem[(fr.Base+d.off)/4] = slot{i: fr.ival(d.bk, d.b)}
+		case mach.FSWFP:
+			mem[(fr.Base+d.off)/4] = slot{f: fr.fval(d.bk, d.b)}
 
-	case mach.MOV:
-		vm.setReg(fr, in.Dst, vm.regVal(fr, in.A))
+		case mach.CALL:
+			if d.callee == nil {
+				err = fmt.Errorf("vm: call of unknown function %q", d.in.Callee)
+				break loop
+			}
+			args := vm.push(d.callee, len(d.in.Args), d.dk, d.dst).Args
+			for i, a := range d.in.Args {
+				args[i] = vm.regVal(fr, a)
+			}
+			break loop
 
-	case mach.GETP:
-		if in.ParamIdx < len(fr.Args) {
-			vm.setReg(fr, in.Dst, fr.Args[in.ParamIdx])
-		}
+		case mach.RET:
+			err = vm.doReturn(fr.val(d.ak, d.a))
+			break loop
 
-	case mach.LA:
-		switch d.sym {
-		case symFrame:
-			vm.setReg(fr, in.Dst, Val{I: fr.Base + d.symOff})
-		case symGlobal:
-			vm.setReg(fr, in.Dst, Val{I: d.symOff})
+		case mach.J:
+			pc = d.t0
+
+		case mach.BNEZ:
+			var taken bool
+			if d.ak == kIReg {
+				taken = ireg[d.a] != 0
+			} else {
+				c := fr.val(d.ak, d.a)
+				taken = c.I != 0 || c.F != 0
+			}
+			if taken {
+				pc = d.t0
+			} else {
+				pc = d.t1
+			}
+
+		case mach.PRINT:
+			if err = vm.doPrint(fr, d.in); err != nil {
+				break loop
+			}
+
+		case opMalformed:
+			err = fmt.Errorf("vm: malformed instruction in %s: %v (%s)", fr.Fn.Name, checkInstr(fc, d.in), d.in)
+			break loop
+
 		default:
-			return false, fmt.Errorf("vm: la of unknown symbol %s", in.Sym.Name)
-		}
-
-	case mach.LW, mach.FLW:
-		base := vm.regVal(fr, in.A).I
-		addr := base + in.Off
-		if addr < 0 || addr/4 >= int64(len(vm.mem)) {
-			return false, fmt.Errorf("vm: %s out of bounds at %d (stmt %d in %s)", in.Op, addr, in.Stmt, fr.Fn.Name)
-		}
-		if in.Op == mach.FLW {
-			vm.setReg(fr, in.Dst, Val{F: vm.mem[addr/4].f, IsF: true})
-		} else {
-			vm.setReg(fr, in.Dst, Val{I: vm.mem[addr/4].i})
-		}
-
-	case mach.SW, mach.FSW:
-		base := vm.regVal(fr, in.A).I
-		addr := base + in.Off
-		if addr < 0 || addr/4 >= int64(len(vm.mem)) {
-			return false, fmt.Errorf("vm: %s out of bounds at %d (stmt %d in %s)", in.Op, addr, in.Stmt, fr.Fn.Name)
-		}
-		v := vm.regVal(fr, in.B)
-		if in.Op == mach.FSW {
-			x := v.F
-			if !v.IsF {
-				x = float64(v.I)
+			if err = vm.alu(fr, d); err != nil {
+				break loop
 			}
-			vm.mem[addr/4] = slot{f: x}
-		} else {
-			vm.mem[addr/4] = slot{i: int64(int32(v.I))}
 		}
-
-	case mach.LWFP:
-		vm.setReg(fr, in.Dst, Val{I: vm.mem[(fr.Base+in.Off)/4].i})
-	case mach.FLWFP:
-		vm.setReg(fr, in.Dst, Val{F: vm.mem[(fr.Base+in.Off)/4].f, IsF: true})
-	case mach.SWFP:
-		vm.mem[(fr.Base+in.Off)/4] = slot{i: vm.regVal(fr, in.B).I}
-	case mach.FSWFP:
-		x := vm.regVal(fr, in.B)
-		f := x.F
-		if !x.IsF {
-			f = float64(x.I)
-		}
-		vm.mem[(fr.Base+in.Off)/4] = slot{f: f}
-
-	case mach.CALL:
-		callee := d.callee
-		if callee == nil {
-			return false, fmt.Errorf("vm: call of unknown function %q", in.Callee)
-		}
-		args := vm.push(callee, len(in.Args), in.Dst).Args
-		for i, a := range in.Args {
-			args[i] = vm.regVal(fr, a)
-		}
-		return true, nil
-
-	case mach.RET:
-		var v Val
-		if in.A.Kind != mach.None {
-			v = vm.regVal(fr, in.A)
-		}
-		return true, vm.doReturn(v)
-
-	case mach.J:
-		fr.pc = d.t0
-
-	case mach.BNEZ:
-		c := vm.regVal(fr, in.A)
-		if c.I != 0 || (c.IsF && c.F != 0) {
-			fr.pc = d.t0
-		} else {
-			fr.pc = d.t1
-		}
-
-	case mach.PRINT:
-		if err := vm.doPrint(fr, in); err != nil {
-			return false, err
-		}
-
-	default:
-		v, err := vm.alu(fr, in)
-		if err != nil {
-			return false, fmt.Errorf("vm: %w (stmt %d in %s)", err, in.Stmt, fr.Fn.Name)
-		}
-		vm.setReg(fr, in.Dst, v)
 	}
-	return false, nil
+	fr.pc, vm.Cycles = pc, cycles
+	return steps, stopped, err
+}
+
+// ib is the integer value of B in the fast form: an int register, or
+// the immediate (0 when B is absent).
+func (d *dinstr) ib(ireg []int64) int64 {
+	if d.bk == kIReg {
+		return ireg[d.b]
+	}
+	return d.b
+}
+
+func b2i(c bool) int64 {
+	if c {
+		return 1
+	}
+	return 0
 }
 
 // doPrint renders one PRINT into the output buffer, enforcing MaxOutput.
@@ -621,16 +701,22 @@ func (vm *VM) doReturn(v Val) error {
 		vm.retVal = v
 		return nil
 	}
-	caller := vm.Top()
-	if fr.retDst.Kind == mach.Reg {
-		vm.setReg(caller, fr.retDst, v)
-	}
+	vm.Top().set(fr.retK, fr.retR, v)
 	return nil
 }
 
-func (vm *VM) alu(fr *Frame, in *mach.Instr) (Val, error) {
-	a := vm.regVal(fr, in.A)
-	b := vm.regVal(fr, in.B)
+// alu executes an ALU or conversion instruction through Val: every
+// operation and operand form outside exec's integer fast form.
+func (vm *VM) alu(fr *Frame, d *dinstr) error {
+	v, err := aluVal(d.op, fr.val(d.ak, d.a), fr.val(d.bk, d.b))
+	if err != nil {
+		return fmt.Errorf("vm: %w (stmt %d in %s)", err, d.in.Stmt, fr.Fn.Name)
+	}
+	fr.set(d.dk, d.dst, v)
+	return nil
+}
+
+func aluVal(op mach.Opcode, a, b Val) (Val, error) {
 	ai, bi := a.I, b.I
 	af, bf := a.F, b.F
 	if !a.IsF {
@@ -640,13 +726,8 @@ func (vm *VM) alu(fr *Frame, in *mach.Instr) (Val, error) {
 		bf = float64(b.I)
 	}
 	w := func(x int64) Val { return Val{I: int64(int32(x))} }
-	bl := func(c bool) Val {
-		if c {
-			return Val{I: 1}
-		}
-		return Val{I: 0}
-	}
-	switch in.Op {
+	bl := func(c bool) Val { return Val{I: b2i(c)} }
+	switch op {
 	case mach.ADD:
 		return w(ai + bi), nil
 	case mach.SUB:
@@ -717,5 +798,5 @@ func (vm *VM) alu(fr *Frame, in *mach.Instr) (Val, error) {
 	case mach.CVTFI:
 		return w(int64(af)), nil
 	}
-	return Val{}, fmt.Errorf("unimplemented opcode %s", in.Op)
+	return Val{}, fmt.Errorf("unimplemented opcode %s", op)
 }
