@@ -2,6 +2,8 @@ package artstore
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
@@ -147,6 +149,39 @@ func TestLookupFindsSpilledArtifacts(t *testing.T) {
 	}
 	if _, ok := restarted.Lookup("ffffffffffff"); ok {
 		t.Fatal("Lookup of unknown handle succeeded")
+	}
+}
+
+// TestOldSpillVersionRecompiles places a version-3 (gob) spill file under
+// its artifact's id: Get must recompile, count one spill error, remove the
+// file, and leave the circuit breaker closed — old bytes are a data error,
+// not a disk failure.
+func TestOldSpillVersionRecompiles(t *testing.T) {
+	const name = "old.mc"
+	const src = "int g = 3;\nint main() {\n\tint i;\n\tint s = 0;\n\tfor (i = 0; i < 4; i++) { s += g * i; }\n\tprint(s);\n\treturn s;\n}\n"
+	data, err := os.ReadFile("../compile/testdata/spill-v3.art")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, compile.KeyOf(name, src, compile.O2()).ID()+".art")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := New(Config{SpillDir: dir})
+	defer st.Close()
+	a, hit, err := st.Get(name, src, compile.O2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit || a.Metrics.Funcs == 0 {
+		t.Fatalf("old spill file served: hit=%v metrics=%+v", hit, a.Metrics)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("old spill file not removed: %v", err)
+	}
+	if s := st.Stats(); s.SpillErrors != 1 || s.SpillHits != 0 || s.SpillDegraded || s.SpillDegradations != 0 {
+		t.Fatalf("stats after an old spill file = %+v", s)
 	}
 }
 

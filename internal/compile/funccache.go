@@ -1,21 +1,20 @@
 package compile
 
 // FuncCache: the incremental-compilation tier. Values are serialized
-// per-function machine-code images (the spill codec's wireFunc, gob
-// encoded), keyed by FuncKey, held in a sharded, memory-accounted
-// store.Store. Entries are stored encoded — never as live *mach.Func —
-// because a machine function is bound to one front end's *ast.Object
-// identities; stitching a cached function into a new compilation decodes
-// the image against that compilation's own sem.Program, which rebinds
-// objects, declarations and source positions (see decFunc). Entries carry
-// no version or checksum: they live only in this process's memory, and the
-// key already hashes everything decoding depends on (names, the locals
-// table, the globals signature, Config, IR and spillVersion).
+// per-function machine-code images (spill.go's enc.fn format, the same
+// one a spill file stores each function in), keyed by FuncKey, held in a
+// sharded, memory-accounted store.Store. Entries are stored encoded —
+// never as live *mach.Func — because a machine function is bound to one
+// front end's *ast.Object identities; stitching a cached function into a
+// new compilation decodes the image against that compilation's own
+// sem.Program, which rebinds objects, declarations and source positions
+// (see dec.fn). Entries carry no version or checksum: they live only in
+// this process's memory, and the key already hashes everything decoding
+// depends on (names, the locals table, the globals signature, Config, IR
+// and spillVersion).
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 
 	"repro/internal/mach"
 	"repro/internal/sem"
@@ -65,23 +64,18 @@ func (c *FuncCache) Len() int { return c.s.Len() }
 
 // encodeFuncEntry serializes one compiled function for the cache.
 func encodeFuncEntry(f *mach.Func) ([]byte, error) {
-	wf, err := encFunc(f)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&wf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	e := &enc{b: make([]byte, 0, encSizeHint(f))}
+	e.fn(f)
+	return e.b, e.err
 }
 
 // decodeFuncEntry reconstructs a cached function against the current front
 // end, rebinding declarations, objects and source positions.
 func decodeFuncEntry(data []byte, p *sem.Program) (*mach.Func, error) {
-	var wf wireFunc
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wf); err != nil {
-		return nil, err
+	d := &dec{b: data, globals: p.Globals}
+	f := d.fn(p)
+	if d.end(); d.err != nil {
+		return nil, d.err
 	}
-	return decFunc(&wf, p, &objResolver{globals: p.Globals})
+	return f, nil
 }

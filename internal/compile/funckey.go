@@ -14,7 +14,7 @@ package compile
 // artifact keyed this way can be stitched into any program whose front end
 // reproduces the key — even if the function moved to different source lines,
 // because source positions are rebound from the current front end on decode
-// (see decFunc) and are deliberately not part of the key.
+// (see dec.fn) and are deliberately not part of the key.
 //
 // The hash covers object references via the same encoding the spill codec
 // uses (encObj: dense per-function local IDs, per-program global IDs), which
@@ -80,7 +80,7 @@ func FuncKeyOf(f *ir.Func, sig GlobalsSig) FuncKey {
 
 	// Declaration environment: the analyses and the lowering read the
 	// locals table, scope extents and statement count. The function name is
-	// hashed because decFunc rebinds the artifact to the current Decl by
+	// hashed because dec.fn rebinds the artifact to the current Decl by
 	// name.
 	w.str(f.Name)
 	w.int(len(f.Decl.Params))

@@ -1,35 +1,43 @@
 package compile
 
-// Artifact serialization for the store's disk tier.
+// Artifact serialization for the store's disk tier and the function cache.
 //
-// A spilled artifact is a gob-encoded wire image of the *back end* of the
-// pipeline: the final machine code with all of its debugging annotations
-// (statement tags, hoist/sunk/inserted marks, markers, recovery links,
-// DefObj/UseObjs variable tags, frame and register-allocation tables) plus
-// the global data layout — everything the debugger's tables and classifier
-// consume. AST and semantic objects are not serialized; instructions refer
-// to them by their dense per-function (local) or per-program (global)
-// object IDs. Decoding replays only the deterministic front end
-// (sem.CheckSource: parse + check) to re-establish object and statement
-// identity, then reconstructs the machine program from the wire image —
-// skipping optimization, lowering, register allocation and scheduling,
-// which is where compile time goes.
+// A spilled artifact is a varint image of the *back end* of the pipeline:
+// the final machine code with all of its debugging annotations (statement
+// tags, hoist/sunk/inserted marks, markers, recovery links, DefObj/UseObjs
+// variable tags, frame and register-allocation tables) plus the global
+// data layout — everything the debugger's tables and classifier consume.
+// AST and semantic objects are not serialized; instructions refer to them
+// by their dense per-function (local) or per-program (global) object IDs.
+// Decoding replays only the deterministic front end (sem.CheckSource:
+// parse + check) to re-establish object and statement identity, then
+// reads the machine program straight back — skipping optimization,
+// lowering, register allocation and scheduling, which is where compile
+// time goes.
 //
-// A spill file is sha256(payload) followed by the gob payload. The sum is
-// checked before gob reads a byte, so a flipped bit anywhere in the file —
-// machine code, debug tables, globals, source text — is rejected and the
-// caller falls back to a full compile. That the decoder rebuilds exactly
-// what was encoded is a test property (re-encoding a decoded artifact
-// reproduces its bytes), not a runtime check.
+// A spill file is sha256(payload) followed by the payload: a header
+// (spillVersion, name, source, config), the globals tables, then each
+// function in the encoding the function cache stores as its entry
+// (enc.fn/dec.fn). The sum is checked before the decoder reads a byte,
+// so a flipped bit anywhere in the file is rejected and the caller falls
+// back to a full compile.
+//
+// The decoder fails closed and is canonical: every read is bounds-checked,
+// a count may not exceed the bytes that remain, every object ref,
+// successor and entry index is range-checked, and an overlong varint, a
+// presence bit over a zero value, an unknown flag bit, an out-of-range
+// opcode or kind, unsorted table rows and trailing bytes are all errors.
+// So any payload it accepts re-encodes to the same bytes — a test and fuzz
+// property, not a runtime check.
 //
 // The rehydrated Result carries File, Sem and Mach; its IR field is nil
 // (the optimized IR is not part of the debuggable artifact).
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/ast"
@@ -38,104 +46,144 @@ import (
 	"repro/internal/sem"
 )
 
-// spillVersion guards the wire format; bump on any wire-struct change.
-const spillVersion = 3
+// spillVersion guards the payload format; bump on any change to it.
+const spillVersion = 4
 
-type wireArtifact struct {
-	Version int
-	Name    string
-	Src     string
-	Cfg     Config
-
-	Funcs      []wireFunc
-	Globals    []int32 // mach.Program.Globals, by object ID
-	GlobalOff  []wireOff
-	GlobalSize int64
-	GlobalInit []wireInit
+// EncodeSpill serializes a compiled artifact for the disk tier. The
+// source text and configuration ride along (they are the artifact's
+// identity and drive the front-end replay on load).
+func EncodeSpill(cfg Config, res *Result) ([]byte, error) {
+	mp := res.Mach
+	e := &enc{b: make([]byte, sha256.Size, sha256.Size+len(res.File.Content)+encSizeHint(mp.Funcs...))}
+	e.uint(spillVersion)
+	e.str(res.File.Name)
+	e.str(res.File.Content)
+	e.uint(configBits(cfg))
+	e.uint(uint64(len(mp.Globals)))
+	for _, g := range mp.Globals {
+		e.obj(g)
+	}
+	e.offs(mp.GlobalOff)
+	e.int(mp.GlobalSize)
+	e.uint(uint64(len(mp.GlobalInit)))
+	for _, o := range sortedObjs(mp.GlobalInit) {
+		e.obj(o)
+		e.irOperand(mp.GlobalInit[o])
+	}
+	e.uint(uint64(len(mp.Funcs)))
+	for _, f := range mp.Funcs {
+		e.fn(f)
+	}
+	if e.err != nil {
+		return nil, e.err
+	}
+	sum := sha256.Sum256(e.b[sha256.Size:])
+	copy(e.b, sum[:])
+	return e.b, nil
 }
 
-type wireFunc struct {
-	Name      string
-	Blocks    []wireBlock
-	Entry     int32 // index into Blocks
-	NumVregs  int
-	NumVars   int
-	FrameObjs []int32 // object refs, in order
-	FrameOff  []wireOff
-	FrameSize int64
-	Allocated bool
-	VarLoc    []wireVarLoc
-	Scheduled bool
+// encSizeHint estimates the encoded size of fs's machine code (about 12
+// bytes an instruction, rounded up so one allocation usually suffices).
+func encSizeHint(fs ...*mach.Func) int {
+	n := 0
+	for _, f := range fs {
+		for _, b := range f.Blocks {
+			n += len(b.Instrs)
+		}
+	}
+	return 16 * n
 }
 
-type wireBlock struct {
-	ID        int
-	LoopDepth int
-	Succs     []int32 // indexes into wireFunc.Blocks
-	Instrs    []wireInstr
+// DecodeSpill verifies a serialized artifact's sum and reconstructs it,
+// replaying the front end over the embedded source to re-establish AST and
+// object identity. It returns the Result, the configuration it was
+// compiled under, and the name/source identity.
+func DecodeSpill(data []byte) (res *Result, name, src string, cfg Config, err error) {
+	if len(data) < sha256.Size || sha256.Sum256(data[sha256.Size:]) != [sha256.Size]byte(data) {
+		return nil, "", "", Config{}, fmt.Errorf("spill: checksum mismatch (stale or corrupt artifact)")
+	}
+	d := &dec{b: data[sha256.Size:]}
+	if v := d.uint(); d.err == nil && v != spillVersion {
+		return nil, "", "", Config{}, fmt.Errorf("spill: version %d, want %d", v, spillVersion)
+	}
+	name, src = d.str(), d.str()
+	cfg = d.config()
+	if d.err != nil {
+		return nil, "", "", Config{}, d.err
+	}
+	p, err := sem.CheckSource(name, src)
+	if err != nil {
+		return nil, "", "", Config{}, fmt.Errorf("spill: front-end replay: %w", err)
+	}
+	d.globals = p.Globals
+	mp := &mach.Program{}
+	n := d.count()
+	mp.Globals = make([]*ast.Object, n)
+	for i := range mp.Globals {
+		mp.Globals[i] = d.obj()
+	}
+	mp.GlobalOff = d.offs()
+	mp.GlobalSize = d.int()
+	n = d.count()
+	mp.GlobalInit = make(map[*ast.Object]ir.Operand, n)
+	var prev uint64
+	for i := 0; i < n && d.err == nil; i++ {
+		o := d.rowKey(&prev)
+		mp.GlobalInit[o] = d.irOperand()
+	}
+	n = d.count()
+	mp.Funcs = make([]*mach.Func, 0, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		mp.Funcs = append(mp.Funcs, d.fn(p))
+	}
+	if d.end(); d.err != nil {
+		return nil, "", "", Config{}, d.err
+	}
+	return &Result{File: p.File.Source, Sem: p, Mach: mp}, name, src, cfg, nil
 }
 
-type wireInstr struct {
-	Op       mach.Opcode
-	Dst      mach.Opd
-	A, B     mach.Opd
-	Off      int64
-	Sym      int32 // object ref
-	Callee   string
-	Args     []mach.Opd
-	PrintFmt []mach.PrintArg
-	ParamIdx int
-
-	MarkObj   int32 // object ref
-	MarkAlias mach.Opd
-
-	Stmt     int
-	OrigIdx  int
-	PreSched int
-
-	// ir.Ann, flattened (its object pointers become refs).
-	Hoisted     bool
-	Sunk        bool
-	InsertedBy  string
-	ReplacedVar int32 // object ref
-	HasRecover  bool
-	RecoverVar  int32 // object ref
-	RecoverA    int64
-	RecoverB    int64
-
-	DefObj  int32   // object ref
-	UseObjs []int32 // object refs
+// configFlags lists every Config field in its bit order. Config is all
+// flags; a field of any other type needs its own encoding.
+func configFlags(c *Config) [17]*bool {
+	o := &c.Opt
+	return [...]*bool{
+		&c.RegAlloc, &c.Sched,
+		&o.SROA, &o.ConstFold, &o.ConstProp, &o.CopyProp, &o.AssignProp,
+		&o.PRE, &o.LICM, &o.PDCE, &o.DCE, &o.Strength, &o.Unroll,
+		&o.Peel, &o.LoopInvert, &o.BranchOpt, &o.NoMarkers,
+	}
 }
 
-// wireOff is one (object, frame/global offset) table row.
-type wireOff struct {
-	Obj int32
-	Off int64
+func configBits(c Config) uint64 {
+	var bits uint64
+	for i, f := range configFlags(&c) {
+		if *f {
+			bits |= 1 << i
+		}
+	}
+	return bits
 }
 
-// wireVarLoc is one register-allocation table row.
-type wireVarLoc struct {
-	Obj int32
-	Loc mach.Loc
-}
-
-// wireInit is one global initializer; the ir.Operand is flattened with its
-// object pointer as a ref.
-type wireInit struct {
-	Obj  int32
-	Kind ir.OpdKind
-	Ty   ir.Ty
-	TID  int
-	Ref  int32 // Operand.Obj as an object ref
-	Int  int64
-	Fl   float64
+func (d *dec) config() Config {
+	var c Config
+	flags := configFlags(&c)
+	bits := d.uint()
+	if bits>>len(flags) != 0 {
+		d.fail("unknown config bits %#x", bits)
+		return Config{}
+	}
+	for i, f := range flags {
+		*f = bits&(1<<i) != 0
+	}
+	return c
 }
 
 // Object references: nil = -1, local (or param) = 2*ID, global = 2*ID+1.
 // Locals resolve through FuncDecl.Locals and globals through
 // sem.Program.Globals, both of which index by the IDs the checker assigns
 // deterministically — so a front-end replay of the same source rebuilds
-// the same reference space.
+// the same reference space. On the wire a ref is written as ref+1, so nil
+// is 0.
 
 func encObj(o *ast.Object) int32 {
 	if o == nil {
@@ -147,326 +195,6 @@ func encObj(o *ast.Object) int32 {
 	return int32(o.ID) * 2
 }
 
-type objResolver struct {
-	globals []*ast.Object // by ID
-	locals  []*ast.Object // by ID, current function
-}
-
-func (r *objResolver) obj(ref int32) (*ast.Object, error) {
-	if ref < 0 {
-		return nil, nil
-	}
-	id := int(ref / 2)
-	if ref%2 == 1 {
-		if id >= len(r.globals) {
-			return nil, fmt.Errorf("spill: global object #%d out of range", id)
-		}
-		return r.globals[id], nil
-	}
-	if id >= len(r.locals) {
-		return nil, fmt.Errorf("spill: local object #%d out of range", id)
-	}
-	return r.locals[id], nil
-}
-
-// EncodeSpill serializes a compiled artifact for the disk tier. The
-// source text and configuration ride along (they are the artifact's
-// identity and drive the front-end replay on load).
-func EncodeSpill(cfg Config, res *Result) ([]byte, error) {
-	w := wireArtifact{
-		Version:    spillVersion,
-		Name:       res.File.Name,
-		Src:        res.File.Content,
-		Cfg:        cfg,
-		GlobalSize: res.Mach.GlobalSize,
-	}
-	for _, g := range res.Mach.Globals {
-		w.Globals = append(w.Globals, encObj(g))
-	}
-	w.GlobalOff = encOffs(res.Mach.GlobalOff)
-	for _, o := range sortedObjs(res.Mach.GlobalInit) {
-		op := res.Mach.GlobalInit[o]
-		w.GlobalInit = append(w.GlobalInit, wireInit{
-			Obj: encObj(o), Kind: op.Kind, Ty: op.Ty, TID: op.TID,
-			Ref: encObj(op.Obj), Int: op.Int, Fl: op.Fl,
-		})
-	}
-	for _, f := range res.Mach.Funcs {
-		wf, err := encFunc(f)
-		if err != nil {
-			return nil, err
-		}
-		w.Funcs = append(w.Funcs, wf)
-	}
-	var buf bytes.Buffer
-	buf.Write(make([]byte, sha256.Size)) // room for the sum
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, err
-	}
-	data := buf.Bytes()
-	sum := sha256.Sum256(data[sha256.Size:])
-	copy(data, sum[:])
-	return data, nil
-}
-
-func encFunc(f *mach.Func) (wireFunc, error) {
-	wf := wireFunc{
-		Name:      f.Name,
-		NumVregs:  f.NumVregs,
-		NumVars:   f.NumVars,
-		FrameSize: f.FrameSize,
-		Allocated: f.Allocated,
-		Scheduled: f.Scheduled,
-		Entry:     -1,
-	}
-	blockIdx := make(map[*mach.Block]int32, len(f.Blocks))
-	for i, b := range f.Blocks {
-		blockIdx[b] = int32(i)
-	}
-	if f.Entry != nil {
-		idx, ok := blockIdx[f.Entry]
-		if !ok {
-			return wf, fmt.Errorf("spill: entry block of %s not in Blocks", f.Name)
-		}
-		wf.Entry = idx
-	}
-	for _, o := range f.FrameObjects {
-		wf.FrameObjs = append(wf.FrameObjs, encObj(o))
-	}
-	wf.FrameOff = encOffs(f.FrameOff)
-	for _, o := range sortedObjs(f.VarLoc) {
-		wf.VarLoc = append(wf.VarLoc, wireVarLoc{Obj: encObj(o), Loc: f.VarLoc[o]})
-	}
-	for _, b := range f.Blocks {
-		wb := wireBlock{ID: b.ID, LoopDepth: b.LoopDepth}
-		for _, s := range b.Succs {
-			idx, ok := blockIdx[s]
-			if !ok {
-				return wf, fmt.Errorf("spill: successor of L%d not in Blocks of %s", b.ID, f.Name)
-			}
-			wb.Succs = append(wb.Succs, idx)
-		}
-		for _, in := range b.Instrs {
-			wb.Instrs = append(wb.Instrs, encInstr(in))
-		}
-		wf.Blocks = append(wf.Blocks, wb)
-	}
-	return wf, nil
-}
-
-func encInstr(in *mach.Instr) wireInstr {
-	wi := wireInstr{
-		Op: in.Op, Dst: in.Dst, A: in.A, B: in.B, Off: in.Off,
-		Sym: encObj(in.Sym), Callee: in.Callee, ParamIdx: in.ParamIdx,
-		MarkObj: encObj(in.MarkObj), MarkAlias: in.MarkAlias,
-		Stmt: in.Stmt, OrigIdx: in.OrigIdx, PreSched: in.PreSched,
-		Hoisted: in.Ann.Hoisted, Sunk: in.Ann.Sunk, InsertedBy: in.Ann.InsertedBy,
-		ReplacedVar: encObj(in.Ann.ReplacedVar),
-		DefObj:      encObj(in.DefObj),
-	}
-	if len(in.Args) > 0 {
-		wi.Args = append([]mach.Opd(nil), in.Args...)
-	}
-	if len(in.PrintFmt) > 0 {
-		wi.PrintFmt = append([]mach.PrintArg(nil), in.PrintFmt...)
-	}
-	if r := in.Ann.Recover; r != nil {
-		wi.HasRecover = true
-		wi.RecoverVar = encObj(r.Var)
-		wi.RecoverA, wi.RecoverB = r.A, r.B
-	}
-	for _, u := range in.UseObjs {
-		wi.UseObjs = append(wi.UseObjs, encObj(u))
-	}
-	return wi
-}
-
-// DecodeSpill verifies a serialized artifact's sum and reconstructs it,
-// replaying the front end over the embedded source to re-establish AST and
-// object identity. It returns the Result, the configuration it was
-// compiled under, and the name/source identity.
-func DecodeSpill(data []byte) (res *Result, name, src string, cfg Config, err error) {
-	if len(data) < sha256.Size || sha256.Sum256(data[sha256.Size:]) != [sha256.Size]byte(data) {
-		return nil, "", "", Config{}, fmt.Errorf("spill: checksum mismatch (stale or corrupt artifact)")
-	}
-	var w wireArtifact
-	if err := gob.NewDecoder(bytes.NewReader(data[sha256.Size:])).Decode(&w); err != nil {
-		return nil, "", "", Config{}, err
-	}
-	if w.Version != spillVersion {
-		return nil, "", "", Config{}, fmt.Errorf("spill: version %d, want %d", w.Version, spillVersion)
-	}
-	p, err := sem.CheckSource(w.Name, w.Src)
-	if err != nil {
-		return nil, "", "", Config{}, fmt.Errorf("spill: front-end replay: %w", err)
-	}
-	r := &objResolver{globals: p.Globals}
-	mp := &mach.Program{
-		GlobalOff:  map[*ast.Object]int64{},
-		GlobalSize: w.GlobalSize,
-		GlobalInit: map[*ast.Object]ir.Operand{},
-	}
-	for _, ref := range w.Globals {
-		o, err := r.obj(ref)
-		if err != nil {
-			return nil, "", "", Config{}, err
-		}
-		mp.Globals = append(mp.Globals, o)
-	}
-	for _, row := range w.GlobalOff {
-		o, err := r.obj(row.Obj)
-		if err != nil {
-			return nil, "", "", Config{}, err
-		}
-		mp.GlobalOff[o] = row.Off
-	}
-	for _, wi := range w.GlobalInit {
-		o, err := r.obj(wi.Obj)
-		if err != nil {
-			return nil, "", "", Config{}, err
-		}
-		ref, err := r.obj(wi.Ref)
-		if err != nil {
-			return nil, "", "", Config{}, err
-		}
-		mp.GlobalInit[o] = ir.Operand{Kind: wi.Kind, Ty: wi.Ty, TID: wi.TID, Obj: ref, Int: wi.Int, Fl: wi.Fl}
-	}
-	for i := range w.Funcs {
-		f, err := decFunc(&w.Funcs[i], p, r)
-		if err != nil {
-			return nil, "", "", Config{}, err
-		}
-		mp.Funcs = append(mp.Funcs, f)
-	}
-	return &Result{File: p.File.Source, Sem: p, Mach: mp}, w.Name, w.Src, w.Cfg, nil
-}
-
-func decFunc(wf *wireFunc, p *sem.Program, r *objResolver) (*mach.Func, error) {
-	decl := p.File.LookupFunc(wf.Name)
-	if decl == nil {
-		return nil, fmt.Errorf("spill: function %q not in replayed front end", wf.Name)
-	}
-	r.locals = decl.Locals
-	f := &mach.Func{
-		Name: wf.Name, Decl: decl,
-		NumVregs: wf.NumVregs, NumVars: wf.NumVars,
-		FrameOff: map[*ast.Object]int64{}, FrameSize: wf.FrameSize,
-		Allocated: wf.Allocated, Scheduled: wf.Scheduled,
-	}
-	for _, ref := range wf.FrameObjs {
-		o, err := r.obj(ref)
-		if err != nil {
-			return nil, err
-		}
-		f.FrameObjects = append(f.FrameObjects, o)
-	}
-	for _, row := range wf.FrameOff {
-		o, err := r.obj(row.Obj)
-		if err != nil {
-			return nil, err
-		}
-		f.FrameOff[o] = row.Off
-	}
-	if len(wf.VarLoc) > 0 {
-		f.VarLoc = map[*ast.Object]mach.Loc{}
-		for _, row := range wf.VarLoc {
-			o, err := r.obj(row.Obj)
-			if err != nil {
-				return nil, err
-			}
-			f.VarLoc[o] = row.Loc
-		}
-	}
-	blocks := make([]*mach.Block, len(wf.Blocks))
-	for i := range wf.Blocks {
-		blocks[i] = &mach.Block{ID: wf.Blocks[i].ID, LoopDepth: wf.Blocks[i].LoopDepth}
-	}
-	for i := range wf.Blocks {
-		wb := &wf.Blocks[i]
-		b := blocks[i]
-		for _, sidx := range wb.Succs {
-			if int(sidx) >= len(blocks) || sidx < 0 {
-				return nil, fmt.Errorf("spill: successor index %d out of range in %s", sidx, wf.Name)
-			}
-			b.Succs = append(b.Succs, blocks[sidx])
-		}
-		for j := range wb.Instrs {
-			in, err := decInstr(&wb.Instrs[j], r)
-			if err != nil {
-				return nil, err
-			}
-			b.Instrs = append(b.Instrs, in)
-		}
-	}
-	f.Blocks = blocks
-	if wf.Entry >= 0 {
-		if int(wf.Entry) >= len(blocks) {
-			return nil, fmt.Errorf("spill: entry index %d out of range in %s", wf.Entry, wf.Name)
-		}
-		f.Entry = blocks[wf.Entry]
-	}
-	f.RecomputePreds()
-	return f, nil
-}
-
-func decInstr(wi *wireInstr, r *objResolver) (*mach.Instr, error) {
-	sym, err := r.obj(wi.Sym)
-	if err != nil {
-		return nil, err
-	}
-	markObj, err := r.obj(wi.MarkObj)
-	if err != nil {
-		return nil, err
-	}
-	replaced, err := r.obj(wi.ReplacedVar)
-	if err != nil {
-		return nil, err
-	}
-	defObj, err := r.obj(wi.DefObj)
-	if err != nil {
-		return nil, err
-	}
-	in := &mach.Instr{
-		Op: wi.Op, Dst: wi.Dst, A: wi.A, B: wi.B, Off: wi.Off,
-		Sym: sym, Callee: wi.Callee, ParamIdx: wi.ParamIdx,
-		MarkObj: markObj, MarkAlias: wi.MarkAlias,
-		Stmt: wi.Stmt, OrigIdx: wi.OrigIdx, PreSched: wi.PreSched,
-		Ann:    ir.Ann{Hoisted: wi.Hoisted, Sunk: wi.Sunk, InsertedBy: wi.InsertedBy, ReplacedVar: replaced},
-		DefObj: defObj,
-	}
-	if len(wi.Args) > 0 {
-		in.Args = append([]mach.Opd(nil), wi.Args...)
-	}
-	if len(wi.PrintFmt) > 0 {
-		in.PrintFmt = append([]mach.PrintArg(nil), wi.PrintFmt...)
-	}
-	if wi.HasRecover {
-		rv, err := r.obj(wi.RecoverVar)
-		if err != nil {
-			return nil, err
-		}
-		in.Ann.Recover = &ir.LinRecovery{Var: rv, A: wi.RecoverA, B: wi.RecoverB}
-	}
-	for _, ref := range wi.UseObjs {
-		o, err := r.obj(ref)
-		if err != nil {
-			return nil, err
-		}
-		in.UseObjs = append(in.UseObjs, o)
-	}
-	return in, nil
-}
-
-// encOffs flattens an offset table deterministically (sorted by object ID,
-// globals after locals).
-func encOffs(m map[*ast.Object]int64) []wireOff {
-	out := make([]wireOff, 0, len(m))
-	for _, o := range sortedObjs(m) {
-		out = append(out, wireOff{Obj: encObj(o), Off: m[o]})
-	}
-	return out
-}
-
 // sortedObjs returns a map's object keys ordered by their encoded ref, so
 // encoding is deterministic across runs.
 func sortedObjs[T any](m map[*ast.Object]T) []*ast.Object {
@@ -476,4 +204,794 @@ func sortedObjs[T any](m map[*ast.Object]T) []*ast.Object {
 	}
 	sort.Slice(objs, func(i, j int) bool { return encObj(objs[i]) < encObj(objs[j]) })
 	return objs
+}
+
+// enc appends the payload encoding to b. Its error is sticky: the first
+// value the format cannot represent fails the whole encode.
+type enc struct {
+	b        []byte
+	err      error
+	blockIdx map[*mach.Block]int // current function's blocks, by position
+}
+
+func (e *enc) fail(format string, args ...any) {
+	if e.err == nil {
+		e.err = fmt.Errorf("spill: "+format, args...)
+	}
+}
+
+func (e *enc) uint(v uint64)     { e.b = binary.AppendUvarint(e.b, v) }
+func (e *enc) int(v int64)       { e.b = binary.AppendVarint(e.b, v) }
+func (e *enc) f64(f float64)     { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(f)) }
+func (e *enc) obj(o *ast.Object) { e.uint(uint64(encObj(o) + 1)) }
+
+func (e *enc) str(s string) {
+	e.uint(uint64(len(s)))
+	e.b = append(e.b, s...)
+}
+
+// offs writes an offset table as rows sorted by object ref.
+func (e *enc) offs(m map[*ast.Object]int64) {
+	e.uint(uint64(len(m)))
+	for _, o := range sortedObjs(m) {
+		e.obj(o)
+		e.int(m[o])
+	}
+}
+
+// dec reads a payload. Its error is sticky: after the first failure every
+// read returns a zero value and consumes nothing, so loops bounded by a
+// count end at once.
+type dec struct {
+	b       []byte
+	err     error
+	globals []*ast.Object // by ID
+	locals  []*ast.Object // by ID, current function
+}
+
+func (d *dec) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("spill: "+format, args...)
+	}
+	d.b = nil
+}
+
+// uint reads a minimally encoded uvarint.
+func (d *dec) uint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 || (n > 1 && d.b[n-1] == 0) {
+		d.fail("bad varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// int reads a zigzag varint (binary.AppendVarint's encoding).
+func (d *dec) int() int64 {
+	u := d.uint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v
+}
+
+// nzInt reads a varint that a presence bit promised is non-zero.
+func (d *dec) nzInt() int64 {
+	v := d.int()
+	if v == 0 {
+		d.fail("presence bit over a zero value")
+	}
+	return v
+}
+
+func (d *dec) byte() byte {
+	if len(d.b) == 0 {
+		d.fail("truncated")
+		return 0
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+func (d *dec) f64() float64 {
+	if len(d.b) < 8 {
+		d.fail("truncated")
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+	d.b = d.b[8:]
+	return v
+}
+
+// count reads an element count, which may not exceed the bytes that
+// remain: every element takes at least one.
+func (d *dec) count() int {
+	n := d.uint()
+	if n > uint64(len(d.b)) {
+		d.fail("count %d exceeds the %d bytes left", n, len(d.b))
+		return 0
+	}
+	return int(n)
+}
+
+// nzCount reads a count that a presence bit promised is non-zero.
+func (d *dec) nzCount() int {
+	n := d.count()
+	if n == 0 {
+		d.fail("presence bit over an empty list")
+	}
+	return n
+}
+
+func (d *dec) str() string {
+	n := d.count()
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
+}
+
+// nzStr reads a string that a presence bit promised is non-empty.
+func (d *dec) nzStr() string {
+	s := d.str()
+	if s == "" {
+		d.fail("presence bit over an empty string")
+	}
+	return s
+}
+
+// end rejects trailing bytes.
+func (d *dec) end() {
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("%d trailing bytes", len(d.b))
+	}
+}
+
+// resolve maps a wire object ref (encObj+1; 0 is nil) to the replayed
+// front end's object.
+func (d *dec) resolve(u uint64) *ast.Object {
+	if u == 0 {
+		return nil
+	}
+	id := (u - 1) / 2
+	if u%2 == 0 {
+		if id >= uint64(len(d.globals)) {
+			d.fail("global object #%d out of range", id)
+			return nil
+		}
+		return d.globals[id]
+	}
+	if id >= uint64(len(d.locals)) {
+		d.fail("local object #%d out of range", id)
+		return nil
+	}
+	return d.locals[id]
+}
+
+func (d *dec) obj() *ast.Object { return d.resolve(d.uint()) }
+
+// nzObj reads an object ref that a presence bit promised is non-nil.
+func (d *dec) nzObj() *ast.Object {
+	u := d.uint()
+	if u == 0 {
+		d.fail("presence bit over a nil object")
+	}
+	return d.resolve(u)
+}
+
+// rowKey reads a table row's object ref, which must sort strictly after
+// the previous row's (*prev is one past it), so no two rows share a key
+// and the encoder's order is the only one accepted.
+func (d *dec) rowKey(prev *uint64) *ast.Object {
+	u := d.uint()
+	if u < *prev {
+		d.fail("table rows out of order")
+		return nil
+	}
+	*prev = u + 1
+	return d.resolve(u)
+}
+
+func (d *dec) offs() map[*ast.Object]int64 {
+	n := d.count()
+	m := make(map[*ast.Object]int64, n)
+	var prev uint64
+	for i := 0; i < n && d.err == nil; i++ {
+		o := d.rowKey(&prev)
+		m[o] = d.int()
+	}
+	return m
+}
+
+// ir.Operand header bits: the kind in bits 0–2, then the type and which
+// fields follow.
+const (
+	irKindMask = 7
+	irTyF      = 1 << 3
+	irTID      = 1 << 4
+	irObj      = 1 << 5
+	irInt      = 1 << 6
+	irFl       = 1 << 7
+)
+
+func (e *enc) irOperand(o ir.Operand) {
+	if o.Kind < 0 || o.Kind > ir.ConstF || o.Ty < 0 || o.Ty > ir.F {
+		e.fail("initializer operand kind %d type %d out of range", o.Kind, o.Ty)
+	}
+	h := len(e.b)
+	e.b = append(e.b, byte(o.Kind))
+	if o.Ty == ir.F {
+		e.b[h] |= irTyF
+	}
+	if o.TID != 0 {
+		e.b[h] |= irTID
+		e.int(int64(o.TID))
+	}
+	if o.Obj != nil {
+		e.b[h] |= irObj
+		e.obj(o.Obj)
+	}
+	if o.Int != 0 {
+		e.b[h] |= irInt
+		e.int(o.Int)
+	}
+	if math.Float64bits(o.Fl) != 0 {
+		e.b[h] |= irFl
+		e.f64(o.Fl)
+	}
+}
+
+func (d *dec) irOperand() ir.Operand {
+	h := d.byte()
+	if h&irKindMask > byte(ir.ConstF) {
+		d.fail("initializer operand kind %d out of range", h&irKindMask)
+		return ir.Operand{}
+	}
+	o := ir.Operand{Kind: ir.OpdKind(h & irKindMask)}
+	if h&irTyF != 0 {
+		o.Ty = ir.F
+	}
+	if h&irTID != 0 {
+		o.TID = int(d.nzInt())
+	}
+	if h&irObj != 0 {
+		o.Obj = d.nzObj()
+	}
+	if h&irInt != 0 {
+		o.Int = d.nzInt()
+	}
+	if h&irFl != 0 {
+		o.Fl = d.nzF64()
+	}
+	return o
+}
+
+// nzF64 reads a float that a presence bit promised has non-zero bits.
+func (d *dec) nzF64() float64 {
+	v := d.f64()
+	if math.Float64bits(v) == 0 {
+		d.fail("presence bit over a zero value")
+	}
+	return v
+}
+
+// mach.Opd header bits: the kind in bits 0–1, then the register class and
+// which fields follow.
+const (
+	opdKindMask = 3
+	opdFloat    = 1 << 2
+	opdR        = 1 << 3
+	opdImm      = 1 << 4
+	opdF        = 1 << 5
+	opdBits     = 1 << 6 // first unknown bit
+)
+
+func isZeroOpd(o mach.Opd) bool {
+	return o.Kind == mach.None && o.Class == mach.IntClass && o.R == 0 && o.Imm == 0 && math.Float64bits(o.F) == 0
+}
+
+func (e *enc) opd(o mach.Opd) {
+	if o.Kind < 0 || o.Kind > mach.FImm || o.Class < 0 || o.Class > mach.FloatClass {
+		e.fail("operand kind %d class %d out of range", o.Kind, o.Class)
+	}
+	h := len(e.b)
+	e.b = append(e.b, byte(o.Kind))
+	if o.Class == mach.FloatClass {
+		e.b[h] |= opdFloat
+	}
+	if o.R != 0 {
+		e.b[h] |= opdR
+		e.int(int64(o.R))
+	}
+	if o.Imm != 0 {
+		e.b[h] |= opdImm
+		e.int(o.Imm)
+	}
+	if math.Float64bits(o.F) != 0 {
+		e.b[h] |= opdF
+		e.f64(o.F)
+	}
+}
+
+func (d *dec) opd() mach.Opd {
+	h := d.byte()
+	if h >= opdBits {
+		d.fail("unknown operand bits %#x", h)
+		return mach.Opd{}
+	}
+	o := mach.Opd{Kind: mach.OpdKind(h & opdKindMask)}
+	if h&opdFloat != 0 {
+		o.Class = mach.FloatClass
+	}
+	if h&opdR != 0 {
+		o.R = int(d.nzInt())
+	}
+	if h&opdImm != 0 {
+		o.Imm = d.nzInt()
+	}
+	if h&opdF != 0 {
+		o.F = d.nzF64()
+	}
+	return o
+}
+
+// nzOpd reads an operand that a presence bit promised is non-zero.
+func (d *dec) nzOpd() mach.Opd {
+	o := d.opd()
+	if isZeroOpd(o) {
+		d.fail("presence bit over a zero operand")
+	}
+	return o
+}
+
+// mach.Loc header bits: the kind in bits 0–1, then the register class and
+// which fields follow.
+const (
+	locKindMask = 3
+	locFloat    = 1 << 2
+	locR        = 1 << 3
+	locOff      = 1 << 4
+	locBits     = 1 << 5 // first unknown bit
+)
+
+func (e *enc) loc(l mach.Loc) {
+	if l.Kind < 0 || l.Kind > mach.LocSpill || l.Class < 0 || l.Class > mach.FloatClass {
+		e.fail("location kind %d class %d out of range", l.Kind, l.Class)
+	}
+	h := len(e.b)
+	e.b = append(e.b, byte(l.Kind))
+	if l.Class == mach.FloatClass {
+		e.b[h] |= locFloat
+	}
+	if l.R != 0 {
+		e.b[h] |= locR
+		e.int(int64(l.R))
+	}
+	if l.Off != 0 {
+		e.b[h] |= locOff
+		e.int(l.Off)
+	}
+}
+
+func (d *dec) loc() mach.Loc {
+	h := d.byte()
+	if h >= locBits || h&locKindMask > byte(mach.LocSpill) {
+		d.fail("bad location header %#x", h)
+		return mach.Loc{}
+	}
+	l := mach.Loc{Kind: mach.LocKind(h & locKindMask)}
+	if h&locFloat != 0 {
+		l.Class = mach.FloatClass
+	}
+	if h&locR != 0 {
+		l.R = int(d.nzInt())
+	}
+	if h&locOff != 0 {
+		l.Off = d.nzInt()
+	}
+	return l
+}
+
+// Function flag bits.
+const (
+	fnAllocated = 1 << iota
+	fnScheduled
+	fnBits // first unknown bit
+)
+
+// fn writes one function: the function-cache entry format, and one
+// element of a spill file's function list.
+func (e *enc) fn(f *mach.Func) {
+	e.str(f.Name)
+	var flags byte
+	if f.Allocated {
+		flags |= fnAllocated
+	}
+	if f.Scheduled {
+		flags |= fnScheduled
+	}
+	e.b = append(e.b, flags)
+	e.int(int64(f.NumVregs))
+	e.int(int64(f.NumVars))
+	e.int(f.FrameSize)
+	e.uint(uint64(len(f.FrameObjects)))
+	for _, o := range f.FrameObjects {
+		e.obj(o)
+	}
+	e.offs(f.FrameOff)
+	e.uint(uint64(len(f.VarLoc)))
+	for _, o := range sortedObjs(f.VarLoc) {
+		e.obj(o)
+		e.loc(f.VarLoc[o])
+	}
+	if e.blockIdx == nil {
+		e.blockIdx = make(map[*mach.Block]int, len(f.Blocks))
+	}
+	clear(e.blockIdx)
+	for i, b := range f.Blocks {
+		e.blockIdx[b] = i
+	}
+	e.uint(uint64(len(f.Blocks)))
+	for _, b := range f.Blocks {
+		e.int(int64(b.ID))
+		e.int(int64(b.LoopDepth))
+		e.uint(uint64(len(b.Succs)))
+		for _, s := range b.Succs {
+			idx, ok := e.blockIdx[s]
+			if !ok {
+				e.fail("successor of L%d not in Blocks of %s", b.ID, f.Name)
+			}
+			e.uint(uint64(idx))
+		}
+		e.uint(uint64(len(b.Instrs)))
+		for _, in := range b.Instrs {
+			e.instr(in)
+		}
+	}
+	entry := 0 // index+1; 0 is no entry block
+	if f.Entry != nil {
+		idx, ok := e.blockIdx[f.Entry]
+		if !ok {
+			e.fail("entry block of %s not in Blocks", f.Name)
+		}
+		entry = idx + 1
+	}
+	e.uint(uint64(entry))
+}
+
+// fn reads one function against the replayed front end p, rebinding its
+// declaration and objects.
+func (d *dec) fn(p *sem.Program) *mach.Func {
+	name := d.str()
+	if d.err != nil {
+		return nil
+	}
+	decl := p.File.LookupFunc(name)
+	if decl == nil {
+		d.fail("function %q not in replayed front end", name)
+		return nil
+	}
+	d.locals = decl.Locals
+	flags := d.byte()
+	if flags >= fnBits {
+		d.fail("unknown function flags %#x", flags)
+		return nil
+	}
+	f := &mach.Func{
+		Name: name, Decl: decl,
+		Allocated: flags&fnAllocated != 0, Scheduled: flags&fnScheduled != 0,
+		NumVregs: int(d.int()), NumVars: int(d.int()), FrameSize: d.int(),
+	}
+	n := d.count()
+	if n > 0 {
+		f.FrameObjects = make([]*ast.Object, n)
+		for i := range f.FrameObjects {
+			f.FrameObjects[i] = d.obj()
+		}
+	}
+	f.FrameOff = d.offs()
+	if n = d.count(); n > 0 {
+		f.VarLoc = make(map[*ast.Object]mach.Loc, n)
+		var prev uint64
+		for i := 0; i < n && d.err == nil; i++ {
+			o := d.rowKey(&prev)
+			f.VarLoc[o] = d.loc()
+		}
+	}
+	n = d.count()
+	blocks := make([]mach.Block, n)
+	f.Blocks = make([]*mach.Block, n)
+	for i := range blocks {
+		f.Blocks[i] = &blocks[i]
+	}
+	for _, b := range f.Blocks {
+		if d.err != nil {
+			return nil
+		}
+		b.ID = int(d.int())
+		b.LoopDepth = int(d.int())
+		if ns := d.count(); ns > 0 {
+			b.Succs = make([]*mach.Block, ns)
+			for j := range b.Succs {
+				b.Succs[j] = d.block(f.Blocks, d.uint())
+			}
+		}
+		if ni := d.count(); ni > 0 {
+			slab := make([]mach.Instr, ni)
+			b.Instrs = make([]*mach.Instr, ni)
+			for j := range slab {
+				d.instr(&slab[j])
+				b.Instrs[j] = &slab[j]
+			}
+		}
+	}
+	if entry := d.uint(); entry > 0 {
+		f.Entry = d.block(f.Blocks, entry-1)
+	}
+	if d.err != nil {
+		return nil
+	}
+	f.RecomputePreds()
+	return f
+}
+
+// block range-checks a block index.
+func (d *dec) block(blocks []*mach.Block, idx uint64) *mach.Block {
+	if idx >= uint64(len(blocks)) {
+		d.fail("block index %d out of range", idx)
+		return nil
+	}
+	return blocks[idx]
+}
+
+// Instruction presence bits, commonest first so a typical mask fits in
+// two varint bytes. A field is written only when its bit is set, and its
+// bit is set only when the field is non-zero.
+const (
+	inDst = 1 << iota
+	inA
+	inB
+	inStmt
+	inOrigIdx
+	inPreSched
+	inDefObj
+	inUseObjs
+	inOff
+	inSym
+	inCallee
+	inArgs
+	inPrintFmt
+	inParamIdx
+	inMarkObj
+	inMarkAlias
+	inHoisted
+	inSunk
+	inInsertedBy
+	inReplacedVar
+	inRecover
+	inBits // first unknown bit
+)
+
+// PrintArg flag bits.
+const (
+	paIsStr = 1 << iota
+	paStr
+	paVal
+	paBits // first unknown bit
+)
+
+func (e *enc) instr(in *mach.Instr) {
+	// MARKAVAIL is the last opcode.
+	if in.Op < 0 || in.Op > mach.MARKAVAIL {
+		e.fail("opcode %d out of range", in.Op)
+	}
+	e.b = append(e.b, byte(in.Op))
+	// The fields go first, into room left for the mask (21 bits, at most
+	// three varint bytes); the mask is then written and the gap closed.
+	at := len(e.b)
+	e.b = append(e.b, 0, 0, 0)
+	var m uint64
+	if !isZeroOpd(in.Dst) {
+		m |= inDst
+		e.opd(in.Dst)
+	}
+	if !isZeroOpd(in.A) {
+		m |= inA
+		e.opd(in.A)
+	}
+	if !isZeroOpd(in.B) {
+		m |= inB
+		e.opd(in.B)
+	}
+	if in.Stmt != 0 {
+		m |= inStmt
+		e.int(int64(in.Stmt))
+	}
+	if in.OrigIdx != 0 {
+		m |= inOrigIdx
+		e.int(int64(in.OrigIdx))
+	}
+	if in.PreSched != 0 {
+		m |= inPreSched
+		e.int(int64(in.PreSched))
+	}
+	if in.DefObj != nil {
+		m |= inDefObj
+		e.obj(in.DefObj)
+	}
+	if len(in.UseObjs) > 0 {
+		m |= inUseObjs
+		e.uint(uint64(len(in.UseObjs)))
+		for _, o := range in.UseObjs {
+			e.obj(o)
+		}
+	}
+	if in.Off != 0 {
+		m |= inOff
+		e.int(in.Off)
+	}
+	if in.Sym != nil {
+		m |= inSym
+		e.obj(in.Sym)
+	}
+	if in.Callee != "" {
+		m |= inCallee
+		e.str(in.Callee)
+	}
+	if len(in.Args) > 0 {
+		m |= inArgs
+		e.uint(uint64(len(in.Args)))
+		for _, a := range in.Args {
+			e.opd(a)
+		}
+	}
+	if len(in.PrintFmt) > 0 {
+		m |= inPrintFmt
+		e.uint(uint64(len(in.PrintFmt)))
+		for _, pa := range in.PrintFmt {
+			flags := len(e.b)
+			e.b = append(e.b, 0)
+			if pa.IsStr {
+				e.b[flags] |= paIsStr
+			}
+			if pa.Str != "" {
+				e.b[flags] |= paStr
+				e.str(pa.Str)
+			}
+			if !isZeroOpd(pa.Val) {
+				e.b[flags] |= paVal
+				e.opd(pa.Val)
+			}
+		}
+	}
+	if in.ParamIdx != 0 {
+		m |= inParamIdx
+		e.int(int64(in.ParamIdx))
+	}
+	if in.MarkObj != nil {
+		m |= inMarkObj
+		e.obj(in.MarkObj)
+	}
+	if !isZeroOpd(in.MarkAlias) {
+		m |= inMarkAlias
+		e.opd(in.MarkAlias)
+	}
+	if in.Ann.Hoisted {
+		m |= inHoisted
+	}
+	if in.Ann.Sunk {
+		m |= inSunk
+	}
+	if in.Ann.InsertedBy != "" {
+		m |= inInsertedBy
+		e.str(in.Ann.InsertedBy)
+	}
+	if in.Ann.ReplacedVar != nil {
+		m |= inReplacedVar
+		e.obj(in.Ann.ReplacedVar)
+	}
+	if r := in.Ann.Recover; r != nil {
+		m |= inRecover
+		e.obj(r.Var)
+		e.int(r.A)
+		e.int(r.B)
+	}
+	n := binary.PutUvarint(e.b[at:at+3], m)
+	e.b = append(e.b[:at+n], e.b[at+3:]...)
+}
+
+func (d *dec) instr(in *mach.Instr) {
+	op := d.byte()
+	if op > byte(mach.MARKAVAIL) {
+		d.fail("opcode %d out of range", op)
+		return
+	}
+	in.Op = mach.Opcode(op)
+	m := d.uint()
+	if m >= inBits {
+		d.fail("unknown instruction bits %#x", m)
+		return
+	}
+	if m&inDst != 0 {
+		in.Dst = d.nzOpd()
+	}
+	if m&inA != 0 {
+		in.A = d.nzOpd()
+	}
+	if m&inB != 0 {
+		in.B = d.nzOpd()
+	}
+	if m&inStmt != 0 {
+		in.Stmt = int(d.nzInt())
+	}
+	if m&inOrigIdx != 0 {
+		in.OrigIdx = int(d.nzInt())
+	}
+	if m&inPreSched != 0 {
+		in.PreSched = int(d.nzInt())
+	}
+	if m&inDefObj != 0 {
+		in.DefObj = d.nzObj()
+	}
+	if m&inUseObjs != 0 {
+		in.UseObjs = make([]*ast.Object, d.nzCount())
+		for i := range in.UseObjs {
+			in.UseObjs[i] = d.obj()
+		}
+	}
+	if m&inOff != 0 {
+		in.Off = d.nzInt()
+	}
+	if m&inSym != 0 {
+		in.Sym = d.nzObj()
+	}
+	if m&inCallee != 0 {
+		in.Callee = d.nzStr()
+	}
+	if m&inArgs != 0 {
+		in.Args = make([]mach.Opd, d.nzCount())
+		for i := range in.Args {
+			in.Args[i] = d.opd()
+		}
+	}
+	if m&inPrintFmt != 0 {
+		in.PrintFmt = make([]mach.PrintArg, d.nzCount())
+		for i := range in.PrintFmt {
+			pa := &in.PrintFmt[i]
+			flags := d.byte()
+			if flags >= paBits {
+				d.fail("unknown print argument flags %#x", flags)
+				return
+			}
+			pa.IsStr = flags&paIsStr != 0
+			if flags&paStr != 0 {
+				pa.Str = d.nzStr()
+			}
+			if flags&paVal != 0 {
+				pa.Val = d.nzOpd()
+			}
+		}
+	}
+	if m&inParamIdx != 0 {
+		in.ParamIdx = int(d.nzInt())
+	}
+	if m&inMarkObj != 0 {
+		in.MarkObj = d.nzObj()
+	}
+	if m&inMarkAlias != 0 {
+		in.MarkAlias = d.nzOpd()
+	}
+	in.Ann.Hoisted = m&inHoisted != 0
+	in.Ann.Sunk = m&inSunk != 0
+	if m&inInsertedBy != 0 {
+		in.Ann.InsertedBy = d.nzStr()
+	}
+	if m&inReplacedVar != 0 {
+		in.Ann.ReplacedVar = d.nzObj()
+	}
+	if m&inRecover != 0 {
+		in.Ann.Recover = &ir.LinRecovery{Var: d.obj(), A: d.int(), B: d.int()}
+	}
 }

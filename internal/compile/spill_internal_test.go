@@ -1,26 +1,28 @@
 package compile
 
-// Integrity and faithfulness of the spill and function-cache codecs, at
-// the wire-struct level: the stored sum must cover every field the
-// debugger reads, and decoding must rebuild exactly what was encoded.
+// Integrity and faithfulness of the spill and function-cache codec: the
+// stored sum must cover every field the debugger reads, decoding must
+// rebuild exactly what was encoded, and every Config field must survive.
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/mach"
 	"repro/internal/randprog"
+	"repro/internal/sem"
 )
 
 // workloadDir holds the bench workloads' sources (bench imports compile,
 // so an internal test reads them directly).
 const workloadDir = "../bench/testdata/"
 
-func readSource(t *testing.T, path string) string {
+func readSource(t testing.TB, path string) string {
 	t.Helper()
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -29,12 +31,12 @@ func readSource(t *testing.T, path string) string {
 	return string(src)
 }
 
-// firstInstr returns the first instruction of w satisfying ok, or nil.
-func firstInstr(w *wireArtifact, ok func(*wireInstr) bool) *wireInstr {
-	for fi := range w.Funcs {
-		for bi := range w.Funcs[fi].Blocks {
-			for ii := range w.Funcs[fi].Blocks[bi].Instrs {
-				if in := &w.Funcs[fi].Blocks[bi].Instrs[ii]; ok(in) {
+// firstInstr returns the first instruction of p satisfying ok, or nil.
+func firstInstr(p *mach.Program, ok func(*mach.Instr) bool) *mach.Instr {
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if ok(in) {
 					return in
 				}
 			}
@@ -43,20 +45,10 @@ func firstInstr(w *wireArtifact, ok func(*wireInstr) bool) *wireInstr {
 	return nil
 }
 
-// firstFunc returns the first function of w satisfying ok, or nil.
-func firstFunc(w *wireArtifact, ok func(*wireFunc) bool) *wireFunc {
-	for fi := range w.Funcs {
-		if ok(&w.Funcs[fi]) {
-			return &w.Funcs[fi]
-		}
-	}
-	return nil
-}
-
-// TestSpillSumCoversDebugTables changes one field of a spill payload at a
-// time, re-encodes it under the original sum, and requires DecodeSpill to
-// reject every result. The fields are the debug tables and global data a
-// machine-code rendering never showed.
+// TestSpillSumCoversDebugTables changes one field of a decoded artifact at
+// a time, re-encodes it under the original sum, and requires DecodeSpill
+// to reject every result. The fields are the debug tables and global data
+// a machine-code rendering never showed.
 func TestSpillSumCoversDebugTables(t *testing.T) {
 	cfg := O2()
 	res, err := Compile("li.mc", readSource(t, workloadDir+"li.mc"), cfg)
@@ -69,64 +61,70 @@ func TestSpillSumCoversDebugTables(t *testing.T) {
 	}
 	mutations := []struct {
 		field  string
-		mutate func(w *wireArtifact) bool // false: field absent from li
+		mutate func(p *mach.Program) bool // false: field absent from li
 	}{
-		{"GlobalInit", func(w *wireArtifact) bool {
-			if len(w.GlobalInit) == 0 {
-				return false
+		{"GlobalInit", func(p *mach.Program) bool {
+			for _, o := range sortedObjs(p.GlobalInit) {
+				op := p.GlobalInit[o]
+				op.Int++
+				p.GlobalInit[o] = op
+				return true
 			}
-			w.GlobalInit[0].Int++
-			return true
+			return false
 		}},
-		{"GlobalOff", func(w *wireArtifact) bool {
-			if len(w.GlobalOff) == 0 {
-				return false
+		{"GlobalOff", func(p *mach.Program) bool {
+			for _, o := range sortedObjs(p.GlobalOff) {
+				p.GlobalOff[o] += 8
+				return true
 			}
-			w.GlobalOff[0].Off += 8
-			return true
+			return false
 		}},
-		{"VarLoc", func(w *wireArtifact) bool {
-			f := firstFunc(w, func(f *wireFunc) bool { return len(f.VarLoc) > 0 })
-			if f == nil {
-				return false
+		{"VarLoc", func(p *mach.Program) bool {
+			for _, f := range p.Funcs {
+				for _, o := range sortedObjs(f.VarLoc) {
+					l := f.VarLoc[o]
+					l.R++
+					f.VarLoc[o] = l
+					return true
+				}
 			}
-			f.VarLoc[0].Loc.R++
-			return true
+			return false
 		}},
-		{"FrameOff", func(w *wireArtifact) bool {
-			f := firstFunc(w, func(f *wireFunc) bool { return len(f.FrameOff) > 0 })
-			if f == nil {
-				return false
+		{"FrameOff", func(p *mach.Program) bool {
+			for _, f := range p.Funcs {
+				for _, o := range sortedObjs(f.FrameOff) {
+					f.FrameOff[o] += 8
+					return true
+				}
 			}
-			f.FrameOff[0].Off += 8
-			return true
+			return false
 		}},
-		{"Recover.A", func(w *wireArtifact) bool {
-			in := firstInstr(w, func(in *wireInstr) bool { return in.HasRecover })
+		{"Recover.A", func(p *mach.Program) bool {
+			in := firstInstr(p, func(in *mach.Instr) bool { return in.Ann.Recover != nil })
 			if in == nil {
 				return false
 			}
-			in.RecoverA++
+			in.Ann.Recover.A++
 			return true
 		}},
-		{"DefObj", func(w *wireArtifact) bool {
-			in := firstInstr(w, func(in *wireInstr) bool { return in.DefObj >= 0 })
+		{"DefObj", func(p *mach.Program) bool {
+			in := firstInstr(p, func(in *mach.Instr) bool { return in.DefObj != nil })
 			if in == nil {
 				return false
 			}
-			in.DefObj = -1
+			in.DefObj = nil
 			return true
 		}},
-		{"PreSched", func(w *wireArtifact) bool {
-			in := firstInstr(w, func(in *wireInstr) bool { return true })
+		{"PreSched", func(p *mach.Program) bool {
+			in := firstInstr(p, func(in *mach.Instr) bool { return true })
 			if in == nil {
 				return false
 			}
 			in.PreSched++
 			return true
 		}},
-		{"Stmt", func(w *wireArtifact) bool {
-			in := firstInstr(w, func(in *wireInstr) bool { return true })
+		{"Stmt", func(p *mach.Program) bool {
+			in := firstInstr(p, func(in *mach.Instr) bool { return true })
 			if in == nil {
 				return false
 			}
@@ -136,19 +134,22 @@ func TestSpillSumCoversDebugTables(t *testing.T) {
 	}
 	for _, m := range mutations {
 		t.Run(m.field, func(t *testing.T) {
-			var w wireArtifact
-			if err := gob.NewDecoder(bytes.NewReader(data[sha256.Size:])).Decode(&w); err != nil {
+			got, _, _, gotCfg, err := DecodeSpill(data)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !m.mutate(&w) {
+			if !m.mutate(got.Mach) {
 				t.Fatalf("li at O2 has no %s to mutate", m.field)
 			}
-			var buf bytes.Buffer
-			buf.Write(data[:sha256.Size])
-			if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+			mut, err := EncodeSpill(gotCfg, got)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, _, err := DecodeSpill(buf.Bytes()); err == nil {
+			if bytes.Equal(mut, data) {
+				t.Fatalf("changing %s did not change the payload", m.field)
+			}
+			copy(mut, data[:sha256.Size])
+			if _, _, _, _, err := DecodeSpill(mut); err == nil {
 				t.Errorf("payload with a changed %s accepted under the original sum", m.field)
 			}
 		})
@@ -215,5 +216,91 @@ func TestSpillReencodeFaithful(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// FuzzDecodeFuncEntry checks that decodeFuncEntry never panics and that
+// any entry it accepts re-encodes to itself. The input picks the workload
+// whose front end the entry decodes against, so object refs resolve; the
+// seeds are every function entry of the workloads at O2.
+func FuzzDecodeFuncEntry(f *testing.F) {
+	paths, err := filepath.Glob(workloadDir + "*.mc")
+	if err != nil || len(paths) != 8 {
+		f.Fatalf("workload sources: %v (%d found, want 8)", err, len(paths))
+	}
+	var progs []*sem.Program
+	for i, path := range paths {
+		res, err := Compile(filepath.Base(path), readSource(f, path), O2())
+		if err != nil {
+			f.Fatal(err)
+		}
+		progs = append(progs, res.Sem)
+		for _, mf := range res.Mach.Funcs {
+			e, err := encodeFuncEntry(mf)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint8(i), e)
+		}
+	}
+	f.Fuzz(func(t *testing.T, prog uint8, entry []byte) {
+		mf, err := decodeFuncEntry(entry, progs[int(prog)%len(progs)])
+		if err != nil {
+			return
+		}
+		again, err := encodeFuncEntry(mf)
+		if err != nil {
+			t.Fatalf("accepted entry does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, entry) {
+			t.Fatal("accepted entry re-encodes to different bytes")
+		}
+	})
+}
+
+// TestSpillCarriesEveryConfigField sets each field of Config (and of its
+// opt.Options) alone and requires it to survive EncodeSpill/DecodeSpill.
+// A field the codec does not know fails here: a bool the codec misses
+// comes back false, and any other type has no test value.
+func TestSpillCarriesEveryConfigField(t *testing.T) {
+	res, err := Compile("t.mc", "int main() { return 4; }", O0())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk func(v reflect.Value, path string, set func())
+	fields := 0
+	walk = func(v reflect.Value, path string, set func()) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name, set)
+			}
+		case reflect.Bool:
+			fields++
+			t.Run(path[1:], func(t *testing.T) {
+				v.SetBool(true)
+				defer v.SetBool(false)
+				set()
+			})
+		default:
+			t.Errorf("Config%s is of type %s: the spill codec encodes only bool fields", path, v.Type())
+		}
+	}
+	var cfg Config
+	walk(reflect.ValueOf(&cfg).Elem(), "", func() {
+		data, err := EncodeSpill(cfg, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, got, err := DecodeSpill(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != cfg {
+			t.Errorf("config %+v decoded as %+v", cfg, got)
+		}
+	})
+	if fields == 0 {
+		t.Fatal("Config has no fields")
 	}
 }

@@ -6,6 +6,8 @@ package compile_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"os"
 	"strings"
 	"testing"
 
@@ -120,8 +122,21 @@ func TestSpillRejectsCorruptData(t *testing.T) {
 	if _, _, _, _, err := compile.DecodeSpill(data[:len(data)/2]); err == nil {
 		t.Error("truncated record decoded")
 	}
-	if _, _, _, _, err := compile.DecodeSpill([]byte("not a gob stream")); err == nil {
+	if _, _, _, _, err := compile.DecodeSpill([]byte("not a spill file")); err == nil {
 		t.Error("garbage decoded")
+	}
+}
+
+// TestSpillRejectsOldVersion decodes testdata/spill-v3.art, a small
+// program's O2 spill file in the version-3 (gob) format: its sum holds, so
+// the version must reject it, as an error and without a panic.
+func TestSpillRejectsOldVersion(t *testing.T) {
+	data, err := os.ReadFile("testdata/spill-v3.art")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, err := compile.DecodeSpill(data); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("version-3 spill file: err = %v, want a version error", err)
 	}
 }
 
@@ -160,8 +175,9 @@ func TestSpillDigestGuardsMachineCode(t *testing.T) {
 }
 
 // FuzzDecodeSpill checks that DecodeSpill never panics and that any input
-// it accepts re-encodes to itself. The seeds are the workloads' O2 spill
-// files.
+// it accepts re-encodes to itself. The input is the payload; the harness
+// stamps its sum, so mutations reach the decoder behind the sum check. The
+// seeds are the workloads' O2 payloads.
 func FuzzDecodeSpill(f *testing.F) {
 	for _, name := range bench.Names {
 		res, err := compile.Compile(name+".mc", bench.MustSource(name), compile.O2())
@@ -172,9 +188,11 @@ func FuzzDecodeSpill(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
+		f.Add(data[sha256.Size:])
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		sum := sha256.Sum256(payload)
+		data := append(sum[:], payload...)
 		res, _, _, cfg, err := compile.DecodeSpill(data)
 		if err != nil {
 			return
