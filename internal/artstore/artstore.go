@@ -45,7 +45,7 @@ func (a *Artifact) Name() string { return a.name }
 func (a *Artifact) Config() compile.Config { return a.cfg }
 
 // Config tunes a Store. The zero value is a single-shard, unbounded,
-// memory-only store with default classifier options.
+// memory-only store.
 type Config struct {
 	// Shards is the shard count of the in-memory tier (rounded up to a
 	// power of two); <= 1 means a single lock.
@@ -58,28 +58,21 @@ type Config struct {
 	// SpillDir enables the disk tier: evicted and flushed artifacts are
 	// serialized there and reloaded on miss, so restarts keep the warm set.
 	SpillDir string
-	// AnalysisOpts configures the classifier analyses of artifacts created
-	// by this store.
-	AnalysisOpts core.Options
 	// CompileWorkers bounds the per-function back-end concurrency of the
 	// store's compile pipeline; <= 0 means GOMAXPROCS. The bound is shared
 	// across concurrent Gets, so a burst of compiles still runs at most
 	// CompileWorkers function back ends at once.
 	CompileWorkers int
-	// FuncCacheBudget bounds the accounted bytes of the per-function
-	// incremental tier (encoded machine-code images keyed by content hash
-	// of each function's checked IR + config). 0 means a default of
-	// MemoryBudget/4, or DefaultFuncCacheBudget when MemoryBudget is
-	// unbounded; negative disables incremental reuse entirely.
-	FuncCacheBudget int64
 	// SpillDegradeAfter and SpillProbeInterval tune the disk tier's
 	// circuit breaker (see store.Config); <= 0 means the store defaults.
 	SpillDegradeAfter  int
 	SpillProbeInterval time.Duration
 }
 
-// DefaultFuncCacheBudget bounds the per-function tier of a store with
-// neither a function-cache nor a memory budget. It is a little over twice
+// DefaultFuncCacheBudget bounds the per-function incremental tier
+// (encoded machine code keyed by a content hash of each function's
+// checked IR plus the config) of a store without a memory budget; a
+// store with one gives the tier a quarter of it. It is a little over twice
 // what the eight corpus workloads use at three configurations (0.9 MB),
 // so one-function edits keep reusing their siblings, while a long-lived
 // store compiling fresh programs stops growing.
@@ -106,7 +99,6 @@ func identHash(m ident) uint64 {
 // Store retains artifacts. All methods are safe for concurrent use.
 type Store struct {
 	s    *store.Store[ident, *Artifact]
-	opts core.Options
 	pipe *compile.Pipeline
 }
 
@@ -143,24 +135,17 @@ func (e *IdentityError) Error() string {
 
 // New creates an artifact store from cfg.
 func New(cfg Config) *Store {
-	st := &Store{opts: cfg.AnalysisOpts}
-	var funcs *compile.FuncCache
-	if cfg.FuncCacheBudget >= 0 {
-		budget := cfg.FuncCacheBudget
-		if budget == 0 {
-			budget = DefaultFuncCacheBudget
-			if cfg.MemoryBudget > 0 {
-				budget = cfg.MemoryBudget / 4
-			}
-		}
-		funcs = compile.NewFuncCache(compile.FuncCacheConfig{
-			Shards:       cfg.Shards,
-			MemoryBudget: budget,
-		})
+	st := &Store{}
+	budget := int64(DefaultFuncCacheBudget)
+	if cfg.MemoryBudget > 0 {
+		budget = cfg.MemoryBudget / 4
 	}
 	st.pipe = compile.NewPipeline(compile.PipelineConfig{
 		Workers: cfg.CompileWorkers,
-		Funcs:   funcs,
+		Funcs: compile.NewFuncCache(compile.FuncCacheConfig{
+			Shards:       cfg.Shards,
+			MemoryBudget: budget,
+		}),
 	})
 	sc := store.Config[ident, *Artifact]{
 		Shards:        cfg.Shards,
@@ -184,7 +169,7 @@ func New(cfg Config) *Store {
 func (st *Store) newArtifact(m ident, res *compile.Result) *Artifact {
 	a := &Artifact{
 		Res:      res,
-		Analyses: core.NewAnalysisSetWith(st.opts),
+		Analyses: core.NewAnalysisSet(),
 		id:       compile.KeyOf(m.Name, m.Src, m.Cfg).ID(),
 		name:     m.Name,
 		src:      m.Src,
@@ -216,15 +201,8 @@ func (st *Store) Get(name, src string, cfg compile.Config) (a *Artifact, hit boo
 // PipelineStats returns the store's cumulative compile-pipeline counters.
 func (st *Store) PipelineStats() compile.PipelineStats { return st.pipe.Stats() }
 
-// FuncCacheStats returns the incremental tier's store counters; ok is
-// false when incremental reuse is disabled.
-func (st *Store) FuncCacheStats() (store.Stats, bool) {
-	fc := st.pipe.FuncCache()
-	if fc == nil {
-		return store.Stats{}, false
-	}
-	return fc.Stats(), true
-}
+// FuncCacheStats returns the incremental tier's store counters.
+func (st *Store) FuncCacheStats() store.Stats { return st.pipe.FuncCache().Stats() }
 
 // CompileWorkers returns the pipeline's worker bound.
 func (st *Store) CompileWorkers() int { return st.pipe.Workers() }

@@ -240,10 +240,7 @@ func TestFuncCacheBoundedWithoutMemoryBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fs, ok := st.FuncCacheStats()
-	if !ok {
-		t.Fatal("incremental reuse disabled")
-	}
+	fs := st.FuncCacheStats()
 	if fs.MemoryBudget != DefaultFuncCacheBudget {
 		t.Errorf("function cache budget %d, want %d", fs.MemoryBudget, DefaultFuncCacheBudget)
 	}

@@ -7,7 +7,6 @@ package bench
 import (
 	"embed"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/compile"
@@ -540,12 +539,4 @@ func bar(v float64) string {
 		n = 40
 	}
 	return "[" + strings.Repeat("█", n) + strings.Repeat(" ", 0) + "]"
-}
-
-// SortedCopy returns rows sorted by program name (stable rendering for
-// golden tests).
-func SortedCopy[T any](rows []T, name func(T) string) []T {
-	out := append([]T(nil), rows...)
-	sort.Slice(out, func(i, j int) bool { return name(out[i]) < name(out[j]) })
-	return out
 }

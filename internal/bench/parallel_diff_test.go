@@ -41,8 +41,8 @@ func classifyDump(res *compile.Result) string {
 // TestParallelIncrementalClassifierEquivalence is the full differential:
 // across all 8 workloads × 3 configurations, the parallel pipeline and the
 // incremental (warm cache, fully stitched) pipeline must produce machine
-// programs byte-identical to the serial driver AND identical ClassifyAll
-// verdicts for every variable at every breakpoint.
+// programs byte-identical to the serial pipeline (compile.Compile) AND
+// identical ClassifyAll verdicts for every variable at every breakpoint.
 func TestParallelIncrementalClassifierEquivalence(t *testing.T) {
 	configs := map[string]compile.Config{
 		"O2":           compile.O2(),

@@ -1,15 +1,16 @@
 // Package compile is the driver tying the pipeline together:
 // parse → check → build IR → global optimization → lowering →
 // register allocation → instruction scheduling.
+//
+// Every program is compiled by one driver, Pipeline (pipeline.go): the
+// whole-program front end, then each function's back end on its own.
+// Compile is that driver run serially.
 package compile
 
 import (
 	"repro/internal/ir"
-	"repro/internal/lower"
 	"repro/internal/mach"
 	"repro/internal/opt"
-	"repro/internal/regalloc"
-	"repro/internal/sched"
 	"repro/internal/sem"
 	"repro/internal/source"
 )
@@ -23,10 +24,8 @@ import (
 // (cmcc's scheduling endangerment is handled by the companion analysis and
 // can be enabled with Sched=true.)
 //
-// Constructing a Config by hand is the internal/legacy surface; external
-// callers should use pkg/minic's functional options and, where a raw
-// Config is unavoidable (benchmark harnesses), derive it via
-// minic.ResolveConfig so option semantics stay in one place.
+// pkg/minic's functional options resolve to a Config (minic.ResolveConfig);
+// the service and the ablation harnesses build one directly.
 type Config struct {
 	Opt      opt.Options
 	RegAlloc bool
@@ -51,22 +50,11 @@ type Result struct {
 	Mach *mach.Program
 }
 
-// Compile runs the full pipeline over MiniC source text.
+// Compile runs the full pipeline over MiniC source text on one worker,
+// without a function cache. It is Pipeline.Compile with the metrics
+// dropped, so a back-end panic or an injected "compile.func" fault comes
+// back as an error here too.
 func Compile(name, src string, cfg Config) (*Result, error) {
-	p, err := sem.CheckSource(name, src)
-	if err != nil {
-		return nil, err
-	}
-	prog := ir.Build(p)
-	opt.Run(prog, cfg.Opt)
-	mp := lower.Lower(prog)
-	if cfg.RegAlloc {
-		if err := regalloc.Allocate(mp); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Sched {
-		sched.Schedule(mp)
-	}
-	return &Result{File: p.File.Source, Sem: p, IR: prog, Mach: mp}, nil
+	res, _, err := NewPipeline(PipelineConfig{Workers: 1}).Compile(name, src, cfg)
+	return res, err
 }

@@ -12,34 +12,53 @@ import (
 
 // The compile.func fault point sits inside the per-function back end; a
 // firing rule must surface as an ordinary compile error naming the
-// pipeline (serial and parallel alike), and an injected worker panic
-// must be contained to the same error shape — never escape to the
-// process.
+// pipeline (Compile, serial and parallel pipelines alike), and an
+// injected worker panic must be contained to the same error shape —
+// never escape to the process.
+
+// faultDrivers are the ways a program is compiled: Compile, and pipelines
+// of one and eight workers.
+func faultDrivers() map[string]func(name, src string, cfg compile.Config) error {
+	pipe := func(workers int) func(string, string, compile.Config) error {
+		return func(name, src string, cfg compile.Config) error {
+			_, _, err := compile.NewPipeline(compile.PipelineConfig{Workers: workers}).Compile(name, src, cfg)
+			return err
+		}
+	}
+	return map[string]func(string, string, compile.Config) error{
+		"Compile": func(name, src string, cfg compile.Config) error {
+			_, err := compile.Compile(name, src, cfg)
+			return err
+		},
+		"workers=1": pipe(1),
+		"workers=8": pipe(8),
+	}
+}
 
 func TestInjectedBackEndErrorSurfaces(t *testing.T) {
 	fault.Enable(1)
 	defer fault.Disable()
 	src := bench.MustSource("li")
-	for _, workers := range []int{1, 8} {
+	for name, compileLi := range faultDrivers() {
 		fault.Set("compile.func", fault.Rule{Times: 1})
-		p := compile.NewPipeline(compile.PipelineConfig{Workers: workers})
-		_, _, err := p.Compile("li", src, compile.O2())
+		err := compileLi("li", src, compile.O2())
 		if err == nil {
-			t.Fatalf("workers=%d: injected back-end error did not surface", workers)
+			t.Fatalf("%s: injected back-end error did not surface", name)
 		}
 		if !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("workers=%d: err = %v, want ErrInjected wrap", workers, err)
+			t.Fatalf("%s: err = %v, want ErrInjected wrap", name, err)
 		}
 		if !strings.Contains(err.Error(), "compile:") {
-			t.Fatalf("workers=%d: err = %v, want compile-prefixed", workers, err)
+			t.Fatalf("%s: err = %v, want compile-prefixed", name, err)
 		}
 	}
 
-	// Disarmed, the same pipeline compiles cleanly.
+	// Disarmed, every driver compiles cleanly.
 	fault.Disable()
-	p := compile.NewPipeline(compile.PipelineConfig{Workers: 8})
-	if _, _, err := p.Compile("li", src, compile.O2()); err != nil {
-		t.Fatalf("compile after disarm: %v", err)
+	for name, compileLi := range faultDrivers() {
+		if err := compileLi("li", src, compile.O2()); err != nil {
+			t.Fatalf("%s: compile after disarm: %v", name, err)
+		}
 	}
 }
 
@@ -47,12 +66,11 @@ func TestInjectedBackEndPanicIsContained(t *testing.T) {
 	fault.Enable(1)
 	defer fault.Disable()
 	src := bench.MustSource("li")
-	for _, workers := range []int{1, 8} {
+	for name, compileLi := range faultDrivers() {
 		fault.Set("compile.func", fault.Rule{Times: 1, Panic: true})
-		p := compile.NewPipeline(compile.PipelineConfig{Workers: workers})
-		_, _, err := p.Compile("li", src, compile.O2())
+		err := compileLi("li", src, compile.O2())
 		if err == nil || !strings.Contains(err.Error(), "panic compiling") {
-			t.Fatalf("workers=%d: err = %v, want contained panic", workers, err)
+			t.Fatalf("%s: err = %v, want contained panic", name, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package compile
 
-// Per-function pipeline driver: the scalable counterpart to Compile.
+// Per-function pipeline driver: the one way a program is compiled
+// (Compile is this driver on one worker).
 //
 // The front end (parse + check + IR build) is whole-program and runs
 // serially; everything after it — opt.RunFunc → lower.LowerFunc →
@@ -8,10 +9,11 @@ package compile
 // function at a time with no shared mutable state, so Pipeline fans
 // functions out across a bounded worker pool and reassembles the machine
 // program in IR order. Reassembly is deterministic: the canonical rendering
-// of the result is byte-identical to what the serial Compile produces,
-// whatever the worker interleaving, because each function's machine code
-// depends only on its own IR and the immutable global environment, and the
-// program is stitched in function-declaration order.
+// of the result is the same for every worker count and interleaving,
+// because each function's machine code depends only on its own IR and the
+// immutable global environment, and the program is stitched in
+// function-declaration order. TestPipelineMatchesSerial holds every mode
+// to a pass-major reference kept in the tests.
 //
 // With a FuncCache attached the same driver is incremental: each function's
 // back end is keyed by FuncKeyOf (a content hash of the function's checked,
@@ -127,10 +129,10 @@ func (p *Pipeline) Stats() PipelineStats {
 }
 
 // Compile runs the full pipeline over MiniC source text. The Result's
-// canonical machine-code rendering is byte-identical to Compile's for the
-// same input. Result.IR is populated only when every function's back end
-// actually ran (FuncsReused == 0); a stitched program carries no optimized
-// IR, matching DecodeSpill.
+// canonical machine-code rendering does not depend on the worker count or
+// on which functions were stitched from the cache. Result.IR is populated
+// only when every function's back end actually ran (FuncsReused == 0); a
+// stitched program carries no optimized IR, matching DecodeSpill.
 func (p *Pipeline) Compile(name, src string, cfg Config) (*Result, Metrics, error) {
 	start := time.Now()
 	sp, err := sem.CheckSource(name, src)
@@ -167,7 +169,7 @@ func (p *Pipeline) Compile(name, src string, cfg Config) (*Result, Metrics, erro
 		wg.Wait()
 	}
 
-	// First error in function order, matching the serial driver.
+	// First error in function order, whatever the interleaving.
 	for _, err := range errs {
 		if err != nil {
 			return nil, m, err

@@ -9,6 +9,12 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/compile"
+	"repro/internal/ir"
+	"repro/internal/lower"
+	"repro/internal/opt"
+	"repro/internal/regalloc"
+	"repro/internal/sched"
+	"repro/internal/sem"
 )
 
 // testConfigs are the three measured pipeline configurations: full
@@ -29,10 +35,45 @@ func machDigest(t *testing.T, res *compile.Result) [sha256.Size]byte {
 	return sha256.Sum256([]byte(res.Mach.String()))
 }
 
-// TestPipelineMatchesSerial asserts that the parallel pipeline and the
-// incremental (cache-stitched) pipeline both produce machine programs whose
-// canonical rendering is byte-identical to the serial driver, across all
-// bench workloads and all three configurations.
+// passMajor is the pass-major reference compile: the front end, then
+// each back-end pass over every function before the next pass starts
+// (opt all, lower all, regalloc all, sched all). Pipeline instead runs a
+// function's whole back end at once, on any worker; per-function purity
+// is what makes the two agree, and TestPipelineMatchesSerial checks it.
+func passMajor(t testing.TB, name, src string, cfg compile.Config) *compile.Result {
+	t.Helper()
+	sp, err := sem.CheckSource(name, src)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	prog := ir.Build(sp)
+	for _, f := range prog.Funcs {
+		opt.RunFunc(f, cfg.Opt)
+	}
+	mp := lower.NewProgram(prog)
+	for _, f := range prog.Funcs {
+		mp.Funcs = append(mp.Funcs, lower.LowerFunc(f))
+	}
+	if cfg.RegAlloc {
+		for _, f := range mp.Funcs {
+			if err := regalloc.AllocateFunc(f); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+	if cfg.Sched {
+		for _, f := range mp.Funcs {
+			sched.ScheduleFunc(f)
+		}
+	}
+	return &compile.Result{File: sp.File.Source, Sem: sp, IR: prog, Mach: mp}
+}
+
+// TestPipelineMatchesSerial asserts that every pipeline mode — serial
+// (Compile), parallel, and incremental (cold, then cache-stitched) —
+// produces machine programs whose canonical rendering is byte-identical
+// to the pass-major reference, across all bench workloads and all three
+// configurations.
 func TestPipelineMatchesSerial(t *testing.T) {
 	for cfgName, cfg := range testConfigs() {
 		par := compile.NewPipeline(compile.PipelineConfig{Workers: 8})
@@ -42,18 +83,25 @@ func TestPipelineMatchesSerial(t *testing.T) {
 		})
 		for _, name := range bench.Names {
 			src := bench.MustSource(name)
-			want, err := compile.Compile(name, src, cfg)
+			wantSum := machDigest(t, passMajor(t, name, src, cfg))
+
+			serial, err := compile.Compile(name, src, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: serial: %v", name, cfgName, err)
 			}
-			wantSum := machDigest(t, want)
+			if machDigest(t, serial) != wantSum {
+				t.Errorf("%s/%s: serial digest differs from pass-major reference", name, cfgName)
+			}
+			if serial.IR == nil {
+				t.Errorf("%s/%s: serial result lost its optimized IR", name, cfgName)
+			}
 
 			got, m, err := par.Compile(name, src, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: parallel: %v", name, cfgName, err)
 			}
 			if machDigest(t, got) != wantSum {
-				t.Errorf("%s/%s: parallel digest differs from serial", name, cfgName)
+				t.Errorf("%s/%s: parallel digest differs from pass-major reference", name, cfgName)
 			}
 			if m.FuncsCompiled != m.Funcs || m.FuncsReused != 0 {
 				t.Errorf("%s/%s: parallel metrics = %+v, want all compiled", name, cfgName, m)
@@ -65,7 +113,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 				t.Fatalf("%s/%s: incremental cold: %v", name, cfgName, err)
 			}
 			if machDigest(t, cold) != wantSum {
-				t.Errorf("%s/%s: incremental cold digest differs from serial", name, cfgName)
+				t.Errorf("%s/%s: incremental cold digest differs from pass-major reference", name, cfgName)
 			}
 			if m.FuncsReused != 0 {
 				t.Errorf("%s/%s: cold incremental reused %d funcs", name, cfgName, m.FuncsReused)
@@ -77,7 +125,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 				t.Fatalf("%s/%s: incremental warm: %v", name, cfgName, err)
 			}
 			if machDigest(t, warm) != wantSum {
-				t.Errorf("%s/%s: incremental warm digest differs from serial", name, cfgName)
+				t.Errorf("%s/%s: incremental warm digest differs from pass-major reference", name, cfgName)
 			}
 			if m.FuncsReused != m.Funcs || m.FuncsCompiled != 0 {
 				t.Errorf("%s/%s: warm metrics = %+v, want all reused", name, cfgName, m)
@@ -91,7 +139,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 
 // TestOneFunctionEdit asserts the incremental contract: editing one
 // function of a workload recompiles exactly that one function, and the
-// result matches a from-scratch serial compile of the edited source.
+// result matches the pass-major reference compile of the edited source.
 func TestOneFunctionEdit(t *testing.T) {
 	cfg := compile.O2()
 	pipe := compile.NewPipeline(compile.PipelineConfig{
@@ -120,18 +168,14 @@ func TestOneFunctionEdit(t *testing.T) {
 	if m.FuncsReused != m.Funcs-1 {
 		t.Errorf("one-function edit reused %d funcs, want %d", m.FuncsReused, m.Funcs-1)
 	}
-	want, err := compile.Compile("li", edited, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if machDigest(t, res) != machDigest(t, want) {
-		t.Error("stitched program differs from serial compile of edited source")
+	if machDigest(t, res) != machDigest(t, passMajor(t, "li", edited, cfg)) {
+		t.Error("stitched program differs from reference compile of edited source")
 	}
 }
 
 // TestPipelineConcurrentStress drives one shared pipeline+cache from many
 // goroutines over multiple workloads and configs, checking every result
-// against the serial digest. Run under -race this is the worker-pool
+// against the pass-major reference digest. Run under -race this is the worker-pool
 // regression test; -count=2 exercises both cold and warm cache states
 // within each run (the second round of each goroutine is warm).
 func TestPipelineConcurrentStress(t *testing.T) {
@@ -143,11 +187,7 @@ func TestPipelineConcurrentStress(t *testing.T) {
 	want := map[string][sha256.Size]byte{}
 	for cfgName, cfg := range testConfigs() {
 		for _, name := range workloads {
-			res, err := compile.Compile(name, bench.MustSource(name), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[name+"/"+cfgName] = machDigest(t, res)
+			want[name+"/"+cfgName] = machDigest(t, passMajor(t, name, bench.MustSource(name), cfg))
 		}
 	}
 

@@ -16,7 +16,6 @@ import (
 type AnalysisSet struct {
 	mu    sync.Mutex
 	m     map[*mach.Func]*analysisCell
-	opts  Options
 	built atomic.Int64
 	bytes atomic.Int64
 
@@ -33,12 +32,7 @@ type analysisCell struct {
 }
 
 // NewAnalysisSet returns an empty set using default classifier options.
-func NewAnalysisSet() *AnalysisSet { return NewAnalysisSetWith(Options{}) }
-
-// NewAnalysisSetWith returns an empty set whose analyses run with opts.
-func NewAnalysisSetWith(opts Options) *AnalysisSet {
-	return &AnalysisSet{m: map[*mach.Func]*analysisCell{}, opts: opts}
-}
+func NewAnalysisSet() *AnalysisSet { return &AnalysisSet{m: map[*mach.Func]*analysisCell{}} }
 
 // Of returns the analysis for f, building it on first use. Concurrent
 // callers for the same function block on a single build.
@@ -51,7 +45,7 @@ func (s *AnalysisSet) Of(f *mach.Func) *Analysis {
 	}
 	s.mu.Unlock()
 	c.once.Do(func() {
-		c.a = AnalyzeWith(f, s.opts)
+		c.a = Analyze(f)
 		s.built.Add(1)
 		cost := c.a.SizeBytes()
 		s.bytes.Add(cost)

@@ -78,13 +78,6 @@ func (s *BitSet) SetAll() {
 	s.trim()
 }
 
-// ClearAll clears every bit.
-func (s *BitSet) ClearAll() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // trim zeroes bits beyond n so that Equal and Count stay exact.
 func (s *BitSet) trim() {
 	if s.n%64 != 0 && len(s.words) > 0 {

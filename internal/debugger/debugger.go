@@ -32,8 +32,8 @@ type Breakpoint struct {
 	// Stopped), Loc is the instance actually reached — classification and
 	// value reads are taken there, where the machine state lives.
 	Loc debuginfo.Loc
-	// Locs is every armed instance (it always contains Loc). Empty means
-	// single-instance (hand-built breakpoints); only Loc is armed then.
+	// Locs is every armed instance (it always contains the canonical Loc).
+	// Step stops are never armed and leave it empty.
 	Locs []debuginfo.Loc
 }
 
@@ -129,11 +129,7 @@ func (d *Debugger) BreakAtStmt(funcName string, stmt int) (*Breakpoint, error) {
 func (d *Debugger) compileBreaks() {
 	bs := d.VM.NewBreakSet()
 	for _, bp := range d.breaks {
-		locs := bp.Locs
-		if len(locs) == 0 {
-			locs = []debuginfo.Loc{bp.Loc}
-		}
-		for _, l := range locs {
+		for _, l := range bp.Locs {
 			bs.Add(bp.Fn, l.Block, l.Idx)
 		}
 	}
@@ -179,12 +175,6 @@ func (d *Debugger) afterRun() (*Breakpoint, error) {
 func (d *Debugger) matches(p vm.Pos) *Breakpoint {
 	for _, bp := range d.breaks {
 		if p.Fn != bp.Fn {
-			continue
-		}
-		if len(bp.Locs) == 0 {
-			if p.Block == bp.Loc.Block && p.Idx == bp.Loc.Idx {
-				return bp
-			}
 			continue
 		}
 		for _, l := range bp.Locs {
@@ -401,7 +391,7 @@ func (d *Debugger) Print(name string) (*VarReport, error) {
 		}
 		return nil, fmt.Errorf("debugger: %w: %q at this breakpoint", ErrNoSuchVar, name)
 	}
-	return d.report(bp, obj)
+	return d.report(bp, obj), nil
 }
 
 // reportGlobalField reads one field of a global struct from the data
@@ -482,11 +472,7 @@ func (d *Debugger) Info() ([]*VarReport, error) {
 		if v.Base != nil {
 			continue
 		}
-		r, err := d.report(bp, v)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
+		out = append(out, d.report(bp, v))
 	}
 	return out, nil
 }
@@ -497,19 +483,12 @@ func (d *Debugger) Info() ([]*VarReport, error) {
 // statement boundary), and the machine state the user inspects is the
 // state at that instruction — so the dataflow must be read there too, not
 // at the statement's canonical table location.
-func (d *Debugger) classifyStop(bp *Breakpoint, obj *ast.Object) (core.Classification, bool) {
-	a := d.analysisOf(bp.Fn)
-	if bp.Loc.Block != nil {
-		return a.ClassifyLoc(bp.Loc, obj), true
-	}
-	return a.ClassifyAt(bp.Stmt, obj)
+func (d *Debugger) classifyStop(bp *Breakpoint, obj *ast.Object) core.Classification {
+	return d.analysisOf(bp.Fn).ClassifyLoc(bp.Loc, obj)
 }
 
-func (d *Debugger) report(bp *Breakpoint, obj *ast.Object) (*VarReport, error) {
-	cls, ok := d.classifyStop(bp, obj)
-	if !ok {
-		return nil, fmt.Errorf("debugger: %w: statement %d", ErrNoStmtLoc, bp.Stmt)
-	}
+func (d *Debugger) report(bp *Breakpoint, obj *ast.Object) *VarReport {
+	cls := d.classifyStop(bp, obj)
 	r := &VarReport{Name: obj.Name, Class: cls}
 	for _, s := range cls.SrcStmts {
 		if l := d.stmtLine(bp.Fn, s); l > 0 {
@@ -528,11 +507,7 @@ func (d *Debugger) report(bp *Breakpoint, obj *ast.Object) (*VarReport, error) {
 			if i < len(cls.Fields) {
 				sub = &VarReport{Name: m.Name, Class: cls.Fields[i]}
 			} else {
-				mc, ok := d.classifyStop(bp, m)
-				if !ok {
-					mc = core.Classification{Var: m, State: core.Current}
-				}
-				sub = &VarReport{Name: m.Name, Class: mc}
+				sub = &VarReport{Name: m.Name, Class: d.classifyStop(bp, m)}
 			}
 			for _, s := range sub.Class.SrcStmts {
 				if l := d.stmtLine(bp.Fn, s); l > 0 {
@@ -544,14 +519,14 @@ func (d *Debugger) report(bp *Breakpoint, obj *ast.Object) (*VarReport, error) {
 			}
 			r.Fields = append(r.Fields, sub)
 		}
-		return r, nil
+		return r
 	}
 
 	if fr == nil || fr.Fn != bp.Fn {
-		return r, nil
+		return r
 	}
 	d.fillVals(fr, obj, r)
-	return r, nil
+	return r
 }
 
 // fillVals populates the report's value channels. A Current verdict with

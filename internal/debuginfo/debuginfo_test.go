@@ -16,14 +16,12 @@ func buildFunc(t *testing.T, src string, o opt.Options, fn string) *mach.Func {
 	if err != nil {
 		t.Fatalf("frontend: %v", err)
 	}
-	prog := ir.Build(p)
-	opt.Run(prog, o)
-	mp := lower.Lower(prog)
-	f := mp.LookupFunc(fn)
+	f := ir.Build(p).LookupFunc(fn)
 	if f == nil {
 		t.Fatalf("no function %s", fn)
 	}
-	return f
+	opt.RunFunc(f, o)
+	return lower.LowerFunc(f)
 }
 
 func TestEveryExecutableStmtHasLoc(t *testing.T) {

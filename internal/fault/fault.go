@@ -106,9 +106,6 @@ func Disable() {
 	mu.Unlock()
 }
 
-// Enabled reports whether the injector is armed.
-func Enabled() bool { return enabled.Load() }
-
 // Set arms (or replaces) the rule for a point, resetting its counters.
 // It is a no-op while the injector is disabled.
 func Set(name string, r Rule) {

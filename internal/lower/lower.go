@@ -2,7 +2,7 @@
 // machine-level representation. Per §3 of the paper, "during code
 // selection, annotations are transferred from nodes in the
 // machine-independent IR to the selected instructions" and "IR marker nodes
-// are lowered to special marker instructions" — Lower copies Ann, Stmt and
+// are lowered to special marker instructions" — LowerFunc copies Ann, Stmt and
 // OrigIdx onto every selected instruction and keeps the IR's dense value
 // numbering as the virtual register space, so the debugger can relate
 // machine registers back to source variables.
@@ -17,19 +17,10 @@ import (
 	"repro/internal/mach"
 )
 
-// Lower translates the whole program.
-func Lower(p *ir.Program) *mach.Program {
-	mp := NewProgram(p)
-	for _, f := range p.Funcs {
-		mp.Funcs = append(mp.Funcs, LowerFunc(f))
-	}
-	return mp
-}
-
 // NewProgram builds the machine program shell for p: the global data
 // layout (offsets, total size, initializers) with no functions. Callers
-// lowering functions individually — concurrently or stitched from a cache —
-// append to Funcs in IR order to obtain the same program Lower produces.
+// lower functions individually — concurrently or stitched from a cache —
+// and set Funcs in IR order.
 func NewProgram(p *ir.Program) *mach.Program {
 	mp := &mach.Program{
 		Globals:    p.Globals,

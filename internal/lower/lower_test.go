@@ -16,8 +16,12 @@ func lowerSrc(t *testing.T, src string, o opt.Options) *mach.Program {
 		t.Fatalf("frontend: %v", err)
 	}
 	prog := ir.Build(p)
-	opt.Run(prog, o)
-	return Lower(prog)
+	mp := NewProgram(prog)
+	for _, f := range prog.Funcs {
+		opt.RunFunc(f, o)
+		mp.Funcs = append(mp.Funcs, LowerFunc(f))
+	}
+	return mp
 }
 
 func TestAnnotationTransfer(t *testing.T) {

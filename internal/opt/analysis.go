@@ -58,9 +58,6 @@ func (s valueSpace) indexOf(o ir.Operand) int {
 	return -1
 }
 
-// isVarIndex reports whether a dense index denotes a source variable.
-func (s valueSpace) isVarIndex(i int) bool { return i < s.numVars }
-
 // varOf returns the object for a var index.
 func (s valueSpace) varOf(i int) *ast.Object { return s.fn.Decl.Locals[i] }
 

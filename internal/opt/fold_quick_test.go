@@ -27,7 +27,7 @@ func evalViaFold(t *testing.T, op string, a, b int32) (string, bool) {
 	src := "int main() { print(" + itoa(int64(a)) + " " + op + " " + itoa(int64(b)) +
 		"); return 0; }"
 	prog := buildIR(t, src)
-	Run(prog, Options{ConstFold: true, ConstProp: true, CopyProp: true})
+	runFuncs(prog, Options{ConstFold: true, ConstProp: true, CopyProp: true})
 	_, out, err := ir.NewInterp(prog).Run()
 	if err != nil {
 		return "", false
@@ -112,7 +112,7 @@ func TestFoldAlgebraicIdentities(t *testing.T) {
 	for _, c := range cases {
 		src := "int main() { " + c.src + " return 0; }"
 		prog := buildIR(t, src)
-		Run(prog, Options{ConstFold: true})
+		runFuncs(prog, Options{ConstFold: true})
 		_, out, err := ir.NewInterp(prog).Run()
 		if err != nil {
 			t.Errorf("%s: %v", c.src, err)

@@ -18,6 +18,13 @@ func buildIR(t *testing.T, src string) *ir.Program {
 	return ir.Build(p)
 }
 
+// runFuncs runs the pipeline on every function of prog, in order.
+func runFuncs(prog *ir.Program, o Options) {
+	for _, f := range prog.Funcs {
+		RunFunc(f, o)
+	}
+}
+
 // run interprets the program, failing the test on runtime errors.
 func run(t *testing.T, prog *ir.Program) (int64, string) {
 	t.Helper()
@@ -36,7 +43,7 @@ func differential(t *testing.T, src string, o Options) (*ir.Program, *ir.Program
 	refRet, refOut := run(t, ref)
 
 	prog := buildIR(t, src)
-	Run(prog, o)
+	runFuncs(prog, o)
 	gotRet, gotOut := run(t, prog)
 
 	if refRet != gotRet {
@@ -204,7 +211,7 @@ int main() {
 }
 `
 	prog := buildIR(t, src)
-	Run(prog, Options{DCE: true})
+	runFuncs(prog, Options{DCE: true})
 	if n := countKind(prog, ir.MarkDead); n < 1 {
 		t.Errorf("expected a MarkDead marker for the dead assignment, got %d\n%s", n, prog)
 	}
@@ -221,7 +228,7 @@ int main() {
 `
 	prog := buildIR(t, src)
 	before := countKind(prog, ir.MarkDead)
-	Run(prog, Options{DCE: true})
+	runFuncs(prog, Options{DCE: true})
 	if n := countKind(prog, ir.MarkDead); n != before {
 		t.Errorf("no source assignment is dead here; markers went %d -> %d\n%s", before, n, prog)
 	}
@@ -240,7 +247,7 @@ int main() {
 }
 `
 	prog := buildIR(t, src)
-	Run(prog, Options{AssignProp: true, PRE: true, DCE: true, CopyProp: true})
+	runFuncs(prog, Options{AssignProp: true, PRE: true, DCE: true, CopyProp: true})
 	// After assignment propagation + CSE + DCE the second computation of
 	// y+z must not survive as an independent BinOp chain: count adds.
 	adds := 0
@@ -284,7 +291,7 @@ int main() {
 }
 `
 	prog := buildIR(t, src)
-	Run(prog, Options{PRE: true})
+	runFuncs(prog, Options{PRE: true})
 	f := prog.LookupFunc("f")
 	hoisted, avail := 0, 0
 	for _, b := range f.Blocks {
@@ -327,7 +334,7 @@ int main() {
 }
 `
 	prog := buildIR(t, src)
-	Run(prog, Options{PDCE: true, DCE: true})
+	runFuncs(prog, Options{PDCE: true, DCE: true})
 	f := prog.LookupFunc("f")
 	sunk, dead := 0, 0
 	for _, b := range f.Blocks {
@@ -363,7 +370,7 @@ int main() {
 }
 `
 	prog := buildIR(t, src)
-	Run(prog, Options{LICM: true})
+	runFuncs(prog, Options{LICM: true})
 	f := prog.LookupFunc("main")
 	hoisted := 0
 	for _, b := range f.Blocks {
@@ -399,7 +406,7 @@ int main() {
 }
 `
 	prog := buildIR(t, src)
-	Run(prog, O2())
+	runFuncs(prog, O2())
 	f := prog.LookupFunc("main")
 	recov := 0
 	for _, b := range f.Blocks {
@@ -464,7 +471,7 @@ int main() {
 }
 `
 	prog := buildIR(t, src)
-	Run(prog, Options{ConstFold: true, ConstProp: true, BranchOpt: true})
+	runFuncs(prog, Options{ConstFold: true, ConstProp: true, BranchOpt: true})
 	f := prog.LookupFunc("main")
 	for _, b := range f.Blocks {
 		if tm := b.Term(); tm != nil && tm.Kind == ir.Br {
@@ -480,7 +487,7 @@ int main() {
 func TestO2ShrinksHotLoops(t *testing.T) {
 	prog := buildIR(t, progArrays)
 	n0 := countInstrs(prog)
-	Run(prog, O2())
+	runFuncs(prog, O2())
 	_, out := run(t, prog)
 	if !strings.Contains(out, "sum=1240") {
 		t.Errorf("optimized program output %q", out)
@@ -496,7 +503,7 @@ func TestNoMarkersAblation(t *testing.T) {
 	prog := buildIR(t, progDead)
 	o := O2()
 	o.NoMarkers = true
-	Run(prog, o)
+	runFuncs(prog, o)
 	if n := countKind(prog, ir.MarkDead) + countKind(prog, ir.MarkAvail); n != 0 {
 		t.Errorf("NoMarkers left %d markers", n)
 	}

@@ -48,13 +48,6 @@ func O2() Options {
 	}
 }
 
-// Run applies the optimization pipeline to every function.
-func Run(p *ir.Program, o Options) {
-	for _, f := range p.Funcs {
-		RunFunc(f, o)
-	}
-}
-
 // RunFunc runs the pipeline on one function. The pass order mirrors cmcc's
 // pipeline as reconstructed from the paper: propagation feeds PRE, PRE's
 // hoisted assignments can be sunk again by PDCE, and DCE performs the final

@@ -73,7 +73,7 @@ int f(int c, int a) {
 int main() { return f(1, 3); }
 `
 	prog := buildIR(t, src)
-	Run(prog, Options{PDCE: true, DCE: true})
+	runFuncs(prog, Options{PDCE: true, DCE: true})
 	f := prog.LookupFunc("f")
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {

@@ -26,16 +26,6 @@ import (
 	"repro/internal/mach"
 )
 
-// Allocate colors every function in the program.
-func Allocate(p *mach.Program) error {
-	for _, f := range p.Funcs {
-		if err := AllocateFunc(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AllocateFunc runs register allocation for one function.
 func AllocateFunc(f *mach.Func) error {
 	a := &allocator{f: f, spillTemp: map[int]bool{}}

@@ -19,8 +19,22 @@ func buildMach(t *testing.T, src string, o opt.Options) *mach.Program {
 		t.Fatalf("frontend: %v", err)
 	}
 	prog := ir.Build(p)
-	opt.Run(prog, o)
-	return lower.Lower(prog)
+	mp := lower.NewProgram(prog)
+	for _, f := range prog.Funcs {
+		opt.RunFunc(f, o)
+		mp.Funcs = append(mp.Funcs, lower.LowerFunc(f))
+	}
+	return mp
+}
+
+// allocate runs register allocation on every function of mp, in order.
+func allocate(mp *mach.Program) error {
+	for _, f := range mp.Funcs {
+		if err := AllocateFunc(f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // fullPipeline compiles, allocates, schedules, and runs, comparing against
@@ -38,11 +52,13 @@ func fullPipeline(t *testing.T, src string, o opt.Options, doSched bool) *vm.VM 
 	}
 
 	mp := buildMach(t, src, o)
-	if err := Allocate(mp); err != nil {
+	if err := allocate(mp); err != nil {
 		t.Fatalf("regalloc: %v", err)
 	}
 	if doSched {
-		sched.Schedule(mp)
+		for _, f := range mp.Funcs {
+			sched.ScheduleFunc(f)
+		}
 	}
 	m, err := vm.New(mp)
 	if err != nil {
@@ -136,7 +152,7 @@ func TestRegallocAssignsLocations(t *testing.T) {
 	// (assignment propagation + DCE leave only markers) — which is the
 	// paper's point. Location coverage is asserted on unoptimized code.
 	mp := buildMach(t, progBig, opt.O0())
-	if err := Allocate(mp); err != nil {
+	if err := allocate(mp); err != nil {
 		t.Fatal(err)
 	}
 	f := mp.LookupFunc("manyVars")
@@ -169,7 +185,7 @@ func TestRegallocAssignsLocations(t *testing.T) {
 
 func TestRegallocPhysRegBounds(t *testing.T) {
 	mp := buildMach(t, progBig, opt.O2())
-	if err := Allocate(mp); err != nil {
+	if err := allocate(mp); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range mp.Funcs {

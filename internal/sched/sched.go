@@ -17,13 +17,6 @@ import (
 	"repro/internal/mach"
 )
 
-// Schedule reorders every block of every function.
-func Schedule(p *mach.Program) {
-	for _, f := range p.Funcs {
-		ScheduleFunc(f)
-	}
-}
-
 // ScheduleFunc schedules one function. Before a block is reordered, every
 // instruction records its pre-scheduling position (Instr.PreSched): the
 // debugger compares those positions against a breakpoint's to detect

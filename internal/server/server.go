@@ -973,11 +973,10 @@ func (s *Server) Snapshot() Stats {
 	st.FuncsCompiled = ps.FuncsCompiled
 	st.FuncsReused = ps.FuncsReused
 	st.CompileMSTotal = ps.CompileNanos / 1e6
-	if fs, ok := s.store.FuncCacheStats(); ok {
-		st.FuncCacheEntries = fs.Entries
-		st.FuncCacheBytes = fs.MemoryBytes
-		st.FuncCacheEvictions = fs.Evictions
-	}
+	fs := s.store.FuncCacheStats()
+	st.FuncCacheEntries = fs.Entries
+	st.FuncCacheBytes = fs.MemoryBytes
+	st.FuncCacheEvictions = fs.Evictions
 	st.CoverageSweeps = s.coverageSweeps.Load()
 	st.CoveragePairs = s.coveragePairs.Load()
 	return st

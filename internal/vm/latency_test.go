@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/ir"
-	"repro/internal/lower"
 	"repro/internal/opt"
 	"repro/internal/sem"
 )
@@ -17,10 +16,7 @@ func cycles(t *testing.T, src string) int64 {
 	if err != nil {
 		t.Fatalf("frontend: %v", err)
 	}
-	prog := ir.Build(p)
-	opt.Run(prog, opt.O0())
-	mp := lower.Lower(prog)
-	m, err := New(mp)
+	m, err := New(lowerFuncs(ir.Build(p), opt.O0()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +93,7 @@ int main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog := ir.Build(p)
-		o := opt.Options{DCE: true, NoMarkers: noMarkers}
-		opt.Run(prog, o)
-		mp := lower.Lower(prog)
-		m, err := New(mp)
+		m, err := New(lowerFuncs(ir.Build(p), opt.Options{DCE: true, NoMarkers: noMarkers}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,9 +129,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := ir.Build(p)
-	mp := lower.Lower(prog)
-	m, err := New(mp)
+	m, err := New(lowerFuncs(ir.Build(p), opt.O0()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +163,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := ir.Build(p)
-	mp := lower.Lower(prog)
-	m, err := New(mp)
+	m, err := New(lowerFuncs(ir.Build(p), opt.O0()))
 	if err != nil {
 		t.Fatal(err)
 	}

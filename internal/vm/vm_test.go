@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/lower"
+	"repro/internal/mach"
 	"repro/internal/opt"
 	"repro/internal/sem"
 )
@@ -17,13 +18,21 @@ func compile(t *testing.T, src string, o opt.Options) (*ir.Program, *VM) {
 		t.Fatalf("frontend: %v", err)
 	}
 	prog := ir.Build(p)
-	opt.Run(prog, o)
-	mp := lower.Lower(prog)
-	vm, err := New(mp)
+	vm, err := New(lowerFuncs(prog, o))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return prog, vm
+}
+
+// lowerFuncs optimizes and lowers every function of prog, in order.
+func lowerFuncs(prog *ir.Program, o opt.Options) *mach.Program {
+	mp := lower.NewProgram(prog)
+	for _, f := range prog.Funcs {
+		opt.RunFunc(f, o)
+		mp.Funcs = append(mp.Funcs, lower.LowerFunc(f))
+	}
+	return mp
 }
 
 // differential checks IR interpretation and VM execution agree.

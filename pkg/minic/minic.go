@@ -22,20 +22,11 @@
 // front end, each function runs optimization → code selection → register
 // allocation → scheduling independently, fanned out across a bounded
 // worker pool (WithCompileWorkers) and reassembled deterministically —
-// the machine code is byte-identical to a serial compile. Each compiled
+// the machine code is the same for every worker count. Each compiled
 // function is also cached by a content hash of its checked IR plus the
 // configuration, so Artifact.Recompile recompiles only the functions an
 // edit actually changed and stitches the rest from cache.
 // CompileStats reports what happened.
-//
-// # Configuration deprecation path
-//
-// Functional options are the supported way to configure compilation;
-// constructing internal/compile.Config values directly is a legacy surface
-// kept for compatibility and slated for removal from driver code. In-repo
-// harnesses that genuinely need the internal config (benchmarks, the
-// ablation driver) should derive it from options via ResolveConfig rather
-// than building the struct by hand.
 package minic
 
 import (
@@ -185,16 +176,6 @@ func WithSpillDir(dir string) StoreOption {
 // n <= 0 selects GOMAXPROCS.
 func WithStoreCompileWorkers(n int) StoreOption {
 	return func(c *artstore.Config) { c.CompileWorkers = n }
-}
-
-// WithFuncCacheBudget bounds the accounted bytes of the store's
-// per-function incremental tier (encoded machine code keyed by content
-// hash of each function's checked IR + configuration). 0 keeps the
-// default: a quarter of the store's memory budget, or
-// artstore.DefaultFuncCacheBudget (2 MiB) when the store has none;
-// negative disables incremental reuse.
-func WithFuncCacheBudget(bytes int64) StoreOption {
-	return func(c *artstore.Config) { c.FuncCacheBudget = bytes }
 }
 
 // NewStore creates an artifact store for use with WithStore.
