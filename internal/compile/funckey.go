@@ -50,8 +50,7 @@ type GlobalsSig [sha256.Size]byte
 
 // GlobalsSigOf hashes the global environment of p under cfg.
 func GlobalsSigOf(p *ir.Program, cfg Config) GlobalsSig {
-	h := sha256.New()
-	w := keyWriter{h: h}
+	w := newKeyWriter()
 	w.int(funcKeyVersion)
 	w.int(spillVersion)
 	// Config is a flat struct of value fields; %+v is a canonical rendering.
@@ -65,17 +64,14 @@ func GlobalsSigOf(p *ir.Program, cfg Config) GlobalsSig {
 		w.i32(encObj(g))
 		w.opd(p.GlobalInit[g])
 	}
-	var sig GlobalsSig
-	h.Sum(sig[:0])
-	return sig
+	return w.sum()
 }
 
 // FuncKeyOf hashes one function's back-end input: its declaration
 // environment plus its pre-optimization IR, scoped by the program-wide
 // signature. Call it on the freshly built IR, before opt.RunFunc mutates it.
 func FuncKeyOf(f *ir.Func, sig GlobalsSig) FuncKey {
-	h := sha256.New()
-	w := keyWriter{h: h}
+	w := newKeyWriter()
 	w.bytes(sig[:])
 
 	// Declaration environment: the analyses and the lowering read the
@@ -119,22 +115,46 @@ func FuncKeyOf(f *ir.Func, sig GlobalsSig) FuncKey {
 		}
 	}
 
-	var k FuncKey
-	h.Sum(k[:0])
-	return k
+	return w.sum()
 }
 
-// keyWriter streams canonical, self-delimiting values into a hash.
+// keyWriter appends canonical, self-delimiting values to a buffer and
+// hands it to the hash each time it fills, not once per value: the hash
+// sees the same bytes in a few large writes.
 type keyWriter struct {
-	h   hash.Hash
-	buf [8]byte
+	h hash.Hash
+	b []byte
 }
 
-func (w *keyWriter) bytes(b []byte) { w.h.Write(b) }
+// keyChunk is the buffer size at which a keyWriter flushes to its hash.
+const keyChunk = 1024
+
+func newKeyWriter() *keyWriter {
+	return &keyWriter{h: sha256.New(), b: make([]byte, 0, keyChunk)}
+}
+
+// sum hashes everything written.
+func (w *keyWriter) sum() (s [sha256.Size]byte) {
+	w.h.Write(w.b)
+	w.h.Sum(s[:0])
+	return s
+}
+
+func (w *keyWriter) flushFull() {
+	if len(w.b) >= keyChunk {
+		w.h.Write(w.b)
+		w.b = w.b[:0]
+	}
+}
+
+func (w *keyWriter) bytes(b []byte) {
+	w.b = append(w.b, b...)
+	w.flushFull()
+}
 
 func (w *keyWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
+	w.b = binary.LittleEndian.AppendUint64(w.b, v)
+	w.flushFull()
 }
 
 func (w *keyWriter) int(v int)     { w.u64(uint64(int64(v))) }
@@ -152,7 +172,8 @@ func (w *keyWriter) bool(v bool) {
 
 func (w *keyWriter) str(s string) {
 	w.int(len(s))
-	w.h.Write([]byte(s))
+	w.b = append(w.b, s...)
+	w.flushFull()
 }
 
 // obj hashes an object declaration (identity, type, storage class and scope

@@ -1,10 +1,15 @@
 package compile_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/compile"
 	"repro/internal/debugger"
+	"repro/internal/ir"
+	"repro/internal/sem"
 )
 
 // structSrc builds a workload whose struct layout can be permuted without
@@ -125,4 +130,37 @@ func slicesEqual(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// goldenGlobalsSig is GlobalsSigOf(li at O2) and goldenFuncKeys hashes
+// FuncKeyOf of every corpus function at O2, in bench.Names and function
+// order. They pin the bytes the function-cache keys hash: a change to how
+// keys are written must keep them, or bump funcKeyVersion and re-pin.
+const (
+	goldenGlobalsSig = "aa986062bead0128852215e2418467b89a72f0c903234df284b5b323866dd963"
+	goldenFuncKeys   = "afa3553951d00474ce4c6b974bbca9e08a2024e3d8a55571f4ce18e47e9a3316"
+)
+
+func TestFuncKeyBytesPinned(t *testing.T) {
+	h := sha256.New()
+	for _, name := range bench.Names {
+		sp, err := sem.CheckSource(name+".mc", bench.MustSource(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := ir.Build(sp)
+		sig := compile.GlobalsSigOf(prog, compile.O2())
+		if name == "li" {
+			if got := hex.EncodeToString(sig[:]); got != goldenGlobalsSig {
+				t.Errorf("GlobalsSigOf(li, O2) = %s, want %s", got, goldenGlobalsSig)
+			}
+		}
+		for _, f := range prog.Funcs {
+			k := compile.FuncKeyOf(f, sig)
+			h.Write(k[:])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenFuncKeys {
+		t.Errorf("corpus FuncKeyOf digest = %s, want %s", got, goldenFuncKeys)
+	}
 }

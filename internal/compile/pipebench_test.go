@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/compile"
+	"repro/internal/core"
+	"repro/internal/randprog"
 )
 
 // Pipeline benchmarks: cold serial vs cold parallel vs incremental
@@ -76,5 +78,45 @@ func BenchmarkCompileWarmStitch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		compileCorpus(b, pipe)
+	}
+}
+
+// BenchmarkCompileRandprogUnit replays the unit of mcperf's compile
+// workload ("edit, compile, first stop"): a cold O2 compile of a randprog
+// program through a function-cached pipeline, then three one-function
+// edits, each followed by building every function's analyses. A cold
+// compile loads the optimizer; the edits load the front end and the cache.
+func BenchmarkCompileRandprogUnit(b *testing.B) {
+	cfg := compile.O2()
+	// randprog now and then emits a program the back end rejects; use the
+	// first eight seeds that compile, as mcperf skips to the next seed.
+	var progs []string
+	for seed := int64(1); len(progs) < 8; seed++ {
+		src := randprog.Gen(seed)
+		if _, err := compile.Compile("rand.mc", src, cfg); err == nil {
+			progs = append(progs, src)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pipe := compile.NewPipeline(compile.PipelineConfig{
+			Workers: 1,
+			Funcs:   compile.NewFuncCache(compile.FuncCacheConfig{}),
+		})
+		src := progs[i%len(progs)]
+		for v := 0; v <= 3; v++ {
+			if v > 0 {
+				src += fmt.Sprintf("\nint edit%d(int x) { return x + %d; }\n", v, i+v)
+			}
+			res, m, err := pipe.Compile("rand.mc", src, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if v > 0 && m.FuncsCompiled != 1 {
+				b.Fatalf("one-function edit compiled %d funcs, want 1", m.FuncsCompiled)
+			}
+			core.NewAnalysisSet().Precompute(res.Mach, 1)
+		}
 	}
 }

@@ -12,26 +12,46 @@ import (
 )
 
 // graphOf builds the dataflow.Graph view of a function. Block index =
-// position in f.Blocks.
-func graphOf(f *ir.Func) (dataflow.Graph, map[*ir.Block]int) {
-	idx := make(map[*ir.Block]int, len(f.Blocks))
+// position in f.Blocks; an edge to a block outside f.Blocks goes to 0.
+func graphOf(f *ir.Func) dataflow.Graph {
+	maxID, nEdges := 0, 0
+	for _, b := range f.Blocks {
+		maxID = max(maxID, b.ID)
+		nEdges += len(b.Succs) + len(b.Preds)
+	}
+	pos := make([]int, maxID+1) // by block ID
 	for i, b := range f.Blocks {
-		idx[b] = i
+		pos[b.ID] = i
 	}
-	g := dataflow.Graph{
-		N:     len(f.Blocks),
-		Succs: make([][]int, len(f.Blocks)),
-		Preds: make([][]int, len(f.Blocks)),
+	at := func(b *ir.Block) int {
+		if b.ID < len(pos) && f.Blocks[pos[b.ID]] == b {
+			return pos[b.ID]
+		}
+		return 0
 	}
+	n := len(f.Blocks)
+	g := dataflow.Graph{N: n, Succs: make([][]int, n), Preds: make([][]int, n)}
+	edges := make([]int, 0, nEdges)
 	for i, b := range f.Blocks {
 		for _, s := range b.Succs {
-			g.Succs[i] = append(g.Succs[i], idx[s])
+			edges = append(edges, at(s))
 		}
+		g.Succs[i] = edges[len(edges)-len(b.Succs) : len(edges) : len(edges)]
 		for _, p := range b.Preds {
-			g.Preds[i] = append(g.Preds[i], idx[p])
+			edges = append(edges, at(p))
 		}
+		g.Preds[i] = edges[len(edges)-len(b.Preds) : len(edges) : len(edges)]
 	}
-	return g, idx
+	return g
+}
+
+// numInstrs counts f's instructions, to size per-instruction slices.
+func numInstrs(f *ir.Func) int {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+	}
+	return n
 }
 
 // valueSpace maps Var and Temp operands to dense indices:
@@ -75,7 +95,7 @@ type liveness struct {
 
 // computeLiveness solves backward may-liveness.
 func computeLiveness(f *ir.Func) *liveness {
-	g, _ := graphOf(f)
+	g := graphOf(f)
 	sp := spaceOf(f)
 	n := sp.size()
 	use := make([]*dataflow.BitSet, g.N)
@@ -106,38 +126,11 @@ func computeLiveness(f *ir.Func) *liveness {
 	return &liveness{space: sp, LiveIn: res.In, LiveOut: res.Out}
 }
 
-// liveAcross walks block b backwards and reports, for each instruction
-// index, the set of values live immediately AFTER that instruction. The
-// returned slice is indexed by instruction position.
-func (lv *liveness) liveAfter(f *ir.Func, bi int) []*dataflow.BitSet {
-	b := f.Blocks[bi]
-	out := make([]*dataflow.BitSet, len(b.Instrs))
-	cur := lv.LiveOut[bi].Copy()
-	var buf []ir.Operand
-	for i := len(b.Instrs) - 1; i >= 0; i-- {
-		out[i] = cur.Copy()
-		in := b.Instrs[i]
-		if in.HasDst() {
-			if k := lv.space.indexOf(in.Dst); k >= 0 {
-				cur.Clear(k)
-			}
-		}
-		buf = in.Uses(buf[:0])
-		for _, o := range buf {
-			if k := lv.space.indexOf(o); k >= 0 {
-				cur.Set(k)
-			}
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------- expr keys
 
 // exprTable interns expression keys to dense indices for availability
 // problems.
 type exprTable struct {
-	keys  []ir.ExprKey
 	index map[ir.ExprKey]int
 	// sample holds one representative instruction per key, used to clone
 	// computations during PRE insertion.
@@ -150,43 +143,53 @@ func (t *exprTable) intern(key ir.ExprKey, in *ir.Instr) int {
 	if i, ok := t.index[key]; ok {
 		return i
 	}
-	i := len(t.keys)
+	i := len(t.sample)
 	t.index[key] = i
-	t.keys = append(t.keys, key)
 	t.sample = append(t.sample, in)
 	return i
 }
 
-func (t *exprTable) lookup(key ir.ExprKey) (int, bool) {
-	i, ok := t.index[key]
-	return i, ok
+// lookup returns key's index, or -1.
+func (t *exprTable) lookup(key ir.ExprKey) int {
+	if i, ok := t.index[key]; ok {
+		return i
+	}
+	return -1
 }
 
-func (t *exprTable) size() int { return len(t.keys) }
+func (t *exprTable) size() int { return len(t.sample) }
 
-// operandsKilledBy reports whether a def of value index k invalidates the
-// expression with table index e (i.e. k is an operand of e's sample, or k
-// is the destination when tracking assignment-availability).
-type killMap struct {
-	// killedBy[k] lists expression indices invalidated by defining k.
-	killedBy map[int][]int
-}
+// killMap lists, per value index k, the expression indices invalidated by
+// defining k (k is an operand of the expression's sample, or its
+// destination when tracking assignment-availability).
+type killMap [][]int
 
-func buildKillMap(t *exprTable, sp valueSpace, includeDst bool) *killMap {
-	km := &killMap{killedBy: map[int][]int{}}
+func buildKillMap(samples []*ir.Instr, sp valueSpace, includeDst bool) killMap {
+	km := make(killMap, sp.size())
 	var buf []ir.Operand
-	for ei, in := range t.sample {
+	for ei, in := range samples {
 		buf = in.Uses(buf[:0])
 		for _, o := range buf {
 			if k := sp.indexOf(o); k >= 0 {
-				km.killedBy[k] = append(km.killedBy[k], ei)
+				km[k] = append(km[k], ei)
 			}
 		}
 		if includeDst && in.HasDst() {
 			if k := sp.indexOf(in.Dst); k >= 0 {
-				km.killedBy[k] = append(km.killedBy[k], ei)
+				km[k] = append(km[k], ei)
 			}
 		}
 	}
 	return km
+}
+
+// killedByDef returns the expressions in's definition invalidates.
+func (km killMap) killedByDef(sp valueSpace, in *ir.Instr) []int {
+	if !in.HasDst() {
+		return nil
+	}
+	if k := sp.indexOf(in.Dst); k >= 0 {
+		return km[k]
+	}
+	return nil
 }

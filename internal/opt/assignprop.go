@@ -35,11 +35,15 @@ func AssignProp(f *ir.Func) bool {
 		}
 		return false
 	}
+	// keys[n] is the candidate key of the n-th instruction in block order,
+	// or -1.
+	keys := make([]int, 0, numInstrs(f))
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
+			key := -1
 			if isCand(in) {
-				if _, ok := table.lookup(in.AssignKey()); !ok {
-					table.intern(in.AssignKey(), in)
+				key = table.intern(in.AssignKey(), in)
+				if key == len(cands) {
 					// Snapshot the defining instruction NOW: later use
 					// replacements may rewrite the original in place
 					// (e.g. substituting an available copy into one of
@@ -49,40 +53,41 @@ func AssignProp(f *ir.Func) bool {
 					cands = append(cands, candInfo{in: in.Clone()})
 				}
 			}
+			keys = append(keys, key)
 		}
 	}
 	if table.size() == 0 {
 		return false
 	}
-	km := buildKillMap(table, sp, true)
-	g, _ := graphOf(f)
-	keyOf := func(in *ir.Instr) (int, bool) {
-		if isCand(in) {
-			return table.lookup(in.AssignKey())
-		}
-		return 0, false
-	}
-	gen, kill := genKillFor(f, g.N, table.size(), sp, km, keyOf)
+	km := buildKillMap(table.sample, sp, true)
+	g := graphOf(f)
+	gen, kill := genKillFor(f, table.size(), sp, km, keys)
 	must := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect,
 		Bits: table.size(), Gen: gen, Kill: kill}).Solve()
 
 	// Per variable, the list of candidate keys assigning it.
-	keysForVar := map[int][]int{}
+	keysForVar := make([][]int, sp.numVars)
 	for ki, c := range cands {
-		keysForVar[sp.indexOf(c.in.Dst)] = append(keysForVar[sp.indexOf(c.in.Dst)], ki)
+		v := sp.indexOf(c.in.Dst)
+		keysForVar[v] = append(keysForVar[v], ki)
 	}
 
 	changed := false
 	var buf []ir.Operand
+	avail := dataflow.NewBitSet(table.size())
+	n := 0
 	for bi, b := range f.Blocks {
-		avail := must.In[bi].Copy()
+		avail.CopyFrom(must.In[bi])
 		for pos := 0; pos < len(b.Instrs); pos++ {
 			in := b.Instrs[pos]
+			key := keys[n]
+			n++
 			if in.IsMarker() {
 				continue
 			}
 			// Find uses of candidate variables with an available
 			// defining assignment.
+			replaced := false
 			buf = in.Uses(buf[:0])
 			for _, u := range buf {
 				if u.Kind != ir.Var {
@@ -104,23 +109,28 @@ func AssignProp(f *ir.Func) bool {
 					rm.Stmt = in.Stmt
 					rm.OrigIdx = f.NextOrig()
 					rm.Ann = ir.Ann{ReplacedVar: def.Dst.Obj, InsertedBy: "assignprop"}
+					changed, replaced = true, true
 					// Copies of plain operands propagate the operand
 					// directly (classic copy/constant propagation): no new
 					// instruction, but the recovery link is preserved by
 					// the dead-marker operand recorded at DCE time.
 					if def.Kind == ir.Copy {
 						in.ReplaceUses(u, def.A)
-						changed = true
 						break
 					}
 					b.InsertBefore(pos, rm)
 					pos++
 					in.ReplaceUses(u, rm.Dst)
-					changed = true
 					break
 				}
 			}
-			stepAvail(avail, sp, km, in, table, keyOf)
+			if replaced { // its key may have changed
+				key = -1
+				if isCand(in) {
+					key = table.lookup(in.AssignKey())
+				}
+			}
+			stepAvail(avail, sp, km, in, key)
 		}
 	}
 	return changed

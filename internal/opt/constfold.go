@@ -301,133 +301,89 @@ func CopyProp(f *ir.Func) bool {
 // available-copies lattice. For constants==true it propagates X=const;
 // otherwise X=Y copies.
 func propagateAvailableCopies(f *ir.Func, constants bool) bool {
-	g, _ := graphOf(f)
 	sp := spaceOf(f)
 
-	// Collect candidate copy instructions.
-	type cand struct {
-		dst int // value index of X
-		src ir.Operand
-	}
+	// Collect candidate copy instructions, keying each once: keys[n] is
+	// the candidate index of the n-th instruction in block order, or -1.
+	// byDst[x] lists the candidates "X = ..." in ascending order.
 	table := newExprTable()
-	var cands []cand
+	var srcs []ir.Operand
+	keys := make([]int, 0, numInstrs(f))
+	byDst := make([][]int, sp.size())
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Kind != ir.Copy || !in.HasDst() {
-				continue
-			}
-			di := sp.indexOf(in.Dst)
-			if di < 0 {
-				continue
-			}
-			if constants {
-				if !in.A.IsConst() {
-					continue
-				}
-			} else {
-				if in.A.Kind != ir.Temp && in.A.Kind != ir.Var {
-					continue
+			ci := -1
+			if isCopyCand(sp, in, constants) {
+				ci = table.intern(in.AssignKey(), in)
+				if ci == len(srcs) {
+					srcs = append(srcs, in.A)
+					di := sp.indexOf(in.Dst)
+					byDst[di] = append(byDst[di], ci)
 				}
 			}
-			key := in.AssignKey()
-			if _, ok := table.lookup(key); !ok {
-				table.intern(key, in)
-				cands = append(cands, cand{dst: di, src: in.A})
-			}
+			keys = append(keys, ci)
 		}
 	}
-	if len(cands) == 0 {
+	if len(srcs) == 0 {
 		return false
 	}
 
 	// Availability: gen at the copy, kill at any def of X or (for copies)
 	// of Y, and at calls for values calls may change (none here: vars and
 	// temps are private to the function, so calls kill nothing).
-	nb := table.size()
-	gen := make([]*dataflow.BitSet, g.N)
-	kill := make([]*dataflow.BitSet, g.N)
-	killedBy := map[int][]int{}
-	for ci, c := range cands {
-		killedBy[c.dst] = append(killedBy[c.dst], ci)
-		if si := sp.indexOf(c.src); si >= 0 {
-			killedBy[si] = append(killedBy[si], ci)
-		}
-	}
-	for bi, b := range f.Blocks {
-		gen[bi] = dataflow.NewBitSet(nb)
-		kill[bi] = dataflow.NewBitSet(nb)
-		for _, in := range b.Instrs {
-			if in.HasDst() {
-				if di := sp.indexOf(in.Dst); di >= 0 {
-					for _, ci := range killedBy[di] {
-						gen[bi].Clear(ci)
-						kill[bi].Set(ci)
-					}
-				}
-			}
-			if ci, ok := copyCandIndex(table, sp, in, constants); ok {
-				gen[bi].Set(ci)
-				kill[bi].Clear(ci)
-			}
-		}
-	}
-	p := dataflow.Problem{
-		Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect, Bits: nb,
-		Gen: gen, Kill: kill,
-	}
-	res := p.Solve()
+	km := buildKillMap(table.sample, sp, true)
+	gen, kill := genKillFor(f, len(srcs), sp, km, keys)
+	res := (&dataflow.Problem{Graph: graphOf(f), Dir: dataflow.Forward, Meet: dataflow.Intersect,
+		Bits: len(srcs), Gen: gen, Kill: kill}).Solve()
 
 	// Walk each block with the incoming available set, replacing uses.
 	changed := false
 	var buf []ir.Operand
+	avail := dataflow.NewBitSet(len(srcs))
+	n := 0
 	for bi, b := range f.Blocks {
-		avail := res.In[bi].Copy()
+		avail.CopyFrom(res.In[bi])
 		for _, in := range b.Instrs {
-			// Replace uses whose source value has an available copy.
+			key := keys[n]
+			n++
+			// Replace uses whose source value has an available copy; the
+			// first available candidate wins.
+			replaced := false
 			buf = in.Uses(buf[:0])
 			for _, u := range buf {
 				ui := sp.indexOf(u)
 				if ui < 0 {
 					continue
 				}
-				for ci, c := range cands {
-					if c.dst != ui || !avail.Has(ci) {
+				for _, ci := range byDst[ui] {
+					if !avail.Has(ci) {
 						continue
 					}
-					if in.ReplaceUses(u, c.src) > 0 {
-						changed = true
+					if in.ReplaceUses(u, srcs[ci]) > 0 {
+						changed, replaced = true, true
 					}
 					break
 				}
 			}
-			// Transfer function.
-			if in.HasDst() {
-				if di := sp.indexOf(in.Dst); di >= 0 {
-					for _, ci := range killedBy[di] {
-						avail.Clear(ci)
-					}
+			if replaced { // its key may have changed
+				key = -1
+				if isCopyCand(sp, in, constants) {
+					key = table.lookup(in.AssignKey())
 				}
 			}
-			if ci, ok := copyCandIndex(table, sp, in, constants); ok {
-				avail.Set(ci)
-			}
+			stepAvail(avail, sp, km, in, key)
 		}
 	}
 	return changed
 }
 
-func copyCandIndex(t *exprTable, sp valueSpace, in *ir.Instr, constants bool) (int, bool) {
-	if in.Kind != ir.Copy || !in.HasDst() {
-		return 0, false
+// isCopyCand reports whether in is a copy the pass propagates.
+func isCopyCand(sp valueSpace, in *ir.Instr, constants bool) bool {
+	if in.Kind != ir.Copy || !in.HasDst() || sp.indexOf(in.Dst) < 0 {
+		return false
 	}
-	if sp.indexOf(in.Dst) < 0 {
-		return 0, false
+	if constants {
+		return in.A.IsConst()
 	}
-	if constants && !in.A.IsConst() {
-		return 0, false
-	}
-	if !constants && in.A.Kind != ir.Temp && in.A.Kind != ir.Var {
-		return 0, false
-	}
-	return t.lookup(in.AssignKey())
+	return in.A.Kind == ir.Temp || in.A.Kind == ir.Var
 }

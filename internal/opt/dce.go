@@ -14,18 +14,33 @@ import (
 // anything changed.
 func DCE(f *ir.Func) bool {
 	changedAny := false
+	var buf []ir.Operand
 	for {
 		changed := false
 		lv := computeLiveness(f)
+		live := dataflow.NewBitSet(lv.space.size())
 		for bi, b := range f.Blocks {
-			after := lv.liveAfter(f, bi)
+			// live holds the values live after b.Instrs[i]. Each
+			// instruction's original transfer is applied before it is
+			// rewritten or removed.
+			live.CopyFrom(lv.LiveOut[bi])
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := b.Instrs[i]
-				if !removableKind(in) || !in.HasDst() {
-					continue
+				k := -1
+				if in.HasDst() {
+					k = lv.space.indexOf(in.Dst)
 				}
-				k := lv.space.indexOf(in.Dst)
-				if k < 0 || after[i].Has(k) {
+				dead := k >= 0 && removableKind(in) && !live.Has(k)
+				if k >= 0 {
+					live.Clear(k)
+				}
+				buf = in.Uses(buf[:0])
+				for _, o := range buf {
+					if u := lv.space.indexOf(o); u >= 0 {
+						live.Set(u)
+					}
+				}
+				if !dead {
 					continue
 				}
 				// Dead assignment. Synthetic entry code (Stmt < 0) is
@@ -81,7 +96,11 @@ func FaintDCE(f *ir.Func) bool {
 
 	// strong[k]: value k is read by some needed instruction.
 	strong := make([]bool, sp.size())
-	needed := map[*ir.Instr]bool{}
+	// needed[bi][i] marks f.Blocks[bi].Instrs[i]; nothing moves while marking.
+	needed := make([][]bool, len(f.Blocks))
+	for bi, b := range f.Blocks {
+		needed[bi] = make([]bool, len(b.Instrs))
+	}
 	var buf []ir.Operand
 
 	sideEffecting := func(in *ir.Instr) bool {
@@ -94,9 +113,9 @@ func FaintDCE(f *ir.Func) bool {
 
 	for changed := true; changed; {
 		changed = false
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if needed[in] {
+		for bi, b := range f.Blocks {
+			for i, in := range b.Instrs {
+				if needed[bi][i] {
 					continue
 				}
 				need := sideEffecting(in)
@@ -108,7 +127,7 @@ func FaintDCE(f *ir.Func) bool {
 					}
 				}
 				if need {
-					needed[in] = true
+					needed[bi][i] = true
 					changed = true
 					buf = in.Uses(buf[:0])
 					for _, u := range buf {
@@ -122,10 +141,10 @@ func FaintDCE(f *ir.Func) bool {
 	}
 
 	removed := false
-	for _, b := range f.Blocks {
+	for bi, b := range f.Blocks {
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
-			if needed[in] || !removableKind(in) || !in.HasDst() {
+			if needed[bi][i] || !removableKind(in) || !in.HasDst() {
 				continue
 			}
 			if in.Dst.Kind == ir.Var && !in.Ann.Hoisted && !in.Ann.Sunk {
@@ -180,7 +199,7 @@ func ValidateMarkers(f *ir.Func) {
 	}
 
 	sp := spaceOf(f)
-	g, idx := graphOf(f)
+	g := graphOf(f)
 	n := len(f.Blocks)
 	gen := make([]*dataflow.BitSet, n)
 	for i, b := range f.Blocks {
@@ -198,7 +217,7 @@ func ValidateMarkers(f *ir.Func) {
 	// Writes are never killed — only whether a write has happened matters,
 	// not which one (a re-definition is handled by the debugger's clobber
 	// analysis).
-	entry := idx[f.Entry]
+	entry := max(blockIndex(f, f.Entry), 0)
 	ins := make([]*dataflow.BitSet, n)
 	outs := make([]*dataflow.BitSet, n)
 	for i := 0; i < n; i++ {

@@ -15,7 +15,7 @@ import (
 // dominates every loop exit, so it would have executed on every loop
 // traversal anyway.
 func LICM(f *ir.Func) bool {
-	g, _ := graphOf(f)
+	g := graphOf(f)
 	loops, depth := dataflow.FindLoops(g, 0)
 	for i, b := range f.Blocks {
 		b.LoopDepth = depth[i]
@@ -43,7 +43,7 @@ func LICM(f *ir.Func) bool {
 		if hoistLoop(f, g, dom, lv, sp, l) {
 			changed = true
 			// CFG changed (preheader inserted); recompute for the rest.
-			g, _ = graphOf(f)
+			g = graphOf(f)
 			dom = dataflow.Dominators(g, 0)
 			lv = computeLiveness(f)
 		}

@@ -18,7 +18,7 @@ import (
 func LoopInvert(f *ir.Func) bool {
 	changed := false
 	for rounds := 0; rounds < 16; rounds++ {
-		g, _ := graphOf(f)
+		g := graphOf(f)
 		loops, _ := dataflow.FindLoops(g, 0)
 		inverted := false
 		for _, l := range loops {

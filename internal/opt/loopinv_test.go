@@ -27,8 +27,6 @@ int main() {
 	// After inversion the latch ends in a conditional branch (the
 	// duplicated test), not a jump back to the header.
 	condLatches := 0
-	g, _ := graphOf(f)
-	_ = g
 	for _, b := range f.Blocks {
 		if tm := b.Term(); tm != nil && tm.Kind == ir.Br {
 			condLatches++

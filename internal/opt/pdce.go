@@ -38,7 +38,7 @@ func PDCE(f *ir.Func) bool {
 					continue
 				}
 				// Dst must be unused in the rest of this block.
-				if usedOrKilledBelow(b, pos+1, in.Dst, sp) {
+				if usedOrKilledBelow(b, pos+1, in.Dst) {
 					continue
 				}
 				s0 := blockIndex(f, b.Succs[0])
@@ -51,7 +51,7 @@ func PDCE(f *ir.Func) bool {
 				// Partially dead: V is wanted along exactly one edge.
 				// Operands of E must not be redefined between pos and the
 				// end of the block.
-				if operandsKilledBelow(b, pos+1, in, sp) {
+				if operandsKilledBelow(b, pos+1, in) {
 					continue
 				}
 				liveSucc := b.Succs[0]
@@ -138,7 +138,7 @@ func sinkable(in *ir.Instr) bool {
 
 // usedOrKilledBelow reports whether operand o is read or written by any
 // instruction in b at positions [from, len).
-func usedOrKilledBelow(b *ir.Block, from int, o ir.Operand, sp valueSpace) bool {
+func usedOrKilledBelow(b *ir.Block, from int, o ir.Operand) bool {
 	var buf []ir.Operand
 	for i := from; i < len(b.Instrs); i++ {
 		in := b.Instrs[i]
@@ -157,9 +157,9 @@ func usedOrKilledBelow(b *ir.Block, from int, o ir.Operand, sp valueSpace) bool 
 
 // operandsKilledBelow reports whether any operand read by `in` is redefined
 // in b at positions [from, len).
-func operandsKilledBelow(b *ir.Block, from int, in *ir.Instr, sp valueSpace) bool {
-	var uses []ir.Operand
-	uses = in.Uses(uses)
+func operandsKilledBelow(b *ir.Block, from int, in *ir.Instr) bool {
+	var buf [4]ir.Operand
+	uses := in.Uses(buf[:0])
 	for i := from; i < len(b.Instrs); i++ {
 		x := b.Instrs[i]
 		if !x.HasDst() {

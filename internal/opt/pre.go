@@ -57,9 +57,8 @@ func keyable(in *ir.Instr) bool {
 // selfRef reports whether in reads its own destination (e.g. x = x + 1);
 // such assignments never generate availability of their key.
 func selfRef(in *ir.Instr) bool {
-	var buf []ir.Operand
-	buf = in.Uses(buf)
-	for _, u := range buf {
+	var buf [4]ir.Operand
+	for _, u := range in.Uses(buf[:0]) {
 		if u.Same(in.Dst) {
 			return true
 		}
@@ -71,27 +70,26 @@ func selfRef(in *ir.Instr) bool {
 func preVarAssignments(f *ir.Func) bool {
 	sp := spaceOf(f)
 
-	// Collect assignment keys.
+	// Key every assignment once; keys[n] is the table index of the n-th
+	// instruction in block order, or -1.
 	table := newExprTable()
+	keys := make([]int, 0, numInstrs(f))
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
+			key := -1
 			if keyable(in) && in.Dst.Kind == ir.Var && !selfRef(in) && in.Kind != ir.Copy {
-				table.intern(in.AssignKey(), in)
+				key = table.intern(in.AssignKey(), in)
 			}
+			keys = append(keys, key)
 		}
 	}
 	if table.size() == 0 {
 		return false
 	}
-	km := buildKillMap(table, sp, true) // defs of V and of E's operands kill
+	km := buildKillMap(table.sample, sp, true) // defs of V and of E's operands kill
 
-	g, _ := graphOf(f)
-	gen, kill := genKillFor(f, g.N, table.size(), sp, km, func(in *ir.Instr) (int, bool) {
-		if keyable(in) && in.Dst.Kind == ir.Var && !selfRef(in) && in.Kind != ir.Copy {
-			return table.lookup(in.AssignKey())
-		}
-		return 0, false
-	})
+	g := graphOf(f)
+	gen, kill := genKillFor(f, table.size(), sp, km, keys)
 
 	must := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect,
 		Bits: table.size(), Gen: gen, Kill: kill}).Solve()
@@ -105,17 +103,17 @@ func preVarAssignments(f *ir.Func) bool {
 	}
 	var inserts []insertion
 
+	avail := dataflow.NewBitSet(table.size())
+	pav := dataflow.NewBitSet(table.size())
+	n := 0
 	for bi, b := range f.Blocks {
-		avail := must.In[bi].Copy()
-		pav := may.In[bi].Copy()
+		avail.CopyFrom(must.In[bi])
+		pav.CopyFrom(may.In[bi])
 		for pos := 0; pos < len(b.Instrs); pos++ {
 			in := b.Instrs[pos]
-			isCand := keyable(in) && in.Dst.Kind == ir.Var && !selfRef(in) && in.Kind != ir.Copy
-			var key int
-			if isCand {
-				key, _ = table.lookup(in.AssignKey())
-			}
-			if isCand && !in.Ann.Hoisted && !in.Ann.Sunk {
+			key := keys[n]
+			n++
+			if key >= 0 && !in.Ann.Hoisted && !in.Ann.Sunk {
 				if avail.Has(key) {
 					// Fully redundant source assignment: delete, leaving an
 					// availability marker (§3, "code deletion").
@@ -144,19 +142,8 @@ func preVarAssignments(f *ir.Func) bool {
 					}
 				}
 			}
-			// Transfer.
-			stepAvail(avail, sp, km, in, table, func(x *ir.Instr) (int, bool) {
-				if keyable(x) && x.Dst.Kind == ir.Var && !selfRef(x) && x.Kind != ir.Copy {
-					return table.lookup(x.AssignKey())
-				}
-				return 0, false
-			})
-			stepAvail(pav, sp, km, in, table, func(x *ir.Instr) (int, bool) {
-				if keyable(x) && x.Dst.Kind == ir.Var && !selfRef(x) && x.Kind != ir.Copy {
-					return table.lookup(x.AssignKey())
-				}
-				return 0, false
-			})
+			stepAvail(avail, sp, km, in, key)
+			stepAvail(pav, sp, km, in, key)
 		}
 	}
 
@@ -173,17 +160,11 @@ func preVarAssignments(f *ir.Func) bool {
 // upwardExposed reports whether the key's operands and destination are not
 // redefined in b before position pos (so edge insertion is equivalent to
 // executing the assignment at pos).
-func upwardExposed(b *ir.Block, pos int, sp valueSpace, km *killMap, key int) bool {
-	for i := 0; i < pos; i++ {
-		in := b.Instrs[i]
-		if !in.HasDst() {
-			continue
-		}
-		if di := sp.indexOf(in.Dst); di >= 0 {
-			for _, e := range km.killedBy[di] {
-				if e == key {
-					return false
-				}
+func upwardExposed(b *ir.Block, pos int, sp valueSpace, km killMap, key int) bool {
+	for _, in := range b.Instrs[:pos] {
+		for _, e := range km.killedByDef(sp, in) {
+			if e == key {
+				return false
 			}
 		}
 	}
@@ -191,46 +172,38 @@ func upwardExposed(b *ir.Block, pos int, sp valueSpace, km *killMap, key int) bo
 }
 
 // genKillFor builds per-block gen/kill sets for an availability problem
-// over nb expression keys.
-func genKillFor(f *ir.Func, nBlocks, nb int, sp valueSpace, km *killMap,
-	keyOf func(*ir.Instr) (int, bool)) (gen, kill []*dataflow.BitSet) {
-	gen = make([]*dataflow.BitSet, nBlocks)
-	kill = make([]*dataflow.BitSet, nBlocks)
+// over nb expression keys; keys[n] is the key the n-th instruction in
+// block order generates, or -1.
+func genKillFor(f *ir.Func, nb int, sp valueSpace, km killMap, keys []int) (gen, kill []*dataflow.BitSet) {
+	gen = make([]*dataflow.BitSet, len(f.Blocks))
+	kill = make([]*dataflow.BitSet, len(f.Blocks))
+	n := 0
 	for bi, b := range f.Blocks {
 		gen[bi] = dataflow.NewBitSet(nb)
 		kill[bi] = dataflow.NewBitSet(nb)
 		for _, in := range b.Instrs {
-			if in.HasDst() {
-				if di := sp.indexOf(in.Dst); di >= 0 {
-					for _, e := range km.killedBy[di] {
-						gen[bi].Clear(e)
-						kill[bi].Set(e)
-					}
-				}
+			for _, e := range km.killedByDef(sp, in) {
+				gen[bi].Clear(e)
+				kill[bi].Set(e)
 			}
-			if k, ok := keyOf(in); ok {
+			if k := keys[n]; k >= 0 {
 				gen[bi].Set(k)
 				kill[bi].Clear(k)
 			}
+			n++
 		}
 	}
 	return gen, kill
 }
 
-// stepAvail applies one instruction's transfer to an availability set.
-func stepAvail(s *dataflow.BitSet, sp valueSpace, km *killMap, in *ir.Instr,
-	_ *exprTable, keyOf func(*ir.Instr) (int, bool)) {
-	if in.HasDst() {
-		if di := sp.indexOf(in.Dst); di >= 0 {
-			for _, e := range km.killedBy[di] {
-				if e < s.Len() {
-					s.Clear(e)
-				}
-			}
-		}
+// stepAvail applies one instruction's transfer to an availability set:
+// in's definition kills, then key (if >= 0) is generated.
+func stepAvail(s *dataflow.BitSet, sp valueSpace, km killMap, in *ir.Instr, key int) {
+	for _, e := range km.killedByDef(sp, in) {
+		s.Clear(e)
 	}
-	if k, ok := keyOf(in); ok && k < s.Len() {
-		s.Set(k)
+	if key >= 0 {
+		s.Set(key)
 	}
 }
 
@@ -264,78 +237,83 @@ func insertOnEdge(f *ir.Func, from, to *ir.Block, instr *ir.Instr) {
 func cseTemps(f *ir.Func) bool {
 	sp := spaceOf(f)
 
-	// Key every candidate occurrence once, in block order; the loops
-	// below walk this list (or the blocks in the same order) instead of
-	// re-keying instructions.
-	type occurrence struct {
-		in  *ir.Instr
-		key ir.ExprKey
+	// Key every candidate occurrence once, in block order. recs holds one
+	// record per distinct key in first-occurrence order; occ[i] is the
+	// record of the i-th occurrence. Temp or var destinations both supply
+	// values; only multi-occurrence keys are worth a canonical temp.
+	type exprRec struct {
+		count  int
+		sample *ir.Instr
+		// dst is the temp every occurrence writes (e.g. from a previous CSE
+		// round), or NoOpd when the destinations are mixed or not a temp.
+		dst ir.Operand
+		idx int // table index, or -1 for a single occurrence
 	}
-	var occs []occurrence
-	// Count occurrences per expression key (temp or var destinations both
-	// supply values; only multi-occurrence keys are worth a canonical temp).
-	counts := map[ir.ExprKey]int{}
-	samples := map[ir.ExprKey]*ir.Instr{}
+	ni := numInstrs(f)
+	recOf := make(map[ir.ExprKey]int, ni/2)
+	var recs []exprRec
+	occ := make([]int, 0, ni)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if keyable(in) && in.Kind != ir.Copy {
-				k := in.ExprKey()
-				occs = append(occs, occurrence{in, k})
-				counts[k]++
-				if samples[k] == nil {
-					samples[k] = in
-				}
+			if !keyable(in) || in.Kind == ir.Copy {
+				continue
 			}
+			k := in.ExprKey()
+			ri, ok := recOf[k]
+			if !ok {
+				ri = len(recs)
+				recOf[k] = ri
+				recs = append(recs, exprRec{sample: in, dst: in.Dst})
+			}
+			r := &recs[ri]
+			r.count++
+			if in.Dst.Kind != ir.Temp || !r.dst.Same(in.Dst) {
+				r.dst = ir.Operand{}
+			}
+			occ = append(occ, ri)
 		}
-	}
-	table := newExprTable()
-	for _, o := range occs { // deterministic interning order
-		if counts[o.key] >= 2 {
-			table.intern(o.key, samples[o.key])
-		}
-	}
-	if table.size() == 0 {
-		return false
 	}
 
-	// Canonical temp per key. When every occurrence of a key already
-	// writes the same temp (e.g. from a previous CSE round), reuse it —
-	// otherwise each round would wrap another copy layer around the value.
-	sharedDst := map[ir.ExprKey]ir.Operand{}
-	for _, o := range occs {
-		if counts[o.key] < 2 {
+	// Canonical temp per key, in table order. When every occurrence of a
+	// key already writes the same temp, reuse it — otherwise each round
+	// would wrap another copy layer around the value.
+	var samples []*ir.Instr
+	var canon []ir.Operand
+	for ri := range recs {
+		r := &recs[ri]
+		r.idx = -1
+		if r.count < 2 {
 			continue
 		}
-		if prev, seen := sharedDst[o.key]; !seen {
-			sharedDst[o.key] = o.in.Dst
-		} else if !prev.Same(o.in.Dst) || o.in.Dst.Kind != ir.Temp {
-			sharedDst[o.key] = ir.Operand{} // mixed destinations
+		r.idx = len(samples)
+		samples = append(samples, r.sample)
+		c := r.dst
+		if c.Kind != ir.Temp {
+			c = f.NewTemp(r.sample.Dst.Ty)
 		}
+		canon = append(canon, c)
 	}
-	canon := make([]ir.Operand, table.size())
-	for i, s := range table.sample {
-		if d := sharedDst[table.keys[i]]; d.Kind == ir.Temp {
-			canon[i] = d
-		} else {
-			canon[i] = f.NewTemp(s.Dst.Ty)
-		}
+	if len(samples) == 0 {
+		return false
 	}
 
 	// Rewrite every occurrence "d = E" (d != canon) into
 	// "hE = E; d = copy hE" so availability implies the value sits in hE.
 	// Afterwards every keyed occurrence writes its canonical temp, and
-	// those that do not read it generate availability of their key.
-	gens := map[*ir.Instr]int{}
-	next := 0 // index into occs: the blocks are walked in the same order
+	// those that do not read it generate availability of their key:
+	// keys[n] is the key the n-th instruction in block order generates.
+	keys := make([]int, 0, ni+len(occ))
+	next := 0 // index into occ: the blocks are walked in the same order
 	for _, b := range f.Blocks {
 		for pos := 0; pos < len(b.Instrs); pos++ {
 			in := b.Instrs[pos]
+			keys = append(keys, -1)
 			if !keyable(in) || in.Kind == ir.Copy {
-				continue
+				continue // including the copies inserted below
 			}
-			key, ok := table.lookup(occs[next].key)
+			key := recs[occ[next]].idx
 			next++
-			if !ok {
+			if key < 0 {
 				continue
 			}
 			if !in.Dst.Same(canon[key]) {
@@ -348,26 +326,21 @@ func cseTemps(f *ir.Func) bool {
 				cp.Ann.InsertedBy = "cse"
 				in.Dst = canon[key]
 				b.InsertBefore(pos+1, cp)
-				pos++
 			}
 			if !selfRef(in) {
-				gens[in] = key
+				keys[len(keys)-1] = key
 			}
 		}
 	}
 
 	// Availability of keys now means "canon[key] holds the value".
-	km := buildKillMap(table, sp, false)
-	g, _ := graphOf(f)
-	keyOf := func(in *ir.Instr) (int, bool) {
-		k, ok := gens[in]
-		return k, ok
-	}
-	gen, kill := genKillFor(f, g.N, table.size(), sp, km, keyOf)
+	km := buildKillMap(samples, sp, false)
+	g := graphOf(f)
+	gen, kill := genKillFor(f, len(samples), sp, km, keys)
 	must := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect,
-		Bits: table.size(), Gen: gen, Kill: kill}).Solve()
+		Bits: len(samples), Gen: gen, Kill: kill}).Solve()
 	may := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Union,
-		Bits: table.size(), Gen: gen, Kill: kill}).Solve()
+		Bits: len(samples), Gen: gen, Kill: kill}).Solve()
 
 	changed := false
 	type insertion struct {
@@ -376,18 +349,21 @@ func cseTemps(f *ir.Func) bool {
 	}
 	var inserts []insertion
 
+	avail := dataflow.NewBitSet(len(samples))
+	pav := dataflow.NewBitSet(len(samples))
+	n := 0
 	for bi, b := range f.Blocks {
-		avail := must.In[bi].Copy()
-		pav := may.In[bi].Copy()
+		avail.CopyFrom(must.In[bi])
+		pav.CopyFrom(may.In[bi])
 		for pos := 0; pos < len(b.Instrs); pos++ {
 			in := b.Instrs[pos]
-			key, isCand := keyOf(in)
-			if isCand && !in.Ann.Hoisted {
+			key := keys[n]
+			n++
+			if key >= 0 && !in.Ann.Hoisted {
 				if avail.Has(key) {
 					// hE already holds the value: drop the recomputation.
 					// Temps are invisible to the user, so no marker is
-					// needed; but keep recovery annotations alive by
-					// moving them to the following copy if present.
+					// needed; the following copy got in.Ann at rewrite.
 					b.RemoveAt(pos)
 					pos--
 					changed = true
@@ -407,8 +383,8 @@ func cseTemps(f *ir.Func) bool {
 					}
 				}
 			}
-			stepAvail(avail, sp, km, in, table, keyOf)
-			stepAvail(pav, sp, km, in, table, keyOf)
+			stepAvail(avail, sp, km, in, key)
+			stepAvail(pav, sp, km, in, key)
 		}
 	}
 	for _, ins := range inserts {

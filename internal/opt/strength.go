@@ -21,7 +21,7 @@ import (
 //
 // Reports whether anything changed.
 func StrengthReduce(f *ir.Func) bool {
-	g, _ := graphOf(f)
+	g := graphOf(f)
 	loops, _ := dataflow.FindLoops(g, 0)
 	if len(loops) == 0 {
 		return false
@@ -31,7 +31,7 @@ func StrengthReduce(f *ir.Func) bool {
 	for _, l := range loops {
 		if reduceLoop(f, g, sp, l) {
 			changed = true
-			g, _ = graphOf(f)
+			g = graphOf(f)
 		}
 	}
 	return changed

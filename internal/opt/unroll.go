@@ -35,7 +35,7 @@ func transformInnermost(f *ir.Func, apply func(*ir.Func, dataflow.Graph, *datafl
 	// indices (blocks are added and unreachable ones removed), so loop
 	// discovery restarts after each change.
 	for round := 0; round < 64; round++ {
-		g, _ := graphOf(f)
+		g := graphOf(f)
 		loops, _ := dataflow.FindLoops(g, 0)
 		applied := false
 		for _, l := range loops {
