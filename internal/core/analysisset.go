@@ -71,7 +71,9 @@ func (s *AnalysisSet) SetCostHook(fn func(int64)) {
 
 // Precompute builds the analyses for every function of p with a bounded
 // worker pool, so sessions opened afterwards never pay the analysis cost
-// on their first breakpoint. workers <= 0 selects GOMAXPROCS.
+// on their first breakpoint. workers <= 0 selects GOMAXPROCS. With one
+// worker (or one function) it builds inline, with no goroutine or channel
+// hand-off per function.
 func (s *AnalysisSet) Precompute(p *mach.Program, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -79,7 +81,10 @@ func (s *AnalysisSet) Precompute(p *mach.Program, workers int) {
 	if n := len(p.Funcs); workers > n {
 		workers = n
 	}
-	if workers == 0 {
+	if workers <= 1 {
+		for _, f := range p.Funcs {
+			s.Of(f)
+		}
 		return
 	}
 	work := make(chan *mach.Func)

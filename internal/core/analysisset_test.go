@@ -63,3 +63,28 @@ func TestAnalysisSetPrecompute(t *testing.T) {
 		t.Fatalf("rebuilt analyses: built %d, want %d", got, want)
 	}
 }
+
+// TestAnalysisSetPrecomputeInline covers the one-worker path, which builds
+// on the caller's goroutine: every function is built once, and the set
+// answers with those analyses afterwards.
+func TestAnalysisSetPrecomputeInline(t *testing.T) {
+	res, err := compile.Compile("t.mc", setProg, compile.O2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewAnalysisSet()
+	s.Precompute(res.Mach, 1)
+	if got, want := s.Built(), int64(len(res.Mach.Funcs)); got != want {
+		t.Fatalf("inline precompute built %d, want %d", got, want)
+	}
+	before := make([]*Analysis, len(res.Mach.Funcs))
+	for i, f := range res.Mach.Funcs {
+		before[i] = s.Of(f)
+	}
+	s.Precompute(res.Mach, 1)
+	for i, f := range res.Mach.Funcs {
+		if s.Of(f) != before[i] {
+			t.Fatalf("%s: rebuilt by a second inline precompute", f.Name)
+		}
+	}
+}

@@ -31,6 +31,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -155,7 +156,6 @@ type Classification struct {
 // generation sites that establish the same recovery).
 type recEntity struct {
 	v    *ast.Object
-	gens map[*mach.Instr]bool
 	kind RecoveryKind
 	reg  mach.Opd // register to read (alias/linear); None for const
 	c    int64
@@ -164,7 +164,26 @@ type recEntity struct {
 	a, b int64
 }
 
+// sameRecovery reports whether e and x recover the same variable the same
+// way (the merge key of collect).
+func (e *recEntity) sameRecovery(x *recEntity) bool {
+	return e.v == x.v && e.kind == x.kind && e.reg == x.reg && e.c == x.c &&
+		e.cf == x.cf && e.a == x.a && e.b == x.b
+}
+
+// srcEntity is one individual endangerment source.
+type srcEntity struct {
+	v     *ast.Object
+	stmt  int
+	hoist bool // hoisted assignment (premature) vs dead marker (stale)
+}
+
 // Analysis holds the solved data-flow information for one function.
+//
+// Every table is indexed by position, not by pointer: blocks by their
+// index in Fn.Blocks, instructions by their flat position (block bi's
+// instruction i sits at start[bi]+i), variables by Object.ID. Each table
+// is one allocation per function.
 type Analysis struct {
 	Fn    *mach.Func
 	Table *debuginfo.Table
@@ -173,84 +192,62 @@ type Analysis struct {
 	numVars int
 	bits    int
 	ents    []recEntity
-	entOf   map[*mach.Instr]int
-
 	// srcEnts tracks individual endangerment sources (dead markers and
 	// hoisted assignments) so classifications can name the responsible
 	// source statements.
-	srcEnts  []srcEntity
-	srcEntOf map[*mach.Instr]int
+	srcEnts []srcEntity
 
-	// varsByLoc maps a physical location to the variables allocated to it
-	// (for residence clobber detection).
-	varsByLoc map[locKey][]*ast.Object
+	// blockPos[b.ID] is b's index in Fn.Blocks (see blockOf); start[bi]
+	// is the flat position of block bi's first instruction and
+	// start[len(Fn.Blocks)] the function's instruction count.
+	blockPos []int32
+	start    []int32
 
-	mayIn  []*dataflow.BitSet
-	mustIn []*dataflow.BitSet
+	// effs[effOff[p]:effOff[p+1]] is instruction p's cached transfer
+	// function, computed once at analysis time so every later consumer
+	// (block gen/kill construction, breakpoint prefix walks) replays it
+	// without recomputation: generated bits (>= 0) first, then killed
+	// bits stored as ^bit.
+	effOff []int32
+	effs   []int32
 
-	blockIdx map[*mach.Block]int
+	// in holds the solved block in-sets: block bi's may set is in[bi],
+	// its must set in[nblocks+bi].
+	in []dataflow.BitSet
 
-	// eff caches every instruction's gen/kill bits (eff[block][instr]),
-	// computed once by running the effects function at analysis time, so
-	// per-query set updates are plain loops over small int slices with no
-	// closure allocation.
-	eff [][]instrEffect
+	// bpSlot precomputes the may/must pair just before every breakpoint
+	// location in Table: slot start[bi]+bi+idx stands for instruction idx
+	// of block bi (idx clamped to the block length, so a block has
+	// len+1 slots) and holds the pair's index, or -1. Pair i is
+	// bpSets[2i] (may) and bpSets[2i+1] (must). All variables classified
+	// at a location share one read-only pair.
+	bpSlot []int32
+	bpSets []dataflow.BitSet
+	// stmtBP[s] is the pair for statement s (through Table.LocOf's
+	// fallback), so the classification hot path is two array loads with
+	// no hashing; -1 where the statement has no location.
+	stmtBP []int32
 
-	// bpSets precomputes the may/must set pair just before every
-	// breakpoint location in Table (there are at most NumStmts distinct
-	// locations), keyed by clamped instruction index. All variables
-	// classified at a statement share one read-only pair.
-	bpSets map[bpKey]setPair
-	// stmtMay/stmtMust are the same pairs viewed per statement (through
-	// Table.LocOf's fallback), so the classification hot path is two
-	// array loads with no hashing. nil where the statement has no
-	// location.
-	stmtMay  []*dataflow.BitSet
-	stmtMust []*dataflow.BitSet
-
-	// entsOfVar[v.ID] lists the recovery entities of each variable, so
-	// recovery selection does not scan unrelated entities per query.
-	entsOfVar [][]int32
+	// The recovery entities and endangerment sources of variable id are
+	// varEnts[varEntOff[id]:varEntOff[id+1]] and
+	// varSrcs[varSrcOff[id]:varSrcOff[id+1]], in index order, so
+	// per-variable work does not scan unrelated entities.
+	varEntOff, varEnts []int32
+	varSrcOff, varSrcs []int32
 
 	// Precomputed user-facing texts and recovery descriptors. Every one
 	// of these strings depends only on analysis-time facts (the variable,
 	// the recovery entity), so they are rendered once instead of once per
 	// query; the classifier's dynamic texts (endangerment warnings with
-	// statement lists) remain rendered at query time.
+	// statement lists) remain rendered at query time. The strings are
+	// substrings of one buffer, and the four text slices views of texts.
+	texts     []string
+	textCap   int        // capacity of the buffer the texts are cut from
 	uninitWhy []string   // per var ID
 	nonresWhy []string   // per var ID
 	consWhy   []string   // per var ID (ConservativeHoist mode only)
-	recovered []Recovery // per entity; Classification.Recovered aliases these
 	recWhy    []string   // per entity
-}
-
-// instrEffect is one instruction's cached transfer function: the bits it
-// generates and kills. Within one instruction the two lists are disjoint
-// by construction of effects, so application order between them does not
-// matter.
-type instrEffect struct {
-	gen, kill []int32
-}
-
-type bpKey struct {
-	block *mach.Block
-	idx   int
-}
-
-type setPair struct {
-	may, must *dataflow.BitSet
-}
-
-type locKey struct {
-	class mach.RegClass
-	r     int
-}
-
-// srcEntity is one individual endangerment source.
-type srcEntity struct {
-	v     *ast.Object
-	in    *mach.Instr
-	hoist bool // hoisted assignment (premature) vs dead marker (stale)
+	recovered []Recovery // per entity; Classification.Recovered aliases these
 }
 
 // bit layout: init | hoist | dead | res | recovery entities | src entities
@@ -258,8 +255,18 @@ func (a *Analysis) initBit(v *ast.Object) int  { return v.ID }
 func (a *Analysis) hoistBit(v *ast.Object) int { return a.numVars + v.ID }
 func (a *Analysis) deadBit(v *ast.Object) int  { return 2*a.numVars + v.ID }
 func (a *Analysis) resBit(v *ast.Object) int   { return 3*a.numVars + v.ID }
-func (a *Analysis) entBit(e int) int           { return 4*a.numVars + e }
-func (a *Analysis) srcBit(e int) int           { return 4*a.numVars + len(a.ents) + e }
+func (a *Analysis) entBit(e int32) int         { return 4*a.numVars + int(e) }
+func (a *Analysis) srcBit(e int32) int         { return 4*a.numVars + len(a.ents) + int(e) }
+
+// entsOf and srcsOf list the recovery entities and endangerment sources
+// filed under v's ID.
+func (a *Analysis) entsOf(v *ast.Object) []int32 {
+	return a.varEnts[a.varEntOff[v.ID]:a.varEntOff[v.ID+1]]
+}
+
+func (a *Analysis) srcsOf(v *ast.Object) []int32 {
+	return a.varSrcs[a.varSrcOff[v.ID]:a.varSrcOff[v.ID+1]]
+}
 
 // Options adjust the classifier.
 type Options struct {
@@ -279,130 +286,545 @@ func Analyze(f *mach.Func) *Analysis { return AnalyzeWith(f, Options{}) }
 // AnalyzeWith is Analyze with explicit options.
 func AnalyzeWith(f *mach.Func, opts Options) *Analysis {
 	a := &Analysis{
-		Fn:        f,
-		Table:     debuginfo.Build(f),
-		opts:      opts,
-		numVars:   len(f.Decl.Locals),
-		entOf:     map[*mach.Instr]int{},
-		varsByLoc: map[locKey][]*ast.Object{},
-		blockIdx:  map[*mach.Block]int{},
+		Fn:      f,
+		Table:   debuginfo.Build(f),
+		opts:    opts,
+		numVars: len(f.Decl.Locals),
 	}
-	for i, b := range f.Blocks {
-		a.blockIdx[b] = i
-	}
-	if f.Allocated {
-		for v, loc := range f.VarLoc {
-			if loc.Kind == mach.LocReg {
-				k := locKey{loc.Class, loc.R}
-				a.varsByLoc[k] = append(a.varsByLoc[k], v)
-			}
-		}
-	}
-	a.collectEntities()
-	a.collectSrcEntities()
+	b := newBuilder(a)
+	b.collect()
 	a.bits = 4*a.numVars + len(a.ents) + len(a.srcEnts)
-	a.buildEffectCache()
+	b.index()
+	b.buildEffects()
 	a.solve()
 	a.buildBreakpointTables()
 	a.buildStaticTexts()
 	return a
 }
 
-// buildStaticTexts renders every query-independent piece of a
-// classification once: per-variable warning texts, per-entity Recovery
-// descriptors and their recovery texts, and the per-variable entity
-// index.
-func (a *Analysis) buildStaticTexts() {
-	locals := a.Fn.Decl.Locals
-	a.uninitWhy = make([]string, a.numVars)
-	a.nonresWhy = make([]string, a.numVars)
-	if a.opts.ConservativeHoist {
-		a.consWhy = make([]string, a.numVars)
+// builder holds the scratch tables AnalyzeWith needs only while it runs.
+type builder struct {
+	a *Analysis
+	// entAt[p] and srcAt[p] are the recovery entity and the endangerment
+	// source instruction p generates, or -1.
+	entAt, srcAt []int32
+	// The variables allocated to register key k (see regKey) are
+	// regVars[regVarOff[k]:regVarOff[k+1]]; the recovery entities whose
+	// source is that register, regEnts[regEntOff[k]:regEntOff[k+1]].
+	regVarOff, regEntOff []int32
+	regVars              []*ast.Object
+	regEnts              []int32
+	kills                []int32 // the current instruction's killed bits
+}
+
+func newBuilder(a *Analysis) *builder {
+	f := a.Fn
+	maxID := -1
+	for _, blk := range f.Blocks {
+		maxID = max(maxID, blk.ID)
 	}
-	for _, v := range locals {
-		a.uninitWhy[v.ID] = fmt.Sprintf("%s has not been assigned on any path to this breakpoint", v.Name)
-		a.nonresWhy[v.ID] = fmt.Sprintf("the register assigned to %s may hold another value here", v.Name)
-		if a.consWhy != nil {
-			a.consWhy[v.ID] = fmt.Sprintf("%s may have been updated by hoisted code (conservative mode)", v.Name)
+	a.blockPos = make([]int32, maxID+1)
+	a.start = make([]int32, len(f.Blocks)+1)
+	for i, blk := range f.Blocks {
+		if blk.ID >= 0 {
+			a.blockPos[blk.ID] = int32(i)
+		}
+		a.start[i+1] = a.start[i] + int32(len(blk.Instrs))
+	}
+	n := int(a.start[len(f.Blocks)])
+	at := make([]int32, 2*n)
+	for i := range at {
+		at[i] = -1
+	}
+	return &builder{a: a, entAt: at[:n:n], srcAt: at[n:]}
+}
+
+// blockOf returns b's index in Fn.Blocks and whether b is one of them; a
+// block outside the function maps to index 0.
+func (a *Analysis) blockOf(b *mach.Block) (int, bool) {
+	if id := b.ID; id >= 0 && id < len(a.blockPos) && a.Fn.Blocks[a.blockPos[id]] == b {
+		return int(a.blockPos[id]), true
+	}
+	return 0, false
+}
+
+// regKey numbers a register (class, number) for the builder's register
+// tables; -1 for an operand outside them.
+func regKey(class mach.RegClass, r int) int {
+	if r < 0 || class < 0 || class > mach.FloatClass {
+		return -1
+	}
+	return 2*r + int(class)
+}
+
+// bucket groups items 0..n-1 by key(i) in [0, k) (items with a key
+// outside that range are left out) and returns per-key offsets into the
+// item list, items in increasing order within each key.
+func bucket(k, n int, key func(i int) int) (off, items []int32) {
+	off = make([]int32, k+1)
+	for i := 0; i < n; i++ {
+		if x := key(i); x >= 0 && x < k {
+			off[x+1]++
 		}
 	}
-	a.recovered = make([]Recovery, len(a.ents))
-	a.recWhy = make([]string, len(a.ents))
-	a.entsOfVar = make([][]int32, a.numVars)
-	for ei := range a.ents {
-		e := &a.ents[ei]
-		a.recovered[ei] = Recovery{Kind: e.kind, Reg: e.reg, C: e.c, CF: e.cf, IsF: e.isF, A: e.a, B: e.b}
-		a.recWhy[ei] = recoveryText(e.v, &a.recovered[ei])
-		a.entsOfVar[e.v.ID] = append(a.entsOfVar[e.v.ID], int32(ei))
+	for x := 0; x < k; x++ {
+		off[x+1] += off[x]
+	}
+	items = make([]int32, off[k])
+	// Fill every key's range from its end, walking the items backwards;
+	// off[x+1] ends at key x's start, so shift it down one place.
+	for i := n - 1; i >= 0; i-- {
+		if x := key(i); x >= 0 && x < k {
+			off[x+1]--
+			items[off[x+1]] = int32(i)
+		}
+	}
+	copy(off[:k], off[1:])
+	off[k] = int32(len(items))
+	return off, items
+}
+
+// collect finds every recovery source and every endangerment source in
+// the final code.
+//
+// Recovery sources that recover the same variable the same way (same
+// register, same linear formula or constant) are merged into one
+// data-flow entity with several generation sites — e.g. the preheader
+// initialization and the in-loop bump of a strength-reduced temporary
+// both establish the same recovery of the eliminated induction variable.
+//
+// Every dead marker and hoisted source assignment is an individually
+// tracked endangerment source.
+func (b *builder) collect() {
+	a := b.a
+	// last[id] is the newest entity of variable id and prev[e] the one
+	// before entity e, so a merge scans only the variable's own entities.
+	last := make([]int32, a.numVars)
+	for i := range last {
+		last[i] = -1
+	}
+	var prev []int32
+	var e recEntity
+	p := 0
+	for _, blk := range a.Fn.Blocks {
+		for _, in := range blk.Instrs {
+			if recoveryOf(in, &e) {
+				ei := last[e.v.ID]
+				for ei >= 0 && !a.ents[ei].sameRecovery(&e) {
+					ei = prev[ei]
+				}
+				if ei < 0 {
+					ei = int32(len(a.ents))
+					a.ents = append(a.ents, e)
+					prev = append(prev, last[e.v.ID])
+					last[e.v.ID] = ei
+				}
+				b.entAt[p] = ei
+			}
+			switch {
+			case in.Op == mach.MARKDEAD && in.Stmt >= 0:
+				b.srcAt[p] = int32(len(a.srcEnts))
+				a.srcEnts = append(a.srcEnts, srcEntity{v: in.MarkObj, stmt: in.Stmt})
+			case in.DefObj != nil && in.Ann.Hoisted && in.Stmt >= 0:
+				b.srcAt[p] = int32(len(a.srcEnts))
+				a.srcEnts = append(a.srcEnts, srcEntity{v: in.DefObj, stmt: in.Stmt, hoist: true})
+			}
+			p++
+		}
 	}
 }
 
-// buildEffectCache runs the effects function once per instruction and
-// records the resulting gen/kill bits, so every later consumer (block
-// gen/kill construction, per-breakpoint prefix walks) replays them
-// without recomputation or closures.
-func (a *Analysis) buildEffectCache() {
-	a.eff = make([][]instrEffect, len(a.Fn.Blocks))
-	var cur *instrEffect
-	gen := func(bit int) { cur.gen = append(cur.gen, int32(bit)) }
-	kill := func(bit int) { cur.kill = append(cur.kill, int32(bit)) }
-	for bi, b := range a.Fn.Blocks {
-		effs := make([]instrEffect, len(b.Instrs))
-		for ii, in := range b.Instrs {
-			cur = &effs[ii]
-			a.effects(in, gen, kill)
+// recoveryOf reports whether in establishes a recovery source, and if
+// so sets *e to it.
+func recoveryOf(in *mach.Instr, e *recEntity) bool {
+	switch {
+	case in.Op == mach.MARKDEAD && in.MarkAlias.Kind != mach.None:
+		*e = recEntity{v: in.MarkObj}
+		switch in.MarkAlias.Kind {
+		case mach.Imm:
+			e.kind = RecoverConst
+			e.c = in.MarkAlias.Imm
+		case mach.FImm:
+			e.kind = RecoverConst
+			e.cf = in.MarkAlias.F
+			e.isF = true
+		case mach.Reg:
+			e.kind = RecoverAlias
+			e.reg = in.MarkAlias
 		}
-		a.eff[bi] = effs
+		return true
+
+	case in.Ann.Recover != nil && in.Ann.Recover.Var != nil && in.Dst.IsReg():
+		*e = recEntity{
+			v: in.Ann.Recover.Var, kind: RecoverLinear,
+			reg: in.Dst, a: in.Ann.Recover.A, b: in.Ann.Recover.B,
+		}
+		return true
+
+	case in.Ann.ReplacedVar != nil && in.Dst.IsReg():
+		*e = recEntity{v: in.Ann.ReplacedVar, kind: RecoverAlias, reg: in.Dst}
+		return true
 	}
+	return false
+}
+
+// index files the entities and sources by variable, and the entities
+// and the allocated variables by register.
+func (b *builder) index() {
+	a := b.a
+	a.varEntOff, a.varEnts = bucket(a.numVars, len(a.ents), func(i int) int { return a.ents[i].v.ID })
+	a.varSrcOff, a.varSrcs = bucket(a.numVars, len(a.srcEnts), func(i int) int { return a.srcEnts[i].v.ID })
+
+	type regVar struct {
+		v   *ast.Object
+		key int
+	}
+	var vars []regVar
+	if a.Fn.Allocated {
+		vars = make([]regVar, 0, len(a.Fn.VarLoc))
+		for v, loc := range a.Fn.VarLoc {
+			if loc.Kind == mach.LocReg {
+				vars = append(vars, regVar{v, regKey(loc.Class, loc.R)})
+			}
+		}
+	}
+	entKey := func(i int) int {
+		if r := a.ents[i].reg; r.IsReg() {
+			return regKey(r.Class, r.R)
+		}
+		return -1
+	}
+	k := 0
+	for _, rv := range vars {
+		k = max(k, rv.key+1)
+	}
+	for i := range a.ents {
+		k = max(k, entKey(i)+1)
+	}
+	var order []int32
+	b.regVarOff, order = bucket(k, len(vars), func(i int) int { return vars[i].key })
+	b.regVars = make([]*ast.Object, len(order))
+	for j, i := range order {
+		b.regVars[j] = vars[i].v
+	}
+	b.regEntOff, b.regEnts = bucket(k, len(a.ents), entKey)
+}
+
+// onReg returns the variables allocated to register d and the entities
+// whose source is d's register number and class.
+func (b *builder) onReg(d mach.Opd) (vars []*ast.Object, ents []int32) {
+	k := regKey(d.Class, d.R)
+	if k < 0 || k+1 >= len(b.regVarOff) {
+		return nil, nil
+	}
+	return b.regVars[b.regVarOff[k]:b.regVarOff[k+1]], b.regEnts[b.regEntOff[k]:b.regEntOff[k+1]]
+}
+
+// buildEffects runs the effects function once per instruction and
+// records the resulting bits in the effect arena.
+func (b *builder) buildEffects() {
+	a := b.a
+	n := len(b.entAt)
+	a.effOff = make([]int32, n+1)
+	a.effs = make([]int32, 0, 6*n) // about five bits per instruction on the randprog corpus
+	p := 0
+	for _, blk := range a.Fn.Blocks {
+		for _, in := range blk.Instrs {
+			b.effects(p, in)
+			for _, bit := range b.kills {
+				a.effs = append(a.effs, ^bit)
+			}
+			b.kills = b.kills[:0]
+			p++
+			a.effOff[p] = int32(len(a.effs))
+		}
+	}
+}
+
+// gen and kill record one bit of the current instruction's effect.
+func (b *builder) gen(bit int)  { b.a.effs = append(b.a.effs, int32(bit)) }
+func (b *builder) kill(bit int) { b.kills = append(b.kills, int32(bit)) }
+
+// effects computes the bits generated and killed by instruction in, at
+// flat position p.
+func (b *builder) effects(p int, in *mach.Instr) {
+	a := b.a
+	switch in.Op {
+	case mach.MARKDEAD:
+		v := in.MarkObj
+		b.gen(a.initBit(v))
+		b.gen(a.deadBit(v))
+		// A newly eliminated assignment changes V's *expected* value:
+		// recovery sources established for the previous value are stale,
+		// and so are older dead-source attributions.
+		for _, ei := range a.entsOf(v) {
+			if a.ents[ei].v == v && b.entAt[p] != ei {
+				b.kill(a.entBit(ei))
+			}
+		}
+		for _, si := range a.srcsOf(v) {
+			if s := &a.srcEnts[si]; s.v == v && !s.hoist && b.srcAt[p] != si {
+				b.kill(a.srcBit(si))
+			}
+		}
+		if e := b.entAt[p]; e >= 0 {
+			b.gen(a.entBit(e))
+		}
+		if s := b.srcAt[p]; s >= 0 {
+			b.gen(a.srcBit(s))
+		}
+		return
+	case mach.MARKAVAIL:
+		v := in.MarkObj
+		b.gen(a.initBit(v))
+		b.kill(a.hoistBit(v))
+		b.kill(a.deadBit(v))
+		// V's location holds the (already computed) value: it is
+		// authoritative again.
+		for _, ei := range a.entsOf(v) {
+			if a.ents[ei].v == v {
+				b.kill(a.entBit(ei))
+			}
+		}
+		for _, si := range a.srcsOf(v) {
+			if a.srcEnts[si].v == v {
+				b.kill(a.srcBit(si))
+			}
+		}
+		return
+	}
+
+	// Clobbers: writing a physical register destroys the residence of the
+	// other variables allocated to it and invalidates recovery entities
+	// whose alias lives there.
+	if d := in.Def(); d.IsReg() {
+		vars, ents := b.onReg(d)
+		for _, w := range vars {
+			if w != in.DefObj {
+				b.kill(a.resBit(w))
+			}
+		}
+		for _, ei := range ents {
+			if a.ents[ei].reg.Same(d) && b.entAt[p] != ei {
+				b.kill(a.entBit(ei))
+			}
+		}
+	}
+
+	// Real definition of a source variable.
+	if v := in.DefObj; v != nil {
+		b.gen(a.initBit(v))
+		b.gen(a.resBit(v))
+		if in.Ann.Hoisted {
+			// Hoisted assignment: V updated prematurely (Figure 2's E3).
+			b.gen(a.hoistBit(v))
+			b.kill(a.deadBit(v))
+			for _, si := range a.srcsOf(v) {
+				if a.srcEnts[si].v == v && b.srcAt[p] != si {
+					b.kill(a.srcBit(si))
+				}
+			}
+			if s := b.srcAt[p]; s >= 0 {
+				b.gen(a.srcBit(s))
+			}
+		} else {
+			b.kill(a.hoistBit(v))
+			b.kill(a.deadBit(v))
+			for _, si := range a.srcsOf(v) {
+				if a.srcEnts[si].v == v {
+					b.kill(a.srcBit(si))
+				}
+			}
+		}
+		// A fresh real value supersedes stale recovery info for V.
+		for _, ei := range a.entsOf(v) {
+			if a.ents[ei].v == v && b.entAt[p] != ei {
+				b.kill(a.entBit(ei))
+			}
+		}
+	}
+
+	// Recovery generation (alias / linear); also kills the dead reach of
+	// the recovered variable (§2.5: "In all cases, the dead reach of V is
+	// killed by E").
+	if e := b.entAt[p]; e >= 0 {
+		b.gen(a.entBit(e))
+		b.kill(a.deadBit(a.ents[e].v))
+	}
+}
+
+// applyEffect folds instruction p's cached effects into a running
+// may/must pair: generated bits appear in both, killed bits leave both.
+func (a *Analysis) applyEffect(p int, may, must *dataflow.BitSet) {
+	for _, x := range a.effs[a.effOff[p]:a.effOff[p+1]] {
+		if x >= 0 {
+			may.Set(int(x))
+			must.Set(int(x))
+		} else {
+			may.Clear(int(^x))
+			must.Clear(int(^x))
+		}
+	}
+}
+
+// solve builds per-block gen/kill sets and runs the may and must problems.
+func (a *Analysis) solve() {
+	f := a.Fn
+	n := len(f.Blocks)
+	// One edge array backs every block's successor and predecessor list;
+	// predecessors are listed in block order.
+	nEdges := 0
+	for _, blk := range f.Blocks {
+		nEdges += len(blk.Succs)
+	}
+	edges := make([]int, 2*nEdges)
+	lists := make([][]int, 2*n)
+	graph := dataflow.Graph{N: n, Succs: lists[:n:n], Preds: lists[n:]}
+	predOff := make([]int, n+1)
+	e := 0
+	for i, blk := range f.Blocks {
+		for _, s := range blk.Succs {
+			si, _ := a.blockOf(s)
+			edges[e] = si
+			e++
+			predOff[si+1]++
+		}
+		graph.Succs[i] = edges[e-len(blk.Succs) : e : e]
+	}
+	for i := 0; i < n; i++ {
+		predOff[i+1] += predOff[i]
+	}
+	preds := edges[nEdges:]
+	for i := range f.Blocks {
+		for _, si := range graph.Succs[i] {
+			preds[predOff[si]] = i
+			predOff[si]++
+		}
+	}
+	for si := n - 1; si >= 0; si-- {
+		lo := 0
+		if si > 0 {
+			lo = predOff[si-1]
+		}
+		if lo < predOff[si] {
+			graph.Preds[si] = preds[lo:predOff[si]:predOff[si]]
+		}
+	}
+
+	sets := dataflow.NewBitSets(2*n, a.bits)
+	ptrs := make([]*dataflow.BitSet, 2*n)
+	for i := range ptrs {
+		ptrs[i] = &sets[i]
+	}
+	gen, kill := ptrs[:n:n], ptrs[n:]
+	for i := range f.Blocks {
+		g, k := gen[i], kill[i]
+		for p := a.start[i]; p < a.start[i+1]; p++ {
+			for _, x := range a.effs[a.effOff[p]:a.effOff[p+1]] {
+				if x >= 0 {
+					g.Set(int(x))
+					k.Clear(int(x))
+				} else {
+					k.Set(int(^x))
+					g.Clear(int(^x))
+				}
+			}
+		}
+	}
+
+	may := (&dataflow.Problem{Graph: graph, Dir: dataflow.Forward, Meet: dataflow.Union,
+		Bits: a.bits, Gen: gen, Kill: kill}).Solve()
+	must := (&dataflow.Problem{Graph: graph, Dir: dataflow.Forward, Meet: dataflow.Intersect,
+		Bits: a.bits, Gen: gen, Kill: kill}).Solve()
+	a.in = dataflow.NewBitSets(2*n, a.bits)
+	for i := 0; i < n; i++ {
+		a.in[i].CopyFrom(may.In[i])
+		a.in[n+i].CopyFrom(must.In[i])
+	}
+}
+
+// blockIn returns block bi's solved may and must in-sets.
+func (a *Analysis) blockIn(bi int) (may, must *dataflow.BitSet) {
+	return &a.in[bi], &a.in[len(a.Fn.Blocks)+bi]
+}
+
+// slotOf returns the breakpoint slot of loc (see bpSlot); ok is false
+// when loc's block is not one of the function's.
+func (a *Analysis) slotOf(loc debuginfo.Loc) (slot int, ok bool) {
+	bi, ok := a.blockOf(loc.Block)
+	return int(a.start[bi]) + bi + clampIdx(loc), ok
 }
 
 // buildBreakpointTables precomputes the may/must sets just before every
 // distinct breakpoint location the debug table can answer with, so
-// classification queries are a map lookup instead of a block-prefix walk.
-// Indexes are clamped to the block length up front: a location one past
-// the last instruction (a breakpoint on a block's fall-through edge) sees
-// the whole block's effects, and anything beyond that is treated the same
-// rather than read out of bounds.
+// classification queries are an array load instead of a block-prefix
+// walk. Indexes are clamped to the block length up front: a location one
+// past the last instruction (a breakpoint on a block's fall-through edge)
+// sees the whole block's effects, and anything beyond that is treated the
+// same rather than read out of bounds.
 func (a *Analysis) buildBreakpointTables() {
-	a.bpSets = make(map[bpKey]setPair)
-	wanted := map[*mach.Block][]int{}
-	for s := 0; s < a.Table.NumStmts; s++ {
-		// Every instance of the statement is an armable breakpoint
-		// location (unroll/peel clones included), so each one gets a
-		// precomputed pair.
-		for _, loc := range a.Table.InstancesOf(s) {
-			k := bpKey{loc.Block, clampIdx(loc)}
-			if _, dup := a.bpSets[k]; dup {
-				continue
+	f, t := a.Fn, a.Table
+	nb := len(f.Blocks)
+	a.bpSlot = make([]int32, int(a.start[nb])+nb)
+	for i := range a.bpSlot {
+		a.bpSlot[i] = -1
+	}
+	// Every instance of a statement is an armable breakpoint location
+	// (unroll/peel clones included), so each one gets a pair; mark the
+	// slots first, then number them in block and instruction order.
+	count := 0
+	for s := 0; s < t.NumStmts; s++ {
+		for _, loc := range t.InstancesOf(s) {
+			if k, ok := a.slotOf(loc); ok && a.bpSlot[k] < 0 {
+				a.bpSlot[k] = 0
+				count++
 			}
-			a.bpSets[k] = setPair{} // reserve; filled below
-			wanted[loc.Block] = append(wanted[loc.Block], k.idx)
 		}
 	}
-	for blk, idxs := range wanted {
-		sort.Ints(idxs)
-		bi := a.blockIdx[blk]
-		may := a.mayIn[bi].Copy()
-		must := a.mustIn[bi].Copy()
-		i := 0
-		for _, idx := range idxs {
-			for ; i < idx; i++ {
-				applyEffect(&a.eff[bi][i], may, must)
+	a.bpSets = dataflow.NewBitSets(2*count+2, a.bits)
+	may, must := &a.bpSets[2*count], &a.bpSets[2*count+1] // running pair
+	next := int32(0)
+	for bi := range f.Blocks {
+		row := a.bpSlot[int(a.start[bi])+bi : int(a.start[bi+1])+bi+1]
+		last := -1
+		for idx, x := range row {
+			if x >= 0 {
+				last = idx
 			}
-			a.bpSets[bpKey{blk, idx}] = setPair{may: may.Copy(), must: must.Copy()}
 		}
-	}
-	// Per-statement view of the same pairs (through LocOf's fallback to
-	// the next located statement).
-	a.stmtMay = make([]*dataflow.BitSet, a.Table.NumStmts)
-	a.stmtMust = make([]*dataflow.BitSet, a.Table.NumStmts)
-	for s := 0; s < a.Table.NumStmts; s++ {
-		loc, ok := a.Table.LocOf(s)
-		if !ok {
+		if last < 0 {
 			continue
 		}
-		p := a.bpSets[bpKey{loc.Block, clampIdx(loc)}]
-		a.stmtMay[s], a.stmtMust[s] = p.may, p.must
+		in0, in1 := a.blockIn(bi)
+		may.CopyFrom(in0)
+		must.CopyFrom(in1)
+		for idx := 0; ; idx++ {
+			if row[idx] >= 0 {
+				row[idx] = next
+				a.bpSets[2*next].CopyFrom(may)
+				a.bpSets[2*next+1].CopyFrom(must)
+				next++
+			}
+			if idx == last {
+				break
+			}
+			a.applyEffect(int(a.start[bi])+idx, may, must)
+		}
+	}
+	a.bpSets = a.bpSets[:2*count] // the running pair stays in the slab's capacity
+	// Per-statement view of the same pairs, through LocOf's fallback to
+	// the next statement with its own location.
+	a.stmtBP = make([]int32, t.NumStmts)
+	cur := int32(-1)
+	for s := t.NumStmts - 1; s >= 0; s-- {
+		if t.HasOwnLoc(s) {
+			loc, _ := t.LocOf(s)
+			cur = -1
+			if k, ok := a.slotOf(loc); ok {
+				cur = a.bpSlot[k]
+			}
+		}
+		a.stmtBP[s] = cur
 	}
 }
 
@@ -414,250 +836,6 @@ func clampIdx(loc debuginfo.Loc) int {
 	return loc.Idx
 }
 
-// applyEffect folds one instruction's cached effects into a running
-// may/must pair: generated bits appear in both, killed bits leave both.
-func applyEffect(e *instrEffect, may, must *dataflow.BitSet) {
-	for _, bit := range e.gen {
-		may.Set(int(bit))
-		must.Set(int(bit))
-	}
-	for _, bit := range e.kill {
-		may.Clear(int(bit))
-		must.Clear(int(bit))
-	}
-}
-
-// collectSrcEntities registers every dead marker and hoisted source
-// assignment as an individually-tracked endangerment source.
-func (a *Analysis) collectSrcEntities() {
-	a.srcEntOf = map[*mach.Instr]int{}
-	for _, b := range a.Fn.Blocks {
-		for _, in := range b.Instrs {
-			switch {
-			case in.Op == mach.MARKDEAD && in.Stmt >= 0:
-				a.srcEntOf[in] = len(a.srcEnts)
-				a.srcEnts = append(a.srcEnts, srcEntity{v: in.MarkObj, in: in})
-			case in.DefObj != nil && in.Ann.Hoisted && in.Stmt >= 0:
-				a.srcEntOf[in] = len(a.srcEnts)
-				a.srcEnts = append(a.srcEnts, srcEntity{v: in.DefObj, in: in, hoist: true})
-			}
-		}
-	}
-}
-
-// collectEntities finds every recovery source in the final code. Sources
-// that recover the same variable the same way (same register, same linear
-// formula or constant) are merged into one data-flow entity with several
-// generation sites — e.g. the preheader initialization and the in-loop
-// bump of a strength-reduced temporary both establish the same recovery
-// of the eliminated induction variable.
-func (a *Analysis) collectEntities() {
-	type entKey struct {
-		v    *ast.Object
-		kind RecoveryKind
-		reg  mach.Opd
-		c    int64
-		cf   float64
-		la   int64
-		lb   int64
-	}
-	index := map[entKey]int{}
-	add := func(in *mach.Instr, e recEntity) {
-		k := entKey{v: e.v, kind: e.kind, reg: e.reg, c: e.c, cf: e.cf, la: e.a, lb: e.b}
-		if i, ok := index[k]; ok {
-			a.entOf[in] = i
-			a.ents[i].gens[in] = true
-			return
-		}
-		e.gens = map[*mach.Instr]bool{in: true}
-		index[k] = len(a.ents)
-		a.entOf[in] = len(a.ents)
-		a.ents = append(a.ents, e)
-	}
-	for _, b := range a.Fn.Blocks {
-		for _, in := range b.Instrs {
-			switch {
-			case in.Op == mach.MARKDEAD && in.MarkAlias.Kind != mach.None:
-				e := recEntity{v: in.MarkObj}
-				switch in.MarkAlias.Kind {
-				case mach.Imm:
-					e.kind = RecoverConst
-					e.c = in.MarkAlias.Imm
-				case mach.FImm:
-					e.kind = RecoverConst
-					e.cf = in.MarkAlias.F
-					e.isF = true
-				case mach.Reg:
-					e.kind = RecoverAlias
-					e.reg = in.MarkAlias
-				}
-				add(in, e)
-
-			case in.Ann.Recover != nil && in.Ann.Recover.Var != nil && in.Dst.IsReg():
-				add(in, recEntity{
-					v: in.Ann.Recover.Var, kind: RecoverLinear,
-					reg: in.Dst, a: in.Ann.Recover.A, b: in.Ann.Recover.B,
-				})
-
-			case in.Ann.ReplacedVar != nil && in.Dst.IsReg():
-				add(in, recEntity{
-					v: in.Ann.ReplacedVar, kind: RecoverAlias, reg: in.Dst,
-				})
-			}
-		}
-	}
-}
-
-// effects computes the bits generated and killed by one instruction.
-func (a *Analysis) effects(in *mach.Instr, gen, kill func(int)) {
-	f := a.Fn
-	switch in.Op {
-	case mach.MARKDEAD:
-		v := in.MarkObj
-		gen(a.initBit(v))
-		gen(a.deadBit(v))
-		// A newly eliminated assignment changes V's *expected* value:
-		// recovery sources established for the previous value are stale,
-		// and so are older dead-source attributions.
-		for ei := range a.ents {
-			if a.ents[ei].v == v && !a.ents[ei].gens[in] {
-				kill(a.entBit(ei))
-			}
-		}
-		for si := range a.srcEnts {
-			if a.srcEnts[si].v == v && !a.srcEnts[si].hoist && a.srcEnts[si].in != in {
-				kill(a.srcBit(si))
-			}
-		}
-		if e, ok := a.entOf[in]; ok {
-			gen(a.entBit(e))
-		}
-		if s, ok := a.srcEntOf[in]; ok {
-			gen(a.srcBit(s))
-		}
-		return
-	case mach.MARKAVAIL:
-		v := in.MarkObj
-		gen(a.initBit(v))
-		kill(a.hoistBit(v))
-		kill(a.deadBit(v))
-		// V's location holds the (already computed) value: it is
-		// authoritative again.
-		for ei := range a.ents {
-			if a.ents[ei].v == v {
-				kill(a.entBit(ei))
-			}
-		}
-		for si := range a.srcEnts {
-			if a.srcEnts[si].v == v {
-				kill(a.srcBit(si))
-			}
-		}
-		return
-	}
-
-	// Clobbers: writing a physical register destroys the residence of the
-	// other variables allocated to it and invalidates recovery entities
-	// whose alias lives there.
-	d := in.Def()
-	if d.IsReg() {
-		if f.Allocated {
-			for _, w := range a.varsByLoc[locKey{d.Class, d.R}] {
-				if w != in.DefObj {
-					kill(a.resBit(w))
-				}
-			}
-		}
-		for ei := range a.ents {
-			e := &a.ents[ei]
-			if e.reg.IsReg() && e.reg.Same(d) && !e.gens[in] {
-				kill(a.entBit(ei))
-			}
-		}
-	}
-
-	// Real definition of a source variable.
-	if v := in.DefObj; v != nil {
-		gen(a.initBit(v))
-		gen(a.resBit(v))
-		if in.Ann.Hoisted {
-			// Hoisted assignment: V updated prematurely (Figure 2's E3).
-			gen(a.hoistBit(v))
-			kill(a.deadBit(v))
-			for si := range a.srcEnts {
-				if a.srcEnts[si].v == v && a.srcEnts[si].in != in {
-					kill(a.srcBit(si))
-				}
-			}
-			if s, ok := a.srcEntOf[in]; ok {
-				gen(a.srcBit(s))
-			}
-		} else {
-			kill(a.hoistBit(v))
-			kill(a.deadBit(v))
-			for si := range a.srcEnts {
-				if a.srcEnts[si].v == v {
-					kill(a.srcBit(si))
-				}
-			}
-		}
-		// A fresh real value supersedes stale recovery info for V.
-		for ei := range a.ents {
-			if a.ents[ei].v == v && !a.ents[ei].gens[in] {
-				kill(a.entBit(ei))
-			}
-		}
-	}
-
-	// Recovery generation (alias / linear); also kills the dead reach of
-	// the recovered variable (§2.5: "In all cases, the dead reach of V is
-	// killed by E").
-	if e, ok := a.entOf[in]; ok {
-		gen(a.entBit(e))
-		kill(a.deadBit(a.ents[e].v))
-	}
-}
-
-// solve builds per-block gen/kill sets and runs the may and must problems.
-func (a *Analysis) solve() {
-	f := a.Fn
-	n := len(f.Blocks)
-	graph := dataflow.Graph{N: n, Succs: make([][]int, n), Preds: make([][]int, n)}
-	for i, b := range f.Blocks {
-		for _, s := range b.Succs {
-			si := a.blockIdx[s]
-			graph.Succs[i] = append(graph.Succs[i], si)
-			graph.Preds[si] = append(graph.Preds[si], i)
-		}
-	}
-
-	gen := make([]*dataflow.BitSet, n)
-	kill := make([]*dataflow.BitSet, n)
-	for i := range f.Blocks {
-		g := dataflow.NewBitSet(a.bits)
-		k := dataflow.NewBitSet(a.bits)
-		for ei := range a.eff[i] {
-			e := &a.eff[i][ei]
-			for _, bit := range e.gen {
-				g.Set(int(bit))
-				k.Clear(int(bit))
-			}
-			for _, bit := range e.kill {
-				k.Set(int(bit))
-				g.Clear(int(bit))
-			}
-		}
-		gen[i], kill[i] = g, k
-	}
-
-	may := (&dataflow.Problem{Graph: graph, Dir: dataflow.Forward, Meet: dataflow.Union,
-		Bits: a.bits, Gen: gen, Kill: kill}).Solve()
-	must := (&dataflow.Problem{Graph: graph, Dir: dataflow.Forward, Meet: dataflow.Intersect,
-		Bits: a.bits, Gen: gen, Kill: kill}).Solve()
-	a.mayIn = may.In
-	a.mustIn = must.In
-}
-
 // setsAt returns the may/must sets just before the instruction at loc.
 // Breakpoint locations from the debug table hit the precomputed per-
 // breakpoint pair (shared across every variable classified there); any
@@ -665,17 +843,127 @@ func (a *Analysis) solve() {
 // effects over the block prefix. The returned sets are shared and must
 // be treated as read-only by callers.
 func (a *Analysis) setsAt(loc debuginfo.Loc) (may, must *dataflow.BitSet) {
-	idx := clampIdx(loc)
-	if p, ok := a.bpSets[bpKey{loc.Block, idx}]; ok {
-		return p.may, p.must
+	k, ok := a.slotOf(loc)
+	if ok {
+		if i := a.bpSlot[k]; i >= 0 {
+			return &a.bpSets[2*i], &a.bpSets[2*i+1]
+		}
 	}
-	bi := a.blockIdx[loc.Block]
-	may = a.mayIn[bi].Copy()
-	must = a.mustIn[bi].Copy()
-	for i := 0; i < idx; i++ {
-		applyEffect(&a.eff[bi][i], may, must)
+	bi, _ := a.blockOf(loc.Block)
+	in0, in1 := a.blockIn(bi)
+	may, must = in0.Copy(), in1.Copy()
+	for p := a.start[bi]; p < a.start[bi+1] && p < a.start[bi]+int32(clampIdx(loc)); p++ {
+		a.applyEffect(int(p), may, must)
 	}
 	return may, must
+}
+
+// buildStaticTexts renders every query-independent piece of a
+// classification once: per-variable warning texts, per-entity Recovery
+// descriptors and their recovery texts. All texts are written into one
+// buffer and sliced out of it, and all their headers share one array.
+func (a *Analysis) buildStaticTexts() {
+	locals := a.Fn.Decl.Locals
+	nv, perVar := a.numVars, 2
+	if a.opts.ConservativeHoist {
+		perVar = 3
+	}
+	size := 0
+	for _, v := range locals {
+		size += perVar * (len(v.Name) + 60)
+	}
+	for i := range a.ents {
+		size += len(a.ents[i].v.Name) + 100
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	texts := make([]string, perVar*nv+len(a.ents))
+	// span[2i:2i+2] is text i's [start, end) in the buffer.
+	span := make([]int32, 2*len(texts))
+	mark := func(i, start int) {
+		span[2*i], span[2*i+1] = int32(start), int32(sb.Len())
+	}
+	for _, v := range locals {
+		at := sb.Len()
+		sb.WriteString(v.Name)
+		sb.WriteString(" has not been assigned on any path to this breakpoint")
+		mark(v.ID, at)
+		at = sb.Len()
+		sb.WriteString("the register assigned to ")
+		sb.WriteString(v.Name)
+		sb.WriteString(" may hold another value here")
+		mark(nv+v.ID, at)
+		if perVar == 3 {
+			at = sb.Len()
+			sb.WriteString(v.Name)
+			sb.WriteString(" may have been updated by hoisted code (conservative mode)")
+			mark(2*nv+v.ID, at)
+		}
+	}
+	a.recovered = make([]Recovery, len(a.ents))
+	for ei := range a.ents {
+		e := &a.ents[ei]
+		a.recovered[ei] = Recovery{Kind: e.kind, Reg: e.reg, C: e.c, CF: e.cf, IsF: e.isF, A: e.a, B: e.b}
+		at := sb.Len()
+		writeRecoveryText(&sb, e.v, &a.recovered[ei])
+		mark(perVar*nv+ei, at)
+	}
+	all := sb.String()
+	a.textCap = sb.Cap()
+	for i := range texts {
+		texts[i] = all[span[2*i]:span[2*i+1]]
+	}
+	a.texts = texts
+	a.uninitWhy, a.nonresWhy = texts[:nv:nv], texts[nv:2*nv:2*nv]
+	if perVar == 3 {
+		a.consWhy = texts[2*nv : 3*nv : 3*nv]
+	}
+	a.recWhy = texts[perVar*nv:]
+}
+
+// writeRecoveryText writes the warning for a variable displayed through
+// recovery r.
+func writeRecoveryText(sb *strings.Builder, v *ast.Object, r *Recovery) {
+	var num [32]byte
+	switch r.Kind {
+	case RecoverConst:
+		sb.WriteString("the assignment to ")
+		sb.WriteString(v.Name)
+		sb.WriteString(" was eliminated, but its value is the constant ")
+		if r.IsF {
+			sb.Write(strconv.AppendFloat(num[:0], r.CF, 'g', -1, 64))
+		} else {
+			sb.Write(strconv.AppendInt(num[:0], r.C, 10))
+		}
+	case RecoverAlias:
+		sb.WriteString(v.Name)
+		sb.WriteString(" was eliminated, but its value is aliased in ")
+		writeOpd(sb, r.Reg)
+	case RecoverLinear:
+		sb.WriteString(v.Name)
+		sb.WriteString(" was eliminated by induction-variable elimination; recover it as (")
+		writeOpd(sb, r.Reg)
+		sb.WriteString(" - ")
+		sb.Write(strconv.AppendInt(num[:0], r.B, 10))
+		sb.WriteString(") / ")
+		sb.Write(strconv.AppendInt(num[:0], r.A, 10))
+	}
+}
+
+// writeOpd writes o exactly as mach.Opd.String renders it, without fmt
+// for the register operands recoveries read.
+func writeOpd(sb *strings.Builder, o mach.Opd) {
+	if !o.IsReg() {
+		sb.WriteString(o.String())
+		return
+	}
+	if o.Class == mach.FloatClass {
+		sb.WriteByte('f')
+	} else {
+		sb.WriteByte('r')
+	}
+	var num [20]byte
+	sb.Write(strconv.AppendInt(num[:0], int64(o.R), 10))
 }
 
 // ---------------------------------------------------------------- classify
@@ -711,8 +999,10 @@ func (a *Analysis) ClassifyAllAt(stmt int) ([]Classification, bool) {
 // setsForStmt returns the precomputed breakpoint sets for a statement,
 // falling back to setsAt for statements outside the table's range.
 func (a *Analysis) setsForStmt(stmt int, loc debuginfo.Loc) (may, must *dataflow.BitSet) {
-	if stmt >= 0 && stmt < len(a.stmtMay) && a.stmtMay[stmt] != nil {
-		return a.stmtMay[stmt], a.stmtMust[stmt]
+	if stmt >= 0 && stmt < len(a.stmtBP) {
+		if i := a.stmtBP[stmt]; i >= 0 {
+			return &a.bpSets[2*i], &a.bpSets[2*i+1]
+		}
 	}
 	return a.setsAt(loc)
 }
@@ -777,8 +1067,8 @@ func (a *Analysis) classify(loc debuginfo.Loc, v *ast.Object, may, must *dataflo
 	// reconstructed expected value alongside the warning.
 	var rec *Recovery
 	var recWhy string
-	for _, ei := range a.entsOfVar[v.ID] {
-		if !must.Has(a.entBit(int(ei))) {
+	for _, ei := range a.entsOf(v) {
+		if !must.Has(a.entBit(ei)) {
 			continue
 		}
 		rec = &a.recovered[ei]
@@ -1056,12 +1346,12 @@ func (a *Analysis) recStaleBySched(loc debuginfo.Loc, v *ast.Object) bool {
 // that may reach the current point (matching hoisted vs dead kind).
 func (a *Analysis) srcStmtsFor(v *ast.Object, may *dataflow.BitSet, hoist bool) []int {
 	var out []int
-	for si := range a.srcEnts {
+	for _, si := range a.srcsOf(v) {
 		e := &a.srcEnts[si]
 		if e.v != v || e.hoist != hoist || !may.Has(a.srcBit(si)) {
 			continue
 		}
-		s := e.in.Stmt
+		s := e.stmt
 		if s < 0 {
 			continue
 		}
@@ -1099,19 +1389,4 @@ func stmtList(ss []int) string {
 	}
 	b.WriteString(")")
 	return b.String()
-}
-
-func recoveryText(v *ast.Object, r *Recovery) string {
-	switch r.Kind {
-	case RecoverConst:
-		if r.IsF {
-			return fmt.Sprintf("the assignment to %s was eliminated, but its value is the constant %g", v.Name, r.CF)
-		}
-		return fmt.Sprintf("the assignment to %s was eliminated, but its value is the constant %d", v.Name, r.C)
-	case RecoverAlias:
-		return fmt.Sprintf("%s was eliminated, but its value is aliased in %s", v.Name, r.Reg)
-	case RecoverLinear:
-		return fmt.Sprintf("%s was eliminated by induction-variable elimination; recover it as (%s - %d) / %d", v.Name, r.Reg, r.B, r.A)
-	}
-	return ""
 }

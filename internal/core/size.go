@@ -13,59 +13,47 @@ import (
 
 // SizeBytes estimates the resident memory cost of the analysis: its
 // data-flow solution sets, cached transfer functions, precomputed
-// per-breakpoint tables, and rendered texts. Like the artifact estimator
-// it is deliberately generous, so a configured budget is a real ceiling.
+// per-breakpoint tables, and rendered texts. It charges the capacity of
+// every backing array, rounded up as the heap rounds an allocation, so
+// like the artifact estimator it is deliberately generous and a
+// configured budget is a real ceiling (TestAnalysisSizeBytesIsCeiling).
 func (a *Analysis) SizeBytes() int64 {
-	n := int64(unsafe.Sizeof(*a))
+	n := heapBytes(int64(unsafe.Sizeof(*a)))
 	if a.Table != nil {
 		n += a.Table.SizeBytes()
 	}
-	for i := range a.ents {
-		n += int64(unsafe.Sizeof(a.ents[i])) + int64(len(a.ents[i].gens))*16
+	n += heapBytes(int64(cap(a.ents)) * int64(unsafe.Sizeof(recEntity{})))
+	n += heapBytes(int64(cap(a.srcEnts)) * int64(unsafe.Sizeof(srcEntity{})))
+	for _, s := range [][]int32{a.blockPos, a.start, a.effOff, a.effs, a.bpSlot, a.stmtBP,
+		a.varEntOff, a.varEnts, a.varSrcOff, a.varSrcs} {
+		n += heapBytes(int64(cap(s)) * 4)
 	}
-	n += int64(len(a.entOf)) * 48
-	n += int64(len(a.srcEnts)) * int64(unsafe.Sizeof(srcEntity{}))
-	n += int64(len(a.srcEntOf)) * 48
-	for _, vs := range a.varsByLoc {
-		n += 48 + int64(len(vs))*8
-	}
-	n += bitSetSlice(a.mayIn) + bitSetSlice(a.mustIn)
-	n += int64(len(a.blockIdx)) * 48
-	for _, effs := range a.eff {
-		n += 24
-		for i := range effs {
-			n += int64(unsafe.Sizeof(effs[i])) + int64(len(effs[i].gen)+len(effs[i].kill))*4
-		}
-	}
-	// bpSets values alias the stmtMay/stmtMust sets, so charge the pairs
-	// once (through the slices below) and only the map rows here.
-	n += int64(len(a.bpSets)) * 64
-	n += bitSetSlice(a.stmtMay) + bitSetSlice(a.stmtMust)
-	for _, es := range a.entsOfVar {
-		n += 24 + int64(len(es))*4
-	}
-	n += stringSlice(a.uninitWhy) + stringSlice(a.nonresWhy) + stringSlice(a.consWhy) + stringSlice(a.recWhy)
-	n += int64(len(a.recovered)) * int64(unsafe.Sizeof(Recovery{}))
+	n += bitSets(a.in) + bitSets(a.bpSets)
+	// The texts are substrings of one buffer of textCap bytes.
+	n += heapBytes(int64(cap(a.texts))*int64(unsafe.Sizeof(""))) + heapBytes(int64(a.textCap))
+	n += heapBytes(int64(cap(a.recovered)) * int64(unsafe.Sizeof(Recovery{})))
 	return n
 }
 
-// bitSetSlice sums a slice of (possibly shared, possibly nil) bit sets.
-// Shared sets are charged once per appearance; overcounting aliased sets
-// keeps the estimate conservative.
-func bitSetSlice(sets []*dataflow.BitSet) int64 {
-	n := int64(len(sets)) * 8
-	for _, s := range sets {
-		if s != nil {
-			n += s.SizeBytes()
-		}
+// bitSets charges a slab of sets made by dataflow.NewBitSets: its header
+// array and its word array, over the slab's whole capacity.
+func bitSets(sets []dataflow.BitSet) int64 {
+	var words int64
+	for _, s := range sets[:cap(sets)] {
+		words += s.SizeBytes() - int64(unsafe.Sizeof(s))
 	}
-	return n
+	return heapBytes(int64(cap(sets))*int64(unsafe.Sizeof(dataflow.BitSet{}))) + heapBytes(words)
 }
 
-func stringSlice(ss []string) int64 {
-	n := int64(len(ss)) * 16
-	for _, s := range ss {
-		n += int64(len(s))
+// heapBytes bounds the heap footprint of an n-byte allocation: small
+// objects are rounded up to a size class (at most 1/8 more, or 16 bytes
+// for the smallest classes) and large ones to whole 8 KiB pages.
+func heapBytes(n int64) int64 {
+	if n == 0 {
+		return 0
 	}
-	return n
+	if n > 32<<10 {
+		return (n + 8<<10 - 1) &^ (8<<10 - 1)
+	}
+	return n + n/8 + 16
 }

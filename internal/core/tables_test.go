@@ -68,16 +68,26 @@ func TestBreakpointTablesMatchReplay(t *testing.T) {
 		if len(a.bpSets) == 0 {
 			t.Fatal("no precomputed breakpoint tables")
 		}
-		for k, p := range a.bpSets {
-			bi := a.blockIdx[k.block]
-			may := a.mayIn[bi].Copy()
-			must := a.mustIn[bi].Copy()
-			for i := 0; i < k.idx; i++ {
-				applyEffect(&a.eff[bi][i], may, must)
+		pairs := 0
+		for bi, blk := range a.Fn.Blocks {
+			for idx := 0; idx <= len(blk.Instrs); idx++ {
+				p := a.bpSlot[int(a.start[bi])+bi+idx]
+				if p < 0 {
+					continue
+				}
+				pairs++
+				in0, in1 := a.blockIn(bi)
+				may, must := in0.Copy(), in1.Copy()
+				for i := 0; i < idx; i++ {
+					a.applyEffect(int(a.start[bi])+i, may, must)
+				}
+				if !may.Equal(&a.bpSets[2*p]) || !must.Equal(&a.bpSets[2*p+1]) {
+					t.Fatalf("block %v idx %d: precomputed pair differs from replay", blk, idx)
+				}
 			}
-			if !may.Equal(p.may) || !must.Equal(p.must) {
-				t.Fatalf("block %v idx %d: precomputed pair differs from replay", k.block, k.idx)
-			}
+		}
+		if 2*pairs != len(a.bpSets) {
+			t.Fatalf("%d slots name a pair, want %d", pairs, len(a.bpSets)/2)
 		}
 	}
 }

@@ -52,11 +52,18 @@ func wordsFor(n int) int { return (n + 63) / 64 }
 // for memory-budget accounting.
 func (b *BitSet) SizeBytes() int64 { return 32 + int64(len(b.words))*8 }
 
-// bitSetOver wraps an existing word slice as an n-bit set, so callers
-// that build many same-sized sets (the solver, the classifier's
-// per-breakpoint tables) can carve them out of one allocation. The slice
-// must hold wordsFor(n) words; its current contents become the set.
-func bitSetOver(words []uint64, n int) *BitSet { return &BitSet{words: words, n: n} }
+// NewBitSets makes count empty n-bit sets carved out of one word slab, so
+// callers that build many same-sized sets (the solver, the classifier's
+// block and per-breakpoint tables) pay two allocations, not one per set.
+func NewBitSets(count, n int) []BitSet {
+	w := wordsFor(n)
+	slab := make([]uint64, count*w)
+	sets := make([]BitSet, count)
+	for i := range sets {
+		sets[i] = BitSet{words: slab[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
+	return sets
+}
 
 // Len returns the set's capacity in bits.
 func (s *BitSet) Len() int { return s.n }

@@ -63,25 +63,39 @@ type Result struct {
 type solverState struct {
 	res             *Result
 	boundary        *BitSet
+	tmp             *BitSet // Solve's scratch set
 	entries         []int
 	isEntry         []bool
+	seen, inWork    []bool // visitOrder's and Solve's per-block flags
 	flowIn, flowOut []*BitSet
 	edgesIn         [][]int
 	edgesOut        [][]int
 }
 
+// forwardEntries is the default entry list of a forward problem; it is
+// never modified.
+var forwardEntries = []int{0}
+
 func (p *Problem) setup() *solverState {
 	n := p.Graph.N
-	st := &solverState{res: &Result{In: make([]*BitSet, n), Out: make([]*BitSet, n)}}
+	st := &solverState{res: &Result{}}
+	ptrs := make([]*BitSet, 2*n)
+	st.res.In, st.res.Out = ptrs[:n:n], ptrs[n:]
 
+	// Initial values: for Intersect problems, interior sets start full
+	// (top); for Union they start empty (bottom). All 2n sets, the
+	// default boundary and the scratch set share one backing array,
+	// allocated in a single shot.
+	sets := NewBitSets(2*n+2, p.Bits)
 	st.boundary = p.Boundary
 	if st.boundary == nil {
-		st.boundary = NewBitSet(p.Bits)
+		st.boundary = &sets[2*n]
 	}
+	st.tmp = &sets[2*n+1]
 	st.entries = p.Entries
 	if st.entries == nil {
 		if p.Dir == Forward {
-			st.entries = []int{0}
+			st.entries = forwardEntries
 		} else {
 			for b := 0; b < n; b++ {
 				if len(p.Graph.Succs[b]) == 0 {
@@ -90,19 +104,15 @@ func (p *Problem) setup() *solverState {
 			}
 		}
 	}
-	st.isEntry = make([]bool, n)
+	flags := make([]bool, 3*n)
+	st.isEntry, st.seen, st.inWork = flags[:n:n], flags[n:2*n:2*n], flags[2*n:]
 	for _, e := range st.entries {
 		st.isEntry[e] = true
 	}
 
-	// Initial values: for Intersect problems, interior sets start full
-	// (top); for Union they start empty (bottom). All 2n sets share one
-	// backing array, allocated in a single shot.
-	words := wordsFor(p.Bits)
-	backing := make([]uint64, 2*n*words)
 	for b := 0; b < n; b++ {
-		st.res.In[b] = bitSetOver(backing[(2*b)*words:(2*b+1)*words], p.Bits)
-		st.res.Out[b] = bitSetOver(backing[(2*b+1)*words:(2*b+2)*words], p.Bits)
+		st.res.In[b] = &sets[2*b]
+		st.res.Out[b] = &sets[2*b+1]
 		if p.Meet == Intersect {
 			st.res.In[b].SetAll()
 			st.res.Out[b].SetAll()
@@ -179,10 +189,10 @@ func (p *Problem) step(st *solverState, b int, tmp *BitSet) bool {
 func (p *Problem) visitOrder(st *solverState) []int {
 	n := p.Graph.N
 	order := make([]int, 0, n)
-	seen := make([]bool, n)
+	seen := st.seen
 	// Iterative DFS; frame = (block, next successor index).
 	type frame struct{ b, i int }
-	stack := make([]frame, 0, 16)
+	stack := make([]frame, 0, n)
 	for _, root := range st.entries {
 		if seen[root] {
 			continue
@@ -237,12 +247,12 @@ func (p *Problem) Solve() *Result {
 	n := p.Graph.N
 	order := p.visitOrder(st)
 
-	inWork := make([]bool, n)
+	inWork := st.inWork
 	for b := range inWork {
 		inWork[b] = true
 	}
 	remaining := n
-	tmp := NewBitSet(p.Bits)
+	tmp := st.tmp
 	for remaining > 0 {
 		for _, b := range order {
 			if !inWork[b] {

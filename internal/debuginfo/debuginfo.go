@@ -6,6 +6,8 @@
 package debuginfo
 
 import (
+	"unsafe"
+
 	"repro/internal/ast"
 	"repro/internal/mach"
 )
@@ -45,54 +47,81 @@ type Table struct {
 // with no code at all (e.g. plain declarations) fall back at query time to
 // the next statement that has a location.
 func Build(f *mach.Func) *Table {
-	t := &Table{Fn: f, NumStmts: f.Decl.NumStmts}
-	t.stmtLoc = make([]Loc, t.NumStmts)
-	best := make([]int, t.NumStmts) // OrigIdx of current best; -1 none
-	rank := make([]int, t.NumStmts) // 0 none, 1 inserted-only, 2 marker, 3 original
-	for i := range best {
-		best[i] = -1
+	n := f.Decl.NumStmts
+	t := &Table{Fn: f, NumStmts: n}
+	t.stmtLoc = make([]Loc, n)
+	// st[s] is the rank and OrigIdx of s's chosen location so far, and
+	// the block (position+1; 0 none) and insts entry of s's candidate
+	// instance in the block being scanned. Ranks: 0 none, 1
+	// inserted-only, 2 marker, 3 original.
+	type stmtState struct {
+		rank, orig   int32
+		block, inst  int32
+		cRank, cOrig int32
 	}
-	t.stmtInst = make([][]Loc, t.NumStmts)
-	type cand struct {
-		rank, orig, idx int
-		ok              bool
+	st := make([]stmtState, n)
+	type inst struct {
+		s   int32
+		loc Loc
 	}
-	blockBest := map[int]cand{} // stmt -> best instance in the current block
-	for _, b := range f.Blocks {
-		for s := range blockBest {
-			delete(blockBest, s)
-		}
+	insts := make([]inst, 0, n+len(f.Blocks)) // every block's instances, in block order
+	for bi, b := range f.Blocks {
 		for idx, in := range b.Instrs {
 			s := in.Stmt
-			if s < 0 || s >= t.NumStmts {
+			if s < 0 || s >= n {
 				continue
 			}
-			r := 1
+			r := int32(1)
 			if in.IsMarker() {
 				r = 2
 			} else if !in.Ann.Hoisted && !in.Ann.Sunk && in.Ann.InsertedBy == "" {
 				r = 3
 			}
-			if r > rank[s] || (r == rank[s] && in.OrigIdx < best[s]) {
-				rank[s] = r
-				best[s] = in.OrigIdx
+			x := &st[s]
+			orig := int32(in.OrigIdx)
+			if r > x.rank || (r == x.rank && orig < x.orig) {
+				x.rank = r
+				x.orig = orig
 				t.stmtLoc[s] = Loc{Block: b, Idx: idx}
 			}
 			// Per-block instance: only the statement's own code counts
 			// (rank >= 2). Hoisted, sunk, and pass-inserted copies are not
 			// instances — stopping at them would be a phantom stop at a
 			// point the source program never reaches as that statement.
-			if r >= 2 {
-				c := blockBest[s]
-				if !c.ok || r > c.rank || (r == c.rank && in.OrigIdx < c.orig) {
-					blockBest[s] = cand{rank: r, orig: in.OrigIdx, idx: idx, ok: true}
-				}
+			if r < 2 {
+				continue
 			}
-		}
-		for s, c := range blockBest {
-			t.stmtInst[s] = append(t.stmtInst[s], Loc{Block: b, Idx: c.idx})
+			if x.block != int32(bi+1) {
+				x.block, x.inst = int32(bi+1), int32(len(insts))
+				insts = append(insts, inst{int32(s), Loc{Block: b, Idx: idx}})
+			} else if r > x.cRank || (r == x.cRank && orig < x.cOrig) {
+				insts[x.inst].loc.Idx = idx
+			} else {
+				continue
+			}
+			x.cRank, x.cOrig = r, orig
 		}
 	}
+	// Group the instances by statement into one backing array, block
+	// order preserved within each statement.
+	off := make([]int32, n+1)
+	for _, x := range insts {
+		off[x.s+1]++
+	}
+	for s := 0; s < n; s++ {
+		off[s+1] += off[s]
+	}
+	// Fill each statement's range from its end, walking the instances
+	// backwards; off[s+1] ends at s's start, so shift it down one place.
+	all := make([]Loc, len(insts))
+	for i := len(insts) - 1; i >= 0; i-- {
+		x := &insts[i]
+		off[x.s+1]--
+		all[off[x.s+1]] = x.loc
+	}
+	copy(off[:n], off[1:])
+	off[n] = int32(len(insts))
+	t.stmtInst = make([][]Loc, n)
 	// Continuation suppression: a multi-block condition (short-circuit
 	// && / ||) spreads ONE statement's code across consecutive blocks.
 	// Arming every block would stop twice for a single source evaluation,
@@ -105,35 +134,73 @@ func Build(f *mach.Func) *Table {
 	// The canonical location is exempt and always armed: a loop-header
 	// test's back edge is tagged with the condition's own statement and
 	// must not suppress the loop's stop point.
-	for s := 0; s < t.NumStmts; s++ {
-		if len(t.stmtInst[s]) <= 1 {
-			continue
-		}
-		kept := t.stmtInst[s][:0]
-		for _, l := range t.stmtInst[s] {
-			if l == t.stmtLoc[s] || entersStmt(l, s) {
-				kept = append(kept, l)
+	for s := 0; s < n; s++ {
+		ls := all[off[s]:off[s+1]:off[s+1]]
+		if len(ls) > 1 {
+			kept := ls[:0]
+			for _, l := range ls {
+				if l == t.stmtLoc[s] || entersStmt(l, s) {
+					kept = append(kept, l)
+				}
 			}
+			ls = kept
 		}
-		t.stmtInst[s] = kept
-	}
-	// A statement whose only code is inserted copies still resolves (the
-	// canonical location points at one); its instance list is that single
-	// location, preserving the pre-instance behavior.
-	for s := 0; s < t.NumStmts; s++ {
-		if len(t.stmtInst[s]) == 0 && t.stmtLoc[s].Block != nil {
-			t.stmtInst[s] = []Loc{t.stmtLoc[s]}
-		}
-	}
-	t.varsAt = make([][]*ast.Object, t.NumStmts)
-	for s := 0; s < t.NumStmts; s++ {
-		for _, v := range f.Decl.Locals {
-			if InScope(v, s) {
-				t.varsAt[s] = append(t.varsAt[s], v)
-			}
+		switch {
+		case len(ls) > 0:
+			t.stmtInst[s] = ls
+		case t.stmtLoc[s].Block != nil:
+			// A statement whose only code is inserted copies still
+			// resolves (the canonical location points at one); its
+			// instance list is that single location, preserving the
+			// pre-instance behavior.
+			t.stmtInst[s] = t.stmtLoc[s : s+1 : s+1]
 		}
 	}
+	t.varsAt = varsInScopeTable(f.Decl.Locals, n)
 	return t
+}
+
+// varsInScopeTable returns, for each of n statements, the locals in scope
+// there in declaration order. The per-statement slices share one backing
+// array.
+func varsInScopeTable(locals []*ast.Object, n int) [][]*ast.Object {
+	lo := func(v *ast.Object) int { return min(max(v.ScopeStart, 0), n) }
+	hi := func(v *ast.Object) int { return min(max(v.ScopeEnd, 0), n) }
+	off := make([]int32, n+1)
+	for _, v := range locals {
+		if l, h := lo(v), hi(v); l < h {
+			off[l+1]++
+			if h < n {
+				off[h+1]--
+			}
+		}
+	}
+	// off[s+1] now holds the change in scope size at s; one pass sums
+	// the changes into sizes and the sizes into offsets.
+	size := int32(0)
+	for s := 0; s < n; s++ {
+		size += off[s+1]
+		off[s+1] = off[s] + size
+	}
+	// Fill backwards, as Build does, so each statement's locals keep
+	// declaration order.
+	all := make([]*ast.Object, off[n])
+	for i := len(locals) - 1; i >= 0; i-- {
+		v := locals[i]
+		for s := lo(v); s < hi(v); s++ {
+			off[s+1]--
+			all[off[s+1]] = v
+		}
+	}
+	copy(off[:n], off[1:])
+	off[n] = int32(len(all))
+	out := make([][]*ast.Object, n)
+	for s := range out {
+		if off[s] < off[s+1] {
+			out[s] = all[off[s]:off[s+1]:off[s+1]]
+		}
+	}
+	return out
 }
 
 // entersStmt reports whether the instance of statement s at l begins a new
@@ -232,17 +299,38 @@ func (t *Table) VarsInScope(s int) []*ast.Object {
 }
 
 // SizeBytes estimates the table's resident size (statement locations plus
-// the per-statement scope cache), for memory-budget accounting.
+// the per-statement instance and scope caches), for memory-budget
+// accounting. It charges the capacity of every backing array, rounded up
+// as the heap rounds an allocation; a backing shared by several
+// statements' slices is charged once per slice, which only overcounts.
 func (t *Table) SizeBytes() int64 {
-	n := int64(64) // header
-	n += int64(len(t.stmtLoc)) * 24
+	hdr := int64(unsafe.Sizeof([]Loc(nil)))
+	locSize := int64(unsafe.Sizeof(Loc{}))
+	ptrSize := int64(unsafe.Sizeof((*ast.Object)(nil)))
+	var insts, vars int64
 	for _, ls := range t.stmtInst {
-		n += 24 + int64(len(ls))*24
+		insts += int64(cap(ls)) * locSize
 	}
 	for _, vs := range t.varsAt {
-		n += 24 + int64(len(vs))*8
+		vars += int64(cap(vs)) * ptrSize
 	}
-	return n
+	return heapBytes(int64(unsafe.Sizeof(*t))) +
+		heapBytes(int64(cap(t.stmtLoc))*locSize) +
+		heapBytes(int64(cap(t.stmtInst))*hdr) + heapBytes(insts) +
+		heapBytes(int64(cap(t.varsAt))*hdr) + heapBytes(vars)
+}
+
+// heapBytes bounds the heap footprint of an n-byte allocation: small
+// objects are rounded up to a size class (at most 1/8 more, or 16 bytes
+// for the smallest classes) and large ones to whole 8 KiB pages.
+func heapBytes(n int64) int64 {
+	if n == 0 {
+		return 0
+	}
+	if n > 32<<10 {
+		return (n + 8<<10 - 1) &^ (8<<10 - 1)
+	}
+	return n + n/8 + 16
 }
 
 // StmtOfLoc returns the statement whose code region covers the given
