@@ -609,9 +609,9 @@ func (d *Debugger) readActual(fr *vm.Frame, obj *ast.Object) (vm.Val, bool) {
 	if !f.Allocated {
 		// Virtual registers: the variable's vreg is its Object ID.
 		if isFloat {
-			return vm.Val{F: fr.FReg[obj.ID], IsF: true}, true
+			return vm.Val{F: fr.FloatReg(obj.ID), IsF: true}, true
 		}
-		return vm.Val{I: fr.IReg[obj.ID]}, true
+		return vm.Val{I: fr.IntReg(obj.ID)}, true
 	}
 	loc, ok := f.VarLoc[obj]
 	if !ok {
@@ -620,9 +620,9 @@ func (d *Debugger) readActual(fr *vm.Frame, obj *ast.Object) (vm.Val, bool) {
 	switch loc.Kind {
 	case mach.LocReg:
 		if loc.Class == mach.FloatClass {
-			return vm.Val{F: fr.FReg[loc.R], IsF: true}, true
+			return vm.Val{F: fr.FloatReg(loc.R), IsF: true}, true
 		}
-		return vm.Val{I: fr.IReg[loc.R]}, true
+		return vm.Val{I: fr.IntReg(loc.R)}, true
 	case mach.LocSpill:
 		if isFloat {
 			x, err := d.VM.ReadMemFloat(fr.Base + loc.Off)
@@ -653,14 +653,14 @@ func (d *Debugger) readRecovered(fr *vm.Frame, rec *core.Recovery) (vm.Val, bool
 			return vm.Val{}, false
 		}
 		if rec.Reg.Class == mach.FloatClass {
-			return vm.Val{F: fr.FReg[rec.Reg.R], IsF: true}, true
+			return vm.Val{F: fr.FloatReg(rec.Reg.R), IsF: true}, true
 		}
-		return vm.Val{I: fr.IReg[rec.Reg.R]}, true
+		return vm.Val{I: fr.IntReg(rec.Reg.R)}, true
 	case core.RecoverLinear:
 		if !rec.Reg.IsReg() || rec.A == 0 {
 			return vm.Val{}, false
 		}
-		x := fr.IReg[rec.Reg.R]
+		x := fr.IntReg(rec.Reg.R)
 		return vm.Val{I: (x - rec.B) / rec.A}, true
 	}
 	return vm.Val{}, false

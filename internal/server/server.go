@@ -900,7 +900,7 @@ func (s *Server) errorOf(id int64, err error) *Response {
 		code = CodeNotStopped
 	case errors.Is(err, debugger.ErrNoSuchVar):
 		code = CodeNoSuchVar
-	case errors.Is(err, vm.ErrStepLimit):
+	case errors.Is(err, vm.ErrStepLimit), errors.Is(err, vm.ErrCallDepth):
 		code = CodeBudget
 	case errors.Is(err, vm.ErrDeadline):
 		code = CodeTimeout

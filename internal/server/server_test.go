@@ -128,6 +128,21 @@ int main() {
 	}
 }
 
+// TestCallDepthCode: unbounded recursion hits the VM's call-depth bound
+// long before the default step budget, and answers with the budget code.
+func TestCallDepthCode(t *testing.T) {
+	s := New(Options{})
+	_, sess := compileAndOpen(t, s, "deep.mc", `
+int f(int n) { return f(n + 1); }
+int main() { return f(0); }
+`)
+	resp := s.Handle(&Request{Cmd: "continue", Session: sess})
+	if resp.OK || resp.Error == nil || resp.Error.Code != CodeBudget ||
+		!strings.Contains(resp.Error.Message, "call depth") {
+		t.Fatalf("continue into unbounded recursion = %+v, want %s naming the call depth", resp.Error, CodeBudget)
+	}
+}
+
 func TestPanicRecovery(t *testing.T) {
 	s := New(Options{})
 	_, sess := compileAndOpen(t, s, "t.mc", testProg)

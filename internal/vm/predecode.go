@@ -4,13 +4,12 @@
 // everything the per-instruction work would otherwise rediscover on every
 // step through the wide mach.Instr:
 //
-//   - each source operand's kind with its register number or immediate (a
-//     float immediate as its bits), the destination's kind and register,
-//     and the addressing offset, so ALU, MOV, load, store, branch and
-//     return never read a mach.Opd;
-//   - the register uses/def for cycle accounting as indexes into the
-//     frame's one ready array (up to two uses inline, only CALL and PRINT
-//     with more spilling into a shared overflow slice);
+//   - each source operand's kind with its register's slot in the frame
+//     slice or its immediate (a float immediate as its bits), the
+//     destination's kind and slot, and the addressing offset, so ALU,
+//     MOV, load, store, branch and return never read a mach.Opd;
+//   - the register uses/def for cycle accounting as ready-time slots (up
+//     to two uses inline, CALL and PRINT with more in an overflow slice);
 //   - the resolved callee of every CALL (LookupFunc is a linear scan), the
 //     frame or global offset of every LA's symbol (two map lookups), and
 //     branch targets as pc values.
@@ -39,31 +38,31 @@ const (
 	// opMalformed marks a slot whose instruction failed the predecode
 	// range check (see checkInstr); executing it is an error.
 	opMalformed mach.Opcode = -1 - iota
-	// opALU marks an integer ALU instruction outside the fast form (see
-	// dinstr.xop): it executes through Val, like the float operations.
-	opALU
+	// opSlow marks an operand form exec's inline switch does not handle
+	// (see inlineForm): it executes through Val.
+	opSlow
+	// opMovF marks a MOV of a float register or immediate into a float
+	// register.
+	opMovF
 )
 
 // dinstr is one predecoded instruction slot. The fields every step reads
 // (cycle accounting, dispatch, the baked operands) come first.
 type dinstr struct {
 	// Cycle accounting, precomputed from Uses/Def/Latency as indexes into
-	// Frame.ready. u0/u1 are the inline uses, the function's zero slot when
-	// absent; an instruction with more than two uses (a CALL or PRINT)
-	// keeps them all in funcCode.uses[useOff:useOff+useN] instead. def is
-	// the destination's ready slot, or the function's sink slot when the
-	// instruction defines no register. cost is the issue slot: 1, or 0 for
-	// NOP, the markers, the fall-off sentinel and a malformed slot, which
-	// cost nothing.
+	// the frame slice's ready times (see funcCode.nInt). u0/u1 are the
+	// inline uses, the zero slot when absent; def is the destination's
+	// ready slot, or the sink slot when there is none. An instruction with
+	// more than two uses (a CALL or PRINT) keeps its uses and then its def
+	// in funcCode.uses[useOff:useOff+useN+1] instead, zero and sink inline.
+	// cost is the issue slot: 1, or 0 for NOP, the markers, the fall-off
+	// sentinel and a malformed slot, which cost nothing.
 	u0, u1, def  int32
 	useOff, useN int32
 	lat, cost    uint8
 
-	// xop is the opcode exec dispatches on: op itself, except that an
-	// integer ALU operation other than DIV and REM dispatches as opALU
-	// unless it is in the fast form (an int register and an int register,
-	// an immediate or nothing, into an int register), and a slot that
-	// failed checkInstr dispatches as opMalformed.
+	// xop is the opcode exec dispatches on (see inlineForm), or
+	// opMalformed for a slot that failed checkInstr.
 	xop mach.Opcode
 	op  mach.Opcode
 
@@ -72,11 +71,11 @@ type dinstr struct {
 	ak, bk, dk opdKind
 	sym        symKind
 
-	// dst is the destination register number when dk is a register kind.
+	// dst is the destination's frame-slice slot when dk is a register kind.
 	dst int32
 
-	// a/b are the baked source operands: a register number, an integer
-	// immediate, or a float immediate's bits.
+	// a/b are the baked source operands: a register's frame-slice slot, an
+	// integer immediate, or a float immediate's bits.
 	a, b int64
 	// off is the addressing offset of a load or store, or an LA's resolved
 	// symbol offset (see sym).
@@ -105,18 +104,18 @@ const (
 	kNone opdKind = iota
 	kImm          // integer immediate, held in the operand field
 	kFImm         // float immediate, its math.Float64bits in the operand field
-	kIReg         // int register, its number in the operand field
-	kFReg         // float register, its number in the operand field
+	kIReg         // int register, its frame-slice slot in the operand field
+	kFReg         // float register, its frame-slice slot in the operand field
 )
 
 // bake returns o's baked kind and operand field.
-func bake(o mach.Opd) (opdKind, int64) {
+func (fc *funcCode) bake(o mach.Opd) (opdKind, int64) {
 	switch o.Kind {
 	case mach.Reg:
 		if o.Class == mach.FloatClass {
-			return kFReg, int64(o.R)
+			return kFReg, int64(fc.slot(o))
 		}
-		return kIReg, int64(o.R)
+		return kIReg, int64(fc.slot(o))
 	case mach.Imm:
 		return kImm, o.Imm
 	case mach.FImm:
@@ -137,17 +136,18 @@ const (
 // funcCode is the predecoded form of one function.
 type funcCode struct {
 	fn    *mach.Func
+	idx   int32 // index in prog.Funcs, see BreakSet
 	code  []dinstr
 	uses  []int32 // overflow ready indexes, see dinstr.useOff/useN
 	entry int32
 
 	// nInt/nFloat are the function's int and float register counts:
-	// NumVregs each, or NumIntRegs/NumFloatRegs once allocated. A frame's
-	// register files have one spare slot past them (fileLen). Frame.ready
-	// holds the int registers' ready times at [0, fileLen(nInt)), the
-	// float registers' after them, then the zero slot (never written, read
-	// for an absent use) and the sink slot (written for an absent def,
-	// never read).
+	// NumVregs each, or NumIntRegs/NumFloatRegs once allocated. Each file
+	// has one spare slot past them (fileLen). Frame.regs holds the int
+	// file at [0, fileLen(nInt)), the float file's bits after it, the ready
+	// times of both in the same order (from readyBase), then the zero slot
+	// (never written, read for an absent use) and the sink slot (written
+	// for an absent def, never read).
 	nInt, nFloat int32
 
 	// blocks/idxs map a pc back to the debugger-visible position (the
@@ -170,17 +170,22 @@ type funcCode struct {
 // fileLen is the length of a register file holding n registers.
 func fileLen(n int32) int32 { return n + 1 }
 
-// zero and sink are fc's two extra ready slots (see funcCode.nInt).
-func (fc *funcCode) zero() int32 { return fileLen(fc.nInt) + fileLen(fc.nFloat) }
-func (fc *funcCode) sink() int32 { return fc.zero() + 1 }
+// readyBase, zero, sink and frameLen lay out a frame slice (see nInt).
+func (fc *funcCode) readyBase() int32 { return fileLen(fc.nInt) + fileLen(fc.nFloat) }
+func (fc *funcCode) zero() int32      { return 2 * fc.readyBase() }
+func (fc *funcCode) sink() int32      { return fc.zero() + 1 }
+func (fc *funcCode) frameLen() int32  { return fc.sink() + 1 }
 
-// readyOf returns register o's slot in the frame's ready array.
-func (fc *funcCode) readyOf(o mach.Opd) int32 {
+// slot returns register o's value slot in the frame slice.
+func (fc *funcCode) slot(o mach.Opd) int32 {
 	if o.Class == mach.FloatClass {
 		return fileLen(fc.nInt) + int32(o.R)
 	}
 	return int32(o.R)
 }
+
+// readyOf returns register o's ready-time slot in the frame slice.
+func (fc *funcCode) readyOf(o mach.Opd) int32 { return fc.readyBase() + fc.slot(o) }
 
 // progCode is the predecoded form of one program.
 type progCode struct {
@@ -192,8 +197,9 @@ type progCode struct {
 func predecode(prog *mach.Program) *progCode {
 	return prog.Predecoded(func() any {
 		pc := &progCode{prog: prog, funcs: make(map[*mach.Func]*funcCode, len(prog.Funcs))}
-		for _, f := range prog.Funcs {
+		for i, f := range prog.Funcs {
 			pc.funcs[f] = flatten(prog, f)
+			pc.funcs[f].idx = int32(i)
 		}
 		// Resolve CALL targets in a second pass so mutual recursion works.
 		for _, fc := range pc.funcs {
@@ -283,11 +289,11 @@ func decodeOne(prog *mach.Program, fc *funcCode, in *mach.Instr) dinstr {
 	if checkInstr(fc, in) != nil {
 		return fc.free(dinstr{in: in, op: in.Op, xop: opMalformed})
 	}
-	d := fc.free(dinstr{in: in, op: in.Op, xop: in.Op, off: in.Off})
-	d.ak, d.a = bake(in.A)
-	d.bk, d.b = bake(in.B)
+	d := fc.free(dinstr{in: in, op: in.Op, off: in.Off})
+	d.ak, d.a = fc.bake(in.A)
+	d.bk, d.b = fc.bake(in.B)
 	var dst int64
-	if d.dk, dst = bake(in.Dst); d.dk == kIReg || d.dk == kFReg {
+	if d.dk, dst = fc.bake(in.Dst); d.dk == kIReg || d.dk == kFReg {
 		d.dst = int32(dst)
 	} else {
 		d.dk = kNone
@@ -299,32 +305,68 @@ func decodeOne(prog *mach.Program, fc *funcCode, in *mach.Instr) dinstr {
 			d.sym, d.off = symGlobal, off
 		}
 	}
-	if mach.ADD <= in.Op && in.Op <= mach.NOT && in.Op != mach.DIV && in.Op != mach.REM &&
-		!(d.ak == kIReg && (d.bk == kIReg || d.bk == kImm || d.bk == kNone) && d.dk == kIReg) {
-		d.xop = opALU
-	}
+	d.xop = inlineForm(in.Op, d.ak, d.bk, d.dk)
 	if in.Op == mach.NOP || in.IsMarker() {
 		return d
 	}
 	d.cost = 1
 	d.lat = uint8(in.Op.Latency())
+	if def := in.Def(); def.IsReg() {
+		d.def = fc.readyOf(def)
+	}
 	var buf [8]mach.Opd
 	switch uses := in.Uses(buf[:0]); {
 	case len(uses) > 2:
-		d.useOff = int32(len(fc.uses))
+		d.useOff, d.useN = int32(len(fc.uses)), int32(len(uses))
 		for _, u := range uses {
 			fc.uses = append(fc.uses, fc.readyOf(u))
 		}
-		d.useN = int32(len(uses))
+		fc.uses = append(fc.uses, d.def)
+		d.def = fc.sink()
 	case len(uses) == 2:
 		d.u0, d.u1 = fc.readyOf(uses[0]), fc.readyOf(uses[1])
 	case len(uses) == 1:
 		d.u0 = fc.readyOf(uses[0])
 	}
-	if def := in.Def(); def.IsReg() {
-		d.def = fc.readyOf(def)
-	}
 	return d
+}
+
+// inlineForm returns the opcode exec dispatches op on, given its operand
+// kinds: op (or opMovF) for a form exec's inline switch runs without a
+// call, opSlow for one that must go through Val. The inline forms: the
+// integer ALU on int registers and immediates; FADD, FSUB, FMUL and the
+// float compares on a float register and a float register or immediate;
+// MOV into a register of its class; LW, FLW, SW and FSW addressed by an
+// int register; BNEZ on an int register.
+func inlineForm(op mach.Opcode, ak, bk, dk opdKind) mach.Opcode {
+	intB, floatB := bk == kIReg || bk == kImm || bk == kNone, bk == kFReg || bk == kFImm
+	ok := true
+	switch {
+	case mach.ADD <= op && op <= mach.NOT:
+		ok = ak == kIReg && intB && dk == kIReg
+	case op == mach.FADD || op == mach.FSUB || op == mach.FMUL:
+		ok = ak == kFReg && floatB && dk == kFReg
+	case mach.FSEQ <= op && op <= mach.FSGE:
+		ok = ak == kFReg && floatB && dk == kIReg
+	case op == mach.MOV && dk == kFReg && (ak == kFReg || ak == kFImm):
+		return opMovF
+	case op == mach.MOV:
+		ok = dk == kIReg && (ak == kIReg || ak == kImm)
+	case op == mach.LW:
+		ok = ak == kIReg && dk == kIReg
+	case op == mach.FLW:
+		ok = ak == kIReg && dk == kFReg
+	case op == mach.SW:
+		ok = ak == kIReg && (bk == kIReg || bk == kImm)
+	case op == mach.FSW:
+		ok = ak == kIReg && floatB
+	case op == mach.BNEZ:
+		ok = ak == kIReg
+	}
+	if !ok {
+		return opSlow
+	}
+	return op
 }
 
 // checkInstr reports why in cannot run in fc's frame: a register it reads
@@ -375,7 +417,7 @@ func (fc *funcCode) pcOf(b *mach.Block, idx int) (int32, bool) {
 // compiled for.
 type BreakSet struct {
 	pc    *progCode
-	masks map[*mach.Func][]uint64
+	masks [][]uint64 // by funcCode.idx, nil where nothing is armed
 
 	// stepMode: functions without an explicit mask stop at every
 	// statement-boundary instruction (the source-level step rule) instead
@@ -386,7 +428,7 @@ type BreakSet struct {
 // NewBreakSet returns an empty stop set for the VM's program. Add stop
 // positions with Add; pass the set to RunBreaks.
 func (vm *VM) NewBreakSet() *BreakSet {
-	return &BreakSet{pc: vm.pcode, masks: map[*mach.Func][]uint64{}}
+	return &BreakSet{pc: vm.pcode, masks: make([][]uint64, len(vm.Prog.Funcs))}
 }
 
 // Add arms a stop at instruction idx of block b in fn. The position must
@@ -403,26 +445,24 @@ func (bs *BreakSet) Add(fn *mach.Func, b *mach.Block, idx int) {
 	if !ok {
 		panic(fmt.Sprintf("vm: BreakSet.Add: position b%d[%d] is outside %s's layout", b.ID, idx, fn.Name))
 	}
-	m := bs.masks[fn]
+	m := bs.masks[fc.idx]
 	if m == nil {
 		m = make([]uint64, len(fc.stmtMask))
-		bs.masks[fn] = m
+		bs.masks[fc.idx] = m
 	}
 	m[pc>>6] |= 1 << (uint(pc) & 63)
 }
 
-// maskOf returns fn's stop bitmap, or nil when execution never stops in
-// fn.
-func (bs *BreakSet) maskOf(fn *mach.Func) []uint64 {
-	if m, ok := bs.masks[fn]; ok {
+// mask returns fc's stop bitmap, or nil when execution never stops in fc
+// or bs is nil.
+func (bs *BreakSet) mask(fc *funcCode) []uint64 {
+	if bs == nil {
+		return nil
+	}
+	if m := bs.masks[fc.idx]; m != nil || !bs.stepMode {
 		return m
 	}
-	if bs.stepMode {
-		if fc, ok := bs.pc.funcs[fn]; ok {
-			return fc.stmtMask
-		}
-	}
-	return nil
+	return fc.stmtMask
 }
 
 // StepBreakSet compiles the source-level single-step stop rule into a
@@ -430,7 +470,8 @@ func (bs *BreakSet) maskOf(fn *mach.Func) []uint64 {
 // function other than fn, and at any statement-tagged instruction of fn
 // whose statement differs from stmt.
 func (vm *VM) StepBreakSet(fn *mach.Func, stmt int) *BreakSet {
-	bs := &BreakSet{pc: vm.pcode, masks: map[*mach.Func][]uint64{}, stepMode: true}
+	bs := vm.NewBreakSet()
+	bs.stepMode = true
 	fc, ok := vm.pcode.funcs[fn]
 	if !ok {
 		return bs
@@ -442,6 +483,6 @@ func (vm *VM) StepBreakSet(fn *mach.Func, stmt int) *BreakSet {
 			m[i>>6] &^= 1 << (uint(i) & 63)
 		}
 	}
-	bs.masks[fn] = m
+	bs.masks[fc.idx] = m
 	return bs
 }

@@ -64,23 +64,28 @@ func TestPredecodeMatchesInstr(t *testing.T) {
 
 // slotMatches reports the first field of d that disagrees with its
 // instruction, recomputing each from mach.Instr rather than through the
-// predecoder's own helpers.
+// predecoder's own helpers: the frame-slice slot of every register
+// operand, destination, use and def, under the layout int registers,
+// float registers, their ready times in the same order, zero, sink.
 func slotMatches(prog *mach.Program, fc *funcCode, d *dinstr) error {
 	f := fc.fn
 	nInt, nFloat := f.NumVregs, f.NumVregs
 	if f.Allocated {
 		nInt, nFloat = mach.NumIntRegs, mach.NumFloatRegs
 	}
-	zero, sink := int32(nInt+1+nFloat+1), int32(nInt+1+nFloat+2)
-	if fc.zero() != zero || fc.sink() != sink {
-		return fmt.Errorf("zero/sink slots %d/%d, want %d/%d", fc.zero(), fc.sink(), zero, sink)
+	readyBase := nInt + 1 + nFloat + 1
+	zero, sink := int32(2*readyBase), int32(2*readyBase+1)
+	if fc.zero() != zero || fc.sink() != sink || fc.frameLen() != sink+1 {
+		return fmt.Errorf("zero/sink/length %d/%d/%d, want %d/%d/%d",
+			fc.zero(), fc.sink(), fc.frameLen(), zero, sink, sink+1)
 	}
-	readyOf := func(o mach.Opd) int32 {
+	slotOf := func(o mach.Opd) int64 {
 		if o.Class == mach.FloatClass {
-			return int32(nInt + 1 + o.R)
+			return int64(nInt + 1 + o.R)
 		}
-		return int32(o.R)
+		return int64(o.R)
 	}
+	readyOf := func(o mach.Opd) int32 { return int32(readyBase) + int32(slotOf(o)) }
 	in := d.in
 	if in == nil {
 		if d.op != mach.RET || d.xop != mach.RET || d.ak != kNone || d.cost != 0 ||
@@ -95,14 +100,7 @@ func slotMatches(prog *mach.Program, fc *funcCode, d *dinstr) error {
 	if d.op != in.Op {
 		return fmt.Errorf("%s: op %s", in, d.op)
 	}
-	fast := in.A.IsReg() && in.A.Class == mach.IntClass &&
-		(in.B.Kind == mach.Imm || in.B.Kind == mach.None || in.B.IsReg() && in.B.Class == mach.IntClass) &&
-		in.Dst.IsReg() && in.Dst.Class == mach.IntClass
-	wantX := in.Op
-	if mach.ADD <= in.Op && in.Op <= mach.NOT && in.Op != mach.DIV && in.Op != mach.REM && !fast {
-		wantX = opALU
-	}
-	if d.xop != wantX {
+	if wantX := wantDispatch(in); d.xop != wantX {
 		return fmt.Errorf("%s: dispatches as %d, want %d", in, d.xop, wantX)
 	}
 	for _, o := range []struct {
@@ -114,7 +112,7 @@ func slotMatches(prog *mach.Program, fc *funcCode, d *dinstr) error {
 		if o.what == "Dst" && !o.want.IsReg() {
 			o.want = mach.Opd{} // only a register destination is written
 		}
-		if !bakedAs(o.k, o.v, o.want) {
+		if !bakedAs(o.k, o.v, o.want, slotOf) {
 			return fmt.Errorf("%s: %s baked as (%d, %d), want %v", in, o.what, o.k, o.v, o.want)
 		}
 	}
@@ -144,12 +142,20 @@ func slotMatches(prog *mach.Program, fc *funcCode, d *dinstr) error {
 			wantUses = append(wantUses, readyOf(u))
 		}
 	}
+	wantDef := sink
+	if def := in.Def(); !free && def.IsReg() {
+		wantDef = readyOf(def)
+	}
 	var gotUses []int32
+	gotDef := d.def
 	if d.useN != 0 {
-		if d.u0 != zero || d.u1 != zero {
-			return fmt.Errorf("%s: inline uses %d, %d beside the overflow", in, d.u0, d.u1)
+		// An overflow slot keeps nothing inline: its uses and then its
+		// def are in the overflow slice.
+		if d.u0 != zero || d.u1 != zero || d.def != sink {
+			return fmt.Errorf("%s: inline uses %d, %d and def %d beside the overflow", in, d.u0, d.u1, d.def)
 		}
 		gotUses = fc.uses[d.useOff : d.useOff+d.useN]
+		gotDef = fc.uses[d.useOff+d.useN]
 	} else {
 		for _, u := range []int32{d.u0, d.u1} {
 			if u != zero {
@@ -160,15 +166,14 @@ func slotMatches(prog *mach.Program, fc *funcCode, d *dinstr) error {
 			return fmt.Errorf("%s: second inline use without a first", in)
 		}
 	}
+	if len(wantUses) > 2 != (d.useN != 0) {
+		return fmt.Errorf("%s: %d uses, overflow %d", in, len(wantUses), d.useN)
+	}
 	if !slices.Equal(gotUses, wantUses) {
 		return fmt.Errorf("%s: ready uses %v, want %v", in, gotUses, wantUses)
 	}
-	wantDef := sink
-	if def := in.Def(); !free && def.IsReg() {
-		wantDef = readyOf(def)
-	}
-	if d.def != wantDef {
-		return fmt.Errorf("%s: ready def %d, want %d", in, d.def, wantDef)
+	if gotDef != wantDef {
+		return fmt.Errorf("%s: ready def %d, want %d", in, gotDef, wantDef)
 	}
 	wantCost, wantLat := uint8(1), uint8(in.Op.Latency())
 	if free {
@@ -180,16 +185,58 @@ func slotMatches(prog *mach.Program, fc *funcCode, d *dinstr) error {
 	return nil
 }
 
+// wantDispatch is the opcode exec should dispatch in on, restated from
+// its operands: the op itself for a form the inline switch handles (or
+// opMovF for a float MOV), opSlow for a form it leaves to Val, and the op
+// for every opcode the inline switch never handles.
+func wantDispatch(in *mach.Instr) mach.Opcode {
+	reg := func(o mach.Opd, c mach.RegClass) bool { return o.IsReg() && o.Class == c }
+	iA, fA, iD, fD := reg(in.A, mach.IntClass), reg(in.A, mach.FloatClass), reg(in.Dst, mach.IntClass), reg(in.Dst, mach.FloatClass)
+	intB := reg(in.B, mach.IntClass) || in.B.Kind == mach.Imm || in.B.Kind == mach.None
+	floatB := reg(in.B, mach.FloatClass) || in.B.Kind == mach.FImm
+	var inline bool
+	switch op := in.Op; {
+	case mach.ADD <= op && op <= mach.NOT:
+		inline = iA && intB && iD
+	case op == mach.FADD || op == mach.FSUB || op == mach.FMUL:
+		inline = fA && floatB && fD
+	case mach.FSEQ <= op && op <= mach.FSGE:
+		inline = fA && floatB && iD
+	case op == mach.MOV:
+		if fD && (fA || in.A.Kind == mach.FImm) {
+			return opMovF
+		}
+		inline = iD && (iA || in.A.Kind == mach.Imm)
+	case op == mach.LW:
+		inline = iA && iD
+	case op == mach.FLW:
+		inline = iA && fD
+	case op == mach.SW:
+		inline = iA && (reg(in.B, mach.IntClass) || in.B.Kind == mach.Imm)
+	case op == mach.FSW:
+		inline = iA && floatB
+	case op == mach.BNEZ:
+		inline = iA
+	default:
+		return op
+	}
+	if !inline {
+		return opSlow
+	}
+	return in.Op
+}
+
 // bakedAs reports whether the baked operand (k, v) is o: same kind and
-// register file, and the same register number, immediate or float bits.
-func bakedAs(k opdKind, v int64, o mach.Opd) bool {
+// register file, and the register's frame-slice slot (slotOf), the
+// immediate or the float bits.
+func bakedAs(k opdKind, v int64, o mach.Opd, slotOf func(mach.Opd) int64) bool {
 	switch o.Kind {
 	case mach.Reg:
 		want := kIReg
 		if o.Class == mach.FloatClass {
 			want = kFReg
 		}
-		return k == want && v == int64(o.R)
+		return k == want && v == slotOf(o)
 	case mach.Imm:
 		return k == kImm && v == o.Imm
 	case mach.FImm:
@@ -215,8 +262,9 @@ func handProg(bad *mach.Instr, nvregs int, allocated bool, frameSize int64) *mac
 // TestMalformedInstrFails: an instruction whose register lies outside
 // its file, or whose spill-slot offset lies outside the frame, fails
 // when executed, through Step and RunBreaks alike, with an error naming
-// the function. It writes nothing: the register files, the ready times,
-// memory and Cycles are as they were before it.
+// the function. It writes nothing: the frame slice (both register files,
+// their ready times and the zero slot), memory and Cycles are as they
+// were before it.
 func TestMalformedInstrFails(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -249,12 +297,12 @@ func TestMalformedInstrFails(t *testing.T) {
 				if err := v.Step(); err != nil {
 					t.Fatalf("%s: mov: %v", path, err)
 				}
-				// Every ready slot but the sink, which absorbs the def of
-				// any instruction that defines no register.
+				// The whole frame slice (registers, ready times and the
+				// zero slot) but the sink, which absorbs the def of any
+				// instruction that defines no register.
 				fr := v.Top()
-				live := fr.ready[:fr.code.sink()]
-				ireg, freg := slices.Clone(fr.IReg), slices.Clone(fr.FReg)
-				ready, mem, cycles := slices.Clone(live), slices.Clone(v.mem), v.Cycles
+				live := fr.regs[:fr.code.sink()]
+				regs, mem, cycles := slices.Clone(live), slices.Clone(v.mem), v.Cycles
 				if path == "Step" {
 					err = v.Step()
 				} else {
@@ -270,8 +318,8 @@ func TestMalformedInstrFails(t *testing.T) {
 				if v.Steps != 2 {
 					t.Errorf("%s: Steps %d after the fault, want 2", path, v.Steps)
 				}
-				if !slices.Equal(fr.IReg, ireg) || !slices.Equal(fr.FReg, freg) ||
-					!slices.Equal(live, ready) || !slices.Equal(v.mem, mem) || v.Cycles != cycles {
+				if len(fr.regs) != int(fr.code.frameLen()) || !slices.Equal(live, regs) ||
+					!slices.Equal(v.mem, mem) || v.Cycles != cycles {
 					t.Errorf("%s: the malformed instruction wrote state", path)
 				}
 			}
@@ -293,6 +341,90 @@ func TestWellFormedHandProg(t *testing.T) {
 		}
 		if err := v.Run(); err != nil || v.ExitValue() != 7 {
 			t.Errorf("%s: exit %d, err %v; want 7, nil", ok, v.ExitValue(), err)
+		}
+	}
+}
+
+// TestRegisterAccessors: IntReg and FloatReg read their own file of the
+// frame slice, spare slot included, and panic past it as an index into
+// the file would, never reading the other file or the ready times.
+func TestRegisterAccessors(t *testing.T) {
+	v, err := New(handProg(&mach.Instr{Op: mach.CVTIF, Dst: mach.FR(2), A: mach.R_(0)}, 3, false, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // mov r0, 7; cvt.if f2, r0
+		if err := v.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := v.Top()
+	if fr.IntReg(0) != 7 || fr.FloatReg(2) != 7 || fr.IntReg(3) != 0 || fr.FloatReg(3) != 0 {
+		t.Errorf("r0 %d, f2 %g, spare slots %d and %g; want 7, 7, 0, 0",
+			fr.IntReg(0), fr.FloatReg(2), fr.IntReg(3), fr.FloatReg(3))
+	}
+	for _, bad := range []func(){
+		func() { fr.IntReg(4) }, func() { fr.IntReg(-1) },
+		func() { fr.FloatReg(4) }, func() { fr.FloatReg(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a register outside its file did not panic")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
+// TestInlineFaultsLeaveTheLoop: DIV, REM, LW, FLW, SW and FSW run in
+// exec's inline switch; a zero divisor or an address out of bounds leaves
+// it for the out-of-line path, which fails with the error the general
+// path gives, through Step and RunBreaks alike, writing no register or
+// memory and with the instruction's cycle counted.
+func TestInlineFaultsLeaveTheLoop(t *testing.T) {
+	for _, tc := range []struct {
+		bad  *mach.Instr
+		want string
+	}{
+		{&mach.Instr{Op: mach.DIV, Dst: mach.R_(1), A: mach.R_(0), B: mach.R_(2)}, "integer division by zero"},
+		{&mach.Instr{Op: mach.REM, Dst: mach.R_(1), A: mach.R_(0), B: mach.I_(0)}, "integer remainder by zero"},
+		{&mach.Instr{Op: mach.LW, Dst: mach.R_(1), A: mach.R_(0), Off: 1 << 20}, "lw out of bounds at 1048583"},
+		{&mach.Instr{Op: mach.FLW, Dst: mach.FR(1), A: mach.R_(0), Off: -8}, "flw out of bounds at -1"},
+		{&mach.Instr{Op: mach.SW, A: mach.R_(0), B: mach.R_(0), Off: -10}, "sw out of bounds at -3"},
+		{&mach.Instr{Op: mach.FSW, A: mach.R_(0), B: mach.FR(0), Off: 1 << 40}, "fsw out of bounds at"},
+	} {
+		var cycles []int64
+		for _, path := range []string{"Step", "RunBreaks"} {
+			v, err := New(handProg(tc.bad, 3, false, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantX := wantDispatch(tc.bad); wantX != tc.bad.Op {
+				t.Fatalf("%s dispatches as %d, want inline", tc.bad, wantX)
+			}
+			if err := v.Step(); err != nil {
+				t.Fatal(err)
+			}
+			regs, mem := slices.Clone(v.Top().regs), slices.Clone(v.mem)
+			if path == "Step" {
+				err = v.Step()
+			} else {
+				err = v.RunBreaks(v.NewBreakSet(), false)
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "in main") {
+				t.Errorf("%s: %s: error %v, want %q in main", path, tc.bad, err, tc.want)
+			}
+			// The sink and the def's ready slot hold the accounting.
+			live := v.Top().code.readyBase()
+			if v.Steps != 2 || !slices.Equal(v.Top().regs[:live], regs[:live]) || !slices.Equal(v.mem, mem) {
+				t.Errorf("%s: %s: Steps %d, or a register or memory was written", path, tc.bad, v.Steps)
+			}
+			cycles = append(cycles, v.Cycles)
+		}
+		if cycles[0] != cycles[1] || cycles[0] != 2 {
+			t.Errorf("%s: Cycles %v on Step and RunBreaks, want 2 on both", tc.bad, cycles)
 		}
 	}
 }

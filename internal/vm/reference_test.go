@@ -1,5 +1,15 @@
 package vm
 
+import "repro/internal/mach"
+
+// maskOf is BreakSet.mask for fn, nil when fn is not in the program.
+func (bs *BreakSet) maskOf(fn *mach.Func) []uint64 {
+	if fc, ok := bs.pc.funcs[fn]; ok {
+		return bs.mask(fc)
+	}
+	return nil
+}
+
 // runUntil is the reference engine the RunBreaks tests hold the bitmap
 // loop to: it evaluates stop over the Pos before every instruction and
 // single-steps otherwise, built from the public Step/Position/Halted. Like

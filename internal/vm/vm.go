@@ -7,14 +7,13 @@
 //
 // Execution (Run, RunBreaks, Step) is one loop, exec, over the predecoded
 // pc-indexed instruction array (see predecode.go). It executes from the
-// operands baked into each slot, not from mach.Instr, keeps pc and the
-// cycle count in locals, gives integer ALU forms over int registers and
-// immediates a path that writes IReg directly, and tests a breakpoint
-// bitmap bit per instruction. RunBreaks folds the step-budget and
-// wall-clock-deadline checks into one counter examined every checkQuantum
-// instructions; Step runs exec for a single instruction. The tests build
-// their reference stop-predicate loop from Step, Position and Halted and
-// hold RunBreaks to it.
+// operands baked into each slot on one slice per frame holding both
+// register files and their ready times, makes no call on its hot path,
+// and tests a breakpoint bitmap bit per instruction. RunBreaks folds the
+// step-budget and wall-clock-deadline checks into one counter examined
+// every checkQuantum instructions; Step runs exec for one instruction.
+// The tests build their reference stop-predicate loop from Step, Position
+// and Halted and hold RunBreaks to it.
 package vm
 
 import (
@@ -46,6 +45,16 @@ var ErrDeadline = errors.New("vm: deadline exceeded")
 // program trips it at the same print every run).
 var ErrOutputLimit = errors.New("vm: output limit exceeded")
 
+// ErrCallDepth is returned (wrapped) when a call would make the stack deeper
+// than maxCallDepth frames, naming the caller and the callee.
+var ErrCallDepth = errors.New("vm: call depth limit exceeded")
+
+// maxCallDepth bounds the call stack, so unbounded recursion cannot grow
+// the VM until the process is killed long before the step budget trips.
+// At the bound, frames of the corpus's mean size (2.4 KB with register
+// slice and memory words) hold 39 MiB; the workloads reach 23 frames.
+const maxCallDepth = 1 << 14
+
 // DefaultMaxOutput bounds Output when MaxOutput is zero. Without a bound
 // a print-loop program grows the output buffer (and server memory)
 // without limit.
@@ -75,27 +84,31 @@ type slot struct {
 // return and a later call at the same depth overwrite it in place.
 type Frame struct {
 	Fn   *mach.Func
-	IReg []int64
-	FReg []float64
 	Base int64 // byte address of this frame's memory area
 	Args []Val
 
-	// ready models result latency: the cycle at which each register's
-	// value becomes available, int registers first and float registers
-	// after them (see funcCode.nInt). An instruction stalls until its
-	// operands are ready, so instruction scheduling measurably reduces
-	// cycle counts.
-	ready []int64
+	// regs holds the int registers, the float registers' bits, the cycle
+	// each register is ready at, then the zero and sink slots (see
+	// funcCode.nInt). An instruction stalls until its operands are ready.
+	regs []int64
 
 	// code/pc drive execution: pc indexes the function's predecoded flat
 	// instruction array. The debugger-visible (block, idx) position is
 	// derived from pc through the predecode tables.
 	code *funcCode
 	pc   int32
-	// retK/retR say where the caller wants the return value: a register
-	// of the caller's frame, or nowhere when retK is kNone.
+	// retK/retR say where the caller wants the return value: a slot of
+	// the caller's frame slice, or nowhere when retK is kNone.
 	retK opdKind
 	retR int32
+}
+
+// IntReg returns int register r; it panics when r is outside the file.
+func (fr *Frame) IntReg(r int) int64 { return fr.regs[:fileLen(fr.code.nInt)][r] }
+
+// FloatReg returns float register r; it panics when r is outside the file.
+func (fr *Frame) FloatReg(r int) float64 {
+	return f64(fr.regs[fileLen(fr.code.nInt):fr.code.readyBase()][r])
 }
 
 // Pos identifies an execution position (the debugger's program counter).
@@ -158,9 +171,9 @@ func New(prog *mach.Program) (*VM, error) {
 	return vm, nil
 }
 
-// push enters fc on the pooled frame of the next call depth, with zeroed
-// register files and ready times and nargs zeroed arguments for the
-// caller to fill in. Frame memory above sp is not cleared.
+// push enters fc on the pooled frame of the next call depth, with a
+// zeroed frame slice and nargs zeroed arguments for the caller to fill
+// in. Frame memory above sp is not cleared.
 func (vm *VM) push(fc *funcCode, nargs int, retK opdKind, retR int32) *Frame {
 	fn := fc.fn
 	d := len(vm.stack)
@@ -169,9 +182,7 @@ func (vm *VM) push(fc *funcCode, nargs int, retK opdKind, retR int32) *Frame {
 	}
 	fr := vm.pool[d]
 	fr.Fn = fn
-	fr.IReg = reuse(fr.IReg, int(fileLen(fc.nInt)))
-	fr.FReg = reuse(fr.FReg, int(fileLen(fc.nFloat)))
-	fr.ready = reuse(fr.ready, int(fc.sink()+1))
+	fr.regs = reuse(fr.regs, int(fc.frameLen()))
 	fr.Base = vm.sp
 	fr.Args = reuse(fr.Args, nargs)
 	fr.code = fc
@@ -280,8 +291,7 @@ func (vm *VM) Run() error {
 // predecoded fast path behind run-to-breakpoint and source-level step:
 // dispatch walks the flat instruction array and the stop check is one
 // bitmap bit test, with the budget and deadline checks folded into a
-// single fused counter examined every checkQuantum instructions (and at
-// every call/return, which re-establishes the per-function bitmap).
+// single fused counter examined every checkQuantum instructions.
 //
 // When skipCurrent is set the first instruction executes unconditionally
 // before stopping is considered: resuming from a breakpoint must not
@@ -299,8 +309,6 @@ func (vm *VM) RunBreaks(bs *BreakSet, skipCurrent bool) error {
 		}
 	}
 	for !vm.halted {
-		fr := vm.stack[len(vm.stack)-1]
-		mask := bs.maskOf(fr.Fn)
 		// The fused counter: instructions until the next slow check — the
 		// deadline checkpoint (aligned to checkQuantum multiples of Steps,
 		// the same cadence the single-step path keeps) or the step budget,
@@ -313,16 +321,14 @@ func (vm *VM) RunBreaks(bs *BreakSet, skipCurrent bool) error {
 			// Budget exhausted: a stop at the current position still wins
 			// (the stop check precedes the step attempt, as in the
 			// reference path).
-			pc := fr.pc
-			if mask != nil && mask[pc>>6]&(1<<(uint(pc)&63)) != 0 {
+			fr := vm.stack[len(vm.stack)-1]
+			if m := bs.mask(fr.code); m != nil && m[fr.pc>>6]&(1<<(uint(fr.pc)&63)) != 0 {
 				return nil
 			}
 			vm.Steps++
 			return fmt.Errorf("%w in %s", ErrStepLimit, fr.Fn.Name)
 		}
-		steps, stopped, err := vm.exec(fr, mask, n)
-		vm.Steps += steps
-		if stopped || err != nil {
+		if stopped, err := vm.exec(bs, n); stopped || err != nil {
 			return err
 		}
 		if vm.halted {
@@ -336,9 +342,9 @@ func (vm *VM) RunBreaks(bs *BreakSet, skipCurrent bool) error {
 	return nil
 }
 
-// regVal reads a mach.Opd operand in frame fr: the CALL arguments and
-// PRINT values, which are not baked.
-func (vm *VM) regVal(fr *Frame, o mach.Opd) Val {
+// regVal reads a mach.Opd operand in fr: the CALL arguments and PRINT
+// values, which are not baked.
+func (fr *Frame) regVal(o mach.Opd) Val {
 	switch o.Kind {
 	case mach.Imm:
 		return Val{I: o.Imm}
@@ -346,9 +352,9 @@ func (vm *VM) regVal(fr *Frame, o mach.Opd) Val {
 		return Val{F: o.F, IsF: true}
 	case mach.Reg:
 		if o.Class == mach.FloatClass {
-			return Val{F: fr.FReg[o.R], IsF: true}
+			return Val{F: fr.FloatReg(o.R), IsF: true}
 		}
-		return Val{I: fr.IReg[o.R]}
+		return Val{I: fr.IntReg(o.R)}
 	}
 	return Val{}
 }
@@ -357,13 +363,13 @@ func (vm *VM) regVal(fr *Frame, o mach.Opd) Val {
 func (fr *Frame) val(k opdKind, v int64) Val {
 	switch k {
 	case kIReg:
-		return Val{I: fr.IReg[v]}
+		return Val{I: fr.regs[v]}
 	case kFReg:
-		return Val{F: fr.FReg[v], IsF: true}
+		return Val{F: f64(fr.regs[v]), IsF: true}
 	case kImm:
 		return Val{I: v}
 	case kFImm:
-		return Val{F: math.Float64frombits(uint64(v)), IsF: true}
+		return Val{F: f64(v), IsF: true}
 	}
 	return Val{}
 }
@@ -372,7 +378,7 @@ func (fr *Frame) val(k opdKind, v int64) Val {
 func (fr *Frame) ival(k opdKind, v int64) int64 {
 	switch k {
 	case kIReg:
-		return fr.IReg[v]
+		return fr.regs[v]
 	case kImm:
 		return v
 	}
@@ -388,8 +394,8 @@ func (fr *Frame) fval(k opdKind, v int64) float64 {
 	return x.F
 }
 
-// set writes v to register r of kind k, converting between the int and
-// float views and truncating integers to 32 bits; kNone writes nothing.
+// set writes v to the register in slot r of kind k, converting between the
+// int and float views and truncating integers to 32 bits; kNone writes nothing.
 func (fr *Frame) set(k opdKind, r int32, v Val) {
 	switch k {
 	case kIReg:
@@ -397,15 +403,19 @@ func (fr *Frame) set(k opdKind, r int32, v Val) {
 		if v.IsF {
 			x = int64(v.F)
 		}
-		fr.IReg[r] = int64(int32(x))
+		fr.regs[r] = int64(int32(x))
 	case kFReg:
 		x := v.F
 		if !v.IsF {
 			x = float64(v.I)
 		}
-		fr.FReg[r] = x
+		fr.regs[r] = bits(x)
 	}
 }
+
+// f64 and bits convert between a float and the int64 its frame slot holds.
+func f64(x int64) float64  { return math.Float64frombits(uint64(x)) }
+func bits(f float64) int64 { return int64(math.Float64bits(f)) }
 
 // ReadMemInt reads the int word at byte address addr.
 func (vm *VM) ReadMemInt(addr int64) (int64, error) {
@@ -449,209 +459,291 @@ func (vm *VM) Step() error {
 	if vm.deadline != 0 && vm.Steps&(checkQuantum-1) == 0 && time.Now().UnixNano() > vm.deadline {
 		return fmt.Errorf("%w in %s", ErrDeadline, fr.Fn.Name)
 	}
-	_, _, err := vm.exec(fr, nil, 1)
+	vm.Steps-- // exec counts the step it runs
+	_, err := vm.exec(nil, 1)
 	return err
 }
 
-// exec executes up to n instructions of the top frame fr, from fr.pc. It
-// first tests each instruction's bit in mask (nil stops nowhere) and
-// reports stopped, without executing it, when the bit is set. It returns
-// early after a call, a return or a fault, since the caller must then
-// reload its frame-derived state. pc and the cycle count live in locals
-// while it runs and are written back on every return, so a fault leaves
-// the VM at the boundary after the faulting instruction, cycles counted.
-func (vm *VM) exec(fr *Frame, mask []uint64, n int64) (steps int64, stopped bool, err error) {
-	fc := fr.code
-	code, uses, ready, ireg, mem := fc.code, fc.uses, fr.ready, fr.IReg, vm.mem
-	pc, cycles := fr.pc, vm.Cycles
-loop:
+// exec executes from the top frame's pc until an instruction whose bit is
+// set in its function's mask in bs (nil stops nowhere), reported as
+// stopped and not executed; until n instructions have run; or until the
+// program halts or faults. Calls and returns switch frames inside exec.
+// The inline switch handles only forms that need no call (inlineForm), so
+// the hot loop calls nothing and Go keeps pc, the cycle count and the step
+// count in registers. Every other slot, and an inline load, store or
+// division that would fault, leaves it after its cycle accounting for the
+// out-of-line section and re-enters. pc, Cycles and Steps are written back
+// on return: a fault leaves the VM after the faulting instruction.
+func (vm *VM) exec(bs *BreakSet, n int64) (stopped bool, err error) {
+	fr := vm.stack[len(vm.stack)-1]
+	code, r, mask := fr.code.code, fr.regs, bs.mask(fr.code)
+	pc, cycles, left := int(fr.pc), vm.Cycles, n
+	vm.Steps += n // less the instructions left, on return
+run:
 	for {
-		if mask != nil && mask[pc>>6]&(1<<(uint(pc)&63)) != 0 {
-			stopped = true
-			break
-		}
-		if steps == n {
-			break
-		}
-		steps++
-		d := &code[pc]
-
-		// Cycle accounting: one issue slot per instruction plus stalls
-		// until register operands are ready; the destination becomes ready
-		// after the opcode's latency. An absent use reads the zero slot and
-		// an absent def writes the sink slot, so the common case has no
-		// branch.
-		issue := max(cycles, ready[d.u0], ready[d.u1])
-		if d.useN != 0 {
-			for _, u := range uses[d.useOff : d.useOff+d.useN] {
-				issue = max(issue, ready[u])
+	hot:
+		for {
+			if mask != nil && mask[pc>>6]&(1<<(uint(pc)&63)) != 0 {
+				stopped = true
+				break run
 			}
-		}
-		cycles = issue + int64(d.cost)
-		ready[d.def] = issue + int64(d.lat)
-		pc++
-
-		switch d.xop {
-		case mach.NOP, mach.MARKDEAD, mach.MARKAVAIL:
-			// no effect
-
-		// The integer fast form: int register A, int register or
-		// immediate B (d.ib), int register destination.
-		case mach.ADD:
-			ireg[d.dst] = int64(int32(ireg[d.a] + d.ib(ireg)))
-		case mach.SUB:
-			ireg[d.dst] = int64(int32(ireg[d.a] - d.ib(ireg)))
-		case mach.MUL:
-			ireg[d.dst] = int64(int32(ireg[d.a] * d.ib(ireg)))
-		case mach.SHL:
-			ireg[d.dst] = int64(int32(ireg[d.a] << (uint(d.ib(ireg)) & 31)))
-		case mach.SHR:
-			ireg[d.dst] = int64(int32(ireg[d.a] >> (uint(d.ib(ireg)) & 31)))
-		case mach.OR:
-			ireg[d.dst] = int64(int32(ireg[d.a] | d.ib(ireg)))
-		case mach.XOR:
-			ireg[d.dst] = int64(int32(ireg[d.a] ^ d.ib(ireg)))
-		case mach.SEQ:
-			ireg[d.dst] = b2i(ireg[d.a] == d.ib(ireg))
-		case mach.SNE:
-			ireg[d.dst] = b2i(ireg[d.a] != d.ib(ireg))
-		case mach.SLT:
-			ireg[d.dst] = b2i(ireg[d.a] < d.ib(ireg))
-		case mach.SLE:
-			ireg[d.dst] = b2i(ireg[d.a] <= d.ib(ireg))
-		case mach.SGT:
-			ireg[d.dst] = b2i(ireg[d.a] > d.ib(ireg))
-		case mach.SGE:
-			ireg[d.dst] = b2i(ireg[d.a] >= d.ib(ireg))
-		case mach.NEG:
-			ireg[d.dst] = int64(int32(-ireg[d.a]))
-		case mach.NOT:
-			ireg[d.dst] = b2i(ireg[d.a] == 0)
-
-		case mach.MOV:
-			if d.dk == kIReg && d.ak == kIReg {
-				ireg[d.dst] = int64(int32(ireg[d.a]))
-				break
+			if left == 0 {
+				break run
 			}
-			fr.set(d.dk, d.dst, fr.val(d.ak, d.a))
+			left--
+			d := &code[pc]
 
-		case mach.GETP:
-			if d.in.ParamIdx < len(fr.Args) {
-				fr.set(d.dk, d.dst, fr.Args[d.in.ParamIdx])
-			}
+			// Cycle accounting: issue once the operands are ready, one slot
+			// per instruction, the def ready after the latency. An absent use
+			// reads the zero slot, an absent def writes the sink: no branch.
+			issue := max(cycles, r[d.u0], r[d.u1])
+			cycles = issue + int64(d.cost)
+			r[d.def] = issue + int64(d.lat)
+			pc++
 
-		case mach.LA:
-			switch d.sym {
-			case symFrame:
-				fr.set(d.dk, d.dst, Val{I: fr.Base + d.off})
-			case symGlobal:
-				fr.set(d.dk, d.dst, Val{I: d.off})
+			switch d.xop {
+			case mach.NOP, mach.MARKDEAD, mach.MARKAVAIL:
+				// no effect
+
+			// The integer fast form: int register A, int register or immediate B.
+			case mach.ADD:
+				r[d.dst] = int64(int32(r[d.a] + d.ib(r)))
+			case mach.SUB:
+				r[d.dst] = int64(int32(r[d.a] - d.ib(r)))
+			case mach.MUL:
+				r[d.dst] = int64(int32(r[d.a] * d.ib(r)))
+			case mach.DIV:
+				b := d.ib(r)
+				if b == 0 {
+					break hot // the division fault is reported out of line
+				}
+				r[d.dst] = int64(int32(r[d.a] / b))
+			case mach.REM:
+				b := d.ib(r)
+				if b == 0 {
+					break hot
+				}
+				r[d.dst] = int64(int32(r[d.a] % b))
+			case mach.SHL:
+				r[d.dst] = int64(int32(r[d.a] << (uint(d.ib(r)) & 31)))
+			case mach.SHR:
+				r[d.dst] = int64(int32(r[d.a] >> (uint(d.ib(r)) & 31)))
+			case mach.OR:
+				r[d.dst] = int64(int32(r[d.a] | d.ib(r)))
+			case mach.XOR:
+				r[d.dst] = int64(int32(r[d.a] ^ d.ib(r)))
+			case mach.SEQ:
+				r[d.dst] = b2i(r[d.a] == d.ib(r))
+			case mach.SNE:
+				r[d.dst] = b2i(r[d.a] != d.ib(r))
+			case mach.SLT:
+				r[d.dst] = b2i(r[d.a] < d.ib(r))
+			case mach.SLE:
+				r[d.dst] = b2i(r[d.a] <= d.ib(r))
+			case mach.SGT:
+				r[d.dst] = b2i(r[d.a] > d.ib(r))
+			case mach.SGE:
+				r[d.dst] = b2i(r[d.a] >= d.ib(r))
+			case mach.NEG:
+				r[d.dst] = int64(int32(-r[d.a]))
+			case mach.NOT:
+				r[d.dst] = b2i(r[d.a] == 0)
+
+			// The float fast form: float register A, float register or immediate B.
+			case mach.FADD:
+				r[d.dst] = bits(f64(r[d.a]) + f64(d.ib(r)))
+			case mach.FSUB:
+				r[d.dst] = bits(f64(r[d.a]) - f64(d.ib(r)))
+			case mach.FMUL:
+				r[d.dst] = bits(f64(r[d.a]) * f64(d.ib(r)))
+			case mach.FSEQ:
+				r[d.dst] = b2i(f64(r[d.a]) == f64(d.ib(r)))
+			case mach.FSNE:
+				r[d.dst] = b2i(f64(r[d.a]) != f64(d.ib(r)))
+			case mach.FSLT:
+				r[d.dst] = b2i(f64(r[d.a]) < f64(d.ib(r)))
+			case mach.FSLE:
+				r[d.dst] = b2i(f64(r[d.a]) <= f64(d.ib(r)))
+			case mach.FSGT:
+				r[d.dst] = b2i(f64(r[d.a]) > f64(d.ib(r)))
+			case mach.FSGE:
+				r[d.dst] = b2i(f64(r[d.a]) >= f64(d.ib(r)))
+
+			case mach.MOV:
+				r[d.dst] = int64(int32(d.ia(r)))
+			case opMovF:
+				r[d.dst] = d.ia(r)
+
+			// vm.mem is read per access: a call may grow it.
+			case mach.LW:
+				i, mem := uint64(r[d.a]+d.off)>>2, vm.mem
+				if i >= uint64(len(mem)) {
+					break hot
+				}
+				r[d.dst] = int64(int32(mem[i].i))
+			case mach.FLW:
+				i, mem := uint64(r[d.a]+d.off)>>2, vm.mem
+				if i >= uint64(len(mem)) {
+					break hot
+				}
+				r[d.dst] = bits(mem[i].f)
+			case mach.SW:
+				i, mem := uint64(r[d.a]+d.off)>>2, vm.mem
+				if i >= uint64(len(mem)) {
+					break hot
+				}
+				mem[i] = slot{i: int64(int32(d.ib(r)))}
+			case mach.FSW:
+				i, mem := uint64(r[d.a]+d.off)>>2, vm.mem
+				if i >= uint64(len(mem)) {
+					break hot
+				}
+				mem[i] = slot{f: f64(d.ib(r))}
+
+			case mach.J:
+				pc = int(d.t0)
+			case mach.BNEZ:
+				pc = int(d.t1)
+				if r[d.a] != 0 {
+					pc = int(d.t0)
+				}
+
 			default:
-				err = fmt.Errorf("vm: la of unknown symbol %s", d.in.Sym.Name)
-				break loop
+				break hot
 			}
+		}
 
-		case mach.LW, mach.FLW:
-			addr := fr.ival(d.ak, d.a) + d.off
-			if addr < 0 || addr/4 >= int64(len(mem)) {
-				err = fmt.Errorf("vm: %s out of bounds at %d (stmt %d in %s)", d.op, addr, d.in.Stmt, fr.Fn.Name)
-				break loop
+		// Out of line: d, at pc-1, has had its inline cycle accounting. The
+		// frame is reloaded from the stack, so the hot loop holds none.
+		fr := vm.stack[len(vm.stack)-1]
+		d := &fr.code.code[pc-1]
+		if d.useN != 0 {
+			// Fold the overflow uses, and only then write the def: a CALL
+			// may redefine one of its own arguments.
+			issue := cycles - int64(d.cost)
+			ov := fr.code.uses[d.useOff : d.useOff+d.useN+1]
+			for _, u := range ov[:d.useN] {
+				issue = max(issue, r[u])
 			}
-			if d.op == mach.FLW {
-				fr.set(d.dk, d.dst, Val{F: mem[addr/4].f, IsF: true})
-			} else if d.dk == kIReg {
-				ireg[d.dst] = int64(int32(mem[addr/4].i))
-			} else {
-				fr.set(d.dk, d.dst, Val{I: mem[addr/4].i})
-			}
-
-		case mach.SW, mach.FSW:
-			addr := fr.ival(d.ak, d.a) + d.off
-			if addr < 0 || addr/4 >= int64(len(mem)) {
-				err = fmt.Errorf("vm: %s out of bounds at %d (stmt %d in %s)", d.op, addr, d.in.Stmt, fr.Fn.Name)
-				break loop
-			}
-			if d.op == mach.FSW {
-				mem[addr/4] = slot{f: fr.fval(d.bk, d.b)}
-			} else {
-				mem[addr/4] = slot{i: int64(int32(fr.ival(d.bk, d.b)))}
-			}
-
-		case mach.LWFP:
-			if d.dk == kIReg {
-				ireg[d.dst] = int64(int32(mem[(fr.Base+d.off)/4].i))
-				break
-			}
-			fr.set(d.dk, d.dst, Val{I: mem[(fr.Base+d.off)/4].i})
-		case mach.FLWFP:
-			if d.dk == kFReg {
-				fr.FReg[d.dst] = mem[(fr.Base+d.off)/4].f
-				break
-			}
-			fr.set(d.dk, d.dst, Val{F: mem[(fr.Base+d.off)/4].f, IsF: true})
-		case mach.SWFP:
-			mem[(fr.Base+d.off)/4] = slot{i: fr.ival(d.bk, d.b)}
-		case mach.FSWFP:
-			mem[(fr.Base+d.off)/4] = slot{f: fr.fval(d.bk, d.b)}
-
+			cycles = issue + int64(d.cost)
+			r[ov[d.useN]] = issue + int64(d.lat)
+		}
+		switch d.xop {
 		case mach.CALL:
 			if d.callee == nil {
 				err = fmt.Errorf("vm: call of unknown function %q", d.in.Callee)
-				break loop
+				break run
 			}
-			args := vm.push(d.callee, len(d.in.Args), d.dk, d.dst).Args
+			if len(vm.stack) == maxCallDepth {
+				err = fmt.Errorf("%w (%d frames) in %s calling %s", ErrCallDepth, maxCallDepth, fr.Fn.Name, d.in.Callee)
+				break run
+			}
+			fr.pc = int32(pc)
+			callee := vm.push(d.callee, len(d.in.Args), d.dk, d.dst)
 			for i, a := range d.in.Args {
-				args[i] = vm.regVal(fr, a)
+				callee.Args[i] = fr.regVal(a)
 			}
-			break loop
-
+			fr = callee
 		case mach.RET:
-			err = vm.doReturn(fr.val(d.ak, d.a))
-			break loop
-
-		case mach.J:
-			pc = d.t0
-
-		case mach.BNEZ:
-			var taken bool
-			if d.ak == kIReg {
-				taken = ireg[d.a] != 0
-			} else {
-				c := fr.val(d.ak, d.a)
-				taken = c.I != 0 || c.F != 0
+			v := fr.val(d.ak, d.a)
+			vm.sp = fr.Base
+			vm.stack = vm.stack[:len(vm.stack)-1]
+			if len(vm.stack) == 0 {
+				vm.halted, vm.retVal = true, v
+				break run
 			}
-			if taken {
-				pc = d.t0
-			} else {
-				pc = d.t1
-			}
-
-		case mach.PRINT:
-			if err = vm.doPrint(fr, d.in); err != nil {
-				break loop
-			}
-
-		case opMalformed:
-			err = fmt.Errorf("vm: malformed instruction in %s: %v (%s)", fr.Fn.Name, checkInstr(fc, d.in), d.in)
-			break loop
-
+			vm.stack[len(vm.stack)-1].set(fr.retK, fr.retR, v)
+			fr = vm.stack[len(vm.stack)-1]
 		default:
-			if err = vm.alu(fr, d); err != nil {
-				break loop
+			// A fresh error variable, so err is not carried around the loop.
+			next, e := vm.slow(fr, d, pc)
+			if e != nil {
+				err = e
+				break run
 			}
+			pc = next
+			continue
 		}
+		code, r, mask, pc = fr.code.code, fr.regs, bs.mask(fr.code), int(fr.pc)
 	}
-	fr.pc, vm.Cycles = pc, cycles
-	return steps, stopped, err
+	if !vm.halted {
+		vm.stack[len(vm.stack)-1].pc = int32(pc)
+	}
+	vm.Cycles, vm.Steps = cycles, vm.Steps-left
+	return stopped, err
 }
 
-// ib is the integer value of B in the fast form: an int register, or
-// the immediate (0 when B is absent).
-func (d *dinstr) ib(ireg []int64) int64 {
-	if d.bk == kIReg {
-		return ireg[d.b]
+// slow executes d in frame fr through Val: every slot but CALL and RET that
+// exec's inline switch leaves to it. pc is the pc after d; slow returns the
+// next pc to execute.
+func (vm *VM) slow(fr *Frame, d *dinstr, pc int) (int, error) {
+	if d.xop == opMalformed {
+		return pc, fmt.Errorf("vm: malformed instruction in %s: %v (%s)", fr.Fn.Name, checkInstr(fr.code, d.in), d.in)
+	}
+	switch d.op {
+	case mach.MOV:
+		fr.set(d.dk, d.dst, fr.val(d.ak, d.a))
+	case mach.GETP:
+		if d.in.ParamIdx < len(fr.Args) {
+			fr.set(d.dk, d.dst, fr.Args[d.in.ParamIdx])
+		}
+	case mach.LA:
+		switch d.sym {
+		case symFrame:
+			fr.set(d.dk, d.dst, Val{I: fr.Base + d.off})
+		case symGlobal:
+			fr.set(d.dk, d.dst, Val{I: d.off})
+		default:
+			return pc, fmt.Errorf("vm: la of unknown symbol %s", d.in.Sym.Name)
+		}
+	case mach.LW, mach.FLW, mach.SW, mach.FSW, mach.LWFP, mach.FLWFP, mach.SWFP, mach.FSWFP:
+		addr := fr.Base + d.off // the spill forms address the frame
+		if d.op < mach.LWFP {
+			addr = fr.ival(d.ak, d.a) + d.off
+		}
+		if addr < 0 || addr/4 >= int64(len(vm.mem)) {
+			return pc, fmt.Errorf("vm: %s out of bounds at %d (stmt %d in %s)", d.op, addr, d.in.Stmt, fr.Fn.Name)
+		}
+		switch w := &vm.mem[addr/4]; d.op {
+		case mach.LW, mach.LWFP:
+			fr.set(d.dk, d.dst, Val{I: w.i})
+		case mach.FLW, mach.FLWFP:
+			fr.set(d.dk, d.dst, Val{F: w.f, IsF: true})
+		case mach.SW:
+			*w = slot{i: int64(int32(fr.ival(d.bk, d.b)))}
+		case mach.SWFP:
+			*w = slot{i: fr.ival(d.bk, d.b)}
+		default:
+			*w = slot{f: fr.fval(d.bk, d.b)}
+		}
+	case mach.BNEZ:
+		if c := fr.val(d.ak, d.a); c.I != 0 || c.F != 0 {
+			return int(d.t0), nil
+		}
+		return int(d.t1), nil
+	case mach.PRINT:
+		return pc, vm.doPrint(fr, d.in)
+	default:
+		return pc, vm.alu(fr, d)
+	}
+	return pc, nil
+}
+
+// ib is the value of B in a fast form: a register's slot, or the
+// immediate or float bits (0 when B is absent).
+func (d *dinstr) ib(r []int64) int64 {
+	if d.bk >= kIReg {
+		return r[d.b]
 	}
 	return d.b
+}
+
+// ia is ib for A.
+func (d *dinstr) ia(r []int64) int64 {
+	if d.ak >= kIReg {
+		return r[d.a]
+	}
+	return d.a
 }
 
 func b2i(c bool) int64 {
@@ -677,7 +769,7 @@ func (vm *VM) doPrint(fr *Frame, in *mach.Instr) error {
 		if a.IsStr {
 			s = a.Str
 		} else {
-			v := vm.regVal(fr, a.Val)
+			v := fr.regVal(a.Val)
 			if v.IsF {
 				s = string(strconv.AppendFloat(scratch[:0], v.F, 'g', -1, 64))
 			} else {
@@ -689,19 +781,6 @@ func (vm *VM) doPrint(fr *Frame, in *mach.Instr) error {
 		}
 		vm.out.WriteString(s)
 	}
-	return nil
-}
-
-func (vm *VM) doReturn(v Val) error {
-	fr := vm.stack[len(vm.stack)-1]
-	vm.sp = fr.Base
-	vm.stack = vm.stack[:len(vm.stack)-1]
-	if len(vm.stack) == 0 {
-		vm.halted = true
-		vm.retVal = v
-		return nil
-	}
-	vm.Top().set(fr.retK, fr.retR, v)
 	return nil
 }
 

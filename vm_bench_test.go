@@ -118,26 +118,35 @@ func BenchmarkRunToCompletion(b *testing.B) {
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "MInstr/s")
 }
 
-// BenchmarkRunWorkloads runs each workload at O2 to exit. Unlike the hot
-// loops above, real code calls and returns, so this row measures the
-// per-call cost too; run with -benchmem to see allocs/op.
+// BenchmarkRunWorkloads runs each workload to exit at O2 and at
+// O2NoRegAlloc, the two configurations the mcperf harness workload runs
+// (rows BenchmarkRunWorkloads/<config>/<workload>). Unlike the hot loops
+// above, real code calls and returns, so these rows measure the per-call
+// cost too; run with -benchmem to see allocs/op.
 func BenchmarkRunWorkloads(b *testing.B) {
-	for _, name := range bench.Names {
-		res, err := bench.CompileWorkload(name, compile.O2())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var instr int64
-			for i := 0; i < b.N; i++ {
-				m, err := bench.RunWorkload(res)
+	for _, c := range []struct {
+		name string
+		cfg  compile.Config
+	}{{"O2", compile.O2()}, {"O2NoRegAlloc", compile.O2NoRegAlloc()}} {
+		b.Run(c.name, func(b *testing.B) {
+			for _, name := range bench.Names {
+				res, err := bench.CompileWorkload(name, c.cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				instr += m.Steps
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					var instr int64
+					for i := 0; i < b.N; i++ {
+						m, err := bench.RunWorkload(res)
+						if err != nil {
+							b.Fatal(err)
+						}
+						instr += m.Steps
+					}
+					b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "MInstr/s")
+				})
 			}
-			b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "MInstr/s")
 		})
 	}
 }
