@@ -371,6 +371,79 @@ func TestSpillRestartTranscript(t *testing.T) {
 	}
 }
 
+// TestSpillSiblingFrontTranscript: an artifact read back from disk while
+// a sibling of the same source (another config) is resident decodes on the
+// sibling's checked front end; its session transcript must equal that of
+// the same artifact read back alone.
+func TestSpillSiblingFrontTranscript(t *testing.T) {
+	dir := t.TempDir()
+	stmt := 1
+	o0 := &server.ConfigSpec{Opt: "O0"}
+	compileReq := func(cfg *server.ConfigSpec) server.Request {
+		return server.Request{ID: 1, Cmd: "compile", Name: "fig3.mc", Src: prog, Config: cfg}
+	}
+	transcript := func(s *server.Server, art string) []string {
+		t.Helper()
+		o := runTranscript(t, s, []server.Request{{ID: 2, Cmd: "open-session", Artifact: art}})
+		if o[0].Session == "" {
+			t.Fatalf("open = %+v", o[0])
+		}
+		sess, handle := o[0].Session, o[0].Handle
+		var out []string
+		for _, r := range runTranscript(t, s, []server.Request{
+			{ID: 10, Cmd: "break", Session: sess, Handle: handle, Func: "g", Stmt: &stmt},
+			{ID: 11, Cmd: "continue", Session: sess},
+			{ID: 12, Cmd: "print", Session: sess, Var: "x"},
+			{ID: 13, Cmd: "info", Session: sess},
+		}) {
+			b, err := json.Marshal(&r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, string(b))
+		}
+		return out
+	}
+
+	s1 := server.New(server.Options{SpillDir: dir})
+	for _, cfg := range []*server.ConfigSpec{nil, o0} {
+		if c := runTranscript(t, s1, []server.Request{compileReq(cfg)}); !c[0].OK || c[0].Cached {
+			t.Fatalf("cold compile = %+v", c[0])
+		}
+	}
+	s1.Close() // flushes both
+
+	// Alone: only the O2 artifact is read back, so its decode replays.
+	alone := server.New(server.Options{SpillDir: dir})
+	defer alone.Close()
+	c := runTranscript(t, alone, []server.Request{compileReq(nil)})[0]
+	if !c.OK || !c.Cached {
+		t.Fatalf("lone read-back = %+v", c)
+	}
+	want := transcript(alone, c.Artifact)
+
+	// Shared: the O0 sibling is read back first and stays resident.
+	shared := server.New(server.Options{SpillDir: dir})
+	defer shared.Close()
+	for _, cfg := range []*server.ConfigSpec{o0, nil} {
+		if c := runTranscript(t, shared, []server.Request{compileReq(cfg)}); !c[0].OK || !c[0].Cached {
+			t.Fatalf("sibling read-back = %+v", c[0])
+		}
+	}
+	if st := runTranscript(t, shared, []server.Request{{ID: 99, Cmd: "stats"}})[0].Stats; st.SpillHits != 2 || st.CacheMisses != 0 {
+		t.Fatalf("sibling stats = %+v", st)
+	}
+	got := transcript(shared, c.Artifact)
+	if len(got) != len(want) {
+		t.Fatalf("transcript lengths differ: %d vs %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("command %d differs on a shared front end:\nalone:  %s\nshared: %s", i, want[i], got[i])
+		}
+	}
+}
+
 // TestBatchMatchesSerial is the batch golden test: the same break →
 // continue → print → info conversation driven once as four serial
 // request lines and once as a single batch request over two sessions on

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/core"
+	"repro/internal/sem"
 	"repro/internal/store"
 )
 
@@ -20,6 +21,11 @@ import (
 // back to the store through a cost hook, so an artifact's accounted size
 // grows as its analyses are built and the whole unit is evicted together.
 type Artifact struct {
+	// Res is the compiled program. A store-backed artifact carries no
+	// optimized IR (Res.IR is nil): the debugger reads only the machine
+	// code and the checked front end, and SizeBytes never charged for it.
+	// Res.Sem may be shared with sibling artifacts of the same name and
+	// source under other configs.
 	Res      *compile.Result
 	Analyses *core.AnalysisSet
 
@@ -104,7 +110,9 @@ type Store struct {
 
 // codec serializes artifacts for the disk tier. Only the compile result
 // is persisted; analyses rebuild lazily after rehydration (they derive
-// deterministically from the machine code).
+// deterministically from the machine code). A decode reuses the checked
+// front end of a resident sibling — same name and source, any config —
+// and replays it only when none is resident.
 type codec struct {
 	st *Store
 }
@@ -114,7 +122,7 @@ func (c codec) Encode(id string, m ident, a *Artifact) ([]byte, error) {
 }
 
 func (c codec) Decode(id string, data []byte) (ident, *Artifact, int64, error) {
-	res, name, src, cfg, err := compile.DecodeSpill(data)
+	res, name, src, cfg, err := compile.DecodeSpillFront(data, c.st.siblingFront)
 	if err != nil {
 		return ident{}, nil, 0, err
 	}
@@ -123,6 +131,20 @@ func (c codec) Decode(id string, data []byte) (ident, *Artifact, int64, error) {
 	}
 	m := ident{Name: name, Src: src, Cfg: cfg}
 	return m, c.st.newArtifact(m, res), res.SizeBytes(), nil
+}
+
+// siblingFront returns the checked program of a resident, completed
+// artifact compiled from name and src under any config, or nil. Siblings
+// share a shard (identHash covers only name and source), so the search
+// stays in one shard.
+func (st *Store) siblingFront(name, src string) *sem.Program {
+	a, ok := st.s.Resident(ident{Name: name, Src: src}, func(m ident, _ *Artifact) bool {
+		return m.Name == name && m.Src == src
+	})
+	if !ok {
+		return nil
+	}
+	return a.Res.Sem
 }
 
 // IdentityError reports a spilled artifact whose content does not match
@@ -192,6 +214,7 @@ func (st *Store) Get(name, src string, cfg compile.Config) (a *Artifact, hit boo
 			if err != nil {
 				return nil, 0, err
 			}
+			res.IR = nil
 			a := st.newArtifact(m, res)
 			a.Metrics = metrics
 			return a, res.SizeBytes(), nil
@@ -217,8 +240,8 @@ func (st *Store) Stats() store.Stats { return st.s.Stats() }
 // Range calls fn with every resident artifact and its handle.
 func (st *Store) Range(fn func(id string, a *Artifact)) { st.s.Range(fn) }
 
-// Flush persists the resident artifact set to the disk tier (no-op
-// without one), so a graceful shutdown keeps its warm set. While the
+// Flush persists the resident artifacts not already on disk to the disk
+// tier (no-op without one), so a graceful shutdown keeps its warm set. While the
 // breaker has the disk tier degraded, Flush is skipped and reports why.
 func (st *Store) Flush() error { return st.s.Flush() }
 

@@ -13,7 +13,9 @@ package compile
 // parse + check) to re-establish object and statement identity, then
 // reads the machine program straight back — skipping optimization,
 // lowering, register allocation and scheduling, which is where compile
-// time goes.
+// time goes. A caller that already holds the checked program of the same
+// file name and text (a sibling artifact of the same source under another
+// config) can offer it, and the replay is skipped too.
 //
 // A spill file is sha256(payload) followed by the payload: a header
 // (spillVersion, name, source, config), the globals tables, then each
@@ -99,6 +101,18 @@ func encSizeHint(fs ...*mach.Func) int {
 // object identity. It returns the Result, the configuration it was
 // compiled under, and the name/source identity.
 func DecodeSpill(data []byte) (res *Result, name, src string, cfg Config, err error) {
+	return DecodeSpillFront(data, nil)
+}
+
+// DecodeSpillFront is DecodeSpill with an offered front end: front, when
+// non-nil, is called with the header's name and source and may return a
+// checked program to use instead of replaying the front end (nil declines).
+// The offer is taken only if its file name and text equal the header's —
+// the checker is deterministic, so such a program has the very objects and
+// IDs a replay would build; any other offer is ignored and the front end
+// replayed. The decoded Result shares the offered program; nothing
+// downstream of the checker mutates one.
+func DecodeSpillFront(data []byte, front func(name, src string) *sem.Program) (res *Result, name, src string, cfg Config, err error) {
 	if len(data) < sha256.Size || sha256.Sum256(data[sha256.Size:]) != [sha256.Size]byte(data) {
 		return nil, "", "", Config{}, fmt.Errorf("spill: checksum mismatch (stale or corrupt artifact)")
 	}
@@ -111,9 +125,16 @@ func DecodeSpill(data []byte) (res *Result, name, src string, cfg Config, err er
 	if d.err != nil {
 		return nil, "", "", Config{}, d.err
 	}
-	p, err := sem.CheckSource(name, src)
-	if err != nil {
-		return nil, "", "", Config{}, fmt.Errorf("spill: front-end replay: %w", err)
+	var p *sem.Program
+	if front != nil {
+		if q := front(name, src); q != nil && q.File.Source.Name == name && q.File.Source.Content == src {
+			p = q
+		}
+	}
+	if p == nil {
+		if p, err = sem.CheckSource(name, src); err != nil {
+			return nil, "", "", Config{}, fmt.Errorf("spill: front-end replay: %w", err)
+		}
 	}
 	d.globals = p.Globals
 	mp := &mach.Program{}

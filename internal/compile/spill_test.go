@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/compile"
+	"repro/internal/sem"
 )
 
 var spillConfigs = map[string]compile.Config{
@@ -106,6 +107,65 @@ func roundTrip(t *testing.T, name, src string, cfg compile.Config) {
 		decl := got.Sem.File.LookupFunc(f.Name)
 		if f.Decl != decl {
 			t.Fatalf("%s: Decl not resolved into replayed AST", f.Name)
+		}
+	}
+}
+
+// TestDecodeSpillFrontTakesOnlyAMatchingProgram: an offered program is
+// used only when its file name and text equal the spill header's; any
+// other offer is ignored and the front end replayed, and every decode
+// yields the same machine code.
+func TestDecodeSpillFrontTakesOnlyAMatchingProgram(t *testing.T) {
+	name, src := "gcc.mc", bench.MustSource("gcc")
+	res, err := compile.Compile(name, src, compile.O2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := compile.EncodeSpill(compile.O2(), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(n, s string) *sem.Program {
+		p, err := sem.CheckSource(n, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		what  string
+		offer *sem.Program
+		take  bool
+	}{
+		{"same name and text", check(name, src), true},
+		{"other name", check("other.mc", src), false},
+		{"other text", check(name, src+"\nint extra() { return 1; }\n"), false},
+		{"no offer", nil, false},
+	} {
+		var asked [2]string
+		got, gotName, gotSrc, _, err := compile.DecodeSpillFront(data, func(n, s string) *sem.Program {
+			asked = [2]string{n, s}
+			return tc.offer
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.what, err)
+		}
+		if asked != [2]string{name, src} || gotName != name || gotSrc != src {
+			t.Fatalf("%s: offer asked for %q, decoded %q", tc.what, asked[0], gotName)
+		}
+		if took := got.Sem == tc.offer; took != tc.take {
+			t.Fatalf("%s: took the offer = %v, want %v", tc.what, took, tc.take)
+		}
+		if got.File != got.Sem.File.Source || got.File.Name != name || got.File.Content != src {
+			t.Fatalf("%s: decoded file is not the program's", tc.what)
+		}
+		if got.Mach.String() != res.Mach.String() {
+			t.Fatalf("%s: machine code differs", tc.what)
+		}
+		for _, f := range got.Mach.Funcs {
+			if f.Decl != got.Sem.File.LookupFunc(f.Name) {
+				t.Fatalf("%s: %s not resolved into the decode's front end", tc.what, f.Name)
+			}
 		}
 	}
 }

@@ -183,3 +183,37 @@ func BenchmarkColdRestartSpill(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkColdRestartSpillSiblings restarts against a warm spill directory
+// holding every workload at O0, O2NoRegAlloc and O2, and reads all 24
+// back, a workload's three configs in a row: the first decode of each
+// source replays the front end, and the two after it take the checked
+// front end of the resident sibling.
+func BenchmarkColdRestartSpillSiblings(b *testing.B) {
+	ws := benchWorkloads()
+	cfgs := []compile.Config{compile.O0(), compile.O2NoRegAlloc(), compile.O2()}
+	dir := b.TempDir()
+	warm := artstore.New(artstore.Config{Shards: 8, SpillDir: dir})
+	for _, w := range ws {
+		for _, cfg := range cfgs {
+			if _, _, err := warm.Get(w.name, w.src, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	warm.Flush()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := artstore.New(artstore.Config{Shards: 8, SpillDir: dir})
+		for _, w := range ws {
+			for _, cfg := range cfgs {
+				if _, _, err := c.Get(w.name, w.src, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if st := c.Stats(); st.SpillHits != int64(len(ws)*len(cfgs)) {
+			b.Fatalf("restart compiled instead of reloading: %+v", st)
+		}
+	}
+}

@@ -230,6 +230,16 @@ func TestInjectedPartialWriteIsRejectedOnRead(t *testing.T) {
 	if hit || v != "value-of-a" {
 		t.Fatalf("partial spill served: (%q, hit=%v)", v, hit)
 	}
+	// The recompute is not a clean entry: its eviction writes the file
+	// whole, and the next read is a spill hit.
+	writes := s.Stats().SpillWrites
+	get(t, s, "b", 5)
+	if st := s.Stats(); st.SpillWrites != writes+1 {
+		t.Fatalf("evicting the recompute wrote %d files, want 1", st.SpillWrites-writes)
+	}
+	if v, hit := get(t, s, "a", 5); !hit || v != "value-of-a" {
+		t.Fatalf("read of the healed file = (%q, hit=%v)", v, hit)
+	}
 }
 
 // TestComputePanicDoesNotStrandWaiters pins the panic-safety contract of

@@ -22,8 +22,15 @@
 //     injected Codec and written to Dir keyed by their content-addressed
 //     ID, and misses consult the disk before computing, so a process
 //     restart keeps its spilled warm set. Flush persists the resident
-//     completed set (for graceful shutdown). Disk errors are counted and
-//     fall back to compute; they are never fatal.
+//     completed entries not already on disk (for graceful shutdown). Disk
+//     errors are counted and fall back to compute; they are never fatal.
+//   - Clean entries: an entry admitted from a spill file that decoded and
+//     passed the identity check is clean — its file is on disk and holds
+//     exactly its bytes (the codec is canonical, and the id is
+//     content-addressed), so evicting or flushing it writes nothing. The
+//     store removes a file only when it fails to decode, and such a file
+//     is never admitted; a file removed from outside is simply missed on
+//     the next read, and the recompute that follows is written again.
 //   - Spill circuit breaker: after DegradeAfter consecutive disk I/O
 //     failures the disk tier is taken out of the request path entirely —
 //     the store degrades to memory-only (correct, just colder) — and a
@@ -125,6 +132,9 @@ type entry[M comparable, V any] struct {
 	val  V
 	err  error
 	cost int64 // accounted bytes; guarded by the owning shard's lock
+	// clean marks an entry read back from its spill file: eviction and
+	// Flush skip it. Set at completion; guarded by the owning shard's lock.
+	clean bool
 }
 
 type shard[M comparable, V any] struct {
@@ -379,6 +389,25 @@ func (s *Store[M, V]) LookupID(id string) (V, bool) {
 	return v, true
 }
 
+// Resident returns a resident completed value in m's home shard for which
+// match reports true, without refreshing recency or moving a counter. The
+// entries that share m's shard include every one whose Hash equals m's, so
+// a caller whose Hash covers only part of M finds each resident entry that
+// agrees with m on that part (match must still check it). match runs under
+// the shard lock and must not call back into the store.
+func (s *Store[M, V]) Resident(m M, match func(M, V) bool) (V, bool) {
+	sh := s.shards[s.hash(m)&s.mask]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, e := range sh.byID {
+		if match(e.m, e.val) {
+			return e.val, true
+		}
+	}
+	var zero V
+	return zero, false
+}
+
 // AddCost charges delta additional bytes to the completed entry with the
 // given identity. Charges to evicted or unknown identities are dropped:
 // the memory they describe leaves the accounted set with the entry.
@@ -399,12 +428,13 @@ func (s *Store[M, V]) AddCost(m M, delta int64) {
 	s.spill(sh, victims)
 }
 
-// Flush serializes every resident completed entry to the disk tier, so a
-// graceful shutdown persists the warm set (not only what eviction already
-// spilled). It is a no-op without a disk tier. Entries that fail to
-// persist — or the whole set, when the spill tier is degraded — are
-// counted in FlushErrors and reported in the returned error; the store
-// itself remains fully usable either way.
+// Flush serializes every resident completed entry that is not already on
+// disk (clean entries are skipped) to the disk tier, so a graceful shutdown
+// persists the warm set (not only what eviction already spilled). It is a
+// no-op without a disk tier. Entries that fail to persist — or the whole
+// set, when the spill tier is degraded — are counted in FlushErrors and
+// reported in the returned error; the store itself remains fully usable
+// either way.
 func (s *Store[M, V]) Flush() error {
 	if s.dir == "" || s.codec == nil {
 		return nil
@@ -419,7 +449,9 @@ func (s *Store[M, V]) Flush() error {
 		sh.mu.Lock()
 		victims := make([]*entry[M, V], 0, len(sh.byID))
 		for _, e := range sh.byID {
-			victims = append(victims, e)
+			if !e.clean {
+				victims = append(victims, e)
+			}
 		}
 		sh.mu.Unlock()
 		_, errs, err := s.spill(sh, victims)
@@ -539,8 +571,10 @@ func (s *Store[M, V]) resolve(sh *shard[M, V], e *entry[M, V], v V, cost int64, 
 	case resolveDiskGet:
 		sh.hits++
 		sh.spillHits++
+		e.clean = true
 	case resolveLookup:
 		sh.spillHits++
+		e.clean = true
 	}
 	e.cost = cost
 	sh.bytes += cost
@@ -562,8 +596,9 @@ func completed[M comparable, V any](e *entry[M, V]) bool {
 
 // evictLocked drops least-recently-used completed entries until both the
 // entry bound and the byte budget hold, returning the victims for the
-// caller to spill outside the lock. In-flight entries are never evicted:
-// coalesced waiters hold them.
+// caller to spill outside the lock. Clean victims are dropped but not
+// returned: their spill file is already on disk. In-flight entries are
+// never evicted: coalesced waiters hold them.
 func (sh *shard[M, V]) evictLocked() []*entry[M, V] {
 	var victims []*entry[M, V]
 	over := func() bool {
@@ -579,7 +614,9 @@ func (sh *shard[M, V]) evictLocked() []*entry[M, V] {
 			sh.order.Remove(el)
 			sh.bytes -= e.cost
 			sh.evictions++
-			victims = append(victims, e)
+			if !e.clean {
+				victims = append(victims, e)
+			}
 		}
 		el = prev
 	}
@@ -592,7 +629,8 @@ func (sh *shard[M, V]) evictLocked() []*entry[M, V] {
 // an identity other than *want (when want is non-nil), is a spill error
 // and is removed. Bad bytes do not trip the breaker — the disk answered,
 // the bytes were bad — and removing the file keeps it from wedging every
-// later lookup of this id (a later eviction re-spills it whole).
+// later lookup of this id (the recompute that follows is not clean, so its
+// eviction re-spills it whole).
 func (s *Store[M, V]) readBack(sh *shard[M, V], id string, want *M) (m M, v V, cost int64, ok bool) {
 	if !s.diskUp() {
 		return m, v, 0, false

@@ -54,4 +54,49 @@ int main() { return f(0); }
 			t.Logf("%s: %d frames, %.1f MiB, %d steps", path, len(v.stack), float64(held)/(1<<20), v.Steps)
 		}
 	}
+
+	// A recursive function with a 16 KB local array reaches the frame
+	// memory bound long before the frame bound: the call that would take
+	// the stack past maxFrameBytes fails, and the frame memory held stays
+	// within it.
+	const big = `int g(int n) { int a[4096]; a[n % 4096] = n; return g(n + 1) + a[n % 4096]; }
+int main() { return g(0); }
+`
+	for _, cfg := range []mcc.Config{mcc.O0(), mcc.O2()} {
+		r, err := mcc.Compile("big.mc", big, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := New(r.Mach)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = v.RunBreaks(v.NewBreakSet(), false)
+		if !errors.Is(err, ErrCallDepth) {
+			t.Fatalf("big frames: %v, want ErrCallDepth", err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "in g calling g") {
+			t.Errorf("big frames: error %q does not name the caller and callee", msg)
+		}
+		if len(v.stack) >= maxCallDepth/8 {
+			t.Errorf("big frames: failed at depth %d, want the byte bound to stop it far sooner", len(v.stack))
+		}
+		if used := v.sp + maxFrameBytes - v.spMax; used > maxFrameBytes || used+(v.stack[len(v.stack)-1].Fn.FrameSize+7)&^3 <= maxFrameBytes {
+			t.Errorf("big frames: %d bytes of frame memory at the failing call, want within one frame of %d", used, maxFrameBytes)
+		}
+		if words := int64(len(v.mem)); words*4 > v.spMax+8 {
+			t.Errorf("big frames: %d memory words, want at most %d", words, (v.spMax+8)/4)
+		}
+		t.Logf("big frames: %d frames, %d bytes of frame memory", len(v.stack), v.sp+maxFrameBytes-v.spMax)
+	}
+
+	// main's own frame is bounded the same way: New fails before it
+	// allocates the frame memory.
+	r, err := mcc.Compile("huge.mc", "int main() { int a[5000000]; a[7] = 1; return a[7]; }\n", mcc.O0())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(r.Mach); !errors.Is(err, ErrCallDepth) {
+		t.Fatalf("New with a 20 MB main frame: %v, want ErrCallDepth", err)
+	}
 }

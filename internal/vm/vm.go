@@ -46,7 +46,9 @@ var ErrDeadline = errors.New("vm: deadline exceeded")
 var ErrOutputLimit = errors.New("vm: output limit exceeded")
 
 // ErrCallDepth is returned (wrapped) when a call would make the stack deeper
-// than maxCallDepth frames, naming the caller and the callee.
+// than maxCallDepth frames, or its frame memory larger than maxFrameBytes,
+// naming the caller and the callee; New returns it when main's own frame
+// is larger than maxFrameBytes.
 var ErrCallDepth = errors.New("vm: call depth limit exceeded")
 
 // maxCallDepth bounds the call stack, so unbounded recursion cannot grow
@@ -54,6 +56,13 @@ var ErrCallDepth = errors.New("vm: call depth limit exceeded")
 // At the bound, frames of the corpus's mean size (2.4 KB with register
 // slice and memory words) hold 39 MiB; the workloads reach 23 frames.
 const maxCallDepth = 1 << 14
+
+// maxFrameBytes bounds the MiniC frame memory of the call stack, so a
+// recursive function with a large local array cannot hold more than the
+// frame bound would at the corpus's mean frame size: 16 MiB of 4-byte
+// words is 64 MiB of slots. (gcc's depthof frame is 67 KB; 16,384 of them
+// would hold over 1 GiB.)
+const maxFrameBytes = 16 << 20
 
 // DefaultMaxOutput bounds Output when MaxOutput is zero. Without a bound
 // a print-loop program grows the output buffer (and server memory)
@@ -127,6 +136,7 @@ type VM struct {
 
 	mem   []slot // globals at [0, globalSlots), frames stacked above
 	sp    int64  // next free byte address for frames
+	spMax int64  // the bound on sp: the end of the globals plus maxFrameBytes
 	out   strings.Builder
 	stack []*Frame // the live frames: pool[:depth]
 	// pool holds one Frame per call depth reached so far; a call at depth
@@ -160,6 +170,7 @@ func New(prog *mach.Program) (*VM, error) {
 	globalBytes := prog.GlobalSize
 	vm.mem = make([]slot, (globalBytes/4)+4)
 	vm.sp = (globalBytes + 7) &^ 3
+	vm.spMax = vm.sp + maxFrameBytes
 	for obj, init := range prog.GlobalInit {
 		off := prog.GlobalOff[obj] / 4
 		if init.Kind == 0 {
@@ -167,16 +178,24 @@ func New(prog *mach.Program) (*VM, error) {
 		}
 		vm.mem[off] = slot{i: init.Int, f: init.Fl}
 	}
-	vm.push(vm.pcode.funcs[main], 0, kNone, 0)
+	if vm.push(vm.pcode.funcs[main], 0, kNone, 0) == nil {
+		return nil, fmt.Errorf("%w: main's frame is over %d bytes", ErrCallDepth, maxFrameBytes)
+	}
 	return vm, nil
 }
 
 // push enters fc on the pooled frame of the next call depth, with a
 // zeroed frame slice and nargs zeroed arguments for the caller to fill
-// in. Frame memory above sp is not cleared.
+// in. Frame memory above sp is not cleared. It returns nil, changing
+// nothing, when the stack already holds maxCallDepth frames or fc's frame
+// would take its frame memory past maxFrameBytes.
 func (vm *VM) push(fc *funcCode, nargs int, retK opdKind, retR int32) *Frame {
 	fn := fc.fn
 	d := len(vm.stack)
+	sp := vm.sp + (fn.FrameSize+7)&^3
+	if d == maxCallDepth || sp > vm.spMax {
+		return nil
+	}
 	if d == len(vm.pool) {
 		vm.pool = append(vm.pool, new(Frame))
 	}
@@ -188,8 +207,7 @@ func (vm *VM) push(fc *funcCode, nargs int, retK opdKind, retR int32) *Frame {
 	fr.code = fc
 	fr.pc = fc.entry
 	fr.retK, fr.retR = retK, retR
-	need := (fn.FrameSize + 7) &^ 3
-	vm.sp += need
+	vm.sp = sp
 	for int64(len(vm.mem))*4 < vm.sp {
 		vm.mem = append(vm.mem, slot{})
 	}
@@ -634,12 +652,12 @@ run:
 				err = fmt.Errorf("vm: call of unknown function %q", d.in.Callee)
 				break run
 			}
-			if len(vm.stack) == maxCallDepth {
-				err = fmt.Errorf("%w (%d frames) in %s calling %s", ErrCallDepth, maxCallDepth, fr.Fn.Name, d.in.Callee)
-				break run
-			}
 			fr.pc = int32(pc)
 			callee := vm.push(d.callee, len(d.in.Args), d.dk, d.dst)
+			if callee == nil {
+				err = fmt.Errorf("%w (%d frames, %d frame bytes) in %s calling %s", ErrCallDepth, len(vm.stack), vm.sp+maxFrameBytes-vm.spMax, fr.Fn.Name, d.in.Callee)
+				break run
+			}
 			for i, a := range d.in.Args {
 				callee.Args[i] = fr.regVal(a)
 			}
