@@ -68,6 +68,14 @@ func (t *PointerType) String() string { return t.Elem.String() + "*" }
 // Size returns the pointer size (one 4-byte word).
 func (t *PointerType) Size() int { return 4 }
 
+// MaxDataBytes bounds the byte size of any one array and of a program's
+// globals together. The checker rejects a program past it, and the
+// simulator refuses a machine program whose global data is, so neither a
+// source file nor a spill file read back from disk can make one session
+// ask for an unbounded amount of memory. It is 38 times the largest global
+// data of the corpus workloads (compress's 110,620 bytes).
+const MaxDataBytes = 4 << 20
+
 // ArrayType is a fixed-length array.
 type ArrayType struct {
 	Elem Type

@@ -144,7 +144,14 @@ func DecodeSpillFront(data []byte, front func(name, src string) *sem.Program) (r
 		mp.Globals[i] = d.obj()
 	}
 	mp.GlobalOff = d.offs()
-	mp.GlobalSize = d.int()
+	if mp.GlobalSize = d.int(); mp.GlobalSize < 0 || mp.GlobalSize > ast.MaxDataBytes {
+		d.fail("global size %d outside [0, %d]", mp.GlobalSize, ast.MaxDataBytes)
+	}
+	for _, off := range mp.GlobalOff {
+		if off < 0 || off%4 != 0 || off >= mp.GlobalSize {
+			d.fail("global offset %d outside the %d-byte global data", off, mp.GlobalSize)
+		}
+	}
 	n = d.count()
 	mp.GlobalInit = make(map[*ast.Object]ir.Operand, n)
 	var prev uint64

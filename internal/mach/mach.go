@@ -565,8 +565,9 @@ type Program struct {
 	GlobalInit map[*ast.Object]ir.Operand
 
 	// predecoded caches the simulator's predecoded form of this program
-	// (internal/vm flattens every function into a pc-indexed instruction
-	// array on first execution; every VM over the program shares it). The
+	// (internal/vm flattens each function into a pc-indexed instruction
+	// array when it is first entered; every VM over the program shares
+	// it). The
 	// slot is opaque so mach stays free of any dependency on the
 	// simulator's representation. Programs are immutable once compiled,
 	// which is what makes a compute-once cache sound.

@@ -2,6 +2,7 @@
 package parser
 
 import (
+	"errors"
 	"strconv"
 
 	"repro/internal/ast"
@@ -211,17 +212,28 @@ func (p *Parser) parseType() ast.Type {
 	return t
 }
 
+// parseArrayLen parses an array length and its closing bracket. A length
+// that is not positive, or does not fit in an int, is an error; it then
+// reads as 1 so parsing goes on.
+func (p *Parser) parseArrayLen() int {
+	n := p.expect(token.INTLIT)
+	ln, err := strconv.Atoi(n.Lit)
+	switch {
+	case errors.Is(err, strconv.ErrRange):
+		p.errorf("array length %s is out of range", n.Lit)
+		ln = 1
+	case ln <= 0:
+		p.errorf("array length must be positive")
+		ln = 1
+	}
+	p.expect(token.RBRACKET)
+	return ln
+}
+
 func (p *Parser) parseGlobalRest(typ ast.Type, name token.Token) *ast.VarDecl {
 	d := &ast.VarDecl{Name: name.Lit, Typ: typ, Spn: spanOf(name, name)}
 	if _, ok := p.accept(token.LBRACKET); ok {
-		n := p.expect(token.INTLIT)
-		ln, _ := strconv.Atoi(n.Lit)
-		if ln <= 0 {
-			p.errorf("array length must be positive")
-			ln = 1
-		}
-		p.expect(token.RBRACKET)
-		d.Typ = &ast.ArrayType{Elem: typ, Len: ln}
+		d.Typ = &ast.ArrayType{Elem: typ, Len: p.parseArrayLen()}
 	}
 	if _, ok := p.accept(token.ASSIGN); ok {
 		d.Init = p.parseExpr()
@@ -323,14 +335,7 @@ func (p *Parser) parseDeclStmt() ast.Stmt {
 	name := p.expect(token.IDENT)
 	d := &ast.VarDecl{Name: name.Lit, Typ: typ, Spn: spanOf(name, name)}
 	if _, ok := p.accept(token.LBRACKET); ok {
-		n := p.expect(token.INTLIT)
-		ln, _ := strconv.Atoi(n.Lit)
-		if ln <= 0 {
-			p.errorf("array length must be positive")
-			ln = 1
-		}
-		p.expect(token.RBRACKET)
-		d.Typ = &ast.ArrayType{Elem: typ, Len: ln}
+		d.Typ = &ast.ArrayType{Elem: typ, Len: p.parseArrayLen()}
 	}
 	if _, ok := p.accept(token.ASSIGN); ok {
 		d.Init = p.parseExpr()

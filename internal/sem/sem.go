@@ -95,6 +95,16 @@ func (c *checker) checkStructs() {
 	}
 }
 
+// arraySizeOK reports, as an error, an array whose byte size is over
+// ast.MaxDataBytes, computed without overflowing.
+func (c *checker) arraySizeOK(d *ast.VarDecl, arr *ast.ArrayType) bool {
+	if es := arr.Elem.Size(); es > 0 && arr.Len > ast.MaxDataBytes/es {
+		c.errorf(d.Spn, "array %q is larger than %d bytes", d.Name, ast.MaxDataBytes)
+		return false
+	}
+	return true
+}
+
 // addMembers materializes one member object per field of a struct-typed
 // local or parameter, named "base.field" and appended to fn.Locals so each
 // field owns a dense variable ID. SROA later promotes these to scalar
@@ -117,6 +127,7 @@ func (c *checker) addMembers(base *ast.Object) {
 
 func (c *checker) collectGlobals() {
 	seen := map[string]bool{}
+	var total int64 // global data bytes, laid out as lower.NewProgram does
 	for i, d := range c.prog.File.Globals {
 		if seen[d.Name] {
 			c.errorf(d.Spn, "duplicate global %q", d.Name)
@@ -127,6 +138,15 @@ func (c *checker) collectGlobals() {
 			obj.Addressed = true
 			if ast.IsStruct(arr.Elem) {
 				c.errorf(d.Spn, "arrays of structs are not supported")
+			}
+			if !c.arraySizeOK(d, arr) {
+				total = ast.MaxDataBytes + 1 // reported; do not report the total too
+			}
+		}
+		if total <= ast.MaxDataBytes {
+			total += max(int64(d.Typ.Size()), 4)
+			if total > ast.MaxDataBytes {
+				c.errorf(d.Spn, "global %q takes the global data past %d bytes", d.Name, ast.MaxDataBytes)
 			}
 		}
 		if ast.IsStruct(d.Typ) {
@@ -269,6 +289,7 @@ func (c *checker) checkStmt(s ast.Stmt) *ast.Object {
 			if ast.IsStruct(arr.Elem) {
 				c.errorf(d.Spn, "arrays of structs are not supported")
 			}
+			c.arraySizeOK(d, arr)
 		}
 		d.Obj = obj
 		c.fn.Locals = append(c.fn.Locals, obj)

@@ -123,6 +123,29 @@ type session struct {
 	mu     sync.Mutex // serializes commands racing on one session
 	dbg    *debugger.Debugger
 	cycles int64 // VM cycles already credited to the metrics
+	// closed is set, under mu, once the session has left the table and
+	// its VM memory is released: a request that pinned the session before
+	// the close answers no-such-session.
+	closed bool
+}
+
+// closeSession takes sess out of the table and closes it, as the close
+// command does. Called with sess.mu held.
+func (s *Server) closeSession(sess *session) {
+	s.mu.Lock()
+	delete(s.sessions, sess.id)
+	releaseLocked(sess)
+	s.mu.Unlock()
+	s.closeLocked(sess)
+}
+
+// closeLocked credits the session's outstanding cycles and releases its
+// VM's memory for the next session to reuse. The session must already be
+// out of the table. Called with sess.mu held.
+func (s *Server) closeLocked(sess *session) {
+	s.creditCycles(sess)
+	sess.closed = true
+	sess.dbg.VM.Release()
 }
 
 func (sess *session) touch() { sess.lastActive.Store(time.Now().UnixNano()) }
@@ -333,7 +356,7 @@ func (s *Server) ReapIdleSessions() int {
 	s.mu.Unlock()
 	for _, sess := range victims {
 		sess.mu.Lock()
-		s.creditCycles(sess)
+		s.closeLocked(sess)
 		sess.mu.Unlock()
 	}
 	if n := len(victims); n > 0 {
@@ -675,6 +698,7 @@ func (s *Server) handleOpen(c *connState, req *Request) *Response {
 	s.mu.Lock()
 	if len(s.sessions) >= s.opts.MaxSessions {
 		s.mu.Unlock()
+		dbg.VM.Release()
 		return errResp(req.ID, CodeSessionLimit,
 			fmt.Sprintf("session limit reached (%d open)", s.opts.MaxSessions))
 	}
@@ -717,6 +741,9 @@ func (s *Server) handleAttach(c *connState, req *Request) *Response {
 	sess.touch()
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	if sess.closed {
+		return errResp(req.ID, CodeNoSuchSession, fmt.Sprintf("no session %q", req.Session))
+	}
 	resp := &Response{ID: req.ID, OK: true, Session: sess.id, Artifact: sess.art.ID()}
 	if bp := sess.dbg.Stopped(); bp != nil {
 		resp.Stop = stopOf(bp)
@@ -772,6 +799,9 @@ func (s *Server) handleSession(c *connState, req *Request) *Response {
 	sess.touch()
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	if sess.closed {
+		return errResp(req.ID, CodeNoSuchSession, fmt.Sprintf("no session %q", req.Session))
+	}
 
 	switch req.Cmd {
 	case "break":
@@ -837,11 +867,7 @@ func (s *Server) handleSession(c *connState, req *Request) *Response {
 		return &Response{ID: req.ID, OK: true, Exited: sess.dbg.Halted()}
 
 	case "close":
-		s.creditCycles(sess)
-		s.mu.Lock()
-		delete(s.sessions, sess.id)
-		releaseLocked(sess)
-		s.mu.Unlock()
+		s.closeSession(sess)
 		return &Response{ID: req.ID, OK: true, Output: sess.dbg.Output()}
 	}
 	return errResp(req.ID, CodeBadRequest, fmt.Sprintf("unknown command %q", req.Cmd))

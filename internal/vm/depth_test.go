@@ -6,7 +6,9 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/ast"
 	mcc "repro/internal/compile"
+	"repro/internal/mach"
 )
 
 // TestCallDepthBound: unbounded recursion fails with ErrCallDepth once
@@ -44,7 +46,7 @@ int main() { return f(0); }
 			if len(v.stack) != maxCallDepth {
 				t.Errorf("%s: failed at depth %d, want %d", path, len(v.stack), maxCallDepth)
 			}
-			held := int64(cap(v.mem))*int64(unsafe.Sizeof(slot{})) + int64(cap(v.pool))*8
+			held := int64(cap(v.mem))*int64(unsafe.Sizeof(int64(0))) + int64(cap(v.pool))*8
 			for _, fr := range v.pool {
 				held += int64(unsafe.Sizeof(*fr)) + int64(cap(fr.regs))*8 + int64(cap(fr.Args))*int64(unsafe.Sizeof(Val{}))
 			}
@@ -91,12 +93,42 @@ int main() { return g(0); }
 	}
 
 	// main's own frame is bounded the same way: New fails before it
-	// allocates the frame memory.
-	r, err := mcc.Compile("huge.mc", "int main() { int a[5000000]; a[7] = 1; return a[7]; }\n", mcc.O0())
+	// allocates the frame memory. No one array may pass ast.MaxDataBytes,
+	// so the 20 MB frame is five 4 MB arrays.
+	const huge = `int main() {
+  int a[1000000]; int b[1000000]; int c[1000000]; int d[1000000]; int e[1000000];
+  a[7] = 1; b[7] = 1; c[7] = 1; d[7] = 1; e[7] = 1;
+  return a[7] + b[7] + c[7] + d[7] + e[7];
+}
+`
+	r, err := mcc.Compile("huge.mc", huge, mcc.O0())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(r.Mach); !errors.Is(err, ErrCallDepth) {
 		t.Fatalf("New with a 20 MB main frame: %v, want ErrCallDepth", err)
 	}
+}
+
+// TestNewRefusesGlobalSize: New refuses a program whose global data is
+// negative or past ast.MaxDataBytes (the checker never makes one; a
+// hand-built or corrupt program can), before allocating its memory, and
+// runs one exactly at the bound.
+func TestNewRefusesGlobalSize(t *testing.T) {
+	prog := handProg(&mach.Instr{Op: mach.NOP}, 3, false, 8)
+	for _, size := range []int64{-4, -1 << 40, ast.MaxDataBytes + 4} {
+		prog.GlobalSize = size
+		if v, err := New(prog); err == nil || !strings.Contains(err.Error(), "bytes of global data") {
+			t.Errorf("GlobalSize %d: New = %v, %v; want an error", size, v != nil, err)
+		}
+	}
+	prog.GlobalSize = ast.MaxDataBytes
+	v, err := New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Run(); err != nil || v.ExitValue() != 7 {
+		t.Errorf("at the bound: exit %d, err %v; want 7, nil", v.ExitValue(), err)
+	}
+	v.Release()
 }

@@ -46,7 +46,8 @@ func TestPredecodeShared(t *testing.T) {
 // of fall-off blocks.
 func TestPredecodeLayout(t *testing.T) {
 	_, v := compile(t, loopProg, opt.O2())
-	for fn, fc := range v.pcode.funcs {
+	for i, fn := range v.Prog.Funcs {
+		fc := v.pcode.fn(int32(i))
 		seen := 0
 		for _, b := range fn.Blocks {
 			n := len(b.Instrs)
@@ -257,7 +258,7 @@ func TestStepBreakSetRule(t *testing.T) {
 	if mMain == nil {
 		t.Fatal("step set should carry a mask for the starting function")
 	}
-	fc := v.pcode.funcs[main]
+	fc, _ := v.pcode.of(main)
 	for pc, d := range fc.code {
 		set := mMain[pc>>6]&(1<<(uint(pc)&63)) != 0
 		if d.in == nil {
@@ -276,7 +277,7 @@ func TestStepBreakSetRule(t *testing.T) {
 	if mh == nil {
 		t.Fatal("step mode should give other functions their stmt mask")
 	}
-	hc := v.pcode.funcs[helper]
+	hc, _ := v.pcode.of(helper)
 	for pc, d := range hc.code {
 		set := mh[pc>>6]&(1<<(uint(pc)&63)) != 0
 		wantSet := d.in != nil && d.in.Stmt >= 0

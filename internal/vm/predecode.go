@@ -10,9 +10,9 @@
 //     MOV, load, store, branch and return never read a mach.Opd;
 //   - the register uses/def for cycle accounting as ready-time slots (up
 //     to two uses inline, CALL and PRINT with more in an overflow slice);
-//   - the resolved callee of every CALL (LookupFunc is a linear scan), the
-//     frame or global offset of every LA's symbol (two map lookups), and
-//     branch targets as pc values.
+//   - the resolved callee of every CALL as its function index (LookupFunc
+//     is a linear scan), the frame or global offset of every LA's symbol
+//     (two map lookups), and branch targets as pc values.
 //
 // Flattening also range-checks every instruction against its function's
 // frame: a register past its file, or a spill-slot offset outside the
@@ -20,15 +20,22 @@
 // frame's memory. Such a slot is marked malformed and fails when executed,
 // naming the function, as an unknown callee or LA symbol does.
 //
-// The predecoded form is computed once per mach.Program — cached on the
-// program itself via Program.Predecoded — and shared by every VM that
-// executes it, so a server holding one artifact open across thousands of
-// sessions pays the flattening once.
+// The predecoded form of a mach.Program — cached on the program itself via
+// Program.Predecoded — holds one slot per function and is shared by every
+// VM that executes it, so a server holding one artifact open across
+// thousands of sessions pays the flattening once. A function is flattened
+// the first time anything needs it: New (for main), a CALL, BreakSet.Add
+// or StepBreakSet. A session that stops early in a freshly decoded
+// program flattens only the functions it enters. The slots are published
+// with an atomic compare-and-swap, so concurrent sessions share them and
+// the fast path is one atomic load; two sessions racing to flatten the
+// same function build identical forms, and the loser adopts the winner's.
 package vm
 
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/mach"
 )
@@ -92,9 +99,9 @@ type dinstr struct {
 	// messages.
 	in *mach.Instr
 
-	// callee is the predecoded target of a CALL, nil when the callee does
-	// not exist (the error is reported at execution time).
-	callee *funcCode
+	// callee is the prog.Funcs index of a CALL's target, -1 when the
+	// callee does not exist (the error is reported at execution time).
+	callee int32
 }
 
 // opdKind is the kind of a baked operand.
@@ -187,33 +194,55 @@ func (fc *funcCode) slot(o mach.Opd) int32 {
 // readyOf returns register o's ready-time slot in the frame slice.
 func (fc *funcCode) readyOf(o mach.Opd) int32 { return fc.readyBase() + fc.slot(o) }
 
-// progCode is the predecoded form of one program.
+// progCode is the predecoded form of one program: one slot per function,
+// by index in prog.Funcs, nil until the function is first flattened.
 type progCode struct {
 	prog  *mach.Program
-	funcs map[*mach.Func]*funcCode
+	funcs []atomic.Pointer[funcCode]
 }
 
-// predecode builds (or fetches) the shared predecoded form of prog.
+// predecode builds (or fetches) the shared predecoded form of prog. It
+// flattens nothing: see progCode.fn.
 func predecode(prog *mach.Program) *progCode {
 	return prog.Predecoded(func() any {
-		pc := &progCode{prog: prog, funcs: make(map[*mach.Func]*funcCode, len(prog.Funcs))}
-		for i, f := range prog.Funcs {
-			pc.funcs[f] = flatten(prog, f)
-			pc.funcs[f].idx = int32(i)
-		}
-		// Resolve CALL targets in a second pass so mutual recursion works.
-		for _, fc := range pc.funcs {
-			for i := range fc.code {
-				d := &fc.code[i]
-				if d.xop == mach.CALL {
-					if callee := prog.LookupFunc(d.in.Callee); callee != nil {
-						d.callee = pc.funcs[callee]
-					}
-				}
-			}
-		}
-		return pc
+		return &progCode{prog: prog, funcs: make([]atomic.Pointer[funcCode], len(prog.Funcs))}
 	}).(*progCode)
+}
+
+// fn returns the predecoded form of prog.Funcs[i], flattening it on first
+// use.
+func (p *progCode) fn(i int32) *funcCode {
+	if fc := p.funcs[i].Load(); fc != nil {
+		return fc
+	}
+	fc := flatten(p.prog, p.prog.Funcs[i])
+	fc.idx = i
+	if p.funcs[i].CompareAndSwap(nil, fc) {
+		return fc
+	}
+	return p.funcs[i].Load()
+}
+
+// of returns the predecoded form of f, flattening it on first use, or
+// false when f is not one of the program's functions.
+func (p *progCode) of(f *mach.Func) (*funcCode, bool) {
+	for i, g := range p.prog.Funcs {
+		if g == f {
+			return p.fn(int32(i)), true
+		}
+	}
+	return nil, false
+}
+
+// funcIndex returns the index in prog.Funcs of the function LookupFunc
+// finds for name, or -1.
+func funcIndex(prog *mach.Program, name string) int32 {
+	for i, f := range prog.Funcs {
+		if f.Name == name {
+			return int32(i)
+		}
+	}
+	return -1
 }
 
 // flatten lays f's blocks out in order, appending an implicit-return
@@ -289,7 +318,10 @@ func decodeOne(prog *mach.Program, fc *funcCode, in *mach.Instr) dinstr {
 	if checkInstr(fc, in) != nil {
 		return fc.free(dinstr{in: in, op: in.Op, xop: opMalformed})
 	}
-	d := fc.free(dinstr{in: in, op: in.Op, off: in.Off})
+	d := fc.free(dinstr{in: in, op: in.Op, off: in.Off, callee: -1})
+	if in.Op == mach.CALL {
+		d.callee = funcIndex(prog, in.Callee)
+	}
 	d.ak, d.a = fc.bake(in.A)
 	d.bk, d.b = fc.bake(in.B)
 	var dst int64
@@ -437,7 +469,7 @@ func (vm *VM) NewBreakSet() *BreakSet {
 // the layout: debuginfo.Build and flatten walk the same blocks and
 // instructions.
 func (bs *BreakSet) Add(fn *mach.Func, b *mach.Block, idx int) {
-	fc, ok := bs.pc.funcs[fn]
+	fc, ok := bs.pc.of(fn)
 	if !ok {
 		panic(fmt.Sprintf("vm: BreakSet.Add: function %s is not in the program", fn.Name))
 	}
@@ -472,7 +504,7 @@ func (bs *BreakSet) mask(fc *funcCode) []uint64 {
 func (vm *VM) StepBreakSet(fn *mach.Func, stmt int) *BreakSet {
 	bs := vm.NewBreakSet()
 	bs.stepMode = true
-	fc, ok := vm.pcode.funcs[fn]
+	fc, ok := vm.pcode.of(fn)
 	if !ok {
 		return bs
 	}

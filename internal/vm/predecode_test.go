@@ -21,7 +21,8 @@ import (
 // indexes of cycle accounting, which must map back to Uses and Def. The
 // execution digest sees only output, Steps and Cycles; this test names
 // the field a change to mach.Instr forgot to bake. It also pins that the
-// predecode range check never fires on compiler output.
+// predecode range check never fires on compiler output. Predecode is lazy,
+// so the test flattens every function itself, entered or not.
 func TestPredecodeMatchesInstr(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles 424 programs")
@@ -37,8 +38,11 @@ func TestPredecodeMatchesInstr(t *testing.T) {
 			return
 		}
 		pcode := predecode(r.Mach)
-		for _, f := range r.Mach.Funcs {
-			fc := pcode.funcs[f]
+		for i, f := range r.Mach.Funcs {
+			fc := pcode.fn(int32(i))
+			if fc.fn != f || fc.idx != int32(i) {
+				t.Fatalf("%s: slot %d holds %s", name, i, fc.fn.Name)
+			}
 			for pc := range fc.code {
 				if err := slotMatches(r.Mach, fc, &fc.code[pc]); err != nil {
 					t.Fatalf("%s: %s pc %d: %v", name, f.Name, pc, err)
@@ -129,8 +133,8 @@ func slotMatches(prog *mach.Program, fc *funcCode, d *dinstr) error {
 	}
 	if in.Op == mach.CALL {
 		want := prog.LookupFunc(in.Callee)
-		if (d.callee == nil) != (want == nil) || d.callee != nil && d.callee.fn != want {
-			return fmt.Errorf("%s: callee %v, want %v", in, d.callee, want)
+		if (d.callee < 0) != (want == nil) || d.callee >= 0 && prog.Funcs[d.callee] != want {
+			return fmt.Errorf("%s: callee %d, want %v", in, d.callee, want)
 		}
 	}
 

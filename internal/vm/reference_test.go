@@ -4,7 +4,7 @@ import "repro/internal/mach"
 
 // maskOf is BreakSet.mask for fn, nil when fn is not in the program.
 func (bs *BreakSet) maskOf(fn *mach.Func) []uint64 {
-	if fc, ok := bs.pc.funcs[fn]; ok {
+	if fc, ok := bs.pc.of(fn); ok {
 		return bs.mask(fc)
 	}
 	return nil

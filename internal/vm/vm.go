@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/ast"
+	"repro/internal/ir"
 	"repro/internal/mach"
 )
 
@@ -45,6 +46,11 @@ var ErrDeadline = errors.New("vm: deadline exceeded")
 // program trips it at the same print every run).
 var ErrOutputLimit = errors.New("vm: output limit exceeded")
 
+// ErrReleased is returned (wrapped) by Step, Run, RunBreaks and the ReadMem
+// methods of a VM whose memory Release has handed back: a released VM
+// fails closed instead of reading memory another session now owns.
+var ErrReleased = errors.New("vm: session memory released")
+
 // ErrCallDepth is returned (wrapped) when a call would make the stack deeper
 // than maxCallDepth frames, or its frame memory larger than maxFrameBytes,
 // naming the caller and the callee; New returns it when main's own frame
@@ -60,8 +66,8 @@ const maxCallDepth = 1 << 14
 // maxFrameBytes bounds the MiniC frame memory of the call stack, so a
 // recursive function with a large local array cannot hold more than the
 // frame bound would at the corpus's mean frame size: 16 MiB of 4-byte
-// words is 64 MiB of slots. (gcc's depthof frame is 67 KB; 16,384 of them
-// would hold over 1 GiB.)
+// words is 32 MiB of 8-byte memory words. (gcc's depthof frame is 67 KB;
+// 16,384 of them would hold over 1 GiB.)
 const maxFrameBytes = 16 << 20
 
 // DefaultMaxOutput bounds Output when MaxOutput is zero. Without a bound
@@ -80,12 +86,6 @@ type Val struct {
 	I   int64
 	F   float64
 	IsF bool
-}
-
-// slot is one 4-byte memory word; the simulator stores either view.
-type slot struct {
-	i int64
-	f float64
 }
 
 // Frame is one activation record. The VM reuses one Frame per call depth,
@@ -134,9 +134,16 @@ type VM struct {
 	pcode *progCode
 	empty *BreakSet // lazily built all-clear set backing Run
 
-	mem   []slot // globals at [0, globalSlots), frames stacked above
-	sp    int64  // next free byte address for frames
-	spMax int64  // the bound on sp: the end of the globals plus maxFrameBytes
+	// mem holds one int64 per 4-byte word of the target: globals at
+	// [0, GlobalSize/4), frames stacked above. A word holds raw bits: SW
+	// stores an int wrapped to 32 bits, SWFP a register's full 64 bits,
+	// FSW and FSWFP a float's bits. Each load reads the bits back in its
+	// own type, so a word last stored as the other type (only ever
+	// uninitialized memory) reads as those bits reinterpreted. nil once
+	// Release has handed the memory back (see memPool).
+	mem   []int64
+	sp    int64 // next free byte address for frames
+	spMax int64 // the bound on sp: the end of the globals plus maxFrameBytes
 	out   strings.Builder
 	stack []*Frame // the live frames: pool[:depth]
 	// pool holds one Frame per call depth reached so far; a call at depth
@@ -160,35 +167,71 @@ type VM struct {
 	retVal Val
 }
 
-// New prepares a VM for prog with main as the entry point.
+// New prepares a VM for prog with main as the entry point. Its memory
+// comes from memory a released VM handed back when there is some, cleared
+// first, so it is exactly a fresh VM's. New refuses a program whose
+// GlobalSize is negative or over ast.MaxDataBytes, which the checker never
+// produces.
 func New(prog *mach.Program) (*VM, error) {
-	main := prog.LookupFunc("main")
-	if main == nil {
+	main := funcIndex(prog, "main")
+	if main < 0 {
 		return nil, fmt.Errorf("vm: program has no main")
 	}
-	vm := &VM{Prog: prog, pcode: predecode(prog), MaxSteps: 200_000_000}
 	globalBytes := prog.GlobalSize
-	vm.mem = make([]slot, (globalBytes/4)+4)
+	if globalBytes < 0 || globalBytes > ast.MaxDataBytes {
+		return nil, fmt.Errorf("vm: %d bytes of global data, want 0 to %d", globalBytes, ast.MaxDataBytes)
+	}
+	vm := &VM{Prog: prog, pcode: predecode(prog), MaxSteps: 200_000_000}
 	vm.sp = (globalBytes + 7) &^ 3
 	vm.spMax = vm.sp + maxFrameBytes
+	vm.mem = getMem(int(globalBytes/4)+4, vm.maxWords())
 	for obj, init := range prog.GlobalInit {
 		off := prog.GlobalOff[obj] / 4
-		if init.Kind == 0 {
-			continue
+		switch init.Kind {
+		case ir.NoOpd:
+		case ir.ConstF:
+			vm.mem[off] = bits(init.Fl)
+		default:
+			vm.mem[off] = init.Int
 		}
-		vm.mem[off] = slot{i: init.Int, f: init.Fl}
 	}
-	if vm.push(vm.pcode.funcs[main], 0, kNone, 0) == nil {
+	if vm.push(vm.pcode.fn(main), 0, kNone, 0) == nil {
+		vm.Release()
 		return nil, fmt.Errorf("%w: main's frame is over %d bytes", ErrCallDepth, maxFrameBytes)
 	}
 	return vm, nil
 }
 
+// maxWords is the most memory words the VM can use: its frames never take
+// sp past spMax.
+func (vm *VM) maxWords() int { return int((vm.spMax + 3) / 4) }
+
+// Release hands the VM's memory back for a later New to reuse. A released
+// VM fails closed: Step, Run, RunBreaks and the ReadMem methods return an
+// error wrapping ErrReleased, and it never reads memory again. Position,
+// Top, Output and the counters stay readable. Release is idempotent and
+// must not run concurrently with anything else on the VM.
+func (vm *VM) Release() {
+	if vm.mem != nil {
+		putMem(vm.mem)
+		vm.mem = nil
+	}
+}
+
+// released reports ErrReleased once Release has run.
+func (vm *VM) released() error {
+	if vm.mem == nil {
+		return ErrReleased
+	}
+	return nil
+}
+
 // push enters fc on the pooled frame of the next call depth, with a
 // zeroed frame slice and nargs zeroed arguments for the caller to fill
-// in. Frame memory above sp is not cleared. It returns nil, changing
-// nothing, when the stack already holds maxCallDepth frames or fc's frame
-// would take its frame memory past maxFrameBytes.
+// in. Frame memory the stack has used before is not cleared; memory it
+// grows into is zero. It returns nil, changing nothing, when the stack
+// already holds maxCallDepth frames or fc's frame would take its frame
+// memory past maxFrameBytes.
 func (vm *VM) push(fc *funcCode, nargs int, retK opdKind, retR int32) *Frame {
 	fn := fc.fn
 	d := len(vm.stack)
@@ -208,11 +251,26 @@ func (vm *VM) push(fc *funcCode, nargs int, retK opdKind, retR int32) *Frame {
 	fr.pc = fc.entry
 	fr.retK, fr.retR = retK, retR
 	vm.sp = sp
-	for int64(len(vm.mem))*4 < vm.sp {
-		vm.mem = append(vm.mem, slot{})
+	if n := int((sp + 3) / 4); n > len(vm.mem) {
+		vm.grow(n)
 	}
 	vm.stack = vm.pool[:d+1]
 	return fr
+}
+
+// grow extends mem to n words, the new ones zero. Past its capacity it
+// moves to a segment of the next capacity class (see memPool), so a deep
+// stack grows geometrically, and hands the old one back.
+func (vm *VM) grow(n int) {
+	old := vm.mem
+	if n <= cap(old) {
+		vm.mem = old[:n]
+		clear(vm.mem[len(old):])
+		return
+	}
+	vm.mem = getMem(n, vm.maxWords())
+	copy(vm.mem, old)
+	putMem(old)
 }
 
 // reuse returns s resliced to n zeroed elements, allocating only when its
@@ -315,6 +373,9 @@ func (vm *VM) Run() error {
 // before stopping is considered: resuming from a breakpoint must not
 // immediately re-trigger it.
 func (vm *VM) RunBreaks(bs *BreakSet, skipCurrent bool) error {
+	if err := vm.released(); err != nil {
+		return err
+	}
 	if bs == nil || bs.pc != vm.pcode {
 		return errors.New("vm: BreakSet was compiled for a different program")
 	}
@@ -436,19 +497,23 @@ func f64(x int64) float64  { return math.Float64frombits(uint64(x)) }
 func bits(f float64) int64 { return int64(math.Float64bits(f)) }
 
 // ReadMemInt reads the int word at byte address addr.
-func (vm *VM) ReadMemInt(addr int64) (int64, error) {
-	if addr < 0 || addr/4 >= int64(len(vm.mem)) {
-		return 0, fmt.Errorf("vm: read out of bounds at %d", addr)
-	}
-	return vm.mem[addr/4].i, nil
-}
+func (vm *VM) ReadMemInt(addr int64) (int64, error) { return vm.word(addr) }
 
 // ReadMemFloat reads the float word at byte address addr.
 func (vm *VM) ReadMemFloat(addr int64) (float64, error) {
+	w, err := vm.word(addr)
+	return f64(w), err
+}
+
+// word reads the raw bits of the word at byte address addr.
+func (vm *VM) word(addr int64) (int64, error) {
+	if err := vm.released(); err != nil {
+		return 0, err
+	}
 	if addr < 0 || addr/4 >= int64(len(vm.mem)) {
 		return 0, fmt.Errorf("vm: read out of bounds at %d", addr)
 	}
-	return vm.mem[addr/4].f, nil
+	return vm.mem[addr/4], nil
 }
 
 // AddrOf returns the runtime byte address of obj in frame fr (or the global
@@ -465,6 +530,9 @@ func (vm *VM) AddrOf(fr *Frame, obj *ast.Object) (int64, bool) {
 
 // Step executes one instruction.
 func (vm *VM) Step() error {
+	if err := vm.released(); err != nil {
+		return err
+	}
 	fr := vm.Top()
 	if fr == nil {
 		vm.halted = true
@@ -598,25 +666,25 @@ run:
 				if i >= uint64(len(mem)) {
 					break hot
 				}
-				r[d.dst] = int64(int32(mem[i].i))
+				r[d.dst] = int64(int32(mem[i]))
 			case mach.FLW:
 				i, mem := uint64(r[d.a]+d.off)>>2, vm.mem
 				if i >= uint64(len(mem)) {
 					break hot
 				}
-				r[d.dst] = bits(mem[i].f)
+				r[d.dst] = mem[i]
 			case mach.SW:
 				i, mem := uint64(r[d.a]+d.off)>>2, vm.mem
 				if i >= uint64(len(mem)) {
 					break hot
 				}
-				mem[i] = slot{i: int64(int32(d.ib(r)))}
+				mem[i] = int64(int32(d.ib(r)))
 			case mach.FSW:
 				i, mem := uint64(r[d.a]+d.off)>>2, vm.mem
 				if i >= uint64(len(mem)) {
 					break hot
 				}
-				mem[i] = slot{f: f64(d.ib(r))}
+				mem[i] = d.ib(r)
 
 			case mach.J:
 				pc = int(d.t0)
@@ -648,12 +716,12 @@ run:
 		}
 		switch d.xop {
 		case mach.CALL:
-			if d.callee == nil {
+			if d.callee < 0 {
 				err = fmt.Errorf("vm: call of unknown function %q", d.in.Callee)
 				break run
 			}
 			fr.pc = int32(pc)
-			callee := vm.push(d.callee, len(d.in.Args), d.dk, d.dst)
+			callee := vm.push(vm.pcode.fn(d.callee), len(d.in.Args), d.dk, d.dst)
 			if callee == nil {
 				err = fmt.Errorf("%w (%d frames, %d frame bytes) in %s calling %s", ErrCallDepth, len(vm.stack), vm.sp+maxFrameBytes-vm.spMax, fr.Fn.Name, d.in.Callee)
 				break run
@@ -723,16 +791,18 @@ func (vm *VM) slow(fr *Frame, d *dinstr, pc int) (int, error) {
 			return pc, fmt.Errorf("vm: %s out of bounds at %d (stmt %d in %s)", d.op, addr, d.in.Stmt, fr.Fn.Name)
 		}
 		switch w := &vm.mem[addr/4]; d.op {
-		case mach.LW, mach.LWFP:
-			fr.set(d.dk, d.dst, Val{I: w.i})
+		case mach.LW:
+			fr.set(d.dk, d.dst, Val{I: int64(int32(*w))})
+		case mach.LWFP:
+			fr.set(d.dk, d.dst, Val{I: *w})
 		case mach.FLW, mach.FLWFP:
-			fr.set(d.dk, d.dst, Val{F: w.f, IsF: true})
+			fr.set(d.dk, d.dst, Val{F: f64(*w), IsF: true})
 		case mach.SW:
-			*w = slot{i: int64(int32(fr.ival(d.bk, d.b)))}
+			*w = int64(int32(fr.ival(d.bk, d.b)))
 		case mach.SWFP:
-			*w = slot{i: fr.ival(d.bk, d.b)}
+			*w = fr.ival(d.bk, d.b)
 		default:
-			*w = slot{f: fr.fval(d.bk, d.b)}
+			*w = bits(fr.fval(d.bk, d.b))
 		}
 	case mach.BNEZ:
 		if c := fr.val(d.ak, d.a); c.I != 0 || c.F != 0 {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/compile"
+	"repro/internal/core"
 	"repro/internal/debugger"
 	"repro/internal/vm"
 )
@@ -149,4 +150,50 @@ func BenchmarkRunWorkloads(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkOpenSession opens a debug session on compress, the workload
+// with the most global data, and closes it, as the server's open-session
+// and close do: debugger.NewShared, then VM.Release. resident opens on a
+// program whose sessions have run before; fresh opens on a program just
+// decoded from its spill bytes (the decode is not timed), so nothing of
+// it is predecoded yet.
+func BenchmarkOpenSession(b *testing.B) {
+	res, err := bench.CompileWorkload("compress", compile.O2())
+	if err != nil {
+		b.Fatal(err)
+	}
+	spill, err := compile.EncodeSpill(compile.O2(), res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	open := func(b *testing.B, res *compile.Result, set *core.AnalysisSet) {
+		d, err := debugger.NewShared(res, set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d.VM.Release()
+	}
+	b.Run("resident", func(b *testing.B) {
+		set := core.NewAnalysisSet()
+		if _, err := bench.RunWorkload(res); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			open(b, res, set)
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh, _, _, _, err := compile.DecodeSpill(spill)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			open(b, fresh, core.NewAnalysisSet())
+		}
+	})
 }
