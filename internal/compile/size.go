@@ -26,19 +26,45 @@ func (r *Result) SizeBytes() int64 {
 	return n
 }
 
+// Machine code is charged by its real layout: an instruction's hot record
+// (Sizeof(mach.Instr)) plus slack for its block's pointer to it and heap
+// rounding, and, on the instructions that have one, the cold record rounded
+// up to its heap size class (classes are 16 bytes apart up to 256 B).
 const (
-	instrBase = int64(unsafe.Sizeof(mach.Instr{})) + 16 // struct + pointer/header slack
+	instrBase = int64(unsafe.Sizeof(mach.Instr{})) + 16
+	coldBase  = (int64(unsafe.Sizeof(mach.Cold{})) + 15) &^ 15
 	blockBase = int64(unsafe.Sizeof(mach.Block{})) + 16
 	funcBase  = int64(unsafe.Sizeof(mach.Func{})) + 16
 	opdSize   = int64(unsafe.Sizeof(mach.Opd{}))
-	mapRow    = int64(48) // bucket share + key pointer + value word(s)
 )
+
+// mapBytes charges a map as Go lays one out: a 48-byte header (all that
+// an empty map holds), then groups of eight key/value slots and an 8-byte
+// control word, as many as keep the slots at most 7/8 full (one group up
+// to eight entries), with an eighth on top for heap rounding.
+func mapBytes[K comparable, V any](m map[K]V) int64 {
+	if m == nil {
+		return 0
+	}
+	n := int64(len(m))
+	if n == 0 {
+		return 48
+	}
+	var k K
+	var v V
+	group := 8 + 8*int64(unsafe.Sizeof(k)+unsafe.Sizeof(v))
+	groups := int64(1)
+	for n > 8 && groups*7 < n {
+		groups *= 2
+	}
+	return 48 + groups*group*9/8
+}
 
 func sizeOfProgram(p *mach.Program) int64 {
 	n := int64(unsafe.Sizeof(*p))
 	n += int64(len(p.Globals)) * 8
-	n += int64(len(p.GlobalOff)) * mapRow
-	n += int64(len(p.GlobalInit)) * (mapRow + 32)
+	n += mapBytes(p.GlobalOff)
+	n += mapBytes(p.GlobalInit)
 	for _, f := range p.Funcs {
 		n += sizeOfFunc(f)
 	}
@@ -48,8 +74,8 @@ func sizeOfProgram(p *mach.Program) int64 {
 func sizeOfFunc(f *mach.Func) int64 {
 	n := funcBase + int64(len(f.Name))
 	n += int64(len(f.FrameObjects)) * 8
-	n += int64(len(f.FrameOff)) * mapRow
-	n += int64(len(f.VarLoc)) * mapRow
+	n += mapBytes(f.FrameOff)
+	n += mapBytes(f.VarLoc)
 	for _, b := range f.Blocks {
 		n += blockBase
 		n += int64(len(b.Succs)+len(b.Preds)) * 8
@@ -62,17 +88,19 @@ func sizeOfFunc(f *mach.Func) int64 {
 }
 
 func sizeOfInstr(in *mach.Instr) int64 {
-	n := instrBase
-	n += int64(len(in.Callee))
-	n += int64(len(in.Args)) * opdSize
-	n += int64(len(in.UseObjs)) * 8
-	for _, pa := range in.PrintFmt {
+	n := instrBase + int64(len(in.UseObjs))*8
+	c := in.Cold
+	if c == nil {
+		return n
+	}
+	n += coldBase
+	n += int64(len(c.Callee))
+	n += int64(len(c.Args)) * opdSize
+	for _, pa := range c.PrintFmt {
 		n += int64(unsafe.Sizeof(pa)) + int64(len(pa.Str))
 	}
-	if in.Ann.InsertedBy != "" {
-		n += int64(len(in.Ann.InsertedBy))
-	}
-	if in.Ann.Recover != nil {
+	n += int64(len(c.InsertedBy))
+	if c.Recover != nil {
 		n += 32
 	}
 	return n

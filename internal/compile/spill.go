@@ -314,6 +314,17 @@ func (d *dec) nzInt() int64 {
 	return v
 }
 
+// nzInt32 is nzInt for a field held as an int32 (a register number, a
+// statement or instruction index): a wider value is an error, not a
+// truncation, so a decoded field re-encodes to the bytes it came from.
+func (d *dec) nzInt32() int32 {
+	v := d.nzInt()
+	if v != int64(int32(v)) {
+		d.fail("value %d out of int32 range", v)
+	}
+	return int32(v)
+}
+
 func (d *dec) byte() byte {
 	if len(d.b) == 0 {
 		d.fail("truncated")
@@ -554,7 +565,7 @@ func (d *dec) opd() mach.Opd {
 		o.Class = mach.FloatClass
 	}
 	if h&opdR != 0 {
-		o.R = int(d.nzInt())
+		o.R = d.nzInt32()
 	}
 	if h&opdImm != 0 {
 		o.Imm = d.nzInt()
@@ -800,6 +811,9 @@ const (
 	inReplacedVar
 	inRecover
 	inBits // first unknown bit
+
+	// inCold is the fields held in an instruction's cold record.
+	inCold = inCallee | inArgs | inPrintFmt | inParamIdx | inMarkObj | inMarkAlias | inInsertedBy | inRecover
 )
 
 // PrintArg flag bits.
@@ -809,6 +823,9 @@ const (
 	paVal
 	paBits // first unknown bit
 )
+
+// noCold stands in for an absent cold record when encoding.
+var noCold mach.Cold
 
 func (e *enc) instr(in *mach.Instr) {
 	// MARKAVAIL is the last opcode.
@@ -864,21 +881,25 @@ func (e *enc) instr(in *mach.Instr) {
 		m |= inSym
 		e.obj(in.Sym)
 	}
-	if in.Callee != "" {
-		m |= inCallee
-		e.str(in.Callee)
+	c := in.Cold
+	if c == nil {
+		c = &noCold
 	}
-	if len(in.Args) > 0 {
+	if c.Callee != "" {
+		m |= inCallee
+		e.str(c.Callee)
+	}
+	if len(c.Args) > 0 {
 		m |= inArgs
-		e.uint(uint64(len(in.Args)))
-		for _, a := range in.Args {
+		e.uint(uint64(len(c.Args)))
+		for _, a := range c.Args {
 			e.opd(a)
 		}
 	}
-	if len(in.PrintFmt) > 0 {
+	if len(c.PrintFmt) > 0 {
 		m |= inPrintFmt
-		e.uint(uint64(len(in.PrintFmt)))
-		for _, pa := range in.PrintFmt {
+		e.uint(uint64(len(c.PrintFmt)))
+		for _, pa := range c.PrintFmt {
 			flags := len(e.b)
 			e.b = append(e.b, 0)
 			if pa.IsStr {
@@ -894,33 +915,33 @@ func (e *enc) instr(in *mach.Instr) {
 			}
 		}
 	}
-	if in.ParamIdx != 0 {
+	if c.ParamIdx != 0 {
 		m |= inParamIdx
-		e.int(int64(in.ParamIdx))
+		e.int(int64(c.ParamIdx))
 	}
-	if in.MarkObj != nil {
+	if c.MarkObj != nil {
 		m |= inMarkObj
-		e.obj(in.MarkObj)
+		e.obj(c.MarkObj)
 	}
-	if !isZeroOpd(in.MarkAlias) {
+	if !isZeroOpd(c.MarkAlias) {
 		m |= inMarkAlias
-		e.opd(in.MarkAlias)
+		e.opd(c.MarkAlias)
 	}
-	if in.Ann.Hoisted {
+	if in.Hoisted {
 		m |= inHoisted
 	}
-	if in.Ann.Sunk {
+	if in.Sunk {
 		m |= inSunk
 	}
-	if in.Ann.InsertedBy != "" {
+	if c.InsertedBy != "" {
 		m |= inInsertedBy
-		e.str(in.Ann.InsertedBy)
+		e.str(c.InsertedBy)
 	}
-	if in.Ann.ReplacedVar != nil {
+	if in.ReplacedVar != nil {
 		m |= inReplacedVar
-		e.obj(in.Ann.ReplacedVar)
+		e.obj(in.ReplacedVar)
 	}
-	if r := in.Ann.Recover; r != nil {
+	if r := c.Recover; r != nil {
 		m |= inRecover
 		e.obj(r.Var)
 		e.int(r.A)
@@ -952,13 +973,13 @@ func (d *dec) instr(in *mach.Instr) {
 		in.B = d.nzOpd()
 	}
 	if m&inStmt != 0 {
-		in.Stmt = int(d.nzInt())
+		in.Stmt = d.nzInt32()
 	}
 	if m&inOrigIdx != 0 {
-		in.OrigIdx = int(d.nzInt())
+		in.OrigIdx = d.nzInt32()
 	}
 	if m&inPreSched != 0 {
-		in.PreSched = int(d.nzInt())
+		in.PreSched = d.nzInt32()
 	}
 	if m&inDefObj != 0 {
 		in.DefObj = d.nzObj()
@@ -975,19 +996,25 @@ func (d *dec) instr(in *mach.Instr) {
 	if m&inSym != 0 {
 		in.Sym = d.nzObj()
 	}
+	// Every cold field's bit is in inCold, so c is set wherever one is read.
+	var c *mach.Cold
+	if m&inCold != 0 {
+		c = new(mach.Cold)
+		in.Cold = c
+	}
 	if m&inCallee != 0 {
-		in.Callee = d.nzStr()
+		c.Callee = d.nzStr()
 	}
 	if m&inArgs != 0 {
-		in.Args = make([]mach.Opd, d.nzCount())
-		for i := range in.Args {
-			in.Args[i] = d.opd()
+		c.Args = make([]mach.Opd, d.nzCount())
+		for i := range c.Args {
+			c.Args[i] = d.opd()
 		}
 	}
 	if m&inPrintFmt != 0 {
-		in.PrintFmt = make([]mach.PrintArg, d.nzCount())
-		for i := range in.PrintFmt {
-			pa := &in.PrintFmt[i]
+		c.PrintFmt = make([]mach.PrintArg, d.nzCount())
+		for i := range c.PrintFmt {
+			pa := &c.PrintFmt[i]
 			flags := d.byte()
 			if flags >= paBits {
 				d.fail("unknown print argument flags %#x", flags)
@@ -1003,23 +1030,23 @@ func (d *dec) instr(in *mach.Instr) {
 		}
 	}
 	if m&inParamIdx != 0 {
-		in.ParamIdx = int(d.nzInt())
+		c.ParamIdx = int(d.nzInt())
 	}
 	if m&inMarkObj != 0 {
-		in.MarkObj = d.nzObj()
+		c.MarkObj = d.nzObj()
 	}
 	if m&inMarkAlias != 0 {
-		in.MarkAlias = d.nzOpd()
+		c.MarkAlias = d.nzOpd()
 	}
-	in.Ann.Hoisted = m&inHoisted != 0
-	in.Ann.Sunk = m&inSunk != 0
+	in.Hoisted = m&inHoisted != 0
+	in.Sunk = m&inSunk != 0
 	if m&inInsertedBy != 0 {
-		in.Ann.InsertedBy = d.nzStr()
+		c.InsertedBy = d.nzStr()
 	}
 	if m&inReplacedVar != 0 {
-		in.Ann.ReplacedVar = d.nzObj()
+		in.ReplacedVar = d.nzObj()
 	}
 	if m&inRecover != 0 {
-		in.Ann.Recover = &ir.LinRecovery{Var: d.obj(), A: d.int(), B: d.int()}
+		c.Recover = &ir.LinRecovery{Var: d.obj(), A: d.int(), B: d.int()}
 	}
 }

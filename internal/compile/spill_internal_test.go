@@ -100,11 +100,11 @@ func TestSpillSumCoversDebugTables(t *testing.T) {
 			return false
 		}},
 		{"Recover.A", func(p *mach.Program) bool {
-			in := firstInstr(p, func(in *mach.Instr) bool { return in.Ann.Recover != nil })
+			in := firstInstr(p, func(in *mach.Instr) bool { return in.Recover() != nil })
 			if in == nil {
 				return false
 			}
-			in.Ann.Recover.A++
+			in.Cold.Recover.A++
 			return true
 		}},
 		{"DefObj", func(p *mach.Program) bool {
@@ -302,5 +302,23 @@ func TestSpillCarriesEveryConfigField(t *testing.T) {
 	})
 	if fields == 0 {
 		t.Fatal("Config has no fields")
+	}
+}
+
+// TestDecodeRefusesWideInt32Fields checks that a register number or a
+// statement or order index past int32 is refused, not truncated: the
+// instruction holds those fields as int32.
+func TestDecodeRefusesWideInt32Fields(t *testing.T) {
+	for _, c := range []struct {
+		v  int64
+		ok bool
+	}{{1, true}, {-1, true}, {1<<31 - 1, true}, {-1 << 31, true}, {1 << 31, false}, {-1<<31 - 1, false}, {1 << 40, false}} {
+		e := &enc{}
+		e.int(c.v)
+		d := &dec{b: e.b}
+		got := d.nzInt32()
+		if ok := d.err == nil; ok != c.ok || ok && int64(got) != c.v {
+			t.Errorf("nzInt32 of %d = %d (err %v), want ok=%v", c.v, got, d.err, c.ok)
+		}
 	}
 }

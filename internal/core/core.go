@@ -424,10 +424,10 @@ func (b *builder) collect() {
 			switch {
 			case in.Op == mach.MARKDEAD && in.Stmt >= 0:
 				b.srcAt[p] = int32(len(a.srcEnts))
-				a.srcEnts = append(a.srcEnts, srcEntity{v: in.MarkObj, stmt: in.Stmt})
-			case in.DefObj != nil && in.Ann.Hoisted && in.Stmt >= 0:
+				a.srcEnts = append(a.srcEnts, srcEntity{v: in.MarkObj(), stmt: int(in.Stmt)})
+			case in.DefObj != nil && in.Hoisted && in.Stmt >= 0:
 				b.srcAt[p] = int32(len(a.srcEnts))
-				a.srcEnts = append(a.srcEnts, srcEntity{v: in.DefObj, stmt: in.Stmt, hoist: true})
+				a.srcEnts = append(a.srcEnts, srcEntity{v: in.DefObj, stmt: int(in.Stmt), hoist: true})
 			}
 			p++
 		}
@@ -437,32 +437,30 @@ func (b *builder) collect() {
 // recoveryOf reports whether in establishes a recovery source, and if
 // so sets *e to it.
 func recoveryOf(in *mach.Instr, e *recEntity) bool {
+	alias, r := in.MarkAlias(), in.Recover()
 	switch {
-	case in.Op == mach.MARKDEAD && in.MarkAlias.Kind != mach.None:
-		*e = recEntity{v: in.MarkObj}
-		switch in.MarkAlias.Kind {
+	case in.Op == mach.MARKDEAD && alias.Kind != mach.None:
+		*e = recEntity{v: in.MarkObj()}
+		switch alias.Kind {
 		case mach.Imm:
 			e.kind = RecoverConst
-			e.c = in.MarkAlias.Imm
+			e.c = alias.Imm
 		case mach.FImm:
 			e.kind = RecoverConst
-			e.cf = in.MarkAlias.F
+			e.cf = alias.F
 			e.isF = true
 		case mach.Reg:
 			e.kind = RecoverAlias
-			e.reg = in.MarkAlias
+			e.reg = alias
 		}
 		return true
 
-	case in.Ann.Recover != nil && in.Ann.Recover.Var != nil && in.Dst.IsReg():
-		*e = recEntity{
-			v: in.Ann.Recover.Var, kind: RecoverLinear,
-			reg: in.Dst, a: in.Ann.Recover.A, b: in.Ann.Recover.B,
-		}
+	case r != nil && r.Var != nil && in.Dst.IsReg():
+		*e = recEntity{v: r.Var, kind: RecoverLinear, reg: in.Dst, a: r.A, b: r.B}
 		return true
 
-	case in.Ann.ReplacedVar != nil && in.Dst.IsReg():
-		*e = recEntity{v: in.Ann.ReplacedVar, kind: RecoverAlias, reg: in.Dst}
+	case in.ReplacedVar != nil && in.Dst.IsReg():
+		*e = recEntity{v: in.ReplacedVar, kind: RecoverAlias, reg: in.Dst}
 		return true
 	}
 	return false
@@ -490,7 +488,7 @@ func (b *builder) index() {
 	}
 	entKey := func(i int) int {
 		if r := a.ents[i].reg; r.IsReg() {
-			return regKey(r.Class, r.R)
+			return regKey(r.Class, int(r.R))
 		}
 		return -1
 	}
@@ -513,7 +511,7 @@ func (b *builder) index() {
 // onReg returns the variables allocated to register d and the entities
 // whose source is d's register number and class.
 func (b *builder) onReg(d mach.Opd) (vars []*ast.Object, ents []int32) {
-	k := regKey(d.Class, d.R)
+	k := regKey(d.Class, int(d.R))
 	if k < 0 || k+1 >= len(b.regVarOff) {
 		return nil, nil
 	}
@@ -551,7 +549,7 @@ func (b *builder) effects(p int, in *mach.Instr) {
 	a := b.a
 	switch in.Op {
 	case mach.MARKDEAD:
-		v := in.MarkObj
+		v := in.MarkObj()
 		b.gen(a.initBit(v))
 		b.gen(a.deadBit(v))
 		// A newly eliminated assignment changes V's *expected* value:
@@ -575,7 +573,7 @@ func (b *builder) effects(p int, in *mach.Instr) {
 		}
 		return
 	case mach.MARKAVAIL:
-		v := in.MarkObj
+		v := in.MarkObj()
 		b.gen(a.initBit(v))
 		b.kill(a.hoistBit(v))
 		b.kill(a.deadBit(v))
@@ -615,7 +613,7 @@ func (b *builder) effects(p int, in *mach.Instr) {
 	if v := in.DefObj; v != nil {
 		b.gen(a.initBit(v))
 		b.gen(a.resBit(v))
-		if in.Ann.Hoisted {
+		if in.Hoisted {
 			// Hoisted assignment: V updated prematurely (Figure 2's E3).
 			b.gen(a.hoistBit(v))
 			b.kill(a.deadBit(v))

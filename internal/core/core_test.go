@@ -71,7 +71,7 @@ int main() { return f(1, 2, 3); }
 	hoisted, avail := 0, 0
 	for _, b := range a.Fn.Blocks {
 		for _, in := range b.Instrs {
-			if in.Ann.Hoisted && in.DefObj != nil {
+			if in.Hoisted && in.DefObj != nil {
 				hoisted++
 			}
 			if in.Op == mach.MARKAVAIL {
@@ -156,7 +156,7 @@ int main() { return g(1, 3, 4); }
 	sunk, dead := 0, 0
 	for _, b := range a.Fn.Blocks {
 		for _, in := range b.Instrs {
-			if in.Ann.Sunk {
+			if in.Sunk {
 				sunk++
 			}
 			if in.Op == mach.MARKDEAD {
@@ -205,7 +205,7 @@ int main() { return h(2, 3); }
 	dead := 0
 	for _, b := range a.Fn.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == mach.MARKDEAD && in.MarkObj.Name == "x" {
+			if in.Op == mach.MARKDEAD && in.MarkObj().Name == "x" {
 				dead++
 			}
 		}

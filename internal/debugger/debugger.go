@@ -239,7 +239,7 @@ func (d *Debugger) currentStmt() int {
 		return -1
 	}
 	if in.Stmt >= 0 {
-		return in.Stmt
+		return int(in.Stmt)
 	}
 	pos := d.VM.Position()
 	return debuginfo.StmtOfLoc(debuginfo.Loc{Block: pos.Block, Idx: pos.Idx})
@@ -653,14 +653,14 @@ func (d *Debugger) readRecovered(fr *vm.Frame, rec *core.Recovery) (vm.Val, bool
 			return vm.Val{}, false
 		}
 		if rec.Reg.Class == mach.FloatClass {
-			return vm.Val{F: fr.FloatReg(rec.Reg.R), IsF: true}, true
+			return vm.Val{F: fr.FloatReg(int(rec.Reg.R)), IsF: true}, true
 		}
-		return vm.Val{I: fr.IntReg(rec.Reg.R)}, true
+		return vm.Val{I: fr.IntReg(int(rec.Reg.R))}, true
 	case core.RecoverLinear:
 		if !rec.Reg.IsReg() || rec.A == 0 {
 			return vm.Val{}, false
 		}
-		x := fr.IntReg(rec.Reg.R)
+		x := fr.IntReg(int(rec.Reg.R))
 		return vm.Val{I: (x - rec.B) / rec.A}, true
 	}
 	return vm.Val{}, false

@@ -52,7 +52,7 @@ func (d *Debugger) StepRef() (*Breakpoint, error) {
 	}
 	err := runUntil(d.VM, func(p vm.Pos) bool {
 		in := d.VM.CurrentInstr()
-		return in != nil && in.Stmt >= 0 && (p.Fn != startFn || in.Stmt != startStmt)
+		return in != nil && in.Stmt >= 0 && (p.Fn != startFn || int(in.Stmt) != startStmt)
 	})
 	if err != nil {
 		return nil, err

@@ -67,18 +67,18 @@ func Build(f *mach.Func) *Table {
 	insts := make([]inst, 0, n+len(f.Blocks)) // every block's instances, in block order
 	for bi, b := range f.Blocks {
 		for idx, in := range b.Instrs {
-			s := in.Stmt
+			s := int(in.Stmt)
 			if s < 0 || s >= n {
 				continue
 			}
 			r := int32(1)
 			if in.IsMarker() {
 				r = 2
-			} else if !in.Ann.Hoisted && !in.Ann.Sunk && in.Ann.InsertedBy == "" {
+			} else if !in.Hoisted && !in.Sunk && in.InsertedBy() == "" {
 				r = 3
 			}
 			x := &st[s]
-			orig := int32(in.OrigIdx)
+			orig := in.OrigIdx
 			if r > x.rank || (r == x.rank && orig < x.orig) {
 				x.rank = r
 				x.orig = orig
@@ -209,7 +209,7 @@ func varsInScopeTable(locals []*ast.Object, n int) [][]*ast.Object {
 func entersStmt(l Loc, s int) bool {
 	b := l.Block
 	for i := l.Idx - 1; i >= 0 && i < len(b.Instrs); i-- {
-		if st := b.Instrs[i].Stmt; st >= 0 && st != s {
+		if st := int(b.Instrs[i].Stmt); st >= 0 && st != s {
 			return true
 		}
 	}
@@ -229,7 +229,7 @@ func entersStmt(l Loc, s int) bool {
 func trailingStmt(b *mach.Block) int {
 	for i := len(b.Instrs) - 1; i >= 0; i-- {
 		if st := b.Instrs[i].Stmt; st >= 0 {
-			return st
+			return int(st)
 		}
 	}
 	return -1
@@ -344,12 +344,12 @@ func StmtOfLoc(l Loc) int {
 	// nearest tagged instruction if this one is synthetic.
 	for i := l.Idx; i >= 0; i-- {
 		if i < len(l.Block.Instrs) && l.Block.Instrs[i].Stmt >= 0 {
-			return l.Block.Instrs[i].Stmt
+			return int(l.Block.Instrs[i].Stmt)
 		}
 	}
 	for i := l.Idx + 1; i < len(l.Block.Instrs); i++ {
 		if l.Block.Instrs[i].Stmt >= 0 {
-			return l.Block.Instrs[i].Stmt
+			return int(l.Block.Instrs[i].Stmt)
 		}
 	}
 	return -1

@@ -105,7 +105,7 @@ int main() { return f(1, 2, 3); }
 		t.Fatal("stmt 4 lost")
 	}
 	in := loc.Block.Instrs[loc.Idx]
-	if in.Ann.Hoisted {
+	if in.Hoisted {
 		t.Errorf("breakpoint mapped to a hoisted insertion: %s", in)
 	}
 }

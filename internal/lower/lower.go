@@ -115,7 +115,7 @@ func graphOf(f *mach.Func) dataflow.Graph {
 // are the promoted variables).
 func tagVars(mf *mach.Func, m *mach.Instr) {
 	varOf := func(o mach.Opd) *ast.Object {
-		if o.Kind == mach.Reg && o.R < mf.NumVars {
+		if o.Kind == mach.Reg && int(o.R) < mf.NumVars {
 			return mf.Decl.Locals[o.R]
 		}
 		return nil
@@ -141,13 +141,13 @@ func opd(numVars int, o ir.Operand) mach.Opd {
 		if o.Ty == ir.F {
 			cls = mach.FloatClass
 		}
-		return mach.Opd{Kind: mach.Reg, Class: cls, R: o.Obj.ID}
+		return mach.Opd{Kind: mach.Reg, Class: cls, R: int32(o.Obj.ID)}
 	case ir.Temp:
 		cls := mach.IntClass
 		if o.Ty == ir.F {
 			cls = mach.FloatClass
 		}
-		return mach.Opd{Kind: mach.Reg, Class: cls, R: numVars + o.TID}
+		return mach.Opd{Kind: mach.Reg, Class: cls, R: int32(numVars + o.TID)}
 	case ir.ConstI:
 		return mach.I_(o.Int)
 	case ir.ConstF:
@@ -170,7 +170,13 @@ var floatBin = map[ir.Op]mach.Opcode{
 }
 
 func selectInstr(mf *mach.Func, numVars int, in *ir.Instr) *mach.Instr {
-	m := &mach.Instr{Stmt: in.Stmt, OrigIdx: in.OrigIdx, Ann: in.Ann}
+	m := &mach.Instr{
+		Stmt: int32(in.Stmt), OrigIdx: int32(in.OrigIdx),
+		ReplacedVar: in.Ann.ReplacedVar, Hoisted: in.Ann.Hoisted, Sunk: in.Ann.Sunk,
+	}
+	if in.Ann.InsertedBy != "" || in.Ann.Recover != nil {
+		m.Cold = &mach.Cold{InsertedBy: in.Ann.InsertedBy, Recover: in.Ann.Recover}
+	}
 	switch in.Kind {
 	case ir.BinOp:
 		isFloat := in.A.Ty == ir.F || in.B.Ty == ir.F
@@ -236,9 +242,10 @@ func selectInstr(mf *mach.Func, numVars int, in *ir.Instr) *mach.Instr {
 
 	case ir.Call:
 		m.Op = mach.CALL
-		m.Callee = in.Callee
+		c := m.EnsureCold()
+		c.Callee = in.Callee
 		for _, a := range in.Args {
-			m.Args = append(m.Args, opd(numVars, a))
+			c.Args = append(c.Args, opd(numVars, a))
 		}
 		if in.Dst.Valid() {
 			m.Dst = opd(numVars, in.Dst)
@@ -246,11 +253,14 @@ func selectInstr(mf *mach.Func, numVars int, in *ir.Instr) *mach.Instr {
 
 	case ir.Print:
 		m.Op = mach.PRINT
-		for _, a := range in.PrintFmt {
-			if a.IsStr {
-				m.PrintFmt = append(m.PrintFmt, mach.PrintArg{Str: a.Str, IsStr: true})
-			} else {
-				m.PrintFmt = append(m.PrintFmt, mach.PrintArg{Val: opd(numVars, a.Val)})
+		if len(in.PrintFmt) > 0 {
+			c := m.EnsureCold()
+			for _, a := range in.PrintFmt {
+				if a.IsStr {
+					c.PrintFmt = append(c.PrintFmt, mach.PrintArg{Str: a.Str, IsStr: true})
+				} else {
+					c.PrintFmt = append(c.PrintFmt, mach.PrintArg{Val: opd(numVars, a.Val)})
+				}
 			}
 		}
 
@@ -270,18 +280,21 @@ func selectInstr(mf *mach.Func, numVars int, in *ir.Instr) *mach.Instr {
 	case ir.GetParam:
 		m.Op = mach.GETP
 		m.Dst = opd(numVars, in.Dst)
-		m.ParamIdx = in.ParamIdx
+		if in.ParamIdx != 0 {
+			m.EnsureCold().ParamIdx = in.ParamIdx
+		}
 
 	case ir.MarkDead:
 		m.Op = mach.MARKDEAD
-		m.MarkObj = in.MarkObj
+		c := m.EnsureCold()
+		c.MarkObj = in.MarkObj
 		if in.A.Valid() {
-			m.MarkAlias = opd(numVars, in.A)
+			c.MarkAlias = opd(numVars, in.A)
 		}
 
 	case ir.MarkAvail:
 		m.Op = mach.MARKAVAIL
-		m.MarkObj = in.MarkObj
+		m.EnsureCold().MarkObj = in.MarkObj
 
 	default:
 		panic(fmt.Sprintf("lower: unknown IR instruction kind %d", in.Kind))

@@ -41,12 +41,12 @@ int main() { return g(1, 2, 3); }
 	sunk, markers := 0, 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Ann.Sunk {
+			if in.Sunk {
 				sunk++
 			}
 			if in.Op == mach.MARKDEAD {
 				markers++
-				if in.MarkObj == nil {
+				if in.MarkObj() == nil {
 					t.Error("marker lost its variable")
 				}
 			}
@@ -100,7 +100,7 @@ func TestStmtAndOrigPreserved(t *testing.T) {
 	src := `int main() { int a = 1; int b = a + 2; return b; }`
 	mp := lowerSrc(t, src, opt.O0())
 	f := mp.LookupFunc("main")
-	stmts := map[int]bool{}
+	stmts := map[int32]bool{}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Stmt >= 0 {
@@ -108,7 +108,7 @@ func TestStmtAndOrigPreserved(t *testing.T) {
 			}
 		}
 	}
-	for s := 0; s < 3; s++ {
+	for s := int32(0); s < 3; s++ {
 		if !stmts[s] {
 			t.Errorf("statement %d lost in lowering", s)
 		}
@@ -203,7 +203,7 @@ func TestVregSpaceMatchesIR(t *testing.T) {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.DefObj != nil {
-				if d := in.Def(); d.IsReg() && d.R >= f.NumVars {
+				if d := in.Def(); d.IsReg() && int(d.R) >= f.NumVars {
 					t.Errorf("var %s assigned vreg %d >= NumVars", in.DefObj.Name, d.R)
 				}
 			}

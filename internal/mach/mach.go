@@ -159,20 +159,22 @@ const (
 	FImm         // float immediate
 )
 
-// Opd is a machine operand.
+// Opd is a machine operand. R is an int32 packed with Kind and Class, so
+// an operand is 24 bytes: register numbers stay far below 2^31 (the
+// spill decoder refuses anything wider).
 type Opd struct {
+	R     int32 // register number
 	Kind  OpdKind
 	Class RegClass
-	R     int // register number
 	Imm   int64
 	F     float64
 }
 
 // R_ makes an integer register operand.
-func R_(r int) Opd { return Opd{Kind: Reg, Class: IntClass, R: r} }
+func R_(r int) Opd { return Opd{Kind: Reg, Class: IntClass, R: int32(r)} }
 
 // FR makes a float register operand.
-func FR(r int) Opd { return Opd{Kind: Reg, Class: FloatClass, R: r} }
+func FR(r int) Opd { return Opd{Kind: Reg, Class: FloatClass, R: int32(r)} }
 
 // I_ makes an integer immediate.
 func I_(v int64) Opd { return Opd{Kind: Imm, Imm: v} }
@@ -201,34 +203,16 @@ func (o Opd) String() string {
 	return "_"
 }
 
-// Instr is one machine instruction.
+// Instr is one machine instruction. It is split into a hot record,
+// the fields most instructions carry and every analysis reads, and a cold
+// side record (Cold) for the fields only calls, prints, parameter fetches,
+// markers and pass-inserted code carry; Cold is nil on the rest (about
+// nine instructions in ten). The split keeps an instruction at 152 bytes.
 type Instr struct {
-	Op   Opcode
 	Dst  Opd
 	A, B Opd
-	Off  int64 // addressing offset for LW/SW/FLW/FSW
-
-	Sym      *ast.Object // LA: global or frame object
-	Callee   string
-	Args     []Opd
-	PrintFmt []PrintArg
-	ParamIdx int
-
-	MarkObj   *ast.Object // MARKDEAD / MARKAVAIL
-	MarkAlias Opd         // optional: operand holding the eliminated value
-
-	Stmt    int
-	OrigIdx int
-	Ann     ir.Ann
-	// PreSched is the instruction's index within its block immediately
-	// before scheduling ran (meaningful only when Func.Scheduled). The
-	// pre-scheduling block order is the source-dynamic order of the
-	// block's code, so comparing PreSched against a breakpoint
-	// instruction's PreSched tells the debugger whether the scheduler
-	// moved this instruction across the stop — OrigIdx cannot serve here
-	// because passes that rebuild instructions stamp fresh emission
-	// indices.
-	PreSched int
+	Off  int64       // addressing offset for LW/SW/FLW/FSW
+	Sym  *ast.Object // LA: global or frame object
 
 	// DefObj / UseObjs tag the source variables this instruction defines
 	// and reads. They are assigned at lowering time from the virtual
@@ -238,6 +222,122 @@ type Instr struct {
 	// the final code.
 	DefObj  *ast.Object
 	UseObjs []*ast.Object
+
+	// ReplacedVar, Hoisted and Sunk are the IR annotations of the same
+	// names (ir.Ann); the rest of ir.Ann lives in Cold.
+	ReplacedVar *ast.Object
+
+	// Cold holds the rarely set fields; nil when all of them are zero.
+	// Each instruction owns its record: ReplaceReg rewrites it in place,
+	// and Clone copies it.
+	Cold *Cold
+
+	Stmt    int32
+	OrigIdx int32
+	// PreSched is the instruction's index within its block immediately
+	// before scheduling ran (meaningful only when Func.Scheduled). The
+	// pre-scheduling block order is the source-dynamic order of the
+	// block's code, so comparing PreSched against a breakpoint
+	// instruction's PreSched tells the debugger whether the scheduler
+	// moved this instruction across the stop — OrigIdx cannot serve here
+	// because passes that rebuild instructions stamp fresh emission
+	// indices.
+	PreSched int32
+
+	Op      Opcode
+	Hoisted bool
+	Sunk    bool
+}
+
+// Cold is the side record of an instruction's rarely set fields.
+type Cold struct {
+	Callee   string
+	Args     []Opd
+	PrintFmt []PrintArg
+	ParamIdx int
+
+	MarkObj   *ast.Object // MARKDEAD / MARKAVAIL
+	MarkAlias Opd         // optional: operand holding the eliminated value
+
+	// InsertedBy and Recover are the IR annotations of the same names
+	// (ir.Ann).
+	InsertedBy string
+	Recover    *ir.LinRecovery
+}
+
+// EnsureCold returns i's cold record, allocating an empty one if i has
+// none.
+func (i *Instr) EnsureCold() *Cold {
+	if i.Cold == nil {
+		i.Cold = new(Cold)
+	}
+	return i.Cold
+}
+
+// Callee is the called function's name (CALL), or "".
+func (i *Instr) Callee() string {
+	if i.Cold == nil {
+		return ""
+	}
+	return i.Cold.Callee
+}
+
+// Args are the call arguments (CALL), or nil.
+func (i *Instr) Args() []Opd {
+	if i.Cold == nil {
+		return nil
+	}
+	return i.Cold.Args
+}
+
+// PrintFmt is the PRINT argument list, or nil.
+func (i *Instr) PrintFmt() []PrintArg {
+	if i.Cold == nil {
+		return nil
+	}
+	return i.Cold.PrintFmt
+}
+
+// ParamIdx is the incoming parameter number (GETP), or 0.
+func (i *Instr) ParamIdx() int {
+	if i.Cold == nil {
+		return 0
+	}
+	return i.Cold.ParamIdx
+}
+
+// MarkObj is the variable a marker stands for (MARKDEAD / MARKAVAIL), or
+// nil.
+func (i *Instr) MarkObj() *ast.Object {
+	if i.Cold == nil {
+		return nil
+	}
+	return i.Cold.MarkObj
+}
+
+// MarkAlias is the operand holding a marker's eliminated value, or a None
+// operand.
+func (i *Instr) MarkAlias() Opd {
+	if i.Cold == nil {
+		return Opd{}
+	}
+	return i.Cold.MarkAlias
+}
+
+// InsertedBy names the pass that synthesized the instruction, or "".
+func (i *Instr) InsertedBy() string {
+	if i.Cold == nil {
+		return ""
+	}
+	return i.Cold.InsertedBy
+}
+
+// Recover is the instruction's linear recovery link, or nil.
+func (i *Instr) Recover() *ir.LinRecovery {
+	if i.Cold == nil {
+		return nil
+	}
+	return i.Cold.Recover
 }
 
 // PrintArg is one element of a PRINT.
@@ -267,11 +367,11 @@ func (i *Instr) Uses(buf []Opd) []Opd {
 	case SWFP, FSWFP:
 		add(i.B)
 	case CALL:
-		for _, a := range i.Args {
+		for _, a := range i.Args() {
 			add(a)
 		}
 	case PRINT:
-		for _, a := range i.PrintFmt {
+		for _, a := range i.PrintFmt() {
 			if !a.IsStr {
 				add(a.Val)
 			}
@@ -311,49 +411,52 @@ func (i *Instr) ReplaceReg(old, new Opd, includeDst bool) int {
 	if includeDst {
 		rep(&i.Dst)
 	}
-	for k := range i.Args {
-		rep(&i.Args[k])
-	}
-	for k := range i.PrintFmt {
-		if !i.PrintFmt[k].IsStr {
-			rep(&i.PrintFmt[k].Val)
+	if c := i.Cold; c != nil {
+		for k := range c.Args {
+			rep(&c.Args[k])
 		}
-	}
-	if i.MarkAlias.Same(old) {
-		i.MarkAlias = new
-		n++
+		for k := range c.PrintFmt {
+			if !c.PrintFmt[k].IsStr {
+				rep(&c.PrintFmt[k].Val)
+			}
+		}
+		rep(&c.MarkAlias)
 	}
 	return n
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, cold record included.
 func (i *Instr) Clone() *Instr {
 	c := *i
-	if i.Args != nil {
-		c.Args = append([]Opd(nil), i.Args...)
-	}
-	if i.PrintFmt != nil {
-		c.PrintFmt = append([]PrintArg(nil), i.PrintFmt...)
-	}
 	if i.UseObjs != nil {
 		c.UseObjs = append([]*ast.Object(nil), i.UseObjs...)
+	}
+	if i.Cold != nil {
+		x := *i.Cold
+		if x.Args != nil {
+			x.Args = append([]Opd(nil), x.Args...)
+		}
+		if x.PrintFmt != nil {
+			x.PrintFmt = append([]PrintArg(nil), x.PrintFmt...)
+		}
+		c.Cold = &x
 	}
 	return &c
 }
 
 func (i *Instr) String() string {
 	ann := ""
-	if i.Ann.Hoisted {
+	if i.Hoisted {
 		ann += " !hoisted"
 	}
-	if i.Ann.Sunk {
+	if i.Sunk {
 		ann += " !sunk"
 	}
-	if i.Ann.ReplacedVar != nil {
-		ann += " !replaces:" + i.Ann.ReplacedVar.Name
+	if i.ReplacedVar != nil {
+		ann += " !replaces:" + i.ReplacedVar.Name
 	}
-	if i.Ann.Recover != nil {
-		ann += fmt.Sprintf(" !recover:%s", i.Ann.Recover.Var.Name)
+	if r := i.Recover(); r != nil {
+		ann += fmt.Sprintf(" !recover:%s", r.Var.Name)
 	}
 	stmt := ""
 	if i.Stmt >= 0 {
@@ -373,7 +476,7 @@ func (i *Instr) String() string {
 	case SWFP, FSWFP:
 		return fmt.Sprintf("%s %s, %d(fp)%s%s", i.Op, i.B, i.Off, stmt, ann)
 	case GETP:
-		return fmt.Sprintf("getp %s, #%d%s%s", i.Dst, i.ParamIdx, stmt, ann)
+		return fmt.Sprintf("getp %s, #%d%s%s", i.Dst, i.ParamIdx(), stmt, ann)
 	case BNEZ:
 		return fmt.Sprintf("bnez %s%s", i.A, stmt)
 	case J:
@@ -384,17 +487,17 @@ func (i *Instr) String() string {
 		}
 		return "ret" + stmt
 	case CALL:
-		args := make([]string, len(i.Args))
-		for k, a := range i.Args {
+		args := make([]string, len(i.Args()))
+		for k, a := range i.Args() {
 			args[k] = a.String()
 		}
 		if i.Dst.Kind != None {
-			return fmt.Sprintf("call %s, %s(%s)%s%s", i.Dst, i.Callee, strings.Join(args, ", "), stmt, ann)
+			return fmt.Sprintf("call %s, %s(%s)%s%s", i.Dst, i.Callee(), strings.Join(args, ", "), stmt, ann)
 		}
-		return fmt.Sprintf("call %s(%s)%s%s", i.Callee, strings.Join(args, ", "), stmt, ann)
+		return fmt.Sprintf("call %s(%s)%s%s", i.Callee(), strings.Join(args, ", "), stmt, ann)
 	case PRINT:
 		var parts []string
-		for _, a := range i.PrintFmt {
+		for _, a := range i.PrintFmt() {
 			if a.IsStr {
 				parts = append(parts, fmt.Sprintf("%q", a.Str))
 			} else {
@@ -403,9 +506,9 @@ func (i *Instr) String() string {
 		}
 		return "print " + strings.Join(parts, ", ") + stmt
 	case MARKDEAD:
-		return fmt.Sprintf("-- markdead %s%s", i.MarkObj.Name, stmt)
+		return fmt.Sprintf("-- markdead %s%s", i.MarkObj().Name, stmt)
 	case MARKAVAIL:
-		return fmt.Sprintf("-- markavail %s%s", i.MarkObj.Name, stmt)
+		return fmt.Sprintf("-- markavail %s%s", i.MarkObj().Name, stmt)
 	case NOP:
 		return "nop"
 	}
@@ -531,7 +634,7 @@ func (f *Func) RecomputePreds() {
 func (f *Func) NewVreg(class RegClass) Opd {
 	r := f.NumVregs
 	f.NumVregs++
-	return Opd{Kind: Reg, Class: class, R: r}
+	return Opd{Kind: Reg, Class: class, R: int32(r)}
 }
 
 // String renders the function for dumps and golden tests.

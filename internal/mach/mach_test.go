@@ -3,6 +3,7 @@ package mach
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestOpdConstructorsAndString(t *testing.T) {
@@ -48,14 +49,14 @@ func TestInstrUsesAndDef(t *testing.T) {
 		t.Errorf("swfp uses = %v", uses)
 	}
 
-	call := &Instr{Op: CALL, Callee: "f", Dst: R_(0), Args: []Opd{R_(1), I_(5), FR(0)}}
+	call := &Instr{Op: CALL, Dst: R_(0), Cold: &Cold{Callee: "f", Args: []Opd{R_(1), I_(5), FR(0)}}}
 	uses = call.Uses(nil)
 	if len(uses) != 2 { // immediates are not register uses
 		t.Errorf("call uses = %v", uses)
 	}
 
 	// Marker aliases are diagnostic and must not count as uses.
-	mark := &Instr{Op: MARKDEAD, MarkAlias: R_(7)}
+	mark := &Instr{Op: MARKDEAD, Cold: &Cold{MarkAlias: R_(7)}}
 	if len(mark.Uses(nil)) != 0 {
 		t.Error("marker alias counted as a use")
 	}
@@ -141,11 +142,55 @@ func TestInstrStringForms(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	in := &Instr{Op: CALL, Args: []Opd{R_(1)}, PrintFmt: []PrintArg{{Str: "x", IsStr: true}}}
+	in := &Instr{Op: CALL, Cold: &Cold{Args: []Opd{R_(1)}, PrintFmt: []PrintArg{{Str: "x", IsStr: true}}}}
 	c := in.Clone()
-	c.Args[0] = R_(9)
-	c.PrintFmt[0].Str = "y"
-	if in.Args[0].R == 9 || in.PrintFmt[0].Str == "y" {
+	c.Cold.Args[0] = R_(9)
+	c.Cold.PrintFmt[0].Str = "y"
+	if in.Args()[0].R == 9 || in.PrintFmt()[0].Str == "y" {
 		t.Error("clone shares slices")
+	}
+}
+
+// TestInstrLayout pins the instruction and operand sizes the store's byte
+// accounting relies on, and that a clone owns its cold record: rewriting
+// a clone's call arguments or marker alias leaves the original as it was.
+func TestInstrLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n > 160 {
+		t.Errorf("Sizeof(Instr) = %d B, want <= 160", n)
+	}
+	if n := unsafe.Sizeof(Opd{}); n > 24 {
+		t.Errorf("Sizeof(Opd) = %d B, want <= 24", n)
+	}
+
+	call := &Instr{Op: CALL, Dst: R_(0), Stmt: -1, Cold: &Cold{Callee: "f", Args: []Opd{R_(1), R_(2), R_(1)}}}
+	c := call.Clone()
+	if c.Cold == call.Cold {
+		t.Fatal("clone shares the cold record")
+	}
+	if n := c.ReplaceReg(R_(1), R_(7), false); n != 2 {
+		t.Errorf("ReplaceReg on the clone's args replaced %d, want 2", n)
+	}
+	if got := call.String(); got != "call r0, f(r1, r2, r1)" {
+		t.Errorf("original after rewriting the clone: %q", got)
+	}
+	if got := c.String(); got != "call r0, f(r7, r2, r7)" {
+		t.Errorf("rewritten clone: %q", got)
+	}
+
+	mark := &Instr{Op: MARKDEAD, Cold: &Cold{MarkAlias: R_(3)}}
+	mc := mark.Clone()
+	if n := mc.ReplaceReg(R_(3), R_(4), false); n != 1 {
+		t.Errorf("ReplaceReg on the clone's alias replaced %d, want 1", n)
+	}
+	if !mark.MarkAlias().Same(R_(3)) || !mc.MarkAlias().Same(R_(4)) {
+		t.Errorf("marker alias: original %v, clone %v; want r3, r4", mark.MarkAlias(), mc.MarkAlias())
+	}
+
+	plain := &Instr{Op: ADD, Dst: R_(1), A: R_(2), B: I_(1)}
+	if plain.Clone().Cold != nil {
+		t.Error("clone of an instruction without a cold record has one")
+	}
+	if plain.Callee() != "" || plain.Args() != nil || plain.MarkObj() != nil || plain.Recover() != nil {
+		t.Error("cold getters on an instruction without a cold record are not zero")
 	}
 }

@@ -60,14 +60,14 @@ func TestScratch(t *testing.T) {
 			for _, u := range in.UseObjs {
 				meta += " use=" + u.Name
 			}
-			if in.MarkObj != nil {
-				meta += fmt.Sprintf(" mark=%s alias=%s", in.MarkObj.Name, in.MarkAlias)
+			if in.MarkObj() != nil {
+				meta += fmt.Sprintf(" mark=%s alias=%s", in.MarkObj().Name, in.MarkAlias())
 			}
-			if in.Ann.Recover != nil && in.Ann.Recover.Var != nil {
-				meta += fmt.Sprintf(" lin=%s*%d+%d", in.Ann.Recover.Var.Name, in.Ann.Recover.A, in.Ann.Recover.B)
+			if r := in.Recover(); r != nil && r.Var != nil {
+				meta += fmt.Sprintf(" lin=%s*%d+%d", r.Var.Name, r.A, r.B)
 			}
-			if in.Ann.ReplacedVar != nil {
-				meta += " repl=" + in.Ann.ReplacedVar.Name
+			if in.ReplacedVar != nil {
+				meta += " repl=" + in.ReplacedVar.Name
 			}
 			fmt.Printf("  %-28s ; s%d o%d%s\n", in.String(), in.Stmt, in.OrigIdx, meta)
 		}

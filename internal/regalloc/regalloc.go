@@ -98,7 +98,7 @@ func machGraph(f *mach.Func) dataflow.Graph {
 
 // RegKey encodes a register operand (class + number) as a dense bit index,
 // so int and float registers never collide in liveness bit vectors.
-func RegKey(o mach.Opd) int { return o.R*2 + int(o.Class) }
+func RegKey(o mach.Opd) int { return int(o.R)*2 + int(o.Class) }
 
 // KeyReg decodes a RegKey back into (number, class).
 func KeyReg(k int) (int, mach.RegClass) { return k / 2, mach.RegClass(k % 2) }
@@ -213,7 +213,7 @@ func (a *allocator) buildGraph(class mach.RegClass) *igraph {
 			}
 			for _, o := range ops {
 				if o.Class == class {
-					g.addNode(o.R)
+					g.addNode(int(o.R))
 					g.cost[o.R] += w
 				}
 			}
@@ -233,10 +233,10 @@ func (a *allocator) buildGraph(class mach.RegClass) *igraph {
 						return
 					}
 					// A move does not interfere with its source.
-					if in.Op == mach.MOV && in.A.IsReg() && in.A.Class == class && in.A.R == l {
+					if in.Op == mach.MOV && in.A.IsReg() && in.A.Class == class && int(in.A.R) == l {
 						return
 					}
-					g.addEdge(d.R, l)
+					g.addEdge(int(d.R), l)
 				})
 			}
 			if d.IsReg() {
@@ -268,7 +268,7 @@ func (a *allocator) coalesce(g *igraph, class mach.RegClass, k int) bool {
 			if in.Dst.Class != class || in.A.Class != class {
 				continue
 			}
-			dst, src := in.Dst.R, in.A.R
+			dst, src := int(in.Dst.R), int(in.A.R)
 			if dst == src {
 				b.RemoveAt(pos)
 				pos--
@@ -279,7 +279,7 @@ func (a *allocator) coalesce(g *igraph, class mach.RegClass, k int) bool {
 			if dst < f.NumVars || src < f.NumVars {
 				continue
 			}
-			if in.Ann.ReplacedVar != nil || in.Ann.Recover != nil {
+			if in.ReplacedVar != nil || in.Recover() != nil {
 				continue
 			}
 			if g.interferes(dst, src) {
@@ -292,8 +292,8 @@ func (a *allocator) coalesce(g *igraph, class mach.RegClass, k int) bool {
 			// Merge src into dst everywhere; drop the move.
 			b.RemoveAt(pos)
 			pos--
-			old := mach.Opd{Kind: mach.Reg, Class: class, R: src}
-			new := mach.Opd{Kind: mach.Reg, Class: class, R: dst}
+			old := mach.Opd{Kind: mach.Reg, Class: class, R: int32(src)}
+			new := mach.Opd{Kind: mach.Reg, Class: class, R: int32(dst)}
 			for _, bb := range f.Blocks {
 				for _, ii := range bb.Instrs {
 					ii.ReplaceReg(old, new, true)
@@ -449,7 +449,7 @@ func (a *allocator) insertSpillCode(v int, class mach.RegClass, off int64) {
 	if class == mach.FloatClass {
 		loadOp, storeOp = mach.FLWFP, mach.FSWFP
 	}
-	old := mach.Opd{Kind: mach.Reg, Class: class, R: v}
+	old := mach.Opd{Kind: mach.Reg, Class: class, R: int32(v)}
 	for _, b := range f.Blocks {
 		for pos := 0; pos < len(b.Instrs); pos++ {
 			in := b.Instrs[pos]
@@ -463,16 +463,16 @@ func (a *allocator) insertSpillCode(v int, class mach.RegClass, off int64) {
 			}
 			defsV := in.Def().Same(old) && in.Def().IsReg()
 			if !usesV && !defsV {
-				if in.MarkAlias.Same(old) {
+				if c := in.Cold; c != nil && c.MarkAlias.Same(old) {
 					// The alias value now lives in a slot the debugger
 					// cannot name through a register: drop the alias.
-					in.MarkAlias = mach.Opd{}
+					c.MarkAlias = mach.Opd{}
 				}
 				continue
 			}
 			if usesV {
 				t := f.NewVreg(class)
-				a.spillTemp[t.R] = true
+				a.spillTemp[int(t.R)] = true
 				ld := &mach.Instr{Op: loadOp, Dst: t, Off: off, Stmt: in.Stmt, OrigIdx: in.OrigIdx}
 				insertAt(b, pos, ld)
 				pos++
@@ -480,7 +480,7 @@ func (a *allocator) insertSpillCode(v int, class mach.RegClass, off int64) {
 			}
 			if defsV {
 				t := f.NewVreg(class)
-				a.spillTemp[t.R] = true
+				a.spillTemp[int(t.R)] = true
 				in.ReplaceReg(old, t, true) // only the def remains
 				st := &mach.Instr{Op: storeOp, B: t, Off: off, Stmt: in.Stmt, OrigIdx: in.OrigIdx}
 				insertAt(b, pos+1, st)
@@ -516,7 +516,7 @@ func (a *allocator) pruneStaleAliases(class mach.RegClass) {
 	any := false
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == mach.MARKDEAD && in.MarkAlias.Kind == mach.Reg && in.MarkAlias.Class == class {
+			if in.Op == mach.MARKDEAD && isRegOf(in.MarkAlias(), class) {
 				any = true
 			}
 		}
@@ -532,9 +532,8 @@ func (a *allocator) pruneStaleAliases(class mach.RegClass) {
 			in := b.Instrs[i]
 			// Markers have no defs or uses, so live-after equals
 			// live-at for them; check before applying effects.
-			if in.Op == mach.MARKDEAD && in.MarkAlias.Kind == mach.Reg && in.MarkAlias.Class == class &&
-				!live.Has(RegKey(in.MarkAlias)) {
-				in.MarkAlias = mach.Opd{}
+			if in.Op == mach.MARKDEAD && isRegOf(in.MarkAlias(), class) && !live.Has(RegKey(in.MarkAlias())) {
+				in.Cold.MarkAlias = mach.Opd{}
 			}
 			if d := in.Def(); d.IsReg() {
 				live.Clear(RegKey(d))
@@ -547,13 +546,16 @@ func (a *allocator) pruneStaleAliases(class mach.RegClass) {
 	}
 }
 
+// isRegOf reports whether o is a register of the class.
+func isRegOf(o mach.Opd, class mach.RegClass) bool { return o.Kind == mach.Reg && o.Class == class }
+
 func (a *allocator) rewrite(g *igraph, class mach.RegClass, spilled map[int]int64) {
 	f := a.f
 	a.pruneStaleAliases(class)
 	phys := func(o *mach.Opd) {
 		if o.Kind == mach.Reg && o.Class == class {
-			if c, ok := g.colorOf(o.R); ok {
-				o.R = c
+			if c, ok := g.colorOf(int(o.R)); ok {
+				o.R = int32(c)
 			} else {
 				// Unconstrained (never live simultaneously with anything,
 				// or dead): give it register 0.
@@ -566,12 +568,16 @@ func (a *allocator) rewrite(g *igraph, class mach.RegClass, spilled map[int]int6
 			phys(&in.Dst)
 			phys(&in.A)
 			phys(&in.B)
-			for i := range in.Args {
-				phys(&in.Args[i])
+			c := in.Cold
+			if c == nil {
+				continue
 			}
-			for i := range in.PrintFmt {
-				if !in.PrintFmt[i].IsStr {
-					phys(&in.PrintFmt[i].Val)
+			for i := range c.Args {
+				phys(&c.Args[i])
+			}
+			for i := range c.PrintFmt {
+				if !c.PrintFmt[i].IsStr {
+					phys(&c.PrintFmt[i].Val)
 				}
 			}
 			// A marker's alias operand names the register holding an
@@ -579,11 +585,11 @@ func (a *allocator) rewrite(g *igraph, class mach.RegClass, spilled map[int]int6
 			// all removed or it was spilled), the alias is unrecoverable
 			// through a register: drop it rather than point at a wrong
 			// physical register.
-			if in.MarkAlias.Kind == mach.Reg && in.MarkAlias.Class == class {
-				if c, ok := g.colorOf(in.MarkAlias.R); ok {
-					in.MarkAlias.R = c
+			if isRegOf(c.MarkAlias, class) {
+				if r, ok := g.colorOf(int(c.MarkAlias.R)); ok {
+					c.MarkAlias.R = int32(r)
 				} else {
-					in.MarkAlias = mach.Opd{}
+					c.MarkAlias = mach.Opd{}
 				}
 			}
 		}

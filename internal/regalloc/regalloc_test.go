@@ -199,14 +199,14 @@ func TestRegallocPhysRegBounds(t *testing.T) {
 					if o.Class == mach.FloatClass {
 						lim = mach.NumFloatRegs
 					}
-					if o.R < 0 || o.R >= lim {
+					if o.R < 0 || int(o.R) >= lim {
 						t.Fatalf("%s: register out of bounds in %s", f.Name, in)
 					}
 				}
 				check(in.Dst)
 				check(in.A)
 				check(in.B)
-				for _, a := range in.Args {
+				for _, a := range in.Args() {
 					check(a)
 				}
 			}

@@ -24,7 +24,7 @@ import (
 func ScheduleFunc(f *mach.Func) {
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {
-			in.PreSched = i
+			in.PreSched = int32(i)
 		}
 		scheduleBlock(b)
 	}
@@ -96,7 +96,7 @@ func listSchedule(ins []*mach.Instr) []*mach.Instr {
 
 	type regKey struct {
 		class mach.RegClass
-		r     int
+		r     int32
 	}
 	lastDef := map[regKey]int{}
 	lastUses := map[regKey][]int{}
@@ -157,7 +157,7 @@ func listSchedule(ins []*mach.Instr) []*mach.Instr {
 	// longest critical path, then original order (deterministic).
 	type regKey2 struct {
 		class mach.RegClass
-		r     int
+		r     int32
 	}
 	regReady := map[regKey2]int{}
 	ready := make([]int, 0, n)

@@ -29,7 +29,7 @@ type cycleRef struct {
 // its table to hold it.
 func (c *cycleRef) at(o mach.Opd) *int64 {
 	t := &c.ready[c.depth][o.Class]
-	for len(*t) <= o.R {
+	for len(*t) <= int(o.R) {
 		*t = append(*t, 0)
 	}
 	return &(*t)[o.R]

@@ -320,7 +320,7 @@ func decodeOne(prog *mach.Program, fc *funcCode, in *mach.Instr) dinstr {
 	}
 	d := fc.free(dinstr{in: in, op: in.Op, off: in.Off, callee: -1})
 	if in.Op == mach.CALL {
-		d.callee = funcIndex(prog, in.Callee)
+		d.callee = funcIndex(prog, in.Callee())
 	}
 	d.ak, d.a = fc.bake(in.A)
 	d.bk, d.b = fc.bake(in.B)
@@ -415,7 +415,7 @@ func checkInstr(fc *funcCode, in *mach.Instr) error {
 		if o.Class == mach.FloatClass {
 			file, n = "float", fc.nFloat
 		}
-		if o.R < 0 || o.R >= int(n) {
+		if o.R < 0 || o.R >= int32(n) {
 			return fmt.Errorf("register %s outside the %s file of %d registers", o, file, n)
 		}
 	}
@@ -511,7 +511,7 @@ func (vm *VM) StepBreakSet(fn *mach.Func, stmt int) *BreakSet {
 	m := make([]uint64, len(fc.stmtMask))
 	copy(m, fc.stmtMask)
 	for i, d := range fc.code {
-		if d.in != nil && d.in.Stmt >= 0 && d.in.Stmt == stmt {
+		if d.in != nil && d.in.Stmt >= 0 && int(d.in.Stmt) == stmt {
 			m[i>>6] &^= 1 << (uint(i) & 63)
 		}
 	}

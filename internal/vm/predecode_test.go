@@ -85,7 +85,7 @@ func slotMatches(prog *mach.Program, fc *funcCode, d *dinstr) error {
 	}
 	slotOf := func(o mach.Opd) int64 {
 		if o.Class == mach.FloatClass {
-			return int64(nInt + 1 + o.R)
+			return int64(nInt + 1 + int(o.R))
 		}
 		return int64(o.R)
 	}
@@ -132,7 +132,7 @@ func slotMatches(prog *mach.Program, fc *funcCode, d *dinstr) error {
 		return fmt.Errorf("%s: offset (%d, %d), want (%d, %d)", in, d.sym, d.off, sym, off)
 	}
 	if in.Op == mach.CALL {
-		want := prog.LookupFunc(in.Callee)
+		want := prog.LookupFunc(in.Callee())
 		if (d.callee < 0) != (want == nil) || d.callee >= 0 && prog.Funcs[d.callee] != want {
 			return fmt.Errorf("%s: callee %d, want %v", in, d.callee, want)
 		}
@@ -282,8 +282,8 @@ func TestMalformedInstrFails(t *testing.T) {
 		{"negative int register", &mach.Instr{Op: mach.SUB, Dst: mach.R_(1), A: mach.R_(0), B: mach.R_(-1)}, false, "register r-1"},
 		{"float use past the file", &mach.Instr{Op: mach.FADD, Dst: mach.FR(0), A: mach.FR(0), B: mach.FR(3)}, false, "register f3"},
 		{"store base past the file", &mach.Instr{Op: mach.SW, A: mach.R_(5), B: mach.R_(0)}, false, "register r5"},
-		{"call argument past the file", &mach.Instr{Op: mach.CALL, Callee: "main", Dst: mach.R_(1), Args: []mach.Opd{mach.R_(0), mach.R_(0), mach.R_(6)}}, false, "register r6"},
-		{"print value past the file", &mach.Instr{Op: mach.PRINT, PrintFmt: []mach.PrintArg{{Val: mach.FR(8)}}}, false, "register f8"},
+		{"call argument past the file", &mach.Instr{Op: mach.CALL, Dst: mach.R_(1), Cold: &mach.Cold{Callee: "main", Args: []mach.Opd{mach.R_(0), mach.R_(0), mach.R_(6)}}}, false, "register r6"},
+		{"print value past the file", &mach.Instr{Op: mach.PRINT, Cold: &mach.Cold{PrintFmt: []mach.PrintArg{{Val: mach.FR(8)}}}}, false, "register f8"},
 		{"physical int register past NumIntRegs", &mach.Instr{Op: mach.MOV, Dst: mach.R_(mach.NumIntRegs), A: mach.R_(0)}, true, fmt.Sprintf("register r%d", mach.NumIntRegs)},
 		{"physical float register past NumFloatRegs", &mach.Instr{Op: mach.CVTIF, Dst: mach.FR(mach.NumFloatRegs), A: mach.R_(0)}, true, fmt.Sprintf("register f%d", mach.NumFloatRegs)},
 		{"lw.fp at the frame end", &mach.Instr{Op: mach.LWFP, Dst: mach.R_(1), Off: 8}, false, "frame offset 8"},

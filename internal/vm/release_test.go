@@ -246,7 +246,7 @@ func TestConcurrentFirstEntry(t *testing.T) {
 					for range 5 + w {
 						stmt := -1
 						if in := v.CurrentInstr(); in != nil {
-							stmt = in.Stmt
+							stmt = int(in.Stmt)
 						}
 						if err := v.RunBreaks(v.StepBreakSet(v.Position().Fn, stmt), true); err != nil || v.Halted() {
 							break

@@ -431,9 +431,9 @@ func (fr *Frame) regVal(o mach.Opd) Val {
 		return Val{F: o.F, IsF: true}
 	case mach.Reg:
 		if o.Class == mach.FloatClass {
-			return Val{F: fr.FloatReg(o.R), IsF: true}
+			return Val{F: fr.FloatReg(int(o.R)), IsF: true}
 		}
-		return Val{I: fr.IntReg(o.R)}
+		return Val{I: fr.IntReg(int(o.R))}
 	}
 	return Val{}
 }
@@ -717,16 +717,17 @@ run:
 		switch d.xop {
 		case mach.CALL:
 			if d.callee < 0 {
-				err = fmt.Errorf("vm: call of unknown function %q", d.in.Callee)
+				err = fmt.Errorf("vm: call of unknown function %q", d.in.Callee())
 				break run
 			}
 			fr.pc = int32(pc)
-			callee := vm.push(vm.pcode.fn(d.callee), len(d.in.Args), d.dk, d.dst)
+			args := d.in.Args()
+			callee := vm.push(vm.pcode.fn(d.callee), len(args), d.dk, d.dst)
 			if callee == nil {
-				err = fmt.Errorf("%w (%d frames, %d frame bytes) in %s calling %s", ErrCallDepth, len(vm.stack), vm.sp+maxFrameBytes-vm.spMax, fr.Fn.Name, d.in.Callee)
+				err = fmt.Errorf("%w (%d frames, %d frame bytes) in %s calling %s", ErrCallDepth, len(vm.stack), vm.sp+maxFrameBytes-vm.spMax, fr.Fn.Name, d.in.Callee())
 				break run
 			}
-			for i, a := range d.in.Args {
+			for i, a := range args {
 				callee.Args[i] = fr.regVal(a)
 			}
 			fr = callee
@@ -770,8 +771,8 @@ func (vm *VM) slow(fr *Frame, d *dinstr, pc int) (int, error) {
 	case mach.MOV:
 		fr.set(d.dk, d.dst, fr.val(d.ak, d.a))
 	case mach.GETP:
-		if d.in.ParamIdx < len(fr.Args) {
-			fr.set(d.dk, d.dst, fr.Args[d.in.ParamIdx])
+		if p := d.in.ParamIdx(); p < len(fr.Args) {
+			fr.set(d.dk, d.dst, fr.Args[p])
 		}
 	case mach.LA:
 		switch d.sym {
@@ -852,7 +853,7 @@ func (vm *VM) doPrint(fr *Frame, in *mach.Instr) error {
 		limit = DefaultMaxOutput
 	}
 	var scratch [32]byte
-	for _, a := range in.PrintFmt {
+	for _, a := range in.PrintFmt() {
 		var s string
 		if a.IsStr {
 			s = a.Str
