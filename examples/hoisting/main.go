@@ -82,7 +82,7 @@ func main() {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == mach.MARKAVAIL {
-				fmt.Printf("\nmarker found: %q — it kills the hoist reach of x\n", in.String())
+				fmt.Printf("\nmarker found: %q — it kills the hoist reach of x\n", in.StringIn(f))
 			}
 		}
 	}

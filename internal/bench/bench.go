@@ -7,6 +7,7 @@ package bench
 import (
 	"embed"
 	"fmt"
+	"io/fs"
 	"strings"
 
 	"repro/internal/compile"
@@ -21,13 +22,26 @@ var workloadFS embed.FS
 // Names lists the workloads in the paper's Table 2 order.
 var Names = []string{"li", "eqntott", "espresso", "gcc", "alvinn", "compress", "ear", "sc"}
 
+// sources holds each workload's text, read from workloadFS once, so a
+// compile by name copies nothing.
+var sources = func() map[string]string {
+	m := make(map[string]string, len(Names))
+	for _, name := range Names {
+		b, err := workloadFS.ReadFile("testdata/" + name + ".mc")
+		if err != nil {
+			panic(err)
+		}
+		m[name] = string(b)
+	}
+	return m
+}()
+
 // Source returns the MiniC source of a workload.
 func Source(name string) (string, error) {
-	b, err := workloadFS.ReadFile("testdata/" + name + ".mc")
-	if err != nil {
-		return "", fmt.Errorf("bench: unknown workload %q: %w", name, err)
+	if s, ok := sources[name]; ok {
+		return s, nil
 	}
-	return string(b), nil
+	return "", fmt.Errorf("bench: unknown workload %q: %w", name, fs.ErrNotExist)
 }
 
 // MustSource is Source for callers that know the name is valid.

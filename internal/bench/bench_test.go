@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"errors"
+	"io/fs"
 	"strings"
 	"testing"
 
@@ -101,5 +103,18 @@ func TestWorkloadsVerifyThemselves(t *testing.T) {
 	}
 	if strings.Contains(m.Output(), "MISCOMPILE") {
 		t.Errorf("gcc workload self-check failed: %s", m.Output())
+	}
+}
+
+// TestSourceCopiesNothing pins that a workload's source is read once: a
+// lookup by name allocates nothing, and an unknown name is an error.
+func TestSourceCopiesNothing(t *testing.T) {
+	for _, name := range Names {
+		if n := testing.AllocsPerRun(20, func() { MustSource(name) }); n != 0 {
+			t.Errorf("Source(%q) allocates %v times, want 0", name, n)
+		}
+	}
+	if _, err := Source("nope"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Source of an unknown workload: err = %v, want fs.ErrNotExist", err)
 	}
 }

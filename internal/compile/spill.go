@@ -4,11 +4,12 @@ package compile
 //
 // A spilled artifact is a varint image of the *back end* of the pipeline:
 // the final machine code with all of its debugging annotations (statement
-// tags, hoist/sunk/inserted marks, markers, recovery links, DefObj/UseObjs
+// tags, hoist/sunk/inserted marks, markers, recovery links, DefObj
 // variable tags, frame and register-allocation tables) plus the global
 // data layout — everything the debugger's tables and classifier consume.
 // AST and semantic objects are not serialized; instructions refer to them
-// by their dense per-function (local) or per-program (global) object IDs.
+// by their dense per-function (local) or per-program (global) object IDs,
+// the mach.ObjRef an instruction holds in memory.
 // Decoding replays only the deterministic front end (sem.CheckSource:
 // parse + check) to re-establish object and statement identity, then
 // reads the machine program straight back — skipping optimization,
@@ -49,7 +50,7 @@ import (
 )
 
 // spillVersion guards the payload format; bump on any change to it.
-const spillVersion = 4
+const spillVersion = 5
 
 // EncodeSpill serializes a compiled artifact for the disk tier. The
 // source text and configuration ride along (they are the artifact's
@@ -206,22 +207,14 @@ func (d *dec) config() Config {
 	return c
 }
 
-// Object references: nil = -1, local (or param) = 2*ID, global = 2*ID+1.
-// Locals resolve through FuncDecl.Locals and globals through
-// sem.Program.Globals, both of which index by the IDs the checker assigns
-// deterministically — so a front-end replay of the same source rebuilds
-// the same reference space. On the wire a ref is written as ref+1, so nil
-// is 0.
+// Object references are written as their mach.ObjRef (mach.RefOf): nil
+// is 0, a local (or param) 2*ID+1, a global 2*ID+2. Locals resolve
+// through FuncDecl.Locals and globals through sem.Program.Globals, both of
+// which index by the IDs the checker assigns deterministically — so a
+// front-end replay of the same source rebuilds the same reference space.
 
-func encObj(o *ast.Object) int32 {
-	if o == nil {
-		return -1
-	}
-	if o.Kind == ast.ObjGlobal {
-		return int32(o.ID)*2 + 1
-	}
-	return int32(o.ID) * 2
-}
+// encObj is o's ref less one (nil is -1), the form function keys hash.
+func encObj(o *ast.Object) int32 { return int32(mach.RefOf(o)) - 1 }
 
 // sortedObjs returns a map's object keys ordered by their encoded ref, so
 // encoding is deterministic across runs.
@@ -230,7 +223,7 @@ func sortedObjs[T any](m map[*ast.Object]T) []*ast.Object {
 	for o := range m {
 		objs = append(objs, o)
 	}
-	sort.Slice(objs, func(i, j int) bool { return encObj(objs[i]) < encObj(objs[j]) })
+	sort.Slice(objs, func(i, j int) bool { return mach.RefOf(objs[i]) < mach.RefOf(objs[j]) })
 	return objs
 }
 
@@ -251,7 +244,15 @@ func (e *enc) fail(format string, args ...any) {
 func (e *enc) uint(v uint64)     { e.b = binary.AppendUvarint(e.b, v) }
 func (e *enc) int(v int64)       { e.b = binary.AppendVarint(e.b, v) }
 func (e *enc) f64(f float64)     { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(f)) }
-func (e *enc) obj(o *ast.Object) { e.uint(uint64(encObj(o) + 1)) }
+func (e *enc) obj(o *ast.Object) { e.ref(mach.RefOf(o)) }
+
+// ref writes an object ref, as an instruction holds it.
+func (e *enc) ref(r mach.ObjRef) {
+	if r < 0 {
+		e.fail("object ref %d out of range", r)
+	}
+	e.uint(uint64(r))
+}
 
 func (e *enc) str(s string) {
 	e.uint(uint64(len(s)))
@@ -388,7 +389,7 @@ func (d *dec) end() {
 	}
 }
 
-// resolve maps a wire object ref (encObj+1; 0 is nil) to the replayed
+// resolve maps a wire object ref (a mach.ObjRef; 0 is nil) to the replayed
 // front end's object.
 func (d *dec) resolve(u uint64) *ast.Object {
 	if u == 0 {
@@ -418,6 +419,20 @@ func (d *dec) nzObj() *ast.Object {
 		d.fail("presence bit over a nil object")
 	}
 	return d.resolve(u)
+}
+
+// nzRef reads an instruction's object ref, which a presence bit promised
+// is non-zero. It stays a ref, but must name an object of the replayed
+// front end, as resolve checks.
+func (d *dec) nzRef() mach.ObjRef {
+	u := d.uint()
+	if u == 0 {
+		d.fail("presence bit over a nil object")
+	}
+	if d.resolve(u); d.err != nil {
+		return 0
+	}
+	return mach.ObjRef(u)
 }
 
 // rowKey reads a table row's object ref, which must sort strictly after
@@ -528,7 +543,7 @@ const (
 )
 
 func isZeroOpd(o mach.Opd) bool {
-	return o.Kind == mach.None && o.Class == mach.IntClass && o.R == 0 && o.Imm == 0 && math.Float64bits(o.F) == 0
+	return o == mach.Opd{}
 }
 
 func (e *enc) opd(o mach.Opd) {
@@ -544,13 +559,14 @@ func (e *enc) opd(o mach.Opd) {
 		e.b[h] |= opdR
 		e.int(int64(o.R))
 	}
-	if o.Imm != 0 {
+	// A float immediate's bits, held in Imm, go on the wire as the float.
+	if o.Imm != 0 && o.Kind != mach.FImm {
 		e.b[h] |= opdImm
 		e.int(o.Imm)
 	}
-	if math.Float64bits(o.F) != 0 {
+	if o.Imm != 0 && o.Kind == mach.FImm {
 		e.b[h] |= opdF
-		e.f64(o.F)
+		e.b = binary.LittleEndian.AppendUint64(e.b, uint64(o.Imm))
 	}
 }
 
@@ -567,11 +583,18 @@ func (d *dec) opd() mach.Opd {
 	if h&opdR != 0 {
 		o.R = d.nzInt32()
 	}
+	// Imm holds an integer, or a float immediate's bits: never both.
 	if h&opdImm != 0 {
+		if o.Kind == mach.FImm {
+			d.fail("integer bits on a float immediate")
+		}
 		o.Imm = d.nzInt()
 	}
 	if h&opdF != 0 {
-		o.F = d.nzF64()
+		if o.Kind != mach.FImm {
+			d.fail("float bits on a %d operand", o.Kind)
+		}
+		o.Imm = int64(math.Float64bits(d.nzF64()))
 	}
 	return o
 }
@@ -719,7 +742,7 @@ func (d *dec) fn(p *sem.Program) *mach.Func {
 		return nil
 	}
 	f := &mach.Func{
-		Name: name, Decl: decl,
+		Name: name, Decl: decl, Globals: d.globals,
 		Allocated: flags&fnAllocated != 0, Scheduled: flags&fnScheduled != 0,
 		NumVregs: int(d.int()), NumVars: int(d.int()), FrameSize: d.int(),
 	}
@@ -796,7 +819,6 @@ const (
 	inOrigIdx
 	inPreSched
 	inDefObj
-	inUseObjs
 	inOff
 	inSym
 	inCallee
@@ -833,7 +855,7 @@ func (e *enc) instr(in *mach.Instr) {
 		e.fail("opcode %d out of range", in.Op)
 	}
 	e.b = append(e.b, byte(in.Op))
-	// The fields go first, into room left for the mask (21 bits, at most
+	// The fields go first, into room left for the mask (20 bits, at most
 	// three varint bytes); the mask is then written and the gap closed.
 	at := len(e.b)
 	e.b = append(e.b, 0, 0, 0)
@@ -862,24 +884,17 @@ func (e *enc) instr(in *mach.Instr) {
 		m |= inPreSched
 		e.int(int64(in.PreSched))
 	}
-	if in.DefObj != nil {
+	if in.DefObj != 0 {
 		m |= inDefObj
-		e.obj(in.DefObj)
-	}
-	if len(in.UseObjs) > 0 {
-		m |= inUseObjs
-		e.uint(uint64(len(in.UseObjs)))
-		for _, o := range in.UseObjs {
-			e.obj(o)
-		}
+		e.ref(in.DefObj)
 	}
 	if in.Off != 0 {
 		m |= inOff
 		e.int(in.Off)
 	}
-	if in.Sym != nil {
+	if in.Sym != 0 {
 		m |= inSym
-		e.obj(in.Sym)
+		e.ref(in.Sym)
 	}
 	c := in.Cold
 	if c == nil {
@@ -919,9 +934,9 @@ func (e *enc) instr(in *mach.Instr) {
 		m |= inParamIdx
 		e.int(int64(c.ParamIdx))
 	}
-	if c.MarkObj != nil {
+	if c.MarkObj != 0 {
 		m |= inMarkObj
-		e.obj(c.MarkObj)
+		e.ref(c.MarkObj)
 	}
 	if !isZeroOpd(c.MarkAlias) {
 		m |= inMarkAlias
@@ -937,13 +952,13 @@ func (e *enc) instr(in *mach.Instr) {
 		m |= inInsertedBy
 		e.str(c.InsertedBy)
 	}
-	if in.ReplacedVar != nil {
+	if in.ReplacedVar != 0 {
 		m |= inReplacedVar
-		e.obj(in.ReplacedVar)
+		e.ref(in.ReplacedVar)
 	}
-	if r := c.Recover; r != nil {
+	if r := c.Recover; r.Var != 0 {
 		m |= inRecover
-		e.obj(r.Var)
+		e.ref(r.Var)
 		e.int(r.A)
 		e.int(r.B)
 	}
@@ -982,19 +997,13 @@ func (d *dec) instr(in *mach.Instr) {
 		in.PreSched = d.nzInt32()
 	}
 	if m&inDefObj != 0 {
-		in.DefObj = d.nzObj()
-	}
-	if m&inUseObjs != 0 {
-		in.UseObjs = make([]*ast.Object, d.nzCount())
-		for i := range in.UseObjs {
-			in.UseObjs[i] = d.obj()
-		}
+		in.DefObj = d.nzRef()
 	}
 	if m&inOff != 0 {
 		in.Off = d.nzInt()
 	}
 	if m&inSym != 0 {
-		in.Sym = d.nzObj()
+		in.Sym = d.nzRef()
 	}
 	// Every cold field's bit is in inCold, so c is set wherever one is read.
 	var c *mach.Cold
@@ -1030,10 +1039,10 @@ func (d *dec) instr(in *mach.Instr) {
 		}
 	}
 	if m&inParamIdx != 0 {
-		c.ParamIdx = int(d.nzInt())
+		c.ParamIdx = d.nzInt32()
 	}
 	if m&inMarkObj != 0 {
-		c.MarkObj = d.nzObj()
+		c.MarkObj = d.nzRef()
 	}
 	if m&inMarkAlias != 0 {
 		c.MarkAlias = d.nzOpd()
@@ -1044,9 +1053,9 @@ func (d *dec) instr(in *mach.Instr) {
 		c.InsertedBy = d.nzStr()
 	}
 	if m&inReplacedVar != 0 {
-		in.ReplacedVar = d.nzObj()
+		in.ReplacedVar = d.nzRef()
 	}
 	if m&inRecover != 0 {
-		c.Recover = &ir.LinRecovery{Var: d.obj(), A: d.int(), B: d.int()}
+		c.Recover = mach.Recovery{Var: d.nzRef(), A: d.int(), B: d.int()}
 	}
 }

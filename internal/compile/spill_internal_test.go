@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/mach"
 	"repro/internal/randprog"
 	"repro/internal/sem"
@@ -100,7 +101,7 @@ func TestSpillSumCoversDebugTables(t *testing.T) {
 			return false
 		}},
 		{"Recover.A", func(p *mach.Program) bool {
-			in := firstInstr(p, func(in *mach.Instr) bool { return in.Recover() != nil })
+			in := firstInstr(p, func(in *mach.Instr) bool { return in.Recover().Var != 0 })
 			if in == nil {
 				return false
 			}
@@ -108,11 +109,11 @@ func TestSpillSumCoversDebugTables(t *testing.T) {
 			return true
 		}},
 		{"DefObj", func(p *mach.Program) bool {
-			in := firstInstr(p, func(in *mach.Instr) bool { return in.DefObj != nil })
+			in := firstInstr(p, func(in *mach.Instr) bool { return in.DefObj != 0 })
 			if in == nil {
 				return false
 			}
-			in.DefObj = nil
+			in.DefObj = 0
 			return true
 		}},
 		{"PreSched", func(p *mach.Program) bool {
@@ -320,5 +321,100 @@ func TestDecodeRefusesWideInt32Fields(t *testing.T) {
 		if ok := d.err == nil; ok != c.ok || ok && int64(got) != c.v {
 			t.Errorf("nzInt32 of %d = %d (err %v), want ok=%v", c.v, got, d.err, c.ok)
 		}
+	}
+}
+
+// TestDecodeRefusesObjRefOutOfRange sets each object ref a spill file or
+// function entry carries, one at a time, to the first ID past the
+// function's locals or the program's globals, and requires decoding to
+// fail with an error, not a panic. An instruction keeps its refs as refs,
+// so decoding is where they are checked: in the instruction fields
+// (DefObj, Sym, ReplacedVar, MarkObj, Recover's variable) and in the
+// table rows (frame objects and offsets, variable locations, globals).
+func TestDecodeRefusesObjRefOutOfRange(t *testing.T) {
+	src := `int g = 2; int main() { int a[2]; int x = g; a[0] = x; g = x + 1; print(a[0]); return g; }`
+	res, err := Compile("t.mc", src, O2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := len(res.Mach.LookupFunc("main").Decl.Locals)
+	ng := len(res.Sem.Globals)
+	pastLocal := &ast.Object{Name: "past", Kind: ast.ObjLocal, ID: nl}
+	pastGlobal := &ast.Object{Name: "past", Kind: ast.ObjGlobal, ID: ng}
+	refs := []mach.ObjRef{mach.RefOf(pastLocal), mach.RefOf(pastGlobal)}
+	spill, err := EncodeSpill(O2(), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// fresh decodes an unshared copy of the artifact to corrupt.
+	fresh := func(t *testing.T) *Result {
+		got, _, _, _, err := DecodeSpill(spill)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	main := func(r *Result) *mach.Func { return r.Mach.LookupFunc("main") }
+	// refuse requires r's spill file to be refused and, when entry is
+	// set (the ref is main's, not the globals tables'), main's function
+	// entry too.
+	refuse := func(t *testing.T, r *Result, entry bool) {
+		t.Helper()
+		data, err := EncodeSpill(O2(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, _, err := DecodeSpill(data); err == nil {
+			t.Error("spill file accepted")
+		}
+		if !entry {
+			return
+		}
+		e, err := encodeFuncEntry(main(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeFuncEntry(e, res.Sem); err == nil {
+			t.Error("function entry accepted")
+		}
+	}
+	first := func(r *Result) *mach.Instr { return main(r).Blocks[0].Instrs[0] }
+
+	for _, ref := range refs {
+		for _, c := range []struct {
+			field string
+			set   func(in *mach.Instr)
+		}{
+			{"DefObj", func(in *mach.Instr) { in.DefObj = ref }},
+			{"Sym", func(in *mach.Instr) { in.Sym = ref }},
+			{"ReplacedVar", func(in *mach.Instr) { in.ReplacedVar = ref }},
+			{"MarkObj", func(in *mach.Instr) { in.EnsureCold().MarkObj = ref }},
+			{"Recover", func(in *mach.Instr) { in.EnsureCold().Recover = mach.Recovery{Var: ref, A: 1} }},
+		} {
+			t.Run(fmt.Sprintf("%s/%s", c.field, ref), func(t *testing.T) {
+				r := fresh(t)
+				c.set(first(r))
+				refuse(t, r, true)
+			})
+		}
+	}
+	for _, c := range []struct {
+		row   string
+		entry bool
+		set   func(r *Result)
+	}{
+		{"FrameObjects", true, func(r *Result) { f := main(r); f.FrameObjects = append(f.FrameObjects, pastLocal) }},
+		{"FrameOff", true, func(r *Result) { main(r).FrameOff[pastLocal] = 0 }},
+		{"VarLoc", true, func(r *Result) { main(r).VarLoc[pastLocal] = mach.Loc{Kind: mach.LocReg, R: 1} }},
+		{"Globals", false, func(r *Result) { r.Mach.Globals = append(r.Mach.Globals, pastGlobal) }},
+		{"GlobalOff", false, func(r *Result) { r.Mach.GlobalOff[pastGlobal] = 0 }},
+		{"GlobalInit", false, func(r *Result) { r.Mach.GlobalInit[pastGlobal] = res.Mach.GlobalInit[res.Sem.Globals[0]] }},
+	} {
+		t.Run(c.row, func(t *testing.T) {
+			r := fresh(t)
+			c.set(r)
+			refuse(t, r, c.entry)
+		})
 	}
 }

@@ -11,7 +11,7 @@
 //   - ReplacedVar annotations on expressions that replaced variable
 //     fetches and linear Recover annotations from induction-variable
 //     elimination (both feed *recovery*, §2.5),
-//   - DefObj/UseObjs tags identifying source-variable accesses after
+//   - DefObj tags identifying source-variable definitions after
 //     register allocation.
 //
 // Two data-flow problems drive the endangerment decision (Definitions 1
@@ -408,7 +408,7 @@ func (b *builder) collect() {
 	p := 0
 	for _, blk := range a.Fn.Blocks {
 		for _, in := range blk.Instrs {
-			if recoveryOf(in, &e) {
+			if recoveryOf(a.Fn, in, &e) {
 				ei := last[e.v.ID]
 				for ei >= 0 && !a.ents[ei].sameRecovery(&e) {
 					ei = prev[ei]
@@ -424,30 +424,30 @@ func (b *builder) collect() {
 			switch {
 			case in.Op == mach.MARKDEAD && in.Stmt >= 0:
 				b.srcAt[p] = int32(len(a.srcEnts))
-				a.srcEnts = append(a.srcEnts, srcEntity{v: in.MarkObj(), stmt: int(in.Stmt)})
-			case in.DefObj != nil && in.Hoisted && in.Stmt >= 0:
+				a.srcEnts = append(a.srcEnts, srcEntity{v: a.Fn.Obj(in.MarkObj()), stmt: int(in.Stmt)})
+			case in.DefObj != 0 && in.Hoisted && in.Stmt >= 0:
 				b.srcAt[p] = int32(len(a.srcEnts))
-				a.srcEnts = append(a.srcEnts, srcEntity{v: in.DefObj, stmt: int(in.Stmt), hoist: true})
+				a.srcEnts = append(a.srcEnts, srcEntity{v: a.Fn.Obj(in.DefObj), stmt: int(in.Stmt), hoist: true})
 			}
 			p++
 		}
 	}
 }
 
-// recoveryOf reports whether in establishes a recovery source, and if
-// so sets *e to it.
-func recoveryOf(in *mach.Instr, e *recEntity) bool {
+// recoveryOf reports whether in, an instruction of f, establishes a
+// recovery source, and if so sets *e to it.
+func recoveryOf(f *mach.Func, in *mach.Instr, e *recEntity) bool {
 	alias, r := in.MarkAlias(), in.Recover()
 	switch {
 	case in.Op == mach.MARKDEAD && alias.Kind != mach.None:
-		*e = recEntity{v: in.MarkObj()}
+		*e = recEntity{v: f.Obj(in.MarkObj())}
 		switch alias.Kind {
 		case mach.Imm:
 			e.kind = RecoverConst
 			e.c = alias.Imm
 		case mach.FImm:
 			e.kind = RecoverConst
-			e.cf = alias.F
+			e.cf = alias.Float()
 			e.isF = true
 		case mach.Reg:
 			e.kind = RecoverAlias
@@ -455,12 +455,12 @@ func recoveryOf(in *mach.Instr, e *recEntity) bool {
 		}
 		return true
 
-	case r != nil && r.Var != nil && in.Dst.IsReg():
-		*e = recEntity{v: r.Var, kind: RecoverLinear, reg: in.Dst, a: r.A, b: r.B}
+	case r.Var != 0 && in.Dst.IsReg():
+		*e = recEntity{v: f.Obj(r.Var), kind: RecoverLinear, reg: in.Dst, a: r.A, b: r.B}
 		return true
 
-	case in.ReplacedVar != nil && in.Dst.IsReg():
-		*e = recEntity{v: in.ReplacedVar, kind: RecoverAlias, reg: in.Dst}
+	case in.ReplacedVar != 0 && in.Dst.IsReg():
+		*e = recEntity{v: f.Obj(in.ReplacedVar), kind: RecoverAlias, reg: in.Dst}
 		return true
 	}
 	return false
@@ -549,7 +549,7 @@ func (b *builder) effects(p int, in *mach.Instr) {
 	a := b.a
 	switch in.Op {
 	case mach.MARKDEAD:
-		v := in.MarkObj()
+		v := a.Fn.Obj(in.MarkObj())
 		b.gen(a.initBit(v))
 		b.gen(a.deadBit(v))
 		// A newly eliminated assignment changes V's *expected* value:
@@ -573,7 +573,7 @@ func (b *builder) effects(p int, in *mach.Instr) {
 		}
 		return
 	case mach.MARKAVAIL:
-		v := in.MarkObj()
+		v := a.Fn.Obj(in.MarkObj())
 		b.gen(a.initBit(v))
 		b.kill(a.hoistBit(v))
 		b.kill(a.deadBit(v))
@@ -595,10 +595,11 @@ func (b *builder) effects(p int, in *mach.Instr) {
 	// Clobbers: writing a physical register destroys the residence of the
 	// other variables allocated to it and invalidates recovery entities
 	// whose alias lives there.
+	def := a.Fn.Obj(in.DefObj)
 	if d := in.Def(); d.IsReg() {
 		vars, ents := b.onReg(d)
 		for _, w := range vars {
-			if w != in.DefObj {
+			if w != def {
 				b.kill(a.resBit(w))
 			}
 		}
@@ -610,7 +611,7 @@ func (b *builder) effects(p int, in *mach.Instr) {
 	}
 
 	// Real definition of a source variable.
-	if v := in.DefObj; v != nil {
+	if v := def; v != nil {
 		b.gen(a.initBit(v))
 		b.gen(a.resBit(v))
 		if in.Hoisted {
@@ -1250,8 +1251,9 @@ func (a *Analysis) schedEndangered(loc debuginfo.Loc, v *ast.Object) (bool, bool
 		return false, false
 	}
 	bpPre := b.Instrs[loc.Idx].PreSched
+	ref := mach.RefOf(v)
 	for i, in := range b.Instrs {
-		if in.DefObj != v {
+		if in.DefObj != ref {
 			continue
 		}
 		if i < loc.Idx && in.PreSched > bpPre {
@@ -1331,9 +1333,10 @@ func (a *Analysis) recStaleBySched(loc debuginfo.Loc, v *ast.Object) bool {
 		return false
 	}
 	bpPre := b.Instrs[loc.Idx].PreSched
+	ref := mach.RefOf(v)
 	for i := loc.Idx; i < len(b.Instrs); i++ {
 		in := b.Instrs[i]
-		if in.DefObj == v && in.PreSched < bpPre {
+		if in.DefObj == ref && in.PreSched < bpPre {
 			return true
 		}
 	}

@@ -71,7 +71,7 @@ int main() { return f(1, 2, 3); }
 	hoisted, avail := 0, 0
 	for _, b := range a.Fn.Blocks {
 		for _, in := range b.Instrs {
-			if in.Hoisted && in.DefObj != nil {
+			if in.Hoisted && in.DefObj != 0 {
 				hoisted++
 			}
 			if in.Op == mach.MARKAVAIL {
@@ -205,7 +205,7 @@ int main() { return h(2, 3); }
 	dead := 0
 	for _, b := range a.Fn.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == mach.MARKDEAD && in.MarkObj().Name == "x" {
+			if in.Op == mach.MARKDEAD && a.Fn.ObjName(in.MarkObj()) == "x" {
 				dead++
 			}
 		}

@@ -39,10 +39,10 @@ int main() { return f(1, 2, 3, 4); }
 	var xi, yi = -1, -1
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {
-			if in.DefObj != nil && in.DefObj.Name == "x" {
+			if f.ObjName(in.DefObj) == "x" {
 				xi = i
 			}
-			if in.DefObj != nil && in.DefObj.Name == "y" {
+			if f.ObjName(in.DefObj) == "y" {
 				yi = i
 			}
 		}

@@ -32,7 +32,9 @@ func Build(p *sem.Program) *Program {
 		}
 	}
 	for _, fd := range p.Funcs {
-		prog.Funcs = append(prog.Funcs, buildFunc(fd))
+		f := buildFunc(fd)
+		f.Globals = p.Globals
+		prog.Funcs = append(prog.Funcs, f)
 	}
 	return prog
 }

@@ -578,6 +578,10 @@ type Func struct {
 	// FrameObjects lists memory-allocated objects in this frame (arrays
 	// and addressed scalars), in allocation order.
 	FrameObjects []*ast.Object
+
+	// Globals is the program's globals by Object.ID, handed on to the
+	// machine function, whose instructions name objects by ID.
+	Globals []*ast.Object
 }
 
 // NewBlock creates and registers a fresh block.

@@ -47,6 +47,7 @@ func LowerFunc(f *ir.Func) *mach.Func {
 	mf := &mach.Func{
 		Name:     f.Name,
 		Decl:     f.Decl,
+		Globals:  f.Globals,
 		NumVars:  numVars,
 		NumVregs: numVars + f.NumTemps,
 		FrameOff: map[*ast.Object]int64{},
@@ -110,25 +111,12 @@ func graphOf(f *mach.Func) dataflow.Graph {
 	return g
 }
 
-// tagVars records which source variables the instruction defines and reads
-// while the register numbering still identifies them (vregs below NumVars
-// are the promoted variables).
+// tagVars records which source variable the instruction defines while
+// the register numbering still identifies it (vregs below NumVars are
+// the promoted variables).
 func tagVars(mf *mach.Func, m *mach.Instr) {
-	varOf := func(o mach.Opd) *ast.Object {
-		if o.Kind == mach.Reg && int(o.R) < mf.NumVars {
-			return mf.Decl.Locals[o.R]
-		}
-		return nil
-	}
-	if d := m.Def(); d.Kind == mach.Reg {
-		m.DefObj = varOf(d)
-	}
-	var buf []mach.Opd
-	buf = m.Uses(buf)
-	for _, u := range buf {
-		if v := varOf(u); v != nil {
-			m.UseObjs = append(m.UseObjs, v)
-		}
+	if d := m.Def(); d.Kind == mach.Reg && int(d.R) < mf.NumVars {
+		m.DefObj = mach.RefOf(mf.Decl.Locals[d.R])
 	}
 }
 
@@ -172,10 +160,13 @@ var floatBin = map[ir.Op]mach.Opcode{
 func selectInstr(mf *mach.Func, numVars int, in *ir.Instr) *mach.Instr {
 	m := &mach.Instr{
 		Stmt: int32(in.Stmt), OrigIdx: int32(in.OrigIdx),
-		ReplacedVar: in.Ann.ReplacedVar, Hoisted: in.Ann.Hoisted, Sunk: in.Ann.Sunk,
+		ReplacedVar: mach.RefOf(in.Ann.ReplacedVar), Hoisted: in.Ann.Hoisted, Sunk: in.Ann.Sunk,
 	}
 	if in.Ann.InsertedBy != "" || in.Ann.Recover != nil {
-		m.Cold = &mach.Cold{InsertedBy: in.Ann.InsertedBy, Recover: in.Ann.Recover}
+		m.Cold = &mach.Cold{InsertedBy: in.Ann.InsertedBy}
+		if r := in.Ann.Recover; r != nil {
+			m.Cold.Recover = mach.Recovery{Var: mach.RefOf(r.Var), A: r.A, B: r.B}
+		}
 	}
 	switch in.Kind {
 	case ir.BinOp:
@@ -238,7 +229,7 @@ func selectInstr(mf *mach.Func, numVars int, in *ir.Instr) *mach.Instr {
 	case ir.Addr:
 		m.Op = mach.LA
 		m.Dst = opd(numVars, in.Dst)
-		m.Sym = in.AddrObj
+		m.Sym = mach.RefOf(in.AddrObj)
 
 	case ir.Call:
 		m.Op = mach.CALL
@@ -281,20 +272,20 @@ func selectInstr(mf *mach.Func, numVars int, in *ir.Instr) *mach.Instr {
 		m.Op = mach.GETP
 		m.Dst = opd(numVars, in.Dst)
 		if in.ParamIdx != 0 {
-			m.EnsureCold().ParamIdx = in.ParamIdx
+			m.EnsureCold().ParamIdx = int32(in.ParamIdx)
 		}
 
 	case ir.MarkDead:
 		m.Op = mach.MARKDEAD
 		c := m.EnsureCold()
-		c.MarkObj = in.MarkObj
+		c.MarkObj = mach.RefOf(in.MarkObj)
 		if in.A.Valid() {
 			c.MarkAlias = opd(numVars, in.A)
 		}
 
 	case ir.MarkAvail:
 		m.Op = mach.MARKAVAIL
-		m.EnsureCold().MarkObj = in.MarkObj
+		m.EnsureCold().MarkObj = mach.RefOf(in.MarkObj)
 
 	default:
 		panic(fmt.Sprintf("lower: unknown IR instruction kind %d", in.Kind))

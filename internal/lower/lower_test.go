@@ -46,7 +46,7 @@ int main() { return g(1, 2, 3); }
 			}
 			if in.Op == mach.MARKDEAD {
 				markers++
-				if in.MarkObj() == nil {
+				if f.Obj(in.MarkObj()) == nil {
 					t.Error("marker lost its variable")
 				}
 			}
@@ -72,14 +72,10 @@ int main() {
 	mp := lowerSrc(t, src, opt.O0())
 	f := mp.LookupFunc("main")
 	defTagged := map[string]bool{}
-	useTagged := map[string]bool{}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.DefObj != nil {
-				defTagged[in.DefObj.Name] = true
-			}
-			for _, u := range in.UseObjs {
-				useTagged[u.Name] = true
+			if v := f.Obj(in.DefObj); v != nil {
+				defTagged[v.Name] = true
 			}
 		}
 	}
@@ -87,12 +83,6 @@ int main() {
 		if !defTagged[v] {
 			t.Errorf("%s has no DefObj tag", v)
 		}
-	}
-	if !useTagged["x"] {
-		t.Error("use of x not tagged")
-	}
-	if !useTagged["y"] {
-		t.Error("use of y (print/return) not tagged")
 	}
 }
 
@@ -202,9 +192,9 @@ func TestVregSpaceMatchesIR(t *testing.T) {
 	// Variable vregs must be below NumVars.
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.DefObj != nil {
+			if in.DefObj != 0 {
 				if d := in.Def(); d.IsReg() && int(d.R) >= f.NumVars {
-					t.Errorf("var %s assigned vreg %d >= NumVars", in.DefObj.Name, d.R)
+					t.Errorf("var %s assigned vreg %d >= NumVars", f.ObjName(in.DefObj), d.R)
 				}
 			}
 		}

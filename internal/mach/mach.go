@@ -12,6 +12,7 @@ package mach
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -159,15 +160,15 @@ const (
 	FImm         // float immediate
 )
 
-// Opd is a machine operand. R is an int32 packed with Kind and Class, so
-// an operand is 24 bytes: register numbers stay far below 2^31 (the
-// spill decoder refuses anything wider).
+// Opd is a machine operand. R is an int32 packed with Kind and Class, and
+// a float immediate keeps its bits in Imm, so an operand is 16 bytes:
+// register numbers stay far below 2^31 (the spill decoder refuses anything
+// wider).
 type Opd struct {
 	R     int32 // register number
 	Kind  OpdKind
 	Class RegClass
-	Imm   int64
-	F     float64
+	Imm   int64 // integer immediate, or a float immediate's Float64bits
 }
 
 // R_ makes an integer register operand.
@@ -180,13 +181,27 @@ func FR(r int) Opd { return Opd{Kind: Reg, Class: FloatClass, R: int32(r)} }
 func I_(v int64) Opd { return Opd{Kind: Imm, Imm: v} }
 
 // F_ makes a float immediate.
-func F_(v float64) Opd { return Opd{Kind: FImm, F: v} }
+func F_(v float64) Opd { return Opd{Kind: FImm, Imm: int64(math.Float64bits(v))} }
+
+// Float is a float immediate's value, or 0 for any other operand.
+func (o Opd) Float() float64 {
+	if o.Kind != FImm {
+		return 0
+	}
+	return math.Float64frombits(uint64(o.Imm))
+}
 
 // IsReg reports whether o is a register operand.
 func (o Opd) IsReg() bool { return o.Kind == Reg }
 
-// Same reports operand identity.
-func (o Opd) Same(p Opd) bool { return o == p }
+// Same reports operand identity. Float immediates compare as floats, so
+// -0 is the same as +0 and a NaN is the same as nothing.
+func (o Opd) Same(p Opd) bool {
+	if o.Kind == FImm && p.Kind == FImm {
+		return o.R == p.R && o.Class == p.Class && o.Float() == p.Float()
+	}
+	return o == p
+}
 
 func (o Opd) String() string {
 	switch o.Kind {
@@ -198,39 +213,82 @@ func (o Opd) String() string {
 	case Imm:
 		return fmt.Sprintf("%d", o.Imm)
 	case FImm:
-		return fmt.Sprintf("%g", o.F)
+		return fmt.Sprintf("%g", o.Float())
 	}
 	return "_"
+}
+
+// ObjRef names a source object without a pointer, in the numbering the
+// spill codec writes: 0 is none, 2·ID+1 a local (or parameter) of the
+// function, 2·ID+2 a global, where ID is the Object.ID the checker
+// assigns. Resolve maps a ref back to its object.
+type ObjRef int32
+
+// RefOf returns o's ref, or 0 for nil.
+func RefOf(o *ast.Object) ObjRef {
+	switch {
+	case o == nil:
+		return 0
+	case o.Kind == ast.ObjGlobal:
+		return ObjRef(2*o.ID + 2)
+	}
+	return ObjRef(2*o.ID + 1)
+}
+
+func (r ObjRef) String() string {
+	switch {
+	case r == 0:
+		return "_"
+	case r.IsGlobal():
+		return fmt.Sprintf("global#%d", r.ID())
+	}
+	return fmt.Sprintf("local#%d", r.ID())
+}
+
+// IsGlobal reports whether r names a global.
+func (r ObjRef) IsGlobal() bool { return r > 0 && r%2 == 0 }
+
+// ID is the Object.ID r names (meaningless for 0).
+func (r ObjRef) ID() int { return int(r-1) / 2 }
+
+// Resolve maps r to its object: a local indexes locals (a function's
+// Decl.Locals), a global indexes globals (the program's Globals), both by
+// Object.ID. It returns nil for 0 and for a ref past its table.
+func Resolve(r ObjRef, locals, globals []*ast.Object) *ast.Object {
+	tab := locals
+	if r.IsGlobal() {
+		tab = globals
+	}
+	if r <= 0 || r.ID() >= len(tab) {
+		return nil
+	}
+	return tab[r.ID()]
 }
 
 // Instr is one machine instruction. It is split into a hot record,
 // the fields most instructions carry and every analysis reads, and a cold
 // side record (Cold) for the fields only calls, prints, parameter fetches,
 // markers and pass-inserted code carry; Cold is nil on the rest (about
-// nine instructions in ten). The split keeps an instruction at 152 bytes.
+// nine instructions in ten). Source objects are named by ObjRef, so Cold
+// is the only pointer an instruction holds, and with 16-byte operands an
+// instruction is 96 bytes.
 type Instr struct {
 	Dst  Opd
 	A, B Opd
-	Off  int64       // addressing offset for LW/SW/FLW/FSW
-	Sym  *ast.Object // LA: global or frame object
+	Off  int64  // addressing offset for LW/SW/FLW/FSW
+	Sym  ObjRef // LA: global or frame object
 
-	// DefObj / UseObjs tag the source variables this instruction defines
-	// and reads. They are assigned at lowering time from the virtual
-	// register numbering and survive register allocation (which rewrites
-	// register numbers) and scheduling (which moves whole instructions),
-	// so the debugger analyses can recognize source-variable accesses in
-	// the final code.
-	DefObj  *ast.Object
-	UseObjs []*ast.Object
+	// DefObj tags the source variable this instruction defines. It is
+	// assigned at lowering time from the virtual register numbering and
+	// survives register allocation (which rewrites register numbers) and
+	// scheduling (which moves whole instructions), so the debugger
+	// analyses can recognize source-variable definitions in the final
+	// code.
+	DefObj ObjRef
 
 	// ReplacedVar, Hoisted and Sunk are the IR annotations of the same
 	// names (ir.Ann); the rest of ir.Ann lives in Cold.
-	ReplacedVar *ast.Object
-
-	// Cold holds the rarely set fields; nil when all of them are zero.
-	// Each instruction owns its record: ReplaceReg rewrites it in place,
-	// and Clone copies it.
-	Cold *Cold
+	ReplacedVar ObjRef
 
 	Stmt    int32
 	OrigIdx int32
@@ -244,6 +302,11 @@ type Instr struct {
 	// indices.
 	PreSched int32
 
+	// Cold holds the rarely set fields; nil when all of them are zero.
+	// Each instruction owns its record: ReplaceReg rewrites it in place,
+	// and Clone copies it.
+	Cold *Cold
+
 	Op      Opcode
 	Hoisted bool
 	Sunk    bool
@@ -254,15 +317,23 @@ type Cold struct {
 	Callee   string
 	Args     []Opd
 	PrintFmt []PrintArg
-	ParamIdx int
+	ParamIdx int32
 
-	MarkObj   *ast.Object // MARKDEAD / MARKAVAIL
-	MarkAlias Opd         // optional: operand holding the eliminated value
+	MarkObj   ObjRef // MARKDEAD / MARKAVAIL
+	MarkAlias Opd    // optional: operand holding the eliminated value
 
 	// InsertedBy and Recover are the IR annotations of the same names
 	// (ir.Ann).
 	InsertedBy string
-	Recover    *ir.LinRecovery
+	Recover    Recovery
+}
+
+// Recovery is a linear recovery link, V = (X - B) / A where X is the
+// instruction's result (ir.LinRecovery with V named by ref). Var is 0 when
+// the instruction has none.
+type Recovery struct {
+	Var  ObjRef
+	A, B int64
 }
 
 // EnsureCold returns i's cold record, allocating an empty one if i has
@@ -303,14 +374,14 @@ func (i *Instr) ParamIdx() int {
 	if i.Cold == nil {
 		return 0
 	}
-	return i.Cold.ParamIdx
+	return int(i.Cold.ParamIdx)
 }
 
 // MarkObj is the variable a marker stands for (MARKDEAD / MARKAVAIL), or
-// nil.
-func (i *Instr) MarkObj() *ast.Object {
+// 0.
+func (i *Instr) MarkObj() ObjRef {
 	if i.Cold == nil {
-		return nil
+		return 0
 	}
 	return i.Cold.MarkObj
 }
@@ -332,10 +403,11 @@ func (i *Instr) InsertedBy() string {
 	return i.Cold.InsertedBy
 }
 
-// Recover is the instruction's linear recovery link, or nil.
-func (i *Instr) Recover() *ir.LinRecovery {
+// Recover is the instruction's linear recovery link; its Var is 0 when
+// there is none.
+func (i *Instr) Recover() Recovery {
 	if i.Cold == nil {
-		return nil
+		return Recovery{}
 	}
 	return i.Cold.Recover
 }
@@ -428,9 +500,6 @@ func (i *Instr) ReplaceReg(old, new Opd, includeDst bool) int {
 // Clone returns a deep copy, cold record included.
 func (i *Instr) Clone() *Instr {
 	c := *i
-	if i.UseObjs != nil {
-		c.UseObjs = append([]*ast.Object(nil), i.UseObjs...)
-	}
 	if i.Cold != nil {
 		x := *i.Cold
 		if x.Args != nil {
@@ -444,7 +513,15 @@ func (i *Instr) Clone() *Instr {
 	return &c
 }
 
-func (i *Instr) String() string {
+// String renders i with its object refs in ref form (ObjRef.String);
+// StringIn names them.
+func (i *Instr) String() string { return i.StringIn(nil) }
+
+// StringIn renders i with its object refs resolved against f (its
+// locals and globals) and printed by name; with a nil f, or a ref f
+// cannot resolve, a ref prints in ref form.
+func (i *Instr) StringIn(f *Func) string {
+	name := f.ObjName
 	ann := ""
 	if i.Hoisted {
 		ann += " !hoisted"
@@ -452,11 +529,11 @@ func (i *Instr) String() string {
 	if i.Sunk {
 		ann += " !sunk"
 	}
-	if i.ReplacedVar != nil {
-		ann += " !replaces:" + i.ReplacedVar.Name
+	if i.ReplacedVar != 0 {
+		ann += " !replaces:" + name(i.ReplacedVar)
 	}
-	if r := i.Recover(); r != nil {
-		ann += fmt.Sprintf(" !recover:%s", r.Var.Name)
+	if r := i.Recover(); r.Var != 0 {
+		ann += " !recover:" + name(r.Var)
 	}
 	stmt := ""
 	if i.Stmt >= 0 {
@@ -466,7 +543,7 @@ func (i *Instr) String() string {
 	case MOV, NEG, NOT, FNEG, CVTIF, CVTFI:
 		return fmt.Sprintf("%s %s, %s%s%s", i.Op, i.Dst, i.A, stmt, ann)
 	case LA:
-		return fmt.Sprintf("la %s, %s%s%s", i.Dst, i.Sym.Name, stmt, ann)
+		return fmt.Sprintf("la %s, %s%s%s", i.Dst, name(i.Sym), stmt, ann)
 	case LW, FLW:
 		return fmt.Sprintf("%s %s, %d(%s)%s%s", i.Op, i.Dst, i.Off, i.A, stmt, ann)
 	case SW, FSW:
@@ -506,9 +583,9 @@ func (i *Instr) String() string {
 		}
 		return "print " + strings.Join(parts, ", ") + stmt
 	case MARKDEAD:
-		return fmt.Sprintf("-- markdead %s%s", i.MarkObj().Name, stmt)
+		return fmt.Sprintf("-- markdead %s%s", name(i.MarkObj()), stmt)
 	case MARKAVAIL:
-		return fmt.Sprintf("-- markavail %s%s", i.MarkObj().Name, stmt)
+		return fmt.Sprintf("-- markavail %s%s", name(i.MarkObj()), stmt)
 	case NOP:
 		return "nop"
 	}
@@ -557,6 +634,11 @@ type Func struct {
 	Decl   *ast.FuncDecl
 	Blocks []*Block
 	Entry  *Block
+
+	// Globals is the program's globals by Object.ID (the checker's
+	// sem.Program.Globals), which the function's global refs resolve
+	// against; its locals resolve against Decl.Locals.
+	Globals []*ast.Object
 
 	// NumVregs counts virtual registers; vregs [0, NumVars) are the
 	// promoted source variables (by Object.ID), matching the IR's value
@@ -611,6 +693,28 @@ func (l Loc) String() string {
 	return "<none>"
 }
 
+// Obj resolves r against f's locals and globals (Resolve); a nil f
+// resolves nothing.
+func (f *Func) Obj(r ObjRef) *ast.Object {
+	if f == nil {
+		return nil
+	}
+	var locals []*ast.Object
+	if f.Decl != nil {
+		locals = f.Decl.Locals
+	}
+	return Resolve(r, locals, f.Globals)
+}
+
+// ObjName is the name of the object r names, or r in ref form
+// (ObjRef.String) when f cannot resolve it.
+func (f *Func) ObjName(r ObjRef) string {
+	if o := f.Obj(r); o != nil {
+		return o.Name
+	}
+	return r.String()
+}
+
 // NewBlock creates and registers a fresh block.
 func (f *Func) NewBlock() *Block {
 	b := &Block{ID: len(f.Blocks)}
@@ -644,7 +748,7 @@ func (f *Func) String() string {
 	for _, b := range f.Blocks {
 		fmt.Fprintf(&sb, "%s:\n", b)
 		for _, in := range b.Instrs {
-			fmt.Fprintf(&sb, "    %s\n", in)
+			fmt.Fprintf(&sb, "    %s\n", in.StringIn(f))
 		}
 		if t := b.Term(); t != nil {
 			switch t.Op {

@@ -1,9 +1,13 @@
 package mach
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
+
+	"repro/internal/ast"
 )
 
 func TestOpdConstructorsAndString(t *testing.T) {
@@ -21,6 +25,33 @@ func TestOpdConstructorsAndString(t *testing.T) {
 		if got := c.o.String(); got != c.want {
 			t.Errorf("%+v -> %q, want %q", c.o, got, c.want)
 		}
+	}
+}
+
+// TestOpdSameFloat pins Same's float semantics with a float immediate's
+// bits held in Imm: -0 is the same as +0, a NaN is the same as nothing,
+// and a float immediate is never the same as an integer one.
+func TestOpdSameFloat(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		a, b Opd
+		want bool
+	}{
+		{F_(0), F_(math.Copysign(0, -1)), true},
+		{F_(2.5), F_(2.5), true},
+		{F_(2.5), F_(-2.5), false},
+		{F_(nan), F_(nan), false},
+		{F_(1), I_(int64(math.Float64bits(1))), false},
+		{I_(3), I_(3), true},
+		{R_(1), FR(1), false},
+	}
+	for _, c := range cases {
+		if got := c.a.Same(c.b); got != c.want {
+			t.Errorf("%v.Same(%v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+	if F_(-1.5).Float() != -1.5 || I_(7).Float() != 0 {
+		t.Errorf("Float: %v, %v", F_(-1.5).Float(), I_(7).Float())
 	}
 }
 
@@ -152,14 +183,22 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 // TestInstrLayout pins the instruction and operand sizes the store's byte
-// accounting relies on, and that a clone owns its cold record: rewriting
-// a clone's call arguments or marker alias leaves the original as it was.
+// accounting relies on, that Cold is the only pointer an instruction
+// holds (source objects are named by ObjRef), and that a clone owns its
+// cold record: rewriting a clone's call arguments or marker alias leaves
+// the original as it was.
 func TestInstrLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Instr{}); n > 160 {
-		t.Errorf("Sizeof(Instr) = %d B, want <= 160", n)
+	if n := unsafe.Sizeof(Instr{}); n > 96 {
+		t.Errorf("Sizeof(Instr) = %d B, want <= 96", n)
 	}
-	if n := unsafe.Sizeof(Opd{}); n > 24 {
-		t.Errorf("Sizeof(Opd) = %d B, want <= 24", n)
+	if n := unsafe.Sizeof(Opd{}); n > 16 {
+		t.Errorf("Sizeof(Opd) = %d B, want <= 16", n)
+	}
+	it := reflect.TypeOf(Instr{})
+	for i := 0; i < it.NumField(); i++ {
+		if f := it.Field(i); hasPointer(f.Type) != (f.Name == "Cold") {
+			t.Errorf("Instr.%s (%s): holds a pointer = %v, want %v", f.Name, f.Type, hasPointer(f.Type), f.Name == "Cold")
+		}
 	}
 
 	call := &Instr{Op: CALL, Dst: R_(0), Stmt: -1, Cold: &Cold{Callee: "f", Args: []Opd{R_(1), R_(2), R_(1)}}}
@@ -190,7 +229,68 @@ func TestInstrLayout(t *testing.T) {
 	if plain.Clone().Cold != nil {
 		t.Error("clone of an instruction without a cold record has one")
 	}
-	if plain.Callee() != "" || plain.Args() != nil || plain.MarkObj() != nil || plain.Recover() != nil {
+	if plain.Callee() != "" || plain.Args() != nil || plain.MarkObj() != 0 || plain.Recover() != (Recovery{}) {
 		t.Error("cold getters on an instruction without a cold record are not zero")
+	}
+}
+
+// hasPointer reports whether a value of type t holds a pointer the
+// garbage collector must trace.
+func hasPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+		reflect.Interface, reflect.Chan, reflect.Func:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointer(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestObjRefResolve pins the ref numbering (0 none, 2·ID+1 local, 2·ID+2
+// global) and that Resolve answers nil, never panics, for a ref past its
+// table; instruction strings name objects only through a function.
+func TestObjRefResolve(t *testing.T) {
+	locals := []*ast.Object{{Name: "a", Kind: ast.ObjParam, ID: 0}, {Name: "b", Kind: ast.ObjLocal, ID: 1}}
+	globals := []*ast.Object{{Name: "g", Kind: ast.ObjGlobal, ID: 0}}
+	cases := []struct {
+		o    *ast.Object
+		want ObjRef
+	}{{nil, 0}, {locals[0], 1}, {locals[1], 3}, {globals[0], 2}}
+	for _, c := range cases {
+		r := RefOf(c.o)
+		if r != c.want {
+			t.Errorf("RefOf(%v) = %d, want %d", c.o, r, c.want)
+		}
+		if got := Resolve(r, locals, globals); got != c.o {
+			t.Errorf("Resolve(%d) = %v, want %v", r, got, c.o)
+		}
+	}
+	for _, r := range []ObjRef{-1, 4, 5, 1 << 30} {
+		if o := Resolve(r, locals, globals); o != nil {
+			t.Errorf("Resolve(%d) = %v, want nil", r, o)
+		}
+	}
+
+	f := &Func{Name: "f", Decl: &ast.FuncDecl{Locals: locals}, Globals: globals}
+	la := &Instr{Op: LA, Dst: R_(1), Sym: 2, Stmt: -1}
+	if got := la.StringIn(f); got != "la r1, g" {
+		t.Errorf("StringIn: %q", got)
+	}
+	if got := la.String(); got != "la r1, global#0" {
+		t.Errorf("String: %q", got)
+	}
+	mark := &Instr{Op: MARKDEAD, Stmt: -1, Cold: &Cold{MarkObj: 3}}
+	if got := mark.StringIn(f); got != "-- markdead b" {
+		t.Errorf("marker StringIn: %q", got)
+	}
+	if got := f.ObjName(9); got != "local#4" {
+		t.Errorf("ObjName of an unresolvable ref: %q", got)
 	}
 }

@@ -54,22 +54,19 @@ func TestScratch(t *testing.T) {
 		fmt.Printf("%s: -> %v\n", b.String(), b.Succs)
 		for _, in := range b.Instrs {
 			meta := ""
-			if in.DefObj != nil {
-				meta += " def=" + in.DefObj.Name
+			if in.DefObj != 0 {
+				meta += " def=" + f.ObjName(in.DefObj)
 			}
-			for _, u := range in.UseObjs {
-				meta += " use=" + u.Name
+			if in.MarkObj() != 0 {
+				meta += fmt.Sprintf(" mark=%s alias=%s", f.ObjName(in.MarkObj()), in.MarkAlias())
 			}
-			if in.MarkObj() != nil {
-				meta += fmt.Sprintf(" mark=%s alias=%s", in.MarkObj().Name, in.MarkAlias())
+			if r := in.Recover(); r.Var != 0 {
+				meta += fmt.Sprintf(" lin=%s*%d+%d", f.ObjName(r.Var), r.A, r.B)
 			}
-			if r := in.Recover(); r != nil && r.Var != nil {
-				meta += fmt.Sprintf(" lin=%s*%d+%d", r.Var.Name, r.A, r.B)
+			if in.ReplacedVar != 0 {
+				meta += " repl=" + f.ObjName(in.ReplacedVar)
 			}
-			if in.ReplacedVar != nil {
-				meta += " repl=" + in.ReplacedVar.Name
-			}
-			fmt.Printf("  %-28s ; s%d o%d%s\n", in.String(), in.Stmt, in.OrigIdx, meta)
+			fmt.Printf("  %-28s ; s%d o%d%s\n", in.StringIn(f), in.Stmt, in.OrigIdx, meta)
 		}
 	}
 }

@@ -9,7 +9,7 @@
 // inside the variable's live range. The allocator therefore records each
 // variable's allocated location in Func.VarLoc; the per-point residence
 // test itself is performed by the debugger analyses (package core) from
-// the DefObj/UseObjs tags that survive on the final instructions.
+// the DefObj tags that survive on the final instructions.
 //
 // Moves that copy source variables are never coalesced away: deleting them
 // would erase the variable's defining instruction, which the debugger's
@@ -279,7 +279,7 @@ func (a *allocator) coalesce(g *igraph, class mach.RegClass, k int) bool {
 			if dst < f.NumVars || src < f.NumVars {
 				continue
 			}
-			if in.ReplacedVar != nil || in.Recover() != nil {
+			if in.ReplacedVar != 0 || in.Recover().Var != 0 {
 				continue
 			}
 			if g.interferes(dst, src) {

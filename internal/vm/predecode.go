@@ -34,7 +34,6 @@ package vm
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"repro/internal/mach"
@@ -126,7 +125,7 @@ func (fc *funcCode) bake(o mach.Opd) (opdKind, int64) {
 	case mach.Imm:
 		return kImm, o.Imm
 	case mach.FImm:
-		return kFImm, int64(math.Float64bits(o.F))
+		return kFImm, o.Imm
 	}
 	return kNone, 0
 }
@@ -331,9 +330,10 @@ func decodeOne(prog *mach.Program, fc *funcCode, in *mach.Instr) dinstr {
 		d.dk = kNone
 	}
 	if in.Op == mach.LA {
-		if off, ok := fc.fn.FrameOff[in.Sym]; ok {
+		sym := fc.fn.Obj(in.Sym)
+		if off, ok := fc.fn.FrameOff[sym]; ok {
 			d.sym, d.off = symFrame, off
-		} else if off, ok := prog.GlobalOff[in.Sym]; ok {
+		} else if off, ok := prog.GlobalOff[sym]; ok {
 			d.sym, d.off = symGlobal, off
 		}
 	}

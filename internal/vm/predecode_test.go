@@ -122,9 +122,10 @@ func slotMatches(prog *mach.Program, fc *funcCode, d *dinstr) error {
 	}
 	sym, off := symUnknown, in.Off
 	if in.Op == mach.LA {
-		if o, ok := f.FrameOff[in.Sym]; ok {
+		obj := f.Obj(in.Sym)
+		if o, ok := f.FrameOff[obj]; ok {
 			sym, off = symFrame, o
-		} else if o, ok := prog.GlobalOff[in.Sym]; ok {
+		} else if o, ok := prog.GlobalOff[obj]; ok {
 			sym, off = symGlobal, o
 		}
 	}
@@ -244,7 +245,7 @@ func bakedAs(k opdKind, v int64, o mach.Opd, slotOf func(mach.Opd) int64) bool {
 	case mach.Imm:
 		return k == kImm && v == o.Imm
 	case mach.FImm:
-		return k == kFImm && uint64(v) == math.Float64bits(o.F)
+		return k == kFImm && uint64(v) == math.Float64bits(o.Float())
 	}
 	return k == kNone && v == 0
 }

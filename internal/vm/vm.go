@@ -428,7 +428,7 @@ func (fr *Frame) regVal(o mach.Opd) Val {
 	case mach.Imm:
 		return Val{I: o.Imm}
 	case mach.FImm:
-		return Val{F: o.F, IsF: true}
+		return Val{F: o.Float(), IsF: true}
 	case mach.Reg:
 		if o.Class == mach.FloatClass {
 			return Val{F: fr.FloatReg(int(o.R)), IsF: true}
@@ -781,7 +781,7 @@ func (vm *VM) slow(fr *Frame, d *dinstr, pc int) (int, error) {
 		case symGlobal:
 			fr.set(d.dk, d.dst, Val{I: d.off})
 		default:
-			return pc, fmt.Errorf("vm: la of unknown symbol %s", d.in.Sym.Name)
+			return pc, fmt.Errorf("vm: la of unknown symbol %s", fr.Fn.ObjName(d.in.Sym))
 		}
 	case mach.LW, mach.FLW, mach.SW, mach.FSW, mach.LWFP, mach.FLWFP, mach.SWFP, mach.FSWFP:
 		addr := fr.Base + d.off // the spill forms address the frame
