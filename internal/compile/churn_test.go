@@ -55,7 +55,7 @@ func churnArtifacts(t testing.TB) []churnArtifact {
 // spillEncodingDigest pins the spill files of the churn artifacts byte
 // for byte. The in-memory instruction layout is free to change; the file
 // format is not (a change to it must bump spillVersion).
-const spillEncodingDigest = "71d4650fc847f388483c2a0412f2a0db9097db435354809bb33c2be2cff476be"
+const spillEncodingDigest = "9da164b8f33371b46e49b7be181b30d65830a1b0eabbbecf409122ae7650412d"
 
 // TestSpillEncodingDigest hashes EncodeSpill of every churn artifact, in
 // churnArtifacts order, and compares against spillEncodingDigest.

@@ -137,8 +137,8 @@ func slicesEqual(a, b []string) bool {
 // order. They pin the bytes the function-cache keys hash: a change to how
 // keys are written must keep them, or bump funcKeyVersion and re-pin.
 const (
-	goldenGlobalsSig = "55d491dd6273f2bd86634ef41a469c94b6e98aa03a720a4088c46a0fcd32bd2f"
-	goldenFuncKeys   = "ce72a88de7b3aaef786a5a250f67ebd88ff7d0bb1abe2a4db8ce11d636babbe7"
+	goldenGlobalsSig = "b04c886ac0a1c4edfab8a36da30e3eef95a8e899a2be2eb0467366e0a705209a"
+	goldenFuncKeys   = "4d7c3d722800c1143f9f68d6724587582653acd059b8e2844638609a19c22d9f"
 )
 
 func TestFuncKeyBytesPinned(t *testing.T) {

@@ -49,8 +49,9 @@ import (
 	"repro/internal/sem"
 )
 
-// spillVersion guards the payload format; bump on any change to it.
-const spillVersion = 5
+// spillVersion guards the payload format; bump on any change to it, or to
+// what the pipeline emits for the same key.
+const spillVersion = 6
 
 // EncodeSpill serializes a compiled artifact for the disk tier. The
 // source text and configuration ride along (they are the artifact's

@@ -23,7 +23,7 @@ import (
 // classifier give over the analysis corpus (see analysisDigest). Work on
 // how analyses are built must keep it: a change that moves it changes
 // verdicts, not just speed.
-const goldenAnalysisDigest = "8779878eed6f4a52bf06ddb0f66cfa31a4bb8550eb5830dd4f70a3e7252fe6dc"
+const goldenAnalysisDigest = "2bb27c41a9f6e538eab250d4b316eda538b65d2ae28f1e1b317c8f6c5431585c"
 
 // digestCase is one configuration of the analysis corpus.
 type digestCase struct {

@@ -43,7 +43,8 @@ type Table struct {
 // The breakpoint location of statement s is the instruction of s that
 // appears in the final code and is original (not inserted by an
 // optimization), with the smallest emission index — or, if every
-// instruction of s was deleted, the marker left in its place. Statements
+// instruction of s was deleted, the marker left in its place — moved back
+// over the markers of s directly before it. Statements
 // with no code at all (e.g. plain declarations) fall back at query time to
 // the next statement that has a location.
 func Build(f *mach.Func) *Table {
@@ -101,6 +102,18 @@ func Build(f *mach.Func) *Table {
 			}
 			x.cRank, x.cOrig = r, orig
 		}
+	}
+	// A statement's own markers directly before a chosen location record
+	// parts of the statement that were deleted: SROA splits a struct copy
+	// into one copy per field, all of one statement, and the deleted
+	// fields' copies leave markers before the surviving one. Stopping
+	// after those markers would show their effect before the statement
+	// ran; the unoptimized program stops before the whole statement.
+	for s := range t.stmtLoc {
+		t.stmtLoc[s] = backOverMarkers(t.stmtLoc[s], s)
+	}
+	for i := range insts {
+		insts[i].loc = backOverMarkers(insts[i].loc, int(insts[i].s))
 	}
 	// Group the instances by statement into one backing array, block
 	// order preserved within each statement.
@@ -201,6 +214,18 @@ func varsInScopeTable(locals []*ast.Object, n int) [][]*ast.Object {
 		}
 	}
 	return out
+}
+
+// backOverMarkers moves l back over the markers of statement s that
+// directly precede it in its block.
+func backOverMarkers(l Loc, s int) Loc {
+	for l.Block != nil && l.Idx > 0 {
+		if p := l.Block.Instrs[l.Idx-1]; !p.IsMarker() || int(p.Stmt) != s {
+			break
+		}
+		l.Idx--
+	}
+	return l
 }
 
 // entersStmt reports whether the instance of statement s at l begins a new

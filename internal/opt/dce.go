@@ -13,7 +13,7 @@ import (
 // analysis consumes. The pass iterates to a fixed point and reports whether
 // anything changed.
 func DCE(f *ir.Func) bool {
-	changedAny := false
+	el := eliminator{f: f, sp: spaceOf(f)}
 	var buf []ir.Operand
 	for {
 		changed := false
@@ -40,39 +40,97 @@ func DCE(f *ir.Func) bool {
 						live.Set(u)
 					}
 				}
-				if !dead {
-					continue
+				if dead {
+					el.eliminate(b, i, k)
+					changed = true
 				}
-				// Dead assignment. Synthetic entry code (Stmt < 0) is
-				// markerized too: a parameter field's initialization is a
-				// source-level binding, and deleting it without a marker
-				// would make the debugger call the field uninitialized.
-				if in.Dst.Kind == ir.Var && !in.Ann.Hoisted && !in.Ann.Sunk {
-					m := &ir.Instr{
-						Kind:    ir.MarkDead,
-						MarkObj: in.Dst.Obj,
-						Stmt:    in.Stmt,
-						OrigIdx: in.OrigIdx,
-					}
-					// Record the eliminated right-hand side when it is a
-					// simple operand: the debugger can then *recover* the
-					// expected value (constant residence, or alias while
-					// the source operand is unchanged).
-					if in.Kind == ir.Copy {
-						m.A = in.A
-					}
-					b.Instrs[i] = m
-				} else {
-					b.RemoveAt(i)
-				}
-				changed = true
-				changedAny = true
 			}
 		}
 		if !changed {
-			return changedAny
+			return el.finish()
 		}
 	}
+}
+
+// eliminator deletes dead writes with the §3 marker bookkeeping, for DCE
+// and FaintDCE. A deleted assignment to a source variable becomes a
+// MarkDead marker (unless the instruction was itself inserted by hoisting
+// or sinking). Synthetic entry code (Stmt < 0) is markerized too: a
+// parameter field's initialization is a source-level binding, and deleting
+// it without a marker would make the debugger call the field uninitialized.
+//
+// A deletion can also invalidate markers elsewhere in the function, and
+// finish repairs those in one scan per pass:
+//
+//   - a MarkDead alias names a register whose defining write is gone (the
+//     write was needed only by the assignment the marker replaced, or PDCE
+//     sank it below the marker and left the original here to die), so the
+//     alias would read a stale or never-written value: every alias naming
+//     a register with a deleted write is cleared;
+//   - a deleted hoisted assignment to V leaves V's MarkAvail markers
+//     claiming a value that nothing computes any more: they are demoted to
+//     MarkDead markers without an alias.
+//
+// Both repairs only lose precision: the variable degrades to a warning,
+// never to a fabricated value.
+type eliminator struct {
+	f       *ir.Func
+	sp      valueSpace
+	deleted *dataflow.BitSet // values with a deleted write; nil until one is
+	hoisted *dataflow.BitSet // variables with a deleted hoisted assignment
+}
+
+// eliminate deletes b.Instrs[i], whose destination has value index k.
+func (e *eliminator) eliminate(b *ir.Block, i, k int) {
+	in := b.Instrs[i]
+	if e.deleted == nil {
+		sets := dataflow.NewBitSets(2, e.sp.size())
+		e.deleted, e.hoisted = &sets[0], &sets[1]
+	}
+	e.deleted.Set(k)
+	if in.Dst.Kind == ir.Var && in.Ann.Hoisted {
+		e.hoisted.Set(k)
+	}
+	if in.Dst.Kind != ir.Var || in.Ann.Hoisted || in.Ann.Sunk {
+		b.RemoveAt(i)
+		return
+	}
+	m := &ir.Instr{
+		Kind:    ir.MarkDead,
+		MarkObj: in.Dst.Obj,
+		Stmt:    in.Stmt,
+		OrigIdx: in.OrigIdx,
+	}
+	// Record the eliminated right-hand side when it is a simple operand:
+	// the debugger can then *recover* the expected value (constant
+	// residence, or alias while the source operand is unchanged).
+	if in.Kind == ir.Copy {
+		m.A = in.A
+	}
+	b.Instrs[i] = m
+}
+
+// finish repairs the markers the pass's deletions invalidated and reports
+// whether anything was deleted.
+func (e *eliminator) finish() bool {
+	if e.deleted == nil {
+		return false
+	}
+	for _, b := range e.f.Blocks {
+		for _, in := range b.Instrs {
+			switch in.Kind {
+			case ir.MarkDead:
+				if k := e.sp.indexOf(in.A); k >= 0 && e.deleted.Has(k) {
+					in.A = ir.Operand{}
+				}
+			case ir.MarkAvail:
+				if e.hoisted.Has(in.MarkObj.ID) {
+					in.Kind = ir.MarkDead
+				}
+			}
+		}
+	}
+	return true
 }
 
 // removableKind reports whether in has no side effects besides its Dst.
@@ -140,131 +198,15 @@ func FaintDCE(f *ir.Func) bool {
 		}
 	}
 
-	removed := false
+	el := eliminator{f: f, sp: sp}
 	for bi, b := range f.Blocks {
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
 			if needed[bi][i] || !removableKind(in) || !in.HasDst() {
 				continue
 			}
-			if in.Dst.Kind == ir.Var && !in.Ann.Hoisted && !in.Ann.Sunk {
-				m := &ir.Instr{
-					Kind:    ir.MarkDead,
-					MarkObj: in.Dst.Obj,
-					Stmt:    in.Stmt,
-					OrigIdx: in.OrigIdx,
-				}
-				if in.Kind == ir.Copy {
-					m.A = in.A
-				}
-				b.Instrs[i] = m
-			} else {
-				b.RemoveAt(i)
-			}
-			removed = true
+			el.eliminate(b, i, sp.indexOf(in.Dst))
 		}
 	}
-	return removed
-}
-
-// ValidateMarkers drops the alias operand from MarkDead markers whose
-// source value is not definitely computed by the time the marker is
-// reached. A marker records "V's eliminated assignment copied from A, so
-// A's location still holds the expected value" — an assumption later
-// passes can break in two ways:
-//
-//   - a later DCE/FaintDCE round deletes the computation of A itself
-//     (its value was only needed by the assignment that is now the
-//     marker), leaving the alias pointing at a register that is never
-//     written;
-//   - sinking (PDCE) moves A's computation below the marker, so the
-//     register is unwritten exactly in the window between the marker
-//     and the sunk code (the debugger's clobber analysis already
-//     invalidates the alias *after* the re-definition).
-//
-// Recovering through such an alias would fabricate a value, so the
-// recovery is degraded to none instead: the alias must be *definitely
-// written* (on every path) at the marker. Runs once after the pipeline.
-func ValidateMarkers(f *ir.Func) {
-	any := false
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Kind == ir.MarkDead && in.A.Valid() {
-				any = true
-			}
-		}
-	}
-	if !any {
-		return
-	}
-
-	sp := spaceOf(f)
-	g := graphOf(f)
-	n := len(f.Blocks)
-	gen := make([]*dataflow.BitSet, n)
-	for i, b := range f.Blocks {
-		gen[i] = dataflow.NewBitSet(sp.size())
-		for _, in := range b.Instrs {
-			if in.HasDst() {
-				if k := sp.indexOf(in.Dst); k >= 0 {
-					gen[i].Set(k)
-				}
-			}
-		}
-	}
-
-	// Forward must-written: in[b] = ∩ out[preds]; out[b] = in[b] ∪ gen[b].
-	// Writes are never killed — only whether a write has happened matters,
-	// not which one (a re-definition is handled by the debugger's clobber
-	// analysis).
-	entry := max(blockIndex(f, f.Entry), 0)
-	ins := make([]*dataflow.BitSet, n)
-	outs := make([]*dataflow.BitSet, n)
-	for i := 0; i < n; i++ {
-		ins[i] = dataflow.NewBitSet(sp.size())
-		if i != entry {
-			ins[i].SetAll()
-		}
-		outs[i] = ins[i].Copy()
-		outs[i].Union(gen[i])
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			if i != entry {
-				first := true
-				for _, p := range g.Preds[i] {
-					if first {
-						ins[i].CopyFrom(outs[p])
-						first = false
-					} else {
-						ins[i].Intersect(outs[p])
-					}
-				}
-			}
-			old := outs[i]
-			nw := ins[i].Copy()
-			nw.Union(gen[i])
-			if !nw.Equal(old) {
-				outs[i] = nw
-				changed = true
-			}
-		}
-	}
-
-	for i, b := range f.Blocks {
-		written := ins[i].Copy()
-		for _, in := range b.Instrs {
-			if in.Kind == ir.MarkDead && in.A.Valid() {
-				if k := sp.indexOf(in.A); k >= 0 && !written.Has(k) {
-					in.A = ir.Operand{}
-				}
-			}
-			if in.HasDst() {
-				if k := sp.indexOf(in.Dst); k >= 0 {
-					written.Set(k)
-				}
-			}
-		}
-	}
+	return el.finish()
 }

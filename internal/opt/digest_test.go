@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/bench"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/randprog"
@@ -23,7 +24,7 @@ import (
 // configurations it compiles, so a pass interaction that shows up only
 // when, say, PRE is off would move no other digest. Optimizer speed work
 // must keep it.
-const goldenOptIRDigest = "53393254718ea81208dd0ce498aaedc1a76651c56422c7103c5a10b1c089d261"
+const goldenOptIRDigest = "dfc8ed41fbec6778120cf18540ca3f531fd369af8b470c47d4469493e446e0ab"
 
 // optVariants returns O1, O2 and O2 with each bench.PassToggles entry
 // applied, in that order.
@@ -37,23 +38,24 @@ func optVariants() []opt.Options {
 	return vs
 }
 
-// optIRDigest hashes every field of the optimized IR of each golden
-// program under each variant (or the front end's error).
-func optIRDigest() (string, int) {
-	h := sha256.New()
+// optimizeCorpus optimizes each golden program under each variant, in a
+// fixed order, and calls fn with every optimized function (or with the
+// front end's error and a nil function). It returns the number of
+// program-configurations.
+func optimizeCorpus(fn func(name string, variant int, f *ir.Func, err error)) int {
 	n := 0
 	emit := func(name, src string) {
-		for _, o := range optVariants() {
+		for v, o := range optVariants() {
 			n++
 			sp, err := sem.CheckSource(name, src)
 			if err != nil {
-				io.WriteString(h, "err "+err.Error()+"\n")
+				fn(name, v, nil, err)
 				continue
 			}
 			prog := ir.Build(sp)
 			for _, f := range prog.Funcs {
 				opt.RunFunc(f, o)
-				hashFunc(h, f)
+				fn(name, v, f, nil)
 			}
 		}
 	}
@@ -63,6 +65,20 @@ func optIRDigest() (string, int) {
 	for seed := int64(1); seed <= 200; seed++ {
 		emit(fmt.Sprintf("rand%d.mc", seed), randprog.Gen(seed))
 	}
+	return n
+}
+
+// optIRDigest hashes every field of the optimized IR of each golden
+// program under each variant (or the front end's error).
+func optIRDigest() (string, int) {
+	h := sha256.New()
+	n := optimizeCorpus(func(_ string, _ int, f *ir.Func, err error) {
+		if err != nil {
+			io.WriteString(h, "err "+err.Error()+"\n")
+			return
+		}
+		hashFunc(h, f)
+	})
 	return hex.EncodeToString(h.Sum(nil)), n
 }
 
@@ -120,4 +136,82 @@ func TestOptIRDigest(t *testing.T) {
 			"The optimizer's output changed. Re-pin goldenOptIRDigest only for an "+
 			"intended output change, and state the reason in CHANGES.md.", n, got, goldenOptIRDigest)
 	}
+}
+
+// TestMarkerAliasesWritten holds the optimizer to the invariant its marker
+// bookkeeping keeps where a write is deleted: after RunFunc, every MarkDead
+// alias names a value written on every path from the entry to the marker.
+// An alias that can be reached unwritten would let the debugger recover a
+// value the program never computed there.
+func TestMarkerAliasesWritten(t *testing.T) {
+	if testing.Short() {
+		t.Skip("optimizes 208 programs under 12 configurations")
+	}
+	bad := 0
+	optimizeCorpus(func(name string, v int, f *ir.Func, err error) {
+		if err != nil {
+			return
+		}
+		for _, m := range unwrittenAliases(f) {
+			if bad++; bad <= 10 {
+				t.Errorf("%s variant %d, func %s: %s", name, v, f.Name, m)
+			}
+		}
+	})
+	if bad > 10 {
+		t.Errorf("%d unwritten aliases in all", bad)
+	}
+}
+
+// unwrittenAliases solves forward must-written over f's values (a write is
+// never killed: which write reached does not matter here) and describes
+// each MarkDead whose alias is not written on every path to it.
+func unwrittenAliases(f *ir.Func) []string {
+	key := func(o ir.Operand) int {
+		switch o.Kind {
+		case ir.Var:
+			return o.Obj.ID
+		case ir.Temp:
+			return len(f.Decl.Locals) + o.TID
+		}
+		return -1
+	}
+	bits := len(f.Decl.Locals) + f.NumTemps
+	at := map[*ir.Block]int{}
+	for i, b := range f.Blocks {
+		at[b] = i
+	}
+	n := len(f.Blocks)
+	g := dataflow.Graph{N: n, Succs: make([][]int, n), Preds: make([][]int, n)}
+	gen := make([]*dataflow.BitSet, n)
+	kill := make([]*dataflow.BitSet, n)
+	for i, b := range f.Blocks {
+		for _, s := range b.Succs {
+			g.Succs[i] = append(g.Succs[i], at[s])
+		}
+		for _, p := range b.Preds {
+			g.Preds[i] = append(g.Preds[i], at[p])
+		}
+		gen[i], kill[i] = dataflow.NewBitSet(bits), dataflow.NewBitSet(bits)
+		for _, in := range b.Instrs {
+			if k := key(in.Dst); k >= 0 {
+				gen[i].Set(k)
+			}
+		}
+	}
+	res := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect,
+		Bits: bits, Gen: gen, Kill: kill, Entries: []int{at[f.Entry]}}).Solve()
+	var bad []string
+	for i, b := range f.Blocks {
+		written := res.In[i].Copy()
+		for _, in := range b.Instrs {
+			if k := key(in.A); in.Kind == ir.MarkDead && k >= 0 && !written.Has(k) {
+				bad = append(bad, fmt.Sprintf("B%d: %s (alias %s) is reached unwritten", b.ID, in, in.A))
+			}
+			if k := key(in.Dst); k >= 0 {
+				written.Set(k)
+			}
+		}
+	}
+	return bad
 }

@@ -71,18 +71,18 @@ func PDCE(f *ir.Func) bool {
 				sunk.Ann.InsertedBy = "pdce"
 				sunk.OrigIdx = f.NextOrig()
 
-				prepended := len(liveSucc.Preds) == 1
-				if prepended {
+				if len(liveSucc.Preds) == 1 {
 					// Safe to prepend directly.
 					liveSucc.InsertBefore(0, sunk)
 				} else {
 					insertOnEdge(f, b, liveSucc, sunk)
 					f.RecomputePreds()
 				}
-				pruneSunkAliases(f, in.Dst, liveSucc, prepended)
 				// The original assignment is now dead on every path; let
 				// DCE delete it so the marker bookkeeping happens in one
-				// place. To guarantee deadness we rewrite nothing here.
+				// place. That includes clearing the MarkDead aliases that
+				// name in.Dst: below the vacated position the register is
+				// written only by the sunk copy, if at all.
 				roundChanged = true
 				changed = true
 				break // liveness and block indices are stale; restart
@@ -97,31 +97,6 @@ func PDCE(f *ir.Func) bool {
 		DCE(f)
 	}
 	return changed
-}
-
-// pruneSunkAliases drops MarkDead aliases that sinking dst's definition
-// may have invalidated. Marker aliases are deliberately invisible to
-// liveness (a marker must never keep a dead value alive), so the sink
-// legality checks cannot see them — but a marker below the vacated
-// position now names a register whose defining computation executes
-// after it (or only on the other edge), and the debugger would recover
-// a stale value from it. The only markers certain to stay valid are
-// those the clone still dominates: when the clone was prepended to the
-// single-predecessor live successor, every path into that block runs it
-// first, so that block's markers keep their aliases; everywhere else
-// the alias is cleared, trading a lost recovery for soundness (the
-// variable degrades to a plain warning).
-func pruneSunkAliases(f *ir.Func, dst ir.Operand, liveSucc *ir.Block, prepended bool) {
-	for _, blk := range f.Blocks {
-		if prepended && blk == liveSucc {
-			continue
-		}
-		for _, x := range blk.Instrs {
-			if x.Kind == ir.MarkDead && x.A.Valid() && x.A.Same(dst) {
-				x.A = ir.Operand{}
-			}
-		}
-	}
 }
 
 // sinkable reports whether in is a pure, re-computable assignment that can

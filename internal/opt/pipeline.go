@@ -132,9 +132,6 @@ func RunFunc(f *ir.Func, o Options) {
 		DCE(f)
 		FaintDCE(f)
 	}
-	// Recovery aliases recorded by earlier DCE rounds may point at values
-	// whose computation a later round deleted; drop those aliases.
-	ValidateMarkers(f)
 
 	if o.NoMarkers {
 		stripMarkers(f)

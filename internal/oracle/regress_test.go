@@ -81,10 +81,10 @@ int main() {
 // that had held v15, but v15's live range ended before the marker and
 // the allocator reused the register for an unrelated value ("mul r1,
 // r0, 31") between the two — the marker's alias was stale at its own
-// generation point, and recovery read garbage. ValidateMarkers cannot
-// see this (it runs on IR, before physical registers exist). Fixed by
-// regalloc's pruneStaleAliases: a MarkAlias whose vreg is not live at
-// the marker's position is dropped during rewrite.
+// generation point, and recovery read garbage. The optimizer's marker
+// bookkeeping cannot see this (it runs on IR, before physical registers
+// exist). Fixed by regalloc's pruneStaleAliases: a MarkAlias whose vreg
+// is not live at the marker's position is dropped during rewrite.
 func TestRegressStaleRegisterAlias(t *testing.T) {
 	diffClean(t, "regress_c.mc", `struct S0 { int f0; int f1; int f2; };
 int G1 = 98;
@@ -190,10 +190,10 @@ int main() {
 // marker must never keep a dead value alive), so the sink legality
 // checks could not see the dependence, and at stops between the marker
 // and the sunk copy recovery read the previous iteration's value.
-// Fixed by pruneSunkAliases in PDCE: sinking clears every MarkDead
-// alias of the sunk destination except in the block the clone was
-// prepended to (where the clone still dominates the markers). Seed 81
-// is the same class.
+// Fixed where the write is deleted: PDCE leaves the original
+// assignment for DCE to delete, and DCE clears every MarkDead alias
+// that names a register whose write it deleted. Seed 81 is the same
+// class.
 func TestRegressSunkAliasRecovery(t *testing.T) {
 	diffClean(t, "regress_f.mc", `struct S0 { int f0; int f1; };
 int G1 = 72;
@@ -219,6 +219,84 @@ int main() {
 		s7 = GS;
 	}
 	chk = (chk * 19 + s7.f1) % 65521;
+	return chk % 256;
+}`)
+}
+
+// Seeds 720 and 1089 (reduced by hand): PRE made s12.f0 - 84 (v16)
+// available around the loop with a hoisted copy, so both unrolled
+// copies of "int v16 = ..." became MarkAvail markers. v16 is never
+// read, and DCE deleted the hoisted copy without a marker: the
+// MarkAvail markers still claimed v16's register held its value, and
+// without register allocation that register is never written, so v16
+// showed as current 0 where O0 shows -79. Fixed where the write is
+// deleted: deleting a hoisted assignment to V demotes V's MarkAvail
+// markers to MarkDead markers without an alias.
+func TestRegressDeletedHoistDemotesAvail(t *testing.T) {
+	diffClean(t, "regress_k.mc", `struct S0 { int f0; int f1; };
+struct S0 GS;
+int main() {
+	int chk = 7;
+	struct S0 s12;
+	s12.f0 = GS.f1 + 5;
+	int v14 = -23;
+	for (int i = 0; i < 4; i++) {
+		int v16 = (s12.f0 + (-61 + v14));
+		chk = chk + i;
+	}
+	return chk;
+}`)
+}
+
+// Seed 577 (reduced by hand): PRE routes every occurrence of one
+// expression through one temp, and "chk++" and "v17++" both compute
+// chk + 1 into it — the second time after chk changed. Only v17 read
+// the second write, so DCE turned "v17 = t" into a MarkDead aliasing t
+// and then deleted the second write of t. The alias then read the
+// first write, 11, where O0 shows 12. A check that some write of the
+// alias has happened passes this alias. Fixed where the write is
+// deleted: DCE and FaintDCE clear every MarkDead alias that names a
+// register whose write they deleted.
+func TestRegressAliasOfDeletedWrite(t *testing.T) {
+	diffClean(t, "regress_l.mc", `int main() {
+	int chk = 7;
+	for (int i = 0; i < 3; i++) {
+		chk += i;
+	}
+	chk++;
+	int v17 = chk;
+	v17++;
+	return chk % 256;
+}`)
+}
+
+// Seeds 513, 627 and 928 (reduced by hand): SROA split "s5 = s4" into
+// one copy per field, all tagged with the statement. s5.f0 is dead
+// after it, so its copy became a MarkDead aliasing s4.f0's register,
+// and the breakpoint went to the surviving s5.f1 copy after that
+// marker. The stop then recovered s5.f0 as 96 where O0, stopping
+// before the whole statement, shows 190. Fixed in debuginfo: a
+// breakpoint and each instance location move back over the
+// statement's own markers directly before them.
+func TestRegressStructCopyMarkersBeforeStop(t *testing.T) {
+	diffClean(t, "regress_m.mc", `struct S1 { int f0; int f1; };
+int G1 = 95;
+int main() {
+	int chk = 7;
+	struct S1 s4;
+	s4.f0 = G1 + 1;
+	s4.f1 = G1 - chk;
+	struct S1 s5;
+	s5.f0 = G1 + G1;
+	s5.f1 = chk + 3;
+	chk = (chk * 19 + s5.f0) % 65521;
+	if (G1 > chk) {
+		G1++;
+	} else {
+		s5 = s4;
+	}
+	chk = (chk * 19 + s4.f0) % 65521;
+	chk = (chk * 19 + s5.f1) % 65521;
 	return chk % 256;
 }`)
 }

@@ -219,6 +219,14 @@ func (a *allocator) buildGraph(class mach.RegClass) *igraph {
 			}
 		}
 	}
+	// A spill temp lives only from its reload to its use (or its def to
+	// its store): spilling it again frees nothing, so it is never a spill
+	// candidate while any other node is left.
+	for v := range a.spillTemp {
+		if g.member.has(v) {
+			g.cost[v] = math.Inf(1)
+		}
+	}
 
 	_, liveOut := Liveness(f)
 	for bi, b := range f.Blocks {
@@ -498,17 +506,15 @@ func insertAt(b *mach.Block, pos int, in *mach.Instr) {
 
 // ---------------------------------------------------------------- rewrite
 
-// rewrite maps vregs of the class to their physical registers and records
-// variable locations.
 // pruneStaleAliases drops MarkAlias operands that name a vreg which is
 // not live at the marker's position. The coloring guarantee — the
 // assigned physical register holds the vreg's value — covers only the
 // vreg's live range; markers deliberately do not extend live ranges
 // (an alias must never keep a value alive), so a marker can sit past
 // the aliased vreg's last use, where the register may already have
-// been reused for an unrelated value. ValidateMarkers cannot catch
-// this: it runs on IR before allocation and physical register reuse
-// does not exist yet. Recovering through such an alias would fabricate
+// been reused for an unrelated value. The optimizer's marker
+// bookkeeping cannot catch this: it runs on IR before allocation, where
+// physical register reuse does not exist yet. Recovering through such an alias would fabricate
 // a value, so it is degraded to no recovery instead. Must run before
 // operands are rewritten to physical numbers.
 func (a *allocator) pruneStaleAliases(class mach.RegClass) {
@@ -549,6 +555,8 @@ func (a *allocator) pruneStaleAliases(class mach.RegClass) {
 // isRegOf reports whether o is a register of the class.
 func isRegOf(o mach.Opd, class mach.RegClass) bool { return o.Kind == mach.Reg && o.Class == class }
 
+// rewrite maps vregs of the class to their physical registers and records
+// variable locations.
 func (a *allocator) rewrite(g *igraph, class mach.RegClass, spilled map[int]int64) {
 	f := a.f
 	a.pruneStaleAliases(class)

@@ -239,6 +239,58 @@ int main() {
 	}
 }
 
+// TestSpillTempsNeverRespilled is randprog seed 1200's main, reduced by
+// hand. The call to h0 passes arguments that were already spilled, and
+// their reloads all sit just before the call: those spill temps plus the
+// values live across the call exceed the 18 integer registers. With the
+// ordinary spill cost, color chose a spill temp, and allocation failed
+// with "spill temp needs spilling again".
+func TestSpillTempsNeverRespilled(t *testing.T) {
+	src := `struct S0 { int f0; int f1; int f2; int f3; };
+int G1 = 79;
+int G2 = 85;
+struct S0 GS;
+int h0(int p0, int p1, int p2, struct S0 sp) {
+	return p0 + sp.f3;
+}
+int main() {
+	int chk = 7;
+	int buf[15];
+	for (int z = 0; z < 15; z++) { buf[z] = z * 3; }
+	struct S0 s10;
+	s10.f0 = ((G2 - GS.f0) + (-30 + G2));
+	s10.f1 = (G1 + (chk + GS.f2));
+	s10.f2 = (G2 + G1);
+	s10.f3 = (-7 % (((chk + G1) % 7 + 7) % 7 + 1));
+	struct S0 s11;
+	s11.f0 = ((GS.f1 + s10.f2) + (-84 + GS.f2));
+	s11.f1 = ((G1 + G2) % (((-39 + chk) % 7 + 7) % 7 + 1));
+	s11.f2 = G2 * 3;
+	struct S0 s12;
+	s12.f0 = (s11.f2 + (-74 + G2));
+	s12.f1 = ((chk + -58) % (((G1 + s10.f1) % 7 + 7) % 7 + 1));
+	s12.f2 = G1;
+	s12.f3 = h0(57, G1, GS.f1, GS);
+	GS = s12;
+	if ((s11.f1 * G2 % 8191) == (s12.f1 % ((GS.f2 % 7 + 7) % 7 + 1)) && (G1 * G2 % 8191) == s11.f2) {
+	}
+	if ((chk - G2) >= (s12.f0 * GS.f3 % 8191)) {
+		s10 = GS;
+	}
+	for (int z = 0; z < 15; z++) { chk = (chk * 17 + buf[z]) % 65521; }
+	chk = (chk * 19 + s10.f0) % 65521;
+	chk = (chk * 19 + s10.f1) % 65521;
+	chk = (chk * 19 + s10.f2) % 65521;
+	chk = (chk * 19 + s10.f3) % 65521;
+	chk = (chk * 19 + s11.f0) % 65521;
+	chk = (chk * 19 + s11.f1) % 65521;
+	chk = (chk * 19 + s11.f2) % 65521;
+	return chk % 256;
+}
+`
+	fullPipeline(t, src, opt.O2(), true)
+}
+
 func TestSchedulingReducesCycles(t *testing.T) {
 	src := `
 int main() {
