@@ -12,6 +12,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/opt"
+	"repro/internal/randprog"
 	"repro/internal/regalloc"
 	"repro/internal/sched"
 	"repro/internal/sem"
@@ -171,6 +172,60 @@ func TestOneFunctionEdit(t *testing.T) {
 	if machDigest(t, res) != machDigest(t, passMajor(t, "li", edited, cfg)) {
 		t.Error("stitched program differs from reference compile of edited source")
 	}
+}
+
+// TestRandprogEditTraffic replays the traffic of mcperf's compile workload
+// (BenchmarkCompileRandprogUnit's pattern) on randprog seeds 1-100: a cold
+// O2 compile through a function-cached pipeline, then three edits that
+// each append one function. Every edit must run exactly one back end, and
+// every compile must match the pass-major reference, at 1 and 2 workers.
+// Programs the back end rejects are skipped, as mcperf skips them.
+func TestRandprogEditTraffic(t *testing.T) {
+	cfg := compile.O2()
+	seeds := int64(100)
+	if testing.Short() {
+		seeds = 10
+	}
+	skipped := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		src := randprog.Gen(seed)
+		if _, err := compile.Compile("rand.mc", src, cfg); err != nil {
+			skipped++
+			continue
+		}
+		versions := []string{src}
+		for v := 1; v <= 3; v++ {
+			src += fmt.Sprintf("\nint edit%d(int x) { return x + %d; }\n", v, int(seed)+v)
+			versions = append(versions, src)
+		}
+		want := make([][sha256.Size]byte, len(versions))
+		for v, vsrc := range versions {
+			want[v] = machDigest(t, passMajor(t, "rand.mc", vsrc, cfg))
+		}
+		for _, workers := range []int{1, 2} {
+			pipe := compile.NewPipeline(compile.PipelineConfig{
+				Workers: workers,
+				Funcs:   compile.NewFuncCache(compile.FuncCacheConfig{}),
+			})
+			for v, vsrc := range versions {
+				res, m, err := pipe.Compile("rand.mc", vsrc, cfg)
+				if err != nil {
+					t.Fatalf("seed %d workers %d version %d: %v", seed, workers, v, err)
+				}
+				if v > 0 && m.FuncsCompiled != 1 {
+					t.Errorf("seed %d workers %d: edit %d compiled %d funcs, want 1 (reused %d of %d)",
+						seed, workers, v, m.FuncsCompiled, m.FuncsReused, m.Funcs)
+				}
+				if machDigest(t, res) != want[v] {
+					t.Errorf("seed %d workers %d version %d: differs from the pass-major reference", seed, workers, v)
+				}
+			}
+		}
+	}
+	if skipped == int(seeds) {
+		t.Fatal("the back end rejected every program")
+	}
+	t.Logf("%d of %d programs skipped: the back end rejects them", skipped, seeds)
 }
 
 // TestPipelineConcurrentStress drives one shared pipeline+cache from many

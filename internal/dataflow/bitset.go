@@ -31,6 +31,7 @@ package dataflow
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -56,13 +57,49 @@ func (b *BitSet) SizeBytes() int64 { return 32 + int64(len(b.words))*8 }
 // callers that build many same-sized sets (the solver, the classifier's
 // block and per-breakpoint tables) pay two allocations, not one per set.
 func NewBitSets(count, n int) []BitSet {
+	var s slab
+	return s.carve(count, n)
+}
+
+// slab carves same-sized sets out of one word array and keeps the arrays
+// for the next carve, which reuses them when they are large enough.
+type slab struct {
+	words []uint64
+	sets  []BitSet
+	ptrs  []*BitSet
+}
+
+// carve makes the slab hold count cleared n-bit sets and returns them.
+// The sets of an earlier carve are overwritten.
+func (s *slab) carve(count, n int) []BitSet {
 	w := wordsFor(n)
-	slab := make([]uint64, count*w)
-	sets := make([]BitSet, count)
-	for i := range sets {
-		sets[i] = BitSet{words: slab[i*w : (i+1)*w : (i+1)*w], n: n}
+	s.words = resize(s.words, count*w)
+	clear(s.words)
+	s.sets = resize(s.sets, count)
+	for i := range s.sets {
+		s.sets[i] = BitSet{words: s.words[i*w : (i+1)*w : (i+1)*w], n: n}
 	}
-	return sets
+	return s.sets
+}
+
+// pointers returns pointers to the sets of the last carve.
+func (s *slab) pointers() []*BitSet {
+	s.ptrs = resize(s.ptrs, len(s.sets))
+	for i := range s.sets {
+		s.ptrs[i] = &s.sets[i]
+	}
+	return s.ptrs
+}
+
+// resize returns s with length n. It reuses s's array when it is large
+// enough and otherwise grows it as append does, so a buffer that grows a
+// little per use is not reallocated every time. The contents are not
+// cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = slices.Grow(s[:cap(s)], n-cap(s))
+	}
+	return s[:n]
 }
 
 // Len returns the set's capacity in bits.

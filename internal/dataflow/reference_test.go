@@ -5,7 +5,8 @@ package dataflow
 // nothing. It is the simplest statement of the algorithm and reaches the
 // same unique fixed point as the worklist schedule.
 func (p *Problem) SolveReference() *Result {
-	st := p.setup()
+	st := new(Scratch)
+	p.setup(st)
 	changed := true
 	tmp := NewBitSet(p.Bits)
 	for changed {
@@ -16,5 +17,5 @@ func (p *Problem) SolveReference() *Result {
 			}
 		}
 	}
-	return st.res
+	return &st.res
 }

@@ -54,68 +54,88 @@ type Result struct {
 	In, Out []*BitSet
 }
 
-// solverState is the setup Solve (and the tests' dense reference schedule)
-// start from: initial
-// values, boundary seeding, and the direction-resolved views of the
-// solution (flowIn is the set entering each block's transfer function,
-// edgesIn the edges the meet reads — preds for Forward, succs for
-// Backward).
-type solverState struct {
-	res             *Result
+// Scratch holds the buffers a solve works in: the solution's sets, the
+// per-block flags, the default exit list, the visit order and its DFS
+// stack, and the direction-resolved views of the solution (flowIn is the
+// set entering each block's transfer function, edgesIn the edges the meet
+// reads — preds for Forward, succs for Backward). SolveIn resets and
+// refills them, so a caller that solves many problems (the optimizer
+// solves several per pass) allocates only when a problem outgrows every
+// earlier one. Sets hands out problem-input sets from a second slab that
+// solving never touches. The zero value is ready to use; a Scratch must
+// not be shared between goroutines.
+type Scratch struct {
+	res             Result
+	sol, input      slab
 	boundary        *BitSet
-	tmp             *BitSet // Solve's scratch set
-	entries         []int
+	tmp             *BitSet // SolveIn's scratch set
+	entries, exits  []int
+	flags           []bool
 	isEntry         []bool
-	seen, inWork    []bool // visitOrder's and Solve's per-block flags
+	seen, inWork    []bool // visitOrder's and SolveIn's per-block flags
 	flowIn, flowOut []*BitSet
 	edgesIn         [][]int
 	edgesOut        [][]int
+	order           []int
+	stack           []frame
+}
+
+// frame is a visitOrder DFS frame: a block and its next successor index.
+type frame struct{ b, i int }
+
+// Sets returns count cleared n-bit sets backed by s — a problem's Gen and
+// Kill, say, or a caller's working sets. They stay valid until the next
+// Sets call on s; SolveIn does not touch them, so a problem may keep its
+// inputs in the scratch that solves it.
+func (s *Scratch) Sets(count, n int) []*BitSet {
+	s.input.carve(count, n)
+	return s.input.pointers()
 }
 
 // forwardEntries is the default entry list of a forward problem; it is
 // never modified.
 var forwardEntries = []int{0}
 
-func (p *Problem) setup() *solverState {
+// setup resets st for p: initial values, boundary seeding and the
+// direction-resolved views SolveIn (and the tests' dense reference
+// schedule) start from.
+func (p *Problem) setup(st *Scratch) {
 	n := p.Graph.N
-	st := &solverState{res: &Result{}}
-	ptrs := make([]*BitSet, 2*n)
-	st.res.In, st.res.Out = ptrs[:n:n], ptrs[n:]
-
 	// Initial values: for Intersect problems, interior sets start full
 	// (top); for Union they start empty (bottom). All 2n sets, the
-	// default boundary and the scratch set share one backing array,
-	// allocated in a single shot.
-	sets := NewBitSets(2*n+2, p.Bits)
+	// default boundary and the scratch set share one slab.
+	st.sol.carve(2*n+2, p.Bits)
+	sets := st.sol.pointers()
+	st.res.In, st.res.Out = sets[:n:n], sets[n:2*n:2*n]
 	st.boundary = p.Boundary
 	if st.boundary == nil {
-		st.boundary = &sets[2*n]
+		st.boundary = sets[2*n]
 	}
-	st.tmp = &sets[2*n+1]
+	st.tmp = sets[2*n+1]
 	st.entries = p.Entries
 	if st.entries == nil {
 		if p.Dir == Forward {
 			st.entries = forwardEntries
 		} else {
+			st.exits = st.exits[:0]
 			for b := 0; b < n; b++ {
 				if len(p.Graph.Succs[b]) == 0 {
-					st.entries = append(st.entries, b)
+					st.exits = append(st.exits, b)
 				}
 			}
+			st.entries = st.exits
 		}
 	}
-	flags := make([]bool, 3*n)
-	st.isEntry, st.seen, st.inWork = flags[:n:n], flags[n:2*n:2*n], flags[2*n:]
+	st.flags = resize(st.flags, 3*n)
+	clear(st.flags)
+	st.isEntry, st.seen, st.inWork = st.flags[:n:n], st.flags[n:2*n:2*n], st.flags[2*n:]
 	for _, e := range st.entries {
 		st.isEntry[e] = true
 	}
 
-	for b := 0; b < n; b++ {
-		st.res.In[b] = &sets[2*b]
-		st.res.Out[b] = &sets[2*b+1]
-		if p.Meet == Intersect {
-			st.res.In[b].SetAll()
-			st.res.Out[b].SetAll()
+	if p.Meet == Intersect {
+		for _, s := range sets[:2*n] {
+			s.SetAll()
 		}
 	}
 
@@ -131,13 +151,12 @@ func (p *Problem) setup() *solverState {
 	for _, e := range st.entries {
 		st.flowIn[e].CopyFrom(st.boundary)
 	}
-	return st
 }
 
 // step applies block b's data-flow equations once, using tmp as scratch.
 // It reports whether flowOut[b] changed (i.e. whether b's dependents need
 // to be revisited).
-func (p *Problem) step(st *solverState, b int, tmp *BitSet) bool {
+func (p *Problem) step(st *Scratch, b int, tmp *BitSet) bool {
 	// Meet over incoming edges. Blocks without incoming edges keep their
 	// seeded (entry) or initial (unreachable) value.
 	if len(st.edgesIn[b]) > 0 {
@@ -186,13 +205,12 @@ func (p *Problem) step(st *solverState, b int, tmp *BitSet) bool {
 // original CFG). Blocks unreachable from the entries are appended in
 // index order so they still receive their (boundary-independent) local
 // solution, exactly as the reference solver computes it.
-func (p *Problem) visitOrder(st *solverState) []int {
+func (p *Problem) visitOrder(st *Scratch) []int {
 	n := p.Graph.N
-	order := make([]int, 0, n)
+	order := resize(st.order, n)[:0]
 	seen := st.seen
 	// Iterative DFS; frame = (block, next successor index).
-	type frame struct{ b, i int }
-	stack := make([]frame, 0, n)
+	stack := resize(st.stack, n)[:0]
 	for _, root := range st.entries {
 		if seen[root] {
 			continue
@@ -223,6 +241,7 @@ func (p *Problem) visitOrder(st *solverState) []int {
 			order = append(order, b)
 		}
 	}
+	st.order, st.stack = order, stack
 	return order
 }
 
@@ -242,8 +261,12 @@ func (p *Problem) visitOrder(st *solverState) []int {
 // bounded by Bits·N and the iteration reaches the same unique fixed
 // point as a dense round-robin schedule, which the differential tests
 // hold it to.
-func (p *Problem) Solve() *Result {
-	st := p.setup()
+func (p *Problem) Solve() *Result { return p.SolveIn(new(Scratch)) }
+
+// SolveIn is Solve working in s's buffers. The result is backed by s: it
+// stays valid until the next SolveIn on s.
+func (p *Problem) SolveIn(st *Scratch) *Result {
+	p.setup(st)
 	n := p.Graph.N
 	order := p.visitOrder(st)
 
@@ -270,5 +293,5 @@ func (p *Problem) Solve() *Result {
 			}
 		}
 	}
-	return st.res
+	return &st.res
 }

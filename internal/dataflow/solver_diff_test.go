@@ -33,8 +33,10 @@ func graphOf(f *mach.Func) dataflow.Graph {
 // the classifier and the optimizer feed the solver — the RPO worklist
 // schedule (Solve) must compute the identical fixed point as the dense
 // reference schedule (SolveReference), for every direction × meet
-// combination.
+// combination, whether it solves in a fresh scratch or in one reused by
+// every problem.
 func TestSolverDifferentialOnRandomCFGs(t *testing.T) {
+	var sc dataflow.Scratch
 	seeds := 25
 	if testing.Short() {
 		seeds = 6
@@ -51,11 +53,12 @@ func TestSolverDifferentialOnRandomCFGs(t *testing.T) {
 			for _, f := range res.Mach.Funcs {
 				g := graphOf(f)
 				const bits = 96
-				gen := make([]*dataflow.BitSet, g.N)
-				kill := make([]*dataflow.BitSet, g.N)
+				// The inputs live in the scratch every problem of every
+				// function is solved in: SolveIn must leave them intact
+				// and must not carry state from one solve to the next.
+				sets := sc.Sets(2*g.N, bits)
+				gen, kill := sets[:g.N], sets[g.N:]
 				for i := 0; i < g.N; i++ {
-					gen[i] = dataflow.NewBitSet(bits)
-					kill[i] = dataflow.NewBitSet(bits)
 					for j := 0; j < bits; j++ {
 						switch r.Intn(4) {
 						case 0:
@@ -69,12 +72,14 @@ func TestSolverDifferentialOnRandomCFGs(t *testing.T) {
 					for _, meet := range []dataflow.Meet{dataflow.Union, dataflow.Intersect} {
 						p := &dataflow.Problem{Graph: g, Dir: dir, Meet: meet,
 							Bits: bits, Gen: gen, Kill: kill}
-						got, want := p.Solve(), p.SolveReference()
-						for b := 0; b < g.N; b++ {
-							if !got.In[b].Equal(want.In[b]) || !got.Out[b].Equal(want.Out[b]) {
-								t.Fatalf("seed %d cfg %d fn %s dir %d meet %d block %d: worklist %v/%v, reference %v/%v",
-									seed, ci, f.Name, dir, meet, b,
-									got.In[b], got.Out[b], want.In[b], want.Out[b])
+						want := p.SolveReference()
+						for _, got := range []*dataflow.Result{p.Solve(), p.SolveIn(&sc)} {
+							for b := 0; b < g.N; b++ {
+								if !got.In[b].Equal(want.In[b]) || !got.Out[b].Equal(want.Out[b]) {
+									t.Fatalf("seed %d cfg %d fn %s dir %d meet %d block %d: worklist %v/%v, reference %v/%v",
+										seed, ci, f.Name, dir, meet, b,
+										got.In[b], got.Out[b], want.In[b], want.Out[b])
+								}
 							}
 						}
 					}

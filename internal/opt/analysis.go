@@ -6,20 +6,71 @@
 package opt
 
 import (
+	"slices"
+
 	"repro/internal/ast"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
 
-// graphOf builds the dataflow.Graph view of a function. Block index =
-// position in f.Blocks; an edge to a block outside f.Blocks goes to 0.
-func graphOf(f *ir.Func) dataflow.Graph {
+// workspace is the scratch one function's pass applications share: the
+// CFG view, the solver scratch, liveness, expression tables, kill maps and
+// the per-instruction and per-value slices the passes key f with. A pass
+// takes the buffers it needs, resets them (clears the map, re-slices to
+// [:0], carves its bitsets again) and fills them from f, so the buffers
+// grow to the function's largest use and later pass applications allocate
+// only what they add to f. Every use recomputes: nothing a pass leaves in
+// the workspace is read by the next one. RunFunc makes one workspace per
+// function, so functions optimized concurrently share nothing.
+type workspace struct {
+	pos, edges []int   // graphOf
+	adj        [][]int // graphOf's Succs and Preds
+	// live solves liveness, must and may the availability problems; each
+	// one's Sets hold that problem's gen/kill and working sets.
+	live, must, may dataflow.Scratch
+	lv              liveness
+	uses            []ir.Operand // usesOf
+	table           exprTable
+	km              killMap
+	byValue         [][]int // per value index, candidate keys
+	keys, occ       []int
+	samples         []*ir.Instr
+	operands        []ir.Operand
+	snaps           []ir.Instr
+	recs            []exprRec
+	inserts         []insertion
+	marks           []bool // FaintDCE's marks
+	elimMarks       []bool // the eliminator's deleted and hoisted values
+}
+
+// resize returns s with length n. It reuses s's array when it is large
+// enough and otherwise grows it as append does, so a buffer that grows a
+// little per use is not reallocated every time. The contents are not
+// cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = slices.Grow(s[:cap(s)], n-cap(s))
+	}
+	return s[:n]
+}
+
+// usesOf returns in's Var and Temp operands, valid until the next usesOf.
+func (ws *workspace) usesOf(in *ir.Instr) []ir.Operand {
+	ws.uses = in.Uses(ws.uses[:0])
+	return ws.uses
+}
+
+// graphOf builds the dataflow.Graph view of f, valid until the next
+// graphOf. Block index = position in f.Blocks; an edge to a block outside
+// f.Blocks goes to 0.
+func (ws *workspace) graphOf(f *ir.Func) dataflow.Graph {
 	maxID, nEdges := 0, 0
 	for _, b := range f.Blocks {
 		maxID = max(maxID, b.ID)
 		nEdges += len(b.Succs) + len(b.Preds)
 	}
-	pos := make([]int, maxID+1) // by block ID
+	pos := resize(ws.pos, maxID+1) // by block ID
+	clear(pos)
 	for i, b := range f.Blocks {
 		pos[b.ID] = i
 	}
@@ -30,8 +81,9 @@ func graphOf(f *ir.Func) dataflow.Graph {
 		return 0
 	}
 	n := len(f.Blocks)
-	g := dataflow.Graph{N: n, Succs: make([][]int, n), Preds: make([][]int, n)}
-	edges := make([]int, 0, nEdges)
+	adj := resize(ws.adj, 2*n)
+	g := dataflow.Graph{N: n, Succs: adj[:n:n], Preds: adj[n:]}
+	edges := resize(ws.edges, nEdges)[:0]
 	for i, b := range f.Blocks {
 		for _, s := range b.Succs {
 			edges = append(edges, at(s))
@@ -42,6 +94,7 @@ func graphOf(f *ir.Func) dataflow.Graph {
 		}
 		g.Preds[i] = edges[len(edges)-len(b.Preds) : len(edges) : len(edges)]
 	}
+	ws.pos, ws.adj, ws.edges = pos, adj, edges
 	return g
 }
 
@@ -83,30 +136,26 @@ func (s valueSpace) varOf(i int) *ast.Object { return s.fn.Decl.Locals[i] }
 
 // ---------------------------------------------------------------- liveness
 
-// liveness computes per-block LiveIn/LiveOut over the value space. Source
-// variables are additionally considered live at every point inside their
-// syntactic scope when keepVarsLive is set (used before register allocation
-// decisions that must not delete values the debugger still addresses).
+// liveness holds per-block LiveIn/LiveOut over the value space, and a
+// spare set of the same size for walking a block backward.
 type liveness struct {
 	space   valueSpace
 	LiveIn  []*dataflow.BitSet
 	LiveOut []*dataflow.BitSet
+	spare   *dataflow.BitSet
 }
 
-// computeLiveness solves backward may-liveness.
-func computeLiveness(f *ir.Func) *liveness {
-	g := graphOf(f)
+// liveness solves backward may-liveness in ws.live. The result is valid
+// until the next liveness call.
+func (ws *workspace) liveness(f *ir.Func) *liveness {
+	g := ws.graphOf(f)
 	sp := spaceOf(f)
 	n := sp.size()
-	use := make([]*dataflow.BitSet, g.N)
-	def := make([]*dataflow.BitSet, g.N)
-	var buf []ir.Operand
+	sets := ws.live.Sets(2*g.N+1, n)
+	use, def := sets[:g.N:g.N], sets[g.N:2*g.N:2*g.N]
 	for i, b := range f.Blocks {
-		use[i] = dataflow.NewBitSet(n)
-		def[i] = dataflow.NewBitSet(n)
 		for _, in := range b.Instrs {
-			buf = in.Uses(buf[:0])
-			for _, o := range buf {
+			for _, o := range ws.usesOf(in) {
 				if k := sp.indexOf(o); k >= 0 && !def[i].Has(k) {
 					use[i].Set(k)
 				}
@@ -122,8 +171,9 @@ func computeLiveness(f *ir.Func) *liveness {
 		Graph: g, Dir: dataflow.Backward, Meet: dataflow.Union, Bits: n,
 		Gen: use, Kill: def,
 	}
-	res := p.Solve()
-	return &liveness{space: sp, LiveIn: res.In, LiveOut: res.Out}
+	res := p.SolveIn(&ws.live)
+	ws.lv = liveness{space: sp, LiveIn: res.In, LiveOut: res.Out, spare: sets[2*g.N]}
+	return &ws.lv
 }
 
 // ---------------------------------------------------------------- expr keys
@@ -137,7 +187,15 @@ type exprTable struct {
 	sample []*ir.Instr
 }
 
-func newExprTable() *exprTable { return &exprTable{index: map[ir.ExprKey]int{}} }
+// exprTable returns ws's expression table, emptied.
+func (ws *workspace) exprTable() *exprTable {
+	if ws.table.index == nil {
+		ws.table.index = map[ir.ExprKey]int{}
+	}
+	clear(ws.table.index)
+	ws.table.sample = ws.table.sample[:0]
+	return &ws.table
+}
 
 func (t *exprTable) intern(key ir.ExprKey, in *ir.Instr) int {
 	if i, ok := t.index[key]; ok {
@@ -164,12 +222,12 @@ func (t *exprTable) size() int { return len(t.sample) }
 // destination when tracking assignment-availability).
 type killMap [][]int
 
-func buildKillMap(samples []*ir.Instr, sp valueSpace, includeDst bool) killMap {
-	km := make(killMap, sp.size())
-	var buf []ir.Operand
+// killMap builds the kill map of samples over sp in ws's buffers, valid
+// until the next killMap call.
+func (ws *workspace) killMap(samples []*ir.Instr, sp valueSpace, includeDst bool) killMap {
+	km := emptyLists(&ws.km, sp.size())
 	for ei, in := range samples {
-		buf = in.Uses(buf[:0])
-		for _, o := range buf {
+		for _, o := range ws.usesOf(in) {
 			if k := sp.indexOf(o); k >= 0 {
 				km[k] = append(km[k], ei)
 			}
@@ -181,6 +239,16 @@ func buildKillMap(samples []*ir.Instr, sp valueSpace, includeDst bool) killMap {
 		}
 	}
 	return km
+}
+
+// emptyLists resizes *lists to n empty lists, keeping each list's array.
+func emptyLists[L ~[][]int](lists *L, n int) L {
+	l := resize(*lists, n)
+	for i := range l {
+		l[i] = l[i][:0]
+	}
+	*lists = l
+	return l
 }
 
 // killedByDef returns the expressions in's definition invalidates.

@@ -16,15 +16,17 @@ import (
 // Re-materializations are merged back into single computations by the
 // expression-level CSE of the PRE pass, reproducing exactly the paper's
 // copy-propagation + common-subexpression pipeline.
-func AssignProp(f *ir.Func) bool {
+func AssignProp(f *ir.Func) bool { return assignProp(new(workspace), f) }
+
+func assignProp(ws *workspace, f *ir.Func) bool {
 	sp := spaceOf(f)
 
 	// Candidate assignments: X = E, X a promoted source var, E a pure
 	// computation (BinOp/UnOp over Const/Var/Temp, or a Copy of a simple
-	// operand) that does not read X.
-	table := newExprTable()
-	type candInfo struct{ in *ir.Instr }
-	var cands []candInfo
+	// operand) that does not read X. cands[k] is a snapshot of key k's
+	// first defining instruction.
+	table := ws.exprTable()
+	cands := ws.snaps[:0]
 	isCand := func(in *ir.Instr) bool {
 		if !keyable(in) || in.Dst.Kind != ir.Var || selfRef(in) {
 			return false
@@ -37,7 +39,7 @@ func AssignProp(f *ir.Func) bool {
 	}
 	// keys[n] is the candidate key of the n-th instruction in block order,
 	// or -1.
-	keys := make([]int, 0, numInstrs(f))
+	keys := ws.keys[:0]
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			key := -1
@@ -50,31 +52,30 @@ func AssignProp(f *ir.Func) bool {
 					// its operands), and re-materialization must clone
 					// the expression whose availability was analyzed,
 					// not the rewritten one.
-					cands = append(cands, candInfo{in: in.Clone()})
+					cands = append(cands, *in)
 				}
 			}
 			keys = append(keys, key)
 		}
 	}
+	ws.snaps, ws.keys = cands, keys
 	if table.size() == 0 {
 		return false
 	}
-	km := buildKillMap(table.sample, sp, true)
-	g := graphOf(f)
-	gen, kill := genKillFor(f, table.size(), sp, km, keys)
+	km := ws.killMap(table.sample, sp, true)
+	g := ws.graphOf(f)
+	gen, kill, avail, _ := ws.genKill(f, table.size(), sp, km, keys)
 	must := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect,
-		Bits: table.size(), Gen: gen, Kill: kill}).Solve()
+		Bits: table.size(), Gen: gen, Kill: kill}).SolveIn(&ws.must)
 
 	// Per variable, the list of candidate keys assigning it.
-	keysForVar := make([][]int, sp.numVars)
-	for ki, c := range cands {
-		v := sp.indexOf(c.in.Dst)
+	keysForVar := emptyLists(&ws.byValue, sp.numVars)
+	for ki := range cands {
+		v := sp.indexOf(cands[ki].Dst)
 		keysForVar[v] = append(keysForVar[v], ki)
 	}
 
 	changed := false
-	var buf []ir.Operand
-	avail := dataflow.NewBitSet(table.size())
 	n := 0
 	for bi, b := range f.Blocks {
 		avail.CopyFrom(must.In[bi])
@@ -88,8 +89,7 @@ func AssignProp(f *ir.Func) bool {
 			// Find uses of candidate variables with an available
 			// defining assignment.
 			replaced := false
-			buf = in.Uses(buf[:0])
-			for _, u := range buf {
+			for _, u := range ws.usesOf(in) {
 				if u.Kind != ir.Var {
 					continue
 				}
@@ -98,7 +98,7 @@ func AssignProp(f *ir.Func) bool {
 					if !avail.Has(ki) {
 						continue
 					}
-					def := cands[ki].in
+					def := &cands[ki]
 					if in == def {
 						break
 					}

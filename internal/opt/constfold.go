@@ -285,7 +285,7 @@ func b2i(b bool) int64 {
 // orphan are handled by dead-code elimination, which performs the marker
 // bookkeeping.
 func ConstProp(f *ir.Func) bool {
-	return propagateAvailableCopies(f, true)
+	return propagateAvailableCopies(new(workspace), f, true)
 }
 
 // CopyProp performs global copy propagation of "X = Y" (Y a temp or
@@ -294,22 +294,22 @@ func ConstProp(f *ir.Func) bool {
 // re-materialized through a fresh temp annotated ReplacedVar so the
 // debugger can later recover X from Y's location (§2.5).
 func CopyProp(f *ir.Func) bool {
-	return propagateAvailableCopies(f, false)
+	return propagateAvailableCopies(new(workspace), f, false)
 }
 
 // propagateAvailableCopies implements both propagation passes over the
 // available-copies lattice. For constants==true it propagates X=const;
 // otherwise X=Y copies.
-func propagateAvailableCopies(f *ir.Func, constants bool) bool {
+func propagateAvailableCopies(ws *workspace, f *ir.Func, constants bool) bool {
 	sp := spaceOf(f)
 
 	// Collect candidate copy instructions, keying each once: keys[n] is
 	// the candidate index of the n-th instruction in block order, or -1.
 	// byDst[x] lists the candidates "X = ..." in ascending order.
-	table := newExprTable()
-	var srcs []ir.Operand
-	keys := make([]int, 0, numInstrs(f))
-	byDst := make([][]int, sp.size())
+	table := ws.exprTable()
+	srcs := ws.operands[:0]
+	keys := ws.keys[:0]
+	byDst := emptyLists(&ws.byValue, sp.size())
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			ci := -1
@@ -324,6 +324,7 @@ func propagateAvailableCopies(f *ir.Func, constants bool) bool {
 			keys = append(keys, ci)
 		}
 	}
+	ws.operands, ws.keys = srcs, keys
 	if len(srcs) == 0 {
 		return false
 	}
@@ -331,15 +332,13 @@ func propagateAvailableCopies(f *ir.Func, constants bool) bool {
 	// Availability: gen at the copy, kill at any def of X or (for copies)
 	// of Y, and at calls for values calls may change (none here: vars and
 	// temps are private to the function, so calls kill nothing).
-	km := buildKillMap(table.sample, sp, true)
-	gen, kill := genKillFor(f, len(srcs), sp, km, keys)
-	res := (&dataflow.Problem{Graph: graphOf(f), Dir: dataflow.Forward, Meet: dataflow.Intersect,
-		Bits: len(srcs), Gen: gen, Kill: kill}).Solve()
+	km := ws.killMap(table.sample, sp, true)
+	gen, kill, avail, _ := ws.genKill(f, len(srcs), sp, km, keys)
+	res := (&dataflow.Problem{Graph: ws.graphOf(f), Dir: dataflow.Forward, Meet: dataflow.Intersect,
+		Bits: len(srcs), Gen: gen, Kill: kill}).SolveIn(&ws.must)
 
 	// Walk each block with the incoming available set, replacing uses.
 	changed := false
-	var buf []ir.Operand
-	avail := dataflow.NewBitSet(len(srcs))
 	n := 0
 	for bi, b := range f.Blocks {
 		avail.CopyFrom(res.In[bi])
@@ -349,8 +348,7 @@ func propagateAvailableCopies(f *ir.Func, constants bool) bool {
 			// Replace uses whose source value has an available copy; the
 			// first available candidate wins.
 			replaced := false
-			buf = in.Uses(buf[:0])
-			for _, u := range buf {
+			for _, u := range ws.usesOf(in) {
 				ui := sp.indexOf(u)
 				if ui < 0 {
 					continue

@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
 
@@ -12,13 +11,14 @@ import (
 // itself inserted by hoisting or sinking), which the debugger's dead-reach
 // analysis consumes. The pass iterates to a fixed point and reports whether
 // anything changed.
-func DCE(f *ir.Func) bool {
-	el := eliminator{f: f, sp: spaceOf(f)}
-	var buf []ir.Operand
+func DCE(f *ir.Func) bool { return dce(new(workspace), f) }
+
+func dce(ws *workspace, f *ir.Func) bool {
+	el := eliminator{ws: ws, f: f, sp: spaceOf(f)}
 	for {
 		changed := false
-		lv := computeLiveness(f)
-		live := dataflow.NewBitSet(lv.space.size())
+		lv := ws.liveness(f)
+		live := lv.spare
 		for bi, b := range f.Blocks {
 			// live holds the values live after b.Instrs[i]. Each
 			// instruction's original transfer is applied before it is
@@ -34,8 +34,7 @@ func DCE(f *ir.Func) bool {
 				if k >= 0 {
 					live.Clear(k)
 				}
-				buf = in.Uses(buf[:0])
-				for _, o := range buf {
+				for _, o := range ws.usesOf(in) {
 					if u := lv.space.indexOf(o); u >= 0 {
 						live.Set(u)
 					}
@@ -74,22 +73,26 @@ func DCE(f *ir.Func) bool {
 // Both repairs only lose precision: the variable degrades to a warning,
 // never to a fabricated value.
 type eliminator struct {
+	ws      *workspace
 	f       *ir.Func
 	sp      valueSpace
-	deleted *dataflow.BitSet // values with a deleted write; nil until one is
-	hoisted *dataflow.BitSet // variables with a deleted hoisted assignment
+	deleted []bool // values with a deleted write; nil until one is
+	hoisted []bool // variables with a deleted hoisted assignment
 }
 
 // eliminate deletes b.Instrs[i], whose destination has value index k.
 func (e *eliminator) eliminate(b *ir.Block, i, k int) {
 	in := b.Instrs[i]
 	if e.deleted == nil {
-		sets := dataflow.NewBitSets(2, e.sp.size())
-		e.deleted, e.hoisted = &sets[0], &sets[1]
+		n := e.sp.size()
+		marks := resize(e.ws.elimMarks, 2*n)
+		clear(marks)
+		e.ws.elimMarks = marks
+		e.deleted, e.hoisted = marks[:n:n], marks[n:]
 	}
-	e.deleted.Set(k)
+	e.deleted[k] = true
 	if in.Dst.Kind == ir.Var && in.Ann.Hoisted {
-		e.hoisted.Set(k)
+		e.hoisted[k] = true
 	}
 	if in.Dst.Kind != ir.Var || in.Ann.Hoisted || in.Ann.Sunk {
 		b.RemoveAt(i)
@@ -120,11 +123,11 @@ func (e *eliminator) finish() bool {
 		for _, in := range b.Instrs {
 			switch in.Kind {
 			case ir.MarkDead:
-				if k := e.sp.indexOf(in.A); k >= 0 && e.deleted.Has(k) {
+				if k := e.sp.indexOf(in.A); k >= 0 && e.deleted[k] {
 					in.A = ir.Operand{}
 				}
 			case ir.MarkAvail:
-				if e.hoisted.Has(in.MarkObj.ID) {
+				if e.hoisted[in.MarkObj.ID] {
 					in.Kind = ir.MarkDead
 				}
 			}
@@ -149,17 +152,18 @@ func removableKind(in *ir.Instr) bool {
 // around the loop. An instruction is needed if it has side effects or if
 // its destination feeds a needed instruction; everything else is removed,
 // with the usual MarkDead bookkeeping for source-variable assignments.
-func FaintDCE(f *ir.Func) bool {
+func FaintDCE(f *ir.Func) bool { return faintDCE(new(workspace), f) }
+
+func faintDCE(ws *workspace, f *ir.Func) bool {
 	sp := spaceOf(f)
 
-	// strong[k]: value k is read by some needed instruction.
-	strong := make([]bool, sp.size())
-	// needed[bi][i] marks f.Blocks[bi].Instrs[i]; nothing moves while marking.
-	needed := make([][]bool, len(f.Blocks))
-	for bi, b := range f.Blocks {
-		needed[bi] = make([]bool, len(b.Instrs))
-	}
-	var buf []ir.Operand
+	// strong[k]: value k is read by some needed instruction. needed[n]
+	// marks the n-th instruction in block order; nothing moves while
+	// marking.
+	marks := resize(ws.marks, sp.size()+numInstrs(f))
+	clear(marks)
+	ws.marks = marks
+	strong, needed := marks[:sp.size()], marks[sp.size():]
 
 	sideEffecting := func(in *ir.Instr) bool {
 		switch in.Kind {
@@ -171,9 +175,12 @@ func FaintDCE(f *ir.Func) bool {
 
 	for changed := true; changed; {
 		changed = false
-		for bi, b := range f.Blocks {
-			for i, in := range b.Instrs {
-				if needed[bi][i] {
+		n := 0
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				i := n
+				n++
+				if needed[i] {
 					continue
 				}
 				need := sideEffecting(in)
@@ -185,10 +192,9 @@ func FaintDCE(f *ir.Func) bool {
 					}
 				}
 				if need {
-					needed[bi][i] = true
+					needed[i] = true
 					changed = true
-					buf = in.Uses(buf[:0])
-					for _, u := range buf {
+					for _, u := range ws.usesOf(in) {
 						if k := sp.indexOf(u); k >= 0 && !strong[k] {
 							strong[k] = true
 						}
@@ -198,15 +204,18 @@ func FaintDCE(f *ir.Func) bool {
 		}
 	}
 
-	el := eliminator{f: f, sp: sp}
-	for bi, b := range f.Blocks {
-		for i := len(b.Instrs) - 1; i >= 0; i-- {
+	el := eliminator{ws: ws, f: f, sp: sp}
+	base := 0 // needed's index of b.Instrs[0]
+	for _, b := range f.Blocks {
+		nb := len(b.Instrs)
+		for i := nb - 1; i >= 0; i-- {
 			in := b.Instrs[i]
-			if needed[bi][i] || !removableKind(in) || !in.HasDst() {
+			if needed[base+i] || !removableKind(in) || !in.HasDst() {
 				continue
 			}
 			el.eliminate(b, i, sp.indexOf(in.Dst))
 		}
+		base += nb
 	}
 	return el.finish()
 }

@@ -4,9 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/ast"
@@ -38,25 +38,20 @@ func optVariants() []opt.Options {
 	return vs
 }
 
-// optimizeCorpus optimizes each golden program under each variant, in a
-// fixed order, and calls fn with every optimized function (or with the
-// front end's error and a nil function). It returns the number of
-// program-configurations.
-func optimizeCorpus(fn func(name string, variant int, f *ir.Func, err error)) int {
-	n := 0
+// corpusUnit is one golden program under one variant.
+type corpusUnit struct {
+	name, src string
+	variant   int
+	o         opt.Options
+}
+
+// corpusUnits lists the golden corpus in digest order: each workload, then
+// randprog.Gen(1..200), each under every variant in turn.
+func corpusUnits() []corpusUnit {
+	var units []corpusUnit
 	emit := func(name, src string) {
 		for v, o := range optVariants() {
-			n++
-			sp, err := sem.CheckSource(name, src)
-			if err != nil {
-				fn(name, v, nil, err)
-				continue
-			}
-			prog := ir.Build(sp)
-			for _, f := range prog.Funcs {
-				opt.RunFunc(f, o)
-				fn(name, v, f, nil)
-			}
+			units = append(units, corpusUnit{name, src, v, o})
 		}
 	}
 	for _, name := range bench.Names {
@@ -65,7 +60,36 @@ func optimizeCorpus(fn func(name string, variant int, f *ir.Func, err error)) in
 	for seed := int64(1); seed <= 200; seed++ {
 		emit(fmt.Sprintf("rand%d.mc", seed), randprog.Gen(seed))
 	}
-	return n
+	return units
+}
+
+// buildUnit runs the front end on u and returns its unoptimized functions.
+func buildUnit(u corpusUnit) ([]*ir.Func, error) {
+	sp, err := sem.CheckSource(u.name, u.src)
+	if err != nil {
+		return nil, err
+	}
+	return ir.Build(sp).Funcs, nil
+}
+
+// optimizeCorpus optimizes each golden program under each variant, in a
+// fixed order, and calls fn with every optimized function (or with the
+// front end's error and a nil function). It returns the number of
+// program-configurations.
+func optimizeCorpus(fn func(name string, variant int, f *ir.Func, err error)) int {
+	units := corpusUnits()
+	for _, u := range units {
+		funcs, err := buildUnit(u)
+		if err != nil {
+			fn(u.name, u.variant, nil, err)
+			continue
+		}
+		for _, f := range funcs {
+			opt.RunFunc(f, u.o)
+			fn(u.name, u.variant, f, nil)
+		}
+	}
+	return len(units)
 }
 
 // optIRDigest hashes every field of the optimized IR of each golden
@@ -73,57 +97,102 @@ func optimizeCorpus(fn func(name string, variant int, f *ir.Func, err error)) in
 func optIRDigest() (string, int) {
 	h := sha256.New()
 	n := optimizeCorpus(func(_ string, _ int, f *ir.Func, err error) {
-		if err != nil {
-			io.WriteString(h, "err "+err.Error()+"\n")
-			return
-		}
-		hashFunc(h, f)
+		writeUnit(h, []*ir.Func{f}, err)
 	})
 	return hex.EncodeToString(h.Sum(nil)), n
 }
 
+// writeUnit writes a unit's share of the digest stream: the front end's
+// error, or every function field by field.
+func writeUnit(w io.Writer, funcs []*ir.Func, err error) {
+	if err != nil {
+		io.WriteString(w, "err "+err.Error()+"\n")
+		return
+	}
+	for _, f := range funcs {
+		hashFunc(w, f)
+	}
+}
+
 // hashFunc writes f field by field. Instr.String omits some annotations
 // (InsertedBy, OrigIdx, a MarkDead's alias operand, the annotations of
-// non-assignment kinds), so every field is written explicitly.
-func hashFunc(h hash.Hash, f *ir.Func) {
-	fmt.Fprintf(h, "func %s temps=%d locals=%d frame=[", f.Name, f.NumTemps, len(f.Decl.Locals))
+// non-assignment kinds), so every field is written explicitly. It appends
+// rather than formatting with fmt because TestPassChangedResult hashes the
+// function around every pass application; the text is the one
+// goldenOptIRDigest pins, byte for byte.
+func hashFunc(w io.Writer, f *ir.Func) {
+	var d digestText
+	d.str("func ", f.Name, " temps=").int(f.NumTemps).str(" locals=").int(len(f.Decl.Locals)).str(" frame=[")
 	for _, o := range f.FrameObjects {
-		fmt.Fprintf(h, "%s ", objText(o))
+		d.obj(o).str(" ")
 	}
-	fmt.Fprintf(h, "] entry=%d\n", f.Entry.ID)
+	d.str("] entry=").int(f.Entry.ID).str("\n")
 	for _, b := range f.Blocks {
-		fmt.Fprintf(h, "B%d succs=%v preds=%v\n", b.ID, b.Succs, b.Preds)
+		d.str("B").int(b.ID).str(" succs=").blocks(b.Succs).str(" preds=").blocks(b.Preds).str("\n")
 		for _, in := range b.Instrs {
-			fmt.Fprintf(h, "  k=%d op=%d dst=%s a=%s b=%s off=%d addr=%s callee=%q args=[",
-				in.Kind, in.Op, opdText(in.Dst), opdText(in.A), opdText(in.B), in.Off,
-				objText(in.AddrObj), in.Callee)
+			d.str("  k=").int(int(in.Kind)).str(" op=").int(int(in.Op))
+			d.str(" dst=").opd(in.Dst).str(" a=").opd(in.A).str(" b=").opd(in.B)
+			d.str(" off=").int64(in.Off).str(" addr=").obj(in.AddrObj).str(" callee=").quote(in.Callee).str(" args=[")
 			for _, a := range in.Args {
-				fmt.Fprintf(h, "%s ", opdText(a))
+				d.opd(a).str(" ")
 			}
-			io.WriteString(h, "] print=[")
+			d.str("] print=[")
 			for _, a := range in.PrintFmt {
-				fmt.Fprintf(h, "%t:%q:%s ", a.IsStr, a.Str, opdText(a.Val))
+				d.bool(a.IsStr).str(":").quote(a.Str).str(":").opd(a.Val).str(" ")
 			}
-			fmt.Fprintf(h, "] param=%d mark=%s stmt=%d orig=%d hoisted=%t sunk=%t by=%q replaced=%s",
-				in.ParamIdx, objText(in.MarkObj), in.Stmt, in.OrigIdx,
-				in.Ann.Hoisted, in.Ann.Sunk, in.Ann.InsertedBy, objText(in.Ann.ReplacedVar))
+			d.str("] param=").int(in.ParamIdx).str(" mark=").obj(in.MarkObj)
+			d.str(" stmt=").int(in.Stmt).str(" orig=").int(in.OrigIdx)
+			d.str(" hoisted=").bool(in.Ann.Hoisted).str(" sunk=").bool(in.Ann.Sunk)
+			d.str(" by=").quote(in.Ann.InsertedBy).str(" replaced=").obj(in.Ann.ReplacedVar)
 			if r := in.Ann.Recover; r != nil {
-				fmt.Fprintf(h, " recover=%s,%d,%d", objText(r.Var), r.A, r.B)
+				d.str(" recover=").obj(r.Var).str(",").int64(r.A).str(",").int64(r.B)
 			}
-			io.WriteString(h, "\n")
+			d.str("\n")
 		}
 	}
+	w.Write(d)
 }
 
-func objText(o *ast.Object) string {
-	if o == nil {
-		return "-"
+// digestText is hashFunc's text, built by appending.
+type digestText []byte
+
+func (d *digestText) str(ss ...string) *digestText {
+	for _, s := range ss {
+		*d = append(*d, s...)
 	}
-	return fmt.Sprintf("%s#%d", o.Name, o.ID)
+	return d
 }
 
-func opdText(o ir.Operand) string {
-	return fmt.Sprintf("%d/%d/%d/%s/%d/%x", o.Kind, o.Ty, o.TID, objText(o.Obj), o.Int, math.Float64bits(o.Fl))
+func (d *digestText) int(v int) *digestText     { return d.int64(int64(v)) }
+func (d *digestText) int64(v int64) *digestText { *d = strconv.AppendInt(*d, v, 10); return d }
+func (d *digestText) bool(v bool) *digestText   { *d = strconv.AppendBool(*d, v); return d }
+func (d *digestText) quote(s string) *digestText {
+	*d = strconv.AppendQuote(*d, s)
+	return d
+}
+
+func (d *digestText) obj(o *ast.Object) *digestText {
+	if o == nil {
+		return d.str("-")
+	}
+	return d.str(o.Name, "#").int(o.ID)
+}
+
+func (d *digestText) opd(o ir.Operand) *digestText {
+	d.int(int(o.Kind)).str("/").int(int(o.Ty)).str("/").int(o.TID).str("/").obj(o.Obj).str("/").int64(o.Int).str("/")
+	*d = strconv.AppendUint(*d, math.Float64bits(o.Fl), 16)
+	return d
+}
+
+func (d *digestText) blocks(bs []*ir.Block) *digestText {
+	d.str("[")
+	for i, b := range bs {
+		if i > 0 {
+			d.str(" ")
+		}
+		d.str("B").int(b.ID)
+	}
+	return d.str("]")
 }
 
 func TestOptIRDigest(t *testing.T) {

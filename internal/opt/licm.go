@@ -14,8 +14,10 @@ import (
 // Hoisting is non-speculative: an instruction is only moved if its block
 // dominates every loop exit, so it would have executed on every loop
 // traversal anyway.
-func LICM(f *ir.Func) bool {
-	g := graphOf(f)
+func LICM(f *ir.Func) bool { return licm(new(workspace), f) }
+
+func licm(ws *workspace, f *ir.Func) bool {
+	g := ws.graphOf(f)
 	loops, depth := dataflow.FindLoops(g, 0)
 	for i, b := range f.Blocks {
 		b.LoopDepth = depth[i]
@@ -24,7 +26,7 @@ func LICM(f *ir.Func) bool {
 		return false
 	}
 	dom := dataflow.Dominators(g, 0)
-	lv := computeLiveness(f)
+	lv := ws.liveness(f)
 	sp := spaceOf(f)
 
 	changed := false
@@ -43,9 +45,9 @@ func LICM(f *ir.Func) bool {
 		if hoistLoop(f, g, dom, lv, sp, l) {
 			changed = true
 			// CFG changed (preheader inserted); recompute for the rest.
-			g = graphOf(f)
+			g = ws.graphOf(f)
 			dom = dataflow.Dominators(g, 0)
-			lv = computeLiveness(f)
+			lv = ws.liveness(f)
 		}
 	}
 	return changed

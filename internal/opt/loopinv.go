@@ -15,10 +15,12 @@ import (
 // pseudo-instructions and annotations inside the duplicated header are
 // duplicated along with the code (Instr.Clone preserves them), and no
 // data-value problems arise because no assignment is moved or eliminated.
-func LoopInvert(f *ir.Func) bool {
+func LoopInvert(f *ir.Func) bool { return loopInvert(new(workspace), f) }
+
+func loopInvert(ws *workspace, f *ir.Func) bool {
 	changed := false
 	for rounds := 0; rounds < 16; rounds++ {
-		g := graphOf(f)
+		g := ws.graphOf(f)
 		loops, _ := dataflow.FindLoops(g, 0)
 		inverted := false
 		for _, l := range loops {

@@ -16,10 +16,12 @@ import (
 // Sinking is safe here because the inserted copy executes on a subset of
 // the original paths, operands are unchanged between the original and the
 // insertion point, and the moved computations are pure.
-func PDCE(f *ir.Func) bool {
+func PDCE(f *ir.Func) bool { return pdce(new(workspace), f) }
+
+func pdce(ws *workspace, f *ir.Func) bool {
 	changed := false
 	for round := 0; round < 4; round++ {
-		lv := computeLiveness(f)
+		lv := ws.liveness(f)
 		sp := lv.space
 		roundChanged := false
 
@@ -38,7 +40,7 @@ func PDCE(f *ir.Func) bool {
 					continue
 				}
 				// Dst must be unused in the rest of this block.
-				if usedOrKilledBelow(b, pos+1, in.Dst) {
+				if ws.usedOrKilledBelow(b, pos+1, in.Dst) {
 					continue
 				}
 				s0 := blockIndex(f, b.Succs[0])
@@ -94,7 +96,7 @@ func PDCE(f *ir.Func) bool {
 		if !roundChanged {
 			break
 		}
-		DCE(f)
+		dce(ws, f)
 	}
 	return changed
 }
@@ -113,12 +115,10 @@ func sinkable(in *ir.Instr) bool {
 
 // usedOrKilledBelow reports whether operand o is read or written by any
 // instruction in b at positions [from, len).
-func usedOrKilledBelow(b *ir.Block, from int, o ir.Operand) bool {
-	var buf []ir.Operand
+func (ws *workspace) usedOrKilledBelow(b *ir.Block, from int, o ir.Operand) bool {
 	for i := from; i < len(b.Instrs); i++ {
 		in := b.Instrs[i]
-		buf = in.Uses(buf[:0])
-		for _, u := range buf {
+		for _, u := range ws.usesOf(in) {
 			if u.Same(o) {
 				return true
 			}

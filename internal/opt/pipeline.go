@@ -55,87 +55,97 @@ func O2() Options {
 //
 // RunFunc touches only f (and reads the shared, immutable global objects its
 // operands reference), so distinct functions may be optimized concurrently.
-func RunFunc(f *ir.Func, o Options) {
+func RunFunc(f *ir.Func, o Options) { runFunc(new(workspace), f, o) }
+
+// runFunc runs the pipeline on f with every pass application working in
+// ws's buffers.
+func runFunc(ws *workspace, f *ir.Func, o Options) {
+	for _, p := range schedule(o) {
+		p.run(ws, f)
+	}
+	if o.NoMarkers {
+		stripMarkers(f)
+	}
+}
+
+// pass is one optimizer pass: run rewrites f with ws's buffers and
+// reports whether f changed.
+type pass struct {
+	name string
+	run  func(ws *workspace, f *ir.Func) bool
+}
+
+var (
+	sroaPass       = pass{"SROA", func(_ *workspace, f *ir.Func) bool { return SROA(f) > 0 }}
+	constFoldPass  = pass{"ConstFold", func(_ *workspace, f *ir.Func) bool { return ConstFold(f) }}
+	constPropPass  = pass{"ConstProp", func(ws *workspace, f *ir.Func) bool { return propagateAvailableCopies(ws, f, true) }}
+	copyPropPass   = pass{"CopyProp", func(ws *workspace, f *ir.Func) bool { return propagateAvailableCopies(ws, f, false) }}
+	branchOptPass  = pass{"BranchOpt", func(_ *workspace, f *ir.Func) bool { return BranchOpt(f) }}
+	loopInvertPass = pass{"LoopInvert", loopInvert}
+	unrollPass     = pass{"Unroll", unroll}
+	peelPass       = pass{"Peel", peel}
+	assignPropPass = pass{"AssignProp", assignProp}
+	prePass        = pass{"PRE", pre}
+	licmPass       = pass{"LICM", licm}
+	strengthPass   = pass{"StrengthReduce", strengthReduce}
+	pdcePass       = pass{"PDCE", pdce}
+	dcePass        = pass{"DCE", dce}
+	faintDCEPass   = pass{"FaintDCE", faintDCE}
+)
+
+// schedule lists the pass applications o selects, in pipeline order. It
+// is a list rather than straight-line calls so that the tests can check
+// each application (TestPassChangedResult) on exactly RunFunc's sequence.
+func schedule(o Options) []pass {
+	var s []pass
+	add := func(on bool, ps ...pass) {
+		if on {
+			s = append(s, ps...)
+		}
+	}
 	// SROA must run first: it rewrites aggregate memory traffic into the
 	// member-variable assignments every scalar pass below understands.
-	if o.SROA {
-		SROA(f)
-	}
+	add(o.SROA, sroaPass)
 
 	cleanup := func() {
-		if o.ConstFold {
-			ConstFold(f)
-		}
-		if o.ConstProp {
-			ConstProp(f)
-		}
-		if o.BranchOpt {
-			BranchOpt(f)
-		}
+		add(o.ConstFold, constFoldPass)
+		add(o.ConstProp, constPropPass)
+		add(o.BranchOpt, branchOptPass)
 	}
 
 	cleanup()
 	if o.LoopInvert {
-		LoopInvert(f)
+		add(true, loopInvertPass)
 		cleanup()
 	}
 	if o.Unroll {
-		Unroll(f)
+		add(true, unrollPass)
 		cleanup()
 	}
 	if o.Peel {
-		Peel(f)
+		add(true, peelPass)
 		cleanup()
 	}
 
 	for round := 0; round < 3; round++ {
-		if o.AssignProp {
-			AssignProp(f)
-		}
-		if o.CopyProp {
-			CopyProp(f)
-		}
-		if o.ConstProp {
-			ConstProp(f)
-		}
-		if o.ConstFold {
-			ConstFold(f)
-		}
-		if o.PRE {
-			PRE(f)
-		}
-		if o.CopyProp {
-			CopyProp(f)
-		}
-		if o.LICM {
-			LICM(f)
-		}
+		add(o.AssignProp, assignPropPass)
+		add(o.CopyProp, copyPropPass)
+		add(o.ConstProp, constPropPass)
+		add(o.ConstFold, constFoldPass)
+		add(o.PRE, prePass)
+		add(o.CopyProp, copyPropPass)
+		add(o.LICM, licmPass)
 		if o.Strength {
-			StrengthReduce(f)
-			if o.CopyProp {
-				CopyProp(f)
-			}
+			add(true, strengthPass)
+			add(o.CopyProp, copyPropPass)
 		}
-		if o.PDCE {
-			PDCE(f)
-		}
-		if o.DCE {
-			DCE(f)
-			FaintDCE(f)
-		}
-		if o.BranchOpt {
-			BranchOpt(f)
-		}
+		add(o.PDCE, pdcePass)
+		add(o.DCE, dcePass, faintDCEPass)
+		add(o.BranchOpt, branchOptPass)
 	}
 	cleanup()
-	if o.DCE {
-		DCE(f)
-		FaintDCE(f)
-	}
-
-	if o.NoMarkers {
-		stripMarkers(f)
-	}
+	add(o.DCE, dcePass, faintDCEPass)
+	return s
 }
 
 // stripMarkers removes all debugger markers (ablation mode).

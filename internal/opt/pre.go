@@ -24,19 +24,21 @@ import (
 //     computations).
 //
 // Reports whether anything changed.
-func PRE(f *ir.Func) bool {
+func PRE(f *ir.Func) bool { return pre(new(workspace), f) }
+
+func pre(ws *workspace, f *ir.Func) bool {
 	changed := false
 	// Layer 1 must reach its fixed point first: the expression CSE below
 	// rewrites "V = E" into copy form, destroying the assignment pattern
 	// that layer 1's markers and hoisted insertions are generated from.
 	for i := 0; i < 8; i++ {
-		if !preVarAssignments(f) {
+		if !preVarAssignments(ws, f) {
 			break
 		}
 		changed = true
 	}
 	for i := 0; i < 8; i++ {
-		if !cseTemps(f) {
+		if !cseTemps(ws, f) {
 			break
 		}
 		changed = true
@@ -67,13 +69,13 @@ func selfRef(in *ir.Instr) bool {
 }
 
 // preVarAssignments implements layer 1.
-func preVarAssignments(f *ir.Func) bool {
+func preVarAssignments(ws *workspace, f *ir.Func) bool {
 	sp := spaceOf(f)
 
 	// Key every assignment once; keys[n] is the table index of the n-th
 	// instruction in block order, or -1.
-	table := newExprTable()
-	keys := make([]int, 0, numInstrs(f))
+	table := ws.exprTable()
+	keys := ws.keys[:0]
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			key := -1
@@ -83,28 +85,22 @@ func preVarAssignments(f *ir.Func) bool {
 			keys = append(keys, key)
 		}
 	}
+	ws.keys = keys
 	if table.size() == 0 {
 		return false
 	}
-	km := buildKillMap(table.sample, sp, true) // defs of V and of E's operands kill
+	km := ws.killMap(table.sample, sp, true) // defs of V and of E's operands kill
 
-	g := graphOf(f)
-	gen, kill := genKillFor(f, table.size(), sp, km, keys)
+	g := ws.graphOf(f)
+	gen, kill, avail, pav := ws.genKill(f, table.size(), sp, km, keys)
 
 	must := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect,
-		Bits: table.size(), Gen: gen, Kill: kill}).Solve()
+		Bits: table.size(), Gen: gen, Kill: kill}).SolveIn(&ws.must)
 	may := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Union,
-		Bits: table.size(), Gen: gen, Kill: kill}).Solve()
+		Bits: table.size(), Gen: gen, Kill: kill}).SolveIn(&ws.may)
 
 	changed := false
-	type insertion struct {
-		from, to *ir.Block
-		instr    *ir.Instr
-	}
-	var inserts []insertion
-
-	avail := dataflow.NewBitSet(table.size())
-	pav := dataflow.NewBitSet(table.size())
+	inserts := ws.inserts[:0]
 	n := 0
 	for bi, b := range f.Blocks {
 		avail.CopyFrom(must.In[bi])
@@ -147,14 +143,26 @@ func preVarAssignments(f *ir.Func) bool {
 		}
 	}
 
+	ws.inserts = inserts
+	return insertAll(f, inserts) || changed
+}
+
+// insertion is an instruction PRE places on the edge from -> to.
+type insertion struct {
+	from, to *ir.Block
+	instr    *ir.Instr
+}
+
+// insertAll places every insertion on its edge and reports whether there
+// was any.
+func insertAll(f *ir.Func, inserts []insertion) bool {
 	for _, ins := range inserts {
 		insertOnEdge(f, ins.from, ins.to, ins.instr)
-		changed = true
 	}
 	if len(inserts) > 0 {
 		f.RecomputePreds()
 	}
-	return changed
+	return len(inserts) > 0
 }
 
 // upwardExposed reports whether the key's operands and destination are not
@@ -171,16 +179,17 @@ func upwardExposed(b *ir.Block, pos int, sp valueSpace, km killMap, key int) boo
 	return true
 }
 
-// genKillFor builds per-block gen/kill sets for an availability problem
+// genKill builds per-block gen/kill sets for an availability problem
 // over nb expression keys; keys[n] is the key the n-th instruction in
-// block order generates, or -1.
-func genKillFor(f *ir.Func, nb int, sp valueSpace, km killMap, keys []int) (gen, kill []*dataflow.BitSet) {
-	gen = make([]*dataflow.BitSet, len(f.Blocks))
-	kill = make([]*dataflow.BitSet, len(f.Blocks))
+// block order generates, or -1. It also returns two cleared nb-bit
+// working sets. All four live in ws.must's sets, valid until the next
+// genKill.
+func (ws *workspace) genKill(f *ir.Func, nb int, sp valueSpace, km killMap, keys []int) (gen, kill []*dataflow.BitSet, avail, pav *dataflow.BitSet) {
+	nbl := len(f.Blocks)
+	sets := ws.must.Sets(2*nbl+2, nb)
+	gen, kill = sets[:nbl:nbl], sets[nbl:2*nbl:2*nbl]
 	n := 0
 	for bi, b := range f.Blocks {
-		gen[bi] = dataflow.NewBitSet(nb)
-		kill[bi] = dataflow.NewBitSet(nb)
 		for _, in := range b.Instrs {
 			for _, e := range km.killedByDef(sp, in) {
 				gen[bi].Clear(e)
@@ -193,7 +202,7 @@ func genKillFor(f *ir.Func, nb int, sp valueSpace, km killMap, keys []int) (gen,
 			n++
 		}
 	}
-	return gen, kill
+	return gen, kill, sets[2*nbl], sets[2*nbl+1]
 }
 
 // stepAvail applies one instruction's transfer to an availability set:
@@ -233,37 +242,35 @@ func insertOnEdge(f *ir.Func, from, to *ir.Block, instr *ir.Instr) {
 
 // ---------------------------------------------------------------- layer 2
 
+// exprRec is cseTemps' record of one expression key: how often it occurs,
+// and the temp every occurrence writes (e.g. from a previous CSE round),
+// or NoOpd when the destinations are mixed or not a temp.
+type exprRec struct {
+	count int
+	dst   ir.Operand
+	idx   int // table index, or -1 for a single occurrence
+}
+
 // cseTemps implements layer 2: expression CSE/PRE through canonical temps.
-func cseTemps(f *ir.Func) bool {
+func cseTemps(ws *workspace, f *ir.Func) bool {
 	sp := spaceOf(f)
 
-	// Key every candidate occurrence once, in block order. recs holds one
-	// record per distinct key in first-occurrence order; occ[i] is the
-	// record of the i-th occurrence. Temp or var destinations both supply
-	// values; only multi-occurrence keys are worth a canonical temp.
-	type exprRec struct {
-		count  int
-		sample *ir.Instr
-		// dst is the temp every occurrence writes (e.g. from a previous CSE
-		// round), or NoOpd when the destinations are mixed or not a temp.
-		dst ir.Operand
-		idx int // table index, or -1 for a single occurrence
-	}
-	ni := numInstrs(f)
-	recOf := make(map[ir.ExprKey]int, ni/2)
-	var recs []exprRec
-	occ := make([]int, 0, ni)
+	// Key every candidate occurrence once, in block order. The table and
+	// recs hold one sample and record per distinct key in
+	// first-occurrence order; occ[i] is the record of the i-th occurrence.
+	// Temp or var destinations both supply values; only multi-occurrence
+	// keys are worth a canonical temp.
+	table := ws.exprTable()
+	recs := ws.recs[:0]
+	occ := ws.occ[:0]
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if !keyable(in) || in.Kind == ir.Copy {
 				continue
 			}
-			k := in.ExprKey()
-			ri, ok := recOf[k]
-			if !ok {
-				ri = len(recs)
-				recOf[k] = ri
-				recs = append(recs, exprRec{sample: in, dst: in.Dst})
+			ri := table.intern(in.ExprKey(), in)
+			if ri == len(recs) {
+				recs = append(recs, exprRec{dst: in.Dst})
 			}
 			r := &recs[ri]
 			r.count++
@@ -273,12 +280,13 @@ func cseTemps(f *ir.Func) bool {
 			occ = append(occ, ri)
 		}
 	}
+	ws.recs, ws.occ = recs, occ
 
 	// Canonical temp per key, in table order. When every occurrence of a
 	// key already writes the same temp, reuse it — otherwise each round
 	// would wrap another copy layer around the value.
-	var samples []*ir.Instr
-	var canon []ir.Operand
+	samples := ws.samples[:0]
+	canon := ws.operands[:0]
 	for ri := range recs {
 		r := &recs[ri]
 		r.idx = -1
@@ -286,13 +294,15 @@ func cseTemps(f *ir.Func) bool {
 			continue
 		}
 		r.idx = len(samples)
-		samples = append(samples, r.sample)
+		sample := table.sample[ri]
+		samples = append(samples, sample)
 		c := r.dst
 		if c.Kind != ir.Temp {
-			c = f.NewTemp(r.sample.Dst.Ty)
+			c = f.NewTemp(sample.Dst.Ty)
 		}
 		canon = append(canon, c)
 	}
+	ws.samples, ws.operands = samples, canon
 	if len(samples) == 0 {
 		return false
 	}
@@ -302,7 +312,10 @@ func cseTemps(f *ir.Func) bool {
 	// Afterwards every keyed occurrence writes its canonical temp, and
 	// those that do not read it generate availability of their key:
 	// keys[n] is the key the n-th instruction in block order generates.
-	keys := make([]int, 0, ni+len(occ))
+	// A fresh canonical temp is always written by a rewrite, so changed
+	// covers the NewTemp calls above too.
+	changed := false
+	keys := ws.keys[:0]
 	next := 0 // index into occ: the blocks are walked in the same order
 	for _, b := range f.Blocks {
 		for pos := 0; pos < len(b.Instrs); pos++ {
@@ -326,31 +339,25 @@ func cseTemps(f *ir.Func) bool {
 				cp.Ann.InsertedBy = "cse"
 				in.Dst = canon[key]
 				b.InsertBefore(pos+1, cp)
+				changed = true
 			}
 			if !selfRef(in) {
 				keys[len(keys)-1] = key
 			}
 		}
 	}
+	ws.keys = keys
 
 	// Availability of keys now means "canon[key] holds the value".
-	km := buildKillMap(samples, sp, false)
-	g := graphOf(f)
-	gen, kill := genKillFor(f, len(samples), sp, km, keys)
+	km := ws.killMap(samples, sp, false)
+	g := ws.graphOf(f)
+	gen, kill, avail, pav := ws.genKill(f, len(samples), sp, km, keys)
 	must := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect,
-		Bits: len(samples), Gen: gen, Kill: kill}).Solve()
+		Bits: len(samples), Gen: gen, Kill: kill}).SolveIn(&ws.must)
 	may := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Union,
-		Bits: len(samples), Gen: gen, Kill: kill}).Solve()
+		Bits: len(samples), Gen: gen, Kill: kill}).SolveIn(&ws.may)
 
-	changed := false
-	type insertion struct {
-		from, to *ir.Block
-		instr    *ir.Instr
-	}
-	var inserts []insertion
-
-	avail := dataflow.NewBitSet(len(samples))
-	pav := dataflow.NewBitSet(len(samples))
+	inserts := ws.inserts[:0]
 	n := 0
 	for bi, b := range f.Blocks {
 		avail.CopyFrom(must.In[bi])
@@ -387,12 +394,6 @@ func cseTemps(f *ir.Func) bool {
 			stepAvail(pav, sp, km, in, key)
 		}
 	}
-	for _, ins := range inserts {
-		insertOnEdge(f, ins.from, ins.to, ins.instr)
-		changed = true
-	}
-	if len(inserts) > 0 {
-		f.RecomputePreds()
-	}
-	return changed
+	ws.inserts = inserts
+	return insertAll(f, inserts) || changed
 }

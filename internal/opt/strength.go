@@ -20,8 +20,10 @@ import (
 //     source-level induction variable from the runtime value of s (§2.5).
 //
 // Reports whether anything changed.
-func StrengthReduce(f *ir.Func) bool {
-	g := graphOf(f)
+func StrengthReduce(f *ir.Func) bool { return strengthReduce(new(workspace), f) }
+
+func strengthReduce(ws *workspace, f *ir.Func) bool {
+	g := ws.graphOf(f)
 	loops, _ := dataflow.FindLoops(g, 0)
 	if len(loops) == 0 {
 		return false
@@ -31,7 +33,7 @@ func StrengthReduce(f *ir.Func) bool {
 	for _, l := range loops {
 		if reduceLoop(f, g, sp, l) {
 			changed = true
-			g = graphOf(f)
+			g = ws.graphOf(f)
 		}
 	}
 	return changed

@@ -14,28 +14,26 @@ const maxUnrollInstrs = 30
 // paper, code duplication does not create data-value problems, but marker
 // pseudo-instructions and annotations inside the duplicated blocks must be
 // duplicated along with the code — Instr.Clone preserves both.
-func Unroll(f *ir.Func) bool {
-	return transformInnermost(f, func(f *ir.Func, g dataflow.Graph, l *dataflow.Loop) bool {
-		return cloneLoopIteration(f, g, l, false)
-	})
-}
+func Unroll(f *ir.Func) bool { return unroll(new(workspace), f) }
+
+func unroll(ws *workspace, f *ir.Func) bool { return transformInnermost(ws, f, false) }
 
 // Peel peels one iteration off innermost small loops: the cloned iteration
 // runs before the loop proper.
-func Peel(f *ir.Func) bool {
-	return transformInnermost(f, func(f *ir.Func, g dataflow.Graph, l *dataflow.Loop) bool {
-		return cloneLoopIteration(f, g, l, true)
-	})
-}
+func Peel(f *ir.Func) bool { return peel(new(workspace), f) }
 
-func transformInnermost(f *ir.Func, apply func(*ir.Func, dataflow.Graph, *dataflow.Loop) bool) bool {
+func peel(ws *workspace, f *ir.Func) bool { return transformInnermost(ws, f, true) }
+
+// transformInnermost applies cloneLoopIteration to f's small innermost
+// loops, one at a time.
+func transformInnermost(ws *workspace, f *ir.Func, peel bool) bool {
 	changed := false
 	done := map[*ir.Block]bool{} // headers already transformed
 	// Transform one loop at a time: every transformation invalidates block
 	// indices (blocks are added and unreachable ones removed), so loop
 	// discovery restarts after each change.
 	for round := 0; round < 64; round++ {
-		g := graphOf(f)
+		g := ws.graphOf(f)
 		loops, _ := dataflow.FindLoops(g, 0)
 		applied := false
 		for _, l := range loops {
@@ -61,7 +59,7 @@ func transformInnermost(f *ir.Func, apply func(*ir.Func, dataflow.Graph, *datafl
 			if size > maxUnrollInstrs {
 				continue
 			}
-			if apply(f, g, l) {
+			if cloneLoopIteration(f, g, l, peel) {
 				changed = true
 				applied = true
 				break
