@@ -1,9 +1,9 @@
 // Package artstore binds the generic storage layer to the compiler: it
 // caches compiled artifacts *together with* their lazily built debugger
-// analyses as one memory-accounted unit. The server and the public API
-// both retain artifacts through this package, so every retention path in
-// the system — compile results, analysis sets, protocol artifact handles,
-// the disk spill tier — goes through one store with one budget.
+// analyses as one memory-accounted unit. The server retains artifacts
+// through this package, so every retention path of the daemon — compile
+// results, analysis sets, protocol artifact handles, the disk spill tier —
+// goes through one store with one budget.
 package artstore
 
 import (

@@ -39,6 +39,19 @@ func TestGetCompilesOnceAndCoalescesAnalyses(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("hit returned a different artifact")
 	}
+	// The analysis set travels with the artifact: one built through the
+	// first request is the one the next request reads, built and charged
+	// once.
+	main := a1.Res.Mach.LookupFunc("main")
+	an := a1.Analyses.Of(main)
+	charged := st.Stats().MemoryBytes
+	a3, hit, err := st.Get(name, src, compile.O2())
+	if err != nil || !hit {
+		t.Fatalf("third get: hit=%v err=%v", hit, err)
+	}
+	if a3.Analyses.Of(main) != an || a3.Analyses.Built() != 1 || st.Stats().MemoryBytes != charged {
+		t.Fatal("a hit rebuilt or recharged the artifact's analysis")
+	}
 	if a1.ID() == "" || a1.ID() != compile.KeyOf(name, src, compile.O2()).ID() {
 		t.Fatalf("artifact id %q", a1.ID())
 	}

@@ -84,3 +84,39 @@ func TestCoverageDeterminism(t *testing.T) {
 		t.Errorf("totals differ between identical runs: %+v vs %+v", a.Totals, b.Totals)
 	}
 }
+
+// TestOracleHasTeeth runs the sweep against the paper's no-compiler-support
+// ablation: with NoMarkers the optimizer records none of the §3
+// bookkeeping, so the classifier vouches for values the optimizations
+// made stale. An oracle that passes this corpus could not catch a broken
+// classifier, so each configuration must fail on several seeds.
+func TestOracleHasTeeth(t *testing.T) {
+	configs := DefaultConfigs()
+	for name, cfg := range configs {
+		cfg.Opt.NoMarkers = true
+		configs[name] = cfg
+	}
+	var seeds []int64
+	for s := int64(0); s < 20; s++ {
+		seeds = append(seeds, s)
+	}
+	res, err := Run(Options{Seeds: seeds, Configs: configs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing := map[string]map[int64]bool{}
+	for _, m := range res.Mismatches {
+		if failing[m.Config] == nil {
+			failing[m.Config] = map[int64]bool{}
+		}
+		failing[m.Config][m.Seed] = true
+	}
+	t.Logf("%d mismatches; failing seeds per config: O2 %d, O2NoRegAlloc %d",
+		len(res.Mismatches), len(failing["O2"]), len(failing["O2NoRegAlloc"]))
+	for name := range configs {
+		if n := len(failing[name]); n < 4 {
+			t.Errorf("%s without markers: only %d of %d seeds fail; the oracle no longer catches a classifier without compiler support",
+				name, n, len(seeds))
+		}
+	}
+}

@@ -115,6 +115,9 @@ type Totals struct {
 	// entry evaluation), so comparing them would manufacture defects.
 	// Nothing is dropped silently: every skipped key lands here.
 	AlignSkipped int
+	// SkippedStops counts the O0 stops at the keys in AlignSkipped: how
+	// many ground-truth stops the skipped keys leave unchecked.
+	SkippedStops int
 	// TruncatedPairs counts trace pairs where a build hit the stop budget
 	// (or a VM error) before halting: arrival totals are then unknown, so
 	// the pair performs no value checks at all.
@@ -248,6 +251,7 @@ func diffTraces(seed int64, cfgName, src string, o0 *trace, o0Arr map[string][]i
 			skipped[key] = true
 			if res != nil {
 				res.Totals.AlignSkipped++
+				res.Totals.SkippedStops += len(o0Arr[key])
 			}
 		}
 	}

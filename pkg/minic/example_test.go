@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/opt"
 	"repro/pkg/minic"
@@ -66,18 +67,24 @@ int main() { return g(0, 5, 4); }
 	// Output: x = 0 (WARNING: noncurrent due to dead code elimination — the assignment to x (statement 0) was eliminated as dead; the value shown is stale; see line 3)
 }
 
-// Share a store so identical compilations run the pipeline once.
-func ExampleWithStore() {
-	store := minic.NewStore(minic.WithMaxArtifacts(16))
-	src := `int main() { return 7; }`
-	for i := 0; i < 3; i++ {
-		if _, err := minic.Compile("seven.mc", src, minic.WithStore(store)); err != nil {
-			log.Fatal(err)
-		}
+// Recompile an edit: the artifact's lineage keeps a per-function cache,
+// so an edit to one function runs one back end and stitches the rest.
+func ExampleArtifact_Recompile() {
+	const prog = `
+int helper(int x) { return x * 2 + 1; }
+int main() { print(helper(20)); return 0; }
+`
+	art, err := minic.Compile("prog.mc", prog)
+	if err != nil {
+		log.Fatal(err)
 	}
-	st := store.Stats()
-	fmt.Printf("misses=%d hits=%d\n", st.Misses, st.Hits)
-	// Output: misses=1 hits=2
+	edited, err := art.Recompile(strings.Replace(prog, "helper(20)", "helper(21)", 1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	st := edited.CompileStats()
+	fmt.Printf("funcs=%d compiled=%d reused=%d\n", st.Funcs, st.FuncsCompiled, st.FuncsReused)
+	// Output: funcs=2 compiled=1 reused=1
 }
 
 // Session errors are typed, so callers can branch on the failure kind.

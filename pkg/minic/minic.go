@@ -11,17 +11,18 @@
 //	fmt.Println(r.Display())                           // warning-annotated
 //
 // Compilation is configured with functional options (OptLevel, RegAlloc,
-// Sched, Markers, Passes) instead of a bare config struct, and repeated
-// compiles can share a concurrency-safe artifact Store. An Artifact and
-// its analyses are immutable, so any number of Sessions — including
-// concurrent ones — may share one Artifact.
+// Sched, Markers, Passes) instead of a bare config struct. An Artifact
+// and its analyses are immutable, so any number of Sessions — including
+// concurrent ones — may share one Artifact. Retaining many artifacts
+// under a memory budget, with a disk spill tier, is the daemon's job
+// (mcd -mem-budget, -spill-dir).
 //
 // # Per-function pipeline
 //
 // Compilation is per-function behind this API: after the whole-program
 // front end, each function runs optimization → code selection → register
 // allocation → scheduling independently, fanned out across a bounded
-// worker pool (WithCompileWorkers) and reassembled deterministically —
+// worker pool (GOMAXPROCS workers) and reassembled deterministically —
 // the machine code is the same for every worker count. Each compiled
 // function is also cached by a content hash of its checked IR plus the
 // configuration, so Artifact.Recompile recompiles only the functions an
@@ -33,7 +34,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/artstore"
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/coverage"
@@ -48,9 +48,7 @@ type Option func(*settings)
 
 type settings struct {
 	cfg        compile.Config
-	store      *Store
 	precompute int // -1: off, 0: GOMAXPROCS, >0: bounded pool
-	workers    int // per-function compile workers; 0 = GOMAXPROCS
 }
 
 // WithOptLevel selects the optimization level: 0 (none — this also turns
@@ -107,21 +105,6 @@ func WithPrecomputedAnalyses(workers int) Option {
 	}
 }
 
-// WithCompileWorkers bounds the per-function back-end worker pool: the
-// functions of a program are optimized, lowered, allocated and scheduled
-// concurrently, at most n at a time, and reassembled in declaration order
-// (byte-identical to a serial compile). n <= 0 selects GOMAXPROCS. When
-// compiling through a Store the store's own pipeline applies instead —
-// set its bound with WithStoreCompileWorkers.
-func WithCompileWorkers(n int) Option {
-	return func(s *settings) {
-		if n < 0 {
-			n = 0
-		}
-		s.workers = n
-	}
-}
-
 // ResolveConfig resolves compilation options to the internal pipeline
 // configuration. It exists for in-repo harnesses (benchmarks, ablation
 // drivers) that must hand a raw config to internal packages; application
@@ -134,65 +117,6 @@ func ResolveConfig(opts ...Option) compile.Config {
 	return s.cfg
 }
 
-// Store is the unified artifact store: a sharded, memory-accounted cache
-// that retains compiled artifacts together with their lazily built
-// analyses under one byte budget, over an optional disk tier that
-// survives restarts. Use NewStore + WithStore to compile through one.
-type Store = artstore.Store
-
-// StoreOption configures NewStore.
-type StoreOption func(*artstore.Config)
-
-// WithShards sets the store's shard count (rounded up to a power of two);
-// more shards reduce lock contention under concurrent compile traffic.
-func WithShards(n int) StoreOption {
-	return func(c *artstore.Config) { c.Shards = n }
-}
-
-// WithMaxArtifacts bounds the number of resident artifacts (<= 0 means
-// unbounded).
-func WithMaxArtifacts(n int) StoreOption {
-	return func(c *artstore.Config) { c.MaxArtifacts = n }
-}
-
-// WithMemoryBudget bounds the accounted bytes of resident artifacts plus
-// their built analyses; least-recently-used artifacts are evicted (and
-// spilled, if a spill dir is set) to stay within it. <= 0 means
-// unbounded.
-func WithMemoryBudget(bytes int64) StoreOption {
-	return func(c *artstore.Config) { c.MemoryBudget = bytes }
-}
-
-// WithSpillDir enables the disk tier: evicted artifacts are serialized to
-// dir and reloaded on miss, so a new process with the same dir keeps the
-// warm set.
-func WithSpillDir(dir string) StoreOption {
-	return func(c *artstore.Config) { c.SpillDir = dir }
-}
-
-// WithStoreCompileWorkers bounds the store's per-function compile worker
-// pool. The bound is shared across concurrent compiles through the store,
-// so a burst of requests still runs at most n function back ends at once;
-// n <= 0 selects GOMAXPROCS.
-func WithStoreCompileWorkers(n int) StoreOption {
-	return func(c *artstore.Config) { c.CompileWorkers = n }
-}
-
-// NewStore creates an artifact store for use with WithStore.
-func NewStore(opts ...StoreOption) *Store {
-	var cfg artstore.Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return artstore.New(cfg)
-}
-
-// WithStore compiles through st: identical requests are served from the
-// store (memory or disk tier), concurrent requests coalesce into one
-// pipeline run, and the resulting Artifact shares the store's analysis
-// set, so analyses are charged against — and evicted with — the artifact.
-func WithStore(st *Store) Option { return func(s *settings) { s.store = st } }
-
 // Artifact is one compiled program: every representation level produced
 // by the pipeline plus the (lazily built, concurrency-safe) per-function
 // debugger analyses. Artifacts are immutable and may back any number of
@@ -200,21 +124,20 @@ func WithStore(st *Store) Option { return func(s *settings) { s.store = st } }
 type Artifact struct {
 	res      *compile.Result
 	analyses *core.AnalysisSet
+	metrics  compile.Metrics
 
-	name    string
-	metrics compile.Metrics
-	// recompile compiles new source under this artifact's name and
-	// options, reusing this artifact's per-function cache (default and
-	// store paths) so unchanged functions are stitched, not recompiled.
-	recompile func(src string) (*Artifact, error)
+	// Recompile compiles an edit under the same name and settings
+	// through the same lineage pipeline, whose per-function cache
+	// stitches the unchanged functions.
+	name string
+	s    settings
+	pipe *compile.Pipeline
 }
 
 // CompileStats describes the compile that produced an Artifact: how many
 // functions the program has, how many per-function back ends actually ran,
 // how many functions were stitched unchanged from the incremental cache,
-// and the pipeline wall time. For an artifact served whole from a Store
-// the stats are those of the compile that originally produced it (zero if
-// it was rehydrated from a disk tier).
+// and the pipeline wall time.
 type CompileStats struct {
 	Funcs         int
 	FuncsCompiled int
@@ -238,7 +161,9 @@ func (a *Artifact) CompileStats() CompileStats {
 // a one-function edit runs exactly one back end and stitches the rest
 // from cache. The receiver is unchanged; the new Artifact shares the same
 // incremental cache, so a chain of Recompiles keeps reusing.
-func (a *Artifact) Recompile(src string) (*Artifact, error) { return a.recompile(src) }
+func (a *Artifact) Recompile(src string) (*Artifact, error) {
+	return a.s.compile(a.pipe, a.name, src)
+}
 
 func defaultSettings() settings {
 	return settings{cfg: compile.Config{Opt: opt.O2(), RegAlloc: true, Sched: true}, precompute: -1}
@@ -252,59 +177,22 @@ func Compile(name, src string, opts ...Option) (*Artifact, error) {
 	for _, o := range opts {
 		o(&s)
 	}
-	a, err := s.compile(name, src)
+	pipe := compile.NewPipeline(compile.PipelineConfig{
+		Funcs: compile.NewFuncCache(compile.FuncCacheConfig{}),
+	})
+	return s.compile(pipe, name, src)
+}
+
+// compile runs one compilation through pipe, the pipeline of the
+// artifact's lineage, and builds the analyses eagerly when asked to.
+func (s settings) compile(pipe *compile.Pipeline, name, src string) (*Artifact, error) {
+	res, m, err := pipe.Compile(name, src, s.cfg)
 	if err != nil {
 		return nil, err
 	}
+	a := &Artifact{res: res, analyses: core.NewAnalysisSet(), metrics: m, name: name, s: s, pipe: pipe}
 	if s.precompute >= 0 {
-		a.analyses.Precompute(a.res.Mach, s.precompute)
-	}
-	return a, nil
-}
-
-// compile runs one compilation under the resolved settings and arms the
-// artifact's Recompile path.
-func (s *settings) compile(name, src string) (*Artifact, error) {
-	return s.compileVia(nil, name, src)
-}
-
-// compileVia compiles through the settings' store or — by default — a
-// per-lineage pipeline with an attached per-function cache. pipe is the
-// lineage pipeline to reuse (nil on the first compile).
-func (s *settings) compileVia(pipe *compile.Pipeline, name, src string) (*Artifact, error) {
-	var a *Artifact
-	switch {
-	case s.store != nil:
-		sa, _, err := s.store.Get(name, src, s.cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Share the store's analysis set so the artifact and its
-		// analyses are accounted and evicted as one unit.
-		a = &Artifact{res: sa.Res, analyses: sa.Analyses, metrics: sa.Metrics}
-	default:
-		if pipe == nil {
-			pipe = compile.NewPipeline(compile.PipelineConfig{
-				Workers: s.workers,
-				Funcs:   compile.NewFuncCache(compile.FuncCacheConfig{}),
-			})
-		}
-		res, m, err := pipe.Compile(name, src, s.cfg)
-		if err != nil {
-			return nil, err
-		}
-		a = &Artifact{res: res, analyses: core.NewAnalysisSet(), metrics: m}
-	}
-	a.name = name
-	a.recompile = func(src string) (*Artifact, error) {
-		na, err := s.compileVia(pipe, name, src)
-		if err != nil {
-			return nil, err
-		}
-		if s.precompute >= 0 {
-			na.analyses.Precompute(na.res.Mach, s.precompute)
-		}
-		return na, nil
+		a.analyses.Precompute(res.Mach, s.precompute)
 	}
 	return a, nil
 }

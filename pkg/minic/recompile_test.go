@@ -21,7 +21,7 @@ int main() {
 // TestRecompileReusesUnchangedFunctions is the public-API incremental
 // contract: an edit touching one function recompiles exactly one function.
 func TestRecompileReusesUnchangedFunctions(t *testing.T) {
-	art, err := minic.Compile("prog.mc", twoFuncProg, minic.WithCompileWorkers(2))
+	art, err := minic.Compile("prog.mc", twoFuncProg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,27 +78,6 @@ int main() {
 	}
 	if st := back.CompileStats(); st.FuncsCompiled != 0 || st.FuncsReused != 2 {
 		t.Fatalf("revert stats = %+v, want 2 reused", st)
-	}
-}
-
-// TestRecompileThroughStore exercises the store path: the store's
-// per-function tier serves unchanged functions across Recompile.
-func TestRecompileThroughStore(t *testing.T) {
-	st := minic.NewStore(minic.WithStoreCompileWorkers(2))
-	art, err := minic.Compile("prog.mc", twoFuncProg, minic.WithStore(st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs := art.CompileStats(); cs.FuncsCompiled != 2 {
-		t.Fatalf("cold store stats = %+v", cs)
-	}
-	edited := twoFuncProg + "\nint extra(int a) { return a + 7; }\n"
-	na, err := art.Recompile(edited)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs := na.CompileStats(); cs.FuncsCompiled != 1 || cs.FuncsReused != 2 {
-		t.Fatalf("store edit stats = %+v, want 1 compiled / 2 reused", cs)
 	}
 }
 
