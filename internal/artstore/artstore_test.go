@@ -39,19 +39,6 @@ func TestGetCompilesOnceAndCoalescesAnalyses(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("hit returned a different artifact")
 	}
-	// The analysis set travels with the artifact: one built through the
-	// first request is the one the next request reads, built and charged
-	// once.
-	main := a1.Res.Mach.LookupFunc("main")
-	an := a1.Analyses.Of(main)
-	charged := st.Stats().MemoryBytes
-	a3, hit, err := st.Get(name, src, compile.O2())
-	if err != nil || !hit {
-		t.Fatalf("third get: hit=%v err=%v", hit, err)
-	}
-	if a3.Analyses.Of(main) != an || a3.Analyses.Built() != 1 || st.Stats().MemoryBytes != charged {
-		t.Fatal("a hit rebuilt or recharged the artifact's analysis")
-	}
 	if a1.ID() == "" || a1.ID() != compile.KeyOf(name, src, compile.O2()).ID() {
 		t.Fatalf("artifact id %q", a1.ID())
 	}
@@ -63,6 +50,30 @@ func TestGetCompilesOnceAndCoalescesAnalyses(t *testing.T) {
 	}
 	if a0 == a1 || a0.ID() == a1.ID() {
 		t.Fatal("O0 and O2 compiles of one source share an artifact")
+	}
+}
+
+// The analysis set travels with the artifact: one built through the
+// first request is the one the next request reads, built and charged once.
+func TestStoreSharedAnalyses(t *testing.T) {
+	st := New(Config{})
+	name, src := srcFor(1)
+	a1, _, err := st.Get(name, src, compile.O2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	main := a1.Res.Mach.LookupFunc("main")
+	an := a1.Analyses.Of(main)
+	charged := st.Stats().MemoryBytes
+	a2, hit, err := st.Get(name, src, compile.O2())
+	if err != nil || !hit {
+		t.Fatalf("second get: hit=%v err=%v", hit, err)
+	}
+	if a2.Res != a1.Res {
+		t.Fatal("store hit returned a different result")
+	}
+	if a2.Analyses.Of(main) != an || a2.Analyses.Built() != 1 || st.Stats().MemoryBytes != charged {
+		t.Fatal("a hit rebuilt or recharged the artifact's analysis")
 	}
 }
 
