@@ -130,7 +130,7 @@ func (c codec) Decode(id string, data []byte) (ident, *Artifact, int64, error) {
 		return ident{}, nil, 0, &IdentityError{Want: id, Got: got}
 	}
 	m := ident{Name: name, Src: src, Cfg: cfg}
-	return m, c.st.newArtifact(m, res), res.SizeBytes(), nil
+	return m, c.st.newArtifact(m, id, res), res.SizeBytes(), nil
 }
 
 // siblingFront returns the checked program of a resident, completed
@@ -185,14 +185,14 @@ func New(cfg Config) *Store {
 	return st
 }
 
-// newArtifact builds an Artifact for identity m around a compile result,
-// wiring its analysis set's cost hook back into the store so analyses
-// charge the artifact's budget as they are built.
-func (st *Store) newArtifact(m ident, res *compile.Result) *Artifact {
+// newArtifact builds an Artifact for identity m, whose handle is id,
+// around a compile result, wiring its analysis set's cost hook back into
+// the store so analyses charge the artifact's budget as they are built.
+func (st *Store) newArtifact(m ident, id string, res *compile.Result) *Artifact {
 	a := &Artifact{
 		Res:      res,
 		Analyses: core.NewAnalysisSet(),
-		id:       compile.KeyOf(m.Name, m.Src, m.Cfg).ID(),
+		id:       id,
 		name:     m.Name,
 		src:      m.Src,
 		cfg:      m.Cfg,
@@ -207,15 +207,19 @@ func (st *Store) newArtifact(m ident, res *compile.Result) *Artifact {
 // disk tier. Failed compiles are not cached.
 func (st *Store) Get(name, src string, cfg compile.Config) (a *Artifact, hit bool, err error) {
 	m := ident{Name: name, Src: src, Cfg: cfg}
+	var id string // set by the id callback, which a miss runs before compiling
 	return st.s.Get(m,
-		func() string { return compile.KeyOf(name, src, cfg).ID() },
+		func() string {
+			id = compile.KeyOf(name, src, cfg).ID()
+			return id
+		},
 		func() (*Artifact, int64, error) {
 			res, metrics, err := st.pipe.Compile(name, src, cfg)
 			if err != nil {
 				return nil, 0, err
 			}
 			res.IR = nil
-			a := st.newArtifact(m, res)
+			a := st.newArtifact(m, id, res)
 			a.Metrics = metrics
 			return a, res.SizeBytes(), nil
 		})

@@ -27,7 +27,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"math"
 
 	"repro/internal/ast"
 	"repro/internal/ir"
@@ -35,7 +34,7 @@ import (
 
 // funcKeyVersion guards the canonical hash layout; bump on any change to
 // what or how hashFunc/GlobalsSigOf write.
-const funcKeyVersion = 2
+const funcKeyVersion = 3
 
 // FuncKey identifies one function's compiled artifact by content.
 type FuncKey [sha256.Size]byte
@@ -51,17 +50,17 @@ type GlobalsSig [sha256.Size]byte
 // GlobalsSigOf hashes the global environment of p under cfg.
 func GlobalsSigOf(p *ir.Program, cfg Config) GlobalsSig {
 	w := newKeyWriter()
-	w.int(funcKeyVersion)
-	w.int(spillVersion)
+	w.uint(funcKeyVersion)
+	w.uint(spillVersion)
 	// Config is a flat struct of value fields; %+v is a canonical rendering.
 	w.str(fmt.Sprintf("%+v", cfg))
-	w.int(len(p.Globals))
+	w.uint(uint64(len(p.Globals)))
 	for _, g := range p.Globals {
 		w.obj(g)
 	}
-	w.int(len(p.GlobalInit))
+	w.uint(uint64(len(p.GlobalInit)))
 	for _, g := range sortedObjs(p.GlobalInit) {
-		w.i32(encObj(g))
+		w.ref(g)
 		w.opd(p.GlobalInit[g])
 	}
 	return w.sum()
@@ -79,37 +78,34 @@ func FuncKeyOf(f *ir.Func, sig GlobalsSig) FuncKey {
 	// hashed because dec.fn rebinds the artifact to the current Decl by
 	// name.
 	w.str(f.Name)
-	w.int(len(f.Decl.Params))
+	w.uint(uint64(len(f.Decl.Params)))
 	w.str(f.Decl.Ret.String())
-	w.int(f.Decl.NumStmts)
-	w.int(len(f.Decl.Locals))
+	w.int(int64(f.Decl.NumStmts))
+	w.uint(uint64(len(f.Decl.Locals)))
 	for _, o := range f.Decl.Locals {
 		w.obj(o)
 	}
 
-	// IR shape.
-	w.int(f.NumTemps)
-	w.int(len(f.FrameObjects))
+	// IR shape. A block is named by its ID, which is unique in f; the
+	// blocks' IDs are written in order, so an ID stands for a position.
+	w.int(int64(f.NumTemps))
+	w.uint(uint64(len(f.FrameObjects)))
 	for _, o := range f.FrameObjects {
-		w.i32(encObj(o))
+		w.ref(o)
 	}
-	blockIdx := make(map[*ir.Block]int32, len(f.Blocks))
-	for i, b := range f.Blocks {
-		blockIdx[b] = int32(i)
-	}
-	w.int(len(f.Blocks))
+	w.uint(uint64(len(f.Blocks)))
 	if f.Entry != nil {
-		w.i32(blockIdx[f.Entry])
+		w.int(int64(f.Entry.ID))
 	} else {
-		w.i32(-1)
+		w.int(-1)
 	}
 	for _, b := range f.Blocks {
-		w.int(b.ID)
-		w.int(len(b.Succs))
+		w.int(int64(b.ID))
+		w.uint(uint64(len(b.Succs)))
 		for _, s := range b.Succs {
-			w.i32(blockIdx[s])
+			w.int(int64(s.ID))
 		}
-		w.int(len(b.Instrs))
+		w.uint(uint64(len(b.Instrs)))
 		for _, in := range b.Instrs {
 			w.instr(in)
 		}
@@ -118,9 +114,12 @@ func FuncKeyOf(f *ir.Func, sig GlobalsSig) FuncKey {
 	return w.sum()
 }
 
-// keyWriter appends canonical, self-delimiting values to a buffer and
-// hands it to the hash each time it fills, not once per value: the hash
-// sees the same bytes in a few large writes.
+// keyWriter appends a compact encoding of each value to a buffer and
+// hands the buffer to the hash each time it fills, not once per value.
+// The encoding splits back into its fields: integers are varints (zigzag
+// when signed), strings and lists carry their length, and an operand is a
+// header byte saying which of its fields follow. A keyWriter is a value
+// its caller keeps on the stack, not a heap object.
 type keyWriter struct {
 	h hash.Hash
 	b []byte
@@ -129,14 +128,15 @@ type keyWriter struct {
 // keyChunk is the buffer size at which a keyWriter flushes to its hash.
 const keyChunk = 1024
 
-func newKeyWriter() *keyWriter {
-	return &keyWriter{h: sha256.New(), b: make([]byte, 0, keyChunk)}
+func newKeyWriter() keyWriter {
+	return keyWriter{h: sha256.New(), b: make([]byte, 0, keyChunk)}
 }
 
-// sum hashes everything written.
+// sum hashes everything written. The digest goes through the buffer, so
+// the result array stays on the caller's stack.
 func (w *keyWriter) sum() (s [sha256.Size]byte) {
 	w.h.Write(w.b)
-	w.h.Sum(s[:0])
+	copy(s[:], w.h.Sum(w.b[:0]))
 	return s
 }
 
@@ -152,102 +152,120 @@ func (w *keyWriter) bytes(b []byte) {
 	w.flushFull()
 }
 
-func (w *keyWriter) u64(v uint64) {
-	w.b = binary.LittleEndian.AppendUint64(w.b, v)
+func (w *keyWriter) uint(v uint64) {
+	w.b = binary.AppendUvarint(w.b, v)
 	w.flushFull()
 }
 
-func (w *keyWriter) int(v int)     { w.u64(uint64(int64(v))) }
-func (w *keyWriter) i64(v int64)   { w.u64(uint64(v)) }
-func (w *keyWriter) i32(v int32)   { w.u64(uint64(int64(v))) }
-func (w *keyWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
+func (w *keyWriter) int(v int64) {
+	w.b = binary.AppendVarint(w.b, v)
+	w.flushFull()
+}
 
 func (w *keyWriter) bool(v bool) {
 	if v {
-		w.u64(1)
+		w.b = append(w.b, 1)
 	} else {
-		w.u64(0)
+		w.b = append(w.b, 0)
 	}
+	w.flushFull()
 }
 
 func (w *keyWriter) str(s string) {
-	w.int(len(s))
+	w.uint(uint64(len(s)))
 	w.b = append(w.b, s...)
 	w.flushFull()
 }
 
+// ref writes an object reference in the spill codec's numbering (encObj).
+func (w *keyWriter) ref(o *ast.Object) { w.int(int64(encObj(o))) }
+
 // obj hashes an object declaration (identity, type, storage class and scope
-// extent). References from instruction operands use the compact encObj ref
-// instead; full declarations are hashed once per table.
+// extent). References from instructions use the compact ref instead; full
+// declarations are hashed once per table.
 func (w *keyWriter) obj(o *ast.Object) {
-	w.i32(encObj(o))
+	w.ref(o)
 	if o == nil {
 		return
 	}
 	w.str(o.Name)
-	w.int(int(o.Kind))
+	w.int(int64(o.Kind))
 	w.str(o.Type.String())
 	// StructType.String() is just "struct <name>": the layout (ordered field
 	// names and types) determines member offsets and the SROA decomposition,
 	// so it must be part of the key — reordering fields must miss the cache.
 	if st, ok := o.Type.(*ast.StructType); ok {
-		w.int(len(st.Fields))
+		w.uint(uint64(len(st.Fields)))
 		for _, fld := range st.Fields {
 			w.str(fld.Name)
 			w.str(fld.Type.String())
 		}
 	}
 	w.bool(o.Addressed)
-	w.int(o.ScopeStart)
-	w.int(o.ScopeEnd)
+	w.int(int64(o.ScopeStart))
+	w.int(int64(o.ScopeEnd))
 	// Member objects carry their aggregate linkage: which base they belong
 	// to and at which field slot (drives unsplit memory access offsets).
-	w.i32(encObj(o.Base))
-	w.int(o.FieldIdx)
+	w.ref(o.Base)
+	w.int(int64(o.FieldIdx))
 }
 
+// Operand header bits: the kind in bits 0–2 and the type in bit 3, then
+// which fields follow. An absent operand is the single byte 0.
+const (
+	keyID  = 1 << 4
+	keyInt = 1 << 5
+)
+
 func (w *keyWriter) opd(o ir.Operand) {
-	w.int(int(o.Kind))
-	w.int(int(o.Ty))
-	w.int(o.TID)
-	w.i32(encObj(o.Obj))
-	w.i64(o.Int)
-	w.f64(o.Fl)
+	h := byte(o.Kind) | byte(o.Ty)<<3
+	if o.ID != 0 {
+		h |= keyID
+	}
+	if o.Int != 0 {
+		h |= keyInt
+	}
+	w.b = append(w.b, h)
+	if o.ID != 0 {
+		w.b = binary.AppendVarint(w.b, int64(o.ID))
+	}
+	if o.Int != 0 {
+		w.b = binary.AppendVarint(w.b, o.Int)
+	}
+	w.flushFull()
 }
 
 func (w *keyWriter) instr(in *ir.Instr) {
-	w.int(int(in.Kind))
-	w.int(int(in.Op))
+	w.b = append(w.b, byte(in.Kind), byte(in.Op))
 	w.opd(in.Dst)
 	w.opd(in.A)
 	w.opd(in.B)
-	w.i64(in.Off)
-	w.i32(encObj(in.AddrObj))
+	w.int(in.Off)
+	w.ref(in.AddrObj)
 	w.str(in.Callee)
-	w.int(len(in.Args))
+	w.uint(uint64(len(in.Args)))
 	for _, a := range in.Args {
 		w.opd(a)
 	}
-	w.int(len(in.PrintFmt))
+	w.uint(uint64(len(in.PrintFmt)))
 	for _, a := range in.PrintFmt {
 		w.bool(a.IsStr)
 		w.str(a.Str)
 		w.opd(a.Val)
 	}
-	w.int(in.ParamIdx)
-	w.i32(encObj(in.MarkObj))
-	w.int(in.Stmt)
-	w.int(in.OrigIdx)
+	w.int(int64(in.ParamIdx))
+	w.ref(in.MarkObj)
+	w.int(int64(in.Stmt))
+	w.int(int64(in.OrigIdx))
 	w.bool(in.Ann.Hoisted)
 	w.bool(in.Ann.Sunk)
 	w.str(in.Ann.InsertedBy)
-	w.i32(encObj(in.Ann.ReplacedVar))
-	if r := in.Ann.Recover; r != nil {
-		w.bool(true)
-		w.i32(encObj(r.Var))
-		w.i64(r.A)
-		w.i64(r.B)
-	} else {
-		w.bool(false)
+	w.ref(in.Ann.ReplacedVar)
+	r := in.Ann.Recover
+	w.bool(r != nil)
+	if r != nil {
+		w.ref(r.Var)
+		w.int(r.A)
+		w.int(r.B)
 	}
 }

@@ -3,6 +3,8 @@ package compile_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/bench"
@@ -137,8 +139,8 @@ func slicesEqual(a, b []string) bool {
 // order. They pin the bytes the function-cache keys hash: a change to how
 // keys are written must keep them, or bump funcKeyVersion and re-pin.
 const (
-	goldenGlobalsSig = "b04c886ac0a1c4edfab8a36da30e3eef95a8e899a2be2eb0467366e0a705209a"
-	goldenFuncKeys   = "4d7c3d722800c1143f9f68d6724587582653acd059b8e2844638609a19c22d9f"
+	goldenGlobalsSig = "b561ffd34e2b884b9c7d2cdca4402ca166face7f4771e0eb71253e8c6a9f18cf"
+	goldenFuncKeys   = "4aeecb5d38e157021a0ef43b0affe990341a873b5590504510e7b9df2d4e143c"
 )
 
 func TestFuncKeyBytesPinned(t *testing.T) {
@@ -162,5 +164,176 @@ func TestFuncKeyBytesPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenFuncKeys {
 		t.Errorf("corpus FuncKeyOf digest = %s, want %s", got, goldenFuncKeys)
+	}
+}
+
+// keySite is one instruction of the corpus's freshly built IR, with its
+// function's globals signature.
+type keySite struct {
+	f   *ir.Func
+	b   *ir.Block
+	i   int
+	sig compile.GlobalsSig
+}
+
+// keyOf returns the function's key with in standing at the site.
+func (s keySite) keyOf(in *ir.Instr) compile.FuncKey {
+	orig := s.b.Instrs[s.i]
+	s.b.Instrs[s.i] = in
+	defer func() { s.b.Instrs[s.i] = orig }()
+	return compile.FuncKeyOf(s.f, s.sig)
+}
+
+// findSite returns the first corpus instruction ok accepts.
+func findSite(t *testing.T, ok func(*ir.Instr) bool) keySite {
+	t.Helper()
+	for _, name := range bench.Names {
+		sp, err := sem.CheckSource(name+".mc", bench.MustSource(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := ir.Build(sp)
+		sig := compile.GlobalsSigOf(prog, compile.O2())
+		for _, f := range prog.Funcs {
+			for _, b := range f.Blocks {
+				for i, in := range b.Instrs {
+					if ok(in) {
+						return keySite{f, b, i, sig}
+					}
+				}
+			}
+		}
+	}
+	t.Fatal("no corpus instruction fits")
+	return keySite{}
+}
+
+// TestFuncKeySeesEveryField changes one field at a time in a corpus
+// function's IR and requires the function's key to change: a field the
+// key writer dropped would let two different functions share a cached
+// back end. Operand slots take every value of a set that differs in one
+// field at a time, and all of their keys must differ.
+func TestFuncKeySeesEveryField(t *testing.T) {
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	opds := []struct {
+		name string
+		o    ir.Operand
+	}{
+		{"absent", ir.Operand{}},
+		{"CI(0)", ir.CI(0)},
+		{"temp 0", ir.TempOf(0, ir.I)},
+		{"float temp 0", ir.TempOf(0, ir.F)},
+		{"temp 1", ir.TempOf(1, ir.I)},
+		{"temp 0 with Int 1", ir.Operand{Kind: ir.Temp, Ty: ir.I, Int: 1}},
+		{"var 0", ir.Operand{Kind: ir.Var, Ty: ir.I, ID: 0}},
+		{"var 1", ir.Operand{Kind: ir.Var, Ty: ir.I, ID: 1}},
+		{"float var 1", ir.Operand{Kind: ir.Var, Ty: ir.F, ID: 1}},
+		{"CI(1)", ir.CI(1)},
+		{"CI(-1)", ir.CI(-1)},
+		{"CI(1) with ID 1", ir.Operand{Kind: ir.ConstI, Ty: ir.I, ID: 1, Int: 1}},
+		{"CI(1) typed float", ir.Operand{Kind: ir.ConstI, Ty: ir.F, Int: 1}},
+		{"CF(+0)", ir.CF(0)},
+		{"CF(-0)", ir.CF(math.Copysign(0, -1))},
+		{"CF(1)", ir.CF(1)},
+		{"CF(NaN payload 1)", ir.CF(nan1)},
+		{"CF(NaN payload 2)", ir.CF(nan2)},
+	}
+	// slot checks that every operand value gives the instruction a
+	// different key when set.
+	slot := func(name string, s keySite, set func(in *ir.Instr, o ir.Operand)) {
+		t.Helper()
+		seen := map[compile.FuncKey]string{}
+		for _, v := range opds {
+			in := s.b.Instrs[s.i].Clone()
+			set(in, v.o)
+			k := s.keyOf(in)
+			if prev, dup := seen[k]; dup {
+				t.Errorf("%s: %s and %s give one key", name, prev, v.name)
+			}
+			seen[k] = v.name
+		}
+	}
+
+	bin := findSite(t, func(in *ir.Instr) bool { return in.Kind == ir.BinOp })
+	slot("Dst", bin, func(in *ir.Instr, o ir.Operand) { in.Dst = o })
+	slot("A", bin, func(in *ir.Instr, o ir.Operand) { in.A = o })
+	slot("B", bin, func(in *ir.Instr, o ir.Operand) { in.B = o })
+
+	call := findSite(t, func(in *ir.Instr) bool { return in.Kind == ir.Call && len(in.Args) >= 2 })
+	for j := range call.b.Instrs[call.i].Args {
+		slot(fmt.Sprintf("Args[%d]", j), call, func(in *ir.Instr, o ir.Operand) { in.Args[j] = o })
+	}
+	prn := findSite(t, func(in *ir.Instr) bool {
+		vals := 0
+		for _, a := range in.PrintFmt {
+			if !a.IsStr {
+				vals++
+			}
+		}
+		return in.Kind == ir.Print && vals >= 1 && len(in.PrintFmt) >= 2
+	})
+	for j := range prn.b.Instrs[prn.i].PrintFmt {
+		slot(fmt.Sprintf("PrintFmt[%d].Val", j), prn, func(in *ir.Instr, o ir.Operand) { in.PrintFmt[j].Val = o })
+	}
+
+	obj := bin.f.Decl.Locals[0]
+	other := bin.f.Decl.Locals[len(bin.f.Decl.Locals)-1]
+	if obj == other {
+		t.Fatalf("%s has one local; pick a function with two", bin.f.Name)
+	}
+	type change struct {
+		name string
+		site keySite
+		set  func(in *ir.Instr)
+	}
+	fields := []change{
+		{"Kind", bin, func(in *ir.Instr) { in.Kind = ir.UnOp }},
+		{"Op", bin, func(in *ir.Instr) { in.Op++ }},
+		{"Off", bin, func(in *ir.Instr) { in.Off += 4 }},
+		{"AddrObj", bin, func(in *ir.Instr) { in.AddrObj = obj }},
+		{"Callee", bin, func(in *ir.Instr) { in.Callee = "f" }},
+		{"Args added", bin, func(in *ir.Instr) { in.Args = []ir.Operand{{}} }},
+		{"PrintFmt added", bin, func(in *ir.Instr) { in.PrintFmt = []ir.PrintArg{{}} }},
+		{"ParamIdx", bin, func(in *ir.Instr) { in.ParamIdx++ }},
+		{"MarkObj", bin, func(in *ir.Instr) { in.MarkObj = obj }},
+		{"Stmt", bin, func(in *ir.Instr) { in.Stmt++ }},
+		{"OrigIdx", bin, func(in *ir.Instr) { in.OrigIdx++ }},
+		{"Ann.Hoisted", bin, func(in *ir.Instr) { in.Ann.Hoisted = !in.Ann.Hoisted }},
+		{"Ann.Sunk", bin, func(in *ir.Instr) { in.Ann.Sunk = !in.Ann.Sunk }},
+		{"Ann.InsertedBy", bin, func(in *ir.Instr) { in.Ann.InsertedBy += "pre" }},
+		{"Ann.ReplacedVar", bin, func(in *ir.Instr) { in.Ann.ReplacedVar = obj }},
+		{"Ann.Recover", bin, func(in *ir.Instr) { in.Ann.Recover = &ir.LinRecovery{} }},
+		{"Callee of a call", call, func(in *ir.Instr) { in.Callee += "x" }},
+		{"Args dropped", call, func(in *ir.Instr) { in.Args = in.Args[:len(in.Args)-1] }},
+	}
+	for j := range prn.b.Instrs[prn.i].PrintFmt {
+		fields = append(fields,
+			change{fmt.Sprintf("PrintFmt[%d].IsStr", j), prn, func(in *ir.Instr) { in.PrintFmt[j].IsStr = !in.PrintFmt[j].IsStr }},
+			change{fmt.Sprintf("PrintFmt[%d].Str", j), prn, func(in *ir.Instr) { in.PrintFmt[j].Str += "!" }})
+	}
+	for _, c := range fields {
+		base := c.site.keyOf(c.site.b.Instrs[c.site.i])
+		in := c.site.b.Instrs[c.site.i].Clone()
+		c.set(in)
+		if c.site.keyOf(in) == base {
+			t.Errorf("changing %s leaves the key unchanged", c.name)
+		}
+	}
+
+	// Recover's fields, each against a recovery that differs in it alone.
+	rec := func(r ir.LinRecovery) compile.FuncKey {
+		in := bin.b.Instrs[bin.i].Clone()
+		in.Ann.Recover = &r
+		return bin.keyOf(in)
+	}
+	base := ir.LinRecovery{Var: obj, A: 2, B: 3}
+	for name, r := range map[string]ir.LinRecovery{
+		"Recover.Var": {Var: other, A: 2, B: 3},
+		"Recover.A":   {Var: obj, A: -2, B: 3},
+		"Recover.B":   {Var: obj, A: 2, B: 4},
+	} {
+		if rec(r) == rec(base) {
+			t.Errorf("changing %s leaves the key unchanged", name)
+		}
 	}
 }

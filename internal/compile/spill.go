@@ -475,29 +475,32 @@ func (e *enc) irOperand(o ir.Operand) {
 	if o.Kind < 0 || o.Kind > ir.ConstF || o.Ty < 0 || o.Ty > ir.F {
 		e.fail("initializer operand kind %d type %d out of range", o.Kind, o.Ty)
 	}
+	if o.Kind == ir.Var {
+		e.fail("initializer operand names a variable")
+	}
 	h := len(e.b)
 	e.b = append(e.b, byte(o.Kind))
 	if o.Ty == ir.F {
 		e.b[h] |= irTyF
 	}
-	if o.TID != 0 {
+	if o.ID != 0 {
 		e.b[h] |= irTID
-		e.int(int64(o.TID))
+		e.int(int64(o.ID))
 	}
-	if o.Obj != nil {
-		e.b[h] |= irObj
-		e.obj(o.Obj)
-	}
-	if o.Int != 0 {
+	switch {
+	case o.Int == 0:
+	case o.Kind == ir.ConstF:
+		e.b[h] |= irFl
+		e.f64(o.F())
+	default:
 		e.b[h] |= irInt
 		e.int(o.Int)
 	}
-	if math.Float64bits(o.Fl) != 0 {
-		e.b[h] |= irFl
-		e.f64(o.Fl)
-	}
 }
 
+// irOperand reads an initializer operand. An operand holds one int64, so
+// integer and float payloads exclude each other, and an initializer has no
+// function whose variable it could name (irObj is refused).
 func (d *dec) irOperand() ir.Operand {
 	h := d.byte()
 	if h&irKindMask > byte(ir.ConstF) {
@@ -509,16 +512,23 @@ func (d *dec) irOperand() ir.Operand {
 		o.Ty = ir.F
 	}
 	if h&irTID != 0 {
-		o.TID = int(d.nzInt())
+		o.ID = d.nzInt32()
 	}
 	if h&irObj != 0 {
-		o.Obj = d.nzObj()
+		d.fail("initializer operand names a variable")
+		return ir.Operand{}
 	}
 	if h&irInt != 0 {
+		if o.Kind == ir.ConstF {
+			d.fail("integer payload on a float constant")
+		}
 		o.Int = d.nzInt()
 	}
 	if h&irFl != 0 {
-		o.Fl = d.nzF64()
+		if o.Kind != ir.ConstF {
+			d.fail("float payload on a non-float operand")
+		}
+		o.Int = int64(math.Float64bits(d.nzF64()))
 	}
 	return o
 }

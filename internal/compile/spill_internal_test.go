@@ -8,12 +8,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/ir"
 	"repro/internal/mach"
 	"repro/internal/randprog"
 	"repro/internal/sem"
@@ -320,6 +322,43 @@ func TestDecodeRefusesWideInt32Fields(t *testing.T) {
 		got := d.nzInt32()
 		if ok := d.err == nil; ok != c.ok || ok && int64(got) != c.v {
 			t.Errorf("nzInt32 of %d = %d (err %v), want ok=%v", c.v, got, d.err, c.ok)
+		}
+	}
+}
+
+// TestInitializerOperandCodec holds the initializer-operand bytes to the
+// pointer-free ir.Operand: a constant round-trips bit for bit (a float's
+// -0 and NaN payload included), and an operand the layout cannot hold is
+// refused on both sides: one naming a variable (an initializer has no
+// function to resolve it in) and one carrying both an integer and a float
+// payload (the operand has one int64 for either).
+func TestInitializerOperandCodec(t *testing.T) {
+	for _, o := range []ir.Operand{
+		{}, ir.CI(0), ir.CI(-7), ir.CF(0), ir.CF(math.Copysign(0, -1)), ir.CF(2.5),
+		ir.CF(math.Float64frombits(0x7ff8000000000abc)), ir.TempOf(3, ir.F),
+	} {
+		e := &enc{}
+		e.irOperand(o)
+		d := &dec{b: e.b}
+		if got := d.irOperand(); e.err != nil || d.err != nil || got != o {
+			t.Errorf("%+v: decoded %+v (enc err %v, dec err %v)", o, got, e.err, d.err)
+		}
+	}
+	e := &enc{}
+	if e.irOperand(ir.Operand{Kind: ir.Var, ID: 1}); e.err == nil {
+		t.Error("encoded an initializer naming a variable")
+	}
+	for _, c := range []struct {
+		name string
+		b    []byte
+	}{
+		{"variable", []byte{byte(ir.Var) | irObj, 2}},
+		{"integer payload on a float", []byte{byte(ir.ConstF) | irTyF | irInt, 2}},
+		{"float payload on an integer", []byte{byte(ir.ConstI) | irFl, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}},
+	} {
+		d := &dec{b: c.b}
+		if d.irOperand(); d.err == nil {
+			t.Errorf("decoded an initializer with a %s", c.name)
 		}
 	}
 }

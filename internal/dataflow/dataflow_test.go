@@ -261,7 +261,7 @@ func TestFindLoopsSimple(t *testing.T) {
 		t.Fatalf("found %d loops", len(loops))
 	}
 	l := loops[0]
-	if l.Header != 1 || !l.Blocks[2] || l.Blocks[3] || l.Blocks[0] {
+	if l.Header != 1 || !l.In(2) || l.In(3) || l.In(0) {
 		t.Errorf("loop = header %d blocks %v", l.Header, l.Blocks)
 	}
 	if depth[1] != 1 || depth[2] != 1 || depth[0] != 0 || depth[3] != 0 {

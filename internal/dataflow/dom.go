@@ -11,8 +11,13 @@ type DomTree struct {
 // Dominators computes the dominator tree of g rooted at entry using the
 // iterative algorithm of Cooper, Harvey & Kennedy over a reverse-postorder
 // numbering.
-func Dominators(g Graph, entry int) *DomTree {
-	return domsOf(g.N, g.Succs, g.Preds, entry)
+func Dominators(g Graph, entry int) *DomTree { return DominatorsIn(new(Scratch), g, entry) }
+
+// DominatorsIn is Dominators working in st's buffers. The tree is backed
+// by st: it stays valid until the next DominatorsIn or FindLoopsIn on st.
+// Solving on st does not touch it.
+func DominatorsIn(st *Scratch, g Graph, entry int) *DomTree {
+	return st.doms(g.N, g.Succs, g.Preds, entry)
 }
 
 // PostDominators computes the postdominator tree of g. Because a function
@@ -34,7 +39,7 @@ func PostDominators(g Graph) *DomTree {
 			preds[b] = append(preds[b], n)
 		}
 	}
-	t := domsOf(n+1, succs, preds, n)
+	t := new(Scratch).doms(n+1, succs, preds, n)
 	out := &DomTree{IDom: make([]int, n), root: -1}
 	for b := 0; b < n; b++ {
 		if t.IDom[b] == n {
@@ -46,27 +51,54 @@ func PostDominators(g Graph) *DomTree {
 	return out
 }
 
-func domsOf(n int, succs, preds [][]int, entry int) *DomTree {
-	// Reverse postorder from entry.
-	order := make([]int, 0, n)
-	seen := make([]bool, n)
-	var walk func(int)
-	walk = func(b int) {
-		if seen[b] {
-			return
+// domScratch holds the buffers DominatorsIn and FindLoopsIn work in,
+// apart from the ones SolveIn uses.
+type domScratch struct {
+	tree      DomTree
+	idom      []int
+	order     []int // reverse postorder from the entry
+	rpoNum    []int
+	seen      []bool
+	stack     []frame
+	backEdges []int // FindLoopsIn's back edges, latch then header
+	loops     []Loop
+	loopPtrs  []*Loop
+	bodies    slab
+	latches   []int
+	walk      []int // a loop body's backward walk
+	depth     []int
+}
+
+// doms computes the dominator tree over n blocks into st.
+func (st *Scratch) doms(n int, succs, preds [][]int, entry int) *DomTree {
+	d := &st.dom
+	// Reverse postorder from entry: an iterative DFS visiting successors
+	// in order, which yields the postorder a recursive walk would.
+	seen := resize(d.seen, n)
+	clear(seen)
+	order := resize(d.order, n)[:0]
+	stack := resize(d.stack, n)[:0]
+	seen[entry] = true
+	stack = append(stack, frame{entry, 0})
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.i < len(succs[f.b]) {
+			s := succs[f.b][f.i]
+			f.i++
+			if !seen[s] {
+				seen[s] = true
+				stack = append(stack, frame{s, 0})
+			}
+			continue
 		}
-		seen[b] = true
-		for _, s := range succs[b] {
-			walk(s)
-		}
-		order = append(order, b)
+		order = append(order, f.b)
+		stack = stack[:len(stack)-1]
 	}
-	walk(entry)
 	// order is postorder; reverse it.
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
-	rpoNum := make([]int, n)
+	rpoNum := resize(d.rpoNum, n)
 	for i := range rpoNum {
 		rpoNum[i] = -1
 	}
@@ -74,7 +106,7 @@ func domsOf(n int, succs, preds [][]int, entry int) *DomTree {
 		rpoNum[b] = i
 	}
 
-	idom := make([]int, n)
+	idom := resize(d.idom, n)
 	for i := range idom {
 		idom[i] = -1
 	}
@@ -117,7 +149,9 @@ func domsOf(n int, succs, preds [][]int, entry int) *DomTree {
 		}
 	}
 	idom[entry] = -1
-	return &DomTree{IDom: idom, root: entry}
+	d.seen, d.order, d.stack, d.rpoNum, d.idom = seen, order, stack, rpoNum, idom
+	d.tree = DomTree{IDom: idom, root: entry}
+	return &d.tree
 }
 
 // Dominates reports whether a dominates b (reflexive).
@@ -134,8 +168,9 @@ func (t *DomTree) Dominates(a, b int) bool {
 // Loop is one natural loop.
 type Loop struct {
 	Header int
-	// Blocks contains every block in the loop body (including the header).
-	Blocks map[int]bool
+	// Blocks holds every block in the loop body (including the header);
+	// ask with In.
+	Blocks *BitSet
 	// Latches are the blocks with back edges to the header.
 	Latches []int
 	// Preheader is filled by the optimizer when it inserts one (-1 if
@@ -144,45 +179,86 @@ type Loop struct {
 	// Parent loop index in the Loops slice, or -1 for top-level loops.
 	Parent int
 	Depth  int
+
+	size int // the number of blocks in the body
 }
+
+// In reports whether block b is in the loop body. A block outside the
+// graph the loop was found in (a negative index, or one added since) is
+// not.
+func (l *Loop) In(b int) bool { return uint(b) < uint(l.Blocks.Len()) && l.Blocks.Has(b) }
 
 // FindLoops detects natural loops (back edges whose target dominates the
 // source) and computes per-block loop depth. Loops sharing a header are
 // merged.
 func FindLoops(g Graph, entry int) (loops []*Loop, depth []int) {
-	dom := Dominators(g, entry)
-	byHeader := map[int]*Loop{}
+	return FindLoopsIn(new(Scratch), g, entry)
+}
+
+// FindLoopsIn is FindLoops working in st's buffers. The loops and depths
+// are backed by st: they stay valid until the next FindLoopsIn on st, and
+// a DominatorsIn or SolveIn on st leaves them alone.
+func FindLoopsIn(st *Scratch, g Graph, entry int) (loops []*Loop, depth []int) {
+	dom := DominatorsIn(st, g, entry)
+	d := &st.dom
+	// Back edges b -> s, in block then successor order; a loop per header,
+	// in the order its first back edge appears.
+	back := d.backEdges[:0]
+	d.loops = d.loops[:0]
 	for b := 0; b < g.N; b++ {
 		for _, s := range g.Succs[b] {
-			if dom.Dominates(s, b) {
-				// back edge b -> s
-				l := byHeader[s]
-				if l == nil {
-					l = &Loop{Header: s, Blocks: map[int]bool{s: true}, Preheader: -1, Parent: -1}
-					byHeader[s] = l
-					loops = append(loops, l)
-				}
-				l.Latches = append(l.Latches, b)
-				// Collect the loop body: all blocks that reach the latch
-				// backwards without passing the header.
-				var stack []int
-				if !l.Blocks[b] {
-					l.Blocks[b] = true
-					stack = append(stack, b)
-				}
-				for len(stack) > 0 {
-					x := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					for _, p := range g.Preds[x] {
-						if !l.Blocks[p] {
-							l.Blocks[p] = true
-							stack = append(stack, p)
-						}
+			if !dom.Dominates(s, b) {
+				continue
+			}
+			back = append(back, b, s)
+			known := false
+			for i := range d.loops {
+				known = known || d.loops[i].Header == s
+			}
+			if !known {
+				d.loops = append(d.loops, Loop{Header: s, Preheader: -1, Parent: -1})
+			}
+		}
+	}
+	d.backEdges = back
+	bodies := d.bodies.carve(len(d.loops), g.N)
+	d.loopPtrs = resize(d.loopPtrs, len(d.loops))
+	latches := resize(d.latches, len(back)/2)[:0]
+	walk := d.walk[:0]
+	for i := range d.loops {
+		l := &d.loops[i]
+		l.Blocks = &bodies[i]
+		l.Blocks.Set(l.Header)
+		start := len(latches)
+		for e := 0; e < len(back); e += 2 {
+			b := back[e]
+			if back[e+1] != l.Header {
+				continue
+			}
+			latches = append(latches, b)
+			// Collect the loop body: all blocks that reach the latch
+			// backwards without passing the header.
+			if !l.Blocks.Has(b) {
+				l.Blocks.Set(b)
+				walk = append(walk, b)
+			}
+			for len(walk) > 0 {
+				x := walk[len(walk)-1]
+				walk = walk[:len(walk)-1]
+				for _, p := range g.Preds[x] {
+					if !l.Blocks.Has(p) {
+						l.Blocks.Set(p)
+						walk = append(walk, p)
 					}
 				}
 			}
 		}
+		l.Latches = latches[start:len(latches):len(latches)]
+		l.size = l.Blocks.Count()
+		d.loopPtrs[i] = l
 	}
+	d.latches, d.walk = latches, walk
+	loops = d.loopPtrs
 	// Nesting: loop A is nested in B if A's header is in B's blocks and A != B.
 	for i, a := range loops {
 		best := -1
@@ -191,28 +267,30 @@ func FindLoops(g Graph, entry int) (loops []*Loop, depth []int) {
 			if i == j {
 				continue
 			}
-			if b.Blocks[a.Header] && len(b.Blocks) < bestSize && len(b.Blocks) > len(a.Blocks) {
-				best, bestSize = j, len(b.Blocks)
+			if b.In(a.Header) && b.size < bestSize && b.size > a.size {
+				best, bestSize = j, b.size
 			}
 		}
 		a.Parent = best
 	}
 	for _, l := range loops {
-		d := 1
+		dep := 1
 		p := l.Parent
 		for p != -1 {
-			d++
+			dep++
 			p = loops[p].Parent
 		}
-		l.Depth = d
+		l.Depth = dep
 	}
-	depth = make([]int, g.N)
+	depth = resize(d.depth, g.N)
+	clear(depth)
 	for _, l := range loops {
-		for b := range l.Blocks {
-			if l.Depth > depth[b] {
+		for b := range depth {
+			if l.In(b) && l.Depth > depth[b] {
 				depth[b] = l.Depth
 			}
 		}
 	}
+	d.depth = depth
 	return loops, depth
 }

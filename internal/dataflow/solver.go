@@ -62,8 +62,9 @@ type Result struct {
 // refills them, so a caller that solves many problems (the optimizer
 // solves several per pass) allocates only when a problem outgrows every
 // earlier one. Sets hands out problem-input sets from a second slab that
-// solving never touches. The zero value is ready to use; a Scratch must
-// not be shared between goroutines.
+// solving never touches, and DominatorsIn and FindLoopsIn keep their
+// buffers apart from the solver's. The zero value is ready to use; a
+// Scratch must not be shared between goroutines.
 type Scratch struct {
 	res             Result
 	sol, input      slab
@@ -78,6 +79,7 @@ type Scratch struct {
 	edgesOut        [][]int
 	order           []int
 	stack           []frame
+	dom             domScratch
 }
 
 // frame is a visitOrder DFS frame: a block and its next successor index.

@@ -70,8 +70,8 @@ func fv(x float64) value { return value{f: x, isF: true} }
 
 // frame is one activation record.
 type frame struct {
-	vars   map[int]value // promoted variable values, by Object.ID
-	temps  map[int]value // temp values
+	vars   []value // promoted variable values, by Object.ID
+	temps  []value // temp values, by number
 	locals map[*ast.Object]*memObj
 }
 
@@ -88,7 +88,7 @@ func NewInterp(prog *Program) *Interp {
 		if init, ok := prog.GlobalInit[g]; ok {
 			if m.isF {
 				if init.Kind == ConstF {
-					m.fls[0] = init.Fl
+					m.fls[0] = init.F()
 				} else {
 					m.fls[0] = float64(init.Int)
 				}
@@ -96,7 +96,7 @@ func NewInterp(prog *Program) *Interp {
 				if init.Kind == ConstI {
 					m.words[0] = init.Int
 				} else {
-					m.words[0] = int64(init.Fl)
+					m.words[0] = int64(init.F())
 				}
 			}
 		}
@@ -120,8 +120,8 @@ func (ip *Interp) Output() string { return ip.out.String() }
 
 func (ip *Interp) call(f *Func, args []value) (value, error) {
 	fr := &frame{
-		vars:   map[int]value{},
-		temps:  map[int]value{},
+		vars:   make([]value, len(f.Decl.Locals)),
+		temps:  make([]value, f.NumTemps),
 		locals: map[*ast.Object]*memObj{},
 	}
 	for _, o := range f.FrameObjects {
@@ -251,11 +251,11 @@ func (fr *frame) get(o Operand) value {
 	case ConstI:
 		return iv(o.Int)
 	case ConstF:
-		return fv(o.Fl)
+		return fv(o.F())
 	case Var:
-		return fr.vars[o.Obj.ID]
+		return fr.vars[o.ID]
 	case Temp:
-		return fr.temps[o.TID]
+		return fr.temps[o.ID]
 	}
 	return value{}
 }
@@ -263,9 +263,9 @@ func (fr *frame) get(o Operand) value {
 func (fr *frame) set(o Operand, v value) {
 	switch o.Kind {
 	case Var:
-		fr.vars[o.Obj.ID] = v
+		fr.vars[o.ID] = v
 	case Temp:
-		fr.temps[o.TID] = v
+		fr.temps[o.ID] = v
 	}
 }
 

@@ -60,27 +60,37 @@ const (
 	ConstF         // float constant
 )
 
-// Operand is one instruction operand or destination.
+// Operand is one instruction operand or destination. It holds no
+// pointer and is 16 bytes: a promoted variable is always a local of its
+// own function, so a Var names it by its Object.ID, which is its index in
+// the function's Decl.Locals (resolve with Func.Obj), and a float
+// constant keeps its bits in Int (read F).
 type Operand struct {
 	Kind OpdKind
 	Ty   Ty
-	TID  int         // temp number (Kind == Temp)
-	Obj  *ast.Object // source variable (Kind == Var)
-	Int  int64       // Kind == ConstI
-	Fl   float64     // Kind == ConstF
+	ID   int32 // temp number (Kind == Temp) or the variable's Object.ID (Kind == Var)
+	Int  int64 // value (Kind == ConstI) or Float64bits of the value (Kind == ConstF)
 }
 
 // TempOf makes a temp operand.
-func TempOf(id int, ty Ty) Operand { return Operand{Kind: Temp, Ty: ty, TID: id} }
+func TempOf(id int, ty Ty) Operand { return Operand{Kind: Temp, Ty: ty, ID: int32(id)} }
 
 // VarOf makes a promoted-variable operand.
-func VarOf(o *ast.Object) Operand { return Operand{Kind: Var, Ty: TyOf(o.Type), Obj: o} }
+func VarOf(o *ast.Object) Operand { return Operand{Kind: Var, Ty: TyOf(o.Type), ID: int32(o.ID)} }
 
 // CI makes an integer constant operand.
 func CI(v int64) Operand { return Operand{Kind: ConstI, Ty: I, Int: v} }
 
 // CF makes a float constant operand.
-func CF(v float64) Operand { return Operand{Kind: ConstF, Ty: F, Fl: v} }
+func CF(v float64) Operand { return Operand{Kind: ConstF, Ty: F, Int: int64(math.Float64bits(v))} }
+
+// F is a float constant's value, or 0 for any other operand.
+func (o Operand) F() float64 {
+	if o.Kind != ConstF {
+		return 0
+	}
+	return math.Float64frombits(uint64(o.Int))
+}
 
 // IsConst reports whether o is a constant.
 func (o Operand) IsConst() bool { return o.Kind == ConstI || o.Kind == ConstF }
@@ -89,31 +99,30 @@ func (o Operand) IsConst() bool { return o.Kind == ConstI || o.Kind == ConstF }
 func (o Operand) Valid() bool { return o.Kind != NoOpd }
 
 // Same reports operand identity (same temp, same variable, or equal const).
+// Float constants compare as floats: -0 is the same as +0, and a NaN is
+// the same as nothing.
 func (o Operand) Same(p Operand) bool {
 	if o.Kind != p.Kind {
 		return false
 	}
 	switch o.Kind {
-	case Temp:
-		return o.TID == p.TID
-	case Var:
-		return o.Obj == p.Obj
+	case Temp, Var:
+		return o.ID == p.ID
 	case ConstI:
 		return o.Int == p.Int
 	case ConstF:
-		return o.Fl == p.Fl
+		return o.F() == p.F()
 	}
 	return true
 }
 
 // OpdKey identifies an operand within a function, for redundancy keys:
 // two operands have equal keys exactly when they name the same temp, the
-// same variable object, or the same constant (float constants by bit
-// pattern, with every NaN equal to every other).
+// same variable, or the same constant (float constants by bit pattern,
+// with every NaN equal to every other).
 type OpdKey struct {
 	Kind OpdKind
-	N    int64       // TID, Int, float bits, or the variable's ID
-	Obj  *ast.Object // Kind == Var
+	N    int64 // temp number, variable ID, Int, or float bits
 }
 
 // canonicalNaN is the bit pattern every NaN constant keys as.
@@ -122,44 +131,46 @@ var canonicalNaN = math.Float64bits(math.NaN())
 // Key returns the operand's redundancy key.
 func (o Operand) Key() OpdKey {
 	switch o.Kind {
-	case Temp:
-		return OpdKey{Kind: Temp, N: int64(o.TID)}
-	case Var:
-		return OpdKey{Kind: Var, N: int64(o.Obj.ID), Obj: o.Obj}
+	case Temp, Var:
+		return OpdKey{Kind: o.Kind, N: int64(o.ID)}
 	case ConstI:
 		return OpdKey{Kind: ConstI, N: o.Int}
 	case ConstF:
-		if math.IsNaN(o.Fl) {
+		if math.IsNaN(o.F()) {
 			return OpdKey{Kind: ConstF, N: int64(canonicalNaN)}
 		}
-		return OpdKey{Kind: ConstF, N: int64(math.Float64bits(o.Fl))}
+		return OpdKey{Kind: ConstF, N: o.Int}
 	}
 	return OpdKey{}
 }
 
 // less orders operand keys, so commutative operands can be put in a
-// canonical order. Two distinct variables are ordered by ID, then name;
-// variables of one function never share both.
+// canonical order.
 func (k OpdKey) less(l OpdKey) bool {
 	if k.Kind != l.Kind {
 		return k.Kind < l.Kind
 	}
-	if k.N != l.N {
-		return k.N < l.N
-	}
-	return k.Obj != nil && l.Obj != nil && k.Obj.Name < l.Obj.Name
+	return k.N < l.N
 }
 
-func (o Operand) String() string {
+// String renders the operand without its function: a variable prints as
+// local#ID. StringIn names it.
+func (o Operand) String() string { return o.StringIn(nil) }
+
+// StringIn renders the operand, naming a variable from f's locals.
+func (o Operand) StringIn(f *Func) string {
 	switch o.Kind {
 	case Temp:
-		return fmt.Sprintf("t%d", o.TID)
+		return fmt.Sprintf("t%d", o.ID)
 	case Var:
-		return o.Obj.Name
+		if f == nil {
+			return fmt.Sprintf("local#%d", o.ID)
+		}
+		return f.Obj(o).Name
 	case ConstI:
 		return fmt.Sprintf("%d", o.Int)
 	case ConstF:
-		return fmt.Sprintf("%g", o.Fl)
+		return fmt.Sprintf("%g", o.F())
 	}
 	return "_"
 }
@@ -423,7 +434,13 @@ func (i *Instr) Clone() *Instr {
 	return &c
 }
 
-func (i *Instr) String() string {
+// String renders the instruction without its function: variables print
+// as local#ID. StringIn names them.
+func (i *Instr) String() string { return i.StringIn(nil) }
+
+// StringIn renders the instruction, naming variables from f's locals.
+func (i *Instr) StringIn(f *Func) string {
+	opd := func(o Operand) string { return o.StringIn(f) }
 	ann := ""
 	if i.Ann.Hoisted {
 		ann += " !hoisted"
@@ -443,43 +460,43 @@ func (i *Instr) String() string {
 	}
 	switch i.Kind {
 	case BinOp:
-		return fmt.Sprintf("%s = %s %s, %s%s%s", i.Dst, i.Op, i.A, i.B, stmt, ann)
+		return fmt.Sprintf("%s = %s %s, %s%s%s", opd(i.Dst), i.Op, opd(i.A), opd(i.B), stmt, ann)
 	case UnOp:
-		return fmt.Sprintf("%s = %s %s%s%s", i.Dst, i.Op, i.A, stmt, ann)
+		return fmt.Sprintf("%s = %s %s%s%s", opd(i.Dst), i.Op, opd(i.A), stmt, ann)
 	case Copy:
-		return fmt.Sprintf("%s = %s%s%s", i.Dst, i.A, stmt, ann)
+		return fmt.Sprintf("%s = %s%s%s", opd(i.Dst), opd(i.A), stmt, ann)
 	case Load:
-		return fmt.Sprintf("%s = load [%s+%d]%s%s", i.Dst, i.A, i.Off, stmt, ann)
+		return fmt.Sprintf("%s = load [%s+%d]%s%s", opd(i.Dst), opd(i.A), i.Off, stmt, ann)
 	case Store:
-		return fmt.Sprintf("store [%s+%d] = %s%s%s", i.A, i.Off, i.B, stmt, ann)
+		return fmt.Sprintf("store [%s+%d] = %s%s%s", opd(i.A), i.Off, opd(i.B), stmt, ann)
 	case Addr:
-		return fmt.Sprintf("%s = addr %s%s%s", i.Dst, i.AddrObj.Name, stmt, ann)
+		return fmt.Sprintf("%s = addr %s%s%s", opd(i.Dst), i.AddrObj.Name, stmt, ann)
 	case Call:
 		if i.Dst.Valid() {
-			return fmt.Sprintf("%s = call %s(%s)%s%s", i.Dst, i.Callee, opdList(i.Args), stmt, ann)
+			return fmt.Sprintf("%s = call %s(%s)%s%s", opd(i.Dst), i.Callee, opdList(i.Args, f), stmt, ann)
 		}
-		return fmt.Sprintf("call %s(%s)%s%s", i.Callee, opdList(i.Args), stmt, ann)
+		return fmt.Sprintf("call %s(%s)%s%s", i.Callee, opdList(i.Args, f), stmt, ann)
 	case Print:
 		var parts []string
 		for _, a := range i.PrintFmt {
 			if a.IsStr {
 				parts = append(parts, fmt.Sprintf("%q", a.Str))
 			} else {
-				parts = append(parts, a.Val.String())
+				parts = append(parts, opd(a.Val))
 			}
 		}
 		return fmt.Sprintf("print %s%s", strings.Join(parts, ", "), stmt)
 	case Ret:
 		if i.A.Valid() {
-			return fmt.Sprintf("ret %s%s", i.A, stmt)
+			return fmt.Sprintf("ret %s%s", opd(i.A), stmt)
 		}
 		return "ret" + stmt
 	case Jmp:
 		return "jmp" + stmt
 	case Br:
-		return fmt.Sprintf("br %s%s", i.A, stmt)
+		return fmt.Sprintf("br %s%s", opd(i.A), stmt)
 	case GetParam:
-		return fmt.Sprintf("%s = param %d%s", i.Dst, i.ParamIdx, stmt)
+		return fmt.Sprintf("%s = param %d%s", opd(i.Dst), i.ParamIdx, stmt)
 	case MarkDead:
 		return fmt.Sprintf("-- marker: dead assignment to %s  ; s%d", i.MarkObj.Name, i.Stmt)
 	case MarkAvail:
@@ -488,10 +505,10 @@ func (i *Instr) String() string {
 	return "?"
 }
 
-func opdList(os []Operand) string {
+func opdList(os []Operand, f *Func) string {
 	parts := make([]string, len(os))
 	for i, o := range os {
-		parts[i] = o.String()
+		parts[i] = o.StringIn(f)
 	}
 	return strings.Join(parts, ", ")
 }
@@ -582,6 +599,20 @@ type Func struct {
 	// Globals is the program's globals by Object.ID, handed on to the
 	// machine function, whose instructions name objects by ID.
 	Globals []*ast.Object
+
+	// RemoveUnreachable's marks by block ID and its walk stack, kept for
+	// its next call.
+	reach []bool
+	walk  []*Block
+}
+
+// Obj resolves a Var operand to its variable, or returns nil for any
+// other operand.
+func (f *Func) Obj(o Operand) *ast.Object {
+	if o.Kind != Var {
+		return nil
+	}
+	return f.Decl.Locals[o.ID]
 }
 
 // NewBlock creates and registers a fresh block.
@@ -624,25 +655,46 @@ func (f *Func) RecomputePreds() {
 // deleted because it became empty are transferred by the branch passes, not
 // here; markers in truly unreachable code are dropped along with the code.
 func (f *Func) RemoveUnreachable() {
-	reach := map[*Block]bool{}
-	var walk func(*Block)
-	walk = func(b *Block) {
-		if reach[b] {
-			return
+	// Mark by block ID, in buffers f keeps for the next call. A block
+	// outside f.Blocks may be reached, so the marks grow as IDs appear.
+	reach := f.reach[:0]
+	mark := func(b *Block) bool {
+		for b.ID >= len(reach) {
+			reach = append(reach, false)
 		}
-		reach[b] = true
+		seen := reach[b.ID]
+		reach[b.ID] = true
+		return seen
+	}
+	stack := append(f.walk[:0], f.Entry)
+	mark(f.Entry)
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		for _, s := range b.Succs {
-			walk(s)
+			if !mark(s) {
+				stack = append(stack, s)
+			}
 		}
 	}
-	walk(f.Entry)
-	var keep []*Block
+	f.reach, f.walk = reach, stack
+	kept := 0
 	for _, b := range f.Blocks {
-		if reach[b] {
-			keep = append(keep, b)
+		if b.ID < len(reach) && reach[b.ID] {
+			kept++
 		}
 	}
-	f.Blocks = keep
+	// Keep f.Blocks when nothing is unreachable; otherwise make a new
+	// slice, since a caller may be ranging over the old one.
+	if kept < len(f.Blocks) {
+		keep := make([]*Block, 0, kept)
+		for _, b := range f.Blocks {
+			if b.ID < len(reach) && reach[b.ID] {
+				keep = append(keep, b)
+			}
+		}
+		f.Blocks = keep
+	}
 	f.RecomputePreds()
 }
 
@@ -680,7 +732,7 @@ func (f *Func) String() string {
 		}
 		b.WriteByte('\n')
 		for _, in := range blk.Instrs {
-			fmt.Fprintf(&b, "    %s\n", in)
+			fmt.Fprintf(&b, "    %s\n", in.StringIn(f))
 		}
 		if t := blk.Term(); t != nil {
 			switch t.Kind {

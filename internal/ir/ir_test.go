@@ -26,7 +26,7 @@ func TestBuildSimple(t *testing.T) {
 	// x = 1+2 should emit a single BinOp directly into x.
 	found := false
 	for _, in := range f.Entry.Instrs {
-		if in.Kind == BinOp && in.Dst.Kind == Var && in.Dst.Obj.Name == "x" {
+		if in.Kind == BinOp && in.Dst.Kind == Var && f.Obj(in.Dst).Name == "x" {
 			found = true
 		}
 	}

@@ -129,17 +129,17 @@ func opd(numVars int, o ir.Operand) mach.Opd {
 		if o.Ty == ir.F {
 			cls = mach.FloatClass
 		}
-		return mach.Opd{Kind: mach.Reg, Class: cls, R: int32(o.Obj.ID)}
+		return mach.Opd{Kind: mach.Reg, Class: cls, R: o.ID}
 	case ir.Temp:
 		cls := mach.IntClass
 		if o.Ty == ir.F {
 			cls = mach.FloatClass
 		}
-		return mach.Opd{Kind: mach.Reg, Class: cls, R: int32(numVars + o.TID)}
+		return mach.Opd{Kind: mach.Reg, Class: cls, R: int32(numVars) + o.ID}
 	case ir.ConstI:
 		return mach.I_(o.Int)
 	case ir.ConstF:
-		return mach.F_(o.Fl)
+		return mach.F_(o.F())
 	}
 	return mach.Opd{}
 }

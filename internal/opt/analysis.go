@@ -28,6 +28,7 @@ type workspace struct {
 	// live solves liveness, must and may the availability problems; each
 	// one's Sets hold that problem's gen/kill and working sets.
 	live, must, may dataflow.Scratch
+	loops           dataflow.Scratch // dominators and loops
 	lv              liveness
 	uses            []ir.Operand // usesOf
 	table           exprTable
@@ -41,6 +42,8 @@ type workspace struct {
 	inserts         []insertion
 	marks           []bool // FaintDCE's marks
 	elimMarks       []bool // the eliminator's deleted and hoisted values
+	chainSeen       []bool // chainBranches' visited blocks by ID, clear between chains
+	chain           []int  // the IDs chainSeen marks
 }
 
 // resize returns s with length n. It reuses s's array when it is large
@@ -124,9 +127,9 @@ func (s valueSpace) size() int { return s.numVars + s.fn.NumTemps }
 func (s valueSpace) indexOf(o ir.Operand) int {
 	switch o.Kind {
 	case ir.Var:
-		return o.Obj.ID
+		return int(o.ID)
 	case ir.Temp:
-		return s.numVars + o.TID
+		return s.numVars + int(o.ID)
 	}
 	return -1
 }

@@ -108,7 +108,7 @@ func assignProp(ws *workspace, f *ir.Func) bool {
 					rm.Dst = f.NewTemp(def.Dst.Ty)
 					rm.Stmt = in.Stmt
 					rm.OrigIdx = f.NextOrig()
-					rm.Ann = ir.Ann{ReplacedVar: def.Dst.Obj, InsertedBy: "assignprop"}
+					rm.Ann = ir.Ann{ReplacedVar: f.Obj(def.Dst), InsertedBy: "assignprop"}
 					changed, replaced = true, true
 					// Copies of plain operands propagate the operand
 					// directly (classic copy/constant propagation): no new

@@ -11,12 +11,14 @@ import (
 // became empty, any debugger markers it holds are transferred to its
 // successor; unreachable code (which would never have executed) is simply
 // dropped.
-func BranchOpt(f *ir.Func) bool {
+func BranchOpt(f *ir.Func) bool { return branchOpt(new(workspace), f) }
+
+func branchOpt(ws *workspace, f *ir.Func) bool {
 	changed := false
 	for {
 		c := false
 		c = foldConstBranches(f) || c
-		c = chainBranches(f) || c
+		c = chainBranches(ws, f) || c
 		c = mergeBlocks(f) || c
 		if !c {
 			break
@@ -69,20 +71,25 @@ func isEmptyJmp(b *ir.Block) (jmpOnly bool, markers []*ir.Instr) {
 }
 
 // chainBranches retargets edges that point at empty jump-only blocks.
-func chainBranches(f *ir.Func) bool {
+func chainBranches(ws *workspace, f *ir.Func) bool {
 	changed := false
 	for _, b := range f.Blocks {
 		for si, s := range b.Succs {
-			// Follow chains of empty blocks (with a visited set to survive
-			// empty infinite-loop cycles).
-			seen := map[*ir.Block]bool{}
+			// Follow chains of empty blocks, marking each block visited
+			// (by ID) to survive empty infinite-loop cycles. The marks
+			// are all clear between chains.
 			cur := s
 			var collected []*ir.Instr
+			chain := ws.chain[:0]
 			for {
-				if seen[cur] {
+				if cur.ID >= len(ws.chainSeen) {
+					ws.chainSeen = resize(ws.chainSeen, cur.ID+1)
+				}
+				if ws.chainSeen[cur.ID] {
 					break
 				}
-				seen[cur] = true
+				ws.chainSeen[cur.ID] = true
+				chain = append(chain, cur.ID)
 				empty, marks := isEmptyJmp(cur)
 				// Only bypass the block if it has other predecessors or
 				// no markers: bypassing a marker-holding block whose only
@@ -111,6 +118,10 @@ func chainBranches(f *ir.Func) bool {
 				collected = append(collected, marks...)
 				cur = cur.Succs[0]
 			}
+			for _, id := range chain {
+				ws.chainSeen[id] = false
+			}
+			ws.chain = chain
 			if cur != s {
 				// Move collected markers into the head of the final target
 				// (it post-dominates the deleted empty blocks on this

@@ -45,12 +45,12 @@ func foldInstr(in *ir.Instr) bool {
 			}
 		}
 		if a.Kind == ir.ConstF && b.Kind == ir.ConstF {
-			if v, isInt, ok := evalFF(in.Op, a.Fl, b.Fl); ok {
+			if v, isInt, ok := evalFF(in.Op, a.F(), b.F()); ok {
 				if isInt {
 					toCopy(in, ir.CI(v))
 				} else {
-					toCopy(in, ir.CF(a.Fl)) // placeholder, overwritten below
-					in.A = foldedF(in.Op, a.Fl, b.Fl)
+					toCopy(in, ir.CF(a.F())) // placeholder, overwritten below
+					in.A = foldedF(in.Op, a.F(), b.F())
 				}
 				return true
 			}
@@ -131,7 +131,7 @@ func foldInstr(in *ir.Instr) bool {
 				return true
 			}
 			if in.A.Kind == ir.ConstF {
-				toCopy(in, ir.CF(-in.A.Fl))
+				toCopy(in, ir.CF(-in.A.F()))
 				return true
 			}
 		case ir.Not:
@@ -150,7 +150,7 @@ func foldInstr(in *ir.Instr) bool {
 			}
 		case ir.CvFI:
 			if in.A.Kind == ir.ConstF {
-				toCopy(in, ir.CI(int64(in.A.Fl)))
+				toCopy(in, ir.CI(int64(in.A.F())))
 				return true
 			}
 		}
@@ -167,11 +167,11 @@ func toCopy(in *ir.Instr, v ir.Operand) {
 }
 
 func isZero(o ir.Operand) bool {
-	return (o.Kind == ir.ConstI && o.Int == 0) || (o.Kind == ir.ConstF && o.Fl == 0)
+	return (o.Kind == ir.ConstI && o.Int == 0) || (o.Kind == ir.ConstF && o.F() == 0)
 }
 
 func isOne(o ir.Operand) bool {
-	return (o.Kind == ir.ConstI && o.Int == 1) || (o.Kind == ir.ConstF && o.Fl == 1)
+	return (o.Kind == ir.ConstI && o.Int == 1) || (o.Kind == ir.ConstF && o.F() == 1)
 }
 
 func zeroLike(in *ir.Instr) ir.Operand {

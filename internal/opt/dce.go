@@ -100,7 +100,7 @@ func (e *eliminator) eliminate(b *ir.Block, i, k int) {
 	}
 	m := &ir.Instr{
 		Kind:    ir.MarkDead,
-		MarkObj: in.Dst.Obj,
+		MarkObj: e.f.Obj(in.Dst),
 		Stmt:    in.Stmt,
 		OrigIdx: in.OrigIdx,
 	}

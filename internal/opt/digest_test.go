@@ -131,14 +131,14 @@ func hashFunc(w io.Writer, f *ir.Func) {
 		d.str("B").int(b.ID).str(" succs=").blocks(b.Succs).str(" preds=").blocks(b.Preds).str("\n")
 		for _, in := range b.Instrs {
 			d.str("  k=").int(int(in.Kind)).str(" op=").int(int(in.Op))
-			d.str(" dst=").opd(in.Dst).str(" a=").opd(in.A).str(" b=").opd(in.B)
+			d.str(" dst=").opd(f, in.Dst).str(" a=").opd(f, in.A).str(" b=").opd(f, in.B)
 			d.str(" off=").int64(in.Off).str(" addr=").obj(in.AddrObj).str(" callee=").quote(in.Callee).str(" args=[")
 			for _, a := range in.Args {
-				d.opd(a).str(" ")
+				d.opd(f, a).str(" ")
 			}
 			d.str("] print=[")
 			for _, a := range in.PrintFmt {
-				d.bool(a.IsStr).str(":").quote(a.Str).str(":").opd(a.Val).str(" ")
+				d.bool(a.IsStr).str(":").quote(a.Str).str(":").opd(f, a.Val).str(" ")
 			}
 			d.str("] param=").int(in.ParamIdx).str(" mark=").obj(in.MarkObj)
 			d.str(" stmt=").int(in.Stmt).str(" orig=").int(in.OrigIdx)
@@ -178,9 +178,23 @@ func (d *digestText) obj(o *ast.Object) *digestText {
 	return d.str(o.Name, "#").int(o.ID)
 }
 
-func (d *digestText) opd(o ir.Operand) *digestText {
-	d.int(int(o.Kind)).str("/").int(int(o.Ty)).str("/").int(o.TID).str("/").obj(o.Obj).str("/").int64(o.Int).str("/")
-	*d = strconv.AppendUint(*d, math.Float64bits(o.Fl), 16)
+// opd writes an operand as kind/type/temp/variable/int/float bits, the
+// fields an operand had when goldenOptIRDigest was pinned: the temp number
+// of a Temp, the variable of a Var, the value of a ConstI and the bits of a
+// ConstF, each zero (or "-") for the other kinds.
+func (d *digestText) opd(f *ir.Func, o ir.Operand) *digestText {
+	var tid, i int64
+	var bits uint64
+	switch o.Kind {
+	case ir.Temp:
+		tid = int64(o.ID)
+	case ir.ConstI:
+		i = o.Int
+	case ir.ConstF:
+		bits = math.Float64bits(o.F())
+	}
+	d.int(int(o.Kind)).str("/").int(int(o.Ty)).str("/").int64(tid).str("/").obj(f.Obj(o)).str("/").int64(i).str("/")
+	*d = strconv.AppendUint(*d, bits, 16)
 	return d
 }
 
@@ -239,9 +253,9 @@ func unwrittenAliases(f *ir.Func) []string {
 	key := func(o ir.Operand) int {
 		switch o.Kind {
 		case ir.Var:
-			return o.Obj.ID
+			return int(o.ID)
 		case ir.Temp:
-			return len(f.Decl.Locals) + o.TID
+			return len(f.Decl.Locals) + int(o.ID)
 		}
 		return -1
 	}

@@ -18,14 +18,14 @@ func LICM(f *ir.Func) bool { return licm(new(workspace), f) }
 
 func licm(ws *workspace, f *ir.Func) bool {
 	g := ws.graphOf(f)
-	loops, depth := dataflow.FindLoops(g, 0)
+	loops, depth := dataflow.FindLoopsIn(&ws.loops, g, 0)
 	for i, b := range f.Blocks {
 		b.LoopDepth = depth[i]
 	}
 	if len(loops) == 0 {
 		return false
 	}
-	dom := dataflow.Dominators(g, 0)
+	dom := dataflow.DominatorsIn(&ws.loops, g, 0)
 	lv := ws.liveness(f)
 	sp := spaceOf(f)
 
@@ -46,7 +46,7 @@ func licm(ws *workspace, f *ir.Func) bool {
 			changed = true
 			// CFG changed (preheader inserted); recompute for the rest.
 			g = ws.graphOf(f)
-			dom = dataflow.Dominators(g, 0)
+			dom = dataflow.DominatorsIn(&ws.loops, g, 0)
 			lv = ws.liveness(f)
 		}
 	}
@@ -61,7 +61,7 @@ func hoistLoop(f *ir.Func, g dataflow.Graph, dom *dataflow.DomTree,
 	// Deterministic block order within the loop.
 	var loopBlocks []int
 	for bi := 0; bi < g.N; bi++ {
-		if l.Blocks[bi] {
+		if l.In(bi) {
 			loopBlocks = append(loopBlocks, bi)
 		}
 	}
@@ -82,7 +82,7 @@ func hoistLoop(f *ir.Func, g dataflow.Graph, dom *dataflow.DomTree,
 	var exits []int
 	for _, bi := range loopBlocks {
 		for _, s := range g.Succs[bi] {
-			if !l.Blocks[s] {
+			if !l.In(s) {
 				exits = append(exits, bi)
 				break
 			}
@@ -99,7 +99,7 @@ func hoistLoop(f *ir.Func, g dataflow.Graph, dom *dataflow.DomTree,
 	var exitTargets []int
 	for _, e := range exits {
 		for _, s := range g.Succs[e] {
-			if !l.Blocks[s] {
+			if !l.In(s) {
 				exitTargets = append(exitTargets, s)
 			}
 		}
@@ -189,7 +189,7 @@ func hoistLoop(f *ir.Func, g dataflow.Graph, dom *dataflow.DomTree,
 	pre.Instrs = append(pre.Instrs, j)
 	pre.Succs = []*ir.Block{header}
 	for pi := range g.N {
-		if l.Blocks[pi] {
+		if l.In(pi) {
 			continue
 		}
 		isPred := false

@@ -21,7 +21,7 @@ func loopInvert(ws *workspace, f *ir.Func) bool {
 	changed := false
 	for rounds := 0; rounds < 16; rounds++ {
 		g := ws.graphOf(f)
-		loops, _ := dataflow.FindLoops(g, 0)
+		loops, _ := dataflow.FindLoopsIn(&ws.loops, g, 0)
 		inverted := false
 		for _, l := range loops {
 			if invertLoop(f, g, l) {
@@ -47,8 +47,8 @@ func invertLoop(f *ir.Func, g dataflow.Graph, l *dataflow.Loop) bool {
 	// Identify the in-loop successor and the exit successor.
 	hi := l.Header
 	var bodySucc, exitSucc *ir.Block
-	s0in := l.Blocks[blockIndex(f, header.Succs[0])]
-	s1in := l.Blocks[blockIndex(f, header.Succs[1])]
+	s0in := l.In(blockIndex(f, header.Succs[0]))
+	s1in := l.In(blockIndex(f, header.Succs[1]))
 	switch {
 	case s0in && !s1in:
 		bodySucc, exitSucc = header.Succs[0], header.Succs[1]
@@ -79,7 +79,7 @@ func invertLoop(f *ir.Func, g dataflow.Graph, l *dataflow.Loop) bool {
 	var latches []*ir.Block
 	for _, p := range header.Preds {
 		pi := blockIndex(f, p)
-		if pi < 0 || !l.Blocks[pi] {
+		if pi < 0 || !l.In(pi) {
 			continue
 		}
 		if t := p.Term(); t == nil || t.Kind != ir.Jmp {

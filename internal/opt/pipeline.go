@@ -80,7 +80,7 @@ var (
 	constFoldPass  = pass{"ConstFold", func(_ *workspace, f *ir.Func) bool { return ConstFold(f) }}
 	constPropPass  = pass{"ConstProp", func(ws *workspace, f *ir.Func) bool { return propagateAvailableCopies(ws, f, true) }}
 	copyPropPass   = pass{"CopyProp", func(ws *workspace, f *ir.Func) bool { return propagateAvailableCopies(ws, f, false) }}
-	branchOptPass  = pass{"BranchOpt", func(_ *workspace, f *ir.Func) bool { return BranchOpt(f) }}
+	branchOptPass  = pass{"BranchOpt", branchOpt}
 	loopInvertPass = pass{"LoopInvert", loopInvert}
 	unrollPass     = pass{"Unroll", unroll}
 	peelPass       = pass{"Peel", peel}

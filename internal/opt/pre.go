@@ -115,7 +115,7 @@ func preVarAssignments(ws *workspace, f *ir.Func) bool {
 					// availability marker (§3, "code deletion").
 					b.Instrs[pos] = &ir.Instr{
 						Kind:    ir.MarkAvail,
-						MarkObj: in.Dst.Obj,
+						MarkObj: f.Obj(in.Dst),
 						Stmt:    in.Stmt,
 						OrigIdx: in.OrigIdx,
 					}

@@ -59,11 +59,11 @@ func SROA(f *ir.Func) int {
 
 	// Map each temp defined by Addr(candidate) to its base, and disqualify
 	// bases whose address escapes any analyzable access pattern.
-	addrOf := map[int]*ast.Object{} // temp ID -> candidate base
+	addrOf := map[int32]*ast.Object{} // temp ID -> candidate base
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Kind == ir.Addr && cand[in.AddrObj] && in.Dst.Kind == ir.Temp {
-				addrOf[in.Dst.TID] = in.AddrObj
+				addrOf[in.Dst.ID] = in.AddrObj
 			}
 		}
 	}
@@ -71,7 +71,7 @@ func SROA(f *ir.Func) int {
 		if o.Kind != ir.Temp {
 			return nil
 		}
-		return addrOf[o.TID]
+		return addrOf[o.ID]
 	}
 	inRange := func(base *ast.Object, off int64) bool {
 		return off >= 0 && off%4 == 0 && off < int64(base.Type.Size())

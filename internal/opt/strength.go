@@ -24,7 +24,7 @@ func StrengthReduce(f *ir.Func) bool { return strengthReduce(new(workspace), f) 
 
 func strengthReduce(ws *workspace, f *ir.Func) bool {
 	g := ws.graphOf(f)
-	loops, _ := dataflow.FindLoops(g, 0)
+	loops, _ := dataflow.FindLoopsIn(&ws.loops, g, 0)
 	if len(loops) == 0 {
 		return false
 	}
@@ -51,7 +51,7 @@ type ivInfo struct {
 func reduceLoop(f *ir.Func, g dataflow.Graph, sp valueSpace, l *dataflow.Loop) bool {
 	var loopBlocks []int
 	for bi := 0; bi < g.N; bi++ {
-		if l.Blocks[bi] {
+		if l.In(bi) {
 			loopBlocks = append(loopBlocks, bi)
 		}
 	}
@@ -110,7 +110,7 @@ func reduceLoop(f *ir.Func, g dataflow.Graph, sp valueSpace, l *dataflow.Loop) b
 	header := l.Header
 	var preheader *ir.Block
 	for _, p := range g.Preds[header] {
-		if !l.Blocks[p] {
+		if !l.In(p) {
 			if preheader != nil {
 				return false // multiple entries; skip this loop
 			}
@@ -170,10 +170,7 @@ func reduceLoop(f *ir.Func, g dataflow.Graph, sp valueSpace, l *dataflow.Loop) b
 		for _, a := range asOrder {
 			group := byA[a]
 			s := f.NewTemp(ir.I)
-			rec := &ir.LinRecovery{A: a, B: 0}
-			if iv.v.Kind == ir.Var {
-				rec.Var = iv.v.Obj
-			}
+			rec := &ir.LinRecovery{Var: f.Obj(iv.v), A: a, B: 0}
 
 			// Preheader: s = i * a.
 			init := &ir.Instr{

@@ -34,7 +34,7 @@ func transformInnermost(ws *workspace, f *ir.Func, peel bool) bool {
 	// discovery restarts after each change.
 	for round := 0; round < 64; round++ {
 		g := ws.graphOf(f)
-		loops, _ := dataflow.FindLoops(g, 0)
+		loops, _ := dataflow.FindLoopsIn(&ws.loops, g, 0)
 		applied := false
 		for _, l := range loops {
 			if done[f.Blocks[l.Header]] {
@@ -43,7 +43,7 @@ func transformInnermost(ws *workspace, f *ir.Func, peel bool) bool {
 			// Innermost only: no other loop's header inside this loop.
 			inner := true
 			for _, o := range loops {
-				if o != l && l.Blocks[o.Header] {
+				if o != l && l.In(o.Header) {
 					inner = false
 					break
 				}
@@ -52,9 +52,7 @@ func transformInnermost(ws *workspace, f *ir.Func, peel bool) bool {
 				continue
 			}
 			size := 0
-			for bi := range l.Blocks {
-				size += len(f.Blocks[bi].Instrs)
-			}
+			l.Blocks.ForEach(func(bi int) { size += len(f.Blocks[bi].Instrs) })
 			done[f.Blocks[l.Header]] = true
 			if size > maxUnrollInstrs {
 				continue
@@ -85,7 +83,7 @@ func cloneLoopIteration(f *ir.Func, g dataflow.Graph, l *dataflow.Loop, peel boo
 	// Deterministic ordering of loop blocks.
 	var loopBlocks []*ir.Block
 	for bi := 0; bi < g.N; bi++ {
-		if l.Blocks[bi] {
+		if l.In(bi) {
 			loopBlocks = append(loopBlocks, f.Blocks[bi])
 		}
 	}
@@ -122,7 +120,7 @@ func cloneLoopIteration(f *ir.Func, g dataflow.Graph, l *dataflow.Loop, peel boo
 	if peel {
 		// Entry edges from outside the loop go to the cloned header.
 		for _, p := range header.Preds {
-			if !l.Blocks[indexOfBlock(f, p)] {
+			if !l.In(indexOfBlock(f, p)) {
 				p.ReplaceSucc(header, clonedHeader)
 			}
 		}

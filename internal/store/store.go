@@ -298,8 +298,8 @@ func New[M comparable, V any](cfg Config[M, V]) *Store[M, V] {
 
 // Get returns the value for identity m, computing it at most once across
 // concurrent callers. id produces the content-addressed identifier and is
-// invoked only on a miss; compute builds the value and reports its byte
-// cost. hit reports that compute was skipped (the value came from a
+// invoked only on a miss, before compute; compute builds the value and
+// reports its byte cost. hit reports that compute was skipped (the value came from a
 // completed or in-flight entry, or was rehydrated from the disk tier).
 // Failed computes are not cached: every coalesced waiter receives the
 // error and the identity is forgotten.

@@ -190,7 +190,7 @@ func New(prog *mach.Program) (*VM, error) {
 		switch init.Kind {
 		case ir.NoOpd:
 		case ir.ConstF:
-			vm.mem[off] = bits(init.Fl)
+			vm.mem[off] = bits(init.F())
 		default:
 			vm.mem[off] = init.Int
 		}
