@@ -35,20 +35,11 @@ type Artifact struct {
 	// the disk tier (no compile ran).
 	Metrics compile.Metrics
 
-	id   string
-	name string
-	src  string
-	cfg  compile.Config
+	id string
 }
 
 // ID is the artifact's stable content-addressed handle (see compile.Key.ID).
 func (a *Artifact) ID() string { return a.id }
-
-// Name returns the source file name the artifact was compiled from.
-func (a *Artifact) Name() string { return a.name }
-
-// Config returns the pipeline configuration the artifact was compiled under.
-func (a *Artifact) Config() compile.Config { return a.cfg }
 
 // Config tunes a Store. The zero value is a single-shard, unbounded,
 // memory-only store.
@@ -193,9 +184,6 @@ func (st *Store) newArtifact(m ident, id string, res *compile.Result) *Artifact 
 		Res:      res,
 		Analyses: core.NewAnalysisSet(),
 		id:       id,
-		name:     m.Name,
-		src:      m.Src,
-		cfg:      m.Cfg,
 	}
 	a.Analyses.SetCostHook(func(delta int64) { st.s.AddCost(m, delta) })
 	return a
@@ -252,6 +240,3 @@ func (st *Store) Flush() error { return st.s.Flush() }
 // Close stops the store's background work (the breaker's recovery
 // prober). It does not flush; call Flush first for a warm restart.
 func (st *Store) Close() { st.s.Close() }
-
-// Len returns the number of resident artifacts (including in-flight).
-func (st *Store) Len() int { return st.s.Len() }

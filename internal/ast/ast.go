@@ -504,9 +504,6 @@ type VarDecl struct {
 	Param bool
 }
 
-// Span returns the declaration's source extent.
-func (d *VarDecl) Span() source.Span { return d.Spn }
-
 // FuncDecl declares a function with its body.
 type FuncDecl struct {
 	Name   string
@@ -524,18 +521,12 @@ type FuncDecl struct {
 	Locals []*Object
 }
 
-// Span returns the function's source extent.
-func (d *FuncDecl) Span() source.Span { return d.Spn }
-
 // StructDecl declares a file-scope struct type.
 type StructDecl struct {
 	Name string
 	Typ  *StructType // filled by the parser; fields checked by sem
 	Spn  source.Span
 }
-
-// Span returns the declaration's source extent.
-func (d *StructDecl) Span() source.Span { return d.Spn }
 
 // File is a parsed MiniC translation unit.
 type File struct {

@@ -65,24 +65,25 @@ func TestTypePredicates(t *testing.T) {
 //
 //	func f() { s0: x=1; s1: if c { s2: y=2 } else { s3: z=3 }; s4: for(init s5; ...) { s6 } }
 func buildTestFunc() *FuncDecl {
+	noSpan := source.Span{Start: source.NoPos, End: source.NoPos}
 	mk := func(id int) Stmt {
 		s := &AssignStmt{Op: token.ASSIGN,
-			LHS: NewIdent("x", source.NoSpan), RHS: NewIntLit(1, source.NoSpan)}
+			LHS: NewIdent("x", noSpan), RHS: NewIntLit(1, noSpan)}
 		s.SetID(id)
 		return s
 	}
 	ifStmt := &IfStmt{
-		Cond: NewIntLit(1, source.NoSpan),
-		Then: NewBlock([]Stmt{mk(2)}, source.NoSpan),
-		Else: NewBlock([]Stmt{mk(3)}, source.NoSpan),
+		Cond: NewIntLit(1, noSpan),
+		Then: NewBlock([]Stmt{mk(2)}, noSpan),
+		Else: NewBlock([]Stmt{mk(3)}, noSpan),
 	}
 	ifStmt.SetID(1)
 	forStmt := &ForStmt{
 		Init: mk(5),
-		Body: NewBlock([]Stmt{mk(6)}, source.NoSpan),
+		Body: NewBlock([]Stmt{mk(6)}, noSpan),
 	}
 	forStmt.SetID(4)
-	body := NewBlock([]Stmt{mk(0), ifStmt, forStmt}, source.NoSpan)
+	body := NewBlock([]Stmt{mk(0), ifStmt, forStmt}, noSpan)
 	return &FuncDecl{Name: "f", Ret: IntType, Body: body, NumStmts: 7}
 }
 

@@ -295,6 +295,9 @@ type Fig5Row struct {
 	RecConst    float64
 	RecLinear   float64
 	Breakpoints int
+
+	// The endangered verdicts by cause, for CauseBreakdown.
+	byHoist, byDCE, bySched float64
 }
 
 // ClassifyProgram computes the Figure 5 statistics for one workload under
@@ -309,6 +312,7 @@ func ClassifyProgram(name string, cfg compile.Config) (Fig5Row, error) {
 	row := Fig5Row{Program: name}
 	var uninit, cur, noncur, susp, nonres, recov, bps int
 	var recAlias, recConst, recLinear int
+	var hoist, dce, sched int
 	for _, f := range res.Mach.Funcs {
 		a := core.Analyze(f)
 		for s := 0; s < f.Decl.NumStmts; s++ {
@@ -341,6 +345,16 @@ func ClassifyProgram(name string, cfg compile.Config) (Fig5Row, error) {
 				case core.Nonresident:
 					nonres++
 				}
+				if c.State == core.Noncurrent || c.State == core.Suspect {
+					switch c.Cause {
+					case core.ByHoisting:
+						hoist++
+					case core.ByDeadCodeElim:
+						dce++
+					case core.ByScheduling:
+						sched++
+					}
+				}
 			}
 		}
 	}
@@ -357,6 +371,9 @@ func ClassifyProgram(name string, cfg compile.Config) (Fig5Row, error) {
 		row.RecAlias = float64(recAlias) / n
 		row.RecConst = float64(recConst) / n
 		row.RecLinear = float64(recLinear) / n
+		row.byHoist = float64(hoist) / n
+		row.byDCE = float64(dce) / n
+		row.bySched = float64(sched) / n
 	}
 	return row, nil
 }
@@ -413,46 +430,13 @@ type CauseRow struct {
 // (including scheduling) and attributes every endangered verdict to its
 // cause.
 func CauseBreakdown() ([]CauseRow, error) {
-	cfg := compile.O2()
 	var rows []CauseRow
 	for _, name := range Names {
-		res, err := CompileWorkload(name, cfg)
+		r, err := ClassifyProgram(name, compile.O2())
 		if err != nil {
 			return nil, err
 		}
-		row := CauseRow{Program: name}
-		var hoist, dce, sched, bps int
-		for _, f := range res.Mach.Funcs {
-			a := core.Analyze(f)
-			for s := 0; s < f.Decl.NumStmts; s++ {
-				cs, ok := a.ClassifyAllAt(s)
-				if !ok {
-					continue
-				}
-				bps++
-				for _, c := range cs {
-					if c.State != core.Noncurrent && c.State != core.Suspect {
-						continue
-					}
-					switch c.Cause {
-					case core.ByHoisting:
-						hoist++
-					case core.ByDeadCodeElim:
-						dce++
-					case core.ByScheduling:
-						sched++
-					}
-				}
-			}
-		}
-		row.Breakpoint = bps
-		if bps > 0 {
-			n := float64(bps)
-			row.ByHoist = float64(hoist) / n
-			row.ByDCE = float64(dce) / n
-			row.BySched = float64(sched) / n
-		}
-		rows = append(rows, row)
+		rows = append(rows, CauseRow{Program: name, ByHoist: r.byHoist, ByDCE: r.byDCE, BySched: r.bySched, Breakpoint: r.Breakpoints})
 	}
 	return rows, nil
 }

@@ -1,5 +1,5 @@
-// Package chaos is the fault-schedule player and load generator behind
-// the chaos soak: it arms randomized, seeded fault windows against the
+// Package chaos is the chaos soak and the fault-schedule player behind
+// it: the player arms randomized, seeded fault windows against the
 // process-wide injector (internal/fault) while scripted clients hammer a
 // live daemon, so the soak test can assert the service's core contract —
 // under injected disk, compile, and connection failures the service may
@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/loadgen"
 )
 
 // Event arms one fault point with one rule for a window of the schedule.
@@ -156,4 +157,15 @@ func (s Schedule) Run(stop <-chan struct{}) {
 		case <-stop:
 		}
 	}
+}
+
+// steps returns the canonical step labels of one full iteration of p, in
+// order; a transcript from loadgen's RunIteration indexes into the same
+// order.
+func steps(p loadgen.Program) []string {
+	s := []string{"compile", "open", "break", "continue1"}
+	for _, v := range p.Prints {
+		s = append(s, "print:"+v)
+	}
+	return append(s, "info", "continue2", "close")
 }

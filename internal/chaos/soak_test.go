@@ -91,8 +91,8 @@ func TestChaosSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference iteration %d: %v", i, err)
 		}
-		if len(tr) != len(p.Steps()) {
-			t.Fatalf("reference iteration %d: %d steps, want %d", i, len(tr), len(p.Steps()))
+		if len(tr) != len(steps(p)) {
+			t.Fatalf("reference iteration %d: %d steps, want %d", i, len(tr), len(steps(p)))
 		}
 		ref[i] = tr
 		cycles[i] = srv.Snapshot().CyclesExecuted - before

@@ -59,9 +59,6 @@ func (c *FuncCache) get(k FuncKey, compute func() ([]byte, int64, error)) ([]byt
 // lookups, MemoryBytes the encoded-entry budget usage).
 func (c *FuncCache) Stats() store.Stats { return c.s.Stats() }
 
-// Len returns the number of resident function entries.
-func (c *FuncCache) Len() int { return c.s.Len() }
-
 // encodeFuncEntry serializes one compiled function for the cache.
 func encodeFuncEntry(f *mach.Func) ([]byte, error) {
 	e := &enc{b: make([]byte, 0, encSizeHint(f))}

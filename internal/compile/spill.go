@@ -413,15 +413,6 @@ func (d *dec) resolve(u uint64) *ast.Object {
 
 func (d *dec) obj() *ast.Object { return d.resolve(d.uint()) }
 
-// nzObj reads an object ref that a presence bit promised is non-nil.
-func (d *dec) nzObj() *ast.Object {
-	u := d.uint()
-	if u == 0 {
-		d.fail("presence bit over a nil object")
-	}
-	return d.resolve(u)
-}
-
 // nzRef reads an instruction's object ref, which a presence bit promised
 // is non-zero. It stays a ref, but must name an object of the replayed
 // front end, as resolve checks.

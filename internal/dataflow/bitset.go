@@ -197,16 +197,6 @@ func (s *BitSet) Count() int {
 	return c
 }
 
-// Empty reports whether no bits are set.
-func (s *BitSet) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls f for every set bit, in increasing order.
 func (s *BitSet) ForEach(f func(i int)) {
 	for wi, w := range s.words {

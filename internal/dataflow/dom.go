@@ -1,54 +1,10 @@
 package dataflow
 
-// DomTree holds immediate dominators (or postdominators) for a Graph.
+// DomTree holds immediate dominators for a Graph.
 type DomTree struct {
 	// IDom[b] is the immediate dominator of b, or -1 for the root and for
 	// unreachable blocks.
 	IDom []int
-	root int
-}
-
-// Dominators computes the dominator tree of g rooted at entry using the
-// iterative algorithm of Cooper, Harvey & Kennedy over a reverse-postorder
-// numbering.
-func Dominators(g Graph, entry int) *DomTree { return DominatorsIn(new(Scratch), g, entry) }
-
-// DominatorsIn is Dominators working in st's buffers. The tree is backed
-// by st: it stays valid until the next DominatorsIn or FindLoopsIn on st.
-// Solving on st does not touch it.
-func DominatorsIn(st *Scratch, g Graph, entry int) *DomTree {
-	return st.doms(g.N, g.Succs, g.Preds, entry)
-}
-
-// PostDominators computes the postdominator tree of g. Because a function
-// may have several exit blocks, a virtual exit is synthesized internally;
-// blocks whose immediate postdominator is the virtual exit get IDom -1.
-func PostDominators(g Graph) *DomTree {
-	n := g.N
-	// Build the reverse graph with a virtual exit node n.
-	succs := make([][]int, n+1)
-	preds := make([][]int, n+1)
-	for b := 0; b < n; b++ {
-		// reversed edges
-		for _, s := range g.Succs[b] {
-			succs[s] = append(succs[s], b)
-			preds[b] = append(preds[b], s)
-		}
-		if len(g.Succs[b]) == 0 {
-			succs[n] = append(succs[n], b)
-			preds[b] = append(preds[b], n)
-		}
-	}
-	t := new(Scratch).doms(n+1, succs, preds, n)
-	out := &DomTree{IDom: make([]int, n), root: -1}
-	for b := 0; b < n; b++ {
-		if t.IDom[b] == n {
-			out.IDom[b] = -1
-		} else {
-			out.IDom[b] = t.IDom[b]
-		}
-	}
-	return out
 }
 
 // domScratch holds the buffers DominatorsIn and FindLoopsIn work in,
@@ -69,8 +25,13 @@ type domScratch struct {
 	depth     []int
 }
 
-// doms computes the dominator tree over n blocks into st.
-func (st *Scratch) doms(n int, succs, preds [][]int, entry int) *DomTree {
+// DominatorsIn computes the dominator tree of g rooted at entry using the
+// iterative algorithm of Cooper, Harvey & Kennedy over a reverse-postorder
+// numbering, working in st's buffers. The tree is backed by st: it stays
+// valid until the next DominatorsIn or FindLoopsIn on st. Solving on st
+// does not touch it.
+func DominatorsIn(st *Scratch, g Graph, entry int) *DomTree {
+	n, succs, preds := g.N, g.Succs, g.Preds
 	d := &st.dom
 	// Reverse postorder from entry: an iterative DFS visiting successors
 	// in order, which yields the postorder a recursive walk would.
@@ -150,7 +111,7 @@ func (st *Scratch) doms(n int, succs, preds [][]int, entry int) *DomTree {
 	}
 	idom[entry] = -1
 	d.seen, d.order, d.stack, d.rpoNum, d.idom = seen, order, stack, rpoNum, idom
-	d.tree = DomTree{IDom: idom, root: entry}
+	d.tree = DomTree{IDom: idom}
 	return &d.tree
 }
 

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,13 +67,6 @@ type point struct {
 	rule  Rule
 	hits  int64
 	fired int64
-}
-
-// PointStats is one point's counters: evaluations while armed and how
-// often its rule fired.
-type PointStats struct {
-	Hits  int64
-	Fired int64
 }
 
 var (
@@ -133,29 +125,6 @@ func Fired(name string) int64 {
 		return p.fired
 	}
 	return 0
-}
-
-// Snapshot returns the counters of every armed point.
-func Snapshot() map[string]PointStats {
-	mu.Lock()
-	defer mu.Unlock()
-	out := make(map[string]PointStats, len(points))
-	for name, p := range points {
-		out[name] = PointStats{Hits: p.hits, Fired: p.fired}
-	}
-	return out
-}
-
-// Points lists the armed point names, sorted.
-func Points() []string {
-	mu.Lock()
-	defer mu.Unlock()
-	out := make([]string, 0, len(points))
-	for name := range points {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // decide evaluates a point against its rule, updating counters. It never

@@ -67,9 +67,8 @@ func TestAfterAndTimes(t *testing.T) {
 			t.Fatalf("hit past Times fired: %v", err)
 		}
 	}
-	st := Snapshot()["p"]
-	if st.Hits != 6 || st.Fired != 1 {
-		t.Fatalf("snapshot = %+v", st)
+	if n := Fired("p"); n != 1 {
+		t.Fatalf("Fired = %d, want 1", n)
 	}
 }
 
@@ -139,15 +138,11 @@ func TestCutTruncates(t *testing.T) {
 	}
 }
 
-func TestPointsAndClear(t *testing.T) {
+func TestClear(t *testing.T) {
 	Enable(1)
 	defer Disable()
 	Set("b.point", Rule{})
 	Set("a.point", Rule{})
-	pts := Points()
-	if len(pts) != 2 || pts[0] != "a.point" || pts[1] != "b.point" {
-		t.Fatalf("Points = %v", pts)
-	}
 	Clear("a.point")
 	if err := Check("a.point"); err != nil {
 		t.Fatalf("cleared point fired: %v", err)

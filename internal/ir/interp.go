@@ -115,9 +115,6 @@ func (ip *Interp) Run() (int64, string, error) {
 	return ret.i, ip.out.String(), err
 }
 
-// Output returns everything printed so far.
-func (ip *Interp) Output() string { return ip.out.String() }
-
 func (ip *Interp) call(f *Func, args []value) (value, error) {
 	fr := &frame{
 		vars:   make([]value, len(f.Decl.Locals)),

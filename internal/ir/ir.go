@@ -698,29 +698,6 @@ func (f *Func) RemoveUnreachable() {
 	f.RecomputePreds()
 }
 
-// RPO returns the blocks in reverse postorder from the entry.
-func (f *Func) RPO() []*Block {
-	seen := map[*Block]bool{}
-	var post []*Block
-	var walk func(*Block)
-	walk = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			walk(s)
-		}
-		post = append(post, b)
-	}
-	walk(f.Entry)
-	out := make([]*Block, len(post))
-	for i, b := range post {
-		out[len(post)-1-i] = b
-	}
-	return out
-}
-
 // String renders the function IR for dumps and golden tests.
 func (f *Func) String() string {
 	var b strings.Builder

@@ -62,17 +62,6 @@ int main() {
 }
 `
 
-// Steps returns the canonical step labels of one full iteration, in
-// order; a transcript from RunIteration indexes into the same order.
-func (p Program) Steps() []string {
-	steps := []string{"compile", "open", "break", "continue1"}
-	for _, v := range p.Prints {
-		steps = append(steps, "print:"+v)
-	}
-	steps = append(steps, "info", "continue2", "close")
-	return steps
-}
-
 // RunIteration drives one full iteration of p against c and returns the
 // canonical transcript of the steps that succeeded, in step order. A
 // step failure aborts the iteration (the session, if opened, is closed

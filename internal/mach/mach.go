@@ -303,8 +303,7 @@ type Instr struct {
 	PreSched int32
 
 	// Cold holds the rarely set fields; nil when all of them are zero.
-	// Each instruction owns its record: ReplaceReg rewrites it in place,
-	// and Clone copies it.
+	// Each instruction owns its record: ReplaceReg rewrites it in place.
 	Cold *Cold
 
 	Op      Opcode
@@ -497,22 +496,6 @@ func (i *Instr) ReplaceReg(old, new Opd, includeDst bool) int {
 	return n
 }
 
-// Clone returns a deep copy, cold record included.
-func (i *Instr) Clone() *Instr {
-	c := *i
-	if i.Cold != nil {
-		x := *i.Cold
-		if x.Args != nil {
-			x.Args = append([]Opd(nil), x.Args...)
-		}
-		if x.PrintFmt != nil {
-			x.PrintFmt = append([]PrintArg(nil), x.PrintFmt...)
-		}
-		c.Cold = &x
-	}
-	return &c
-}
-
 // String renders i with its object refs in ref form (ObjRef.String);
 // StringIn names them.
 func (i *Instr) String() string { return i.StringIn(nil) }
@@ -607,13 +590,6 @@ func (b *Block) String() string { return fmt.Sprintf("L%d", b.ID) }
 // RemoveAt deletes the instruction at idx.
 func (b *Block) RemoveAt(idx int) {
 	b.Instrs = append(b.Instrs[:idx], b.Instrs[idx+1:]...)
-}
-
-// InsertBefore inserts in at position idx.
-func (b *Block) InsertBefore(idx int, in *Instr) {
-	b.Instrs = append(b.Instrs, nil)
-	copy(b.Instrs[idx+1:], b.Instrs[idx:])
-	b.Instrs[idx] = in
 }
 
 // Term returns the terminator, or nil.

@@ -126,15 +126,9 @@ func TestLatencies(t *testing.T) {
 }
 
 func TestBlockEditing(t *testing.T) {
-	b := &Block{}
 	i1 := &Instr{Op: ADD}
 	i2 := &Instr{Op: SUB}
-	i3 := &Instr{Op: MUL}
-	b.Instrs = []*Instr{i1, i3}
-	b.InsertBefore(1, i2)
-	if b.Instrs[1] != i2 || len(b.Instrs) != 3 {
-		t.Errorf("insert: %v", b.Instrs)
-	}
+	b := &Block{Instrs: []*Instr{i1, i2, &Instr{Op: MUL}}}
 	b.RemoveAt(0)
 	if b.Instrs[0] != i2 || len(b.Instrs) != 2 {
 		t.Errorf("remove: %v", b.Instrs)
@@ -172,21 +166,10 @@ func TestInstrStringForms(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	in := &Instr{Op: CALL, Cold: &Cold{Args: []Opd{R_(1)}, PrintFmt: []PrintArg{{Str: "x", IsStr: true}}}}
-	c := in.Clone()
-	c.Cold.Args[0] = R_(9)
-	c.Cold.PrintFmt[0].Str = "y"
-	if in.Args()[0].R == 9 || in.PrintFmt()[0].Str == "y" {
-		t.Error("clone shares slices")
-	}
-}
-
 // TestInstrLayout pins the instruction and operand sizes the store's byte
 // accounting relies on, that Cold is the only pointer an instruction
-// holds (source objects are named by ObjRef), and that a clone owns its
-// cold record: rewriting a clone's call arguments or marker alias leaves
-// the original as it was.
+// holds (source objects are named by ObjRef), and that the cold getters
+// of an instruction without a cold record read zero.
 func TestInstrLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Instr{}); n > 96 {
 		t.Errorf("Sizeof(Instr) = %d B, want <= 96", n)
@@ -201,34 +184,7 @@ func TestInstrLayout(t *testing.T) {
 		}
 	}
 
-	call := &Instr{Op: CALL, Dst: R_(0), Stmt: -1, Cold: &Cold{Callee: "f", Args: []Opd{R_(1), R_(2), R_(1)}}}
-	c := call.Clone()
-	if c.Cold == call.Cold {
-		t.Fatal("clone shares the cold record")
-	}
-	if n := c.ReplaceReg(R_(1), R_(7), false); n != 2 {
-		t.Errorf("ReplaceReg on the clone's args replaced %d, want 2", n)
-	}
-	if got := call.String(); got != "call r0, f(r1, r2, r1)" {
-		t.Errorf("original after rewriting the clone: %q", got)
-	}
-	if got := c.String(); got != "call r0, f(r7, r2, r7)" {
-		t.Errorf("rewritten clone: %q", got)
-	}
-
-	mark := &Instr{Op: MARKDEAD, Cold: &Cold{MarkAlias: R_(3)}}
-	mc := mark.Clone()
-	if n := mc.ReplaceReg(R_(3), R_(4), false); n != 1 {
-		t.Errorf("ReplaceReg on the clone's alias replaced %d, want 1", n)
-	}
-	if !mark.MarkAlias().Same(R_(3)) || !mc.MarkAlias().Same(R_(4)) {
-		t.Errorf("marker alias: original %v, clone %v; want r3, r4", mark.MarkAlias(), mc.MarkAlias())
-	}
-
 	plain := &Instr{Op: ADD, Dst: R_(1), A: R_(2), B: I_(1)}
-	if plain.Clone().Cold != nil {
-		t.Error("clone of an instruction without a cold record has one")
-	}
 	if plain.Callee() != "" || plain.Args() != nil || plain.MarkObj() != 0 || plain.Recover() != (Recovery{}) {
 		t.Error("cold getters on an instruction without a cold record are not zero")
 	}

@@ -8,7 +8,6 @@ package opt
 import (
 	"slices"
 
-	"repro/internal/ast"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
@@ -133,9 +132,6 @@ func (s valueSpace) indexOf(o ir.Operand) int {
 	}
 	return -1
 }
-
-// varOf returns the object for a var index.
-func (s valueSpace) varOf(i int) *ast.Object { return s.fn.Decl.Locals[i] }
 
 // ---------------------------------------------------------------- liveness
 

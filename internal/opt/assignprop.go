@@ -5,7 +5,7 @@ import (
 	"repro/internal/ir"
 )
 
-// AssignProp performs assignment propagation (cmcc performs it "to improve
+// assignProp performs assignment propagation (cmcc performs it "to improve
 // partial redundancy elimination", §2.5): where the assignment "X = E" is
 // available at a use of the source variable X, the use is replaced by a
 // re-materialized computation of E into a fresh temp. The re-materialized
@@ -16,8 +16,6 @@ import (
 // Re-materializations are merged back into single computations by the
 // expression-level CSE of the PRE pass, reproducing exactly the paper's
 // copy-propagation + common-subexpression pipeline.
-func AssignProp(f *ir.Func) bool { return assignProp(new(workspace), f) }
-
 func assignProp(ws *workspace, f *ir.Func) bool {
 	sp := spaceOf(f)
 

@@ -4,15 +4,13 @@ import (
 	"repro/internal/ir"
 )
 
-// BranchOpt performs the control-flow cleanups of Table 1's "branch
+// branchOpt performs the control-flow cleanups of Table 1's "branch
 // optimizations": folding branches on constants, branch chaining through
 // empty blocks, merging straight-line block pairs, and unreachable-code
 // removal. Per §3 of the paper, when a basic block is deleted because it
 // became empty, any debugger markers it holds are transferred to its
 // successor; unreachable code (which would never have executed) is simply
 // dropped.
-func BranchOpt(f *ir.Func) bool { return branchOpt(new(workspace), f) }
-
 func branchOpt(ws *workspace, f *ir.Func) bool {
 	changed := false
 	for {

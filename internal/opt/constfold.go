@@ -5,11 +5,11 @@ import (
 	"repro/internal/ir"
 )
 
-// ConstFold performs constant folding and algebraic simplification on every
+// constFold performs constant folding and algebraic simplification on every
 // instruction, plus local strength reduction of multiplications and
 // divisions by powers of two into shifts. It reports whether anything
 // changed.
-func ConstFold(f *ir.Func) bool {
+func constFold(f *ir.Func) bool {
 	changed := false
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -276,30 +276,22 @@ func b2i(b bool) int64 {
 
 // ---------------------------------------------------------------- constprop
 
-// ConstProp performs global constant propagation: a use of value X is
-// replaced by constant c when the copy "X = c" is available on all paths
-// (X not redefined since). It reports whether anything changed.
+// propagateAvailableCopies performs global constant propagation
+// (constants==true) or copy propagation (constants==false) over the
+// available-copies lattice, and reports whether anything changed.
+//
+// Constant propagation replaces a use of value X by constant c when the
+// copy "X = c" is available on all paths (X not redefined since). Copy
+// propagation of "X = Y" (Y a temp or variable) makes uses of X uses of Y
+// where the copy is available; when the replaced use is of a *source
+// variable*, the using occurrence is re-materialized through a fresh temp
+// annotated ReplacedVar so the debugger can later recover X from Y's
+// location (§2.5).
 //
 // Constant and copy propagation do not directly endanger variables (§2 of
 // the paper): they only replace *uses*; the defining assignments they
 // orphan are handled by dead-code elimination, which performs the marker
 // bookkeeping.
-func ConstProp(f *ir.Func) bool {
-	return propagateAvailableCopies(new(workspace), f, true)
-}
-
-// CopyProp performs global copy propagation of "X = Y" (Y a temp or
-// variable): uses of X become uses of Y where the copy is available. When
-// the replaced use is of a *source variable*, the using occurrence is
-// re-materialized through a fresh temp annotated ReplacedVar so the
-// debugger can later recover X from Y's location (§2.5).
-func CopyProp(f *ir.Func) bool {
-	return propagateAvailableCopies(new(workspace), f, false)
-}
-
-// propagateAvailableCopies implements both propagation passes over the
-// available-copies lattice. For constants==true it propagates X=const;
-// otherwise X=Y copies.
 func propagateAvailableCopies(ws *workspace, f *ir.Func, constants bool) bool {
 	sp := spaceOf(f)
 

@@ -4,15 +4,13 @@ import (
 	"repro/internal/ir"
 )
 
-// DCE performs dead-assignment elimination: an instruction defining a Var
+// dce performs dead-assignment elimination: an instruction defining a Var
 // or Temp whose value is dead immediately after it, with no side effects,
 // is removed. Per §3 of the paper, an eliminated assignment to a *source
 // variable* is replaced by a MarkDead marker (unless the instruction was
 // itself inserted by hoisting or sinking), which the debugger's dead-reach
 // analysis consumes. The pass iterates to a fixed point and reports whether
 // anything changed.
-func DCE(f *ir.Func) bool { return dce(new(workspace), f) }
-
 func dce(ws *workspace, f *ir.Func) bool {
 	el := eliminator{ws: ws, f: f, sp: spaceOf(f)}
 	for {
@@ -145,15 +143,13 @@ func removableKind(in *ir.Instr) bool {
 	return false
 }
 
-// FaintDCE eliminates *faint* values: self-sustaining def cycles (most
+// faintDCE eliminates *faint* values: self-sustaining def cycles (most
 // importantly "i = i + 1" updates of induction variables whose other uses
 // were removed by linear function test replacement) that ordinary
 // liveness-based DCE cannot remove because the value keeps itself alive
 // around the loop. An instruction is needed if it has side effects or if
 // its destination feeds a needed instruction; everything else is removed,
 // with the usual MarkDead bookkeeping for source-variable assignments.
-func FaintDCE(f *ir.Func) bool { return faintDCE(new(workspace), f) }
-
 func faintDCE(ws *workspace, f *ir.Func) bool {
 	sp := spaceOf(f)
 

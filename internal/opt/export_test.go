@@ -27,3 +27,9 @@ func Schedule(o Options) []ScheduledPass {
 	}
 	return s
 }
+
+// DCE, LoopInvert and Unroll run one pass on f in a workspace of its own,
+// for the tests that apply a single pass.
+func DCE(f *ir.Func) bool        { return dce(new(workspace), f) }
+func LoopInvert(f *ir.Func) bool { return loopInvert(new(workspace), f) }
+func Unroll(f *ir.Func) bool     { return unroll(new(workspace), f) }

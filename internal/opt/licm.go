@@ -5,7 +5,7 @@ import (
 	"repro/internal/ir"
 )
 
-// LICM hoists loop-invariant temp computations into a loop preheader. The
+// licm hoists loop-invariant temp computations into a loop preheader. The
 // hoisted instructions are annotated Hoisted (they are code inserted by a
 // hoisting transformation), but because their destinations are compiler
 // temporaries they do not endanger source variables — matching the paper's
@@ -14,8 +14,6 @@ import (
 // Hoisting is non-speculative: an instruction is only moved if its block
 // dominates every loop exit, so it would have executed on every loop
 // traversal anyway.
-func LICM(f *ir.Func) bool { return licm(new(workspace), f) }
-
 func licm(ws *workspace, f *ir.Func) bool {
 	g := ws.graphOf(f)
 	loops, depth := dataflow.FindLoopsIn(&ws.loops, g, 0)

@@ -5,7 +5,7 @@ import (
 	"repro/internal/ir"
 )
 
-// LoopInvert performs loop inversion (the classic while→do-while rotation,
+// loopInvert performs loop inversion (the classic while→do-while rotation,
 // one of Table 1's branch optimizations): the loop test at the header is
 // duplicated into each latch, so iterating costs one conditional branch
 // instead of a jump plus a branch. The header's original test remains as
@@ -15,8 +15,6 @@ import (
 // pseudo-instructions and annotations inside the duplicated header are
 // duplicated along with the code (Instr.Clone preserves them), and no
 // data-value problems arise because no assignment is moved or eliminated.
-func LoopInvert(f *ir.Func) bool { return loopInvert(new(workspace), f) }
-
 func loopInvert(ws *workspace, f *ir.Func) bool {
 	changed := false
 	for rounds := 0; rounds < 16; rounds++ {

@@ -4,7 +4,7 @@ import (
 	"repro/internal/ir"
 )
 
-// PDCE performs partial dead-code elimination by assignment sinking
+// pdce performs partial dead-code elimination by assignment sinking
 // (Knoop/Rüthing/Steffen's transformation, restricted to the
 // single-branch pattern): an assignment "V = E" whose value is dead along
 // one successor path but live along another is removed from its block and a
@@ -16,8 +16,6 @@ import (
 // Sinking is safe here because the inserted copy executes on a subset of
 // the original paths, operands are unchanged between the original and the
 // insertion point, and the moved computations are pure.
-func PDCE(f *ir.Func) bool { return pdce(new(workspace), f) }
-
 func pdce(ws *workspace, f *ir.Func) bool {
 	changed := false
 	for round := 0; round < 4; round++ {

@@ -76,8 +76,8 @@ type pass struct {
 }
 
 var (
-	sroaPass       = pass{"SROA", func(_ *workspace, f *ir.Func) bool { return SROA(f) > 0 }}
-	constFoldPass  = pass{"ConstFold", func(_ *workspace, f *ir.Func) bool { return ConstFold(f) }}
+	sroaPass       = pass{"SROA", func(_ *workspace, f *ir.Func) bool { return sroa(f) > 0 }}
+	constFoldPass  = pass{"ConstFold", func(_ *workspace, f *ir.Func) bool { return constFold(f) }}
 	constPropPass  = pass{"ConstProp", func(ws *workspace, f *ir.Func) bool { return propagateAvailableCopies(ws, f, true) }}
 	copyPropPass   = pass{"CopyProp", func(ws *workspace, f *ir.Func) bool { return propagateAvailableCopies(ws, f, false) }}
 	branchOptPass  = pass{"BranchOpt", branchOpt}

@@ -5,7 +5,7 @@ import (
 	"repro/internal/ir"
 )
 
-// PRE performs partial redundancy elimination in two layers:
+// pre performs partial redundancy elimination in two layers:
 //
 //  1. Assignment-level PRE on source-variable assignments "V = E": a fully
 //     redundant assignment is deleted and replaced by a MarkAvail marker
@@ -24,8 +24,6 @@ import (
 //     computations).
 //
 // Reports whether anything changed.
-func PRE(f *ir.Func) bool { return pre(new(workspace), f) }
-
 func pre(ws *workspace, f *ir.Func) bool {
 	changed := false
 	// Layer 1 must reach its fixed point first: the expression CSE below

@@ -42,9 +42,9 @@ var sroaSplits atomic.Int64
 // SROASplitCount returns the number of aggregates split so far.
 func SROASplitCount() int64 { return sroaSplits.Load() }
 
-// SROA splits eligible aggregates in f into per-field scalar variables.
+// sroa splits eligible aggregates in f into per-field scalar variables.
 // It returns the number of aggregates split.
-func SROA(f *ir.Func) int {
+func sroa(f *ir.Func) int {
 	// Candidate bases: non-addressed struct-typed frame objects with
 	// materialized member objects.
 	cand := map[*ast.Object]bool{}

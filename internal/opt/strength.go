@@ -5,7 +5,7 @@ import (
 	"repro/internal/ir"
 )
 
-// StrengthReduce performs loop strength reduction, linear function test
+// strengthReduce performs loop strength reduction, linear function test
 // replacement and induction-variable elimination:
 //
 //   - a basic induction variable i (single in-loop update i = i ± c) with
@@ -20,8 +20,6 @@ import (
 //     source-level induction variable from the runtime value of s (§2.5).
 //
 // Reports whether anything changed.
-func StrengthReduce(f *ir.Func) bool { return strengthReduce(new(workspace), f) }
-
 func strengthReduce(ws *workspace, f *ir.Func) bool {
 	g := ws.graphOf(f)
 	loops, _ := dataflow.FindLoopsIn(&ws.loops, g, 0)

@@ -9,19 +9,15 @@ import (
 // peeling.
 const maxUnrollInstrs = 30
 
-// Unroll unrolls innermost small loops by a factor of two, keeping the exit
+// unroll unrolls innermost small loops by a factor of two, keeping the exit
 // test in each copy (so no trip-count knowledge is required). Per §3 of the
 // paper, code duplication does not create data-value problems, but marker
 // pseudo-instructions and annotations inside the duplicated blocks must be
 // duplicated along with the code — Instr.Clone preserves both.
-func Unroll(f *ir.Func) bool { return unroll(new(workspace), f) }
-
 func unroll(ws *workspace, f *ir.Func) bool { return transformInnermost(ws, f, false) }
 
-// Peel peels one iteration off innermost small loops: the cloned iteration
+// peel peels one iteration off innermost small loops: the cloned iteration
 // runs before the loop proper.
-func Peel(f *ir.Func) bool { return peel(new(workspace), f) }
-
 func peel(ws *workspace, f *ir.Func) bool { return transformInnermost(ws, f, true) }
 
 // transformInnermost applies cloneLoopIteration to f's small innermost

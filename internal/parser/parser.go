@@ -28,15 +28,6 @@ func Parse(f *source.File, errs *source.ErrorList) *ast.File {
 	return p.parseFile()
 }
 
-// ParseSource is a convenience wrapper that parses source text and returns
-// an error if there were any diagnostics.
-func ParseSource(name, text string) (*ast.File, error) {
-	f := source.NewFile(name, text)
-	var errs source.ErrorList
-	af := Parse(f, &errs)
-	return af, errs.Err()
-}
-
 func (p *Parser) cur() token.Token { return p.toks[p.pos] }
 func (p *Parser) peek() token.Token {
 	if p.pos+1 < len(p.toks) {

@@ -4,12 +4,21 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/source"
 	"repro/internal/token"
 )
 
+// parseSource parses text and returns an error if there were any
+// diagnostics.
+func parseSource(name, text string) (*ast.File, error) {
+	var errs source.ErrorList
+	f := Parse(source.NewFile(name, text), &errs)
+	return f, errs.Err()
+}
+
 func parseOK(t *testing.T, src string) *ast.File {
 	t.Helper()
-	f, err := ParseSource("test.mc", src)
+	f, err := parseSource("test.mc", src)
 	if err != nil {
 		t.Fatalf("parse error: %v", err)
 	}
@@ -158,7 +167,7 @@ func TestParseErrors(t *testing.T) {
 		"int main() { int a[0]; return 0; }",
 	}
 	for _, src := range bad {
-		if _, err := ParseSource("bad.mc", src); err == nil {
+		if _, err := parseSource("bad.mc", src); err == nil {
 			t.Errorf("no error for %q", src)
 		}
 	}

@@ -21,9 +21,6 @@ type Program struct {
 	Funcs   []*ast.FuncDecl
 }
 
-// LookupFunc finds a checked function by name, or nil.
-func (p *Program) LookupFunc(name string) *ast.FuncDecl { return p.File.LookupFunc(name) }
-
 type checker struct {
 	file  *source.File
 	errs  *source.ErrorList

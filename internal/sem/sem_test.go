@@ -32,7 +32,7 @@ func TestCheckSimple(t *testing.T) {
 int add(int a, int b) { return a + b; }
 int main() { return add(1, 2); }
 `)
-	add := p.LookupFunc("add")
+	add := p.File.LookupFunc("add")
 	if len(add.Locals) != 2 {
 		t.Errorf("add has %d locals, want 2 (params)", len(add.Locals))
 	}
@@ -50,7 +50,7 @@ int main() {
 	return x;
 }
 `)
-	fn := p.LookupFunc("main")
+	fn := p.File.LookupFunc("main")
 	if fn.NumStmts != 5 {
 		t.Errorf("NumStmts = %d, want 5 (2 decls, if, then-assign, return)", fn.NumStmts)
 	}
@@ -91,7 +91,7 @@ int main() {
 	return x;
 }
 `)
-	fn := p.LookupFunc("main")
+	fn := p.File.LookupFunc("main")
 	var x, y *ast.Object
 	for _, o := range fn.Locals {
 		switch o.Name {
@@ -124,7 +124,7 @@ int main() {
 	return a[0];
 }
 `)
-	fn := p.LookupFunc("main")
+	fn := p.File.LookupFunc("main")
 	want := map[string]bool{"x": true, "y": false, "p": false, "a": true}
 	for _, o := range fn.Locals {
 		if w, ok := want[o.Name]; ok && o.Addressed != w {
@@ -138,7 +138,7 @@ func TestCheckImplicitConversions(t *testing.T) {
 float half(int x) { return x / 2.0; }
 int main() { float f = half(3); int i = f; return i; }
 `)
-	half := p.LookupFunc("half")
+	half := p.File.LookupFunc("half")
 	ret := half.Body.Stmts[0].(*ast.ReturnStmt)
 	bin := ret.X.(*ast.BinaryExpr)
 	if !ast.IsFloat(bin.Type()) {
@@ -190,7 +190,7 @@ int f(int a, float b) {
 }
 int main() { return f(1, 2.0); }
 `)
-	fn := p.LookupFunc("f")
+	fn := p.File.LookupFunc("f")
 	for i, o := range fn.Locals {
 		if o.ID != i {
 			t.Errorf("local %s has ID %d at index %d", o.Name, o.ID, i)

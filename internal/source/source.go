@@ -54,27 +54,6 @@ func (f *File) Position(p Pos) Position {
 	return Position{Filename: f.Name, Line: i + 1, Col: int(p) - f.lines[i] + 1}
 }
 
-// Line returns the 1-based line number of p.
-func (f *File) Line(p Pos) int { return f.Position(p).Line }
-
-// Snippet returns the source text of the given span, for diagnostics.
-func (f *File) Snippet(s Span) string {
-	if !s.Start.IsValid() || !s.End.IsValid() {
-		return ""
-	}
-	a, b := int(s.Start), int(s.End)
-	if a < 0 {
-		a = 0
-	}
-	if b > len(f.Content) {
-		b = len(f.Content)
-	}
-	if a >= b {
-		return ""
-	}
-	return f.Content[a:b]
-}
-
 // Position is a resolved file/line/column location.
 type Position struct {
 	Filename string
@@ -93,9 +72,6 @@ func (p Position) String() string {
 type Span struct {
 	Start, End Pos
 }
-
-// NoSpan is the span used for synthesized entities.
-var NoSpan = Span{NoPos, NoPos}
 
 // IsValid reports whether the span refers to actual source text.
 func (s Span) IsValid() bool { return s.Start.IsValid() && s.End.IsValid() }

@@ -523,17 +523,6 @@ func (s *Store[M, V]) Stats() Stats {
 	return st
 }
 
-// Len returns the number of resident entries (including in-flight).
-func (s *Store[M, V]) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.index)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // resolveKind says how a completed entry affects the counters: a computed
 // miss, a Get served by the disk tier (a hit plus a spill hit), or a
 // LookupID rehydration (spill activity only — handle lookups are not

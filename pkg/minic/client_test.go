@@ -154,6 +154,83 @@ func TestClientReconnect(t *testing.T) {
 	}
 }
 
+// TestClientDetachAttach detaches a session stopped at a breakpoint and
+// resumes it from another connection: the detaching connection gives up
+// ownership at once, a client without the handle is refused, and the
+// attaching client finds the same stop and runs on to the output an
+// undetached session prints.
+func TestClientDetachAttach(t *testing.T) {
+	addr := startDaemon(t, server.Options{})
+	dial := func() *minic.Client {
+		t.Helper()
+		c, err := minic.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	notOwner := func(who string, err error) {
+		t.Helper()
+		var re *minic.RemoteError
+		if !errors.As(err, &re) || re.Code != server.CodeNotOwner {
+			t.Fatalf("%s = %v, want %s", who, err, server.CodeNotOwner)
+		}
+	}
+	stopped := func(c *minic.Client) (*minic.RemoteSession, *minic.RemoteStop) {
+		t.Helper()
+		art, err := c.Compile("t.mc", clientProg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := c.Open(art.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.BreakAtStmt("main", 1); err != nil {
+			t.Fatal(err)
+		}
+		stop, _, err := sess.Continue()
+		if err != nil || stop == nil {
+			t.Fatalf("continue = %+v, %v", stop, err)
+		}
+		return sess, stop
+	}
+
+	ref, refStop := stopped(dial())
+	_, want, err := ref.Continue()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a := dial()
+	sess, stop := stopped(a)
+	if *stop != *refStop {
+		t.Fatalf("stop = %+v, want %+v", stop, refStop)
+	}
+	if err := sess.Detach(); err != nil {
+		t.Fatalf("detach: %v", err)
+	}
+	_, _, err = a.Session(sess.ID, "").Where()
+	notOwner("where without the handle on the detaching connection", err)
+	a.Close()
+
+	_, _, err = dial().Session(sess.ID, "").Where()
+	notOwner("where from a client without the handle", err)
+
+	resumed, got, err := dial().Attach(sess.ID, sess.Handle)
+	if err != nil {
+		t.Fatalf("attach: %v", err)
+	}
+	if got == nil || *got != *stop {
+		t.Fatalf("attach stop = %+v, want %+v", got, stop)
+	}
+	end, output, err := resumed.Continue()
+	if err != nil || end != nil || output != want {
+		t.Fatalf("continue after attach = %+v %q %v, want exit with %q", end, output, err, want)
+	}
+}
+
 // TestClientOwnershipDenied checks the server refuses another client's
 // commands on a session when the handle is withheld.
 func TestClientOwnershipDenied(t *testing.T) {
