@@ -101,7 +101,9 @@ type Store struct {
 
 // codec serializes artifacts for the disk tier. Only the compile result
 // is persisted; analyses rebuild lazily after rehydration (they derive
-// deterministically from the machine code). A decode reuses the checked
+// deterministically from the machine code). A decoded program's function
+// bodies are checked in full but kept encoded until first use, and each
+// body charges the artifact when it loads. A decode reuses the checked
 // front end of a resident sibling — same name and source, any config —
 // and replays it only when none is resident.
 type codec struct {
@@ -177,15 +179,19 @@ func New(cfg Config) *Store {
 }
 
 // newArtifact builds an Artifact for identity m, whose handle is id,
-// around a compile result, wiring its analysis set's cost hook back into
-// the store so analyses charge the artifact's budget as they are built.
+// around a compile result, wiring its analysis set's cost hook, and its
+// machine program's load hook, back into the store so analyses and the
+// function bodies a spill read deferred charge the artifact's budget as
+// they are built or loaded.
 func (st *Store) newArtifact(m ident, id string, res *compile.Result) *Artifact {
 	a := &Artifact{
 		Res:      res,
 		Analyses: core.NewAnalysisSet(),
 		id:       id,
 	}
-	a.Analyses.SetCostHook(func(delta int64) { st.s.AddCost(m, delta) })
+	charge := func(delta int64) { st.s.AddCost(m, delta) }
+	a.Analyses.SetCostHook(charge)
+	res.Mach.SetLoadHook(charge)
 	return a
 }
 

@@ -80,9 +80,13 @@ func TestSpillEncodingDigest(t *testing.T) {
 // TestMachSizeBytesIsCeiling decodes the churn artifacts' spill files and
 // checks that the machine-code share of their summed SizeBytes is at
 // least the live-heap growth the decode causes, so a memory budget
-// charged with SizeBytes is a real ceiling on machine code. The front
+// charged with SizeBytes is a real ceiling on machine code. It checks two
+// states: just decoded, when each program is stubs plus the copy of its
+// function list it retains, and after every body is loaded. The front
 // ends are checked and held first, and each decode takes its own, so the
-// growth measured is the machine program's own memory.
+// growth measured is the machine program's own memory. The files are held
+// throughout: the decoder copies the function list it keeps, so that copy
+// is heap growth whether or not the files live on.
 func TestMachSizeBytesIsCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and decodes 24 artifacts")
@@ -115,27 +119,42 @@ func TestMachSizeBytesIsCeiling(t *testing.T) {
 	}
 	before := liveHeap()
 	decoded := make([]*Result, len(files))
-	var charged int64
 	for i, data := range files {
 		res, _, _, _, err := DecodeSpillFront(data, func(string, string) *sem.Program { return fronts[i] })
 		if err != nil {
 			t.Fatalf("decode %d: %v", i, err)
 		}
 		decoded[i] = res
-		charged += sizeOfProgram(res.Mach)
 	}
-	grown := liveHeap() - before
+	t.Logf("%d front ends: charged %d B (source factor), live heap %d B (%.2fx)",
+		len(fronts), frontCharged, before-base, float64(frontCharged)/float64(before-base))
+	check := func(state string) {
+		t.Helper()
+		grown := liveHeap() - before
+		var charged int64
+		for _, res := range decoded {
+			charged += sizeOfProgram(res.Mach)
+		}
+		t.Logf("%d machine programs %s: charged %d B, live heap growth %d B (%.2fx)",
+			len(decoded), state, charged, grown, float64(charged)/float64(grown))
+		if charged < grown {
+			t.Fatalf("%s: summed machine-code SizeBytes %d B is below the live-heap growth %d B of %d artifacts",
+				state, charged, grown, len(decoded))
+		}
+	}
+	check("just decoded")
+	for _, res := range decoded {
+		for _, f := range res.Mach.Funcs {
+			if f.Loaded() {
+				t.Fatalf("%s: body loaded by the decode", f.Name)
+			}
+			f.Load()
+		}
+	}
+	check("with every body loaded")
 	runtime.KeepAlive(decoded)
 	runtime.KeepAlive(fronts)
 	runtime.KeepAlive(files)
-	t.Logf("%d front ends: charged %d B (source factor), live heap %d B (%.2fx)",
-		len(fronts), frontCharged, before-base, float64(frontCharged)/float64(before-base))
-	t.Logf("%d decoded machine programs: charged %d B, live heap growth %d B (%.2fx)",
-		len(decoded), charged, grown, float64(charged)/float64(grown))
-	if charged < grown {
-		t.Fatalf("summed machine-code SizeBytes %d B is below the live-heap growth %d B of decoding %d artifacts",
-			charged, grown, len(decoded))
-	}
 }
 
 // liveHeap returns the bytes of live heap objects after a full collection.

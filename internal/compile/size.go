@@ -35,7 +35,11 @@ const (
 	coldBase  = (int64(unsafe.Sizeof(mach.Cold{})) + 15) &^ 15
 	blockBase = int64(unsafe.Sizeof(mach.Block{})) + 16
 	funcBase  = int64(unsafe.Sizeof(mach.Func{})) + 16
-	opdSize   = int64(unsafe.Sizeof(mach.Opd{}))
+	// stubBase is a stub's deferred-body record (56 bytes, in a 64-byte
+	// size class) plus slack for the records a read-back program holds
+	// once (its decoder closure and its Result).
+	stubBase = 80
+	opdSize  = int64(unsafe.Sizeof(mach.Opd{}))
 )
 
 // mapBytes charges a map as Go lays one out: a 48-byte header (all that
@@ -62,7 +66,7 @@ func mapBytes[K comparable, V any](m map[K]V) int64 {
 
 func sizeOfProgram(p *mach.Program) int64 {
 	n := int64(unsafe.Sizeof(*p))
-	n += int64(len(p.Globals)) * 8
+	n += int64(len(p.Globals)+cap(p.Funcs)) * 8
 	n += mapBytes(p.GlobalOff)
 	n += mapBytes(p.GlobalInit)
 	for _, f := range p.Funcs {
@@ -71,9 +75,20 @@ func sizeOfProgram(p *mach.Program) int64 {
 	return n
 }
 
+// sizeOfFunc is a function's record, plus, on a stub, its deferred-body
+// record and encoding (its share of the function list a read-back program
+// retains), plus its body if that is in memory.
 func sizeOfFunc(f *mach.Func) int64 {
 	n := funcBase + int64(len(f.Name))
-	n += int64(len(f.FrameObjects)) * 8
+	if enc := f.Encoding(); enc != nil {
+		n += stubBase + int64(cap(enc))
+	}
+	return n + sizeOfBody(f)
+}
+
+// sizeOfBody is the cost of a function's body: what a stub's Load adds.
+func sizeOfBody(f *mach.Func) int64 {
+	n := int64(len(f.FrameObjects)) * 8
 	n += mapBytes(f.FrameOff)
 	n += mapBytes(f.VarLoc)
 	for _, b := range f.Blocks {

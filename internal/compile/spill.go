@@ -33,10 +33,21 @@ package compile
 // So any payload it accepts re-encodes to the same bytes — a test and fuzz
 // property, not a runtime check.
 //
+// All of these checks run when the file is read: DecodeSpill decodes every
+// function body, and refuses the file if any body is bad. It then keeps
+// only a stub of each function (mach.Program.Defer): the fields that need
+// no body, and the function's byte range in a copy of the payload's
+// function list. A session decodes a body on first use (mach.Func.Load),
+// with the same dec.fn; since the bytes passed that decode once, a Load
+// cannot fail. A session touches a few of a program's functions, so a
+// read-back artifact holds, and is charged for, far less than its whole
+// machine code.
+//
 // The rehydrated Result carries File, Sem and Mach; its IR field is nil
 // (the optimized IR is not part of the debuggable artifact).
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -58,6 +69,9 @@ const spillVersion = 6
 // identity and drive the front-end replay on load).
 func EncodeSpill(cfg Config, res *Result) ([]byte, error) {
 	mp := res.Mach
+	for _, f := range mp.Funcs {
+		f.Load()
+	}
 	e := &enc{b: make([]byte, sha256.Size, sha256.Size+len(res.File.Content)+encSizeHint(mp.Funcs...))}
 	e.uint(spillVersion)
 	e.str(res.File.Name)
@@ -163,13 +177,48 @@ func DecodeSpillFront(data []byte, front func(name, src string) *sem.Program) (r
 	}
 	n = d.count()
 	mp.Funcs = make([]*mach.Func, 0, n)
+	// The function list is kept, in a copy of its own, as the stubs'
+	// encodings: each body is decoded in full here and dropped, then decoded
+	// again on its first Load. Each stub's slice ends at its own last byte
+	// but the last one's, which keeps the copy's spare capacity, so the
+	// stubs' capacities add up to the allocation they retain (sizeOfFunc).
+	body := bytes.Clone(d.b)
+	d.b = body
+	decode := bodyDecoder(p)
 	for i := 0; i < n && d.err == nil; i++ {
-		mp.Funcs = append(mp.Funcs, d.fn(p))
+		at := len(body) - len(d.b)
+		f := d.fn(p)
+		if d.err != nil {
+			break
+		}
+		end := len(body) - len(d.b)
+		limit := end
+		if i == n-1 {
+			limit = cap(body)
+		}
+		mp.Defer(f, body[at:end:limit], decode)
+		mp.Funcs = append(mp.Funcs, f)
 	}
 	if d.end(); d.err != nil {
 		return nil, "", "", Config{}, d.err
 	}
 	return &Result{File: p.File.Source, Sem: p, Mach: mp}, name, src, cfg, nil
+}
+
+// bodyDecoder returns the mach.Program.Defer decoder of a spill file's
+// stubs: it decodes a stub's encoding with dec.fn against the front end p,
+// as the read did. The encoding decoded without error when the file was
+// read, and decoding is deterministic, so a failure here is a broken
+// invariant, not bad input.
+func bodyDecoder(p *sem.Program) func([]byte) (*mach.Func, int64) {
+	return func(enc []byte) (*mach.Func, int64) {
+		d := &dec{b: enc, globals: p.Globals}
+		f := d.fn(p)
+		if d.end(); d.err != nil {
+			panic("compile: a verified function body fails to decode: " + d.err.Error())
+		}
+		return f, sizeOfBody(f)
+	}
 }
 
 // configFlags lists every Config field in its bit order. Config is all

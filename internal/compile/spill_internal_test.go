@@ -7,11 +7,13 @@ package compile
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -46,6 +48,13 @@ func firstInstr(p *mach.Program, ok func(*mach.Instr) bool) *mach.Instr {
 		}
 	}
 	return nil
+}
+
+// loadAll loads every body of a decoded program, so a test can edit it.
+func loadAll(p *mach.Program) {
+	for _, f := range p.Funcs {
+		f.Load()
+	}
 }
 
 // TestSpillSumCoversDebugTables changes one field of a decoded artifact at
@@ -141,6 +150,7 @@ func TestSpillSumCoversDebugTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			loadAll(got.Mach)
 			if !m.mutate(got.Mach) {
 				t.Fatalf("li at O2 has no %s to mutate", m.field)
 			}
@@ -392,6 +402,7 @@ func TestDecodeRefusesObjRefOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		loadAll(got.Mach)
 		return got
 	}
 	main := func(r *Result) *mach.Func { return r.Mach.LookupFunc("main") }
@@ -455,5 +466,47 @@ func TestDecodeRefusesObjRefOutOfRange(t *testing.T) {
 			c.set(r)
 			refuse(t, r, c.entry)
 		})
+	}
+}
+
+// TestSpillRejectsBadBodyAtRead: the bodies of a read-back program are
+// decoded on first use, but checked when the file is read. A payload
+// whose last function names an entry block past its blocks, under a
+// recomputed sum, must be refused by DecodeSpill itself, not by a later
+// Load.
+func TestSpillRejectsBadBodyAtRead(t *testing.T) {
+	res, err := Compile("li.mc", readSource(t, workloadDir+"li.mc"), O2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodeSpill(O2(), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last function's encoding ends with its entry block's index plus
+	// one, which ends the payload.
+	last := res.Mach.Funcs[len(res.Mach.Funcs)-1]
+	entry := -1
+	for i, b := range last.Blocks {
+		if b == last.Entry {
+			entry = i
+		}
+	}
+	tail := binary.AppendUvarint(nil, uint64(entry+1))
+	if entry < 0 || !bytes.HasSuffix(data, tail) {
+		t.Fatalf("payload does not end with %s's entry index %d", last.Name, entry)
+	}
+	bad := append(bytes.Clone(data[:len(data)-len(tail)]), binary.AppendUvarint(nil, uint64(len(last.Blocks)+1))...)
+	sum := sha256.Sum256(bad[sha256.Size:])
+	copy(bad, sum[:])
+	if _, _, _, _, err := DecodeSpill(data); err != nil {
+		t.Fatalf("unmodified payload refused: %v", err)
+	}
+	got, _, _, _, err := DecodeSpill(bad)
+	if err == nil {
+		t.Fatalf("payload with %s's entry block out of range accepted at read (%d functions)", last.Name, len(got.Mach.Funcs))
+	}
+	if !strings.Contains(err.Error(), "block index") {
+		t.Fatalf("refused for another reason: %v", err)
 	}
 }

@@ -237,7 +237,9 @@ func TestSpillDigestGuardsMachineCode(t *testing.T) {
 // FuzzDecodeSpill checks that DecodeSpill never panics and that any input
 // it accepts re-encodes to itself. The input is the payload; the harness
 // stamps its sum, so mutations reach the decoder behind the sum check. The
-// seeds are the workloads' O2 payloads.
+// seeds are the workloads' O2 payloads. Every body of an accepted input is
+// loaded before it re-encodes: a body the read accepted must load without
+// a panic.
 func FuzzDecodeSpill(f *testing.F) {
 	for _, name := range bench.Names {
 		res, err := compile.Compile(name+".mc", bench.MustSource(name), compile.O2())
@@ -256,6 +258,9 @@ func FuzzDecodeSpill(f *testing.F) {
 		res, _, _, cfg, err := compile.DecodeSpill(data)
 		if err != nil {
 			return
+		}
+		for _, f := range res.Mach.Funcs {
+			f.Load()
 		}
 		again, err := compile.EncodeSpill(cfg, res)
 		if err != nil {

@@ -285,6 +285,7 @@ func Analyze(f *mach.Func) *Analysis { return AnalyzeWith(f, Options{}) }
 
 // AnalyzeWith is Analyze with explicit options.
 func AnalyzeWith(f *mach.Func, opts Options) *Analysis {
+	f.Load() // a stub read back from the spill tier decodes here
 	a := &Analysis{
 		Fn:      f,
 		Table:   debuginfo.Build(f),

@@ -15,6 +15,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/ir"
@@ -636,6 +637,60 @@ type Func struct {
 	VarLoc map[*ast.Object]Loc
 	// Scheduled is set once the list scheduler has run.
 	Scheduled bool
+
+	// lazy is set on a stub (Program.Defer): until Load, the body
+	// (Blocks, Entry, FrameObjects, FrameOff, VarLoc) is empty and only
+	// its verified encoding is held.
+	lazy *lazyBody
+}
+
+// lazyBody is a stub's deferred body: its encoding, and the program whose
+// decoder fills it and whose load hook is charged for it.
+type lazyBody struct {
+	once   sync.Once
+	loaded atomic.Bool
+	prog   *Program
+	enc    []byte
+	decode func(enc []byte) (*Func, int64)
+}
+
+// Load fills f's body if f is a stub whose body is still encoded; on any
+// other function it does nothing. The body is decoded once, however many
+// goroutines call Load, and each returns only once it is filled. Every
+// reader of a body (the simulator's flattening, the analyses, and the
+// walks over a whole program) calls Load first; the fields a stub holds
+// (Name, Decl, Globals, the flags, NumVregs, NumVars, FrameSize) need none.
+// Load has no error path: a stub's encoding was checked in full when it
+// was read.
+func (f *Func) Load() {
+	l := f.lazy
+	if l == nil {
+		return
+	}
+	l.once.Do(func() {
+		g, cost := l.decode(l.enc)
+		f.setBody(g)
+		l.loaded.Store(true)
+		l.prog.loadMu.Lock()
+		hook := l.prog.onLoad
+		l.prog.loadMu.Unlock()
+		if hook != nil {
+			hook(cost)
+		}
+	})
+}
+
+// Loaded reports whether f's body is in memory: true for every function
+// but a stub not yet loaded.
+func (f *Func) Loaded() bool { return f.lazy == nil || f.lazy.loaded.Load() }
+
+// Encoding returns the verified encoding a stub's body is decoded from,
+// or nil when f is not a stub (Program.Defer). It is kept after Load.
+func (f *Func) Encoding() []byte {
+	if f.lazy == nil {
+		return nil
+	}
+	return f.lazy.enc
 }
 
 // LocKind tells where a variable lives after allocation.
@@ -719,6 +774,7 @@ func (f *Func) NewVreg(class RegClass) Opd {
 
 // String renders the function for dumps and golden tests.
 func (f *Func) String() string {
+	f.Load()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "func %s:  ; frame=%d bytes\n", f.Name, f.FrameSize)
 	for _, b := range f.Blocks {
@@ -756,6 +812,36 @@ type Program struct {
 	// which is what makes a compute-once cache sound.
 	predecodeMu sync.Mutex
 	predecoded  any
+
+	// onLoad, when set, is told the byte cost of every stub body loaded
+	// after it was set (SetLoadHook).
+	loadMu sync.Mutex
+	onLoad func(int64)
+}
+
+// Defer makes f a stub of p: it drops f's body (Blocks, Entry,
+// FrameObjects, FrameOff, VarLoc) and keeps enc, the body's verified
+// encoding. The first Load takes the body of the function decode(enc)
+// returns, and charges the byte cost decode returns with it. decode must
+// not fail, so a caller defers only an encoding it has decoded in full.
+func (p *Program) Defer(f *Func, enc []byte, decode func(enc []byte) (*Func, int64)) {
+	f.setBody(&Func{})
+	f.lazy = &lazyBody{prog: p, enc: enc, decode: decode}
+}
+
+// setBody gives f g's body.
+func (f *Func) setBody(g *Func) {
+	f.Blocks, f.Entry = g.Blocks, g.Entry
+	f.FrameObjects, f.FrameOff, f.VarLoc = g.FrameObjects, g.FrameOff, g.VarLoc
+}
+
+// SetLoadHook registers fn to be called with the byte cost of every stub
+// body loaded after this point (at most one hook is active). The artifact
+// store uses it to charge bodies against their artifact's memory budget.
+func (p *Program) SetLoadHook(fn func(int64)) {
+	p.loadMu.Lock()
+	p.onLoad = fn
+	p.loadMu.Unlock()
 }
 
 // Predecoded returns the cached predecoded form of the program, invoking

@@ -231,7 +231,8 @@ const (
 // Stats is the metrics snapshot reported by the stats command. The cache
 // and spill counters are one consistent per-shard snapshot of the unified
 // artifact store; cache_memory_bytes includes the accounted cost of built
-// analyses (analysis_bytes is the analyses' share).
+// analyses (analysis_bytes is the analyses' share) and of loaded function
+// bodies.
 type Stats struct {
 	SessionsActive   int64 `json:"sessions_active"`
 	SessionsDetached int64 `json:"sessions_detached"`
@@ -250,6 +251,12 @@ type Stats struct {
 	CacheMemoryBudget int64 `json:"cache_memory_budget"`
 	CacheShards       int   `json:"cache_shards"`
 	AnalysisBytes     int64 `json:"analysis_bytes"`
+	// FuncsLoaded and FuncsUnloaded count the functions of the resident
+	// artifacts whose machine code is in memory, and those a spill read
+	// left encoded until a session needs them. Both are a per-server
+	// snapshot, counted in the same walk as analysis_bytes.
+	FuncsLoaded   int64 `json:"funcs_loaded"`
+	FuncsUnloaded int64 `json:"funcs_unloaded"`
 
 	SpillHits   int64 `json:"spill_hits"`
 	SpillMisses int64 `json:"spill_misses"`

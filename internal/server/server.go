@@ -944,13 +944,21 @@ func errResp(id int64, code, msg string) *Response {
 
 // Snapshot returns the current metrics. The store counters come from one
 // consistent per-shard snapshot (each shard is read under its lock);
-// analysis totals are summed over the resident artifacts.
+// analysis totals and function-body counts are summed over the resident
+// artifacts.
 func (s *Server) Snapshot() Stats {
 	cs := s.store.Stats()
-	var built, analysisBytes int64
+	var built, analysisBytes, loaded, unloaded int64
 	s.store.Range(func(id string, a *Artifact) {
 		built += a.Analyses.Built()
 		analysisBytes += a.Analyses.Bytes()
+		for _, f := range a.Res.Mach.Funcs {
+			if f.Loaded() {
+				loaded++
+			} else {
+				unloaded++
+			}
+		}
 	})
 	s.mu.Lock()
 	active := int64(len(s.sessions))
@@ -977,6 +985,8 @@ func (s *Server) Snapshot() Stats {
 		CacheMemoryBudget: cs.MemoryBudget,
 		CacheShards:       cs.Shards,
 		AnalysisBytes:     analysisBytes,
+		FuncsLoaded:       loaded,
+		FuncsUnloaded:     unloaded,
 		SpillHits:         cs.SpillHits,
 		SpillMisses:       cs.SpillMisses,
 		SpillWrites:       cs.SpillWrites,

@@ -247,6 +247,7 @@ func funcIndex(prog *mach.Program, name string) int32 {
 // flatten lays f's blocks out in order, appending an implicit-return
 // sentinel after every block that does not end in a terminator.
 func flatten(prog *mach.Program, f *mach.Func) *funcCode {
+	f.Load() // a stub read back from the spill tier decodes on first entry
 	fc := &funcCode{fn: f, startOf: make(map[*mach.Block]int32, len(f.Blocks))}
 	nInt, nFloat := f.NumVregs, f.NumVregs
 	if f.Allocated {
