@@ -80,7 +80,7 @@ func main() {
 func printTable1() {
 	fmt.Println("Table 1: Optimizations performed by mcc (cf. cmcc).")
 	for _, line := range []string{
-		"loop unrolling and peeling           (internal/opt: Unroll, Peel)",
+		"loop unrolling (no loop peeling)     (internal/opt: Unroll)",
 		"linear function test replacement     (internal/opt: StrengthReduce/lftr)",
 		"induction variable simplification    (internal/opt: StrengthReduce)",
 		"constant propagation and folding     (internal/opt: ConstFold, ConstProp)",

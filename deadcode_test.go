@@ -77,12 +77,217 @@ func TestNoProductionSymbolOnlyTestsReach(t *testing.T) {
 	t.Logf("%d packages, %d declarations checked in %v", len(m.pkgs), len(m.decls), time.Since(start).Round(time.Millisecond))
 }
 
+// testOnlyFields are struct fields that no production code writes, kept
+// because tests set them to reach behaviour production code reaches in
+// other ways.
+var testOnlyFields = map[string]string{
+	"repro/internal/server.Options.SpillDegradeAfter":  "the chaos soak and the server fault tests trip the spill breaker after fewer failures than the default",
+	"repro/internal/server.Options.SpillProbeInterval": "the chaos soak and the server fault tests heal the spill breaker faster than the default",
+	"repro/internal/fault.Rule.Prob":                   "only tests arm faults",
+	"repro/internal/fault.Rule.After":                  "only tests arm faults",
+	"repro/internal/fault.Rule.Times":                  "only tests arm faults",
+	"repro/internal/fault.Rule.Delay":                  "only tests arm faults",
+	"repro/internal/fault.Rule.Err":                    "only tests arm faults",
+	"repro/internal/fault.Rule.Panic":                  "only tests arm faults",
+	"repro/internal/fault.Rule.CutTo":                  "only tests arm faults",
+	"repro/internal/oracle.Options.Configs":            "TestOracleHasTeeth sweeps a marker-free build; a -configs flag of mcoracle is to set it",
+	"repro/cmd/mcperf.runOpts.units":                   "the mcperf tests fix a run's script length instead of sizing it from the run's seconds",
+	"repro/cmd/mcperf.runOpts.replayUnits":             "the mcperf tests fix the traced replay's unit count instead of bounding it by time",
+}
+
+// TestNoFieldOnlyTestsSet fails on each field of a package-level struct
+// type of the module that no non-test code writes: an option only tests
+// set is a second code path production never takes. A write is a keyed or
+// unkeyed composite literal, an assignment (a range clause's included),
+// ++ or --, &x.f, x.f[:], or a pointer-receiver method on x.f; writing a
+// field of a struct- or array-valued field writes that field too. Structs
+// with a json-tagged field are wire records the decoder fills by
+// reflection and are skipped, as are embedded fields and fields of a sync
+// or sync/atomic type.
+func TestNoFieldOnlyTestsSet(t *testing.T) {
+	m, err := loadModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := m.writtenFields()
+	var unset []string
+	declared := map[string]bool{}
+	for _, p := range m.pkgs {
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok || wireStruct(st) {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if f.Embedded() || f.Name() == "_" || syncType(f.Type()) {
+					continue
+				}
+				key := p.Path() + "." + tn.Name() + "." + f.Name()
+				declared[key] = true
+				if _, ok := testOnlyFields[key]; ok {
+					if written[f] {
+						t.Errorf("production code writes %s: drop it from testOnlyFields", key)
+					}
+					continue
+				}
+				if !written[f] {
+					unset = append(unset, fmt.Sprintf("%s: %s", m.fset.Position(f.Pos()), key))
+				}
+			}
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("nothing outside tests writes %s", u)
+	}
+	for key := range testOnlyFields {
+		if !declared[key] {
+			t.Errorf("testOnlyFields names %s, which is not declared", key)
+		}
+	}
+}
+
+// writtenFields returns the struct fields (by declaration) that the
+// module's non-test code writes, in the sense of TestNoFieldOnlyTestsSet.
+func (m *module) writtenFields() map[*types.Var]bool {
+	written := map[*types.Var]bool{}
+	for i, info := range m.infos {
+		// write marks the field e selects, and the struct- or array-valued
+		// fields whose memory holds it.
+		write := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+					continue
+				case *ast.SelectorExpr:
+					if f, ok := info.Uses[x.Sel].(*types.Var); ok && f.IsField() {
+						written[f.Origin()] = true
+						if inPlace(info.TypeOf(x.X)) {
+							e = x.X
+							continue
+						}
+					}
+				case *ast.IndexExpr:
+					if _, ok := info.TypeOf(x.X).Underlying().(*types.Array); ok {
+						e = x.X
+						continue
+					}
+				}
+				return
+			}
+		}
+		for _, f := range m.files[i] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := deref(info.TypeOf(n)).Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for j, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								written[f.Origin()] = true
+							}
+						} else if j < st.NumFields() {
+							written[st.Field(j).Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					if n.Tok != token.DEFINE {
+						for _, l := range n.Lhs {
+							write(l)
+						}
+					}
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						for _, l := range []ast.Expr{n.Key, n.Value} {
+							if l != nil {
+								write(l)
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X)
+					}
+				case *ast.SliceExpr:
+					write(n.X)
+				case *ast.SelectorExpr:
+					sel := info.Selections[n]
+					if sel == nil || sel.Kind() != types.MethodVal {
+						break
+					}
+					recv := sel.Obj().(*types.Func).Type().(*types.Signature).Recv()
+					if _, ptr := recv.Type().(*types.Pointer); ptr {
+						if _, isPtr := info.TypeOf(n.X).Underlying().(*types.Pointer); !isPtr {
+							write(n.X)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return written
+}
+
+// inPlace reports whether a value of type t holds its fields or elements
+// in its own memory, so writing one writes the value.
+func inPlace(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Struct, *types.Array:
+		return true
+	}
+	return false
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// wireStruct reports whether st has a json-tagged field.
+func wireStruct(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if strings.Contains(st.Tag(i), `json:"`) {
+			return true
+		}
+	}
+	return false
+}
+
+// syncType reports whether t is a type of package sync or sync/atomic, or
+// an array of one.
+func syncType(t types.Type) bool {
+	if a, ok := t.(*types.Array); ok {
+		t = a.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return false
+	}
+	path := n.Obj().Pkg().Path()
+	return path == "sync" || path == "sync/atomic"
+}
+
 // module is the type-checked non-test code of a module.
 type module struct {
 	path   string
 	fset   *token.FileSet
 	pkgs   map[string]*types.Package // module packages by import path
 	infos  []*types.Info
+	files  [][]*ast.File // the files each of infos covers
 	decls  []decl
 	zeroOf map[types.Object][]types.Object // an iota group's first constant: the rest
 	used   map[types.Object]bool           // objects used outside their own declaration
@@ -179,7 +384,7 @@ func loadModule(root string) (*module, error) {
 			files = append(files, f)
 		}
 		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{}}
+			Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 		conf := types.Config{Importer: importerFunc(func(imp string) (*types.Package, error) {
 			if p, ok := m.pkgs[imp]; ok {
 				return p, nil
@@ -192,6 +397,7 @@ func loadModule(root string) (*module, error) {
 		}
 		m.pkgs[path] = pkg
 		m.infos = append(m.infos, info)
+		m.files = append(m.files, files)
 		m.collectDecls(files, info)
 		return nil
 	}

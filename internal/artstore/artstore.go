@@ -182,14 +182,17 @@ func New(cfg Config) *Store {
 // around a compile result, wiring its analysis set's cost hook, and its
 // machine program's load hook, back into the store so analyses and the
 // function bodies a spill read deferred charge the artifact's budget as
-// they are built or loaded.
+// they are built or loaded. A charge reaches only the entry that holds
+// this very Artifact: once it is evicted, what it builds is not accounted,
+// even if its identity was read back into a new entry.
 func (st *Store) newArtifact(m ident, id string, res *compile.Result) *Artifact {
 	a := &Artifact{
 		Res:      res,
 		Analyses: core.NewAnalysisSet(),
 		id:       id,
 	}
-	charge := func(delta int64) { st.s.AddCost(m, delta) }
+	holds := func(v *Artifact) bool { return v == a }
+	charge := func(delta int64) { st.s.AddCostIf(m, delta, holds) }
 	a.Analyses.SetCostHook(charge)
 	res.Mach.SetLoadHook(charge)
 	return a

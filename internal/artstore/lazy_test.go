@@ -142,3 +142,28 @@ func TestLoadChargesTheArtifactBudget(t *testing.T) {
 		}
 	})
 }
+
+// TestEvictedInstanceDoesNotChargeItsReadBack: an artifact evicted while a
+// session still holds it, and then read back as a new artifact, must not
+// charge its loads and analyses to the new artifact's entry.
+func TestEvictedInstanceDoesNotChargeItsReadBack(t *testing.T) {
+	st, old := readBack(t, Config{MaxArtifacts: 1})
+	name, src := srcFor(1)
+	if _, _, err := st.Get(name, src, compile.O2()); err != nil { // evicts old
+		t.Fatal(err)
+	}
+	cur, hit, err := st.Get("lazy.mc", lazySrc, compile.O2()) // reads it back
+	if err != nil || !hit || cur == old {
+		t.Fatalf("second read-back: hit=%v err=%v same instance=%v", hit, err, cur == old)
+	}
+	accounted := st.Stats().MemoryBytes
+	if old.Analyses.Of(old.Res.Mach.LookupFunc("g")) == nil {
+		t.Fatal("evicted artifact's analysis unusable")
+	}
+	if got := st.Stats().MemoryBytes; got != accounted {
+		t.Fatalf("the evicted instance charged its read-back's entry: %d -> %d B", accounted, got)
+	}
+	if cur.Res.Mach.LookupFunc("g").Loaded() {
+		t.Fatal("the resident instance loaded g")
+	}
+}

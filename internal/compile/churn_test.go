@@ -55,7 +55,7 @@ func churnArtifacts(t testing.TB) []churnArtifact {
 // spillEncodingDigest pins the spill files of the churn artifacts byte
 // for byte. The in-memory instruction layout is free to change; the file
 // format is not (a change to it must bump spillVersion).
-const spillEncodingDigest = "9da164b8f33371b46e49b7be181b30d65830a1b0eabbbecf409122ae7650412d"
+const spillEncodingDigest = "0ed4583cb13239a3008f58f7cc6e168f7ca47757a7b48b55554821addb8fd9e9"
 
 // TestSpillEncodingDigest hashes EncodeSpill of every churn artifact, in
 // churnArtifacts order, and compares against spillEncodingDigest.

@@ -25,7 +25,7 @@ package compile
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
+	"encoding/hex"
 	"hash"
 
 	"repro/internal/ast"
@@ -34,12 +34,12 @@ import (
 
 // funcKeyVersion guards the canonical hash layout; bump on any change to
 // what or how hashFunc/GlobalsSigOf write.
-const funcKeyVersion = 3
+const funcKeyVersion = 4
 
 // FuncKey identifies one function's compiled artifact by content.
 type FuncKey [sha256.Size]byte
 
-func (k FuncKey) String() string { return fmt.Sprintf("%x", k[:8]) }
+func (k FuncKey) String() string { return hex.EncodeToString(k[:8]) }
 
 // GlobalsSig digests the per-program environment shared by every function:
 // the global objects (order, IDs, names, types, addressedness), their
@@ -52,8 +52,7 @@ func GlobalsSigOf(p *ir.Program, cfg Config) GlobalsSig {
 	w := newKeyWriter()
 	w.uint(funcKeyVersion)
 	w.uint(spillVersion)
-	// Config is a flat struct of value fields; %+v is a canonical rendering.
-	w.str(fmt.Sprintf("%+v", cfg))
+	w.uint(configBits(cfg))
 	w.uint(uint64(len(p.Globals)))
 	for _, g := range p.Globals {
 		w.obj(g)

@@ -139,8 +139,8 @@ func slicesEqual(a, b []string) bool {
 // order. They pin the bytes the function-cache keys hash: a change to how
 // keys are written must keep them, or bump funcKeyVersion and re-pin.
 const (
-	goldenGlobalsSig = "b561ffd34e2b884b9c7d2cdca4402ca166face7f4771e0eb71253e8c6a9f18cf"
-	goldenFuncKeys   = "4aeecb5d38e157021a0ef43b0affe990341a873b5590504510e7b9df2d4e143c"
+	goldenGlobalsSig = "c1e825793dae414a983d9ff018252605d5f6d9a6aa8737ce7756f40a739fead9"
+	goldenFuncKeys   = "5135f9fa88c6a9a1c4add68a973e850c1f43c29b2902174618a3a71e206af1c4"
 )
 
 func TestFuncKeyBytesPinned(t *testing.T) {

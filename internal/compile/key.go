@@ -2,8 +2,8 @@ package compile
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"unsafe"
 )
 
@@ -35,9 +35,8 @@ func KeyOf(name, src string, cfg Config) Key {
 // artifact handles, and disk-tier filenames).
 func (k Key) ID() string {
 	// Fold the config into the printable id so the same source compiled
-	// under two configurations yields two distinct handles.
-	h := sha256.New()
-	h.Write(k.SrcHash[:])
-	fmt.Fprintf(h, "%+v", k.Cfg)
-	return hex.EncodeToString(h.Sum(nil))[:12]
+	// under two configurations yields two distinct handles. The config is
+	// written as the spill header writes it.
+	sum := sha256.Sum256(binary.AppendUvarint(k.SrcHash[:], configBits(k.Cfg)))
+	return hex.EncodeToString(sum[:6])
 }

@@ -62,7 +62,7 @@ import (
 
 // spillVersion guards the payload format; bump on any change to it, or to
 // what the pipeline emits for the same key.
-const spillVersion = 6
+const spillVersion = 7
 
 // EncodeSpill serializes a compiled artifact for the disk tier. The
 // source text and configuration ride along (they are the artifact's
@@ -223,13 +223,13 @@ func bodyDecoder(p *sem.Program) func([]byte) (*mach.Func, int64) {
 
 // configFlags lists every Config field in its bit order. Config is all
 // flags; a field of any other type needs its own encoding.
-func configFlags(c *Config) [17]*bool {
+func configFlags(c *Config) [16]*bool {
 	o := &c.Opt
 	return [...]*bool{
 		&c.RegAlloc, &c.Sched,
 		&o.SROA, &o.ConstFold, &o.ConstProp, &o.CopyProp, &o.AssignProp,
 		&o.PRE, &o.LICM, &o.PDCE, &o.DCE, &o.Strength, &o.Unroll,
-		&o.Peel, &o.LoopInvert, &o.BranchOpt, &o.NoMarkers,
+		&o.LoopInvert, &o.BranchOpt, &o.NoMarkers,
 	}
 }
 

@@ -272,14 +272,20 @@ func FuzzDecodeFuncEntry(f *testing.F) {
 }
 
 // TestSpillCarriesEveryConfigField sets each field of Config (and of its
-// opt.Options) alone and requires it to survive EncodeSpill/DecodeSpill.
-// A field the codec does not know fails here: a bool the codec misses
-// comes back false, and any other type has no test value.
+// opt.Options) alone and requires it to survive EncodeSpill/DecodeSpill
+// and to give the artifact ID and the globals signature a value of its
+// own. A field the codec does not know fails here: a bool the codec
+// misses comes back false and shares the zero config's keys, and any
+// other type has no test value.
 func TestSpillCarriesEveryConfigField(t *testing.T) {
-	res, err := Compile("t.mc", "int main() { return 4; }", O0())
+	const name, src = "t.mc", "int main() { return 4; }"
+	res, err := Compile(name, src, O0())
 	if err != nil {
 		t.Fatal(err)
 	}
+	prog := ir.Build(res.Sem)
+	ids := map[string]string{KeyOf(name, src, Config{}).ID(): "the zero config"}
+	sigs := map[GlobalsSig]string{GlobalsSigOf(prog, Config{}): "the zero config"}
 	var walk func(v reflect.Value, path string, set func())
 	fields := 0
 	walk = func(v reflect.Value, path string, set func()) {
@@ -311,6 +317,17 @@ func TestSpillCarriesEveryConfigField(t *testing.T) {
 		}
 		if got != cfg {
 			t.Errorf("config %+v decoded as %+v", cfg, got)
+		}
+		label := fmt.Sprintf("%+v", cfg)
+		if id := KeyOf(name, src, cfg).ID(); ids[id] != "" {
+			t.Errorf("config %s has the artifact ID of %s", label, ids[id])
+		} else {
+			ids[id] = label
+		}
+		if sig := GlobalsSigOf(prog, cfg); sigs[sig] != "" {
+			t.Errorf("config %s has the globals signature of %s", label, sigs[sig])
+		} else {
+			sigs[sig] = label
 		}
 	})
 	if fields == 0 {

@@ -188,7 +188,6 @@ type Analysis struct {
 	Fn    *mach.Func
 	Table *debuginfo.Table
 
-	opts    Options
 	numVars int
 	bits    int
 	ents    []recEntity
@@ -240,12 +239,11 @@ type Analysis struct {
 	// the recovery entity), so they are rendered once instead of once per
 	// query; the classifier's dynamic texts (endangerment warnings with
 	// statement lists) remain rendered at query time. The strings are
-	// substrings of one buffer, and the four text slices views of texts.
+	// substrings of one buffer, and the three text slices views of texts.
 	texts     []string
 	textCap   int        // capacity of the buffer the texts are cut from
 	uninitWhy []string   // per var ID
 	nonresWhy []string   // per var ID
-	consWhy   []string   // per var ID (ConservativeHoist mode only)
 	recWhy    []string   // per entity
 	recovered []Recovery // per entity; Classification.Recovered aliases these
 }
@@ -268,28 +266,12 @@ func (a *Analysis) srcsOf(v *ast.Object) []int32 {
 	return a.varSrcs[a.varSrcOff[v.ID]:a.varSrcOff[v.ID+1]]
 }
 
-// Options adjust the classifier.
-type Options struct {
-	// ConservativeHoist implements the simplification suggested in the
-	// paper's conclusions: because source assignments are almost never
-	// hoisted, a debugger "can take a conservative approach to detecting
-	// endangered variables caused by code hoisting (e.g., a hoisted
-	// assignment can cause a variable to become nonresident)". With this
-	// set, any (possible) hoist reach demotes the variable to nonresident
-	// instead of running the precise noncurrent/suspect distinction.
-	ConservativeHoist bool
-}
-
 // Analyze solves the classifier's data-flow problems for f.
-func Analyze(f *mach.Func) *Analysis { return AnalyzeWith(f, Options{}) }
-
-// AnalyzeWith is Analyze with explicit options.
-func AnalyzeWith(f *mach.Func, opts Options) *Analysis {
+func Analyze(f *mach.Func) *Analysis {
 	f.Load() // a stub read back from the spill tier decodes here
 	a := &Analysis{
 		Fn:      f,
 		Table:   debuginfo.Build(f),
-		opts:    opts,
 		numVars: len(f.Decl.Locals),
 	}
 	b := newBuilder(a)
@@ -303,7 +285,7 @@ func AnalyzeWith(f *mach.Func, opts Options) *Analysis {
 	return a
 }
 
-// builder holds the scratch tables AnalyzeWith needs only while it runs.
+// builder holds the scratch tables Analyze needs only while it runs.
 type builder struct {
 	a *Analysis
 	// entAt[p] and srcAt[p] are the recovery entity and the endangerment
@@ -770,7 +752,7 @@ func (a *Analysis) buildBreakpointTables() {
 		a.bpSlot[i] = -1
 	}
 	// Every instance of a statement is an armable breakpoint location
-	// (unroll/peel clones included), so each one gets a pair; mark the
+	// (unroll clones included), so each one gets a pair; mark the
 	// slots first, then number them in block and instruction order.
 	count := 0
 	for s := 0; s < t.NumStmts; s++ {
@@ -864,20 +846,17 @@ func (a *Analysis) setsAt(loc debuginfo.Loc) (may, must *dataflow.BitSet) {
 // buffer and sliced out of it, and all their headers share one array.
 func (a *Analysis) buildStaticTexts() {
 	locals := a.Fn.Decl.Locals
-	nv, perVar := a.numVars, 2
-	if a.opts.ConservativeHoist {
-		perVar = 3
-	}
+	nv := a.numVars
 	size := 0
 	for _, v := range locals {
-		size += perVar * (len(v.Name) + 60)
+		size += 2 * (len(v.Name) + 60)
 	}
 	for i := range a.ents {
 		size += len(a.ents[i].v.Name) + 100
 	}
 	var sb strings.Builder
 	sb.Grow(size)
-	texts := make([]string, perVar*nv+len(a.ents))
+	texts := make([]string, 2*nv+len(a.ents))
 	// span[2i:2i+2] is text i's [start, end) in the buffer.
 	span := make([]int32, 2*len(texts))
 	mark := func(i, start int) {
@@ -893,12 +872,6 @@ func (a *Analysis) buildStaticTexts() {
 		sb.WriteString(v.Name)
 		sb.WriteString(" may hold another value here")
 		mark(nv+v.ID, at)
-		if perVar == 3 {
-			at = sb.Len()
-			sb.WriteString(v.Name)
-			sb.WriteString(" may have been updated by hoisted code (conservative mode)")
-			mark(2*nv+v.ID, at)
-		}
 	}
 	a.recovered = make([]Recovery, len(a.ents))
 	for ei := range a.ents {
@@ -906,7 +879,7 @@ func (a *Analysis) buildStaticTexts() {
 		a.recovered[ei] = Recovery{Kind: e.kind, Reg: e.reg, C: e.c, CF: e.cf, IsF: e.isF, A: e.a, B: e.b}
 		at := sb.Len()
 		writeRecoveryText(&sb, e.v, &a.recovered[ei])
-		mark(perVar*nv+ei, at)
+		mark(2*nv+ei, at)
 	}
 	all := sb.String()
 	a.textCap = sb.Cap()
@@ -915,10 +888,7 @@ func (a *Analysis) buildStaticTexts() {
 	}
 	a.texts = texts
 	a.uninitWhy, a.nonresWhy = texts[:nv:nv], texts[nv:2*nv:2*nv]
-	if perVar == 3 {
-		a.consWhy = texts[2*nv : 3*nv : 3*nv]
-	}
-	a.recWhy = texts[perVar*nv:]
+	a.recWhy = texts[2*nv:]
 }
 
 // writeRecoveryText writes the warning for a variable displayed through
@@ -1008,10 +978,10 @@ func (a *Analysis) setsForStmt(stmt int, loc debuginfo.Loc) (may, must *dataflow
 }
 
 // ClassifyLoc classifies v at an explicit stop location. Breakpoints are
-// armed at every instance of a statement (peeled and unrolled clones
-// included) and steps can stop at any statement boundary; the dataflow
-// must be read at the instruction actually reached, not at the
-// statement's canonical table location.
+// armed at every instance of a statement (unrolled clones included) and
+// steps can stop at any statement boundary; the dataflow must be read at
+// the instruction actually reached, not at the statement's canonical
+// table location.
 func (a *Analysis) ClassifyLoc(loc debuginfo.Loc, v *ast.Object) Classification {
 	return a.classifyAtLoc(loc, v)
 }
@@ -1090,14 +1060,6 @@ func (a *Analysis) classify(loc debuginfo.Loc, v *ast.Object, may, must *dataflo
 			c.Recovered = rec
 			c.Why = recWhy
 		}
-		return c
-	}
-
-	// Conservative mode (paper's conclusions): don't distinguish
-	// hoist-endangerment precisely — declare the variable nonresident.
-	if a.opts.ConservativeHoist && may.Has(a.hoistBit(v)) {
-		c.State = Nonresident
-		c.Why = a.consWhy[v.ID]
 		return c
 	}
 

@@ -23,25 +23,22 @@ import (
 // classifier give over the analysis corpus (see analysisDigest). Work on
 // how analyses are built must keep it: a change that moves it changes
 // verdicts, not just speed.
-const goldenAnalysisDigest = "2bb27c41a9f6e538eab250d4b316eda538b65d2ae28f1e1b317c8f6c5431585c"
+const goldenAnalysisDigest = "6350f6a5a57b3c06e4c672114b36b9f4b7a903f8f25f74668e2d899ee29e8007"
 
 // digestCase is one configuration of the analysis corpus.
 type digestCase struct {
 	name string
 	cfg  compile.Config
-	opts core.Options
 }
 
-// analysisCases lists the corpus configurations: O1, O2NoRegAlloc and O2
-// with the default classifier, and O2 with ConservativeHoist.
+// analysisCases lists the corpus configurations: O1, O2NoRegAlloc and O2.
 func analysisCases() []digestCase {
 	o1 := compile.O2()
 	o1.Opt = opt.O1()
 	return []digestCase{
-		{"O1", o1, core.Options{}},
-		{"O2NoRegAlloc", compile.O2NoRegAlloc(), core.Options{}},
-		{"O2", compile.O2(), core.Options{}},
-		{"O2-conservative", compile.O2(), core.Options{ConservativeHoist: true}},
+		{"O1", o1},
+		{"O2NoRegAlloc", compile.O2NoRegAlloc()},
+		{"O2", compile.O2()},
 	}
 }
 
@@ -85,7 +82,7 @@ func analysisDigest() (string, int) {
 			io.WriteString(h, c.name+" err "+prog+"\n")
 			return
 		}
-		a := core.AnalyzeWith(f, c.opts)
+		a := core.Analyze(f)
 		n++
 		fmt.Fprintf(h, "%s %s %s stmts=%d\n", c.name, prog, a.Fn.Name, a.Table.NumStmts)
 		hashFunc(h, a)
@@ -161,7 +158,7 @@ func varName(v *ast.Object) string {
 // over the corpus.
 func TestAnalysisDigest(t *testing.T) {
 	if testing.Short() {
-		t.Skip("analyzes 832 programs")
+		t.Skip("analyzes 624 programs")
 	}
 	got, n := analysisDigest()
 	if got != goldenAnalysisDigest {

@@ -75,54 +75,6 @@ int main() { return f(0, 3); }
 	}
 }
 
-// TestConservativeHoistMode checks the paper's suggested simplification.
-func TestConservativeHoistMode(t *testing.T) {
-	src := `
-int f(int c, int y, int z) {
-	int x = 0;
-	if (c) {
-		x = y + z;
-	} else {
-		x = 1;
-	}
-	x = y + z;
-	return x;
-}
-int main() { return f(1, 2, 3); }
-`
-	res, err := compile.Compile("t.mc", src, compile.Config{Opt: opt.Options{PRE: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := res.Mach.LookupFunc("f")
-
-	precise := AnalyzeWith(f, Options{})
-	conservative := AnalyzeWith(f, Options{ConservativeHoist: true})
-
-	var x = f.Decl.Locals[3] // c,y,z,x
-	if x.Name != "x" {
-		for _, v := range f.Decl.Locals {
-			if v.Name == "x" {
-				x = v
-			}
-		}
-	}
-	cp, _ := precise.ClassifyAt(4, x)
-	cc, _ := conservative.ClassifyAt(4, x)
-	if cp.State != Suspect {
-		t.Errorf("precise mode: %s, want suspect", cp.State)
-	}
-	if cc.State != Nonresident {
-		t.Errorf("conservative mode: %s, want nonresident", cc.State)
-	}
-	// After the marker both modes agree the variable is current again.
-	cp2, _ := precise.ClassifyAt(5, x)
-	cc2, _ := conservative.ClassifyAt(5, x)
-	if cp2.State != Current || cc2.State != Current {
-		t.Errorf("after redundant copy: precise=%s conservative=%s", cp2.State, cc2.State)
-	}
-}
-
 // TestRecoveryInvalidatedByClobber: a recovery alias dies when its register
 // is overwritten; the variable falls back to noncurrent with no recovery.
 func TestRecoveryInvalidatedByNewElimination(t *testing.T) {

@@ -15,23 +15,19 @@ import (
 // is the analyses' own memory.
 func TestAnalysisSizeBytesIsCeiling(t *testing.T) {
 	if testing.Short() {
-		t.Skip("analyzes 832 programs")
+		t.Skip("analyzes 624 programs")
 	}
-	type job struct {
-		f    *mach.Func
-		opts core.Options
-	}
-	var jobs []job
-	forEachCorpusFunc(func(c digestCase, _ string, f *mach.Func) {
+	var jobs []*mach.Func
+	forEachCorpusFunc(func(_ digestCase, _ string, f *mach.Func) {
 		if f != nil {
-			jobs = append(jobs, job{f, c.opts})
+			jobs = append(jobs, f)
 		}
 	})
 	analyses := make([]*core.Analysis, len(jobs))
 	before := liveHeap()
 	var charged int64
-	for i, j := range jobs {
-		analyses[i] = core.AnalyzeWith(j.f, j.opts)
+	for i, f := range jobs {
+		analyses[i] = core.Analyze(f)
 		charged += analyses[i].SizeBytes()
 	}
 	grown := liveHeap() - before

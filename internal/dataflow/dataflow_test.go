@@ -382,8 +382,7 @@ func resultsEqual(a, b *Result) bool {
 
 // Property: the RPO worklist solver computes exactly the fixed point of
 // the dense reference schedule, for every direction × meet combination,
-// with and without a boundary value, on random (possibly irreducible,
-// possibly partially unreachable) graphs.
+// on random (possibly irreducible, possibly partially unreachable) graphs.
 func TestQuickSolverMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -396,16 +395,11 @@ func TestQuickSolverMatchesReference(t *testing.T) {
 			kill[i] = randomSet(bits, r.Int63())
 			kill[i].Subtract(gen[i])
 		}
-		var boundaries []*BitSet
-		boundaries = append(boundaries, nil, randomSet(bits, r.Int63()))
 		for _, dir := range []Direction{Forward, Backward} {
 			for _, meet := range []Meet{Union, Intersect} {
-				for _, bd := range boundaries {
-					p := &Problem{Graph: g, Dir: dir, Meet: meet, Bits: bits,
-						Gen: gen, Kill: kill, Boundary: bd}
-					if !resultsEqual(p.Solve(), p.SolveReference()) {
-						return false
-					}
+				p := &Problem{Graph: g, Dir: dir, Meet: meet, Bits: bits, Gen: gen, Kill: kill}
+				if !resultsEqual(p.Solve(), p.SolveReference()) {
+					return false
 				}
 			}
 		}
@@ -427,7 +421,7 @@ func TestSolverUnreachableBlocks(t *testing.T) {
 	}
 	gen := []*BitSet{NewBitSet(2), NewBitSet(2), NewBitSet(2), NewBitSet(2)}
 	gen[2].Set(1)
-	p := &Problem{Graph: g, Dir: Forward, Meet: Union, Bits: 2, Gen: gen, Entries: []int{0}}
+	p := &Problem{Graph: g, Dir: Forward, Meet: Union, Bits: 2, Gen: gen}
 	got, want := p.Solve(), p.SolveReference()
 	if !resultsEqual(got, want) {
 		t.Fatalf("worklist and reference disagree on unreachable blocks")

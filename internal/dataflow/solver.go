@@ -1,9 +1,8 @@
 package dataflow
 
 // Graph is the abstract CFG view the solver works on: blocks are numbered
-// 0..N-1 with block 0 conventionally the entry (callers may pass any entry
-// set). Both the IR CFG and the machine-code CFG implement it by exporting
-// successor/predecessor index slices.
+// 0..N-1 with block 0 the entry. Both the IR CFG and the machine-code CFG
+// implement it by exporting successor/predecessor index slices.
 type Graph struct {
 	N     int
 	Succs [][]int
@@ -34,19 +33,14 @@ const (
 //	out[b] = gen[b] ∪ (in[b] − kill[b])       (forward)
 //	in[b]  = meet over preds' out (forward)
 //
-// Boundary is the value at the entry (forward) or exits (backward).
+// The boundary value is the empty set: it is the in-set of block 0
+// (forward) and the out-set of every block with no successors (backward).
 type Problem struct {
 	Graph     Graph
 	Dir       Direction
 	Meet      Meet
 	Bits      int
 	Gen, Kill []*BitSet // per block
-	// Boundary is the in-set of the entry block (forward) or the out-set
-	// of exit blocks (backward). nil means empty.
-	Boundary *BitSet
-	// Entries lists boundary blocks; for Forward it defaults to {0}, for
-	// Backward it defaults to all blocks with no successors.
-	Entries []int
 }
 
 // Result holds the fixed-point solution.
@@ -68,7 +62,6 @@ type Result struct {
 type Scratch struct {
 	res             Result
 	sol, input      slab
-	boundary        *BitSet
 	tmp             *BitSet // SolveIn's scratch set
 	entries, exits  []int
 	flags           []bool
@@ -94,7 +87,7 @@ func (s *Scratch) Sets(count, n int) []*BitSet {
 	return s.input.pointers()
 }
 
-// forwardEntries is the default entry list of a forward problem; it is
+// forwardEntries is the boundary block list of a forward problem; it is
 // never modified.
 var forwardEntries = []int{0}
 
@@ -104,29 +97,22 @@ var forwardEntries = []int{0}
 func (p *Problem) setup(st *Scratch) {
 	n := p.Graph.N
 	// Initial values: for Intersect problems, interior sets start full
-	// (top); for Union they start empty (bottom). All 2n sets, the
-	// default boundary and the scratch set share one slab.
-	st.sol.carve(2*n+2, p.Bits)
+	// (top); for Union they start empty (bottom). All 2n sets and the
+	// scratch set share one slab.
+	st.sol.carve(2*n+1, p.Bits)
 	sets := st.sol.pointers()
 	st.res.In, st.res.Out = sets[:n:n], sets[n:2*n:2*n]
-	st.boundary = p.Boundary
-	if st.boundary == nil {
-		st.boundary = sets[2*n]
-	}
-	st.tmp = sets[2*n+1]
-	st.entries = p.Entries
-	if st.entries == nil {
-		if p.Dir == Forward {
-			st.entries = forwardEntries
-		} else {
-			st.exits = st.exits[:0]
-			for b := 0; b < n; b++ {
-				if len(p.Graph.Succs[b]) == 0 {
-					st.exits = append(st.exits, b)
-				}
+	st.tmp = sets[2*n]
+	if p.Dir == Forward {
+		st.entries = forwardEntries
+	} else {
+		st.exits = st.exits[:0]
+		for b := 0; b < n; b++ {
+			if len(p.Graph.Succs[b]) == 0 {
+				st.exits = append(st.exits, b)
 			}
-			st.entries = st.exits
 		}
+		st.entries = st.exits
 	}
 	st.flags = resize(st.flags, 3*n)
 	clear(st.flags)
@@ -149,9 +135,11 @@ func (p *Problem) setup(st *Scratch) {
 		st.edgesIn, st.edgesOut = p.Graph.Succs, p.Graph.Preds
 	}
 
-	// Seed boundary blocks.
-	for _, e := range st.entries {
-		st.flowIn[e].CopyFrom(st.boundary)
+	// Seed boundary blocks with the empty set; Union sets start empty.
+	if p.Meet == Intersect {
+		for _, e := range st.entries {
+			clear(st.flowIn[e].words)
+		}
 	}
 }
 
@@ -160,8 +148,11 @@ func (p *Problem) setup(st *Scratch) {
 // to be revisited).
 func (p *Problem) step(st *Scratch, b int, tmp *BitSet) bool {
 	// Meet over incoming edges. Blocks without incoming edges keep their
-	// seeded (entry) or initial (unreachable) value.
-	if len(st.edgesIn[b]) > 0 {
+	// seeded (entry) or initial (unreachable) value, and so does a
+	// boundary block of an Intersect problem (a loop header that is also
+	// the entry, say): its meet includes the empty boundary value. Under
+	// Union the empty boundary adds nothing to the meet.
+	if len(st.edgesIn[b]) > 0 && !(st.isEntry[b] && p.Meet == Intersect) {
 		first := true
 		for _, pb := range st.edgesIn[b] {
 			if first {
@@ -171,15 +162,6 @@ func (p *Problem) step(st *Scratch, b int, tmp *BitSet) bool {
 				tmp.Union(st.flowOut[pb])
 			} else {
 				tmp.Intersect(st.flowOut[pb])
-			}
-		}
-		if st.isEntry[b] {
-			// A boundary block with incoming edges (e.g. a loop header
-			// that is also the entry) still receives the boundary value.
-			if p.Meet == Union {
-				tmp.Union(st.boundary)
-			} else {
-				tmp.Intersect(st.boundary)
 			}
 		}
 		if !tmp.Equal(st.flowIn[b]) {

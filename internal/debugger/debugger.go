@@ -20,9 +20,9 @@ import (
 )
 
 // Breakpoint is one armed source breakpoint. A statement may have several
-// code instances (loop unrolling and peeling clone its code into new
-// blocks); the breakpoint is armed at all of them, because the source-
-// level contract is "stop whenever this statement is about to execute".
+// code instances (loop unrolling clones its code into new blocks); the
+// breakpoint is armed at all of them, because the source-level contract
+// is "stop whenever this statement is about to execute".
 type Breakpoint struct {
 	Fn   *mach.Func
 	Stmt int

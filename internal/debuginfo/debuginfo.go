@@ -26,10 +26,10 @@ type Table struct {
 	stmtLoc []Loc
 	// stmtInst[s] is every *instance* location of statement s: one per
 	// block that contains the statement's own code (original instructions
-	// or the marker left by its deletion). Loop unrolling and peeling
-	// clone statement code into new blocks, and a source breakpoint must
-	// fire at every copy — arming only the canonical stmtLoc would let
-	// the peeled first iteration run past the breakpoint silently.
+	// or the marker left by its deletion). Loop unrolling clones
+	// statement code into new blocks, and a source breakpoint must fire
+	// at every copy — arming only the canonical stmtLoc would let the
+	// unrolled copy run past the breakpoint silently.
 	stmtInst [][]Loc
 	// NumStmts mirrors the frontend's statement count.
 	NumStmts int
@@ -273,8 +273,7 @@ func (t *Table) LocOf(s int) (Loc, bool) {
 }
 
 // LocsOf returns every instance location for statement s — one per block
-// holding the statement's own code (clones from unrolling and peeling
-// included) — with the same forward fallback as LocOf. The canonical
+// holding the statement's own code (clones from unrolling included) — with the same forward fallback as LocOf. The canonical
 // LocOf location is always among them. ok is false when no location
 // exists at or after s. The returned slice is shared: callers must not
 // modify it.

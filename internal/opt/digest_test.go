@@ -259,6 +259,9 @@ func unwrittenAliases(f *ir.Func) []string {
 		}
 		return -1
 	}
+	if f.Entry != f.Blocks[0] {
+		return []string{"the entry is not block 0, where the solver seeds a forward problem"}
+	}
 	bits := len(f.Decl.Locals) + f.NumTemps
 	at := map[*ir.Block]int{}
 	for i, b := range f.Blocks {
@@ -283,7 +286,7 @@ func unwrittenAliases(f *ir.Func) []string {
 		}
 	}
 	res := (&dataflow.Problem{Graph: g, Dir: dataflow.Forward, Meet: dataflow.Intersect,
-		Bits: bits, Gen: gen, Kill: kill, Entries: []int{at[f.Entry]}}).Solve()
+		Bits: bits, Gen: gen, Kill: kill}).Solve()
 	var bad []string
 	for i, b := range f.Blocks {
 		written := res.In[i].Copy()

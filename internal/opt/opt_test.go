@@ -163,7 +163,6 @@ func TestDifferentialEachPass(t *testing.T) {
 		"pdce":       {PDCE: true, DCE: true},
 		"strength":   {LICM: true, Strength: true, DCE: true},
 		"unroll":     {Unroll: true},
-		"peel":       {Peel: true},
 		"branchopt":  {ConstFold: true, BranchOpt: true},
 	}
 	srcs := map[string]string{

@@ -20,7 +20,6 @@ type Options struct {
 	DCE        bool
 	Strength   bool
 	Unroll     bool
-	Peel       bool
 	LoopInvert bool
 	BranchOpt  bool
 	// NoMarkers suppresses the §3 marker bookkeeping (ablation: shows what
@@ -83,7 +82,6 @@ var (
 	branchOptPass  = pass{"BranchOpt", branchOpt}
 	loopInvertPass = pass{"LoopInvert", loopInvert}
 	unrollPass     = pass{"Unroll", unroll}
-	peelPass       = pass{"Peel", peel}
 	assignPropPass = pass{"AssignProp", assignProp}
 	prePass        = pass{"PRE", pre}
 	licmPass       = pass{"LICM", licm}
@@ -120,10 +118,6 @@ func schedule(o Options) []pass {
 	}
 	if o.Unroll {
 		add(true, unrollPass)
-		cleanup()
-	}
-	if o.Peel {
-		add(true, peelPass)
 		cleanup()
 	}
 

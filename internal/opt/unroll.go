@@ -5,8 +5,7 @@ import (
 	"repro/internal/ir"
 )
 
-// maxUnrollInstrs bounds the size of loops considered for unrolling and
-// peeling.
+// maxUnrollInstrs bounds the size of loops considered for unrolling.
 const maxUnrollInstrs = 30
 
 // unroll unrolls innermost small loops by a factor of two, keeping the exit
@@ -14,15 +13,7 @@ const maxUnrollInstrs = 30
 // paper, code duplication does not create data-value problems, but marker
 // pseudo-instructions and annotations inside the duplicated blocks must be
 // duplicated along with the code — Instr.Clone preserves both.
-func unroll(ws *workspace, f *ir.Func) bool { return transformInnermost(ws, f, false) }
-
-// peel peels one iteration off innermost small loops: the cloned iteration
-// runs before the loop proper.
-func peel(ws *workspace, f *ir.Func) bool { return transformInnermost(ws, f, true) }
-
-// transformInnermost applies cloneLoopIteration to f's small innermost
-// loops, one at a time.
-func transformInnermost(ws *workspace, f *ir.Func, peel bool) bool {
+func unroll(ws *workspace, f *ir.Func) bool {
 	changed := false
 	done := map[*ir.Block]bool{} // headers already transformed
 	// Transform one loop at a time: every transformation invalidates block
@@ -53,11 +44,10 @@ func transformInnermost(ws *workspace, f *ir.Func, peel bool) bool {
 			if size > maxUnrollInstrs {
 				continue
 			}
-			if cloneLoopIteration(f, g, l, peel) {
-				changed = true
-				applied = true
-				break
-			}
+			cloneLoopIteration(f, g, l)
+			changed = true
+			applied = true
+			break
 		}
 		if !applied {
 			break
@@ -66,14 +56,11 @@ func transformInnermost(ws *workspace, f *ir.Func, peel bool) bool {
 	return changed
 }
 
-// cloneLoopIteration clones the whole loop subgraph once. With peel=false
-// the clone is spliced into the back edges (original latches jump to the
-// cloned header, cloned latches jump back to the original header):
-// unrolling by two. With peel=true the clone is spliced into the entry
-// edges (outside predecessors jump to the cloned header, cloned latches
-// continue into the original header): peeling one iteration. Cloned exit
-// edges keep their original targets in both cases.
-func cloneLoopIteration(f *ir.Func, g dataflow.Graph, l *dataflow.Loop, peel bool) bool {
+// cloneLoopIteration clones the whole loop subgraph once and splices the
+// clone into the back edges (original latches jump to the cloned header,
+// cloned latches jump back to the original header): unrolling by two.
+// Cloned exit edges keep their original targets.
+func cloneLoopIteration(f *ir.Func, g dataflow.Graph, l *dataflow.Loop) {
 	header := f.Blocks[l.Header]
 
 	// Deterministic ordering of loop blocks.
@@ -112,30 +99,11 @@ func cloneLoopIteration(f *ir.Func, g dataflow.Graph, l *dataflow.Loop, peel boo
 		}
 	}
 
+	// Back edges from original latches go to the cloned header.
 	clonedHeader := cloneOf[header]
-	if peel {
-		// Entry edges from outside the loop go to the cloned header.
-		for _, p := range header.Preds {
-			if !l.In(indexOfBlock(f, p)) {
-				p.ReplaceSucc(header, clonedHeader)
-			}
-		}
-	} else {
-		// Back edges from original latches go to the cloned header.
-		for _, latch := range l.Latches {
-			f.Blocks[latch].ReplaceSucc(header, clonedHeader)
-		}
+	for _, latch := range l.Latches {
+		f.Blocks[latch].ReplaceSucc(header, clonedHeader)
 	}
 	f.RecomputePreds()
 	f.RemoveUnreachable()
-	return true
-}
-
-func indexOfBlock(f *ir.Func, b *ir.Block) int {
-	for i, x := range f.Blocks {
-		if x == b {
-			return i
-		}
-	}
-	return -1
 }

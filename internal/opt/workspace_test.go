@@ -63,7 +63,7 @@ func TestSharedWorkspaceMatchesGolden(t *testing.T) {
 // the function's hashFunc text unchanged. Reporting true without a change
 // only costs the caller a wasted round, and the test logs how often each
 // pass does it. (Hashing every application under all 12 variants takes
-// minutes; O2 runs every pass but Peel, which no variant enables.)
+// minutes; O2 runs every pass.)
 func TestPassChangedResult(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hashes every pass application over 208 programs")

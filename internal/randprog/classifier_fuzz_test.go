@@ -65,37 +65,3 @@ func TestClassifierRobustness(t *testing.T) {
 		}
 	}
 }
-
-// TestClassifierMustImpliesMay: on random programs, a variable never
-// classifies noncurrent at a point where the may-analysis would not also
-// flag it — this is implied by construction, but the conservative-mode
-// comparison below approximates an end-to-end check: conservative mode
-// never reports *fewer* problematic variables than precise mode.
-func TestConservativeNeverMoreOptimistic(t *testing.T) {
-	for seed := int64(500); seed < 515; seed++ {
-		src := Gen(seed)
-		res, err := compile.Compile("rand.mc", src, compile.O2NoRegAlloc())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range res.Mach.Funcs {
-			precise := core.AnalyzeWith(f, core.Options{})
-			conserv := core.AnalyzeWith(f, core.Options{ConservativeHoist: true})
-			for s := 0; s < f.Decl.NumStmts; s++ {
-				pc, ok1 := precise.ClassifyAllAt(s)
-				cc, ok2 := conserv.ClassifyAllAt(s)
-				if !ok1 || !ok2 || len(pc) != len(cc) {
-					continue
-				}
-				for i := range pc {
-					pBad := pc[i].State != core.Current && pc[i].State != core.Uninitialized
-					cBad := cc[i].State != core.Current && cc[i].State != core.Uninitialized
-					if pBad && !cBad {
-						t.Errorf("seed %d %s stmt %d: precise=%s but conservative=%s",
-							seed, pc[i].Var.Name, s, pc[i].State, cc[i].State)
-					}
-				}
-			}
-		}
-	}
-}

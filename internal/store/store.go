@@ -413,11 +413,17 @@ func (s *Store[M, V]) Resident(m M, match func(M, V) bool) (V, bool) {
 // the memory they describe leaves the accounted set with the entry.
 // Eviction runs immediately if the charge pushes the shard over budget, so
 // later-built analyses evict in lockstep with their artifact.
-func (s *Store[M, V]) AddCost(m M, delta int64) {
+func (s *Store[M, V]) AddCost(m M, delta int64) { s.AddCostIf(m, delta, nil) }
+
+// AddCostIf is AddCost that charges the entry only if holds, called under
+// the shard lock, accepts its value. A value that was evicted while its
+// owner kept it, and whose identity was admitted again since, then charges
+// nothing instead of charging the entry that replaced it.
+func (s *Store[M, V]) AddCostIf(m M, delta int64, holds func(V) bool) {
 	sh := s.shards[s.hash(m)&s.mask]
 	sh.mu.Lock()
 	e, ok := sh.index[m]
-	if !ok || !completed(e) {
+	if !ok || !completed(e) || (holds != nil && !holds(e.val)) {
 		sh.mu.Unlock()
 		return
 	}
