@@ -260,9 +260,8 @@ func TestErrorsAreNotCached(t *testing.T) {
 func TestFuncCacheBoundedWithoutMemoryBudget(t *testing.T) {
 	st := New(Config{Shards: 8})
 	// At least 600 programs, and on until the tier has evicted: 600 hold
-	// about 1.8 MB of entries, just under the budget, so whether a shard
-	// (an eighth of it) overflows by then depends on how the function keys
-	// spread over the shards.
+	// about 25 MB of bodies, a dozen times the budget, so every shard (an
+	// eighth of it) overflows long before the loop ends.
 	seed := int64(1)
 	for ; seed <= 600 || st.FuncCacheStats().Evictions == 0; seed++ {
 		if seed > 1200 {

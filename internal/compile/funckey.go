@@ -11,10 +11,11 @@ package compile
 // types, layout, initializers — call lowering and address selection read
 // these), and the pipeline Config. Two functions with equal keys compile to
 // machine code with identical canonical renderings, so a cached per-function
-// artifact keyed this way can be stitched into any program whose front end
+// body keyed this way can be shared by any program whose front end
 // reproduces the key — even if the function moved to different source lines,
-// because source positions are rebound from the current front end on decode
-// (see dec.fn) and are deliberately not part of the key.
+// because a body holds statement IDs, not source positions: positions come
+// from the declaration the sharing program's own front end supplies, and are
+// deliberately not part of the key.
 //
 // The hash covers object references via the same encoding the spill codec
 // uses (encObj: dense per-function local IDs, per-program global IDs), which
@@ -34,7 +35,7 @@ import (
 
 // funcKeyVersion guards the canonical hash layout; bump on any change to
 // what or how hashFunc/GlobalsSigOf write.
-const funcKeyVersion = 4
+const funcKeyVersion = 5
 
 // FuncKey identifies one function's compiled artifact by content.
 type FuncKey [sha256.Size]byte
@@ -51,7 +52,6 @@ type GlobalsSig [sha256.Size]byte
 func GlobalsSigOf(p *ir.Program, cfg Config) GlobalsSig {
 	w := newKeyWriter()
 	w.uint(funcKeyVersion)
-	w.uint(spillVersion)
 	w.uint(configBits(cfg))
 	w.uint(uint64(len(p.Globals)))
 	for _, g := range p.Globals {
@@ -74,8 +74,9 @@ func FuncKeyOf(f *ir.Func, sig GlobalsSig) FuncKey {
 
 	// Declaration environment: the analyses and the lowering read the
 	// locals table, scope extents and statement count. The function name is
-	// hashed because dec.fn rebinds the artifact to the current Decl by
-	// name.
+	// hashed so that a body is shared only under its own name: a hit takes
+	// Name and Decl from the current front end, and an identical body of
+	// another function is compiled, not shared.
 	w.str(f.Name)
 	w.uint(uint64(len(f.Decl.Params)))
 	w.str(f.Decl.Ret.String())

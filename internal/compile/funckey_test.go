@@ -139,8 +139,8 @@ func slicesEqual(a, b []string) bool {
 // order. They pin the bytes the function-cache keys hash: a change to how
 // keys are written must keep them, or bump funcKeyVersion and re-pin.
 const (
-	goldenGlobalsSig = "c1e825793dae414a983d9ff018252605d5f6d9a6aa8737ce7756f40a739fead9"
-	goldenFuncKeys   = "5135f9fa88c6a9a1c4add68a973e850c1f43c29b2902174618a3a71e206af1c4"
+	goldenGlobalsSig = "bbce67def5b649d3c64044470308699a2e1ccc295a0ccdddff463998f9c12f66"
+	goldenFuncKeys   = "c98bcaa67982238d1fad7c3a139ace8b78726c23fdffd75bcca2d1f40fd5c52c"
 )
 
 func TestFuncKeyBytesPinned(t *testing.T) {

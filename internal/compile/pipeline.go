@@ -18,8 +18,9 @@ package compile
 // With a FuncCache attached the same driver is incremental: each function's
 // back end is keyed by FuncKeyOf (a content hash of the function's checked,
 // freshly built IR plus the global environment and Config), compiled on a
-// miss and stitched from the cache on a hit — so a one-function edit to an
-// N-function program runs the back end exactly once.
+// miss and taken from the cache on a hit — so a one-function edit to an
+// N-function program runs the back end exactly once. Either way the
+// program gets its own Func header over the cached body (FuncCache).
 
 import (
 	"fmt"
@@ -39,7 +40,7 @@ import (
 )
 
 // funcEntryOverhead is the accounted per-entry bookkeeping cost beyond the
-// encoded bytes (key, store entry, list element).
+// body (key, store entry, list element).
 const funcEntryOverhead = 128
 
 // CompileFunc runs the per-function back end on one freshly built IR
@@ -153,7 +154,7 @@ func (p *Pipeline) Compile(name, src string, cfg Config) (*Result, Metrics, erro
 	errs := make([]error, n)
 	if p.workers == 1 || n <= 1 {
 		for i, f := range prog.Funcs {
-			mfs[i], reused[i], errs[i] = p.compileOneSafe(sp, f, sig, cfg)
+			mfs[i], reused[i], errs[i] = p.compileOneSafe(f, sig, cfg)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -163,7 +164,7 @@ func (p *Pipeline) Compile(name, src string, cfg Config) (*Result, Metrics, erro
 				defer wg.Done()
 				p.slots <- struct{}{}
 				defer func() { <-p.slots }()
-				mfs[i], reused[i], errs[i] = p.compileOneSafe(sp, f, sig, cfg)
+				mfs[i], reused[i], errs[i] = p.compileOneSafe(f, sig, cfg)
 			}(i, f)
 		}
 		wg.Wait()
@@ -204,7 +205,7 @@ func (p *Pipeline) Compile(name, src string, cfg Config) (*Result, Metrics, erro
 // instead of killing the worker goroutine (and with it the whole
 // process). The pipeline then fails the one Compile call; the service
 // maps it to a compile-error response and stays up.
-func (p *Pipeline) compileOneSafe(sp *sem.Program, f *ir.Func, sig GlobalsSig, cfg Config) (mf *mach.Func, reused bool, err error) {
+func (p *Pipeline) compileOneSafe(f *ir.Func, sig GlobalsSig, cfg Config) (mf *mach.Func, reused bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			mf, reused = nil, false
@@ -214,46 +215,33 @@ func (p *Pipeline) compileOneSafe(sp *sem.Program, f *ir.Func, sig GlobalsSig, c
 	if err := fault.Check("compile.func"); err != nil {
 		return nil, false, fmt.Errorf("compile: %s: %w", f.Name, err)
 	}
-	return p.compileOne(sp, f, sig, cfg)
+	return p.compileOne(f, sig, cfg)
 }
 
 // compileOne compiles or reuses one function. f must be freshly built
 // (pre-optimization) IR: the cache key is computed before the back end
-// mutates it, and on a cache hit f is left untouched.
-func (p *Pipeline) compileOne(sp *sem.Program, f *ir.Func, sig GlobalsSig, cfg Config) (*mach.Func, bool, error) {
+// mutates it, and on a cache hit f is left untouched. The Func returned
+// binds the cached body to f's name, declaration and globals.
+func (p *Pipeline) compileOne(f *ir.Func, sig GlobalsSig, cfg Config) (*mach.Func, bool, error) {
 	if p.funcs == nil {
 		mf, err := CompileFunc(f, cfg)
 		return mf, false, err
 	}
 	key := FuncKeyOf(f, sig)
-	// On a miss the computing caller keeps the live *mach.Func it just
-	// built (side channel), skipping an encode→decode round trip; only
-	// other compilations pay the decode.
-	var fresh *mach.Func
-	data, hit, err := p.funcs.get(key, func() ([]byte, int64, error) {
+	// The body is computed at most once across concurrent callers; hit
+	// reports that compute was skipped.
+	body, hit, err := p.funcs.s.Get(key, key.String, func() (*mach.Func, int64, error) {
 		mf, err := CompileFunc(f, cfg)
 		if err != nil {
 			return nil, 0, err
 		}
-		enc, err := encodeFuncEntry(mf)
-		if err != nil {
-			return nil, 0, err
-		}
-		fresh = mf
-		return enc, int64(len(enc)) + funcEntryOverhead, nil
+		mf.Decl, mf.Globals = nil, nil // an entry must not pin this compile's front end
+		return mf, sizeOfBody(mf) + funcEntryOverhead, nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	if !hit {
-		return fresh, false, nil
-	}
-	mf, err := decodeFuncEntry(data, sp)
-	if err != nil {
-		// A cache entry that fails to decode against this front end is
-		// unusable here; compile instead. f is still pristine.
-		mf, err := CompileFunc(f, cfg)
-		return mf, false, err
-	}
-	return mf, true, nil
+	mf := *body
+	mf.Name, mf.Decl, mf.Globals = f.Name, f.Decl, f.Globals
+	return &mf, hit, nil
 }

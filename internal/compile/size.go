@@ -40,6 +40,7 @@ const (
 	// once (its decoder closure and its Result).
 	stubBase = 80
 	opdSize  = int64(unsafe.Sizeof(mach.Opd{}))
+	locSize  = int64(unsafe.Sizeof(mach.Loc{}))
 )
 
 // mapBytes charges a map as Go lays one out: a 48-byte header (all that
@@ -88,9 +89,8 @@ func sizeOfFunc(f *mach.Func) int64 {
 
 // sizeOfBody is the cost of a function's body: what a stub's Load adds.
 func sizeOfBody(f *mach.Func) int64 {
-	n := int64(len(f.FrameObjects)) * 8
-	n += mapBytes(f.FrameOff)
-	n += mapBytes(f.VarLoc)
+	n := mach.HeapBytes(int64(cap(f.FrameOff)) * 8)
+	n += mach.HeapBytes(int64(cap(f.VarLoc)) * locSize)
 	for _, b := range f.Blocks {
 		n += blockBase
 		n += int64(len(b.Succs)+len(b.Preds)) * 8

@@ -1,11 +1,12 @@
 package compile
 
-// Artifact serialization for the store's disk tier and the function cache.
+// Artifact serialization for the store's disk tier.
 //
 // A spilled artifact is a varint image of the *back end* of the pipeline:
 // the final machine code with all of its debugging annotations (statement
 // tags, hoist/sunk/inserted marks, markers, recovery links, DefObj
-// variable tags, frame and register-allocation tables) plus the global
+// variable tags, the frame-offset and variable-location tables) plus the
+// global
 // data layout — everything the debugger's tables and classifier consume.
 // AST and semantic objects are not serialized; instructions refer to them
 // by their dense per-function (local) or per-program (global) object IDs,
@@ -20,16 +21,17 @@ package compile
 //
 // A spill file is sha256(payload) followed by the payload: a header
 // (spillVersion, name, source, config), the globals tables, then each
-// function in the encoding the function cache stores as its entry
-// (enc.fn/dec.fn). The sum is checked before the decoder reads a byte,
-// so a flipped bit anywhere in the file is rejected and the caller falls
-// back to a full compile.
+// function (enc.fn/dec.fn). The sum is checked before the decoder reads a
+// byte, so a flipped bit anywhere in the file is rejected and the caller
+// falls back to a full compile.
 //
 // The decoder fails closed and is canonical: every read is bounds-checked,
 // a count may not exceed the bytes that remain, every object ref,
-// successor and entry index is range-checked, and an overlong varint, a
-// presence bit over a zero value, an unknown flag bit, an out-of-range
-// opcode or kind, unsorted table rows and trailing bytes are all errors.
+// successor and entry index is range-checked, a function's tables must
+// have a row per local (no locations before allocation) inside its frame
+// and register files, and an overlong varint, a presence bit over a zero
+// value, an unknown flag bit, an out-of-range opcode or kind, unsorted
+// table rows and trailing bytes are all errors.
 // So any payload it accepts re-encodes to the same bytes — a test and fuzz
 // property, not a runtime check.
 //
@@ -62,7 +64,7 @@ import (
 
 // spillVersion guards the payload format; bump on any change to it, or to
 // what the pipeline emits for the same key.
-const spillVersion = 7
+const spillVersion = 8
 
 // EncodeSpill serializes a compiled artifact for the disk tier. The
 // source text and configuration ride along (they are the artifact's
@@ -688,7 +690,10 @@ func (e *enc) loc(l mach.Loc) {
 	}
 }
 
-func (d *dec) loc() mach.Loc {
+// loc reads a variable location in a frame of frameSize bytes: a
+// register of its class's file, a frame slot, or none; a field its kind
+// does not use must be zero.
+func (d *dec) loc(frameSize int64) mach.Loc {
 	h := d.byte()
 	if h >= locBits || h&locKindMask > byte(mach.LocSpill) {
 		d.fail("bad location header %#x", h)
@@ -704,8 +709,26 @@ func (d *dec) loc() mach.Loc {
 	if h&locOff != 0 {
 		l.Off = d.nzInt()
 	}
+	regs := mach.NumIntRegs
+	if l.Class == mach.FloatClass {
+		regs = mach.NumFloatRegs
+	}
+	ok := l.R == 0 && l.Off == 0 // LocNone
+	switch l.Kind {
+	case mach.LocReg:
+		ok = l.R >= 0 && l.R < regs && l.Off == 0
+	case mach.LocSpill:
+		ok = l.R == 0 && inFrame(l.Off, frameSize)
+	}
+	if !ok {
+		d.fail("location %s outside a %d-byte frame and the register files", l, frameSize)
+	}
 	return l
 }
+
+// inFrame reports whether off is the offset of a 4-byte slot in a frame
+// of size bytes.
+func inFrame(off, size int64) bool { return off >= 0 && off%4 == 0 && off < size }
 
 // Function flag bits.
 const (
@@ -714,8 +737,7 @@ const (
 	fnBits // first unknown bit
 )
 
-// fn writes one function: the function-cache entry format, and one
-// element of a spill file's function list.
+// fn writes one function: one element of a spill file's function list.
 func (e *enc) fn(f *mach.Func) {
 	e.str(f.Name)
 	var flags byte
@@ -729,15 +751,13 @@ func (e *enc) fn(f *mach.Func) {
 	e.int(int64(f.NumVregs))
 	e.int(int64(f.NumVars))
 	e.int(f.FrameSize)
-	e.uint(uint64(len(f.FrameObjects)))
-	for _, o := range f.FrameObjects {
-		e.obj(o)
+	e.uint(uint64(len(f.FrameOff)))
+	for _, off := range f.FrameOff {
+		e.int(off)
 	}
-	e.offs(f.FrameOff)
 	e.uint(uint64(len(f.VarLoc)))
-	for _, o := range sortedObjs(f.VarLoc) {
-		e.obj(o)
-		e.loc(f.VarLoc[o])
+	for _, l := range f.VarLoc {
+		e.loc(l)
 	}
 	if e.blockIdx == nil {
 		e.blockIdx = make(map[*mach.Block]int, len(f.Blocks))
@@ -797,23 +817,30 @@ func (d *dec) fn(p *sem.Program) *mach.Func {
 		Allocated: flags&fnAllocated != 0, Scheduled: flags&fnScheduled != 0,
 		NumVregs: int(d.int()), NumVars: int(d.int()), FrameSize: d.int(),
 	}
+	// The tables are indexed by local ID: a frame offset per local, and a
+	// location per local once allocated, none before.
+	nl, nloc := len(decl.Locals), 0
+	if f.Allocated {
+		nloc = nl
+	}
+	if n := d.count(); n != nl || f.NumVars != nl || f.FrameSize < 0 {
+		d.fail("%s: %d frame offsets, %d variables and a %d-byte frame for %d locals", name, n, f.NumVars, f.FrameSize, nl)
+		return nil
+	}
+	f.FrameOff = make([]int64, nl)
+	for i := range f.FrameOff {
+		if f.FrameOff[i] = d.int(); f.FrameOff[i] != -1 && !inFrame(f.FrameOff[i], f.FrameSize) {
+			d.fail("%s's frame offset %d outside its %d-byte frame", name, f.FrameOff[i], f.FrameSize)
+		}
+	}
+	if n := d.count(); n != nloc {
+		d.fail("%s has %d variable locations, want %d", name, n, nloc)
+	}
+	f.VarLoc = make([]mach.Loc, nloc)
+	for i := range f.VarLoc {
+		f.VarLoc[i] = d.loc(f.FrameSize)
+	}
 	n := d.count()
-	if n > 0 {
-		f.FrameObjects = make([]*ast.Object, n)
-		for i := range f.FrameObjects {
-			f.FrameObjects[i] = d.obj()
-		}
-	}
-	f.FrameOff = d.offs()
-	if n = d.count(); n > 0 {
-		f.VarLoc = make(map[*ast.Object]mach.Loc, n)
-		var prev uint64
-		for i := 0; i < n && d.err == nil; i++ {
-			o := d.rowKey(&prev)
-			f.VarLoc[o] = d.loc()
-		}
-	}
-	n = d.count()
 	blocks := make([]mach.Block, n)
 	f.Blocks = make([]*mach.Block, n)
 	for i := range blocks {

@@ -1,8 +1,8 @@
 package compile
 
-// Integrity and faithfulness of the spill and function-cache codec: the
-// stored sum must cover every field the debugger reads, decoding must
-// rebuild exactly what was encoded, and every Config field must survive.
+// Integrity and faithfulness of the spill codec: the stored sum must
+// cover every field the debugger reads, decoding must rebuild exactly what
+// was encoded, and every Config field must survive.
 
 import (
 	"bytes"
@@ -50,6 +50,25 @@ func firstInstr(p *mach.Program, ok func(*mach.Instr) bool) *mach.Instr {
 	return nil
 }
 
+// encodeBody writes one function as an entry of a spill file's function
+// list holds it (enc.fn).
+func encodeBody(f *mach.Func) ([]byte, error) {
+	e := &enc{}
+	e.fn(f)
+	return e.b, e.err
+}
+
+// decodeBody reads one function-list entry against the front end p
+// (dec.fn), refusing trailing bytes.
+func decodeBody(data []byte, p *sem.Program) (*mach.Func, error) {
+	d := &dec{b: data, globals: p.Globals}
+	f := d.fn(p)
+	if d.end(); d.err != nil {
+		return nil, d.err
+	}
+	return f, nil
+}
+
 // loadAll loads every body of a decoded program, so a test can edit it.
 func loadAll(p *mach.Program) {
 	for _, f := range p.Funcs {
@@ -91,22 +110,26 @@ func TestSpillSumCoversDebugTables(t *testing.T) {
 			}
 			return false
 		}},
+		// The table edits keep the tables well formed, so only the sum
+		// can refuse them.
 		{"VarLoc", func(p *mach.Program) bool {
 			for _, f := range p.Funcs {
-				for _, o := range sortedObjs(f.VarLoc) {
-					l := f.VarLoc[o]
-					l.R++
-					f.VarLoc[o] = l
-					return true
+				for i, l := range f.VarLoc {
+					if l.Kind == mach.LocReg {
+						f.VarLoc[i] = mach.Loc{Kind: mach.LocNone}
+						return true
+					}
 				}
 			}
 			return false
 		}},
 		{"FrameOff", func(p *mach.Program) bool {
 			for _, f := range p.Funcs {
-				for _, o := range sortedObjs(f.FrameOff) {
-					f.FrameOff[o] += 8
-					return true
+				for i, off := range f.FrameOff {
+					if off >= 0 {
+						f.FrameOff[i] = -1
+						return true
+					}
 				}
 			}
 			return false
@@ -169,11 +192,10 @@ func TestSpillSumCoversDebugTables(t *testing.T) {
 	}
 }
 
-// TestSpillReencodeFaithful checks that the decoders rebuild exactly what
+// TestSpillReencodeFaithful checks that the decoder rebuilds exactly what
 // was encoded, for every field: over the workloads and randprog.Gen(1..200)
 // at O0, O2NoRegAlloc and O2, re-encoding a decoded spill file reproduces
-// it byte for byte (and its rendering), and re-encoding every decoded
-// function-cache entry reproduces that entry.
+// it byte for byte (every function body included), and its rendering.
 func TestSpillReencodeFaithful(t *testing.T) {
 	type prog struct{ name, src string }
 	var progs []prog
@@ -215,27 +237,15 @@ func TestSpillReencodeFaithful(t *testing.T) {
 			if got.Mach.String() != res.Mach.String() {
 				t.Fatalf("%s/%s: decoded rendering differs from the original", p.name, c.name)
 			}
-			for _, f := range res.Mach.Funcs {
-				e, err := encodeFuncEntry(f)
-				if err != nil {
-					t.Fatalf("%s/%s: %s: encode entry: %v", p.name, c.name, f.Name, err)
-				}
-				df, err := decodeFuncEntry(e, res.Sem)
-				if err != nil {
-					t.Fatalf("%s/%s: %s: decode entry: %v", p.name, c.name, f.Name, err)
-				}
-				if e2, err := encodeFuncEntry(df); err != nil || !bytes.Equal(e2, e) {
-					t.Fatalf("%s/%s: %s: re-encoded entry differs from the original (err %v)", p.name, c.name, f.Name, err)
-				}
-			}
 		}
 	}
 }
 
-// FuzzDecodeFuncEntry checks that decodeFuncEntry never panics and that
-// any entry it accepts re-encodes to itself. The input picks the workload
-// whose front end the entry decodes against, so object refs resolve; the
-// seeds are every function entry of the workloads at O2.
+// FuzzDecodeFuncEntry fuzzes the spill codec's function bodies, one entry
+// of a spill file's function list (encodeBody/decodeBody): the decoder
+// never panics, and any entry it accepts re-encodes to itself. The input
+// picks the workload whose front end the entry decodes against, so object
+// refs resolve; the seeds are every function of the workloads at O2.
 func FuzzDecodeFuncEntry(f *testing.F) {
 	paths, err := filepath.Glob(workloadDir + "*.mc")
 	if err != nil || len(paths) != 8 {
@@ -249,7 +259,7 @@ func FuzzDecodeFuncEntry(f *testing.F) {
 		}
 		progs = append(progs, res.Sem)
 		for _, mf := range res.Mach.Funcs {
-			e, err := encodeFuncEntry(mf)
+			e, err := encodeBody(mf)
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -257,11 +267,11 @@ func FuzzDecodeFuncEntry(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, prog uint8, entry []byte) {
-		mf, err := decodeFuncEntry(entry, progs[int(prog)%len(progs)])
+		mf, err := decodeBody(entry, progs[int(prog)%len(progs)])
 		if err != nil {
 			return
 		}
-		again, err := encodeFuncEntry(mf)
+		again, err := encodeBody(mf)
 		if err != nil {
 			t.Fatalf("accepted entry does not re-encode: %v", err)
 		}
@@ -391,12 +401,13 @@ func TestInitializerOperandCodec(t *testing.T) {
 }
 
 // TestDecodeRefusesObjRefOutOfRange sets each object ref a spill file or
-// function entry carries, one at a time, to the first ID past the
+// function body carries, one at a time, to the first ID past the
 // function's locals or the program's globals, and requires decoding to
 // fail with an error, not a panic. An instruction keeps its refs as refs,
 // so decoding is where they are checked: in the instruction fields
 // (DefObj, Sym, ReplacedVar, MarkObj, Recover's variable) and in the
-// table rows (frame objects and offsets, variable locations, globals).
+// globals tables' rows. A function's frame offsets and variable locations
+// are indexed by local ID, so a row past the locals is the same fault.
 func TestDecodeRefusesObjRefOutOfRange(t *testing.T) {
 	src := `int g = 2; int main() { int a[2]; int x = g; a[0] = x; g = x + 1; print(a[0]); return g; }`
 	res, err := Compile("t.mc", src, O2())
@@ -424,8 +435,8 @@ func TestDecodeRefusesObjRefOutOfRange(t *testing.T) {
 	}
 	main := func(r *Result) *mach.Func { return r.Mach.LookupFunc("main") }
 	// refuse requires r's spill file to be refused and, when entry is
-	// set (the ref is main's, not the globals tables'), main's function
-	// entry too.
+	// set (the ref is main's, not the globals tables'), main's body on its
+	// own too.
 	refuse := func(t *testing.T, r *Result, entry bool) {
 		t.Helper()
 		data, err := EncodeSpill(O2(), r)
@@ -438,12 +449,12 @@ func TestDecodeRefusesObjRefOutOfRange(t *testing.T) {
 		if !entry {
 			return
 		}
-		e, err := encodeFuncEntry(main(r))
+		e, err := encodeBody(main(r))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := decodeFuncEntry(e, res.Sem); err == nil {
-			t.Error("function entry accepted")
+		if _, err := decodeBody(e, res.Sem); err == nil {
+			t.Error("function body accepted")
 		}
 	}
 	first := func(r *Result) *mach.Instr { return main(r).Blocks[0].Instrs[0] }
@@ -471,9 +482,8 @@ func TestDecodeRefusesObjRefOutOfRange(t *testing.T) {
 		entry bool
 		set   func(r *Result)
 	}{
-		{"FrameObjects", true, func(r *Result) { f := main(r); f.FrameObjects = append(f.FrameObjects, pastLocal) }},
-		{"FrameOff", true, func(r *Result) { main(r).FrameOff[pastLocal] = 0 }},
-		{"VarLoc", true, func(r *Result) { main(r).VarLoc[pastLocal] = mach.Loc{Kind: mach.LocReg, R: 1} }},
+		{"FrameOff", true, func(r *Result) { f := main(r); f.FrameOff = append(f.FrameOff, 0) }},
+		{"VarLoc", true, func(r *Result) { f := main(r); f.VarLoc = append(f.VarLoc, mach.Loc{Kind: mach.LocReg, R: 1}) }},
 		{"Globals", false, func(r *Result) { r.Mach.Globals = append(r.Mach.Globals, pastGlobal) }},
 		{"GlobalOff", false, func(r *Result) { r.Mach.GlobalOff[pastGlobal] = 0 }},
 		{"GlobalInit", false, func(r *Result) { r.Mach.GlobalInit[pastGlobal] = res.Mach.GlobalInit[res.Sem.Globals[0]] }},
@@ -482,6 +492,77 @@ func TestDecodeRefusesObjRefOutOfRange(t *testing.T) {
 			r := fresh(t)
 			c.set(r)
 			refuse(t, r, c.entry)
+		})
+	}
+}
+
+// TestDecodeRefusesBadFrameTables edits a function's frame and location
+// tables one way at a time and requires its body to be refused: the tables must
+// have one row per local (locations only once allocated), a frame offset
+// must name a slot of the frame, and a location a slot of the frame or a
+// register of its class's file.
+func TestDecodeRefusesBadFrameTables(t *testing.T) {
+	src := `int f(int n) {
+	int a[2]; float y = 1.5; int x = n; int i;
+	for (i = 0; i < n; i = i + 1) { x = x + i; y = y * 2.0; }
+	a[1] = x; print(a[1], y); return x;
+}
+int main() { return f(3); }`
+	res, err := Compile("t.mc", src, O2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := res.Mach.LookupFunc("f")
+	good, err := encodeBody(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeBody(good, res.Sem); err != nil {
+		t.Fatalf("unmodified body refused: %v", err)
+	}
+	// reg and none are the IDs of f's first register-allocated local and
+	// of its first local with no location (the array a).
+	reg, none := -1, -1
+	for i, l := range orig.VarLoc {
+		if l.Kind == mach.LocReg && reg < 0 {
+			reg = i
+		}
+		if l.Kind == mach.LocNone && none < 0 {
+			none = i
+		}
+	}
+	if reg < 0 || none < 0 {
+		t.Fatalf("f's locations %v lack a register or a none", orig.VarLoc)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(f *mach.Func)
+	}{
+		{"offset past frame", func(f *mach.Func) { f.FrameOff[none] = f.FrameSize }},
+		{"offset unaligned", func(f *mach.Func) { f.FrameOff[none] = 2 }},
+		{"offset negative", func(f *mach.Func) { f.FrameOff[none] = -8 }},
+		{"short offsets", func(f *mach.Func) { f.FrameOff = f.FrameOff[:len(f.FrameOff)-1] }},
+		{"register past file", func(f *mach.Func) { f.VarLoc[reg].R = mach.NumFloatRegs + mach.NumIntRegs }},
+		{"slot past frame", func(f *mach.Func) { f.VarLoc[reg] = mach.Loc{Kind: mach.LocSpill, Off: f.FrameSize} }},
+		{"none with register", func(f *mach.Func) { f.VarLoc[none].R = 1 }},
+		{"short locations", func(f *mach.Func) { f.VarLoc = f.VarLoc[:len(f.VarLoc)-1] }},
+		{"locations before allocation", func(f *mach.Func) { f.Allocated = false }},
+		{"no locations once allocated", func(f *mach.Func) { f.VarLoc = nil }},
+		{"variables past locals", func(f *mach.Func) { f.NumVars++ }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := decodeBody(good, res.Sem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.edit(f)
+			e, err := encodeBody(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := decodeBody(e, res.Sem); err == nil {
+				t.Error("body accepted")
+			}
 		})
 	}
 }

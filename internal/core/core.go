@@ -461,12 +461,9 @@ func (b *builder) index() {
 		key int
 	}
 	var vars []regVar
-	if a.Fn.Allocated {
-		vars = make([]regVar, 0, len(a.Fn.VarLoc))
-		for v, loc := range a.Fn.VarLoc {
-			if loc.Kind == mach.LocReg {
-				vars = append(vars, regVar{v, regKey(loc.Class, loc.R)})
-			}
+	for id, loc := range a.Fn.VarLoc {
+		if loc.Kind == mach.LocReg {
+			vars = append(vars, regVar{a.Fn.Decl.Locals[id], regKey(loc.Class, loc.R)})
 		}
 	}
 	entKey := func(i int) int {
@@ -1121,7 +1118,7 @@ func (a *Analysis) classify(loc debuginfo.Loc, v *ast.Object, may, must *dataflo
 // aggSplit reports whether aggregate base was decomposed by SROA: a
 // split aggregate no longer owns a frame slot in the final code.
 func (a *Analysis) aggSplit(base *ast.Object) bool {
-	_, inFrame := a.Fn.FrameOff[base]
+	_, inFrame := a.Fn.FrameOffOf(base)
 	return !inFrame
 }
 
@@ -1186,7 +1183,7 @@ func (a *Analysis) residentAt(v *ast.Object, may, must *dataflow.BitSet) bool {
 	if !f.Allocated {
 		return may.Has(a.initBit(v))
 	}
-	loc, ok := f.VarLoc[v]
+	loc, ok := f.LocOf(v)
 	if !ok || loc.Kind == mach.LocNone {
 		return false
 	}

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"repro/internal/dataflow"
+	"repro/internal/mach"
 )
 
 // SizeBytes estimates the resident memory cost of the analysis: its
@@ -18,20 +19,20 @@ import (
 // like the artifact estimator it is deliberately generous and a
 // configured budget is a real ceiling (TestAnalysisSizeBytesIsCeiling).
 func (a *Analysis) SizeBytes() int64 {
-	n := heapBytes(int64(unsafe.Sizeof(*a)))
+	n := mach.HeapBytes(int64(unsafe.Sizeof(*a)))
 	if a.Table != nil {
 		n += a.Table.SizeBytes()
 	}
-	n += heapBytes(int64(cap(a.ents)) * int64(unsafe.Sizeof(recEntity{})))
-	n += heapBytes(int64(cap(a.srcEnts)) * int64(unsafe.Sizeof(srcEntity{})))
+	n += mach.HeapBytes(int64(cap(a.ents)) * int64(unsafe.Sizeof(recEntity{})))
+	n += mach.HeapBytes(int64(cap(a.srcEnts)) * int64(unsafe.Sizeof(srcEntity{})))
 	for _, s := range [][]int32{a.blockPos, a.start, a.effOff, a.effs, a.bpSlot, a.stmtBP,
 		a.varEntOff, a.varEnts, a.varSrcOff, a.varSrcs} {
-		n += heapBytes(int64(cap(s)) * 4)
+		n += mach.HeapBytes(int64(cap(s)) * 4)
 	}
 	n += bitSets(a.in) + bitSets(a.bpSets)
 	// The texts are substrings of one buffer of textCap bytes.
-	n += heapBytes(int64(cap(a.texts))*int64(unsafe.Sizeof(""))) + heapBytes(int64(a.textCap))
-	n += heapBytes(int64(cap(a.recovered)) * int64(unsafe.Sizeof(Recovery{})))
+	n += mach.HeapBytes(int64(cap(a.texts))*int64(unsafe.Sizeof(""))) + mach.HeapBytes(int64(a.textCap))
+	n += mach.HeapBytes(int64(cap(a.recovered)) * int64(unsafe.Sizeof(Recovery{})))
 	return n
 }
 
@@ -42,18 +43,5 @@ func bitSets(sets []dataflow.BitSet) int64 {
 	for _, s := range sets[:cap(sets)] {
 		words += s.SizeBytes() - int64(unsafe.Sizeof(s))
 	}
-	return heapBytes(int64(cap(sets))*int64(unsafe.Sizeof(dataflow.BitSet{}))) + heapBytes(words)
-}
-
-// heapBytes bounds the heap footprint of an n-byte allocation: small
-// objects are rounded up to a size class (at most 1/8 more, or 16 bytes
-// for the smallest classes) and large ones to whole 8 KiB pages.
-func heapBytes(n int64) int64 {
-	if n == 0 {
-		return 0
-	}
-	if n > 32<<10 {
-		return (n + 8<<10 - 1) &^ (8<<10 - 1)
-	}
-	return n + n/8 + 16
+	return mach.HeapBytes(int64(cap(sets))*int64(unsafe.Sizeof(dataflow.BitSet{}))) + mach.HeapBytes(words)
 }

@@ -34,9 +34,9 @@ int main() { return f(1); }
 	}
 	f := res.Mach.LookupFunc("f")
 	var spilled []string
-	for v, loc := range f.VarLoc {
+	for id, loc := range f.VarLoc {
 		if loc.Kind == mach.LocSpill {
-			spilled = append(spilled, v.Name)
+			spilled = append(spilled, f.Decl.Locals[id].Name)
 		}
 	}
 	if len(spilled) == 0 {
@@ -47,10 +47,11 @@ int main() { return f(1); }
 	// must be resident (its home slot holds the value), hence not
 	// Nonresident.
 	last := f.Decl.NumStmts - 1
-	for v, loc := range f.VarLoc {
+	for id, loc := range f.VarLoc {
 		if loc.Kind != mach.LocSpill {
 			continue
 		}
+		v := f.Decl.Locals[id]
 		c, ok := a.ClassifyAt(last, v)
 		if !ok {
 			continue
@@ -86,9 +87,9 @@ int main() { return f(1); }
 	}
 	f := res.Mach.LookupFunc("f")
 	var spilledVar string
-	for v, loc := range f.VarLoc {
+	for id, loc := range f.VarLoc {
 		if loc.Kind == mach.LocSpill {
-			spilledVar = v.Name
+			spilledVar = f.Decl.Locals[id].Name
 			break
 		}
 	}

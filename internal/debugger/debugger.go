@@ -564,7 +564,7 @@ func (d *Debugger) readActual(fr *vm.Frame, obj *ast.Object) (vm.Val, bool) {
 	// constant offset. (After SROA the base is gone from the frame and the
 	// member reads like any scalar below.)
 	if obj.Base != nil {
-		if _, inFrame := f.FrameOff[obj.Base]; inFrame {
+		if _, inFrame := f.FrameOffOf(obj.Base); inFrame {
 			addr, ok := d.VM.AddrOf(fr, obj.Base)
 			if !ok {
 				return vm.Val{}, false
@@ -589,10 +589,6 @@ func (d *Debugger) readActual(fr *vm.Frame, obj *ast.Object) (vm.Val, bool) {
 		if !ok {
 			return vm.Val{}, false
 		}
-		if _, isArr := obj.Type.(*ast.ArrayType); isArr {
-			// Arrays display their first element.
-			_ = isArr
-		}
 		if isFloat {
 			x, err := d.VM.ReadMemFloat(addr)
 			if err != nil {
@@ -613,7 +609,7 @@ func (d *Debugger) readActual(fr *vm.Frame, obj *ast.Object) (vm.Val, bool) {
 		}
 		return vm.Val{I: fr.IntReg(obj.ID)}, true
 	}
-	loc, ok := f.VarLoc[obj]
+	loc, ok := f.LocOf(obj)
 	if !ok {
 		return vm.Val{}, false
 	}

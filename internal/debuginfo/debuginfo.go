@@ -338,23 +338,10 @@ func (t *Table) SizeBytes() int64 {
 	for _, vs := range t.varsAt {
 		vars += int64(cap(vs)) * ptrSize
 	}
-	return heapBytes(int64(unsafe.Sizeof(*t))) +
-		heapBytes(int64(cap(t.stmtLoc))*locSize) +
-		heapBytes(int64(cap(t.stmtInst))*hdr) + heapBytes(insts) +
-		heapBytes(int64(cap(t.varsAt))*hdr) + heapBytes(vars)
-}
-
-// heapBytes bounds the heap footprint of an n-byte allocation: small
-// objects are rounded up to a size class (at most 1/8 more, or 16 bytes
-// for the smallest classes) and large ones to whole 8 KiB pages.
-func heapBytes(n int64) int64 {
-	if n == 0 {
-		return 0
-	}
-	if n > 32<<10 {
-		return (n + 8<<10 - 1) &^ (8<<10 - 1)
-	}
-	return n + n/8 + 16
+	return mach.HeapBytes(int64(unsafe.Sizeof(*t))) +
+		mach.HeapBytes(int64(cap(t.stmtLoc))*locSize) +
+		mach.HeapBytes(int64(cap(t.stmtInst))*hdr) + mach.HeapBytes(insts) +
+		mach.HeapBytes(int64(cap(t.varsAt))*hdr) + mach.HeapBytes(vars)
 }
 
 // StmtOfLoc returns the statement whose code region covers the given

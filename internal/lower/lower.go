@@ -50,15 +50,17 @@ func LowerFunc(f *ir.Func) *mach.Func {
 		Globals:  f.Globals,
 		NumVars:  numVars,
 		NumVregs: numVars + f.NumTemps,
-		FrameOff: map[*ast.Object]int64{},
-		VarLoc:   map[*ast.Object]mach.Loc{},
+		FrameOff: make([]int64, numVars),
 	}
 
-	// Frame layout.
+	// Frame layout: f.FrameObjects are in Decl.Locals order, so offsets
+	// ascend with object IDs.
+	for i := range mf.FrameOff {
+		mf.FrameOff[i] = -1
+	}
 	var off int64
 	for _, o := range f.FrameObjects {
-		mf.FrameObjects = append(mf.FrameObjects, o)
-		mf.FrameOff[o] = off
+		mf.FrameOff[o.ID] = off
 		sz := int64(o.Type.Size())
 		if sz == 0 {
 			sz = 4
@@ -88,27 +90,11 @@ func LowerFunc(f *ir.Func) *mach.Func {
 	mf.RecomputePreds()
 
 	// Loop depths for spill heuristics.
-	g := graphOf(mf)
-	_, depth := dataflow.FindLoops(g, 0)
+	_, depth := dataflow.FindLoops(mf.Graph(), 0)
 	for i, b := range mf.Blocks {
 		b.LoopDepth = depth[i]
 	}
 	return mf
-}
-
-func graphOf(f *mach.Func) dataflow.Graph {
-	idx := map[*mach.Block]int{}
-	for i, b := range f.Blocks {
-		idx[b] = i
-	}
-	g := dataflow.Graph{N: len(f.Blocks), Succs: make([][]int, len(f.Blocks)), Preds: make([][]int, len(f.Blocks))}
-	for i, b := range f.Blocks {
-		for _, s := range b.Succs {
-			g.Succs[i] = append(g.Succs[i], idx[s])
-			g.Preds[idx[s]] = append(g.Preds[idx[s]], i)
-		}
-	}
-	return g
 }
 
 // tagVars records which source variable the instruction defines while

@@ -119,24 +119,33 @@ int main() {
 `
 	mp := lowerSrc(t, src, opt.O0())
 	f := mp.LookupFunc("main")
-	if len(f.FrameObjects) != 3 { // a, f, x (addressed)
-		t.Fatalf("frame objects: %v", f.FrameObjects)
+	if len(f.FrameOff) != len(f.Decl.Locals) {
+		t.Fatalf("%d frame offsets for %d locals", len(f.FrameOff), len(f.Decl.Locals))
+	}
+	var inFrame []string
+	for id, off := range f.FrameOff {
+		if off >= 0 {
+			inFrame = append(inFrame, f.Decl.Locals[id].Name)
+		}
+	}
+	if len(inFrame) != 3 { // a, f, x (addressed)
+		t.Fatalf("frame objects: %v", inFrame)
 	}
 	want := int64(10*4 + 5*4 + 4)
 	if f.FrameSize != want {
 		t.Errorf("frame size = %d, want %d", f.FrameSize, want)
 	}
-	// offsets must be distinct and within the frame
-	seen := map[int64]bool{}
-	for _, o := range f.FrameObjects {
-		off := f.FrameOff[o]
-		if off < 0 || off >= f.FrameSize {
-			t.Errorf("%s at offset %d outside frame", o.Name, off)
+	// offsets must be within the frame and ascend with object IDs, which
+	// also makes them distinct
+	prev := int64(-1)
+	for id, off := range f.FrameOff {
+		if off < 0 {
+			continue
 		}
-		if seen[off] {
-			t.Errorf("duplicate offset %d", off)
+		if off >= f.FrameSize || off <= prev {
+			t.Errorf("%s at offset %d: outside the frame or not after %d", f.Decl.Locals[id].Name, off, prev)
 		}
-		seen[off] = true
+		prev = off
 	}
 }
 

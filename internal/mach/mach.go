@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ast"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
 
@@ -605,7 +606,10 @@ func (b *Block) Term() *Instr {
 	return t
 }
 
-// Func is one machine function.
+// Func is one machine function. Its body (Blocks, Entry, FrameOff,
+// VarLoc) names objects by ObjRef and Object.ID only, and Decl and Globals
+// bind it to one front end, so the function cache shares one body among
+// the Funcs of several compilations. Nothing mutates a finished body.
 type Func struct {
 	Name   string
 	Decl   *ast.FuncDecl
@@ -623,24 +627,25 @@ type Func struct {
 	NumVregs int
 	NumVars  int
 
-	// FrameObjects lists memory-allocated objects with their frame
-	// offsets.
-	FrameObjects []*ast.Object
-	FrameOff     map[*ast.Object]int64
-	FrameSize    int64
+	// FrameOff is each local's frame offset, by Object.ID, or -1 for a
+	// local that does not live in the frame. The frame objects (arrays,
+	// addressed scalars, aggregates SROA kept) are laid out in ID order,
+	// so their offsets ascend with their IDs.
+	FrameOff  []int64
+	FrameSize int64
 
 	// Allocated is set once register allocation has rewritten vregs to
 	// physical registers.
 	Allocated bool
-	// VarLoc maps each promoted source variable to its allocated
-	// location, filled by the register allocator.
-	VarLoc map[*ast.Object]Loc
+	// VarLoc is each local's allocated location, by Object.ID, filled by
+	// the register allocator; it is empty when f is not allocated.
+	VarLoc []Loc
 	// Scheduled is set once the list scheduler has run.
 	Scheduled bool
 
 	// lazy is set on a stub (Program.Defer): until Load, the body
-	// (Blocks, Entry, FrameObjects, FrameOff, VarLoc) is empty and only
-	// its verified encoding is held.
+	// (Blocks, Entry, FrameOff, VarLoc) is empty and only its verified
+	// encoding is held.
 	lazy *lazyBody
 }
 
@@ -737,6 +742,50 @@ func (f *Func) Obj(r ObjRef) *ast.Object {
 	return Resolve(r, locals, f.Globals)
 }
 
+// localID is o's Object.ID when o is one of f's locals (or parameters),
+// the object its ref resolves to in f, and -1 otherwise.
+func (f *Func) localID(o *ast.Object) int {
+	if r := RefOf(o); r != 0 && !r.IsGlobal() && f.Obj(r) == o {
+		return r.ID()
+	}
+	return -1
+}
+
+// FrameOffOf returns o's frame offset when o is one of f's locals and
+// lives in f's frame.
+func (f *Func) FrameOffOf(o *ast.Object) (int64, bool) {
+	if id := f.localID(o); id >= 0 && id < len(f.FrameOff) && f.FrameOff[id] >= 0 {
+		return f.FrameOff[id], true
+	}
+	return 0, false
+}
+
+// LocOf returns o's allocated location when f is allocated and o is one
+// of its locals.
+func (f *Func) LocOf(o *ast.Object) (Loc, bool) {
+	if id := f.localID(o); id >= 0 && id < len(f.VarLoc) {
+		return f.VarLoc[id], true
+	}
+	return Loc{}, false
+}
+
+// Graph returns f's control-flow graph in the solver's form, blocks
+// numbered by position in f.Blocks.
+func (f *Func) Graph() dataflow.Graph {
+	idx := map[*Block]int{}
+	for i, b := range f.Blocks {
+		idx[b] = i
+	}
+	g := dataflow.Graph{N: len(f.Blocks), Succs: make([][]int, len(f.Blocks)), Preds: make([][]int, len(f.Blocks))}
+	for i, b := range f.Blocks {
+		for _, s := range b.Succs {
+			g.Succs[i] = append(g.Succs[i], idx[s])
+			g.Preds[idx[s]] = append(g.Preds[idx[s]], i)
+		}
+	}
+	return g
+}
+
 // ObjName is the name of the object r names, or r in ref form
 // (ObjRef.String) when f cannot resolve it.
 func (f *Func) ObjName(r ObjRef) string {
@@ -819,11 +868,11 @@ type Program struct {
 	onLoad func(int64)
 }
 
-// Defer makes f a stub of p: it drops f's body (Blocks, Entry,
-// FrameObjects, FrameOff, VarLoc) and keeps enc, the body's verified
-// encoding. The first Load takes the body of the function decode(enc)
-// returns, and charges the byte cost decode returns with it. decode must
-// not fail, so a caller defers only an encoding it has decoded in full.
+// Defer makes f a stub of p: it drops f's body (Blocks, Entry, FrameOff,
+// VarLoc) and keeps enc, the body's verified encoding. The first Load
+// takes the body of the function decode(enc) returns, and charges the
+// byte cost decode returns with it. decode must not fail, so a caller
+// defers only an encoding it has decoded in full.
 func (p *Program) Defer(f *Func, enc []byte, decode func(enc []byte) (*Func, int64)) {
 	f.setBody(&Func{})
 	f.lazy = &lazyBody{prog: p, enc: enc, decode: decode}
@@ -832,7 +881,7 @@ func (p *Program) Defer(f *Func, enc []byte, decode func(enc []byte) (*Func, int
 // setBody gives f g's body.
 func (f *Func) setBody(g *Func) {
 	f.Blocks, f.Entry = g.Blocks, g.Entry
-	f.FrameObjects, f.FrameOff, f.VarLoc = g.FrameObjects, g.FrameOff, g.VarLoc
+	f.FrameOff, f.VarLoc = g.FrameOff, g.VarLoc
 }
 
 // SetLoadHook registers fn to be called with the byte cost of every stub
@@ -874,4 +923,17 @@ func (p *Program) String() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
+}
+
+// HeapBytes bounds the heap footprint of an n-byte allocation: small
+// objects are rounded up to a size class (at most 1/8 more, or 16 bytes
+// for the smallest classes) and large ones to whole 8 KiB pages.
+func HeapBytes(n int64) int64 {
+	if n == 0 {
+		return 0
+	}
+	if n > 32<<10 {
+		return (n + 8<<10 - 1) &^ (8<<10 - 1)
+	}
+	return n + n/8 + 16
 }

@@ -29,6 +29,7 @@ import (
 // AllocateFunc runs register allocation for one function.
 func AllocateFunc(f *mach.Func) error {
 	a := &allocator{f: f, spillTemp: map[int]bool{}}
+	f.VarLoc = make([]mach.Loc, f.NumVars)
 	if err := a.run(mach.IntClass, mach.NumIntRegs); err != nil {
 		return err
 	}
@@ -81,21 +82,6 @@ func (a *allocator) run(class mach.RegClass, k int) error {
 
 // ---------------------------------------------------------------- liveness
 
-func machGraph(f *mach.Func) dataflow.Graph {
-	idx := map[*mach.Block]int{}
-	for i, b := range f.Blocks {
-		idx[b] = i
-	}
-	g := dataflow.Graph{N: len(f.Blocks), Succs: make([][]int, len(f.Blocks)), Preds: make([][]int, len(f.Blocks))}
-	for i, b := range f.Blocks {
-		for _, s := range b.Succs {
-			g.Succs[i] = append(g.Succs[i], idx[s])
-			g.Preds[idx[s]] = append(g.Preds[idx[s]], i)
-		}
-	}
-	return g
-}
-
 // RegKey encodes a register operand (class + number) as a dense bit index,
 // so int and float registers never collide in liveness bit vectors.
 func RegKey(o mach.Opd) int { return int(o.R)*2 + int(o.Class) }
@@ -109,7 +95,7 @@ func regSpace(f *mach.Func) int { return f.NumVregs + mach.NumIntRegs + mach.Num
 // Liveness computes per-block live-in/out over all registers of f, indexed
 // by RegKey.
 func Liveness(f *mach.Func) ([]*dataflow.BitSet, []*dataflow.BitSet) {
-	g := machGraph(f)
+	g := f.Graph()
 	n := 2 * regSpace(f)
 	use := make([]*dataflow.BitSet, g.N)
 	def := make([]*dataflow.BitSet, g.N)
@@ -613,11 +599,11 @@ func (a *allocator) rewrite(g *igraph, class mach.RegClass, spilled map[int]int6
 			continue
 		}
 		if off, ok := spilled[vid]; ok {
-			f.VarLoc[obj] = mach.Loc{Kind: mach.LocSpill, Class: class, Off: off}
+			f.VarLoc[vid] = mach.Loc{Kind: mach.LocSpill, Class: class, Off: off}
 		} else if c, ok := g.colorOf(vid); ok {
-			f.VarLoc[obj] = mach.Loc{Kind: mach.LocReg, Class: class, R: c}
+			f.VarLoc[vid] = mach.Loc{Kind: mach.LocReg, Class: class, R: c}
 		} else {
-			f.VarLoc[obj] = mach.Loc{Kind: mach.LocNone}
+			f.VarLoc[vid] = mach.Loc{Kind: mach.LocNone}
 		}
 	}
 }

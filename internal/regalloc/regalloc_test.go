@@ -164,7 +164,7 @@ func TestRegallocAssignsLocations(t *testing.T) {
 	}
 	located := 0
 	for _, o := range f.Decl.Locals {
-		loc, ok := f.VarLoc[o]
+		loc, ok := f.LocOf(o)
 		if !ok {
 			t.Errorf("no location recorded for %s", o.Name)
 			continue

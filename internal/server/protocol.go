@@ -292,8 +292,9 @@ type Stats struct {
 	FieldsClassified int64 `json:"fields_classified"`
 
 	// Per-function compile pipeline: lifetime totals of back ends run vs.
-	// functions stitched from the incremental tier, cumulative pipeline
-	// wall time, and the incremental tier's resident footprint.
+	// functions taken from the incremental tier, cumulative pipeline wall
+	// time, and the tier's footprint: func_cache_bytes counts the live
+	// machine bodies it holds (resident artifacts may share them).
 	CompileWorkers     int   `json:"compile_workers"`
 	FuncsCompiled      int64 `json:"funcs_compiled"`
 	FuncsReused        int64 `json:"funcs_reused"`

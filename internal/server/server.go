@@ -570,18 +570,16 @@ func (s *Server) handleBatch(c *connState, req *Request) *Response {
 
 // configOf resolves a wire ConfigSpec to a pipeline Config.
 func configOf(spec *ConfigSpec) (compile.Config, error) {
-	cfg := compile.Config{Opt: opt.O2(), RegAlloc: true, Sched: true}
+	cfg := compile.O2()
 	if spec == nil {
 		return cfg, nil
 	}
 	switch spec.Opt {
 	case "", "O2":
 	case "O1":
-		cfg.Opt = opt.O1()
+		cfg = compile.O1()
 	case "O0":
-		cfg.Opt = opt.O0()
-		cfg.RegAlloc = false
-		cfg.Sched = false
+		cfg = compile.O0()
 	default:
 		return cfg, fmt.Errorf("unknown opt level %q (want O0, O1 or O2)", spec.Opt)
 	}

@@ -332,7 +332,7 @@ func decodeOne(prog *mach.Program, fc *funcCode, in *mach.Instr) dinstr {
 	}
 	if in.Op == mach.LA {
 		sym := fc.fn.Obj(in.Sym)
-		if off, ok := fc.fn.FrameOff[sym]; ok {
+		if off, ok := fc.fn.FrameOffOf(sym); ok {
 			d.sym, d.off = symFrame, off
 		} else if off, ok := prog.GlobalOff[sym]; ok {
 			d.sym, d.off = symGlobal, off

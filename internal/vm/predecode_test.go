@@ -123,7 +123,7 @@ func slotMatches(prog *mach.Program, fc *funcCode, d *dinstr) error {
 	sym, off := symUnknown, in.Off
 	if in.Op == mach.LA {
 		obj := f.Obj(in.Sym)
-		if o, ok := f.FrameOff[obj]; ok {
+		if o, ok := f.FrameOffOf(obj); ok {
 			sym, off = symFrame, o
 		} else if o, ok := prog.GlobalOff[obj]; ok {
 			sym, off = symGlobal, o

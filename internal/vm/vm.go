@@ -519,7 +519,7 @@ func (vm *VM) word(addr int64) (int64, error) {
 // AddrOf returns the runtime byte address of obj in frame fr (or the global
 // segment).
 func (vm *VM) AddrOf(fr *Frame, obj *ast.Object) (int64, bool) {
-	if off, ok := fr.Fn.FrameOff[obj]; ok {
+	if off, ok := fr.Fn.FrameOffOf(obj); ok {
 		return fr.Base + off, true
 	}
 	if off, ok := vm.Prog.GlobalOff[obj]; ok {

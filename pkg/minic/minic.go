@@ -56,17 +56,19 @@ type settings struct {
 // (local optimizations) or 2 (the paper's full global pipeline, the
 // default).
 func WithOptLevel(n int) Option {
+	level := compile.O2()
+	switch {
+	case n <= 0:
+		level = compile.O0()
+	case n == 1:
+		level = compile.O1()
+	}
+	// The level sets the passes; it may turn allocation and scheduling
+	// off, but leaves them as earlier options set them otherwise.
 	return func(s *settings) {
-		switch {
-		case n <= 0:
-			s.cfg.Opt = opt.O0()
-			s.cfg.RegAlloc = false
-			s.cfg.Sched = false
-		case n == 1:
-			s.cfg.Opt = opt.O1()
-		default:
-			s.cfg.Opt = opt.O2()
-		}
+		s.cfg.Opt = level.Opt
+		s.cfg.RegAlloc = s.cfg.RegAlloc && level.RegAlloc
+		s.cfg.Sched = s.cfg.Sched && level.Sched
 	}
 }
 
@@ -166,7 +168,7 @@ func (a *Artifact) Recompile(src string) (*Artifact, error) {
 }
 
 func defaultSettings() settings {
-	return settings{cfg: compile.Config{Opt: opt.O2(), RegAlloc: true, Sched: true}, precompute: -1}
+	return settings{cfg: compile.O2(), precompute: -1}
 }
 
 // Compile runs the pipeline over MiniC source text. With no options it
