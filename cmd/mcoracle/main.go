@@ -5,6 +5,8 @@
 // Usage:
 //
 //	mcoracle                         corpus sweep (200 seeds, O2 + O2NoRegAlloc)
+//	mcoracle -configs all            one sweep and one row per configuration
+//	mcoracle -configs O1,-pre        the same for configurations picked by name
 //	mcoracle -seeds 50 -minimize     bounded sweep, ddmin-minimized repros
 //	mcoracle -coverage               corpus coverage table per config
 //	mcoracle -pass-coverage          coverage table per ablated pass
@@ -23,9 +25,12 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
+	"repro/internal/compile"
 	"repro/internal/coverage"
 	"repro/internal/loadgen"
+	"repro/internal/opt"
 	"repro/internal/oracle"
 	"repro/pkg/minic"
 )
@@ -41,6 +46,7 @@ func main() {
 	addr := flag.String("addr", "", "remote mode: address of a live mcd daemon")
 	token := flag.String("token", "", "auth token for the remote daemon")
 	soak := flag.Int("soak", 0, "remote mode: scripted-client soak iterations instead of the differential")
+	configs := flag.String("configs", "default", "optimized configurations to sweep: default (O2 and O2NoRegAlloc together), all (every pass variant but O0, plus O1 and O1NoRegAlloc, one row each), or a comma list of their names")
 	flag.Parse()
 
 	switch {
@@ -54,9 +60,81 @@ func main() {
 		rows, err := oracle.WorkloadCoverage()
 		check(err)
 		fmt.Print(coverage.FormatTable(rows))
+	case *configs != "default":
+		vs, err := pickConfigs(*configs)
+		check(err)
+		configsMain(vs, *seeds, *maxStops, *minimize, *out)
 	default:
 		corpusMain(*seeds, *maxStops, *minimize, *covFlag, *out)
 	}
+}
+
+// allConfigs are the configurations -configs all sweeps: every pass
+// variant but O0 (the ground truth), then O1 with and without register
+// allocation.
+func allConfigs() []oracle.PassVariant {
+	var vs []oracle.PassVariant
+	for _, v := range oracle.PassVariants() {
+		if v.Name != "O0" {
+			vs = append(vs, v)
+		}
+	}
+	return append(vs,
+		oracle.PassVariant{Name: "O1", Config: compile.O1()},
+		oracle.PassVariant{Name: "O1NoRegAlloc", Config: compile.Config{Opt: opt.O1()}},
+	)
+}
+
+// pickConfigs resolves -configs: "all", or a comma list of names from
+// allConfigs and the default pair.
+func pickConfigs(list string) ([]oracle.PassVariant, error) {
+	all := allConfigs()
+	if list == "all" {
+		return all, nil
+	}
+	known := map[string]compile.Config{}
+	for _, v := range all {
+		known[v.Name] = v.Config
+	}
+	for name, cfg := range oracle.DefaultConfigs() {
+		known[name] = cfg
+	}
+	var vs []oracle.PassVariant
+	for _, name := range strings.Split(list, ",") {
+		cfg, ok := known[name]
+		if !ok {
+			return nil, fmt.Errorf("-configs: unknown configuration %q", name)
+		}
+		vs = append(vs, oracle.PassVariant{Name: name, Config: cfg})
+	}
+	return vs, nil
+}
+
+// configsMain runs the differential sweep once per configuration and
+// prints a row for each: its mismatches, the seeds swept, the aligned
+// stops compared and the sweep's wall time (O0 runs included). It exits
+// nonzero when any configuration has a mismatch, writing them all to out.
+func configsMain(vs []oracle.PassVariant, seeds, maxStops int, minimize bool, out string) {
+	fmt.Printf("%-18s %10s %6s %8s %8s\n", "config", "mismatches", "seeds", "stops", "time")
+	var all []oracle.Mismatch
+	for _, v := range vs {
+		start := time.Now()
+		res, err := oracle.Run(oracle.Options{
+			Seeds:    seedList(seeds),
+			Configs:  map[string]compile.Config{v.Name: v.Config},
+			MaxStops: maxStops,
+			Minimize: minimize,
+		})
+		check(err)
+		fmt.Printf("%-18s %10d %6d %8d %7.1fs\n", v.Name, len(res.Mismatches), res.Totals.Seeds,
+			res.Totals.Stops, time.Since(start).Seconds())
+		all = append(all, res.Mismatches...)
+	}
+	if len(all) == 0 {
+		fmt.Println("PASS: no mismatches")
+		return
+	}
+	writeMismatches(all, out)
 }
 
 // corpusMain runs the in-process differential sweep and coverage
@@ -87,8 +165,14 @@ func corpusMain(seeds, maxStops int, minimize, covFlag bool, out string) {
 		fmt.Println("PASS: no mismatches")
 		return
 	}
+	writeMismatches(res.Mismatches, out)
+}
+
+// writeMismatches writes each mismatch (and its minimized repro) to out
+// and exits nonzero.
+func writeMismatches(ms []oracle.Mismatch, out string) {
 	var b strings.Builder
-	for _, m := range res.Mismatches {
+	for _, m := range ms {
 		fmt.Fprintf(&b, "%s\n", m)
 		if m.Minimized != "" {
 			fmt.Fprintf(&b, "--- minimized repro ---\n%s\n", m.Minimized)
@@ -97,7 +181,7 @@ func corpusMain(seeds, maxStops int, minimize, covFlag bool, out string) {
 	if err := os.WriteFile(out, []byte(b.String()), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "writing %s: %v\n", out, err)
 	}
-	fmt.Fprintf(os.Stderr, "FAIL: %d mismatches (details in %s)\n", len(res.Mismatches), out)
+	fmt.Fprintf(os.Stderr, "FAIL: %d mismatches (details in %s)\n", len(ms), out)
 	os.Exit(1)
 }
 

@@ -90,7 +90,6 @@ var testOnlyFields = map[string]string{
 	"repro/internal/fault.Rule.Err":                    "only tests arm faults",
 	"repro/internal/fault.Rule.Panic":                  "only tests arm faults",
 	"repro/internal/fault.Rule.CutTo":                  "only tests arm faults",
-	"repro/internal/oracle.Options.Configs":            "TestOracleHasTeeth sweeps a marker-free build; a -configs flag of mcoracle is to set it",
 	"repro/cmd/mcperf.runOpts.units":                   "the mcperf tests fix a run's script length instead of sizing it from the run's seconds",
 	"repro/cmd/mcperf.runOpts.replayUnits":             "the mcperf tests fix the traced replay's unit count instead of bounding it by time",
 }

@@ -8,6 +8,7 @@ package artstore
 
 import (
 	"hash/maphash"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/compile"
@@ -99,6 +100,9 @@ func identHash(m ident) uint64 {
 type Store struct {
 	s    *store.Store[ident, *Artifact]
 	pipe *compile.Pipeline
+	// built counts the analyses the artifacts' sets have built, over the
+	// store's lifetime.
+	built atomic.Int64
 }
 
 // codec serializes artifacts for the disk tier. Only the compile result
@@ -196,6 +200,7 @@ func (st *Store) newArtifact(m ident, id string, res *compile.Result) *Artifact 
 	holds := func(v *Artifact) bool { return v == a }
 	charge := func(delta int64) { st.s.AddCostIf(m, delta, holds) }
 	a.Analyses.SetCostHook(charge)
+	a.Analyses.SetBuildHook(func() { st.built.Add(1) })
 	res.Mach.SetLoadHook(charge)
 	return a
 }
@@ -229,6 +234,12 @@ func (st *Store) PipelineStats() compile.PipelineStats { return st.pipe.Stats() 
 
 // FuncCacheStats returns the incremental tier's store counters.
 func (st *Store) FuncCacheStats() store.Stats { return st.pipe.FuncCache().Stats() }
+
+// AnalysesBuilt returns how many analyses the store's artifacts have
+// built since the store was created, evicted artifacts included. An
+// analysis one artifact shares from another's build counts once; one
+// rebuilt after every holder of its facts was dropped counts again.
+func (st *Store) AnalysesBuilt() int64 { return st.built.Load() }
 
 // CompileWorkers returns the pipeline's worker bound.
 func (st *Store) CompileWorkers() int { return st.pipe.Workers() }

@@ -143,9 +143,19 @@ func classifyAll(res *compile.Result, set *core.AnalysisSet) string {
 // function, continues up to 40 times and records each stop's reports.
 func sessionTranscript(t *testing.T, res *compile.Result) string {
 	t.Helper()
-	d, err := debugger.New(res)
+	s, err := transcriptWith(res, core.NewAnalysisSet())
 	if err != nil {
 		t.Fatal(err)
+	}
+	return s
+}
+
+// transcriptWith is sessionTranscript over a session that draws its
+// analyses from set; it may run on any goroutine.
+func transcriptWith(res *compile.Result, set *core.AnalysisSet) (string, error) {
+	d, err := debugger.NewShared(res, set)
+	if err != nil {
+		return "", err
 	}
 	for _, f := range res.Mach.Funcs {
 		for s := 0; s < 3; s++ {
@@ -156,7 +166,7 @@ func sessionTranscript(t *testing.T, res *compile.Result) string {
 	for i := 0; i < 40; i++ {
 		bp, err := d.Continue()
 		if err != nil {
-			t.Fatal(err)
+			return "", err
 		}
 		if bp == nil {
 			b.WriteString("exit\n")
@@ -165,13 +175,13 @@ func sessionTranscript(t *testing.T, res *compile.Result) string {
 		fmt.Fprintf(&b, "stop %s s%d line %d\n", bp.Fn.Name, bp.Stmt, bp.Line)
 		rs, err := d.Info()
 		if err != nil {
-			t.Fatal(err)
+			return "", err
 		}
 		for _, r := range rs {
 			b.WriteString("  " + r.Display() + "\n")
 		}
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // TestConcurrentSiblingGets races Gets of one source under three configs

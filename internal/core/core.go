@@ -33,6 +33,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/ast"
@@ -153,9 +154,10 @@ type Classification struct {
 // ---------------------------------------------------------------- entities
 
 // recEntity is one recovery source in the code (possibly with several
-// generation sites that establish the same recovery).
+// generation sites that establish the same recovery). v is the recovered
+// local's Object.ID.
 type recEntity struct {
-	v    *ast.Object
+	v    int32
 	kind RecoveryKind
 	reg  mach.Opd // register to read (alias/linear); None for const
 	c    int64
@@ -171,21 +173,37 @@ func (e *recEntity) sameRecovery(x *recEntity) bool {
 		e.cf == x.cf && e.a == x.a && e.b == x.b
 }
 
-// srcEntity is one individual endangerment source.
+// srcEntity is one individual endangerment source; v is the endangered
+// local's Object.ID.
 type srcEntity struct {
-	v     *ast.Object
+	v     int32
 	stmt  int
 	hoist bool // hoisted assignment (premature) vs dead marker (stale)
 }
 
-// Analysis holds the solved data-flow information for one function.
+// Analysis is the solved data-flow information for one function, as seen
+// from Fn, the Func it was asked about. The solved facts belong to Fn's
+// machine body, not to Fn: they name variables by Object.ID only and hold
+// no front-end pointer, so every Func over one body (the function cache
+// gives each compile its own Func over a shared body) can share them, and
+// objects are resolved through Fn at query time.
+type Analysis struct {
+	Fn *mach.Func
+	*facts
+}
+
+// facts is the part of an analysis that a machine body determines, given
+// the declaration facts the function key hashes with it (the locals'
+// IDs, names, types and scopes, and the statement count).
 //
 // Every table is indexed by position, not by pointer: blocks by their
-// index in Fn.Blocks, instructions by their flat position (block bi's
-// instruction i sits at start[bi]+i), variables by Object.ID. Each table
-// is one allocation per function.
-type Analysis struct {
-	Fn    *mach.Func
+// index in the body's Blocks, instructions by their flat position (block
+// bi's instruction i sits at start[bi]+i), variables by Object.ID. Each
+// table is one allocation per function.
+type facts struct {
+	// once builds the facts of a body shared through AnalysisSet.
+	once sync.Once
+
 	Table *debuginfo.Table
 
 	numVars int
@@ -248,32 +266,40 @@ type Analysis struct {
 	recovered []Recovery // per entity; Classification.Recovered aliases these
 }
 
-// bit layout: init | hoist | dead | res | recovery entities | src entities
-func (a *Analysis) initBit(v *ast.Object) int  { return v.ID }
-func (a *Analysis) hoistBit(v *ast.Object) int { return a.numVars + v.ID }
-func (a *Analysis) deadBit(v *ast.Object) int  { return 2*a.numVars + v.ID }
-func (a *Analysis) resBit(v *ast.Object) int   { return 3*a.numVars + v.ID }
-func (a *Analysis) entBit(e int32) int         { return 4*a.numVars + int(e) }
-func (a *Analysis) srcBit(e int32) int         { return 4*a.numVars + len(a.ents) + int(e) }
+// bit layout: init | hoist | dead | res | recovery entities | src entities,
+// the variable bits by Object.ID.
+func (a *facts) initBit(id int) int  { return id }
+func (a *facts) hoistBit(id int) int { return a.numVars + id }
+func (a *facts) deadBit(id int) int  { return 2*a.numVars + id }
+func (a *facts) resBit(id int) int   { return 3*a.numVars + id }
+func (a *facts) entBit(e int32) int  { return 4*a.numVars + int(e) }
+func (a *facts) srcBit(e int32) int  { return 4*a.numVars + len(a.ents) + int(e) }
 
 // entsOf and srcsOf list the recovery entities and endangerment sources
-// filed under v's ID.
-func (a *Analysis) entsOf(v *ast.Object) []int32 {
-	return a.varEnts[a.varEntOff[v.ID]:a.varEntOff[v.ID+1]]
+// filed under variable id.
+func (a *facts) entsOf(id int) []int32 {
+	return a.varEnts[a.varEntOff[id]:a.varEntOff[id+1]]
 }
 
-func (a *Analysis) srcsOf(v *ast.Object) []int32 {
-	return a.varSrcs[a.varSrcOff[v.ID]:a.varSrcOff[v.ID+1]]
+func (a *facts) srcsOf(id int) []int32 {
+	return a.varSrcs[a.varSrcOff[id]:a.varSrcOff[id+1]]
 }
 
-// Analyze solves the classifier's data-flow problems for f.
+// Analyze solves the classifier's data-flow problems for f. The analysis
+// it returns shares nothing; AnalysisSet.Of shares one per body.
 func Analyze(f *mach.Func) *Analysis {
 	f.Load() // a stub read back from the spill tier decodes here
-	a := &Analysis{
-		Fn:      f,
-		Table:   debuginfo.Build(f),
-		numVars: len(f.Decl.Locals),
-	}
+	a := &Analysis{Fn: f, facts: &facts{}}
+	a.build()
+	return a
+}
+
+// build fills a's facts from a.Fn's body. Nothing it stores points into
+// a.Fn's front end.
+func (a *Analysis) build() {
+	f := a.Fn
+	a.Table = debuginfo.Build(f)
+	a.numVars = len(f.Decl.Locals)
 	b := newBuilder(a)
 	b.collect()
 	a.bits = 4*a.numVars + len(a.ents) + len(a.srcEnts)
@@ -282,7 +308,6 @@ func Analyze(f *mach.Func) *Analysis {
 	a.solve()
 	a.buildBreakpointTables()
 	a.buildStaticTexts()
-	return a
 }
 
 // builder holds the scratch tables Analyze needs only while it runs.
@@ -295,8 +320,7 @@ type builder struct {
 	// regVars[regVarOff[k]:regVarOff[k+1]]; the recovery entities whose
 	// source is that register, regEnts[regEntOff[k]:regEntOff[k+1]].
 	regVarOff, regEntOff []int32
-	regVars              []*ast.Object
-	regEnts              []int32
+	regVars, regEnts     []int32
 	kills                []int32 // the current instruction's killed bits
 }
 
@@ -391,39 +415,55 @@ func (b *builder) collect() {
 	p := 0
 	for _, blk := range a.Fn.Blocks {
 		for _, in := range blk.Instrs {
-			if recoveryOf(a.Fn, in, &e) {
-				ei := last[e.v.ID]
+			if a.recoveryOf(in, &e) {
+				ei := last[e.v]
 				for ei >= 0 && !a.ents[ei].sameRecovery(&e) {
 					ei = prev[ei]
 				}
 				if ei < 0 {
 					ei = int32(len(a.ents))
 					a.ents = append(a.ents, e)
-					prev = append(prev, last[e.v.ID])
-					last[e.v.ID] = ei
+					prev = append(prev, last[e.v])
+					last[e.v] = ei
 				}
 				b.entAt[p] = ei
 			}
+			src := srcEntity{v: -1, stmt: int(in.Stmt)}
 			switch {
 			case in.Op == mach.MARKDEAD && in.Stmt >= 0:
-				b.srcAt[p] = int32(len(a.srcEnts))
-				a.srcEnts = append(a.srcEnts, srcEntity{v: a.Fn.Obj(in.MarkObj()), stmt: int(in.Stmt)})
+				src.v = a.local(in.MarkObj())
 			case in.DefObj != 0 && in.Hoisted && in.Stmt >= 0:
+				src.v, src.hoist = a.local(in.DefObj), true
+			}
+			if src.v >= 0 {
 				b.srcAt[p] = int32(len(a.srcEnts))
-				a.srcEnts = append(a.srcEnts, srcEntity{v: a.Fn.Obj(in.DefObj), stmt: int(in.Stmt), hoist: true})
+				a.srcEnts = append(a.srcEnts, src)
 			}
 			p++
 		}
 	}
 }
 
-// recoveryOf reports whether in, an instruction of f, establishes a
-// recovery source, and if so sets *e to it.
-func recoveryOf(f *mach.Func, in *mach.Instr, e *recEntity) bool {
+// local is the Object.ID r names when r is one of the function's locals
+// (or parameters), and -1 otherwise.
+func (a *facts) local(r mach.ObjRef) int32 {
+	if r > 0 && !r.IsGlobal() && r.ID() < a.numVars {
+		return int32(r.ID())
+	}
+	return -1
+}
+
+// recoveryOf reports whether in establishes a recovery source of one of
+// the function's locals, and if so sets *e to it.
+func (a *facts) recoveryOf(in *mach.Instr, e *recEntity) bool {
 	alias, r := in.MarkAlias(), in.Recover()
 	switch {
 	case in.Op == mach.MARKDEAD && alias.Kind != mach.None:
-		*e = recEntity{v: f.Obj(in.MarkObj())}
+		v := a.local(in.MarkObj())
+		if v < 0 {
+			return false
+		}
+		*e = recEntity{v: v}
 		switch alias.Kind {
 		case mach.Imm:
 			e.kind = RecoverConst
@@ -439,12 +479,12 @@ func recoveryOf(f *mach.Func, in *mach.Instr, e *recEntity) bool {
 		return true
 
 	case r.Var != 0 && in.Dst.IsReg():
-		*e = recEntity{v: f.Obj(r.Var), kind: RecoverLinear, reg: in.Dst, a: r.A, b: r.B}
-		return true
+		*e = recEntity{v: a.local(r.Var), kind: RecoverLinear, reg: in.Dst, a: r.A, b: r.B}
+		return e.v >= 0
 
 	case in.ReplacedVar != 0 && in.Dst.IsReg():
-		*e = recEntity{v: f.Obj(in.ReplacedVar), kind: RecoverAlias, reg: in.Dst}
-		return true
+		*e = recEntity{v: a.local(in.ReplacedVar), kind: RecoverAlias, reg: in.Dst}
+		return e.v >= 0
 	}
 	return false
 }
@@ -453,17 +493,17 @@ func recoveryOf(f *mach.Func, in *mach.Instr, e *recEntity) bool {
 // and the allocated variables by register.
 func (b *builder) index() {
 	a := b.a
-	a.varEntOff, a.varEnts = bucket(a.numVars, len(a.ents), func(i int) int { return a.ents[i].v.ID })
-	a.varSrcOff, a.varSrcs = bucket(a.numVars, len(a.srcEnts), func(i int) int { return a.srcEnts[i].v.ID })
+	a.varEntOff, a.varEnts = bucket(a.numVars, len(a.ents), func(i int) int { return int(a.ents[i].v) })
+	a.varSrcOff, a.varSrcs = bucket(a.numVars, len(a.srcEnts), func(i int) int { return int(a.srcEnts[i].v) })
 
 	type regVar struct {
-		v   *ast.Object
+		v   int32
 		key int
 	}
 	var vars []regVar
 	for id, loc := range a.Fn.VarLoc {
 		if loc.Kind == mach.LocReg {
-			vars = append(vars, regVar{a.Fn.Decl.Locals[id], regKey(loc.Class, loc.R)})
+			vars = append(vars, regVar{int32(id), regKey(loc.Class, loc.R)})
 		}
 	}
 	entKey := func(i int) int {
@@ -481,7 +521,7 @@ func (b *builder) index() {
 	}
 	var order []int32
 	b.regVarOff, order = bucket(k, len(vars), func(i int) int { return vars[i].key })
-	b.regVars = make([]*ast.Object, len(order))
+	b.regVars = make([]int32, len(order))
 	for j, i := range order {
 		b.regVars[j] = vars[i].v
 	}
@@ -490,7 +530,7 @@ func (b *builder) index() {
 
 // onReg returns the variables allocated to register d and the entities
 // whose source is d's register number and class.
-func (b *builder) onReg(d mach.Opd) (vars []*ast.Object, ents []int32) {
+func (b *builder) onReg(d mach.Opd) (vars, ents []int32) {
 	k := regKey(d.Class, int(d.R))
 	if k < 0 || k+1 >= len(b.regVarOff) {
 		return nil, nil
@@ -529,19 +569,22 @@ func (b *builder) effects(p int, in *mach.Instr) {
 	a := b.a
 	switch in.Op {
 	case mach.MARKDEAD:
-		v := a.Fn.Obj(in.MarkObj())
+		v := int(a.local(in.MarkObj()))
+		if v < 0 {
+			return
+		}
 		b.gen(a.initBit(v))
 		b.gen(a.deadBit(v))
 		// A newly eliminated assignment changes V's *expected* value:
 		// recovery sources established for the previous value are stale,
 		// and so are older dead-source attributions.
 		for _, ei := range a.entsOf(v) {
-			if a.ents[ei].v == v && b.entAt[p] != ei {
+			if b.entAt[p] != ei {
 				b.kill(a.entBit(ei))
 			}
 		}
 		for _, si := range a.srcsOf(v) {
-			if s := &a.srcEnts[si]; s.v == v && !s.hoist && b.srcAt[p] != si {
+			if !a.srcEnts[si].hoist && b.srcAt[p] != si {
 				b.kill(a.srcBit(si))
 			}
 		}
@@ -553,21 +596,20 @@ func (b *builder) effects(p int, in *mach.Instr) {
 		}
 		return
 	case mach.MARKAVAIL:
-		v := a.Fn.Obj(in.MarkObj())
+		v := int(a.local(in.MarkObj()))
+		if v < 0 {
+			return
+		}
 		b.gen(a.initBit(v))
 		b.kill(a.hoistBit(v))
 		b.kill(a.deadBit(v))
 		// V's location holds the (already computed) value: it is
 		// authoritative again.
 		for _, ei := range a.entsOf(v) {
-			if a.ents[ei].v == v {
-				b.kill(a.entBit(ei))
-			}
+			b.kill(a.entBit(ei))
 		}
 		for _, si := range a.srcsOf(v) {
-			if a.srcEnts[si].v == v {
-				b.kill(a.srcBit(si))
-			}
+			b.kill(a.srcBit(si))
 		}
 		return
 	}
@@ -575,12 +617,12 @@ func (b *builder) effects(p int, in *mach.Instr) {
 	// Clobbers: writing a physical register destroys the residence of the
 	// other variables allocated to it and invalidates recovery entities
 	// whose alias lives there.
-	def := a.Fn.Obj(in.DefObj)
+	def := a.local(in.DefObj)
 	if d := in.Def(); d.IsReg() {
 		vars, ents := b.onReg(d)
 		for _, w := range vars {
 			if w != def {
-				b.kill(a.resBit(w))
+				b.kill(a.resBit(int(w)))
 			}
 		}
 		for _, ei := range ents {
@@ -591,7 +633,7 @@ func (b *builder) effects(p int, in *mach.Instr) {
 	}
 
 	// Real definition of a source variable.
-	if v := def; v != nil {
+	if v := int(def); v >= 0 {
 		b.gen(a.initBit(v))
 		b.gen(a.resBit(v))
 		if in.Hoisted {
@@ -599,7 +641,7 @@ func (b *builder) effects(p int, in *mach.Instr) {
 			b.gen(a.hoistBit(v))
 			b.kill(a.deadBit(v))
 			for _, si := range a.srcsOf(v) {
-				if a.srcEnts[si].v == v && b.srcAt[p] != si {
+				if b.srcAt[p] != si {
 					b.kill(a.srcBit(si))
 				}
 			}
@@ -610,14 +652,12 @@ func (b *builder) effects(p int, in *mach.Instr) {
 			b.kill(a.hoistBit(v))
 			b.kill(a.deadBit(v))
 			for _, si := range a.srcsOf(v) {
-				if a.srcEnts[si].v == v {
-					b.kill(a.srcBit(si))
-				}
+				b.kill(a.srcBit(si))
 			}
 		}
 		// A fresh real value supersedes stale recovery info for V.
 		for _, ei := range a.entsOf(v) {
-			if a.ents[ei].v == v && b.entAt[p] != ei {
+			if b.entAt[p] != ei {
 				b.kill(a.entBit(ei))
 			}
 		}
@@ -628,7 +668,7 @@ func (b *builder) effects(p int, in *mach.Instr) {
 	// killed by E").
 	if e := b.entAt[p]; e >= 0 {
 		b.gen(a.entBit(e))
-		b.kill(a.deadBit(a.ents[e].v))
+		b.kill(a.deadBit(int(a.ents[e].v)))
 	}
 }
 
@@ -849,7 +889,7 @@ func (a *Analysis) buildStaticTexts() {
 		size += 2 * (len(v.Name) + 60)
 	}
 	for i := range a.ents {
-		size += len(a.ents[i].v.Name) + 100
+		size += len(locals[a.ents[i].v].Name) + 100
 	}
 	var sb strings.Builder
 	sb.Grow(size)
@@ -875,7 +915,7 @@ func (a *Analysis) buildStaticTexts() {
 		e := &a.ents[ei]
 		a.recovered[ei] = Recovery{Kind: e.kind, Reg: e.reg, C: e.c, CF: e.cf, IsF: e.isF, A: e.a, B: e.b}
 		at := sb.Len()
-		writeRecoveryText(&sb, e.v, &a.recovered[ei])
+		writeRecoveryText(&sb, locals[e.v].Name, &a.recovered[ei])
 		mark(2*nv+ei, at)
 	}
 	all := sb.String()
@@ -888,14 +928,14 @@ func (a *Analysis) buildStaticTexts() {
 	a.recWhy = texts[2*nv:]
 }
 
-// writeRecoveryText writes the warning for a variable displayed through
-// recovery r.
-func writeRecoveryText(sb *strings.Builder, v *ast.Object, r *Recovery) {
+// writeRecoveryText writes the warning for the variable named name,
+// displayed through recovery r.
+func writeRecoveryText(sb *strings.Builder, name string, r *Recovery) {
 	var num [32]byte
 	switch r.Kind {
 	case RecoverConst:
 		sb.WriteString("the assignment to ")
-		sb.WriteString(v.Name)
+		sb.WriteString(name)
 		sb.WriteString(" was eliminated, but its value is the constant ")
 		if r.IsF {
 			sb.Write(strconv.AppendFloat(num[:0], r.CF, 'g', -1, 64))
@@ -903,11 +943,11 @@ func writeRecoveryText(sb *strings.Builder, v *ast.Object, r *Recovery) {
 			sb.Write(strconv.AppendInt(num[:0], r.C, 10))
 		}
 	case RecoverAlias:
-		sb.WriteString(v.Name)
+		sb.WriteString(name)
 		sb.WriteString(" was eliminated, but its value is aliased in ")
 		writeOpd(sb, r.Reg)
 	case RecoverLinear:
-		sb.WriteString(v.Name)
+		sb.WriteString(name)
 		sb.WriteString(" was eliminated by induction-variable elimination; recover it as (")
 		writeOpd(sb, r.Reg)
 		sb.WriteString(" - ")
@@ -957,8 +997,8 @@ func (a *Analysis) ClassifyAllAt(stmt int) ([]Classification, bool) {
 	may, must := a.setsForStmt(stmt, loc)
 	vars := a.Table.VarsInScope(stmt)
 	out := make([]Classification, 0, len(vars))
-	for _, v := range vars {
-		out = append(out, a.classify(loc, v, may, must))
+	for _, id := range vars {
+		out = append(out, a.classify(loc, a.Fn.Decl.Locals[id], may, must))
 	}
 	return out, true
 }
@@ -1021,7 +1061,7 @@ func (a *Analysis) classify(loc debuginfo.Loc, v *ast.Object, may, must *dataflo
 
 	// Step 1 (Figure 1): is V initialized? Source-level reaching: real
 	// defs and markers of eliminated assignments both count.
-	if !may.Has(a.initBit(v)) {
+	if !may.Has(a.initBit(v.ID)) {
 		c.State = Uninitialized
 		c.Why = a.uninitWhy[v.ID]
 		return c
@@ -1034,7 +1074,7 @@ func (a *Analysis) classify(loc debuginfo.Loc, v *ast.Object, may, must *dataflo
 	// reconstructed expected value alongside the warning.
 	var rec *Recovery
 	var recWhy string
-	for _, ei := range a.entsOf(v) {
+	for _, ei := range a.entsOf(v.ID) {
 		if !must.Has(a.entBit(ei)) {
 			continue
 		}
@@ -1062,13 +1102,13 @@ func (a *Analysis) classify(loc debuginfo.Loc, v *ast.Object, may, must *dataflo
 
 	// Step 3: endangered?
 	switch {
-	case must.Has(a.hoistBit(v)):
+	case must.Has(a.hoistBit(v.ID)):
 		c.State = Noncurrent
 		c.Cause = ByHoisting
 		c.SrcStmts = a.srcStmtsFor(v, may, true)
 		c.Why = fmt.Sprintf("%s was assigned prematurely by a hoisted assignment%s; the source assignment it replaces has not executed yet",
 			v.Name, stmtList(c.SrcStmts))
-	case must.Has(a.deadBit(v)):
+	case must.Has(a.deadBit(v.ID)):
 		c.State = Noncurrent
 		c.Cause = ByDeadCodeElim
 		c.SrcStmts = a.srcStmtsFor(v, may, false)
@@ -1078,13 +1118,13 @@ func (a *Analysis) classify(loc debuginfo.Loc, v *ast.Object, may, must *dataflo
 			c.Recovered = rec
 			c.Why = recWhy
 		}
-	case may.Has(a.hoistBit(v)):
+	case may.Has(a.hoistBit(v.ID)):
 		c.State = Suspect
 		c.Cause = ByHoisting
 		c.SrcStmts = a.srcStmtsFor(v, may, true)
 		c.Why = fmt.Sprintf("%s may have been assigned prematurely by a hoisted assignment%s on some path to this breakpoint",
 			v.Name, stmtList(c.SrcStmts))
-	case may.Has(a.deadBit(v)):
+	case may.Has(a.deadBit(v.ID)):
 		c.State = Suspect
 		c.Cause = ByDeadCodeElim
 		c.SrcStmts = a.srcStmtsFor(v, may, false)
@@ -1181,16 +1221,16 @@ func stateSeverity(s State) int {
 func (a *Analysis) residentAt(v *ast.Object, may, must *dataflow.BitSet) bool {
 	f := a.Fn
 	if !f.Allocated {
-		return may.Has(a.initBit(v))
+		return may.Has(a.initBit(v.ID))
 	}
 	loc, ok := f.LocOf(v)
 	if !ok || loc.Kind == mach.LocNone {
 		return false
 	}
 	if loc.Kind == mach.LocSpill {
-		return may.Has(a.initBit(v))
+		return may.Has(a.initBit(v.ID))
 	}
-	return must.Has(a.resBit(v))
+	return must.Has(a.resBit(v.ID))
 }
 
 // schedEndangered detects within-block reorderings of V's assignments
@@ -1307,9 +1347,9 @@ func (a *Analysis) recStaleBySched(loc debuginfo.Loc, v *ast.Object) bool {
 // that may reach the current point (matching hoisted vs dead kind).
 func (a *Analysis) srcStmtsFor(v *ast.Object, may *dataflow.BitSet, hoist bool) []int {
 	var out []int
-	for _, si := range a.srcsOf(v) {
+	for _, si := range a.srcsOf(v.ID) {
 		e := &a.srcEnts[si]
-		if e.v != v || e.hoist != hoist || !may.Has(a.srcBit(si)) {
+		if e.hoist != hoist || !may.Has(a.srcBit(si)) {
 			continue
 		}
 		s := e.stmt

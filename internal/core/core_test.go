@@ -369,7 +369,8 @@ int main() { return m(2, 3); }
 		if _, ok := a.Table.LocOf(s); !ok {
 			continue
 		}
-		for _, v := range a.Table.VarsInScope(s) {
+		for _, id := range a.Table.VarsInScope(s) {
+			v := a.Fn.Decl.Locals[id]
 			c, _ := a.ClassifyAt(s, v)
 			if c.State == Nonresident {
 				t.Errorf("stmt %d: %s nonresident without register allocation", s, v.Name)

@@ -106,7 +106,10 @@ func hashFunc(h hash.Hash, a *core.Analysis) {
 			io.WriteString(h, ","+locString(l, true))
 		}
 		io.WriteString(h, " vars=")
-		vars := tb.VarsInScope(s)
+		var vars []*ast.Object
+		for _, id := range tb.VarsInScope(s) {
+			vars = append(vars, a.Fn.Decl.Locals[id])
+		}
 		for _, v := range vars {
 			io.WriteString(h, ","+v.Name+"#"+strconv.Itoa(v.ID))
 		}

@@ -119,7 +119,8 @@ int main() {
 `
 	a := analyze(t, src, compile.O2(), "main")
 	for s := 0; s < a.Fn.Decl.NumStmts; s++ {
-		for _, v := range a.Table.VarsInScope(s) {
+		for _, id := range a.Table.VarsInScope(s) {
+			v := a.Fn.Decl.Locals[id]
 			if !v.Addressed {
 				continue
 			}

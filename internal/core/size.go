@@ -18,8 +18,9 @@ import (
 // every backing array, rounded up as the heap rounds an allocation, so
 // like the artifact estimator it is deliberately generous and a
 // configured budget is a real ceiling (TestAnalysisSizeBytesIsCeiling).
+// It charges the facts in full even when other analyses share them.
 func (a *Analysis) SizeBytes() int64 {
-	n := mach.HeapBytes(int64(unsafe.Sizeof(*a)))
+	n := mach.HeapBytes(int64(unsafe.Sizeof(*a))) + mach.HeapBytes(int64(unsafe.Sizeof(*a.facts)))
 	if a.Table != nil {
 		n += a.Table.SizeBytes()
 	}

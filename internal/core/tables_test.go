@@ -44,7 +44,8 @@ func TestSetsAtIdxPastEndOfBlock(t *testing.T) {
 			if !mayEnd.Equal(mayPast) || !mustEnd.Equal(mustPast) {
 				t.Fatalf("stmt %d: sets at idx=len and idx=len+7 differ", s)
 			}
-			for _, v := range a.Table.VarsInScope(s) {
+			for _, id := range a.Table.VarsInScope(s) {
+				v := a.Fn.Decl.Locals[id]
 				ce := a.classify(end, v, mayEnd, mustEnd)
 				cp := a.classify(past, v, mayPast, mustPast)
 				// Scheduling detection legitimately reads the instruction

@@ -355,8 +355,8 @@ func (d *Debugger) Print(name string) (*VarReport, error) {
 	bp := d.stopped
 	a := d.analysisOf(bp.Fn)
 	var obj *ast.Object
-	for _, v := range a.Table.VarsInScope(bp.Stmt) {
-		if v.Name == name {
+	for _, id := range a.Table.VarsInScope(bp.Stmt) {
+		if v := bp.Fn.Decl.Locals[id]; v.Name == name {
 			obj = v
 			break
 		}
@@ -466,9 +466,10 @@ func (d *Debugger) Info() ([]*VarReport, error) {
 	bp := d.stopped
 	a := d.analysisOf(bp.Fn)
 	var out []*VarReport
-	for _, v := range a.Table.VarsInScope(bp.Stmt) {
+	for _, id := range a.Table.VarsInScope(bp.Stmt) {
 		// Struct members are grouped under their base aggregate's report
 		// (as Fields) rather than listed as free-standing locals.
+		v := bp.Fn.Decl.Locals[id]
 		if v.Base != nil {
 			continue
 		}

@@ -18,9 +18,10 @@ type Loc struct {
 	Idx   int
 }
 
-// Table holds per-function debug information.
+// Table holds per-function debug information. It is built from a machine
+// body and its declaration's statement count and scopes, and names
+// variables by Object.ID only: every Func over one body can share it.
 type Table struct {
-	Fn *mach.Func
 	// stmtLoc[s] is the chosen breakpoint location for statement s
 	// (nil Block = no location).
 	stmtLoc []Loc
@@ -33,9 +34,10 @@ type Table struct {
 	stmtInst [][]Loc
 	// NumStmts mirrors the frontend's statement count.
 	NumStmts int
-	// varsAt[s] caches the locals in scope at statement s; the slices are
-	// shared across queries and must not be modified by callers.
-	varsAt [][]*ast.Object
+	// varsAt[s] caches the IDs of the locals in scope at statement s; the
+	// slices are shared across queries and must not be modified by
+	// callers.
+	varsAt [][]int32
 }
 
 // Build computes the statement table for f.
@@ -49,7 +51,7 @@ type Table struct {
 // the next statement that has a location.
 func Build(f *mach.Func) *Table {
 	n := f.Decl.NumStmts
-	t := &Table{Fn: f, NumStmts: n}
+	t := &Table{NumStmts: n}
 	t.stmtLoc = make([]Loc, n)
 	// st[s] is the rank and OrigIdx of s's chosen location so far, and
 	// the block (position+1; 0 none) and insts entry of s's candidate
@@ -173,10 +175,10 @@ func Build(f *mach.Func) *Table {
 	return t
 }
 
-// varsInScopeTable returns, for each of n statements, the locals in scope
-// there in declaration order. The per-statement slices share one backing
-// array.
-func varsInScopeTable(locals []*ast.Object, n int) [][]*ast.Object {
+// varsInScopeTable returns, for each of n statements, the IDs of the
+// locals in scope there in declaration order. The per-statement slices
+// share one backing array.
+func varsInScopeTable(locals []*ast.Object, n int) [][]int32 {
 	lo := func(v *ast.Object) int { return min(max(v.ScopeStart, 0), n) }
 	hi := func(v *ast.Object) int { return min(max(v.ScopeEnd, 0), n) }
 	off := make([]int32, n+1)
@@ -197,17 +199,17 @@ func varsInScopeTable(locals []*ast.Object, n int) [][]*ast.Object {
 	}
 	// Fill backwards, as Build does, so each statement's locals keep
 	// declaration order.
-	all := make([]*ast.Object, off[n])
+	all := make([]int32, off[n])
 	for i := len(locals) - 1; i >= 0; i-- {
 		v := locals[i]
 		for s := lo(v); s < hi(v); s++ {
 			off[s+1]--
-			all[off[s+1]] = v
+			all[off[s+1]] = int32(v.ID)
 		}
 	}
 	copy(off[:n], off[1:])
 	off[n] = int32(len(all))
-	out := make([][]*ast.Object, n)
+	out := make([][]int32, n)
 	for s := range out {
 		if off[s] < off[s+1] {
 			out[s] = all[off[s]:off[s+1]:off[s+1]]
@@ -301,25 +303,17 @@ func (t *Table) HasOwnLoc(s int) bool {
 	return s >= 0 && s < t.NumStmts && t.stmtLoc[s].Block != nil
 }
 
-// InScope reports whether variable v is in scope at statement s.
-func InScope(v *ast.Object, s int) bool {
-	return s >= v.ScopeStart && s < v.ScopeEnd
-}
-
-// VarsInScope returns the function's locals (and parameters) in scope at
-// s. The returned slice is cached per statement and shared across calls:
+// VarsInScope returns the Object.IDs of the function's locals (and
+// parameters) in scope at s, in declaration order; the objects are the
+// asking Func's Decl.Locals at those IDs. None is in scope outside the
+// function's statements, because the checker clamps every scope to them.
+// The returned slice is cached per statement and shared across calls:
 // callers must not modify it.
-func (t *Table) VarsInScope(s int) []*ast.Object {
+func (t *Table) VarsInScope(s int) []int32 {
 	if s >= 0 && s < len(t.varsAt) {
 		return t.varsAt[s]
 	}
-	var out []*ast.Object
-	for _, v := range t.Fn.Decl.Locals {
-		if InScope(v, s) {
-			out = append(out, v)
-		}
-	}
-	return out
+	return nil
 }
 
 // SizeBytes estimates the table's resident size (statement locations plus
@@ -330,13 +324,13 @@ func (t *Table) VarsInScope(s int) []*ast.Object {
 func (t *Table) SizeBytes() int64 {
 	hdr := int64(unsafe.Sizeof([]Loc(nil)))
 	locSize := int64(unsafe.Sizeof(Loc{}))
-	ptrSize := int64(unsafe.Sizeof((*ast.Object)(nil)))
+	idSize := int64(unsafe.Sizeof(int32(0)))
 	var insts, vars int64
 	for _, ls := range t.stmtInst {
 		insts += int64(cap(ls)) * locSize
 	}
 	for _, vs := range t.varsAt {
-		vars += int64(cap(vs)) * ptrSize
+		vars += int64(cap(vs)) * idSize
 	}
 	return mach.HeapBytes(int64(unsafe.Sizeof(*t))) +
 		mach.HeapBytes(int64(cap(t.stmtLoc))*locSize) +

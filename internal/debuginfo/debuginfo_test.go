@@ -127,8 +127,8 @@ int main() { return f(1); }
 	// At statement 0 (int a = 1): p and a in scope, b not.
 	names := func(s int) map[string]bool {
 		m := map[string]bool{}
-		for _, v := range tab.VarsInScope(s) {
-			m[v.Name] = true
+		for _, id := range tab.VarsInScope(s) {
+			m[f.Decl.Locals[id].Name] = true
 		}
 		return m
 	}

@@ -228,73 +228,102 @@ const (
 	CodeInternal       = "internal"
 )
 
-// Stats is the metrics snapshot reported by the stats command. The cache
-// and spill counters are one consistent per-shard snapshot of the unified
-// artifact store; cache_memory_bytes includes the accounted cost of built
-// analyses (analysis_bytes is the analyses' share) and of loaded function
-// bodies.
+// Stats is the metrics snapshot reported by the stats command. Each stat
+// is one of three kinds, and the comment over each group says which:
+//
+//   - lifetime: a count of this server's events since it started, which
+//     only grows (evicting an artifact takes nothing off it);
+//   - snapshot: this server's state at the moment of the request;
+//   - process-wide: a lifetime count that every server in the process
+//     adds to.
+//
+// The cache and spill stats are one consistent per-shard snapshot of the
+// unified artifact store; cache_memory_bytes includes the accounted cost
+// of built analyses (analysis_bytes is the analyses' share) and of loaded
+// function bodies.
 type Stats struct {
+	// Snapshot: sessions open now, and those of them no connection owns.
 	SessionsActive   int64 `json:"sessions_active"`
 	SessionsDetached int64 `json:"sessions_detached"`
-	SessionsOpened   int64 `json:"sessions_opened"`
-	SessionsReaped   int64 `json:"sessions_reaped"`
+	// Lifetime: sessions opened, and sessions the idle reaper closed.
+	SessionsOpened int64 `json:"sessions_opened"`
+	SessionsReaped int64 `json:"sessions_reaped"`
 
+	// conns_active is a snapshot; conns_total and auth_failures are
+	// lifetime counts.
 	ConnsActive  int64 `json:"conns_active"`
 	ConnsTotal   int64 `json:"conns_total"`
 	AuthFailures int64 `json:"auth_failures"`
 
-	CacheHits         int64 `json:"cache_hits"`
-	CacheMisses       int64 `json:"cache_misses"`
-	CacheEvictions    int64 `json:"cache_evictions"`
+	// Lifetime: the artifact store's hits, misses and evictions.
+	CacheHits      int64 `json:"cache_hits"`
+	CacheMisses    int64 `json:"cache_misses"`
+	CacheEvictions int64 `json:"cache_evictions"`
+	// Snapshot: resident artifacts, their accounted bytes, and the
+	// store's configured budget and shard count.
 	CacheEntries      int   `json:"cache_entries"`
 	CacheMemoryBytes  int64 `json:"cache_memory_bytes"`
 	CacheMemoryBudget int64 `json:"cache_memory_budget"`
 	CacheShards       int   `json:"cache_shards"`
-	AnalysisBytes     int64 `json:"analysis_bytes"`
-	// FuncsLoaded and FuncsUnloaded count the functions of the resident
-	// artifacts whose machine code is in memory, and those a spill read
-	// left encoded until a session needs them. Both are a per-server
-	// snapshot, counted in the same walk as analysis_bytes.
+	// Snapshot: AnalysisBytes is the accounted bytes of the analyses the
+	// resident artifacts reach. An analysis whose facts several artifacts
+	// share is charged to each of them, so this is a ceiling.
+	AnalysisBytes int64 `json:"analysis_bytes"`
+	// Snapshot: FuncsLoaded and FuncsUnloaded count the functions of the
+	// resident artifacts whose machine code is in memory, and those a
+	// spill read left encoded until a session needs them, counted in the
+	// same walk as analysis_bytes.
 	FuncsLoaded   int64 `json:"funcs_loaded"`
 	FuncsUnloaded int64 `json:"funcs_unloaded"`
 
+	// Lifetime: the disk tier's read hits and misses, files written, and
+	// I/O or codec failures.
 	SpillHits   int64 `json:"spill_hits"`
 	SpillMisses int64 `json:"spill_misses"`
 	SpillWrites int64 `json:"spill_writes"`
 	SpillErrors int64 `json:"spill_errors"`
 
 	// Spill-tier health: whether the circuit breaker currently has the
-	// disk tier degraded to memory-only, how many times it has tripped,
-	// how many recovery probes have run, and how many Flush calls failed
-	// or were skipped while degraded.
+	// disk tier degraded to memory-only (a snapshot), and the lifetime
+	// counts of how many times it has tripped, how many recovery probes
+	// have run, and how many Flush calls failed or were skipped while
+	// degraded.
 	SpillDegraded     bool  `json:"spill_degraded"`
 	SpillDegradations int64 `json:"spill_degradations"`
 	SpillProbes       int64 `json:"spill_probes"`
 	FlushErrors       int64 `json:"flush_errors"`
 
-	AnalysesBuilt  int64 `json:"analyses_built"`
+	// Lifetime: AnalysesBuilt counts the per-function analyses this
+	// server built. Functions that share a machine body (a one-function
+	// edit shares every other body with the program it edits) share one
+	// analysis, counted once when it is built; a body analysed again
+	// after every artifact holding its analysis was dropped counts again.
+	AnalysesBuilt int64 `json:"analyses_built"`
+	// Lifetime: simulated cycles and requests served, and requests that
+	// panicked.
 	CyclesExecuted int64 `json:"cycles_executed"`
 	Requests       int64 `json:"requests"`
 	Panics         int64 `json:"panics"`
-	// Timeouts counts continue/step commands cut off by the per-request
-	// deadline (-request-timeout); their cycle progress is still credited
-	// to cycles_executed.
+	// Lifetime: Timeouts counts continue/step commands cut off by the
+	// per-request deadline (-request-timeout); their cycle progress is
+	// still credited to cycles_executed.
 	Timeouts int64 `json:"timeouts"`
-	// OutputLimits counts continue/step commands cut off because the
-	// program printed past the output cap (-output-limit).
+	// Lifetime: OutputLimits counts continue/step commands cut off
+	// because the program printed past the output cap (-output-limit).
 	OutputLimits int64 `json:"output_limits"`
 
-	// SROASplits counts struct aggregates decomposed into per-field
-	// scalars by the optimizer; FieldsClassified counts per-field
-	// debug-info verdicts issued for struct members. Both are
-	// process-wide lifetime counters.
+	// Process-wide: SROASplits counts struct aggregates decomposed into
+	// per-field scalars by the optimizer; FieldsClassified counts
+	// per-field debug-info verdicts issued for struct members.
 	SROASplits       int64 `json:"sroa_splits"`
 	FieldsClassified int64 `json:"fields_classified"`
 
-	// Per-function compile pipeline: lifetime totals of back ends run vs.
-	// functions taken from the incremental tier, cumulative pipeline wall
-	// time, and the tier's footprint: func_cache_bytes counts the live
-	// machine bodies it holds (resident artifacts may share them).
+	// Per-function compile pipeline. compile_workers is the configured
+	// bound (a snapshot). Lifetime: back ends run vs. functions taken
+	// from the incremental tier, cumulative pipeline wall time, and
+	// bodies the tier evicted. Snapshot: the tier's entries and
+	// footprint, where func_cache_bytes counts the live machine bodies it
+	// holds (resident artifacts may share them).
 	CompileWorkers     int   `json:"compile_workers"`
 	FuncsCompiled      int64 `json:"funcs_compiled"`
 	FuncsReused        int64 `json:"funcs_reused"`
@@ -303,9 +332,9 @@ type Stats struct {
 	FuncCacheBytes     int64 `json:"func_cache_bytes"`
 	FuncCacheEvictions int64 `json:"func_cache_evictions"`
 
-	// CoverageSweeps counts coverage commands served; CoveragePairs is
-	// the total number of statement×variable(×field) pairs those sweeps
-	// classified. Both are per-server lifetime counters.
+	// Lifetime: CoverageSweeps counts coverage commands served;
+	// CoveragePairs is the total number of statement×variable(×field)
+	// pairs those sweeps classified.
 	CoverageSweeps int64 `json:"coverage_sweeps"`
 	CoveragePairs  int64 `json:"coverage_pairs"`
 }

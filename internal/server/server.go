@@ -942,13 +942,12 @@ func errResp(id int64, code, msg string) *Response {
 
 // Snapshot returns the current metrics. The store counters come from one
 // consistent per-shard snapshot (each shard is read under its lock);
-// analysis totals and function-body counts are summed over the resident
+// analysis bytes and function-body counts are summed over the resident
 // artifacts.
 func (s *Server) Snapshot() Stats {
 	cs := s.store.Stats()
-	var built, analysisBytes, loaded, unloaded int64
+	var analysisBytes, loaded, unloaded int64
 	s.store.Range(func(id string, a *Artifact) {
-		built += a.Analyses.Built()
 		analysisBytes += a.Analyses.Bytes()
 		for _, f := range a.Res.Mach.Funcs {
 			if f.Loaded() {
@@ -993,7 +992,7 @@ func (s *Server) Snapshot() Stats {
 		SpillDegradations: cs.SpillDegradations,
 		SpillProbes:       cs.SpillProbes,
 		FlushErrors:       cs.FlushErrors,
-		AnalysesBuilt:     built,
+		AnalysesBuilt:     s.store.AnalysesBuilt(),
 		CyclesExecuted:    s.cyclesExecuted.Load(),
 		Requests:          s.requests.Load(),
 		Panics:            s.panics.Load(),

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/mach"
 )
 
 const testProg = `
@@ -232,14 +234,17 @@ func TestConcurrentSessionStress(t *testing.T) {
 	if st.CyclesExecuted <= 0 {
 		t.Error("cycles_executed not accounted")
 	}
-	// Analyses are shared per artifact: the total built must not scale
-	// with the number of sessions.
-	var funcs int64
+	// Analyses are shared per machine body: the total built must not
+	// scale with the number of sessions, and a body two artifacts share
+	// is analysed once.
+	bodies := map[*mach.Block]bool{}
 	s.store.Range(func(id string, a *Artifact) {
-		funcs += int64(len(a.Res.Mach.Funcs))
+		for _, f := range a.Res.Mach.Funcs {
+			bodies[f.Entry] = true
+		}
 	})
-	if st.AnalysesBuilt != funcs {
-		t.Errorf("analyses_built = %d, want %d (one per function per artifact)", st.AnalysesBuilt, funcs)
+	if st.AnalysesBuilt != int64(len(bodies)) {
+		t.Errorf("analyses_built = %d, want %d (one per distinct body)", st.AnalysesBuilt, len(bodies))
 	}
 }
 

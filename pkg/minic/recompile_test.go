@@ -243,3 +243,59 @@ func TestRecompileSharesBodiesAcrossSessions(t *testing.T) {
 		t.Error("the edit did not change the transcript; the test cannot tell the programs apart")
 	}
 }
+
+// TestRecompileSharesAnalyses: a one-function edit analyses only the
+// function it compiled. Sessions on both programs run at once with no
+// analysis built beforehand, so the first analyses of the shared bodies
+// race across the two artifacts (run under -race); afterwards every
+// unchanged function's facts (its Table) are the same for both programs,
+// each program's analyses answer for its own Funcs, and every transcript
+// equals a fresh compile's.
+func TestRecompileSharesAnalyses(t *testing.T) {
+	edited := strings.Replace(sharedProg, "return y + 1;", "return y + 2;", 1)
+	a, err := minic.Compile("shared.mc", sharedProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := a.Recompile(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts := []*minic.Artifact{a, b, a, b}
+	got := make([]string, len(arts))
+	errs := make([]error, len(arts))
+	var wg sync.WaitGroup
+	for i, art := range arts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = transcript(art)
+		}()
+	}
+	wg.Wait()
+	for i, src := range []string{sharedProg, edited} {
+		fresh, err := minic.Compile("shared.mc", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := transcript(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := i; j < len(arts); j += 2 {
+			if errs[j] != nil || got[j] != want {
+				t.Fatalf("session %d on program %d (%v):\n%s\nwant (fresh compile):\n%s", j, i, errs[j], got[j], want)
+			}
+		}
+	}
+	for _, fa := range a.Funcs() {
+		fb := b.Func(fa.Name)
+		xa, xb := a.Analysis(fa), b.Analysis(fb)
+		if xa.Fn != fa || xb.Fn != fb {
+			t.Fatalf("%s: an analysis answers for another program's Func", fa.Name)
+		}
+		if shared := xa.Table == xb.Table; shared != (fa.Name != "sq") {
+			t.Errorf("%s: facts shared = %v", fa.Name, shared)
+		}
+	}
+}
