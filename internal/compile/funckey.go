@@ -57,10 +57,19 @@ func GlobalsSigOf(p *ir.Program, cfg Config) GlobalsSig {
 	for _, g := range p.Globals {
 		w.obj(g)
 	}
-	w.uint(uint64(len(p.GlobalInit)))
-	for _, g := range sortedObjs(p.GlobalInit) {
-		w.ref(g)
-		w.opd(p.GlobalInit[g])
+	// The initialized globals, counted first, then in ID order.
+	n := 0
+	for _, init := range p.GlobalInit {
+		if init.Kind != ir.NoOpd {
+			n++
+		}
+	}
+	w.uint(uint64(n))
+	for id, init := range p.GlobalInit {
+		if init.Kind != ir.NoOpd {
+			w.ref(p.Globals[id])
+			w.opd(init)
+		}
 	}
 	return w.sum()
 }

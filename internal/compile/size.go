@@ -3,6 +3,7 @@ package compile
 import (
 	"unsafe"
 
+	"repro/internal/ir"
 	"repro/internal/mach"
 )
 
@@ -43,33 +44,11 @@ const (
 	locSize  = int64(unsafe.Sizeof(mach.Loc{}))
 )
 
-// mapBytes charges a map as Go lays one out: a 48-byte header (all that
-// an empty map holds), then groups of eight key/value slots and an 8-byte
-// control word, as many as keep the slots at most 7/8 full (one group up
-// to eight entries), with an eighth on top for heap rounding.
-func mapBytes[K comparable, V any](m map[K]V) int64 {
-	if m == nil {
-		return 0
-	}
-	n := int64(len(m))
-	if n == 0 {
-		return 48
-	}
-	var k K
-	var v V
-	group := 8 + 8*int64(unsafe.Sizeof(k)+unsafe.Sizeof(v))
-	groups := int64(1)
-	for n > 8 && groups*7 < n {
-		groups *= 2
-	}
-	return 48 + groups*group*9/8
-}
-
 func sizeOfProgram(p *mach.Program) int64 {
 	n := int64(unsafe.Sizeof(*p))
 	n += int64(len(p.Globals)+cap(p.Funcs)) * 8
-	n += mapBytes(p.GlobalOff)
-	n += mapBytes(p.GlobalInit)
+	n += mach.HeapBytes(int64(cap(p.GlobalOff)) * 8)
+	n += mach.HeapBytes(int64(cap(p.GlobalInit)) * int64(unsafe.Sizeof(ir.Operand{})))
 	for _, f := range p.Funcs {
 		n += sizeOfFunc(f)
 	}

@@ -2,36 +2,38 @@ package compile
 
 // Artifact serialization for the store's disk tier.
 //
-// A spilled artifact is a varint image of the *back end* of the pipeline:
-// the final machine code with all of its debugging annotations (statement
+// A spill file carries only what the back end decided: for each function,
+// its final machine code with all of its debugging annotations (statement
 // tags, hoist/sunk/inserted marks, markers, recovery links, DefObj
-// variable tags, the frame-offset and variable-location tables) plus the
-// global
-// data layout — everything the debugger's tables and classifier consume.
-// AST and semantic objects are not serialized; instructions refer to them
-// by their dense per-function (local) or per-program (global) object IDs,
-// the mach.ObjRef an instruction holds in memory.
-// Decoding replays only the deterministic front end (sem.CheckSource:
-// parse + check) to re-establish object and statement identity, then
-// reads the machine program straight back — skipping optimization,
-// lowering, register allocation and scheduling, which is where compile
-// time goes. A caller that already holds the checked program of the same
-// file name and text (a sibling artifact of the same source under another
-// config) can offer it, and the replay is skipped too.
+// variable tags) and its frame-offset and variable-location tables, plus
+// the source text and config they came from. Everything the front end
+// determines is rebuilt, not stored: decoding replays the deterministic
+// front end (sem.CheckSource: parse + check) over the source, or takes
+// the checked program a caller offers for the same file name and text (a
+// sibling artifact of the same source under another config), and builds
+// the program shell — the globals, their layout and data size, and their
+// initializers — with the compiler's own ir.BuildGlobals and
+// lower.NewProgram. Function i's body is bound to the front end's
+// declaration i, which supplies its name, locals and NumVars. AST and
+// semantic objects are not serialized; instructions refer to them by their
+// dense per-function (local) or per-program (global) object IDs, the
+// mach.ObjRef an instruction holds in memory. Optimization, lowering,
+// register allocation and scheduling, which is where compile time goes,
+// are skipped.
 //
 // A spill file is sha256(payload) followed by the payload: a header
-// (spillVersion, name, source, config), the globals tables, then each
-// function (enc.fn/dec.fn). The sum is checked before the decoder reads a
-// byte, so a flipped bit anywhere in the file is rejected and the caller
-// falls back to a full compile.
+// (spillVersion, name, source, config), then exactly one body per declared
+// function, in declaration order (enc.fn/dec.fn). The sum is checked
+// before the decoder reads a byte, so a flipped bit anywhere in the file
+// is rejected and the caller falls back to a full compile.
 //
 // The decoder fails closed and is canonical: every read is bounds-checked,
 // a count may not exceed the bytes that remain, every object ref,
 // successor and entry index is range-checked, a function's tables must
 // have a row per local (no locations before allocation) inside its frame
 // and register files, and an overlong varint, a presence bit over a zero
-// value, an unknown flag bit, an out-of-range opcode or kind, unsorted
-// table rows and trailing bytes are all errors.
+// value, an unknown flag bit, an out-of-range opcode or kind, a missing
+// body and trailing bytes are all errors.
 // So any payload it accepts re-encodes to the same bytes — a test and fuzz
 // property, not a runtime check.
 //
@@ -54,24 +56,32 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/ir"
+	"repro/internal/lower"
 	"repro/internal/mach"
 	"repro/internal/sem"
 )
 
 // spillVersion guards the payload format; bump on any change to it, or to
 // what the pipeline emits for the same key.
-const spillVersion = 8
+const spillVersion = 9
 
 // EncodeSpill serializes a compiled artifact for the disk tier. The
 // source text and configuration ride along (they are the artifact's
-// identity and drive the front-end replay on load).
+// identity and drive the front-end replay on load). The program's
+// functions must be its front end's, in declaration order: that order is
+// all that binds a body to its declaration.
 func EncodeSpill(cfg Config, res *Result) ([]byte, error) {
 	mp := res.Mach
-	for _, f := range mp.Funcs {
+	if len(mp.Funcs) != len(res.Sem.Funcs) {
+		return nil, fmt.Errorf("spill: %d functions for the front end's %d", len(mp.Funcs), len(res.Sem.Funcs))
+	}
+	for i, f := range mp.Funcs {
+		if f.Decl != res.Sem.Funcs[i] {
+			return nil, fmt.Errorf("spill: function %d is %s, not the front end's %s", i, f.Name, res.Sem.Funcs[i].Name)
+		}
 		f.Load()
 	}
 	e := &enc{b: make([]byte, sha256.Size, sha256.Size+len(res.File.Content)+encSizeHint(mp.Funcs...))}
@@ -79,18 +89,6 @@ func EncodeSpill(cfg Config, res *Result) ([]byte, error) {
 	e.str(res.File.Name)
 	e.str(res.File.Content)
 	e.uint(configBits(cfg))
-	e.uint(uint64(len(mp.Globals)))
-	for _, g := range mp.Globals {
-		e.obj(g)
-	}
-	e.offs(mp.GlobalOff)
-	e.int(mp.GlobalSize)
-	e.uint(uint64(len(mp.GlobalInit)))
-	for _, o := range sortedObjs(mp.GlobalInit) {
-		e.obj(o)
-		e.irOperand(mp.GlobalInit[o])
-	}
-	e.uint(uint64(len(mp.Funcs)))
 	for _, f := range mp.Funcs {
 		e.fn(f)
 	}
@@ -116,8 +114,8 @@ func encSizeHint(fs ...*mach.Func) int {
 
 // DecodeSpill verifies a serialized artifact's sum and reconstructs it,
 // replaying the front end over the embedded source to re-establish AST and
-// object identity. It returns the Result, the configuration it was
-// compiled under, and the name/source identity.
+// object identity and the program shell. It returns the Result, the
+// configuration it was compiled under, and the name/source identity.
 func DecodeSpill(data []byte) (res *Result, name, src string, cfg Config, err error) {
 	return DecodeSpillFront(data, nil)
 }
@@ -154,31 +152,11 @@ func DecodeSpillFront(data []byte, front func(name, src string) *sem.Program) (r
 			return nil, "", "", Config{}, fmt.Errorf("spill: front-end replay: %w", err)
 		}
 	}
+	// The shell is the compiler's own, over this front end; the payload
+	// holds one body per declared function, in declaration order.
+	mp := lower.NewProgram(ir.BuildGlobals(p))
+	mp.Funcs = make([]*mach.Func, len(p.Funcs))
 	d.globals = p.Globals
-	mp := &mach.Program{}
-	n := d.count()
-	mp.Globals = make([]*ast.Object, n)
-	for i := range mp.Globals {
-		mp.Globals[i] = d.obj()
-	}
-	mp.GlobalOff = d.offs()
-	if mp.GlobalSize = d.int(); mp.GlobalSize < 0 || mp.GlobalSize > ast.MaxDataBytes {
-		d.fail("global size %d outside [0, %d]", mp.GlobalSize, ast.MaxDataBytes)
-	}
-	for _, off := range mp.GlobalOff {
-		if off < 0 || off%4 != 0 || off >= mp.GlobalSize {
-			d.fail("global offset %d outside the %d-byte global data", off, mp.GlobalSize)
-		}
-	}
-	n = d.count()
-	mp.GlobalInit = make(map[*ast.Object]ir.Operand, n)
-	var prev uint64
-	for i := 0; i < n && d.err == nil; i++ {
-		o := d.rowKey(&prev)
-		mp.GlobalInit[o] = d.irOperand()
-	}
-	n = d.count()
-	mp.Funcs = make([]*mach.Func, 0, n)
 	// The function list is kept, in a copy of its own, as the stubs'
 	// encodings: each body is decoded in full here and dropped, then decoded
 	// again on its first Load. Each stub's slice ends at its own last byte
@@ -186,20 +164,20 @@ func DecodeSpillFront(data []byte, front func(name, src string) *sem.Program) (r
 	// stubs' capacities add up to the allocation they retain (sizeOfFunc).
 	body := bytes.Clone(d.b)
 	d.b = body
-	decode := bodyDecoder(p)
-	for i := 0; i < n && d.err == nil; i++ {
+	decode := bodyDecoder(p.Globals)
+	for i, decl := range p.Funcs {
 		at := len(body) - len(d.b)
-		f := d.fn(p)
+		f := d.fn(decl)
 		if d.err != nil {
 			break
 		}
 		end := len(body) - len(d.b)
 		limit := end
-		if i == n-1 {
+		if i == len(p.Funcs)-1 {
 			limit = cap(body)
 		}
 		mp.Defer(f, body[at:end:limit], decode)
-		mp.Funcs = append(mp.Funcs, f)
+		mp.Funcs[i] = f
 	}
 	if d.end(); d.err != nil {
 		return nil, "", "", Config{}, d.err
@@ -208,14 +186,14 @@ func DecodeSpillFront(data []byte, front func(name, src string) *sem.Program) (r
 }
 
 // bodyDecoder returns the mach.Program.Defer decoder of a spill file's
-// stubs: it decodes a stub's encoding with dec.fn against the front end p,
-// as the read did. The encoding decoded without error when the file was
-// read, and decoding is deterministic, so a failure here is a broken
-// invariant, not bad input.
-func bodyDecoder(p *sem.Program) func([]byte) (*mach.Func, int64) {
-	return func(enc []byte) (*mach.Func, int64) {
-		d := &dec{b: enc, globals: p.Globals}
-		f := d.fn(p)
+// stubs: it decodes a stub's encoding with dec.fn against the stub's
+// declaration and the front end's globals, as the read did. The encoding
+// decoded without error when the file was read, and decoding is
+// deterministic, so a failure here is a broken invariant, not bad input.
+func bodyDecoder(globals []*ast.Object) func(*mach.Func, []byte) (*mach.Func, int64) {
+	return func(stub *mach.Func, enc []byte) (*mach.Func, int64) {
+		d := &dec{b: enc, globals: globals}
+		f := d.fn(stub.Decl)
 		if d.end(); d.err != nil {
 			panic("compile: a verified function body fails to decode: " + d.err.Error())
 		}
@@ -268,17 +246,6 @@ func (d *dec) config() Config {
 // encObj is o's ref less one (nil is -1), the form function keys hash.
 func encObj(o *ast.Object) int32 { return int32(mach.RefOf(o)) - 1 }
 
-// sortedObjs returns a map's object keys ordered by their encoded ref, so
-// encoding is deterministic across runs.
-func sortedObjs[T any](m map[*ast.Object]T) []*ast.Object {
-	objs := make([]*ast.Object, 0, len(m))
-	for o := range m {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool { return mach.RefOf(objs[i]) < mach.RefOf(objs[j]) })
-	return objs
-}
-
 // enc appends the payload encoding to b. Its error is sticky: the first
 // value the format cannot represent fails the whole encode.
 type enc struct {
@@ -293,10 +260,8 @@ func (e *enc) fail(format string, args ...any) {
 	}
 }
 
-func (e *enc) uint(v uint64)     { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) int(v int64)       { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) f64(f float64)     { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(f)) }
-func (e *enc) obj(o *ast.Object) { e.ref(mach.RefOf(o)) }
+func (e *enc) uint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *enc) int(v int64)   { e.b = binary.AppendVarint(e.b, v) }
 
 // ref writes an object ref, as an instruction holds it.
 func (e *enc) ref(r mach.ObjRef) {
@@ -309,15 +274,6 @@ func (e *enc) ref(r mach.ObjRef) {
 func (e *enc) str(s string) {
 	e.uint(uint64(len(s)))
 	e.b = append(e.b, s...)
-}
-
-// offs writes an offset table as rows sorted by object ref.
-func (e *enc) offs(m map[*ast.Object]int64) {
-	e.uint(uint64(len(m)))
-	for _, o := range sortedObjs(m) {
-		e.obj(o)
-		e.int(m[o])
-	}
 }
 
 // dec reads a payload. Its error is sticky: after the first failure every
@@ -462,8 +418,6 @@ func (d *dec) resolve(u uint64) *ast.Object {
 	return d.locals[id]
 }
 
-func (d *dec) obj() *ast.Object { return d.resolve(d.uint()) }
-
 // nzRef reads an instruction's object ref, which a presence bit promised
 // is non-zero. It stays a ref, but must name an object of the replayed
 // front end, as resolve checks.
@@ -476,103 +430,6 @@ func (d *dec) nzRef() mach.ObjRef {
 		return 0
 	}
 	return mach.ObjRef(u)
-}
-
-// rowKey reads a table row's object ref, which must sort strictly after
-// the previous row's (*prev is one past it), so no two rows share a key
-// and the encoder's order is the only one accepted.
-func (d *dec) rowKey(prev *uint64) *ast.Object {
-	u := d.uint()
-	if u < *prev {
-		d.fail("table rows out of order")
-		return nil
-	}
-	*prev = u + 1
-	return d.resolve(u)
-}
-
-func (d *dec) offs() map[*ast.Object]int64 {
-	n := d.count()
-	m := make(map[*ast.Object]int64, n)
-	var prev uint64
-	for i := 0; i < n && d.err == nil; i++ {
-		o := d.rowKey(&prev)
-		m[o] = d.int()
-	}
-	return m
-}
-
-// ir.Operand header bits: the kind in bits 0–2, then the type and which
-// fields follow.
-const (
-	irKindMask = 7
-	irTyF      = 1 << 3
-	irTID      = 1 << 4
-	irObj      = 1 << 5
-	irInt      = 1 << 6
-	irFl       = 1 << 7
-)
-
-func (e *enc) irOperand(o ir.Operand) {
-	if o.Kind < 0 || o.Kind > ir.ConstF || o.Ty < 0 || o.Ty > ir.F {
-		e.fail("initializer operand kind %d type %d out of range", o.Kind, o.Ty)
-	}
-	if o.Kind == ir.Var {
-		e.fail("initializer operand names a variable")
-	}
-	h := len(e.b)
-	e.b = append(e.b, byte(o.Kind))
-	if o.Ty == ir.F {
-		e.b[h] |= irTyF
-	}
-	if o.ID != 0 {
-		e.b[h] |= irTID
-		e.int(int64(o.ID))
-	}
-	switch {
-	case o.Int == 0:
-	case o.Kind == ir.ConstF:
-		e.b[h] |= irFl
-		e.f64(o.F())
-	default:
-		e.b[h] |= irInt
-		e.int(o.Int)
-	}
-}
-
-// irOperand reads an initializer operand. An operand holds one int64, so
-// integer and float payloads exclude each other, and an initializer has no
-// function whose variable it could name (irObj is refused).
-func (d *dec) irOperand() ir.Operand {
-	h := d.byte()
-	if h&irKindMask > byte(ir.ConstF) {
-		d.fail("initializer operand kind %d out of range", h&irKindMask)
-		return ir.Operand{}
-	}
-	o := ir.Operand{Kind: ir.OpdKind(h & irKindMask)}
-	if h&irTyF != 0 {
-		o.Ty = ir.F
-	}
-	if h&irTID != 0 {
-		o.ID = d.nzInt32()
-	}
-	if h&irObj != 0 {
-		d.fail("initializer operand names a variable")
-		return ir.Operand{}
-	}
-	if h&irInt != 0 {
-		if o.Kind == ir.ConstF {
-			d.fail("integer payload on a float constant")
-		}
-		o.Int = d.nzInt()
-	}
-	if h&irFl != 0 {
-		if o.Kind != ir.ConstF {
-			d.fail("float payload on a non-float operand")
-		}
-		o.Int = int64(math.Float64bits(d.nzF64()))
-	}
-	return o
 }
 
 // nzF64 reads a float that a presence bit promised has non-zero bits.
@@ -739,7 +596,6 @@ const (
 
 // fn writes one function: one element of a spill file's function list.
 func (e *enc) fn(f *mach.Func) {
-	e.str(f.Name)
 	var flags byte
 	if f.Allocated {
 		flags |= fnAllocated
@@ -749,7 +605,6 @@ func (e *enc) fn(f *mach.Func) {
 	}
 	e.b = append(e.b, flags)
 	e.int(int64(f.NumVregs))
-	e.int(int64(f.NumVars))
 	e.int(f.FrameSize)
 	e.uint(uint64(len(f.FrameOff)))
 	for _, off := range f.FrameOff {
@@ -794,37 +649,30 @@ func (e *enc) fn(f *mach.Func) {
 	e.uint(uint64(entry))
 }
 
-// fn reads one function against the replayed front end p, rebinding its
-// declaration and objects.
-func (d *dec) fn(p *sem.Program) *mach.Func {
-	name := d.str()
-	if d.err != nil {
-		return nil
-	}
-	decl := p.File.LookupFunc(name)
-	if decl == nil {
-		d.fail("function %q not in replayed front end", name)
-		return nil
-	}
+// fn reads the body of the function decl declares, binding it to decl
+// and to the front end's objects; decl supplies the name and the locals,
+// whose count is the function's NumVars.
+func (d *dec) fn(decl *ast.FuncDecl) *mach.Func {
 	d.locals = decl.Locals
 	flags := d.byte()
 	if flags >= fnBits {
 		d.fail("unknown function flags %#x", flags)
 		return nil
 	}
+	name, nl := decl.Name, len(decl.Locals)
 	f := &mach.Func{
 		Name: name, Decl: decl, Globals: d.globals,
 		Allocated: flags&fnAllocated != 0, Scheduled: flags&fnScheduled != 0,
-		NumVregs: int(d.int()), NumVars: int(d.int()), FrameSize: d.int(),
+		NumVregs: int(d.int()), NumVars: nl, FrameSize: d.int(),
 	}
 	// The tables are indexed by local ID: a frame offset per local, and a
 	// location per local once allocated, none before.
-	nl, nloc := len(decl.Locals), 0
+	nloc := 0
 	if f.Allocated {
 		nloc = nl
 	}
-	if n := d.count(); n != nl || f.NumVars != nl || f.FrameSize < 0 {
-		d.fail("%s: %d frame offsets, %d variables and a %d-byte frame for %d locals", name, n, f.NumVars, f.FrameSize, nl)
+	if n := d.count(); n != nl || f.FrameSize < 0 {
+		d.fail("%s: %d frame offsets and a %d-byte frame for %d locals", name, n, f.FrameSize, nl)
 		return nil
 	}
 	f.FrameOff = make([]int64, nl)

@@ -9,10 +9,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,11 +58,11 @@ func encodeBody(f *mach.Func) ([]byte, error) {
 	return e.b, e.err
 }
 
-// decodeBody reads one function-list entry against the front end p
-// (dec.fn), refusing trailing bytes.
-func decodeBody(data []byte, p *sem.Program) (*mach.Func, error) {
+// decodeBody reads one function-list entry as the body of decl, a
+// function of the front end p (dec.fn), refusing trailing bytes.
+func decodeBody(data []byte, p *sem.Program, decl *ast.FuncDecl) (*mach.Func, error) {
 	d := &dec{b: data, globals: p.Globals}
-	f := d.fn(p)
+	f := d.fn(decl)
 	if d.end(); d.err != nil {
 		return nil, d.err
 	}
@@ -78,8 +78,8 @@ func loadAll(p *mach.Program) {
 
 // TestSpillSumCoversDebugTables changes one field of a decoded artifact at
 // a time, re-encodes it under the original sum, and requires DecodeSpill
-// to reject every result. The fields are the debug tables and global data
-// a machine-code rendering never showed.
+// to reject every result. The fields are the debug tables a machine-code
+// rendering never showed.
 func TestSpillSumCoversDebugTables(t *testing.T) {
 	cfg := O2()
 	res, err := Compile("li.mc", readSource(t, workloadDir+"li.mc"), cfg)
@@ -94,22 +94,6 @@ func TestSpillSumCoversDebugTables(t *testing.T) {
 		field  string
 		mutate func(p *mach.Program) bool // false: field absent from li
 	}{
-		{"GlobalInit", func(p *mach.Program) bool {
-			for _, o := range sortedObjs(p.GlobalInit) {
-				op := p.GlobalInit[o]
-				op.Int++
-				p.GlobalInit[o] = op
-				return true
-			}
-			return false
-		}},
-		{"GlobalOff", func(p *mach.Program) bool {
-			for _, o := range sortedObjs(p.GlobalOff) {
-				p.GlobalOff[o] += 8
-				return true
-			}
-			return false
-		}},
 		// The table edits keep the tables well formed, so only the sum
 		// can refuse them.
 		{"VarLoc", func(p *mach.Program) bool {
@@ -244,30 +228,39 @@ func TestSpillReencodeFaithful(t *testing.T) {
 // FuzzDecodeFuncEntry fuzzes the spill codec's function bodies, one entry
 // of a spill file's function list (encodeBody/decodeBody): the decoder
 // never panics, and any entry it accepts re-encodes to itself. The input
-// picks the workload whose front end the entry decodes against, so object
-// refs resolve; the seeds are every function of the workloads at O2.
+// picks the declaration, of a workload's front end, that the entry is
+// decoded as the body of, so object refs resolve; the seeds are every
+// function of the workloads at O2, each under its own declaration.
 func FuzzDecodeFuncEntry(f *testing.F) {
 	paths, err := filepath.Glob(workloadDir + "*.mc")
 	if err != nil || len(paths) != 8 {
 		f.Fatalf("workload sources: %v (%d found, want 8)", err, len(paths))
 	}
-	var progs []*sem.Program
-	for i, path := range paths {
+	type target struct {
+		p    *sem.Program
+		decl *ast.FuncDecl
+	}
+	var targets []target
+	for _, path := range paths {
 		res, err := Compile(filepath.Base(path), readSource(f, path), O2())
 		if err != nil {
 			f.Fatal(err)
 		}
-		progs = append(progs, res.Sem)
 		for _, mf := range res.Mach.Funcs {
 			e, err := encodeBody(mf)
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(uint8(i), e)
+			f.Add(uint8(len(targets)), e)
+			targets = append(targets, target{res.Sem, mf.Decl})
 		}
 	}
-	f.Fuzz(func(t *testing.T, prog uint8, entry []byte) {
-		mf, err := decodeBody(entry, progs[int(prog)%len(progs)])
+	if len(targets) > 256 {
+		f.Fatalf("%d functions: a uint8 cannot pick each", len(targets))
+	}
+	f.Fuzz(func(t *testing.T, pick uint8, entry []byte) {
+		tg := targets[int(pick)%len(targets)]
+		mf, err := decodeBody(entry, tg.p, tg.decl)
 		if err != nil {
 			return
 		}
@@ -363,51 +356,14 @@ func TestDecodeRefusesWideInt32Fields(t *testing.T) {
 	}
 }
 
-// TestInitializerOperandCodec holds the initializer-operand bytes to the
-// pointer-free ir.Operand: a constant round-trips bit for bit (a float's
-// -0 and NaN payload included), and an operand the layout cannot hold is
-// refused on both sides: one naming a variable (an initializer has no
-// function to resolve it in) and one carrying both an integer and a float
-// payload (the operand has one int64 for either).
-func TestInitializerOperandCodec(t *testing.T) {
-	for _, o := range []ir.Operand{
-		{}, ir.CI(0), ir.CI(-7), ir.CF(0), ir.CF(math.Copysign(0, -1)), ir.CF(2.5),
-		ir.CF(math.Float64frombits(0x7ff8000000000abc)), ir.TempOf(3, ir.F),
-	} {
-		e := &enc{}
-		e.irOperand(o)
-		d := &dec{b: e.b}
-		if got := d.irOperand(); e.err != nil || d.err != nil || got != o {
-			t.Errorf("%+v: decoded %+v (enc err %v, dec err %v)", o, got, e.err, d.err)
-		}
-	}
-	e := &enc{}
-	if e.irOperand(ir.Operand{Kind: ir.Var, ID: 1}); e.err == nil {
-		t.Error("encoded an initializer naming a variable")
-	}
-	for _, c := range []struct {
-		name string
-		b    []byte
-	}{
-		{"variable", []byte{byte(ir.Var) | irObj, 2}},
-		{"integer payload on a float", []byte{byte(ir.ConstF) | irTyF | irInt, 2}},
-		{"float payload on an integer", []byte{byte(ir.ConstI) | irFl, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}},
-	} {
-		d := &dec{b: c.b}
-		if d.irOperand(); d.err == nil {
-			t.Errorf("decoded an initializer with a %s", c.name)
-		}
-	}
-}
-
-// TestDecodeRefusesObjRefOutOfRange sets each object ref a spill file or
-// function body carries, one at a time, to the first ID past the
-// function's locals or the program's globals, and requires decoding to
-// fail with an error, not a panic. An instruction keeps its refs as refs,
-// so decoding is where they are checked: in the instruction fields
-// (DefObj, Sym, ReplacedVar, MarkObj, Recover's variable) and in the
-// globals tables' rows. A function's frame offsets and variable locations
-// are indexed by local ID, so a row past the locals is the same fault.
+// TestDecodeRefusesObjRefOutOfRange sets each object ref a function body
+// carries, one at a time, to the first ID past the function's locals or
+// the program's globals, and requires decoding to fail with an error, not
+// a panic. An instruction keeps its refs as refs, so decoding is where
+// they are checked: in the instruction fields (DefObj, Sym, ReplacedVar,
+// MarkObj, Recover's variable). A function's frame offsets and variable
+// locations are indexed by local ID, so a row past the locals is the same
+// fault.
 func TestDecodeRefusesObjRefOutOfRange(t *testing.T) {
 	src := `int g = 2; int main() { int a[2]; int x = g; a[0] = x; g = x + 1; print(a[0]); return g; }`
 	res, err := Compile("t.mc", src, O2())
@@ -434,10 +390,9 @@ func TestDecodeRefusesObjRefOutOfRange(t *testing.T) {
 		return got
 	}
 	main := func(r *Result) *mach.Func { return r.Mach.LookupFunc("main") }
-	// refuse requires r's spill file to be refused and, when entry is
-	// set (the ref is main's, not the globals tables'), main's body on its
+	// refuse requires r's spill file to be refused, and main's body on its
 	// own too.
-	refuse := func(t *testing.T, r *Result, entry bool) {
+	refuse := func(t *testing.T, r *Result) {
 		t.Helper()
 		data, err := EncodeSpill(O2(), r)
 		if err != nil {
@@ -446,14 +401,11 @@ func TestDecodeRefusesObjRefOutOfRange(t *testing.T) {
 		if _, _, _, _, err := DecodeSpill(data); err == nil {
 			t.Error("spill file accepted")
 		}
-		if !entry {
-			return
-		}
 		e, err := encodeBody(main(r))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := decodeBody(e, res.Sem); err == nil {
+		if _, err := decodeBody(e, res.Sem, main(res).Decl); err == nil {
 			t.Error("function body accepted")
 		}
 	}
@@ -473,25 +425,21 @@ func TestDecodeRefusesObjRefOutOfRange(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", c.field, ref), func(t *testing.T) {
 				r := fresh(t)
 				c.set(first(r))
-				refuse(t, r, true)
+				refuse(t, r)
 			})
 		}
 	}
 	for _, c := range []struct {
-		row   string
-		entry bool
-		set   func(r *Result)
+		row string
+		set func(r *Result)
 	}{
-		{"FrameOff", true, func(r *Result) { f := main(r); f.FrameOff = append(f.FrameOff, 0) }},
-		{"VarLoc", true, func(r *Result) { f := main(r); f.VarLoc = append(f.VarLoc, mach.Loc{Kind: mach.LocReg, R: 1}) }},
-		{"Globals", false, func(r *Result) { r.Mach.Globals = append(r.Mach.Globals, pastGlobal) }},
-		{"GlobalOff", false, func(r *Result) { r.Mach.GlobalOff[pastGlobal] = 0 }},
-		{"GlobalInit", false, func(r *Result) { r.Mach.GlobalInit[pastGlobal] = res.Mach.GlobalInit[res.Sem.Globals[0]] }},
+		{"FrameOff", func(r *Result) { f := main(r); f.FrameOff = append(f.FrameOff, 0) }},
+		{"VarLoc", func(r *Result) { f := main(r); f.VarLoc = append(f.VarLoc, mach.Loc{Kind: mach.LocReg, R: 1}) }},
 	} {
 		t.Run(c.row, func(t *testing.T) {
 			r := fresh(t)
 			c.set(r)
-			refuse(t, r, c.entry)
+			refuse(t, r)
 		})
 	}
 }
@@ -517,7 +465,7 @@ int main() { return f(3); }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeBody(good, res.Sem); err != nil {
+	if _, err := decodeBody(good, res.Sem, orig.Decl); err != nil {
 		t.Fatalf("unmodified body refused: %v", err)
 	}
 	// reg and none are the IDs of f's first register-allocated local and
@@ -548,10 +496,9 @@ int main() { return f(3); }`
 		{"short locations", func(f *mach.Func) { f.VarLoc = f.VarLoc[:len(f.VarLoc)-1] }},
 		{"locations before allocation", func(f *mach.Func) { f.Allocated = false }},
 		{"no locations once allocated", func(f *mach.Func) { f.VarLoc = nil }},
-		{"variables past locals", func(f *mach.Func) { f.NumVars++ }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			f, err := decodeBody(good, res.Sem)
+			f, err := decodeBody(good, res.Sem, orig.Decl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -560,7 +507,7 @@ int main() { return f(3); }`
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := decodeBody(e, res.Sem); err == nil {
+			if _, err := decodeBody(e, res.Sem, orig.Decl); err == nil {
 				t.Error("body accepted")
 			}
 		})
@@ -606,5 +553,187 @@ func TestSpillRejectsBadBodyAtRead(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "block index") {
 		t.Fatalf("refused for another reason: %v", err)
+	}
+}
+
+// initializerForms declares a global of every initializer form
+// ir.BuildGlobals reads (an int, a float, a float from an int literal, an
+// int from a float literal) beside uninitialized scalar, struct and array
+// globals.
+const initializerForms = `struct pt { int x; float y; };
+int gi = 7;
+float gf = 2.5;
+float gfi = 3;
+int gif = 4.75;
+int gz;
+struct pt gs;
+int ga[5];
+int main() {
+	gs.x = gi + gif; gs.y = gf * gfi; ga[2] = gz + 1;
+	print(gs.x, gs.y, ga[2]);
+	return 0;
+}
+`
+
+// TestDecodedShellMatchesCompiled: a spill file carries no program shell;
+// the read rebuilds it from the front end, and what it rebuilds is the
+// compiled shell. Over the workloads, randprog.Gen(1..200) and
+// initializerForms at O0, O2NoRegAlloc and O2, the decoded program's
+// Globals are its front end's slice, its global offsets, data size and
+// initializers equal the compiled program's, and function i is the front
+// end's declaration i with the compiled function's Name and NumVars. So
+// every global lies inside the global data, which a file can no longer
+// contradict.
+func TestDecodedShellMatchesCompiled(t *testing.T) {
+	type prog struct{ name, src string }
+	progs := []prog{{"inits.mc", initializerForms}}
+	paths, err := filepath.Glob(workloadDir + "*.mc")
+	if err != nil || len(paths) != 8 {
+		t.Fatalf("workload sources: %v (%d found, want 8)", err, len(paths))
+	}
+	for _, path := range paths {
+		progs = append(progs, prog{filepath.Base(path), readSource(t, path)})
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		progs = append(progs, prog{fmt.Sprintf("rand%d.mc", seed), randprog.Gen(seed)})
+	}
+	for _, p := range progs {
+		for _, c := range []struct {
+			name string
+			cfg  Config
+		}{{"O0", O0()}, {"O2NoRegAlloc", O2NoRegAlloc()}, {"O2", O2()}} {
+			label := p.name + "/" + c.name
+			res, err := Compile(p.name, p.src, c.cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			data, err := EncodeSpill(c.cfg, res)
+			if err != nil {
+				t.Fatalf("%s: encode: %v", label, err)
+			}
+			got, _, _, _, err := DecodeSpill(data)
+			if err != nil {
+				t.Fatalf("%s: decode: %v", label, err)
+			}
+			want, gm := res.Mach, got.Mach
+			if len(gm.Globals) != len(got.Sem.Globals) || len(gm.Globals) > 0 && &gm.Globals[0] != &got.Sem.Globals[0] {
+				t.Fatalf("%s: decoded Globals are not the front end's", label)
+			}
+			if !slices.Equal(gm.GlobalOff, want.GlobalOff) || gm.GlobalSize != want.GlobalSize || !slices.Equal(gm.GlobalInit, want.GlobalInit) {
+				t.Fatalf("%s: decoded global data %v/%d/%v, compiled %v/%d/%v", label,
+					gm.GlobalOff, gm.GlobalSize, gm.GlobalInit, want.GlobalOff, want.GlobalSize, want.GlobalInit)
+			}
+			if gm.GlobalSize > ast.MaxDataBytes {
+				t.Fatalf("%s: %d bytes of global data", label, gm.GlobalSize)
+			}
+			for _, g := range gm.Globals {
+				off, ok := gm.GlobalOffOf(g)
+				if !ok || off < 0 || off%4 != 0 || off+max(int64(g.Type.Size()), 4) > gm.GlobalSize {
+					t.Fatalf("%s: global %s at %d (%v) outside the %d-byte global data", label, g.Name, off, ok, gm.GlobalSize)
+				}
+			}
+			if len(gm.Funcs) != len(want.Funcs) {
+				t.Fatalf("%s: %d functions decoded, %d compiled", label, len(gm.Funcs), len(want.Funcs))
+			}
+			for i, f := range gm.Funcs {
+				w := want.Funcs[i]
+				if f.Decl != got.Sem.Funcs[i] || f.Name != w.Name || f.Name != f.Decl.Name || f.NumVars != w.NumVars {
+					t.Fatalf("%s: function %d decoded as %s (NumVars %d), compiled as %s (NumVars %d), or not bound to the front end's declaration",
+						label, i, f.Name, f.NumVars, w.Name, w.NumVars)
+				}
+			}
+		}
+	}
+	// Every initializer form, and none on the uninitialized globals.
+	res, err := Compile("inits.mc", initializerForms, O0())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantInit := map[string]ir.Operand{
+		"gi": ir.CI(7), "gf": ir.CF(2.5), "gfi": ir.CF(3), "gif": ir.CI(4),
+		"gz": {}, "gs": {}, "ga": {},
+	}
+	for _, g := range res.Mach.Globals {
+		if got, want := res.Mach.GlobalInit[g.ID], wantInit[g.Name]; got != want {
+			t.Errorf("%s initialized to %+v, want %+v", g.Name, got, want)
+		}
+	}
+}
+
+// TestDecodeSpillRefusesBodyCount: a payload holds one body per declared
+// function, in declaration order. One body short or one body long, under
+// a matching sum, is refused with an error, not a panic.
+func TestDecodeSpillRefusesBodyCount(t *testing.T) {
+	const name, src = "t.mc", `int f(int x) { return x + 1; }
+int g(int y) { return f(y) * 2; }
+int main() { print(g(3)); return 0; }`
+	res, err := Compile(name, src, O2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// payload encodes the header and then fs's bodies, under their sum.
+	payload := func(fs []*mach.Func) []byte {
+		e := &enc{b: make([]byte, sha256.Size)}
+		e.uint(spillVersion)
+		e.str(name)
+		e.str(src)
+		e.uint(configBits(O2()))
+		for _, f := range fs {
+			e.fn(f)
+		}
+		if e.err != nil {
+			t.Fatal(e.err)
+		}
+		sum := sha256.Sum256(e.b[sha256.Size:])
+		copy(e.b, sum[:])
+		return e.b
+	}
+	fs := res.Mach.Funcs
+	whole, err := EncodeSpill(O2(), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(payload(fs), whole) {
+		t.Fatal("a payload of every body differs from EncodeSpill's")
+	}
+	for _, c := range []struct {
+		what string
+		fs   []*mach.Func
+	}{
+		{"one body short", fs[:len(fs)-1]},
+		{"one body long", append(slices.Clone(fs), fs[len(fs)-1])},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: decode panicked: %v", c.what, r)
+				}
+			}()
+			if _, _, _, _, err := DecodeSpill(payload(c.fs)); err == nil {
+				t.Errorf("%s: payload accepted", c.what)
+			}
+		}()
+	}
+}
+
+// TestEncodeSpillRefusesForeignFuncOrder: a file binds body i to the
+// front end's function i, so EncodeSpill refuses a program whose
+// functions are not the front end's, in declaration order.
+func TestEncodeSpillRefusesForeignFuncOrder(t *testing.T) {
+	res, err := Compile("li.mc", readSource(t, workloadDir+"li.mc"), O2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := res.Mach.Funcs
+	swapped := slices.Clone(fs)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	for _, c := range []struct {
+		what string
+		fs   []*mach.Func
+	}{{"reordered", swapped}, {"one short", fs[:len(fs)-1]}} {
+		r := &Result{File: res.File, Sem: res.Sem, Mach: &mach.Program{Funcs: c.fs}}
+		if _, err := EncodeSpill(O2(), r); err == nil {
+			t.Errorf("%s function list encoded", c.what)
+		}
 	}
 }

@@ -81,25 +81,20 @@ func (d *Debugger) analysisOf(f *mach.Func) *core.Analysis {
 	return d.analyses.Of(f)
 }
 
-// stmtLine returns the source line of statement s in fn.
-func (d *Debugger) stmtLine(fn *mach.Func, s int) int {
-	stmts := ast.StmtsByID(fn.Decl)
-	if s < 0 || s >= len(stmts) || stmts[s] == nil {
+// stmtLine returns the source line of statement s in fn, or 0.
+func stmtLine(fn *mach.Func, s int) int {
+	if s < 0 || s >= len(fn.Decl.StmtLines) {
 		return 0
 	}
-	return d.Res.File.Position(stmts[s].Span().Start).Line
+	return int(fn.Decl.StmtLines[s])
 }
 
 // BreakAtLine sets a breakpoint at the first statement on the given source
 // line.
 func (d *Debugger) BreakAtLine(line int) (*Breakpoint, error) {
 	for _, f := range d.Res.Mach.Funcs {
-		stmts := ast.StmtsByID(f.Decl)
-		for s, st := range stmts {
-			if st == nil {
-				continue
-			}
-			if d.Res.File.Position(st.Span().Start).Line == line {
+		for s, l := range f.Decl.StmtLines {
+			if int(l) == line {
 				return d.BreakAtStmt(f.Name, s)
 			}
 		}
@@ -119,7 +114,7 @@ func (d *Debugger) BreakAtStmt(funcName string, stmt int) (*Breakpoint, error) {
 		return nil, fmt.Errorf("debugger: %w: statement %d of %s", ErrNoStmtLoc, stmt, funcName)
 	}
 	locs, _ := a.Table.LocsOf(stmt)
-	bp := &Breakpoint{Fn: f, Stmt: stmt, Line: d.stmtLine(f, stmt), Loc: loc, Locs: locs}
+	bp := &Breakpoint{Fn: f, Stmt: stmt, Line: stmtLine(f, stmt), Loc: loc, Locs: locs}
 	d.breaks = append(d.breaks, bp)
 	d.bset = nil // recompile the bitmap on the next Continue
 	return bp, nil
@@ -225,7 +220,7 @@ func (d *Debugger) afterStep() (*Breakpoint, error) {
 	bp := &Breakpoint{
 		Fn:   pos.Fn,
 		Stmt: stmt,
-		Line: d.stmtLine(pos.Fn, stmt),
+		Line: stmtLine(pos.Fn, stmt),
 		Loc:  debuginfo.Loc{Block: pos.Block, Idx: pos.Idx},
 	}
 	d.stopped = bp
@@ -400,7 +395,7 @@ func (d *Debugger) Print(name string) (*VarReport, error) {
 func (d *Debugger) reportGlobalField(g *ast.Object, st *ast.StructType, idx int) (*VarReport, error) {
 	name := g.Name + "." + st.Fields[idx].Name
 	r := &VarReport{Name: name, Class: core.Classification{Var: g, State: core.Current}}
-	off, ok := d.Res.Mach.GlobalOff[g]
+	off, ok := d.Res.Mach.GlobalOffOf(g)
 	if !ok {
 		return r, nil
 	}
@@ -436,7 +431,7 @@ func (d *Debugger) reportGlobal(g *ast.Object) (*VarReport, error) {
 		}
 		return r, nil
 	}
-	off, ok := d.Res.Mach.GlobalOff[g]
+	off, ok := d.Res.Mach.GlobalOffOf(g)
 	if !ok {
 		return r, nil
 	}
@@ -492,7 +487,7 @@ func (d *Debugger) report(bp *Breakpoint, obj *ast.Object) *VarReport {
 	cls := d.classifyStop(bp, obj)
 	r := &VarReport{Name: obj.Name, Class: cls}
 	for _, s := range cls.SrcStmts {
-		if l := d.stmtLine(bp.Fn, s); l > 0 {
+		if l := stmtLine(bp.Fn, s); l > 0 {
 			r.SrcLines = append(r.SrcLines, l)
 		}
 	}
@@ -511,7 +506,7 @@ func (d *Debugger) report(bp *Breakpoint, obj *ast.Object) *VarReport {
 				sub = &VarReport{Name: m.Name, Class: d.classifyStop(bp, m)}
 			}
 			for _, s := range sub.Class.SrcStmts {
-				if l := d.stmtLine(bp.Fn, s); l > 0 {
+				if l := stmtLine(bp.Fn, s); l > 0 {
 					sub.SrcLines = append(sub.SrcLines, l)
 				}
 			}

@@ -13,28 +13,34 @@ import (
 // optimizer transforms whole source-level assignments, which is what the
 // paper's bookkeeping tracks.
 func Build(p *sem.Program) *Program {
-	prog := &Program{Globals: p.Globals, GlobalInit: map[*ast.Object]Operand{}}
-	for _, g := range p.File.Globals {
-		if g.Init != nil {
-			switch init := g.Init.(type) {
-			case *ast.IntLit:
-				prog.GlobalInit[g.Obj] = CI(init.Value)
-			case *ast.FloatLit:
-				prog.GlobalInit[g.Obj] = CF(init.Value)
-			case *ast.CastExpr:
-				switch x := init.X.(type) {
-				case *ast.IntLit:
-					prog.GlobalInit[g.Obj] = CF(float64(x.Value))
-				case *ast.FloatLit:
-					prog.GlobalInit[g.Obj] = CI(int64(x.Value))
-				}
-			}
-		}
-	}
+	prog := BuildGlobals(p)
 	for _, fd := range p.Funcs {
 		f := buildFunc(fd)
 		f.Globals = p.Globals
 		prog.Funcs = append(prog.Funcs, f)
+	}
+	return prog
+}
+
+// BuildGlobals returns p's program shell: its globals and their constant
+// initializers, with no functions. Build starts from it, and a spill read
+// rebuilds a decoded program's global data from it.
+func BuildGlobals(p *sem.Program) *Program {
+	prog := &Program{Globals: p.Globals, GlobalInit: make([]Operand, len(p.Globals))}
+	for _, g := range p.File.Globals {
+		switch init := g.Init.(type) {
+		case *ast.IntLit:
+			prog.GlobalInit[g.Obj.ID] = CI(init.Value)
+		case *ast.FloatLit:
+			prog.GlobalInit[g.Obj.ID] = CF(init.Value)
+		case *ast.CastExpr:
+			switch x := init.X.(type) {
+			case *ast.IntLit:
+				prog.GlobalInit[g.Obj.ID] = CF(float64(x.Value))
+			case *ast.FloatLit:
+				prog.GlobalInit[g.Obj.ID] = CI(int64(x.Value))
+			}
+		}
 	}
 	return prog
 }

@@ -85,7 +85,7 @@ func NewInterp(prog *Program) *Interp {
 	}
 	for _, g := range prog.Globals {
 		m := newMemObj(g)
-		if init, ok := prog.GlobalInit[g]; ok {
+		if init := prog.GlobalInit[g.ID]; init.Kind != NoOpd {
 			if m.isF {
 				if init.Kind == ConstF {
 					m.fls[0] = init.F()

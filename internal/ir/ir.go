@@ -729,9 +729,11 @@ func (f *Func) String() string {
 type Program struct {
 	Funcs   []*Func
 	Globals []*ast.Object
-	// GlobalInit holds constant initial values for scalar globals,
-	// keyed by object; arrays are zero-initialized.
-	GlobalInit map[*ast.Object]Operand
+	// GlobalInit holds each global's constant initial value, by
+	// Object.ID; a global without one (every array and struct, and a
+	// scalar declared without an initializer) is NoOpd and
+	// zero-initialized.
+	GlobalInit []Operand
 }
 
 // LookupFunc finds a function by name, or nil.

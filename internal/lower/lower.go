@@ -11,7 +11,6 @@ package lower
 import (
 	"fmt"
 
-	"repro/internal/ast"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/mach"
@@ -24,12 +23,12 @@ import (
 func NewProgram(p *ir.Program) *mach.Program {
 	mp := &mach.Program{
 		Globals:    p.Globals,
-		GlobalOff:  map[*ast.Object]int64{},
+		GlobalOff:  make([]int64, len(p.Globals)),
 		GlobalInit: p.GlobalInit,
 	}
 	var off int64
-	for _, g := range p.Globals {
-		mp.GlobalOff[g] = off
+	for i, g := range p.Globals {
+		mp.GlobalOff[i] = off
 		sz := int64(g.Type.Size())
 		if sz == 0 {
 			sz = 4

@@ -656,7 +656,7 @@ type lazyBody struct {
 	loaded atomic.Bool
 	prog   *Program
 	enc    []byte
-	decode func(enc []byte) (*Func, int64)
+	decode func(stub *Func, enc []byte) (*Func, int64)
 }
 
 // Load fills f's body if f is a stub whose body is still encoded; on any
@@ -673,7 +673,7 @@ func (f *Func) Load() {
 		return
 	}
 	l.once.Do(func() {
-		g, cost := l.decode(l.enc)
+		g, cost := l.decode(f, l.enc)
 		f.setBody(g)
 		l.loaded.Store(true)
 		l.prog.loadMu.Lock()
@@ -847,10 +847,13 @@ func (f *Func) String() string {
 type Program struct {
 	Funcs   []*Func
 	Globals []*ast.Object
-	// GlobalOff assigns each global an offset in the global data segment.
-	GlobalOff  map[*ast.Object]int64
+	// GlobalOff is each global's offset in the global data segment, by
+	// Object.ID; look a global up with GlobalOffOf.
+	GlobalOff  []int64
 	GlobalSize int64
-	GlobalInit map[*ast.Object]ir.Operand
+	// GlobalInit is each global's initial value, by Object.ID: the IR
+	// program's table (ir.Program.GlobalInit), shared.
+	GlobalInit []ir.Operand
 
 	// predecoded caches the simulator's predecoded form of this program
 	// (internal/vm flattens each function into a pc-indexed instruction
@@ -868,12 +871,21 @@ type Program struct {
 	onLoad func(int64)
 }
 
+// GlobalOffOf returns o's offset in the global data when o is one of p's
+// globals.
+func (p *Program) GlobalOffOf(o *ast.Object) (int64, bool) {
+	if r := RefOf(o); r.IsGlobal() && r.ID() < len(p.GlobalOff) && Resolve(r, nil, p.Globals) == o {
+		return p.GlobalOff[r.ID()], true
+	}
+	return 0, false
+}
+
 // Defer makes f a stub of p: it drops f's body (Blocks, Entry, FrameOff,
 // VarLoc) and keeps enc, the body's verified encoding. The first Load
-// takes the body of the function decode(enc) returns, and charges the
+// takes the body of the function decode(f, enc) returns, and charges the
 // byte cost decode returns with it. decode must not fail, so a caller
 // defers only an encoding it has decoded in full.
-func (p *Program) Defer(f *Func, enc []byte, decode func(enc []byte) (*Func, int64)) {
+func (p *Program) Defer(f *Func, enc []byte, decode func(stub *Func, enc []byte) (*Func, int64)) {
 	f.setBody(&Func{})
 	f.lazy = &lazyBody{prog: p, enc: enc, decode: decode}
 }

@@ -7,6 +7,7 @@ package sem
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/parser"
@@ -28,10 +29,10 @@ type checker struct {
 	funcs map[string]*ast.Object
 
 	// per-function state
-	fn       *ast.FuncDecl
-	scopes   []map[string]*ast.Object
-	nextStmt int
-	loop     int // loop nesting depth, for break/continue
+	fn     *ast.FuncDecl
+	scopes []map[string]*ast.Object
+	lines  []int32 // the current function's statement lines, by ID; its length is the next ID
+	loop   int     // loop nesting depth, for break/continue
 }
 
 // Check resolves and type-checks the file, returning the checked Program.
@@ -206,7 +207,7 @@ func (c *checker) lookup(name string) *ast.Object {
 
 func (c *checker) checkFunc(fn *ast.FuncDecl) {
 	c.fn = fn
-	c.nextStmt = 0
+	c.lines = c.lines[:0]
 	c.loop = 0
 	c.scopes = nil
 	c.pushScope()
@@ -230,7 +231,8 @@ func (c *checker) checkFunc(fn *ast.FuncDecl) {
 		}
 	}
 	c.checkBlock(fn.Body)
-	fn.NumStmts = c.nextStmt
+	fn.NumStmts = len(c.lines)
+	fn.StmtLines = slices.Clone(c.lines)
 	for _, o := range fn.Locals {
 		if o.ScopeEnd > fn.NumStmts {
 			o.ScopeEnd = fn.NumStmts
@@ -245,7 +247,11 @@ func (c *checker) checkFunc(fn *ast.FuncDecl) {
 	c.popScope()
 }
 
-func (c *checker) assignID(s ast.Stmt) { s.SetID(c.nextStmt); c.nextStmt++ }
+// assignID gives s the next statement ID and records its line.
+func (c *checker) assignID(s ast.Stmt) {
+	s.SetID(len(c.lines))
+	c.lines = append(c.lines, int32(c.file.Position(s.Span().Start).Line))
+}
 
 func (c *checker) checkBlock(b *ast.Block) {
 	b.SetID(-1) // blocks themselves are not breakpoints
@@ -258,7 +264,7 @@ func (c *checker) checkBlock(b *ast.Block) {
 	}
 	// Variables declared in this block go out of scope at its end.
 	for _, o := range declared {
-		o.ScopeEnd = c.nextStmt
+		o.ScopeEnd = len(c.lines)
 	}
 	c.popScope()
 }
@@ -388,7 +394,7 @@ func (c *checker) checkStmt(s ast.Stmt) *ast.Object {
 			c.checkStmt(s.Post)
 		}
 		if declared != nil {
-			declared.ScopeEnd = c.nextStmt
+			declared.ScopeEnd = len(c.lines)
 		}
 		c.popScope()
 		return nil

@@ -1,10 +1,14 @@
 package sem
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/randprog"
 )
 
 func checkOK(t *testing.T, src string) *Program {
@@ -194,6 +198,44 @@ int main() { return f(1, 2.0); }
 	for i, o := range fn.Locals {
 		if o.ID != i {
 			t.Errorf("local %s has ID %d at index %d", o.Name, o.ID, i)
+		}
+	}
+}
+
+// TestStmtLinesMatchStatements: the checker records one line per
+// statement ID, the line its statement starts on, over the workloads and
+// randprog.Gen(1..200).
+func TestStmtLinesMatchStatements(t *testing.T) {
+	srcs := map[string]string{}
+	paths, err := filepath.Glob("../bench/testdata/*.mc")
+	if err != nil || len(paths) != 8 {
+		t.Fatalf("workload sources: %v (%d found, want 8)", err, len(paths))
+	}
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(path)] = string(b)
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		srcs[fmt.Sprintf("rand%d.mc", seed)] = randprog.Gen(seed)
+	}
+	for name, src := range srcs {
+		p, err := CheckSource(name, src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, fn := range p.Funcs {
+			stmts := ast.StmtsByID(fn)
+			if len(fn.StmtLines) != fn.NumStmts {
+				t.Fatalf("%s: %s has %d statement lines for %d statements", name, fn.Name, len(fn.StmtLines), fn.NumStmts)
+			}
+			for s, st := range stmts {
+				if want := p.File.Source.Position(st.Span().Start).Line; int(fn.StmtLines[s]) != want {
+					t.Fatalf("%s: %s statement %d on line %d, recorded %d", name, fn.Name, s, want, fn.StmtLines[s])
+				}
+			}
 		}
 	}
 }

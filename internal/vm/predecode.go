@@ -334,7 +334,7 @@ func decodeOne(prog *mach.Program, fc *funcCode, in *mach.Instr) dinstr {
 		sym := fc.fn.Obj(in.Sym)
 		if off, ok := fc.fn.FrameOffOf(sym); ok {
 			d.sym, d.off = symFrame, off
-		} else if off, ok := prog.GlobalOff[sym]; ok {
+		} else if off, ok := prog.GlobalOffOf(sym); ok {
 			d.sym, d.off = symGlobal, off
 		}
 	}

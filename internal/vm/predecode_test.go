@@ -125,7 +125,7 @@ func slotMatches(prog *mach.Program, fc *funcCode, d *dinstr) error {
 		obj := f.Obj(in.Sym)
 		if o, ok := f.FrameOffOf(obj); ok {
 			sym, off = symFrame, o
-		} else if o, ok := prog.GlobalOff[obj]; ok {
+		} else if o, ok := prog.GlobalOffOf(obj); ok {
 			sym, off = symGlobal, o
 		}
 	}

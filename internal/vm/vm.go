@@ -185,14 +185,14 @@ func New(prog *mach.Program) (*VM, error) {
 	vm.sp = (globalBytes + 7) &^ 3
 	vm.spMax = vm.sp + maxFrameBytes
 	vm.mem = getMem(int(globalBytes/4)+4, vm.maxWords())
-	for obj, init := range prog.GlobalInit {
-		off := prog.GlobalOff[obj] / 4
+	for id, init := range prog.GlobalInit {
+		off, _ := prog.GlobalOffOf(prog.Globals[id])
 		switch init.Kind {
 		case ir.NoOpd:
 		case ir.ConstF:
-			vm.mem[off] = bits(init.F())
+			vm.mem[off/4] = bits(init.F())
 		default:
-			vm.mem[off] = init.Int
+			vm.mem[off/4] = init.Int
 		}
 	}
 	if vm.push(vm.pcode.fn(main), 0, kNone, 0) == nil {
@@ -522,7 +522,7 @@ func (vm *VM) AddrOf(fr *Frame, obj *ast.Object) (int64, bool) {
 	if off, ok := fr.Fn.FrameOffOf(obj); ok {
 		return fr.Base + off, true
 	}
-	if off, ok := vm.Prog.GlobalOff[obj]; ok {
+	if off, ok := vm.Prog.GlobalOffOf(obj); ok {
 		return off, true
 	}
 	return 0, false
